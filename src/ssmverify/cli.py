@@ -38,12 +38,7 @@ from .errors import (
 )
 from .modelfile import load_model, save_model
 from .solvers import LengthBound, pump_down, sat_bounded, sat_fixed
-from .ssm import (
-    classify_gates,
-    evaluate,
-    quantization_report,
-    state_count_bound,
-)
+from .ssm import _stepper, classify_gates, evaluate, state_count_bound
 from .words import format_word, parse_trace, parse_word
 
 EXIT_SAT = 0
@@ -77,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sf = satsub.add_parser("fixed")
     sf.add_argument("model")
     sf.add_argument("--arith", required=True, help="fx:<total>:<frac>")
-    sf.add_argument("--threads", type=int, default=1)
+    sf.add_argument("--threads", type=int, default=1,
+                    help="deprecated and ignored: the search runs on one thread")
 
     pump = sub.add_parser("pump", help="shorten an accepted word")
     pump.add_argument("model")
@@ -169,14 +165,15 @@ def _cmd_sat(args) -> tuple[int, dict]:
         report["bound"] = bound.value
     else:
         fmt = _require_fixed(args.arith)
-        issues = quantization_report(model, fmt)
-        if issues:
+        # the count comes from the stepper that sat_fixed then reuses
+        quantized = _stepper(model, ArithMode(fmt)).quantized_constants
+        if quantized:
             print(
-                f"warning: {len(issues)} model constants are not exactly "
+                f"warning: {quantized} model constants are not exactly "
                 f"representable in {fmt} and were quantised",
                 file=sys.stderr,
             )
-        result = sat_fixed(model, fmt, threads=args.threads)
+        result = sat_fixed(model, fmt)
         report = _sat_report(result)
     return (EXIT_SAT if result.satisfiable else EXIT_UNSAT), report
 

@@ -7,9 +7,10 @@ possibly-negative values through (counter dimensions in compiled models);
 ``x = relu(x) - relu(-x)``, leaving only final-layer identities, which no
 pure-relu network can express.
 
-Evaluation is available over both scalar domains.  Networks are compiled
-once into sparse term lists (zero weights dropped, plain copies shortcut),
-which is what makes exhaustive differential testing affordable.
+Evaluation is available over both scalar domains.  Each network keeps a
+sparse program (zero weights dropped, plain copies shortcut) that
+``eval_fractions`` and ``eval_raws`` interpret and from which the SSM step
+compiler in ``ssm.py`` generates code.
 """
 
 from __future__ import annotations

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .arithmetic import ArithMode, FixedPointFormat
-from .errors import PreconditionError, ResourceLimitError
-from .ssm import SsmModel, _stepper, quantization_report
+from .errors import InputFormatError, PreconditionError, ResourceLimitError
+from .ssm import SsmModel, _stepper
 
 try:
     import resource as _resource
@@ -84,11 +83,22 @@ class ResourceLimits:
 
     @staticmethod
     def from_env() -> "ResourceLimits":
-        states = os.environ.get("SSMVERIFY_MAX_STATES")
-        mem = os.environ.get("SSMVERIFY_MAX_MEM_MB")
+        """Limits from ``SSMVERIFY_MAX_STATES`` / ``SSMVERIFY_MAX_MEM_MB``; a
+        value that is not an integer is an ``InputFormatError``."""
+
+        def read(name: str):
+            text = os.environ.get(name)
+            if not text:
+                return None
+            try:
+                return int(text)
+            except ValueError:
+                raise InputFormatError(f"{name} must be an integer, got {text!r}") from None
+
+        states = read("SSMVERIFY_MAX_STATES")
         return ResourceLimits(
-            max_states=int(states) if states else 5_000_000,
-            max_mem_mb=int(mem) if mem else None,
+            max_states=5_000_000 if states is None else states,
+            max_mem_mb=read("SSMVERIFY_MAX_MEM_MB"),
         )
 
 
@@ -184,16 +194,6 @@ def sat_bounded(
     return SatResult(UNSAT_WITHIN_BOUND, None, stats)
 
 
-def _expand(stepper, states):
-    out = []
-    for hidden in states:
-        row = []
-        for symbol in stepper.model.alphabet:
-            row.append((symbol,) + stepper.step(hidden, symbol))
-        out.append((hidden, row))
-    return out
-
-
 def sat_fixed(
     model: SsmModel,
     fmt: FixedPointFormat,
@@ -204,58 +204,47 @@ def sat_fixed(
     """Decide satisfiability under fixed-width arithmetic by breadth-first
     reachability over stream states.  An exhausted frontier is an
     unconditional 'unsatisfiable'; a length cap weakens that to
-    'unsatisfiable-within-bound'.  Worker count never changes the answer."""
+    'unsatisfiable-within-bound'.  ``threads`` is deprecated and ignored:
+    the search runs on one thread."""
     limits = limits or ResourceLimits.from_env()
-    mode = ArithMode(fmt)
-    stepper = _stepper(model, mode)
+    stepper = _stepper(model, ArithMode(fmt))
     one = stepper.one
-    stats = SearchStats(quantized_constants=len(quantization_report(model, fmt)))
+    alphabet = model.alphabet
+    stats = SearchStats(quantized_constants=stepper.quantized_constants)
     start = time.monotonic()
 
     init = stepper.initial_hidden()
     parents: dict = {init: None}
     level = [init]
     depth = 0
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while level:
-            if length_cap is not None and depth >= length_cap:
-                stats.elapsed_s = time.monotonic() - start
-                return SatResult(UNSAT_WITHIN_BOUND, None, stats)
-            depth += 1
-            if pool is None:
-                expanded = _expand(stepper, level)
-            else:
-                chunk = max(1, len(level) // (threads * 4))
-                chunks = [level[i : i + chunk] for i in range(0, len(level), chunk)]
-                expanded = []
-                for part in pool.map(lambda c: _expand(stepper, c), chunks):
-                    expanded.extend(part)
-            next_level = []
-            for hidden, row in expanded:
-                for symbol, new_hidden, y in row:
-                    stats.states_explored += 1
-                    if stats.states_explored % 4096 == 0:
-                        _check_limits(stats, limits, start)
-                    if y == one:
-                        word = [symbol]
-                        cur = hidden
-                        while parents[cur] is not None:
-                            prev, sym = parents[cur]
-                            word.append(sym)
-                            cur = prev
-                        word.reverse()
-                        stats.elapsed_s = time.monotonic() - start
-                        return SatResult(SATISFIABLE, tuple(word), stats)
-                    if new_hidden not in parents:
-                        parents[new_hidden] = (hidden, symbol)
-                        next_level.append(new_hidden)
-            _check_limits(stats, limits, start)
-            stats.max_frontier = max(stats.max_frontier, len(next_level))
-            level = next_level
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while level:
+        if length_cap is not None and depth >= length_cap:
+            stats.elapsed_s = time.monotonic() - start
+            return SatResult(UNSAT_WITHIN_BOUND, None, stats)
+        depth += 1
+        next_level = []
+        for hidden in level:
+            for symbol in alphabet:
+                new_hidden, y = stepper.step(hidden, symbol)
+                stats.states_explored += 1
+                if stats.states_explored % 4096 == 0:
+                    _check_limits(stats, limits, start)
+                if y == one:
+                    word = [symbol]
+                    cur = hidden
+                    while parents[cur] is not None:
+                        prev, sym = parents[cur]
+                        word.append(sym)
+                        cur = prev
+                    word.reverse()
+                    stats.elapsed_s = time.monotonic() - start
+                    return SatResult(SATISFIABLE, tuple(word), stats)
+                if new_hidden not in parents:
+                    parents[new_hidden] = (hidden, symbol)
+                    next_level.append(new_hidden)
+        _check_limits(stats, limits, start)
+        stats.max_frontier = max(stats.max_frontier, len(next_level))
+        level = next_level
     stats.elapsed_s = time.monotonic() - start
     return SatResult(UNSATISFIABLE, None, stats)
 

@@ -6,12 +6,16 @@ pointwise map ``z_t = phi(h_t, x_t)``; layer outputs feed the next layer and
 the final output network maps the last layer's ``z`` to a scalar.  A word is
 accepted iff that scalar equals exactly 1 in the evaluation domain.
 
-Two evaluation orders are implemented: the streaming ``step``/``evaluate``
-path compiles each model into sparse term lists (cached per arithmetic
-mode), while ``evaluate_layerwise`` materialises whole sequences layer by
-layer; both apply per-dimension terms in the same canonical order (gate
-terms, inc offset, inc terms, each by ascending column) so fixed-mode
-saturation behaves identically.
+Two evaluation orders are implemented.  The streaming ``step``/``evaluate``
+path compiles each model, once per arithmetic mode, into one generated
+straight-line Python function: the model's constants are folded into the
+code, unit weights become aliases and fixed-point truncation and saturation
+are inlined per term (partial evaluation; Jones, Gomard and Sestoft, 1993).
+``evaluate_layerwise`` stays an uncompiled interpreter that materialises
+whole sequences layer by layer, as the independent oracle.  Both apply
+per-dimension terms in the same canonical order (gate terms, inc offset, inc
+terms, each by ascending column) so fixed-mode saturation behaves
+identically.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .arithmetic import (
     raw_add,
     raw_encode,
     raw_mul,
+    raw_relu,
 )
 from .errors import DimensionError, EmptyWordError, UnknownSymbolError
 from .fnn import Fnn, eval_fractions, eval_raws, select_fnn
@@ -203,54 +208,331 @@ class StreamState:
 
 
 # ---------------------------------------------------------------------------
-# Streaming evaluation
+# Streaming evaluation: each (model, mode) is partially evaluated once into a
+# generated straight-line Python function.
 
-def _sparse_rows(matrix: Matrix):
-    return tuple(
-        tuple((j, w) for j, w in enumerate(row) if w != 0) for row in matrix
-    )
+def _nonzero(row):
+    return [(k, w) for k, w in enumerate(row) if w]
 
 
-def _encode_rows(rows, fmt: FixedPointFormat):
-    return tuple(
-        tuple((j, raw_encode(w, fmt)) for j, w in row) for row in rows
-    )
+def _trunc_div(p: int, scale: int) -> int:
+    return p // scale if p >= 0 else -((-p) // scale)
+
+
+class _Val:
+    """A value of the step being generated: a folded constant (``const`` is
+    set), a local name, or, only on its way into a sum, a parenthesised
+    expression.  ``lo``/``hi`` bound its raw mantissa in fixed mode."""
+
+    __slots__ = ("code", "const", "lo", "hi", "reads")
+
+    def __init__(self, code: str, const=None, lo=None, hi=None, reads=()):
+        self.code = code
+        self.const = const
+        self.lo = lo
+        self.hi = hi
+        self.reads = reads
+
+
+class _StepCompiler:
+    """Emits the source of ``step(hidden, x) -> (new hidden, y)`` for one
+    model and mode, in SSA form: every computed value gets a fresh local.
+
+    Terms are emitted in the canonical order (gate terms, inc offset, inc
+    terms, each by ascending column; bias then terms in FNN nodes), with
+    fixed-mode truncation and saturation inlined per term, so the function is
+    bit-exact with ``evaluate_layerwise``.  Constants fold at generation
+    time, zero terms vanish and a term whose encoded weight is the unit
+    becomes an alias.  In fixed mode every value carries the interval its raw
+    mantissa can take, and a saturation test is emitted only on a side that
+    can overflow.  Values nothing reads are dropped; the hidden state is
+    always returned in full.
+
+    Encoding a constant through ``enc`` also counts it in ``quantized`` when
+    it is not exactly representable, so one pass over the sparse constants
+    yields ``len(quantization_report(model, fmt))``.
+    """
+
+    def __init__(self, mode: ArithMode):
+        self.exact = mode.is_exact
+        self.fmt = mode.fmt
+        self.unit = Fraction(1) if self.exact else self.fmt.scale
+        self.zero = Fraction(0) if self.exact else 0
+        self.quantized = 0
+        self.namespace: dict = {}
+        self._const_names: dict = {}
+        self._blocks: list[tuple[str, list[str], tuple]] = []
+
+    # -- values -------------------------------------------------------------
+
+    def enc(self, w: Fraction):
+        if self.exact:
+            return w
+        fmt = self.fmt
+        # w * scale is an integer iff the denominator divides the scale
+        if fmt.scale % w.denominator == 0:
+            raw = w.numerator * (fmt.scale // w.denominator)
+            if fmt.min_raw <= raw <= fmt.max_raw:
+                return raw
+        self.quantized += 1
+        return raw_encode(w, fmt)
+
+    def const(self, value) -> _Val:
+        if not self.exact:
+            return _Val(repr(value), value, value, value)
+        name = self._const_names.get(value)
+        if name is None:
+            name = self._const_names[value] = f"K{len(self._const_names)}"
+            self.namespace[name] = value
+        return _Val(name, value)
+
+    def local(self, name: str) -> _Val:
+        if self.exact:
+            return _Val(name, reads=(name,))
+        return _Val(name, None, self.fmt.min_raw, self.fmt.max_raw, (name,))
+
+    def _fresh(self) -> str:
+        return f"v{len(self._blocks)}"
+
+    def _bind(self, name: str, lines: list[str], reads, lo=None, hi=None) -> _Val:
+        """Record the block of lines that computes the local ``name``."""
+        self._blocks.append((name, lines, tuple(reads)))
+        return _Val(name, None, lo, hi, (name,))
+
+    def _clamp(self, name: str, lo: int, hi: int, floor: int):
+        """Saturation lines for ``name`` in [lo, hi] (``floor`` below: the
+        format minimum, or 0 where a relu follows); returns the lines and the
+        clamped interval."""
+        top = self.fmt.max_raw
+        lines = []
+        if hi > top:
+            lines.append(f"if {name} > {top}: {name} = {top}")
+        if lo < floor:
+            lines.append(f"{'elif' if lines else 'if'} {name} < {floor}: {name} = {floor}")
+        return lines, min(max(lo, floor), top), min(max(hi, floor), top)
+
+    def _fits(self, code: str, lo: int, hi: int, reads) -> _Val:
+        """A product term: an expression when it cannot leave the format,
+        else a local saturated on the sides that can overflow."""
+        if self.fmt.min_raw <= lo and hi <= self.fmt.max_raw:
+            return _Val(f"({code})", None, lo, hi, reads)
+        name = self._fresh()
+        clamp, lo, hi = self._clamp(name, lo, hi, self.fmt.min_raw)
+        return self._bind(name, [f"{name} = {code}"] + clamp, reads, lo, hi)
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def mul(self, w, v: _Val) -> _Val:
+        """The term ``w * v`` for an encoded constant weight ``w``."""
+        if v.const is not None:
+            return self.const(w * v.const if self.exact else raw_mul(w, v.const, self.fmt))
+        if w == 0:
+            return self.const(self.zero)
+        if w == self.unit:
+            return v
+        if self.exact:
+            code = f"-{v.code}" if w == -1 else f"{self.const(w).code} * {v.code}"
+            return _Val(f"({code})", reads=v.reads)
+        scale, f = self.fmt.scale, self.fmt.frac_bits
+        lo, hi = sorted((_trunc_div(w * v.lo, scale), _trunc_div(w * v.hi, scale)))
+        if w % scale == 0:  # an integer weight multiplies without truncation
+            k = w // scale
+            code = f"-{v.code}" if k == -1 else f"{k} * {v.code}"
+        else:
+            # truncation toward zero of w*v / 2**f, split on the sign of v
+            a = abs(w)
+            pos, neg = f"{a} * {v.code} >> {f}", f"{a} * -{v.code} >> {f}"
+            pos, neg = (pos, f"-({neg})") if w > 0 else (f"-({pos})", neg)
+            if v.lo >= 0:
+                code = pos
+            elif v.hi <= 0:
+                code = neg
+            else:
+                code = f"{pos} if {v.code} >= 0 else {neg}"
+        return self._fits(code, lo, hi, v.reads)
+
+    def mul_var(self, g: _Val, v: _Val) -> _Val:
+        """The term ``g * v`` of a diagonal input-dependent gate."""
+        if g.const is not None:
+            return self.mul(g.const, v)
+        reads = g.reads + v.reads
+        if self.exact:
+            return _Val(f"({g.code} * {v.code})", reads=reads)
+        scale, f = self.fmt.scale, self.fmt.frac_bits
+        ends = [a * b for a in (g.lo, g.hi) for b in (v.lo, v.hi)]
+        lo, hi = _trunc_div(min(ends), scale), _trunc_div(max(ends), scale)
+        if f == 0 or min(ends) >= 0:
+            return self._fits(f"{g.code} * {v.code} >> {f}", lo, hi, reads)
+        name = self._fresh()
+        clamp, lo, hi = self._clamp(name, lo, hi, self.fmt.min_raw)
+        lines = [f"{name} = {g.code} * {v.code}",
+                 f"{name} = {name} >> {f} if {name} >= 0 else -(-{name} >> {f})"]
+        return self._bind(name, lines + clamp, reads, lo, hi)
+
+    def total(self, start, terms: list[_Val], relu: bool = False) -> _Val:
+        """``start + t_1 + t_2 + ...`` (then relu), saturating after every
+        addition in fixed mode; the result is a constant or a local."""
+        if self.exact:
+            return self._total_exact(start, terms, relu)
+        bottom, top = self.fmt.min_raw, self.fmt.max_raw
+        value, expr, name = start, None, None  # expr None: the sum is `value`
+        lines: list[str] = []
+        reads: tuple = ()
+        pending = 0
+        for t in terms:
+            if expr is None:
+                if t.const is not None:
+                    value = raw_add(value, t.const, self.fmt)
+                    continue
+                if value == 0:
+                    expr, lo, hi = t.code, t.lo, t.hi
+                else:
+                    expr, lo, hi = f"{value} + {t.code}", value + t.lo, value + t.hi
+            elif t.const == 0:
+                continue
+            else:
+                # saturate the sum so far where it may have overflowed (and
+                # every 64 terms, to keep expressions shallow for compile())
+                if lo < bottom or hi > top or pending >= 64:
+                    name = name or self._fresh()
+                    clamp, lo, hi = self._clamp(name, lo, hi, bottom)
+                    lines += [f"{name} = {expr}"] + clamp
+                    expr, pending = name, 0
+                expr, lo, hi = f"{expr} + {t.code}", lo + t.lo, hi + t.hi
+            reads += t.reads
+            pending += 1
+        if expr is None:
+            return self.const(raw_relu(value) if relu else value)
+        # relu after saturation is a clamp to [0, top]: min_raw <= 0
+        floor = 0 if relu else bottom
+        if hi <= floor:
+            return self.const(floor)
+        if lo >= floor and hi <= top and not lines and expr.isidentifier():
+            return _Val(expr, None, lo, hi, (expr,))
+        name = name or self._fresh()
+        clamp, lo, hi = self._clamp(name, lo, hi, floor)
+        return self._bind(name, lines + [f"{name} = {expr}"] + clamp, reads, lo, hi)
+
+    def _total_exact(self, start: Fraction, terms: list[_Val], relu: bool) -> _Val:
+        value, parts = start, []
+        for t in terms:
+            if t.const is not None:
+                value += t.const
+            else:
+                parts.append(t)
+        if not parts:
+            return self.const(Fraction(0) if relu and value < 0 else value)
+        if value:
+            parts.append(self.const(value))
+        if len(parts) == 1 and not relu and parts[0].code.isidentifier():
+            return parts[0]
+        # a negated local is subtracted rather than negated and added, and a
+        # positive term goes first: exact sums do not depend on the order
+        signed = sorted(
+            (("-", p.code[2:-1]) if p.code.startswith("(-") else ("+", p.code) for p in parts),
+            key=lambda t: t[0] == "-",
+        )
+        name = self._fresh()
+        lines = []
+        for i in range(0, len(signed), 64):
+            expr = name if i else ("-" if signed[0][0] == "-" else "") + signed[0][1]
+            expr += "".join(f" {sign} {code}" for sign, code in signed[i + (not i):i + 64])
+            lines.append(f"{name} = {expr}")
+        if relu:
+            lines.append(f"if {name}.numerator < 0: {name} = {self.const(Fraction(0)).code}")
+        return self._bind(name, lines, sum((p.reads for p in parts), ()))
+
+    # -- the model ----------------------------------------------------------
+
+    def fnn(self, net: Fnn, inputs: list[_Val]) -> list[_Val]:
+        current = inputs
+        for layer in net._program:
+            out = []
+            for node in layer:
+                if node[0] == "pass":
+                    self.enc(Fraction(1))  # counted like any other weight
+                    out.append(current[node[1]])
+                    continue
+                is_relu, bias, terms = node
+                products = [self.mul(self.enc(w), current[i]) for i, w in terms]
+                out.append(self.total(self.enc(bias), products, is_relu))
+            current = out
+        return current
+
+    def recurrence(self, layer: SsmLayer, j: int, h: list[_Val], x: list[_Val]) -> _Val:
+        gate, inc = layer.gate, layer.inc
+        if isinstance(gate, TimeInvariantGate):
+            terms = [self.mul(self.enc(w), h[k]) for k, w in _nonzero(gate.matrix[j])]
+        else:
+            g = self.total(self.enc(gate.offset[j]),
+                           [self.mul(self.enc(w), x[k]) for k, w in _nonzero(gate.matrix[j])])
+            terms = [self.mul_var(g, h[j])]
+        terms.append(self.const(self.enc(inc.offset[j])))
+        terms += [self.mul(self.enc(w), x[k]) for k, w in _nonzero(inc.matrix[j])]
+        return self.total(self.zero, terms)
+
+    def build(self, model: SsmModel, inputs: list[tuple]):
+        """Compile the step function; ``inputs`` are the encoded embeddings,
+        the only vectors it is ever called with."""
+        x = []
+        for k in range(model.dim):
+            column = [vec[k] for vec in inputs]
+            if all(c == column[0] for c in column):
+                x.append(self.const(column[0]))
+            elif self.exact:
+                x.append(self.local(f"x{k}"))
+            else:
+                x.append(_Val(f"x{k}", None, min(column), max(column), (f"x{k}",)))
+        hidden = []
+        for li, layer in enumerate(model.layers):
+            h = [self.local(f"h{li}_{j}") for j in range(layer.dim)]
+            new = [self.recurrence(layer, j, h, x) for j in range(layer.dim)]
+            hidden.append(new)
+            x = self.fnn(layer.phi, new + x)
+        (y,) = self.fnn(model.out, x)
+        code = compile(self._source(model, hidden, y), f"<ssm step {self.fmt or 'exact'}>", "exec")
+        namespace = dict(self.namespace)
+        exec(code, namespace)
+        return namespace["step"]
+
+    def _source(self, model: SsmModel, hidden: list[list[_Val]], y: _Val) -> str:
+        state = "".join(f"({', '.join(v.code for v in new)},), " for new in hidden)
+        live = set(y.reads).union(*(v.reads for new in hidden for v in new))
+        body = []
+        for name, lines, reads in reversed(self._blocks):
+            if name in live:
+                live.update(reads)
+                body.append(lines)
+        head = ["def step(hidden, x):"]
+        if hidden:
+            targets = "".join(
+                "(" + "".join(f"{n}, " if n in live else "_, " for n in
+                              (f"h{li}_{j}" for j in range(layer.dim))) + "), "
+                for li, layer in enumerate(model.layers)
+            )
+            head.append(f"    {targets}= hidden")
+        if model.dim:
+            head.append("    " + "".join(
+                f"x{k}, " if f"x{k}" in live else "_, " for k in range(model.dim)) + "= x")
+        lines = head + [f"    {line}" for block in reversed(body) for line in block]
+        lines.append(f"    return ({state}), {y.code}")
+        return "\n".join(lines) + "\n"
 
 
 class _Stepper:
-    """Model compiled for one arithmetic mode: sparse gate/inc rows plus the
-    phi/out programs, evaluated on plain Fractions or raw ints."""
+    """Model compiled for one arithmetic mode: the encoded embeddings and
+    initial state, the generated step function, and the number of model
+    constants the mode quantises."""
 
     def __init__(self, model: SsmModel, mode: ArithMode):
-        self.model = model
-        self.mode = mode
-        self.fmt = mode.fmt
-        exact = mode.is_exact
-        self.zero = Fraction(0) if exact else 0
-        self.one = Fraction(1) if exact else self.fmt.scale
-
-        def enc_vec(vec):
-            if exact:
-                return tuple(vec)
-            return tuple(raw_encode(v, self.fmt) for v in vec)
-
-        def enc_rows(rows):
-            return rows if exact else _encode_rows(rows, self.fmt)
-
-        self.emb = {s: enc_vec(v) for s, v in zip(model.alphabet, model.emb)}
-        self.h0 = tuple(enc_vec(layer.h0) for layer in model.layers)
-        self.layers = []
-        for layer in model.layers:
-            if isinstance(layer.gate, TimeInvariantGate):
-                gate = ("ti", enc_rows(_sparse_rows(layer.gate.matrix)))
-            else:
-                gate = (
-                    "da",
-                    enc_vec(layer.gate.offset),
-                    enc_rows(_sparse_rows(layer.gate.matrix)),
-                )
-            inc = (enc_vec(layer.inc.offset), enc_rows(_sparse_rows(layer.inc.matrix)))
-            self.layers.append((gate, inc, layer.phi, layer.dim))
+        comp = _StepCompiler(mode)
+        self.one = comp.unit
+        self.emb = {
+            s: tuple(comp.enc(v) for v in vec) for s, vec in zip(model.alphabet, model.emb)
+        }
+        self.h0 = tuple(tuple(comp.enc(v) for v in layer.h0) for layer in model.layers)
+        self._step = comp.build(model, list(self.emb.values()))
+        self.quantized_constants = comp.quantized
 
     def initial_hidden(self) -> tuple[tuple, ...]:
         return self.h0
@@ -259,70 +541,7 @@ class _Stepper:
         x = self.emb.get(symbol)
         if x is None:
             raise UnknownSymbolError(f"symbol {symbol!r} not in model alphabet")
-        if self.mode.is_exact:
-            return self._step_exact(hidden, x)
-        return self._step_fixed(hidden, x)
-
-    def _step_exact(self, hidden, x):
-        new_hidden = []
-        for (gate, inc, phi, d), h in zip(self.layers, hidden):
-            c, rows = inc
-            hp = []
-            if gate[0] == "ti":
-                for j in range(d):
-                    acc = Fraction(0)
-                    for k, w in gate[1][j]:
-                        acc += w * h[k]
-                    acc += c[j]
-                    for k, w in rows[j]:
-                        acc += w * x[k]
-                    hp.append(acc)
-            else:
-                g0, grows = gate[1], gate[2]
-                for j in range(d):
-                    g = g0[j]
-                    for k, w in grows[j]:
-                        g += w * x[k]
-                    acc = g * h[j]
-                    acc += c[j]
-                    for k, w in rows[j]:
-                        acc += w * x[k]
-                    hp.append(acc)
-            new_hidden.append(tuple(hp))
-            x = eval_fractions(phi, tuple(hp) + tuple(x))
-        y = eval_fractions(self.model.out, x)[0]
-        return tuple(new_hidden), y
-
-    def _step_fixed(self, hidden, x):
-        fmt = self.fmt
-        new_hidden = []
-        for (gate, inc, phi, d), h in zip(self.layers, hidden):
-            c, rows = inc
-            hp = []
-            if gate[0] == "ti":
-                for j in range(d):
-                    acc = 0
-                    for k, w in gate[1][j]:
-                        acc = raw_add(acc, raw_mul(w, h[k], fmt), fmt)
-                    acc = raw_add(acc, c[j], fmt)
-                    for k, w in rows[j]:
-                        acc = raw_add(acc, raw_mul(w, x[k], fmt), fmt)
-                    hp.append(acc)
-            else:
-                g0, grows = gate[1], gate[2]
-                for j in range(d):
-                    g = g0[j]
-                    for k, w in grows[j]:
-                        g = raw_add(g, raw_mul(w, x[k], fmt), fmt)
-                    acc = raw_mul(g, h[j], fmt)
-                    acc = raw_add(acc, c[j], fmt)
-                    for k, w in rows[j]:
-                        acc = raw_add(acc, raw_mul(w, x[k], fmt), fmt)
-                    hp.append(acc)
-            new_hidden.append(tuple(hp))
-            x = eval_raws(phi, tuple(hp) + tuple(x), fmt)
-        y = eval_raws(self.model.out, x, fmt)[0]
-        return tuple(new_hidden), y
+        return self._step(hidden, x)
 
 
 def _stepper(model: SsmModel, mode: ArithMode) -> _Stepper:

@@ -7,12 +7,12 @@ import sys
 import pytest
 
 from helpers import walk_words
-from ssmverify.arithmetic import EXACT
+from ssmverify.arithmetic import EXACT, FixedPointFormat
 from ssmverify.cli import main, run
 from ssmverify.compilers import compile_ltl, compile_minsky, parse_minsky
 from ssmverify.ltl import parse
 from ssmverify.modelfile import load_model, model_from_json, model_to_json, save_model
-from ssmverify.ssm import evaluate
+from ssmverify.ssm import evaluate, quantization_report
 
 ILP_TEXT = "2\n1 1\n0 1\n1 1\n"
 MINSKY_TEXT = "start: q0\nfinal: qf\nq0 inc1 q1\nq1 dec1 qf\nq1 ztest1 q0\n"
@@ -131,6 +131,36 @@ def test_resource_limit_exit_code(tmp_path, monkeypatch):
     status, report = run(["sat", "fixed", model_path, "--arith", "fx:6:3"])
     assert status == 3
     assert report["result"]["partial_stats"]["states_explored"] >= 2
+
+
+@pytest.mark.parametrize(
+    "name, value", [("SSMVERIFY_MAX_STATES", "abc"), ("SSMVERIFY_MAX_MEM_MB", "x")]
+)
+def test_bad_resource_environment_is_a_usage_error(tmp_path, monkeypatch, name, value):
+    model_path = str(tmp_path / "m.ssm")
+    run(["compile", "ltl", "p U q", "-o", model_path])
+    monkeypatch.setenv(name, value)
+    for argv in (["sat", "fixed", model_path, "--arith", "fx:6:3"],
+                 ["sat", "bounded", model_path, "--max-len", "2"]):
+        status, report = run(argv)
+        assert status == 2
+        assert name in report["result"]["error"]
+
+
+def test_sat_fixed_warns_with_the_quantised_count(tmp_path, capsys):
+    model_path = str(tmp_path / "m.ssm")
+    run(["compile", "ltl", "p U q", "-o", model_path])
+    capsys.readouterr()
+    # 1 is not representable in fx:3:2, so every unit weight is quantised
+    expected = len(quantization_report(load_model(model_path), FixedPointFormat(3, 2)))
+    assert expected > 0
+    status, report = run(["sat", "fixed", model_path, "--arith", "fx:3:2", "--threads", "2"])
+    assert status in (0, 1)
+    err = capsys.readouterr().err
+    assert f"warning: {expected} model constants are not exactly representable" in err
+    assert report["result"]["stats"]["quantized_constants"] == expected
+    run(["sat", "fixed", model_path, "--arith", "fx:6:3"])
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_parse_error_exit_codes(tmp_path):

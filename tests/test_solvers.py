@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_formula, trace_to_word, word_to_trace
-from ssmverify.arithmetic import EXACT, FX6, ArithMode
-from ssmverify.compilers import IlpInstance, compile_ilp, compile_ltl
+from helpers import random_formula, random_ilp, random_machine, trace_to_word, word_to_trace
+from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat
+from ssmverify.compilers import IlpInstance, compile_ilp, compile_ltl, compile_minsky
 from ssmverify.errors import PreconditionError, ResourceLimitError
 from ssmverify.fnn import gadget_eq, gadget_leq
 from ssmverify.ltl import holds, parse
@@ -30,6 +30,7 @@ from ssmverify.ssm import (
     as_matrix,
     as_vector,
     projection_phi,
+    quantization_report,
 )
 
 FX6_MODE = ArithMode(FX6)
@@ -132,12 +133,13 @@ def test_sat_fixed_length_cap_weakens_verdict():
 
 
 def test_sat_fixed_thread_count_does_not_change_answer():
+    # threads is deprecated and ignored; repeated runs stay deterministic
     model = compile_ltl(parse("(X p) U q"))
-    single = sat_fixed(model, FX6, threads=1)
-    multi = sat_fixed(model, FX6, threads=4)
-    assert single.verdict == multi.verdict
-    assert single.witness == multi.witness
-    assert single.stats.states_explored == multi.stats.states_explored
+    first = sat_fixed(model, FX6)
+    again = sat_fixed(model, FX6, threads=4)
+    assert first.verdict == again.verdict == SATISFIABLE
+    assert first.witness == again.witness
+    assert first.stats.states_explored == again.stats.states_explored
 
 
 def test_sat_fixed_quantisation_is_reported():
@@ -150,6 +152,20 @@ def test_sat_fixed_quantisation_is_reported():
     model = SsmModel(("a",), (as_vector([1]),), (layer,), gadget_eq(1))
     result = sat_fixed(model, FX6)
     assert result.stats.quantized_constants == 1
+
+
+@pytest.mark.parametrize(
+    "fmt",
+    [FX6, FixedPointFormat(3, 2), FixedPointFormat(4, 0), FixedPointFormat(6, 3, signed=False)],
+    ids=str,
+)
+def test_sat_fixed_counts_quantised_constants_like_the_report(fmt):
+    rng = random.Random(41)
+    models = [compile_ltl(parse("(p U q) & X !p")), compile_ltl(random_formula(rng, 7))]
+    models += [compile_minsky(random_machine(rng, 3)), compile_ilp(random_ilp(rng, 4))]
+    for model in models:
+        result = sat_fixed(model, fmt, length_cap=2)
+        assert result.stats.quantized_constants == len(quantization_report(model, fmt))
 
 
 def test_solver_agreement_small_corpus():

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_formula, random_machine
 from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat
+from ssmverify.compilers import compile_ltl, compile_minsky
 from ssmverify.errors import DimensionError, EmptyWordError, UnknownSymbolError
 from ssmverify.fnn import gadget_eq, compose, select_fnn
+from ssmverify.ltl import parse
 from ssmverify.ssm import (
     AffineMap,
     DiagonalAffineGate,
@@ -142,11 +145,30 @@ def test_streaming_equals_layerwise_exact(model, data):
 @given(small_models(), st.data())
 @settings(max_examples=120, deadline=None)
 def test_streaming_equals_layerwise_fixed(model, data):
-    fmt = data.draw(st.sampled_from([FX6, FixedPointFormat(8, 4), FixedPointFormat(10, 2)]))
+    # fx:3:2 cannot represent 1, so no unit weight may become an alias there
+    fmt = data.draw(st.sampled_from([
+        FX6, FixedPointFormat(8, 4), FixedPointFormat(10, 2), FixedPointFormat(3, 2),
+        FixedPointFormat(6, 3, signed=False),
+    ]))
     mode = ArithMode(fmt)
     n = data.draw(st.integers(1, 5))
     word = [data.draw(st.sampled_from(model.alphabet)) for _ in range(n)]
     assert evaluate(model, word, mode) == evaluate_layerwise(model, word, mode)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FX6_MODE], ids=str)
+def test_compiled_models_stream_like_layerwise(mode):
+    rng = random.Random(17)
+    models = [compile_ltl(parse(t)) for t in ("(p U q) & X !p", "!(p U X q) | G p")]
+    models += [compile_ltl(random_formula(rng, rng.randint(4, 9))) for _ in range(3)]
+    models += [compile_minsky(random_machine(rng, rng.randint(2, 4))) for _ in range(3)]
+    for model in models:
+        for _ in range(8):
+            word = [rng.choice(model.alphabet) for _ in range(rng.randint(1, 6))]
+            streamed = evaluate(model, word, mode)
+            assert streamed == evaluate_layerwise(model, word, mode)
+            if mode.is_exact:
+                assert type(streamed) is Fraction
 
 
 @given(small_models(), st.data())
