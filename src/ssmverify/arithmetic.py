@@ -22,7 +22,7 @@ def parse_rational(text: str) -> Fraction:
     """Parse a ``num`` or ``num/den`` decimal string."""
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputFormatError(f"bad rational literal {text!r}: {exc}") from None
 
 

@@ -11,6 +11,7 @@ override the solver resource guards.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -47,7 +48,9 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="ssmverify")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -2,15 +2,34 @@
 
 Every number is stored as a ``num`` or ``num/den`` decimal string; no binary
 floats at rest.  ``load`` of a ``save`` is the identity on canonical form.
+
+Loading parses each distinct literal once: ``model_from_json`` keeps one
+literal table per call, a ``dict`` from literal text to its ``Fraction``
+that parses a text on its first lookup.  Compiled matrices hold a handful of
+distinct values (``"0"``, ``"1"``, ``"-1"``, ``"1/2"``, ...), so the cost of
+a load follows the number of entries at dict-lookup speed, and equal entries
+share one ``Fraction``.
+
+Saving writes the same bytes as ``json.dump(model_to_json(m), fh, indent=1)``
+followed by a newline, without CPython's pure-Python indenting encoder: each
+vector of literals is quoted and joined in one call, and the file is written
+one top-level entry at a time.  The layers, most of a file, are converted and
+written one at a time, so neither the whole text nor the whole JSON tree is
+held at once.
+
+Every malformed file (not UTF-8, not JSON, a missing key, a value of the
+wrong type, a bad literal, mismatched dimensions) raises ``InputFormatError``
+naming the file.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .arithmetic import format_rational, parse_rational
-from .errors import InputFormatError
+from .errors import InputFormatError, SsmVerifyError
 from .fnn import Fnn, FnnLayer, FnnNode, IDENTITY, RELU
 from .ssm import (
     AffineMap,
@@ -24,19 +43,31 @@ FORMAT_TAG = "ssmverify-model-v1"
 
 
 def _vec_json(vec) -> list[str]:
-    return [format_rational(v) for v in vec]
+    return list(map(format_rational, vec))
 
 
 def _mat_json(mat) -> list[list[str]]:
-    return [_vec_json(row) for row in mat]
+    return list(map(_vec_json, mat))
 
 
-def _vec_load(data) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(v) for v in data)
+class _Literals(dict):
+    """Literal text -> ``Fraction``, parsed on first lookup; one per load."""
 
+    __slots__ = ()
 
-def _mat_load(data) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(_vec_load(row) for row in data)
+    def __missing__(self, text) -> Fraction:
+        value = self[text] = parse_rational(text)
+        return value
+
+    def vec(self, data) -> tuple[Fraction, ...]:
+        if not isinstance(data, list):
+            raise InputFormatError(f"expected a list of literals, got {type(data).__name__}")
+        return tuple(map(self.__getitem__, data))
+
+    def mat(self, data) -> tuple[tuple[Fraction, ...], ...]:
+        if not isinstance(data, list):
+            raise InputFormatError(f"expected a list of rows, got {type(data).__name__}")
+        return tuple(map(self.vec, data))
 
 
 def _fnn_json(net: Fnn) -> dict:
@@ -55,7 +86,7 @@ def _fnn_json(net: Fnn) -> dict:
     }
 
 
-def _fnn_load(data) -> Fnn:
+def _fnn_load(data, lit: _Literals) -> Fnn:
     layers = []
     for layer in data["layers"]:
         nodes = []
@@ -63,73 +94,73 @@ def _fnn_load(data) -> Fnn:
             act = node.get("activation", RELU)
             if act not in (RELU, IDENTITY):
                 raise InputFormatError(f"unknown activation {act!r}")
-            nodes.append(FnnNode(_vec_load(node["weights"]), parse_rational(node["bias"]), act))
+            nodes.append(FnnNode(lit.vec(node["weights"]), lit[node["bias"]], act))
         layers.append(FnnLayer(tuple(nodes)))
     return Fnn(tuple(layers))
 
 
-def model_to_json(model: SsmModel) -> dict:
-    layers = []
-    for layer in model.layers:
-        if isinstance(layer.gate, TimeInvariantGate):
-            gate = {"kind": "time_invariant", "matrix": _mat_json(layer.gate.matrix)}
-        else:
-            gate = {
-                "kind": "diagonal_affine",
-                "matrix": _mat_json(layer.gate.matrix),
-                "offset": _vec_json(layer.gate.offset),
-            }
-        layers.append(
-            {
-                "h0": _vec_json(layer.h0),
-                "gate": gate,
-                "inc": {
-                    "matrix": _mat_json(layer.inc.matrix),
-                    "offset": _vec_json(layer.inc.offset),
-                },
-                "phi": _fnn_json(layer.phi),
-            }
-        )
+def _layer_json(layer: SsmLayer) -> dict:
+    if isinstance(layer.gate, TimeInvariantGate):
+        gate = {"kind": "time_invariant", "matrix": _mat_json(layer.gate.matrix)}
+    else:
+        gate = {
+            "kind": "diagonal_affine",
+            "matrix": _mat_json(layer.gate.matrix),
+            "offset": _vec_json(layer.gate.offset),
+        }
+    return {
+        "h0": _vec_json(layer.h0),
+        "gate": gate,
+        "inc": {
+            "matrix": _mat_json(layer.inc.matrix),
+            "offset": _vec_json(layer.inc.offset),
+        },
+        "phi": _fnn_json(layer.phi),
+    }
+
+
+def _model_json(model: SsmModel, layers) -> dict:
     return {
         "format": FORMAT_TAG,
         "alphabet": list(model.alphabet),
         "dimension": model.dim,
-        "embedding": [_vec_json(v) for v in model.emb],
+        "embedding": _mat_json(model.emb),
         "layers": layers,
         "output": _fnn_json(model.out),
         "metadata": dict(sorted(model.metadata)),
     }
 
 
-def model_from_json(data: dict) -> SsmModel:
-    if data.get("format") != FORMAT_TAG:
-        raise InputFormatError(f"not a model file (format tag {data.get('format')!r})")
+def model_to_json(model: SsmModel) -> dict:
+    return _model_json(model, list(map(_layer_json, model.layers)))
+
+
+def _model_from_json(data: dict, lit: _Literals) -> SsmModel:
     layers = []
     for entry in data["layers"]:
         gate_data = entry["gate"]
         if gate_data["kind"] == "time_invariant":
-            gate = TimeInvariantGate(_mat_load(gate_data["matrix"]))
+            gate = TimeInvariantGate(lit.mat(gate_data["matrix"]))
         elif gate_data["kind"] == "diagonal_affine":
-            gate = DiagonalAffineGate(
-                _mat_load(gate_data["matrix"]), _vec_load(gate_data["offset"])
-            )
+            gate = DiagonalAffineGate(lit.mat(gate_data["matrix"]), lit.vec(gate_data["offset"]))
         else:
             raise InputFormatError(f"unknown gate kind {gate_data['kind']!r}")
         layers.append(
             SsmLayer(
-                h0=_vec_load(entry["h0"]),
+                h0=lit.vec(entry["h0"]),
                 gate=gate,
-                inc=AffineMap(
-                    _mat_load(entry["inc"]["matrix"]), _vec_load(entry["inc"]["offset"])
-                ),
-                phi=_fnn_load(entry["phi"]),
+                inc=AffineMap(lit.mat(entry["inc"]["matrix"]), lit.vec(entry["inc"]["offset"])),
+                phi=_fnn_load(entry["phi"], lit),
             )
         )
+    alphabet = data["alphabet"]
+    if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
+        raise InputFormatError("the alphabet must be a list of strings")
     model = SsmModel(
-        alphabet=tuple(data["alphabet"]),
-        emb=tuple(_vec_load(v) for v in data["embedding"]),
+        alphabet=tuple(alphabet),
+        emb=lit.mat(data["embedding"]),
         layers=tuple(layers),
-        out=_fnn_load(data["output"]),
+        out=_fnn_load(data["output"], lit),
         metadata=tuple(sorted(data.get("metadata", {}).items())),
     )
     if model.dim != data.get("dimension"):
@@ -137,16 +168,70 @@ def model_from_json(data: dict) -> SsmModel:
     return model
 
 
+def model_from_json(data: dict) -> SsmModel:
+    if not isinstance(data, dict):
+        raise InputFormatError(f"not a model file (top-level JSON {type(data).__name__})")
+    if data.get("format") != FORMAT_TAG:
+        raise InputFormatError(f"not a model file (format tag {data.get('format')!r})")
+    try:
+        return _model_from_json(data, _Literals())
+    except KeyError as exc:
+        raise InputFormatError(f"malformed model: missing key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise InputFormatError(f"malformed model: {exc}") from None
+
+
+def _encode(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=1)`` renders it nested at
+    indentation ``pad``."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = pad + " "
+    sep = ",\n" + inner
+    if isinstance(value, list) and value:
+        if all(isinstance(v, str) for v in value):
+            body = sep.join(map(_quote, value))
+        else:
+            body = sep.join([_encode(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        body = sep.join([_quote(k) + ": " + _encode(v, inner) for k, v in value.items()])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    # scalars, tuples, empty containers and non-string keys; encoded
+    # strings hold no raw newline, so re-indenting the lines is exact
+    return json.dumps(value, indent=1).replace("\n", "\n" + pad)
+
+
 def save_model(model: SsmModel, path: str):
-    with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh, indent=1)
-        fh.write("\n")
+    data = _model_json(model, map(_layer_json, model.layers))
+    with open(path, "w", encoding="ascii") as fh:
+        sep = "{\n "
+        for key, value in data.items():
+            fh.write(sep + _quote(key) + ": ")
+            sep = ",\n "
+            if key != "layers":
+                fh.write(_encode(value, " "))
+            elif not model.layers:
+                fh.write("[]")
+            else:
+                fh.write("[\n  " + _encode(next(value), "  "))
+                for layer in value:
+                    fh.write(",\n  " + _encode(layer, "  "))
+                fh.write("\n ]")
+        fh.write("\n}\n")
 
 
 def load_model(path: str) -> SsmModel:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise InputFormatError(f"{path}: cannot read the model file: {exc.strerror or exc}") from None
+    except (ValueError, RecursionError) as exc:
         raise InputFormatError(f"{path}: not valid JSON: {exc}") from None
-    return model_from_json(data)
+    try:
+        return model_from_json(data)
+    except SsmVerifyError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None

@@ -1,11 +1,14 @@
 """CLI surface: exit codes, reports, file formats, round trips."""
 
 import json
+import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+import ssmverify
 from helpers import walk_words
 from ssmverify.arithmetic import EXACT, FixedPointFormat
 from ssmverify.cli import main, run
@@ -175,10 +178,14 @@ def test_parse_error_exit_codes(tmp_path):
 
 
 def test_console_entry_point(tmp_path):
+    # the child imports the package from where this process imported it
+    src = os.path.dirname(os.path.dirname(ssmverify.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "ssmverify.cli", "oracle", "ltl", "p", "--trace", "{p}"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
@@ -261,3 +268,118 @@ def test_model_file_rejects_garbage(tmp_path):
     path.write_text("not json")
     with pytest.raises(InputFormatError):
         load_model(str(path))
+
+
+def _seeded_models():
+    from dataclasses import replace
+
+    from helpers import hand_formulas, random_formula, random_ilp, random_machine
+    from ssmverify.compilers import compile_ilp
+
+    rng = random.Random(20261018)
+    models = [compile_ltl(parse(text)) for text in hand_formulas()]
+    models += [compile_ltl(random_formula(rng, rng.randint(3, 9), ("p", "q", "r")))
+               for _ in range(6)]
+    models += [compile_minsky(random_machine(rng, rng.randint(2, 4))) for _ in range(4)]
+    models += [compile_ilp(random_ilp(rng)) for _ in range(4)]
+    # metadata beyond strings: nested, empty, numeric, non-ASCII, non-string keys
+    odd = (("a", [1, "x", {"k": None, "l": []}]), ("b", {}), ("c", 2.5), ("d", "é\n\""),
+           ("e", {1: "x", None: [2]}))
+    models.append(replace(models[0], metadata=models[0].metadata + odd))
+    models.append(replace(models[0], layers=()))
+    return models
+
+
+def test_saved_bytes_equal_the_indented_json_dump(tmp_path):
+    path = tmp_path / "m.ssm"
+    for model in _seeded_models():
+        save_model(model, str(path))
+        assert path.read_bytes() == (json.dumps(model_to_json(model), indent=1) + "\n").encode()
+        loaded = load_model(str(path))
+        assert loaded == model
+        assert loaded.metadata_dict == json.loads(path.read_text())["metadata"]
+
+
+def _literals(node, key=None) -> set[str]:
+    """Every number literal of a model file's JSON."""
+    if key == "bias":
+        return {node}
+    if isinstance(node, dict):
+        return set().union(*(_literals(v, k) for k, v in node.items()))
+    if isinstance(node, list) and key != "alphabet":
+        return set().union(*map(_literals, node))
+    return {node} if key is None and isinstance(node, str) else set()
+
+
+def test_load_parses_each_distinct_literal_once_per_load(tmp_path, monkeypatch):
+    from ssmverify import modelfile
+
+    model = compile_ltl(parse("(p U q) & G (p -> X q) & F r"))
+    path = str(tmp_path / "m.ssm")
+    save_model(model, path)
+    distinct = _literals(json.loads(open(path).read()))
+    assert {"0", "1"} <= distinct
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return modelfile.Fraction(text)
+
+    monkeypatch.setattr(modelfile, "parse_rational", counting)
+    for _ in range(2):
+        calls.clear()
+        assert load_model(path) == model
+        # the table lives for one load only, so each load parses every literal once
+        assert sorted(calls) == sorted(distinct)
+
+
+def test_bad_literal_in_the_last_output_bias_is_rejected(tmp_path):
+    from ssmverify.errors import InputFormatError
+
+    data = model_to_json(compile_ltl(parse("p U q")))
+    data["output"]["layers"][-1][-1]["bias"] = "1/0"
+    assert "1/0" not in _literals({k: v for k, v in data.items() if k != "output"})
+    with pytest.raises(InputFormatError, match="1/0"):
+        model_from_json(data)
+    path = tmp_path / "bad.ssm"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InputFormatError, match="bad.ssm"):
+        load_model(str(path))
+
+
+def _malformed(tmp_path, name):
+    data = model_to_json(compile_ltl(parse("p U q")))
+    path = tmp_path / "bad.ssm"
+    if name == "directory":
+        return tmp_path
+    if name == "not_utf8":
+        path.write_bytes(b'{"format": "\xff\xfe"}')
+        return path
+    if name == "h0_null":
+        data["layers"][0]["h0"] = None
+    elif name == "no_layers":
+        del data["layers"]
+    elif name == "list_literal":
+        data["layers"][0]["gate"]["matrix"][0][0] = ["1"]
+    elif name == "null_literal":
+        data["embedding"][0][0] = None
+    elif name == "top_level_array":
+        data = [data]
+    elif name == "string_vector":
+        data["layers"][0]["h0"] = "0" * len(data["layers"][0]["h0"])
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("name", [
+    "h0_null", "no_layers", "list_literal", "null_literal", "top_level_array",
+    "not_utf8", "directory", "string_vector",
+])
+def test_malformed_model_file_is_a_usage_error(tmp_path, capsys, name):
+    path = str(_malformed(tmp_path, name))
+    status, report = run(["sat", "fixed", path, "--arith", "fx:6:3"])
+    assert status == 2
+    assert path in report["result"]["error"]
+    assert main(["sat", "fixed", path, "--arith", "fx:6:3"]) == 2
+    printed = json.loads(capsys.readouterr().out)
+    assert "error" in printed["result"]
