@@ -9,8 +9,10 @@ saturation on overflow.  Every operation is total and pure.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Union
 
 from .errors import FormatMismatchError, InputFormatError
@@ -119,6 +121,17 @@ def raw_relu(a: int) -> int:
     return a if a > 0 else 0
 
 
+_ZERO = Fraction(0)
+
+
+def _exact_encode(x: Fraction) -> Fraction:
+    return x
+
+
+def _exact_relu(a: Fraction) -> Fraction:
+    return a if a > 0 else _ZERO
+
+
 @dataclass(frozen=True)
 class FixedPointValue:
     """An integer mantissa tagged with its format."""
@@ -186,10 +199,24 @@ class ArithMode:
     """Tagged arithmetic domain: exact rationals, or one fixed-point format.
 
     ``ArithMode()`` / the module constant ``EXACT`` is exact mode;
-    ``ArithMode(fmt)`` evaluates everything in ``fmt``.
+    ``ArithMode(fmt)`` evaluates everything in ``fmt``.  ``kernels`` holds
+    the domain's scalar operations ``(encode, add, mul, relu)``: mapping a
+    rational model constant into the domain (the identity in exact mode),
+    then the arithmetic on domain values, which in fixed mode saturates
+    (and truncates, for products) in ``fmt``.
     """
 
     fmt: FixedPointFormat | None = None
+    kernels: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        fmt = self.fmt
+        if fmt is None:
+            kernels = (_exact_encode, operator.add, operator.mul, _exact_relu)
+        else:
+            kernels = (partial(raw_encode, fmt=fmt), partial(raw_add, fmt=fmt),
+                       partial(raw_mul, fmt=fmt), raw_relu)
+        object.__setattr__(self, "kernels", kernels)
 
     @property
     def is_exact(self) -> bool:

@@ -115,15 +115,19 @@ def _require_fixed(text: str) -> FixedPointFormat:
     return mode.fmt
 
 
+def _read_source(path: str) -> str:
+    """The text of a source-language input file, decoded as UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _cmd_compile(args) -> tuple[int, dict]:
     if args.kind == "ltl":
         model = compile_ltl(ltl_mod.parse(args.input))
     elif args.kind == "minsky":
-        with open(args.input) as fh:
-            model = compile_minsky(parse_minsky(fh.read()))
+        model = compile_minsky(parse_minsky(_read_source(args.input)))
     else:
-        with open(args.input) as fh:
-            model = compile_ilp(parse_ilp(fh.read()))
+        model = compile_ilp(parse_ilp(_read_source(args.input)))
     save_model(model, args.output)
     return EXIT_SAT, {
         "model": args.output,
@@ -205,15 +209,13 @@ def _cmd_oracle(args) -> tuple[int, dict]:
             "holds": result,
         }
     if args.oracle_kind == "ilp":
-        with open(args.file) as fh:
-            inst = parse_ilp(fh.read())
+        inst = parse_ilp(_read_source(args.file))
         solution = ilp_oracle(inst)
         report = {"satisfiable": solution is not None}
         if solution is not None:
             report["solution"] = list(solution)
         return (EXIT_SAT if solution is not None else EXIT_UNSAT), report
-    with open(args.file) as fh:
-        machine = parse_minsky(fh.read())
+    machine = parse_minsky(_read_source(args.file))
     run = minsky_oracle(machine, args.max_steps)
     report = {"accepting_run_found": run is not None, "max_steps": args.max_steps}
     if run is not None:
@@ -263,7 +265,7 @@ def run(argv) -> tuple[int, dict]:
         body = {"error": str(exc), "partial_stats": asdict(exc.stats) if exc.stats else None}
         status = EXIT_RESOURCE
     except (InputFormatError, LtlSyntaxError, EmptyWordError, PreconditionError,
-            FileNotFoundError, SsmVerifyError) as exc:
+            OSError, UnicodeDecodeError, SsmVerifyError) as exc:
         body = {"error": str(exc)}
         status = EXIT_USAGE
     report = {

@@ -30,6 +30,7 @@ from .fnn import (
     gadget_implies,
     gadget_leq,
     gadget_lookup,
+    gadget_min1,
     identity_fnn,
     linear_fnn,
     select_fnn,
@@ -103,12 +104,51 @@ def _node(width: int, terms, bias=0, activation=RELU) -> FnnNode:
     return FnnNode(tuple(weights), Fraction(bias), activation)
 
 
+def _pointwise(d: int, positions: Iterable[int], gadget: Fnn) -> Fnn:
+    """(h, x) -> h with the one-input ``gadget`` applied to each tracked
+    coordinate of h; every other coordinate passes through on identity
+    nodes, one per gadget layer.  Nodes keep coordinate order."""
+    tracked = set(positions)
+    if any(not 0 <= p < d for p in tracked):
+        raise DimensionError(f"tracked positions {sorted(tracked)} outside dimension {d}")
+    slots = [(j,) for j in range(d)]  # the nodes of the previous layer per coordinate
+    width = 2 * d
+    layers = []
+    for layer in gadget.layers:
+        nodes: list[FnnNode] = []
+        for j in range(d):
+            first = len(nodes)
+            if j in tracked:
+                nodes += [_node(width, zip(slots[j], n.weights), n.bias, n.activation)
+                          for n in layer.nodes]
+            else:
+                nodes.append(_node(width, [(slots[j][0], 1)], 0, IDENTITY))
+            slots[j] = tuple(range(first, len(nodes)))
+        layers.append(FnnLayer(tuple(nodes)))
+        width = len(nodes)
+    return Fnn(tuple(layers))
+
+
 # ---------------------------------------------------------------------------
 # Previous-bit layer (history in the binary expansion of h = h/4 + x)
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 _EIGHTH = Fraction(1, 8)
+
+
+# The previous-bit decoder on one recurrence value r, one relu layer per stage.
+_PREV_BIT_DECODER = Fnn(tuple(
+    linear_fnn(matrix, bias, RELU).layers[0]
+    for matrix, bias in (
+        ([[1], [1], [1]], [-_HALF, -1, 0]),  # relu(r - 1/2), relu(r - 1), r
+        ([[2, -2, 0], [0, 0, 1]], [0, 0]),   # the current bit, r
+        ([[-1, 1]], [-_EIGHTH]),             # r - bit - 1/8
+        *[([[2]], [0])] * 3,                 # scale the 1/8-spaced remainder up to >= 1
+        ([[1], [1]], [0, -1]),               # clamp to 1: relu(s) - relu(s - 1)
+        ([[1, -1]], [0]),
+    )
+))
 
 
 def prev_decode_fnn(d: int, positions: Iterable[int]) -> Fnn:
@@ -121,70 +161,7 @@ def prev_decode_fnn(d: int, positions: Iterable[int]) -> Fnn:
     of the naive piecewise-linear decoder never need to materialise.
     Untracked dimensions pass through on identity nodes.
     """
-    tracked = set(positions)
-    if any(not 0 <= p < d for p in tracked):
-        raise DimensionError(f"tracked positions {sorted(tracked)} outside dimension {d}")
-    layers = []
-    slots: dict[int, tuple[int, ...]] = {j: (j,) for j in range(d)}
-    width = 2 * d
-
-    def emit(stage):
-        nonlocal width, slots
-        nodes: list[FnnNode] = []
-        new_slots = {}
-        for j in range(d):
-            if j in tracked:
-                new_slots[j] = stage(slots[j], nodes)
-            else:
-                nodes.append(_node(width, [(slots[j][0], 1)], 0, IDENTITY))
-                new_slots[j] = (len(nodes) - 1,)
-        layers.append(FnnLayer(tuple(nodes)))
-        slots = new_slots
-        width = len(nodes)
-
-    def thresholds(s, nodes):
-        (r,) = s
-        base = len(nodes)
-        nodes.append(_node(width, [(r, 1)], -_HALF))  # relu(r - 1/2)
-        nodes.append(_node(width, [(r, 1)], -1))      # relu(r - 1)
-        nodes.append(_node(width, [(r, 1)], 0))       # carry r (r >= 0)
-        return (base, base + 1, base + 2)
-
-    def integer_bit(s, nodes):
-        a, b, r = s
-        base = len(nodes)
-        nodes.append(_node(width, [(a, 2), (b, -2)], 0))  # 1 iff the current bit is 1
-        nodes.append(_node(width, [(r, 1)], 0))
-        return (base, base + 1)
-
-    def strip_current(s, nodes):
-        ind, r = s
-        nodes.append(_node(width, [(r, 1), (ind, -1)], -_EIGHTH))
-        return (len(nodes) - 1,)
-
-    def double(s, nodes):
-        nodes.append(_node(width, [(s[0], 2)], 0))
-        return (len(nodes) - 1,)
-
-    def clamp_parts(s, nodes):
-        base = len(nodes)
-        nodes.append(_node(width, [(s[0], 1)], 0))
-        nodes.append(_node(width, [(s[0], 1)], -1))
-        return (base, base + 1)
-
-    def clamp(s, nodes):
-        e, f = s
-        nodes.append(_node(width, [(e, 1), (f, -1)], 0))
-        return (len(nodes) - 1,)
-
-    emit(thresholds)
-    emit(integer_bit)
-    emit(strip_current)
-    for _ in range(3):  # scale the 1/8-spaced remainder up to >= 1
-        emit(double)
-    emit(clamp_parts)
-    emit(clamp)
-    return Fnn(tuple(layers))
+    return _pointwise(d, positions, _PREV_BIT_DECODER)
 
 
 def prev_bit_layer(d: int, positions: Iterable[int]) -> SsmLayer:
@@ -206,34 +183,12 @@ def prev_bit_layer(d: int, positions: Iterable[int]) -> SsmLayer:
 
 def relu_on_dim(d: int, i: int) -> Fnn:
     """(h, x) -> h with relu applied to coordinate i only."""
-    nodes = tuple(
-        _node(2 * d, [(m, 1)], 0, RELU if m == i else IDENTITY) for m in range(d)
-    )
-    return Fnn((FnnLayer(nodes),))
+    return _pointwise(d, (i,), linear_fnn([[1]], activation=RELU))
 
 
 def min1_on_dim(d: int, i: int) -> Fnn:
     """(h, x) -> h with coordinate i clamped to min(1, h_i)."""
-    first: list[FnnNode] = []
-    slot = {}
-    for m in range(d):
-        if m == i:
-            slot[m] = len(first)
-            first.append(_node(2 * d, [(m, 1)], 0, RELU))
-            first.append(_node(2 * d, [(m, -1)], 0, RELU))
-            first.append(_node(2 * d, [(m, 1)], -1, RELU))
-        else:
-            slot[m] = len(first)
-            first.append(_node(2 * d, [(m, 1)], 0, IDENTITY))
-    width = len(first)
-    second = []
-    for m in range(d):
-        if m == i:
-            s = slot[m]
-            second.append(_node(width, [(s, 1), (s + 1, -1), (s + 2, -1)], 0, IDENTITY))
-        else:
-            second.append(_node(width, [(slot[m], 1)], 0, IDENTITY))
-    return Fnn((FnnLayer(tuple(first)), FnnLayer(tuple(second))))
+    return _pointwise(d, (i,), gadget_min1())
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ possibly-negative values through (counter dimensions in compiled models);
 ``x = relu(x) - relu(-x)``, leaving only final-layer identities, which no
 pure-relu network can express.
 
-Evaluation is available over both scalar domains.  Each network keeps a
-sparse program (zero weights dropped, plain copies shortcut) that
-``eval_fractions`` and ``eval_raws`` interpret and from which the SSM step
-compiler in ``ssm.py`` generates code.
+Evaluation is available over both scalar domains.  Each network keeps one
+sparse program per arithmetic mode (zero weights dropped, constants encoded
+in the mode), which ``eval_program`` interprets with the mode's kernels and
+from which the SSM step compiler in ``ssm.py`` generates code.  Every node,
+a plain copy included, applies its weights: where 1 is not representable, a
+copy multiplies by the saturated unit like any other weight-1 term.
 """
 
 from __future__ import annotations
@@ -21,14 +23,12 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .arithmetic import (
+    EXACT,
     ArithMode,
     FixedPointFormat,
     FixedPointValue,
     Scalar,
-    raw_add,
     raw_encode,
-    raw_mul,
-    raw_relu,
 )
 from .errors import DimensionError, FormatMismatchError
 
@@ -92,93 +92,54 @@ class Fnn:
     def size(self) -> int:
         return sum(layer.output_dim for layer in self.layers)
 
-    # Sparse programs: each node becomes ("pass", src) for a bare copy or
-    # (relu?, bias, ((src, weight), ...)) with zero weights dropped.
     @cached_property
-    def _program(self):
-        prog = []
-        for layer in self.layers:
-            nodes = []
-            for node in layer.nodes:
-                terms = tuple(
-                    (i, w) for i, w in enumerate(node.weights) if w != 0
-                )
-                if (
-                    node.activation == IDENTITY
-                    and node.bias == 0
-                    and len(terms) == 1
-                    and terms[0][1] == 1
-                ):
-                    nodes.append(("pass", terms[0][0]))
-                else:
-                    nodes.append((node.activation == RELU, node.bias, terms))
-            prog.append(tuple(nodes))
-        return tuple(prog)
-
-    @cached_property
-    def _fixed_programs(self):
+    def _programs(self) -> dict:
         return {}
 
-    def _program_for(self, fmt: FixedPointFormat):
-        """The sparse program with weights/biases pre-encoded in ``fmt``."""
-        prog = self._fixed_programs.get(fmt)
+    def _program_for(self, mode: ArithMode):
+        """The sparse program in ``mode``: per node ``(relu?, bias, ((src,
+        weight), ...))`` with zero weights dropped and constants encoded."""
+        prog = self._programs.get(mode)
         if prog is None:
-            prog = tuple(
+            enc = mode.kernels[0]
+            prog = self._programs[mode] = tuple(
                 tuple(
-                    node
-                    if node[0] == "pass"
-                    else (
-                        node[0],
-                        raw_encode(node[1], fmt),
-                        tuple((i, raw_encode(w, fmt)) for i, w in node[2]),
+                    (
+                        node.activation == RELU,
+                        enc(node.bias),
+                        tuple((i, enc(w)) for i, w in enumerate(node.weights) if w),
                     )
-                    for node in layer
+                    for node in layer.nodes
                 )
-                for layer in self._program
+                for layer in self.layers
             )
-            self._fixed_programs[fmt] = prog
         return prog
+
+
+def eval_program(net: Fnn, values: Sequence, mode: ArithMode) -> tuple:
+    """Evaluate ``net`` on values already in ``mode`` (rationals, or raw
+    mantissas): each node adds its terms to the bias one by one, so in fixed
+    mode every product and partial sum saturates in the canonical order."""
+    _, add, mul, relu = mode.kernels
+    current = values
+    for layer in net._program_for(mode):
+        out = []
+        for is_relu, acc, terms in layer:
+            for i, w in terms:
+                acc = add(acc, mul(w, current[i]))
+            out.append(relu(acc) if is_relu else acc)
+        current = out
+    return tuple(current)
 
 
 def eval_fractions(net: Fnn, values: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Exact-mode evaluation on a tuple of rationals."""
-    current = values
-    for layer in net._program:
-        out = []
-        for node in layer:
-            if node[0] == "pass":
-                out.append(current[node[1]])
-                continue
-            is_relu, bias, terms = node
-            acc = bias
-            for i, w in terms:
-                acc += w * current[i]
-            if is_relu and acc < 0:
-                acc = Fraction(0)
-            out.append(acc)
-        current = out
-    return tuple(current)
+    return eval_program(net, values, EXACT)
 
 
 def eval_raws(net: Fnn, raws: Sequence[int], fmt: FixedPointFormat) -> tuple[int, ...]:
-    """Fixed-mode evaluation on raw mantissas; every partial sum, product and
-    node output lives in ``fmt`` (saturating, truncating)."""
-    current = raws
-    for layer in net._program_for(fmt):
-        out = []
-        for node in layer:
-            if node[0] == "pass":
-                out.append(current[node[1]])
-                continue
-            is_relu, bias, terms = node
-            acc = bias
-            for i, w in terms:
-                acc = raw_add(acc, raw_mul(w, current[i], fmt), fmt)
-            if is_relu:
-                acc = raw_relu(acc)
-            out.append(acc)
-        current = out
-    return tuple(current)
+    """Fixed-mode evaluation on raw mantissas in ``fmt``."""
+    return eval_program(net, raws, ArithMode(fmt))
 
 
 def fnn_eval(net: Fnn, inputs: Sequence[Scalar], mode: ArithMode) -> list[Scalar]:
@@ -186,8 +147,7 @@ def fnn_eval(net: Fnn, inputs: Sequence[Scalar], mode: ArithMode) -> list[Scalar
     if len(inputs) != net.input_dim:
         raise DimensionError(f"expected {net.input_dim} inputs, got {len(inputs)}")
     if mode.is_exact:
-        vals = tuple(Fraction(x) for x in inputs)
-        return list(eval_fractions(net, vals))
+        return list(eval_program(net, tuple(Fraction(x) for x in inputs), mode))
     fmt = mode.fmt
     raws = []
     for x in inputs:
@@ -197,7 +157,7 @@ def fnn_eval(net: Fnn, inputs: Sequence[Scalar], mode: ArithMode) -> list[Scalar
             raws.append(x.raw)
         else:
             raws.append(raw_encode(Fraction(x), fmt))
-    return [FixedPointValue(r, fmt) for r in eval_raws(net, raws, fmt)]
+    return [FixedPointValue(r, fmt) for r in eval_program(net, raws, mode)]
 
 
 # ---------------------------------------------------------------------------

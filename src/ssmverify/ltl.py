@@ -247,10 +247,14 @@ def _lower(ast, anchor: str) -> LtlFormula:
 
 def parse(text: str) -> LtlFormula:
     """Parse and lower a formula; round-trips through ``pretty``."""
-    ast = _Parser(text).parse()
-    names = _raw_atoms(ast)
-    anchor = min(names) if names else "p"
-    return _lower(ast, anchor)
+    parser = _Parser(text)
+    try:
+        ast = parser.parse()
+        names = _raw_atoms(ast)
+        anchor = min(names) if names else "p"
+        return _lower(ast, anchor)
+    except RecursionError:
+        raise LtlSyntaxError("formula nested too deeply", parser.peek()[2]) from None
 
 
 _PREC = {Or: 1, And: 2, Until: 3, Not: 4, Next: 4, Atom: 5}

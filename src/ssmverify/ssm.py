@@ -11,11 +11,11 @@ path compiles each model, once per arithmetic mode, into one generated
 straight-line Python function: the model's constants are folded into the
 code, unit weights become aliases and fixed-point truncation and saturation
 are inlined per term (partial evaluation; Jones, Gomard and Sestoft, 1993).
-``evaluate_layerwise`` stays an uncompiled interpreter that materialises
-whole sequences layer by layer, as the independent oracle.  Both apply
-per-dimension terms in the same canonical order (gate terms, inc offset, inc
-terms, each by ascending column) so fixed-mode saturation behaves
-identically.
+``evaluate_layerwise`` is the independent oracle: one uncompiled interpreter
+that materialises whole sequences layer by layer, over either domain through
+the mode's scalar kernels.  Both apply per-dimension terms in the same
+canonical order (gate terms, inc offset, inc terms, each by ascending
+column) so fixed-mode saturation behaves identically.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .arithmetic import (
+    EXACT,
     ArithMode,
     FixedPointFormat,
     FixedPointValue,
@@ -36,7 +37,7 @@ from .arithmetic import (
     raw_relu,
 )
 from .errors import DimensionError, EmptyWordError, UnknownSymbolError
-from .fnn import Fnn, eval_fractions, eval_raws, select_fnn
+from .fnn import Fnn, eval_program, select_fnn
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -446,17 +447,12 @@ class _StepCompiler:
 
     def fnn(self, net: Fnn, inputs: list[_Val]) -> list[_Val]:
         current = inputs
-        for layer in net._program:
-            out = []
-            for node in layer:
-                if node[0] == "pass":
-                    self.enc(Fraction(1))  # counted like any other weight
-                    out.append(current[node[1]])
-                    continue
-                is_relu, bias, terms = node
-                products = [self.mul(self.enc(w), current[i]) for i, w in terms]
-                out.append(self.total(self.enc(bias), products, is_relu))
-            current = out
+        for layer in net._program_for(EXACT):
+            current = [
+                self.total(self.enc(bias),
+                           [self.mul(self.enc(w), current[i]) for i, w in terms], is_relu)
+                for is_relu, bias, terms in layer
+            ]
         return current
 
     def recurrence(self, layer: SsmLayer, j: int, h: list[_Val], x: list[_Val]) -> _Val:
@@ -552,6 +548,11 @@ def _stepper(model: SsmModel, mode: ArithMode) -> _Stepper:
     return stepper
 
 
+def _scalar(y, mode: ArithMode) -> Scalar:
+    """A Fraction or raw mantissa as the public scalar of ``mode``."""
+    return y if mode.is_exact else FixedPointValue(y, mode.fmt)
+
+
 def initial_state(model: SsmModel, mode: ArithMode) -> StreamState:
     return StreamState(_stepper(model, mode).initial_hidden(), mode)
 
@@ -561,8 +562,7 @@ def step(model: SsmModel, state: StreamState, symbol: str) -> tuple[StreamState,
     output scalar (the value `accepts` compares against 1)."""
     stepper = _stepper(model, state.mode)
     hidden, y = stepper.step(state.hidden, symbol)
-    out = y if state.mode.is_exact else FixedPointValue(y, state.mode.fmt)
-    return StreamState(hidden, state.mode), out
+    return StreamState(hidden, state.mode), _scalar(y, state.mode)
 
 
 def evaluate(model: SsmModel, word: Sequence[str], mode: ArithMode) -> Scalar:
@@ -573,9 +573,7 @@ def evaluate(model: SsmModel, word: Sequence[str], mode: ArithMode) -> Scalar:
     hidden = stepper.initial_hidden()
     for symbol in word:
         hidden, y = stepper.step(hidden, symbol)
-    if mode.is_exact:
-        return y
-    return FixedPointValue(y, mode.fmt)
+    return _scalar(y, mode)
 
 
 def accepts(model: SsmModel, word: Sequence[str], mode: ArithMode) -> bool:
@@ -592,53 +590,27 @@ def accepts(model: SsmModel, word: Sequence[str], mode: ArithMode) -> bool:
 # ---------------------------------------------------------------------------
 # Layer-major (batch) evaluation: the independent second order of computation.
 
-def _mat_terms_exact(gate, inc, h, x, d):
+def _recurrence(gate: GateSpec, inc: AffineMap, h: tuple, x: Sequence, mode: ArithMode) -> tuple:
+    """``gate(x) . h + inc(x)``, one term at a time in the canonical order."""
+    enc, add, mul, _ = mode.kernels
+    zero = enc(Fraction(0))
     out = []
-    for j in range(d):
+    for j in range(len(h)):
         if isinstance(gate, TimeInvariantGate):
-            acc = Fraction(0)
-            for k in range(d):
-                w = gate.matrix[j][k]
+            acc = zero
+            for k, w in enumerate(gate.matrix[j]):
                 if w:
-                    acc += w * h[k]
-        else:
-            g = gate.offset[j]
-            for k in range(d):
-                w = gate.matrix[j][k]
-                if w:
-                    g += w * x[k]
-            acc = g * h[j]
-        acc += inc.offset[j]
-        for k in range(d):
-            w = inc.matrix[j][k]
-            if w:
-                acc += w * x[k]
-        out.append(acc)
-    return tuple(out)
-
-
-def _mat_terms_fixed(gate, inc, h, x, d, fmt):
-    out = []
-    enc = lambda v: raw_encode(v, fmt)
-    for j in range(d):
-        if isinstance(gate, TimeInvariantGate):
-            acc = 0
-            for k in range(d):
-                w = gate.matrix[j][k]
-                if w:
-                    acc = raw_add(acc, raw_mul(enc(w), h[k], fmt), fmt)
+                    acc = add(acc, mul(enc(w), h[k]))
         else:
             g = enc(gate.offset[j])
-            for k in range(d):
-                w = gate.matrix[j][k]
+            for k, w in enumerate(gate.matrix[j]):
                 if w:
-                    g = raw_add(g, raw_mul(enc(w), x[k], fmt), fmt)
-            acc = raw_mul(g, h[j], fmt)
-        acc = raw_add(acc, enc(inc.offset[j]), fmt)
-        for k in range(d):
-            w = inc.matrix[j][k]
+                    g = add(g, mul(enc(w), x[k]))
+            acc = mul(g, h[j])
+        acc = add(acc, enc(inc.offset[j]))
+        for k, w in enumerate(inc.matrix[j]):
             if w:
-                acc = raw_add(acc, raw_mul(enc(w), x[k], fmt), fmt)
+                acc = add(acc, mul(enc(w), x[k]))
         out.append(acc)
     return tuple(out)
 
@@ -646,20 +618,11 @@ def _mat_terms_fixed(gate, inc, h, x, d, fmt):
 def run_layer(layer: SsmLayer, xs: Sequence[Sequence], mode: ArithMode) -> list[tuple]:
     """Apply one SSM layer to a whole input sequence, returning the z
     sequence.  Inputs/outputs are Fractions (exact) or raw ints (fixed)."""
-    d = layer.dim
-    if mode.is_exact:
-        h = tuple(layer.h0)
-        zs = []
-        for x in xs:
-            h = _mat_terms_exact(layer.gate, layer.inc, h, x, d)
-            zs.append(eval_fractions(layer.phi, h + tuple(x)))
-        return zs
-    fmt = mode.fmt
-    h = tuple(raw_encode(v, fmt) for v in layer.h0)
+    h = tuple(map(mode.kernels[0], layer.h0))
     zs = []
     for x in xs:
-        h = _mat_terms_fixed(layer.gate, layer.inc, h, x, d, fmt)
-        zs.append(eval_raws(layer.phi, h + tuple(x), fmt))
+        h = _recurrence(layer.gate, layer.inc, h, x, mode)
+        zs.append(eval_program(layer.phi, h + tuple(x), mode))
     return zs
 
 
@@ -672,16 +635,11 @@ def evaluate_layerwise(model: SsmModel, word: Sequence[str], mode: ArithMode) ->
     for symbol in word:
         if symbol not in idx:
             raise UnknownSymbolError(f"symbol {symbol!r} not in model alphabet")
-    if mode.is_exact:
-        xs = [tuple(model.emb[idx[s]]) for s in word]
-    else:
-        fmt = mode.fmt
-        xs = [tuple(raw_encode(v, fmt) for v in model.emb[idx[s]]) for s in word]
+    enc = mode.kernels[0]
+    xs = [tuple(map(enc, model.emb[idx[s]])) for s in word]
     for layer in model.layers:
         xs = run_layer(layer, xs, mode)
-    if mode.is_exact:
-        return eval_fractions(model.out, xs[-1])[0]
-    return FixedPointValue(eval_raws(model.out, xs[-1], mode.fmt)[0], mode.fmt)
+    return _scalar(eval_program(model.out, xs[-1], mode)[0], mode)
 
 
 # ---------------------------------------------------------------------------

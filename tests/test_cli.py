@@ -192,6 +192,20 @@ def test_console_entry_point(tmp_path):
     assert report["result"]["holds"] is True
 
 
+def test_demo_script_runs(tmp_path):
+    src = os.path.dirname(os.path.dirname(ssmverify.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    demo = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "demo.py")
+    proc = subprocess.run(
+        [sys.executable, demo],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_main_prints_report(capsys, tmp_path):
     status = main(["oracle", "ltl", "p", "--trace", "{}"])
     assert status == 1
@@ -383,3 +397,30 @@ def test_malformed_model_file_is_a_usage_error(tmp_path, capsys, name):
     assert main(["sat", "fixed", path, "--arith", "fx:6:3"]) == 2
     printed = json.loads(capsys.readouterr().out)
     assert "error" in printed["result"]
+
+
+def _bad_input(tmp_path, name):
+    not_utf8 = tmp_path / "latin1.ilp"
+    not_utf8.write_bytes("2\n1 1\n0 1\n1 1 # caf\xe9\n".encode("latin-1"))
+    model = str(tmp_path / "m.ssm")
+    return {
+        "compile_minsky_directory": ["compile", "minsky", str(tmp_path), "-o", model],
+        "compile_output_directory": ["compile", "ltl", "p", "-o", str(tmp_path)],
+        "oracle_minsky_directory": ["oracle", "minsky", str(tmp_path), "--max-steps", "3"],
+        "oracle_ilp_not_utf8": ["oracle", "ilp", str(not_utf8)],
+        "compile_ltl_nested_too_deeply": ["compile", "ltl", "!" * 3000 + "p", "-o", model],
+    }[name]
+
+
+@pytest.mark.parametrize("name", [
+    "compile_minsky_directory", "compile_output_directory", "oracle_minsky_directory",
+    "oracle_ilp_not_utf8", "compile_ltl_nested_too_deeply",
+])
+def test_bad_input_file_or_formula_is_a_usage_error(tmp_path, capsys, name):
+    argv = _bad_input(tmp_path, name)
+    status, report = run(argv)
+    assert status == 2
+    assert report["result"]["error"]
+    assert main(argv) == 2
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["result"]["error"]

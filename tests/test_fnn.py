@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssmverify.arithmetic import EXACT, FX6, ArithMode
+from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat
 from ssmverify.errors import DimensionError
 from ssmverify.fnn import (
     Fnn,
@@ -247,6 +247,16 @@ def test_fixed_mode_gadgets_within_six_bits():
         for y in (0, 1):
             got = fnn_eval(net, [Fraction(x), Fraction(y)], FX6_MODE)[0]
             assert got.value == (1 if (x and not y) else 0)
+
+
+def test_unit_weight_copy_saturates_like_any_unit_weight():
+    """In fx:3:2 the weight 1 encodes to 3/4, and an identity copy applies
+    it like a relu node does: 3/4 * 1/2 truncates to 1/4 (raw 1)."""
+    mode = ArithMode(FixedPointFormat(3, 2))
+    copied = fnn_eval(linear_fnn([[1]]), [Fraction(1, 2)], mode)
+    rectified = fnn_eval(linear_fnn([[1]], activation=RELU), [Fraction(1, 2)], mode)
+    assert copied == rectified
+    assert copied[0].raw == 1
 
 
 def test_eval_dimension_mismatch():

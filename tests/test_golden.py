@@ -41,11 +41,14 @@ def test_model_file_checksums(tmp_path):
         "minsky": compile_minsky(parse_minsky(MINSKY_TEXT)),
         "ilp": compile_ilp(parse_ilp(ILP_TEXT)),
         "ltl": compile_ltl(parse("p U q")),
+        # relu_on_dim, min1_on_dim and the previous-bit layer
+        "ltl_pointwise": compile_ltl(parse("(X p | !q) & r")),
     }
     expected = {
         "minsky": "70cb671515d7333f626b12bd5c81e8408fd94ddf5ebf362d0b87c639ed392d22",
         "ilp": "0e94b9f3be6928193b94cdcd90ac28fc0f96e94dd82d5b7b81d48631f1b01119",
         "ltl": "38500d9487ada108dbd116aabca53bb1632c7c257a2371043522d72883dd37f1",
+        "ltl_pointwise": "dce1a2fdfe51972f73d78d8a2fa8a0fe6bb548e12e0d58d18912c437d2d6e811",
     }
     for name, model in cases.items():
         path = str(tmp_path / f"{name}.ssm")

@@ -183,3 +183,10 @@ def test_size_and_atoms():
 
 def test_models_on_empty_trace_is_false():
     assert not models(P, ())
+
+
+@pytest.mark.parametrize("text", ["!" * 3000 + "p", "(" * 3000 + "p" + ")" * 3000],
+                         ids=["not", "parentheses"])
+def test_deep_nesting_is_a_syntax_error(text):
+    with pytest.raises(LtlSyntaxError, match="nested too deeply"):
+        parse(text)

@@ -171,6 +171,24 @@ def test_compiled_models_stream_like_layerwise(mode):
                 assert type(streamed) is Fraction
 
 
+def test_identity_phi_applies_the_saturated_unit():
+    """In fx:3:2 the unit weight is 3/4, on the projection phi too.  With x
+    = 1/2: h = 3/4 * 1/2 -> raw 1, phi 3/4 * 1/4 -> raw 0, out raw 0; both
+    evaluation orders agree on it."""
+    layer = SsmLayer(
+        h0=as_vector([0]),
+        gate=TimeInvariantGate(zeros_mat(1)),
+        inc=AffineMap(eye(1), as_vector([0])),
+        phi=projection_phi(1),
+    )
+    model = SsmModel(alphabet=("a",), emb=(as_vector([Fraction(1, 2)]),),
+                     layers=(layer,), out=select_fnn([0], 1))
+    mode = ArithMode(FixedPointFormat(3, 2))
+    streamed = evaluate(model, ["a"], mode)
+    assert streamed == evaluate_layerwise(model, ["a"], mode)
+    assert streamed.raw == 0
+
+
 @given(small_models(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_fixed_state_entries_stay_representable(model, data):
