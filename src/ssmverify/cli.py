@@ -39,13 +39,17 @@ from .errors import (
 )
 from .modelfile import load_model, save_model
 from .solvers import LengthBound, pump_down, sat_bounded, sat_fixed
-from .ssm import _stepper, classify_gates, evaluate, state_count_bound
+from .ssm import _stepper, classify_gates, evaluate, state_count_bound_log2
 from .words import format_word, parse_trace, parse_word
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+# 2**14000 has 4215 decimal digits, within CPython's default 4300-digit
+# limit on int-to-str conversion; larger state-count bounds print as null.
+_PRINTABLE_LOG2 = 14_000
 
 
 @functools.cache
@@ -161,8 +165,18 @@ def _cmd_eval(args) -> tuple[int, dict]:
 
 def _cmd_sat(args) -> tuple[int, dict]:
     model = load_model(args.model)
-    if args.solver == "bounded":
-        mode = ArithMode.parse(args.arith)
+    bounded = args.solver == "bounded"
+    mode = ArithMode.parse(args.arith) if bounded else ArithMode(_require_fixed(args.arith))
+    if not mode.is_exact:
+        # the count comes from the stepper that the search then reuses
+        quantized = _stepper(model, mode).quantized_constants
+        if quantized:
+            print(
+                f"warning: {quantized} model constants are not exactly "
+                f"representable in {mode.fmt} and were quantised",
+                file=sys.stderr,
+            )
+    if bounded:
         bound = (
             LengthBound.binary(args.max_len) if args.binary
             else LengthBound.unary(args.max_len)
@@ -171,16 +185,7 @@ def _cmd_sat(args) -> tuple[int, dict]:
         report = _sat_report(result)
         report["bound"] = bound.value
     else:
-        fmt = _require_fixed(args.arith)
-        # the count comes from the stepper that sat_fixed then reuses
-        quantized = _stepper(model, ArithMode(fmt)).quantized_constants
-        if quantized:
-            print(
-                f"warning: {quantized} model constants are not exactly "
-                f"representable in {fmt} and were quantised",
-                file=sys.stderr,
-            )
-        result = sat_fixed(model, fmt)
+        result = sat_fixed(model, mode.fmt)
         report = _sat_report(result)
     return (EXIT_SAT if result.satisfiable else EXIT_UNSAT), report
 
@@ -227,6 +232,7 @@ def _cmd_oracle(args) -> tuple[int, dict]:
 def _cmd_classify(args) -> tuple[int, dict]:
     model = load_model(args.model)
     classes = classify_gates(model)
+    log2 = state_count_bound_log2(model, args.bits)
     report = {
         "dimension": model.dim,
         "layers": model.num_layers,
@@ -235,7 +241,8 @@ def _cmd_classify(args) -> tuple[int, dict]:
         "time_invariant": classes.time_invariant,
         "diagonal": classes.diagonal,
         "state_count_bound_bits": args.bits,
-        "state_count_bound": str(state_count_bound(model, args.bits)),
+        "state_count_bound_log2": log2,
+        "state_count_bound": str(1 << log2) if log2 <= _PRINTABLE_LOG2 else None,
         "metadata": model.metadata_dict,
     }
     meta = model.metadata_dict

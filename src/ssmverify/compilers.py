@@ -55,14 +55,6 @@ F0, F1 = Fraction(0), Fraction(1)
 # ---------------------------------------------------------------------------
 # Matrix helpers (0-indexed throughout)
 
-def zero_matrix(d: int) -> Matrix:
-    return tuple((F0,) * d for _ in range(d))
-
-
-def identity_matrix(d: int) -> Matrix:
-    return tuple(tuple(F1 if i == j else F0 for j in range(d)) for i in range(d))
-
-
 def copy_matrix(i: int, j: int, d: int) -> Matrix:
     """C applied to x yields the vector whose j-th entry is x_i, rest zero."""
     if not (0 <= i < d and 0 <= j < d):
@@ -81,16 +73,14 @@ def masked_identity(i: int, j: int, d: int) -> Matrix:
     )
 
 
-def mat_add(*mats: Matrix) -> Matrix:
-    d = len(mats[0])
-    return tuple(
-        tuple(sum((m[r][c] for m in mats), F0) for c in range(d)) for r in range(d)
-    )
-
-
-def mat_scale(c, m: Matrix) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * w for w in row) for row in m)
+def _sparse(d: int, entries, diagonal=F0) -> Matrix:
+    """``diagonal`` times the identity plus each (row, col, w) of entries."""
+    rows = [[F0] * d for _ in range(d)]
+    for r in range(d):
+        rows[r][r] = diagonal
+    for r, c, w in entries:
+        rows[r][c] += w
+    return tuple(map(tuple, rows))
 
 
 def _zeros(d: int) -> Vector:
@@ -168,12 +158,10 @@ def prev_bit_layer(d: int, positions: Iterable[int]) -> SsmLayer:
     """Layer whose output on each tracked 0/1 dimension is that dimension's
     previous input (0 at the first position); passthrough elsewhere."""
     tracked = sorted(set(positions))
-    gate = mat_add(*[mat_scale(_QUARTER, masked_identity(p, p, d)) for p in tracked]) \
-        if tracked else zero_matrix(d)
     return SsmLayer(
         h0=_zeros(d),
-        gate=TimeInvariantGate(gate),
-        inc=AffineMap(identity_matrix(d), _zeros(d)),
+        gate=TimeInvariantGate(_sparse(d, [(p, p, _QUARTER) for p in tracked])),
+        inc=AffineMap(_sparse(d, (), F1), _zeros(d)),
         phi=prev_decode_fnn(d, tracked),
     )
 
@@ -230,42 +218,38 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
     dim = dict(layout.dim_of)
     prop_dim = {p: i for i, p in enumerate(layout.props)}
     const = layout.const_dim
-    eye = identity_matrix(d)
-    no_gate = TimeInvariantGate(zero_matrix(d))
+    no_gate = TimeInvariantGate(_sparse(d, ()))
     zero_off = _zeros(d)
 
     layers: list[SsmLayer] = []
     for sub in layout.subformulas:
         i = dim[sub]
         if isinstance(sub, Atom):
-            inc = mat_add(eye, copy_matrix(prop_dim[sub.name], i, d))
+            inc = _sparse(d, [(i, prop_dim[sub.name], F1)], F1)
             layers.append(SsmLayer(_zeros(d), no_gate, AffineMap(inc, zero_off),
                                    projection_phi(d)))
         elif isinstance(sub, Not):
-            inc = mat_add(eye, copy_matrix(const, i, d),
-                          mat_scale(-1, copy_matrix(dim[sub.sub], i, d)))
+            inc = _sparse(d, [(i, const, F1), (i, dim[sub.sub], -F1)], F1)
             layers.append(SsmLayer(_zeros(d), no_gate, AffineMap(inc, zero_off),
                                    projection_phi(d)))
         elif isinstance(sub, And):
-            inc = mat_add(eye, copy_matrix(dim[sub.left], i, d),
-                          copy_matrix(dim[sub.right], i, d),
-                          mat_scale(-1, copy_matrix(const, i, d)))
+            inc = _sparse(d, [(i, dim[sub.left], F1), (i, dim[sub.right], F1),
+                              (i, const, -F1)], F1)
             layers.append(SsmLayer(_zeros(d), no_gate, AffineMap(inc, zero_off),
                                    relu_on_dim(d, i)))
         elif isinstance(sub, Or):
             # disjunction as min(1, left + right), the same clamp as until
-            inc = mat_add(eye, copy_matrix(dim[sub.left], i, d),
-                          copy_matrix(dim[sub.right], i, d))
+            inc = _sparse(d, [(i, dim[sub.left], F1), (i, dim[sub.right], F1)], F1)
             layers.append(SsmLayer(_zeros(d), no_gate, AffineMap(inc, zero_off),
                                    min1_on_dim(d, i)))
         elif isinstance(sub, Next):
-            inc = mat_add(eye, copy_matrix(dim[sub.sub], i, d))
+            inc = _sparse(d, [(i, dim[sub.sub], F1)], F1)
             layers.append(SsmLayer(_zeros(d), no_gate, AffineMap(inc, zero_off),
                                    projection_phi(d)))
             layers.append(prev_bit_layer(d, (i,)))
         else:  # Until: requires the input-dependent diagonal gate
             gate = DiagonalAffineGate(copy_matrix(dim[sub.left], i, d), zero_off)
-            inc = mat_add(eye, copy_matrix(dim[sub.right], i, d))
+            inc = _sparse(d, [(i, dim[sub.right], F1)], F1)
             layers.append(SsmLayer(_zeros(d), gate, AffineMap(inc, zero_off),
                                    min1_on_dim(d, i)))
 
@@ -501,7 +485,7 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
             vec[c_dims[i]] = -F1
         emb.append(tuple(vec))
 
-    eye = identity_matrix(d)
+    eye = _sparse(d, (), F1)
     zero_off = _zeros(d)
 
     # layer 1: accumulate the counters, pass everything else through
@@ -516,7 +500,7 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
     # the start state, then decode + transition/counter checks in phi
     h0_2 = [F0] * d
     h0_2[n + state_idx[machine.start]] = F1
-    l2_gate = TimeInvariantGate(mat_scale(_QUARTER, masked_identity(n, 2 * n - 1, d)))
+    l2_gate = TimeInvariantGate(_sparse(d, [(k, k, _QUARTER) for k in range(n, 2 * n)]))
     decode = prev_decode_fnn(d, range(n, 2 * n))
 
     dup_rows = [[F0] * d for _ in range(d)]
@@ -648,7 +632,7 @@ def compile_ilp(inst: IlpInstance) -> SsmModel:
         inc_rows.append(tuple(F1 if c == r else F0 for c in range(d)) + _zeros(d))
     layer = SsmLayer(
         h0=_zeros(dd),
-        gate=TimeInvariantGate(identity_matrix(dd)),
+        gate=TimeInvariantGate(_sparse(dd, (), F1)),
         inc=AffineMap(tuple(inc_rows), _zeros(dd)),
         phi=projection_phi(dd),
     )

@@ -245,16 +245,39 @@ def _lower(ast, anchor: str) -> LtlFormula:
     raise AssertionError(f"unreachable node {ast!r}")
 
 
+# The deepest lowered tree ``parse`` accepts, counted in nodes from the root
+# to the deepest leaf.  ``pretty`` takes two stack frames per level and
+# ``holds`` one, so this leaves them room under the default recursion limit.
+MAX_NESTING = 256
+
+
+def _depth(phi: LtlFormula) -> int:
+    """Nodes on the longest root-to-leaf path, measured without recursion."""
+    deepest, stack = 0, [(phi, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, (Not, Next)):
+            stack.append((node.sub, depth + 1))
+        elif not isinstance(node, Atom):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return deepest
+
+
 def parse(text: str) -> LtlFormula:
-    """Parse and lower a formula; round-trips through ``pretty``."""
+    """Parse and lower a formula; round-trips through ``pretty``.  A formula
+    nested deeper than ``MAX_NESTING`` is an ``LtlSyntaxError``."""
     parser = _Parser(text)
     try:
         ast = parser.parse()
         names = _raw_atoms(ast)
         anchor = min(names) if names else "p"
-        return _lower(ast, anchor)
+        phi = _lower(ast, anchor)
     except RecursionError:
         raise LtlSyntaxError("formula nested too deeply", parser.peek()[2]) from None
+    if _depth(phi) > MAX_NESTING:
+        raise LtlSyntaxError("formula nested too deeply", 0)
+    return phi
 
 
 _PREC = {Or: 1, And: 2, Until: 3, Not: 4, Next: 4, Atom: 5}

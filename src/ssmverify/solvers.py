@@ -1,13 +1,15 @@
 """Decision procedures for SSM satisfiability.
 
-``sat_bounded`` enumerates words up to a length bound (iterative-deepening
-depth-first search in canonical symbol order, optionally memoising visited
-(depth, state) pairs), so the witness it returns is the lexicographically
-least among the shortest.  ``sat_fixed`` decides satisfiability outright
-under a fixed-point format by breadth-first reachability over the finite
-space of stream states, reconstructing witnesses through predecessor links.
-``pump_down`` shortens accepted words by cutting segments between repeated
-states.
+``sat_bounded`` and ``sat_fixed`` run one breadth-first search over the
+stream states a model reaches, storing each state once with a predecessor
+link.  Levels keep discovery order and each state is expanded in alphabet
+order, so the first accepting transition found spells the lexicographically
+least among the shortest accepted words, rebuilt through the links.
+``sat_bounded`` caps the word length and reports a miss as
+'unsatisfiable-within-bound'; ``sat_fixed`` runs under a fixed-point format,
+whose state space is finite, so an exhausted frontier is a proof of
+'unsatisfiable'.  ``pump_down`` shortens accepted words by cutting segments
+between repeated states.
 
 Hitting a state or memory ceiling raises ``ResourceLimitError`` with partial
 stats; it is never reported as unsatisfiable.
@@ -36,10 +38,15 @@ UNSATISFIABLE = "unsatisfiable"
 
 @dataclass
 class SearchStats:
+    """``states_explored`` counts ``step()`` calls (transitions taken),
+    ``distinct_states`` the stream states stored (the initial one included)
+    and ``max_frontier`` the largest breadth-first level."""
+
     states_explored: int = 0
     max_frontier: int = 0
     elapsed_s: float = 0.0
     quantized_constants: int = 0
+    distinct_states: int = 0
 
 
 @dataclass(frozen=True)
@@ -122,10 +129,56 @@ def _check_limits(stats: SearchStats, limits: ResourceLimits, start: float):
         )
 
 
-def _as_bound(bound) -> LengthBound:
-    if isinstance(bound, LengthBound):
-        return bound
-    return LengthBound.unary(int(bound))
+def _search(model: SsmModel, mode: ArithMode, length_cap: Optional[int],
+            limits: Optional[ResourceLimits]):
+    """Breadth-first search over the stream states of ``model`` under
+    ``mode``, levels in discovery order and symbols in alphabet order, so
+    the first accepting (state, symbol) found spells the lexicographically
+    least among the shortest accepted words.  Returns (witness or None,
+    whether the frontier was exhausted, stats)."""
+    limits = limits or ResourceLimits.from_env()
+    stepper = _stepper(model, mode)
+    one = stepper.one
+    alphabet = model.alphabet
+    stats = SearchStats(quantized_constants=stepper.quantized_constants)
+    start = time.monotonic()
+
+    init = stepper.initial_hidden()
+    parents: dict = {init: None}
+
+    def finish(witness, exhausted):
+        stats.distinct_states = len(parents)
+        stats.elapsed_s = time.monotonic() - start
+        return witness, exhausted, stats
+
+    level = [init]
+    depth = 0
+    while level:
+        if length_cap is not None and depth >= length_cap:
+            return finish(None, False)
+        depth += 1
+        next_level = []
+        for hidden in level:
+            for symbol in alphabet:
+                new_hidden, y = stepper.step(hidden, symbol)
+                stats.states_explored += 1
+                if stats.states_explored % 4096 == 0:
+                    stats.distinct_states = len(parents)
+                    _check_limits(stats, limits, start)
+                if y == one:
+                    word = [symbol]
+                    while parents[hidden] is not None:
+                        hidden, sym = parents[hidden]
+                        word.append(sym)
+                    return finish(tuple(reversed(word)), False)
+                if new_hidden not in parents:
+                    parents[new_hidden] = (hidden, symbol)
+                    next_level.append(new_hidden)
+        stats.distinct_states = len(parents)
+        _check_limits(stats, limits, start)
+        stats.max_frontier = max(stats.max_frontier, len(next_level))
+        level = next_level
+    return finish(None, True)
 
 
 def sat_bounded(
@@ -135,62 +188,16 @@ def sat_bounded(
     memoize: bool = True,
     limits: Optional[ResourceLimits] = None,
 ) -> SatResult:
-    """Is some word of length <= bound accepted?  Guess-and-check by
-    exhaustive streaming enumeration; the returned witness is the
-    lexicographically least among the shortest accepted words."""
-    bound = _as_bound(bound)
-    limits = limits or ResourceLimits.from_env()
-    stepper = _stepper(model, mode)
-    alphabet = model.alphabet
-    one = stepper.one
-    stats = SearchStats()
-    start = time.monotonic()
-
-    init = stepper.initial_hidden()
-    # States seen at the end of any earlier pass.  Once a pass reaches only
-    # such states, every longer accepted word could be spliced down to a
-    # length already checked, so the remaining lengths cannot succeed.
-    seen: set = set()
-    for target_len in range(1, bound.value + 1):
-        memo: set = set()
-        leaf_states: set = set()
-        # frame per consumed prefix: [hidden, next symbol index]
-        frames: list[list] = [[init, 0]]
-        path: list[str] = []
-        while frames:
-            hidden, idx = frames[-1]
-            if idx == len(alphabet):
-                frames.pop()
-                if path:
-                    path.pop()
-                continue
-            frames[-1][1] += 1
-            symbol = alphabet[idx]
-            new_hidden, y = stepper.step(hidden, symbol)
-            stats.states_explored += 1
-            if stats.states_explored % 4096 == 0:
-                _check_limits(stats, limits, start)
-            depth = len(frames)  # symbols consumed including this one
-            if depth == target_len:
-                if y == one:
-                    stats.elapsed_s = time.monotonic() - start
-                    stats.max_frontier = max(stats.max_frontier, len(frames))
-                    return SatResult(SATISFIABLE, tuple(path + [symbol]), stats)
-                leaf_states.add(new_hidden)
-                continue
-            if memoize:
-                key = (depth, new_hidden)
-                if key in memo:
-                    continue
-                memo.add(key)
-            frames.append([new_hidden, 0])
-            path.append(symbol)
-            stats.max_frontier = max(stats.max_frontier, len(frames))
-        _check_limits(stats, limits, start)
-        if leaf_states <= seen:
-            break
-        seen |= leaf_states
-    stats.elapsed_s = time.monotonic() - start
+    """Is some word of length <= bound accepted?  The returned witness is
+    the lexicographically least among the shortest accepted words.  A miss
+    is 'unsatisfiable-within-bound', whether the search reached the bound or
+    ran out of states.  ``memoize`` is deprecated and ignored: the search
+    always stores each state once."""
+    if not isinstance(bound, LengthBound):
+        bound = LengthBound.unary(int(bound))
+    witness, _, stats = _search(model, mode, bound.value, limits)
+    if witness is not None:
+        return SatResult(SATISFIABLE, witness, stats)
     return SatResult(UNSAT_WITHIN_BOUND, None, stats)
 
 
@@ -206,47 +213,10 @@ def sat_fixed(
     unconditional 'unsatisfiable'; a length cap weakens that to
     'unsatisfiable-within-bound'.  ``threads`` is deprecated and ignored:
     the search runs on one thread."""
-    limits = limits or ResourceLimits.from_env()
-    stepper = _stepper(model, ArithMode(fmt))
-    one = stepper.one
-    alphabet = model.alphabet
-    stats = SearchStats(quantized_constants=stepper.quantized_constants)
-    start = time.monotonic()
-
-    init = stepper.initial_hidden()
-    parents: dict = {init: None}
-    level = [init]
-    depth = 0
-    while level:
-        if length_cap is not None and depth >= length_cap:
-            stats.elapsed_s = time.monotonic() - start
-            return SatResult(UNSAT_WITHIN_BOUND, None, stats)
-        depth += 1
-        next_level = []
-        for hidden in level:
-            for symbol in alphabet:
-                new_hidden, y = stepper.step(hidden, symbol)
-                stats.states_explored += 1
-                if stats.states_explored % 4096 == 0:
-                    _check_limits(stats, limits, start)
-                if y == one:
-                    word = [symbol]
-                    cur = hidden
-                    while parents[cur] is not None:
-                        prev, sym = parents[cur]
-                        word.append(sym)
-                        cur = prev
-                    word.reverse()
-                    stats.elapsed_s = time.monotonic() - start
-                    return SatResult(SATISFIABLE, tuple(word), stats)
-                if new_hidden not in parents:
-                    parents[new_hidden] = (hidden, symbol)
-                    next_level.append(new_hidden)
-        _check_limits(stats, limits, start)
-        stats.max_frontier = max(stats.max_frontier, len(next_level))
-        level = next_level
-    stats.elapsed_s = time.monotonic() - start
-    return SatResult(UNSATISFIABLE, None, stats)
+    witness, exhausted, stats = _search(model, ArithMode(fmt), length_cap, limits)
+    if witness is not None:
+        return SatResult(SATISFIABLE, witness, stats)
+    return SatResult(UNSATISFIABLE if exhausted else UNSAT_WITHIN_BOUND, None, stats)
 
 
 def _state_sequence(stepper, word):

@@ -645,12 +645,17 @@ def evaluate_layerwise(model: SsmModel, word: Sequence[str], mode: ArithMode) ->
 # ---------------------------------------------------------------------------
 # Model metadata operations
 
+def state_count_bound_log2(model: SsmModel, bits: int) -> int:
+    """The exponent 2*L*d*b of ``state_count_bound``."""
+    if bits < 0:
+        raise DimensionError("bit-width must be >= 0")
+    return 2 * model.num_layers * model.dim * bits
+
+
 def state_count_bound(model: SsmModel, bits: int) -> int:
     """The pigeonhole bound 2**(2*L*d*b) on shortest accepted words under
     b-bit fixed-width arithmetic."""
-    if bits < 0:
-        raise DimensionError("bit-width must be >= 0")
-    return 1 << (2 * model.num_layers * model.dim * bits)
+    return 1 << state_count_bound_log2(model, bits)
 
 
 @dataclass(frozen=True)

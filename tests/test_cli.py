@@ -127,6 +127,21 @@ def test_classify_reports_bounds(minsky_file, tmp_path):
     assert report["result"]["time_invariant"] is False
 
 
+def test_classify_reports_a_bound_too_large_to_print(tmp_path):
+    # 12 props, 12 atoms, 12 X, 11 conjunctions and a constant give 48
+    # dimensions; each X takes two layers, so there are 47
+    model_path = str(tmp_path / "wide.ssm")
+    formula = " & ".join(f"X p{i}" for i in range(12))
+    assert run(["compile", "ltl", formula, "-o", model_path])[0] == 0
+    status, report = run(["classify", model_path])
+    assert status == 0
+    body = report["result"]
+    assert (body["dimension"], body["layers"]) == (48, 47)
+    assert body["state_count_bound_log2"] == 2 * 47 * 48 * 6 == 27072
+    assert body["state_count_bound"] is None
+    json.dumps(report)
+
+
 def test_resource_limit_exit_code(tmp_path, monkeypatch):
     model_path = str(tmp_path / "m.ssm")
     run(["compile", "ltl", "p & !p", "-o", model_path])
@@ -163,6 +178,20 @@ def test_sat_fixed_warns_with_the_quantised_count(tmp_path, capsys):
     assert f"warning: {expected} model constants are not exactly representable" in err
     assert report["result"]["stats"]["quantized_constants"] == expected
     run(["sat", "fixed", model_path, "--arith", "fx:6:3"])
+    assert "warning" not in capsys.readouterr().err
+
+
+def test_sat_bounded_warns_with_the_quantised_count(tmp_path, capsys):
+    model_path = str(tmp_path / "m.ssm")
+    run(["compile", "ltl", "p U q", "-o", model_path])
+    capsys.readouterr()
+    expected = len(quantization_report(load_model(model_path), FixedPointFormat(3, 2)))
+    status, report = run(["sat", "bounded", model_path, "--max-len", "2", "--arith", "fx:3:2"])
+    assert status in (0, 1)
+    err = capsys.readouterr().err
+    assert f"warning: {expected} model constants are not exactly representable" in err
+    assert report["result"]["stats"]["quantized_constants"] == expected
+    run(["sat", "bounded", model_path, "--max-len", "2"])
     assert "warning" not in capsys.readouterr().err
 
 
@@ -409,12 +438,13 @@ def _bad_input(tmp_path, name):
         "oracle_minsky_directory": ["oracle", "minsky", str(tmp_path), "--max-steps", "3"],
         "oracle_ilp_not_utf8": ["oracle", "ilp", str(not_utf8)],
         "compile_ltl_nested_too_deeply": ["compile", "ltl", "!" * 3000 + "p", "-o", model],
+        "oracle_ltl_nested_too_deeply": ["oracle", "ltl", "!" * 600 + "p", "--trace", "{p}"],
     }[name]
 
 
 @pytest.mark.parametrize("name", [
     "compile_minsky_directory", "compile_output_directory", "oracle_minsky_directory",
-    "oracle_ilp_not_utf8", "compile_ltl_nested_too_deeply",
+    "oracle_ilp_not_utf8", "compile_ltl_nested_too_deeply", "oracle_ltl_nested_too_deeply",
 ])
 def test_bad_input_file_or_formula_is_a_usage_error(tmp_path, capsys, name):
     argv = _bad_input(tmp_path, name)

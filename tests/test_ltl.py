@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import random_formula
 from ssmverify.errors import LtlSyntaxError, TracePositionError
 from ssmverify.ltl import (
+    MAX_NESTING,
     And,
     Atom,
     Next,
@@ -190,3 +191,12 @@ def test_models_on_empty_trace_is_false():
 def test_deep_nesting_is_a_syntax_error(text):
     with pytest.raises(LtlSyntaxError, match="nested too deeply"):
         parse(text)
+
+
+def test_nesting_limit_leaves_room_for_pretty_and_holds():
+    deepest = parse("!" * (MAX_NESTING - 1) + "p")
+    assert parse(pretty(deepest)) == deepest
+    # MAX_NESTING - 1 negations of a true atom
+    assert holds(deepest, (frozenset({"p"}),), 1) == ((MAX_NESTING - 1) % 2 == 0)
+    with pytest.raises(LtlSyntaxError, match="nested too deeply"):
+        parse("!" * MAX_NESTING + "p")

@@ -1,5 +1,6 @@
 """Bounded enumeration, fixed-width reachability, and witness pumping."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -73,6 +74,30 @@ def test_sat_bounded_memoization_preserves_verdict():
     assert with_memo.witness == without.witness
 
 
+def _first_accepted(model, mode, bound):
+    """The first accepted word in order of length, then alphabet order."""
+    for n in range(1, bound + 1):
+        for word in itertools.product(model.alphabet, repeat=n):
+            if accepts(model, word, mode):
+                return word
+    return None
+
+
+@pytest.mark.parametrize("mode", [EXACT, FX6_MODE], ids=["exact", "fx6"])
+def test_sat_bounded_witness_is_the_first_accepted_word(mode):
+    rng = random.Random(53)
+    models = [compile_ltl(parse(t)) for t in ("X X p", "p U X q", "F (p & X p)", "G p")]
+    models += [compile_ltl(random_formula(rng, rng.randint(1, 7))) for _ in range(10)]
+    models += [compile_minsky(random_machine(rng, rng.randint(2, 3))) for _ in range(12)]
+    models += [compile_ilp(random_ilp(rng, 3)) for _ in range(12)]
+    for model in models:
+        expected = _first_accepted(model, mode, 3)
+        result = sat_bounded(model, 3, mode)
+        assert result.witness == expected
+        if expected is None:
+            assert result.verdict == UNSAT_WITHIN_BOUND
+
+
 def test_sat_bounded_monotone_in_bound():
     model = compile_ltl(parse("X p"))
     first_sat = None
@@ -120,6 +145,7 @@ def test_sat_fixed_constant_state_saturates_immediately():
     result = sat_fixed(model, FX6)
     assert result.verdict == UNSATISFIABLE
     assert result.stats.states_explored == len(model.alphabet)
+    assert result.stats.distinct_states == 1
 
 
 def test_sat_fixed_length_cap_weakens_verdict():
@@ -164,8 +190,9 @@ def test_sat_fixed_counts_quantised_constants_like_the_report(fmt):
     models = [compile_ltl(parse("(p U q) & X !p")), compile_ltl(random_formula(rng, 7))]
     models += [compile_minsky(random_machine(rng, 3)), compile_ilp(random_ilp(rng, 4))]
     for model in models:
-        result = sat_fixed(model, fmt, length_cap=2)
-        assert result.stats.quantized_constants == len(quantization_report(model, fmt))
+        expected = len(quantization_report(model, fmt))
+        assert sat_fixed(model, fmt, length_cap=2).stats.quantized_constants == expected
+        assert sat_bounded(model, 2, ArithMode(fmt)).stats.quantized_constants == expected
 
 
 def test_solver_agreement_small_corpus():
