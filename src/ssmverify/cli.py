@@ -51,6 +51,10 @@ EXIT_RESOURCE = 3
 # limit on int-to-str conversion; larger state-count bounds print as null.
 _PRINTABLE_LOG2 = 14_000
 
+# The fractional bits that each compiler's ``min_bits`` metadata leaves
+# implicit: LTL and Minsky models count them in the width, ILP models have none.
+_MIN_BITS_FRAC = {"ltl": 3, "minsky": 3, "ilp": 0}
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -229,6 +233,19 @@ def _cmd_oracle(args) -> tuple[int, dict]:
     return (EXIT_SAT if run is not None else EXIT_UNSAT), report
 
 
+def _recommended_arith(meta: dict):
+    """The fixed-point format ``fx:<t>:<f>`` that a compiled model's
+    ``min_bits`` metadata names, or None."""
+    source, bits = meta.get("source"), meta.get("min_bits")
+    frac = _MIN_BITS_FRAC.get(source) if isinstance(source, str) else None
+    if frac is None or not isinstance(bits, str) or not bits.isdecimal():
+        return None
+    try:
+        return str(FixedPointFormat(int(bits), frac))
+    except (ValueError, InputFormatError):
+        return None
+
+
 def _cmd_classify(args) -> tuple[int, dict]:
     model = load_model(args.model)
     classes = classify_gates(model)
@@ -243,10 +260,11 @@ def _cmd_classify(args) -> tuple[int, dict]:
         "state_count_bound_bits": args.bits,
         "state_count_bound_log2": log2,
         "state_count_bound": str(1 << log2) if log2 <= _PRINTABLE_LOG2 else None,
+        "recommended_arith": _recommended_arith(model.metadata_dict),
         "metadata": model.metadata_dict,
     }
     meta = model.metadata_dict
-    if meta.get("source") == "ltl" and "formula" in meta:
+    if meta.get("source") == "ltl" and isinstance(meta.get("formula"), str):
         phi = ltl_mod.parse(meta["formula"])
         report["small_model_bound"] = ltl_mod.small_model_bound(phi)
     return EXIT_SAT, report

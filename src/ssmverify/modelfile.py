@@ -56,6 +56,8 @@ class _Literals(dict):
     __slots__ = ()
 
     def __missing__(self, text) -> Fraction:
+        if not isinstance(text, str):
+            raise InputFormatError(f"expected a literal string, got {type(text).__name__}")
         value = self[text] = parse_rational(text)
         return value
 
@@ -136,6 +138,8 @@ def model_to_json(model: SsmModel) -> dict:
 
 
 def _model_from_json(data: dict, lit: _Literals) -> SsmModel:
+    if not isinstance(data["layers"], list):
+        raise InputFormatError(f"expected a list of layers, got {type(data['layers']).__name__}")
     layers = []
     for entry in data["layers"]:
         gate_data = entry["gate"]

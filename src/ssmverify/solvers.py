@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .arithmetic import ArithMode, FixedPointFormat
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
-from .ssm import SsmModel, _stepper
+from .ssm import SsmModel, _stepper, _with_stepper
 
 try:
     import resource as _resource
@@ -38,15 +38,22 @@ UNSATISFIABLE = "unsatisfiable"
 
 @dataclass
 class SearchStats:
-    """``states_explored`` counts ``step()`` calls (transitions taken),
-    ``distinct_states`` the stream states stored (the initial one included)
-    and ``max_frontier`` the largest breadth-first level."""
+    """``states_explored`` counts ``step()`` calls (transitions taken), and
+    ``transitions`` repeats that count under its plain name;
+    ``distinct_states`` counts the stream states stored (the initial one
+    included) and ``max_frontier`` the largest breadth-first level.
+    ``stepper_build_s`` is the build time of the compiled step that ran the
+    search, whenever it was built, and ``exact_domain`` says whether exact
+    values ran as ``"int"`` or ``"fraction"`` (``None`` in fixed mode)."""
 
     states_explored: int = 0
     max_frontier: int = 0
     elapsed_s: float = 0.0
     quantized_constants: int = 0
     distinct_states: int = 0
+    transitions: int = 0
+    stepper_build_s: float = 0.0
+    exact_domain: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -118,15 +125,14 @@ def _mem_mb() -> float:
 
 def _check_limits(stats: SearchStats, limits: ResourceLimits, start: float):
     if stats.states_explored > limits.max_states:
-        stats.elapsed_s = time.monotonic() - start
-        raise ResourceLimitError(
-            f"state ceiling {limits.max_states} exceeded", stats=stats
-        )
-    if limits.max_mem_mb is not None and _mem_mb() > limits.max_mem_mb:
-        stats.elapsed_s = time.monotonic() - start
-        raise ResourceLimitError(
-            f"memory ceiling {limits.max_mem_mb} MB exceeded", stats=stats
-        )
+        error = f"state ceiling {limits.max_states} exceeded"
+    elif limits.max_mem_mb is not None and _mem_mb() > limits.max_mem_mb:
+        error = f"memory ceiling {limits.max_mem_mb} MB exceeded"
+    else:
+        return
+    stats.transitions = stats.states_explored
+    stats.elapsed_s = time.monotonic() - start
+    raise ResourceLimitError(error, stats=stats)
 
 
 def _search(model: SsmModel, mode: ArithMode, length_cap: Optional[int],
@@ -135,19 +141,25 @@ def _search(model: SsmModel, mode: ArithMode, length_cap: Optional[int],
     ``mode``, levels in discovery order and symbols in alphabet order, so
     the first accepting (state, symbol) found spells the lexicographically
     least among the shortest accepted words.  Returns (witness or None,
-    whether the frontier was exhausted, stats)."""
+    whether the frontier was exhausted, stats).  In exact mode a search
+    whose integer step leaves its encoding runs again on Fractions, and
+    ``elapsed_s`` counts both runs."""
     limits = limits or ResourceLimits.from_env()
-    stepper = _stepper(model, mode)
-    one = stepper.one
-    alphabet = model.alphabet
-    stats = SearchStats(quantized_constants=stepper.quantized_constants)
     start = time.monotonic()
+    return _with_stepper(
+        model, mode, lambda stepper: _bfs(stepper, model.alphabet, length_cap, limits, start))
 
+
+def _bfs(stepper, alphabet, length_cap: Optional[int], limits: ResourceLimits, start: float):
+    one = stepper.one
+    stats = SearchStats(quantized_constants=stepper.quantized_constants,
+                        stepper_build_s=stepper.build_s, exact_domain=stepper.domain)
     init = stepper.initial_hidden()
     parents: dict = {init: None}
 
     def finish(witness, exhausted):
         stats.distinct_states = len(parents)
+        stats.transitions = stats.states_explored
         stats.elapsed_s = time.monotonic() - start
         return witness, exhausted, stats
 

@@ -16,10 +16,21 @@ that materialises whole sequences layer by layer, over either domain through
 the mode's scalar kernels.  Both apply per-dimension terms in the same
 canonical order (gate terms, inc offset, inc terms, each by ascending
 column) so fixed-mode saturation behaves identically.
+
+In exact mode the generated step runs on plain ints: every value ``v`` is
+the integer ``v * 2**SCALE_BITS``, which is exact for the dyadic values
+(denominator a power of two) that all three compilers emit.  A product by a
+weight ``a / 2**e`` shifts out ``e`` bits after checking that they are zero.
+A model with a constant outside that encoding compiles to a step on
+``Fraction``s instead, and a call whose values leave the encoding at run
+time (a check finds nonzero bits) runs again, whole, on that step.  The
+public functions convert at the boundary, so ``StreamState`` and the
+scalars they return hold ``Fraction``s either way.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -41,6 +52,11 @@ from .fnn import Fnn, eval_program, select_fnn
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+
+#: Fractional bits of the integer encoding of exact values in the generated
+#: step: the value v runs as the int v * 2**SCALE_BITS.
+SCALE_BITS = 64
+_SCALE = 1 << SCALE_BITS
 
 
 def as_vector(values: Sequence) -> Vector:
@@ -193,9 +209,9 @@ class SsmModel:
 class StreamState:
     """Per-layer hidden vectors, sufficient to continue symbol by symbol.
 
-    Entries are Fractions in exact mode and raw mantissas in fixed mode;
-    states compare and hash bit-exactly, which is what reachability search
-    relies on.
+    Entries are Fractions in exact mode, whichever domain the generated step
+    computes in, and raw mantissas in fixed mode; states compare and hash
+    bit-exactly.
     """
 
     hidden: tuple[tuple, ...]
@@ -218,6 +234,30 @@ def _nonzero(row):
 
 def _trunc_div(p: int, scale: int) -> int:
     return p // scale if p >= 0 else -((-p) // scale)
+
+
+class _Inexact(Exception):
+    """An exact value that the integer encoding cannot hold: its denominator
+    is not a power of two, or exceeds 2**SCALE_BITS."""
+
+
+def _scaled(v: Fraction) -> int:
+    """The integer encoding ``v * 2**SCALE_BITS`` of an exact value."""
+    den = v.denominator
+    if den & (den - 1) or den > _SCALE:
+        raise _Inexact
+    return v.numerator * (_SCALE // den)
+
+
+def _exact_shift(p: int, e: int) -> int:
+    """``p / 2**e``, which must be an integer."""
+    if p & ((1 << e) - 1):
+        raise _Inexact
+    return p >> e
+
+
+def _times(k: int, code: str) -> str:
+    return code if k == 1 else f"-{code}" if k == -1 else f"{k} * {code}"
 
 
 class _Val:
@@ -252,15 +292,22 @@ class _StepCompiler:
     Encoding a constant through ``enc`` also counts it in ``quantized`` when
     it is not exactly representable, so one pass over the sparse constants
     yields ``len(quantization_report(model, fmt))``.
+
+    With ``scaled`` set, exact mode computes on the integer encoding of its
+    values: no saturation, and every product that divides by a power of two
+    first checks that the bits it drops are zero, raising ``_Inexact`` from
+    the step otherwise.  A constant outside the encoding raises ``_Inexact``
+    from the build.
     """
 
-    def __init__(self, mode: ArithMode):
+    def __init__(self, mode: ArithMode, scaled: bool = False):
         self.exact = mode.is_exact
+        self.scaled = scaled
         self.fmt = mode.fmt
-        self.unit = Fraction(1) if self.exact else self.fmt.scale
-        self.zero = Fraction(0) if self.exact else 0
+        self.unit = _SCALE if scaled else Fraction(1) if self.exact else self.fmt.scale
+        self.zero = Fraction(0) if self.exact and not scaled else 0
         self.quantized = 0
-        self.namespace: dict = {}
+        self.namespace: dict = {"Inexact": _Inexact} if scaled else {}
         self._const_names: dict = {}
         self._blocks: list[tuple[str, list[str], tuple]] = []
 
@@ -268,7 +315,7 @@ class _StepCompiler:
 
     def enc(self, w: Fraction):
         if self.exact:
-            return w
+            return _scaled(w) if self.scaled else w
         fmt = self.fmt
         # w * scale is an integer iff the denominator divides the scale
         if fmt.scale % w.denominator == 0:
@@ -279,7 +326,7 @@ class _StepCompiler:
         return raw_encode(w, fmt)
 
     def const(self, value) -> _Val:
-        if not self.exact:
+        if not self.exact or self.scaled:
             return _Val(repr(value), value, value, value)
         name = self._const_names.get(value)
         if name is None:
@@ -321,19 +368,35 @@ class _StepCompiler:
         clamp, lo, hi = self._clamp(name, lo, hi, self.fmt.min_raw)
         return self._bind(name, [f"{name} = {code}"] + clamp, reads, lo, hi)
 
+    def _shifted(self, code: str, e: int, reads) -> _Val:
+        """A local holding the int ``code`` divided by ``2**e``, after a
+        check that the bits shifted out are zero."""
+        name = self._fresh()
+        lines = [f"{name} = {code}", f"if {name} & {(1 << e) - 1}: raise Inexact",
+                 f"{name} >>= {e}"]
+        return self._bind(name, lines, reads)
+
     # -- arithmetic ---------------------------------------------------------
 
     def mul(self, w, v: _Val) -> _Val:
         """The term ``w * v`` for an encoded constant weight ``w``."""
         if v.const is not None:
-            return self.const(w * v.const if self.exact else raw_mul(w, v.const, self.fmt))
+            if not self.exact:
+                return self.const(raw_mul(w, v.const, self.fmt))
+            p = w * v.const
+            return self.const(_exact_shift(p, SCALE_BITS) if self.scaled else p)
         if w == 0:
             return self.const(self.zero)
         if w == self.unit:
             return v
         if self.exact:
-            code = f"-{v.code}" if w == -1 else f"{self.const(w).code} * {v.code}"
-            return _Val(f"({code})", reads=v.reads)
+            if not self.scaled:
+                code = f"-{v.code}" if w == -1 else f"{self.const(w).code} * {v.code}"
+                return _Val(f"({code})", reads=v.reads)
+            zeros = (w & -w).bit_length() - 1
+            if zeros < SCALE_BITS:  # the weight is a / 2**e with a odd
+                return self._shifted(_times(w >> zeros, v.code), SCALE_BITS - zeros, v.reads)
+            return _Val(f"({_times(w >> SCALE_BITS, v.code)})", reads=v.reads)
         scale, f = self.fmt.scale, self.fmt.frac_bits
         lo, hi = sorted((_trunc_div(w * v.lo, scale), _trunc_div(w * v.hi, scale)))
         if w % scale == 0:  # an integer weight multiplies without truncation
@@ -357,6 +420,8 @@ class _StepCompiler:
         if g.const is not None:
             return self.mul(g.const, v)
         reads = g.reads + v.reads
+        if self.scaled:
+            return self._shifted(f"{g.code} * {v.code}", SCALE_BITS, reads)
         if self.exact:
             return _Val(f"({g.code} * {v.code})", reads=reads)
         scale, f = self.fmt.scale, self.fmt.frac_bits
@@ -422,7 +487,7 @@ class _StepCompiler:
             else:
                 parts.append(t)
         if not parts:
-            return self.const(Fraction(0) if relu and value < 0 else value)
+            return self.const(self.zero if relu and value < 0 else value)
         if value:
             parts.append(self.const(value))
         if len(parts) == 1 and not relu and parts[0].code.isidentifier():
@@ -440,7 +505,8 @@ class _StepCompiler:
             expr += "".join(f" {sign} {code}" for sign, code in signed[i + (not i):i + 64])
             lines.append(f"{name} = {expr}")
         if relu:
-            lines.append(f"if {name}.numerator < 0: {name} = {self.const(Fraction(0)).code}")
+            sign = name if self.scaled else f"{name}.numerator"
+            lines.append(f"if {sign} < 0: {name} = {self.const(self.zero).code}")
         return self._bind(name, lines, sum((p.reads for p in parts), ()))
 
     # -- the model ----------------------------------------------------------
@@ -517,11 +583,15 @@ class _StepCompiler:
 
 class _Stepper:
     """Model compiled for one arithmetic mode: the encoded embeddings and
-    initial state, the generated step function, and the number of model
-    constants the mode quantises."""
+    initial state, the generated step function, the number of model
+    constants the mode quantises, the domain exact values run in (``"int"``
+    or ``"fraction"``; ``None`` in fixed mode) and the seconds the build
+    took."""
 
-    def __init__(self, model: SsmModel, mode: ArithMode):
-        comp = _StepCompiler(mode)
+    def __init__(self, model: SsmModel, mode: ArithMode, scaled: bool = False):
+        started = time.perf_counter()
+        comp = _StepCompiler(mode, scaled)
+        self.mode = mode
         self.one = comp.unit
         self.emb = {
             s: tuple(comp.enc(v) for v in vec) for s, vec in zip(model.alphabet, model.emb)
@@ -529,6 +599,8 @@ class _Stepper:
         self.h0 = tuple(tuple(comp.enc(v) for v in layer.h0) for layer in model.layers)
         self._step = comp.build(model, list(self.emb.values()))
         self.quantized_constants = comp.quantized
+        self.domain = ("int" if scaled else "fraction") if mode.is_exact else None
+        self.build_s = time.perf_counter() - started
 
     def initial_hidden(self) -> tuple[tuple, ...]:
         return self.h0
@@ -539,13 +611,54 @@ class _Stepper:
             raise UnknownSymbolError(f"symbol {symbol!r} not in model alphabet")
         return self._step(hidden, x)
 
+    def scalar(self, y) -> Scalar:
+        """An output of the step as the public scalar of the mode."""
+        return Fraction(y, _SCALE) if self.domain == "int" else _scalar(y, self.mode)
+
+    def public_hidden(self, hidden) -> tuple[tuple, ...]:
+        if self.domain != "int":
+            return hidden
+        return tuple(tuple(Fraction(v, _SCALE) for v in h) for h in hidden)
+
+    def own_hidden(self, hidden) -> tuple[tuple, ...]:
+        """A public hidden state in the step's encoding; raises ``_Inexact``
+        when the integer encoding cannot hold it."""
+        if self.domain != "int":
+            return hidden
+        return tuple(tuple(map(_scaled, h)) for h in hidden)
+
 
 def _stepper(model: SsmModel, mode: ArithMode) -> _Stepper:
+    """The model's step for ``mode``, built on first use; in exact mode, on
+    ints unless a model constant is outside the integer encoding."""
     stepper = model._steppers.get(mode)
     if stepper is None:
-        stepper = _Stepper(model, mode)
+        if not mode.is_exact:
+            stepper = _Stepper(model, mode)
+        else:
+            try:
+                stepper = _Stepper(model, mode, scaled=True)
+            except _Inexact:
+                stepper = _fraction_stepper(model)
         model._steppers[mode] = stepper
     return stepper
+
+
+def _fraction_stepper(model: SsmModel) -> _Stepper:
+    stepper = model._steppers.get("fraction")
+    if stepper is None:
+        stepper = model._steppers["fraction"] = _Stepper(model, EXACT)
+    return stepper
+
+
+def _with_stepper(model: SsmModel, mode: ArithMode, call):
+    """``call(stepper)`` with the model's step for ``mode``.  When the
+    integer step of exact mode meets a value outside its encoding, the whole
+    call runs again on the Fraction step."""
+    try:
+        return call(_stepper(model, mode))
+    except _Inexact:
+        return call(_fraction_stepper(model))
 
 
 def _scalar(y, mode: ArithMode) -> Scalar:
@@ -554,37 +667,40 @@ def _scalar(y, mode: ArithMode) -> Scalar:
 
 
 def initial_state(model: SsmModel, mode: ArithMode) -> StreamState:
-    return StreamState(_stepper(model, mode).initial_hidden(), mode)
+    stepper = _stepper(model, mode)
+    return StreamState(stepper.public_hidden(stepper.initial_hidden()), mode)
 
 
 def step(model: SsmModel, state: StreamState, symbol: str) -> tuple[StreamState, Scalar]:
     """Consume one symbol; returns the successor state and this position's
     output scalar (the value `accepts` compares against 1)."""
-    stepper = _stepper(model, state.mode)
-    hidden, y = stepper.step(state.hidden, symbol)
-    return StreamState(hidden, state.mode), _scalar(y, state.mode)
+
+    def call(stepper):
+        hidden, y = stepper.step(stepper.own_hidden(state.hidden), symbol)
+        return StreamState(stepper.public_hidden(hidden), state.mode), stepper.scalar(y)
+
+    return _with_stepper(model, state.mode, call)
+
+
+def _last_output(stepper: _Stepper, word: Sequence[str]):
+    hidden = stepper.initial_hidden()
+    for symbol in word:
+        hidden, y = stepper.step(hidden, symbol)
+    return y
 
 
 def evaluate(model: SsmModel, word: Sequence[str], mode: ArithMode) -> Scalar:
     """Fold of step over a non-empty word; returns the final output."""
     if len(word) == 0:
         raise EmptyWordError("evaluation of the empty word is undefined")
-    stepper = _stepper(model, mode)
-    hidden = stepper.initial_hidden()
-    for symbol in word:
-        hidden, y = stepper.step(hidden, symbol)
-    return _scalar(y, mode)
+    return _with_stepper(model, mode, lambda stepper: stepper.scalar(_last_output(stepper, word)))
 
 
 def accepts(model: SsmModel, word: Sequence[str], mode: ArithMode) -> bool:
     """Exact equality with 1 in the evaluation domain; no tolerance band."""
     if len(word) == 0:
         raise EmptyWordError("acceptance of the empty word is undefined")
-    stepper = _stepper(model, mode)
-    hidden = stepper.initial_hidden()
-    for symbol in word:
-        hidden, y = stepper.step(hidden, symbol)
-    return y == stepper.one
+    return _with_stepper(model, mode, lambda stepper: _last_output(stepper, word) == stepper.one)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,17 @@ from fractions import Fraction
 from ssmverify.arithmetic import ArithMode
 from ssmverify.compilers import IlpInstance, MinskyMachine
 from ssmverify.ltl import Atom, Not, And, Or, Next, Until
-from ssmverify.ssm import SsmModel, initial_state, step
+from ssmverify.ssm import (
+    AffineMap,
+    SsmLayer,
+    SsmModel,
+    TimeInvariantGate,
+    as_matrix,
+    as_vector,
+    initial_state,
+    projection_phi,
+    step,
+)
 from ssmverify.words import set_symbol, symbol_set
 
 
@@ -121,3 +131,16 @@ def random_ilp(rng: random.Random, max_dim: int = 4, max_entry: int = 3) -> IlpI
         target = tuple(rng.randint(0, max_entry) for _ in range(d))
         if any(target):
             return IlpInstance(matrix, target)
+
+
+def geometric_model(gate, out):
+    """One layer over the single symbol ``a``: h0 counts the symbols and h1
+    becomes gate * h1 + 1, so after t symbols h1 is the geometric sum
+    (1 - gate**t) / (1 - gate)."""
+    layer = SsmLayer(
+        h0=as_vector([0, 0]),
+        gate=TimeInvariantGate(as_matrix([[1, 0], [0, gate]])),
+        inc=AffineMap(as_matrix([[1, 0], [0, 1]]), as_vector([0, 0])),
+        phi=projection_phi(2),
+    )
+    return SsmModel(alphabet=("a",), emb=(as_vector([1, 1]),), layers=(layer,), out=out)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -140,6 +141,28 @@ def test_classify_reports_a_bound_too_large_to_print(tmp_path):
     assert body["state_count_bound_log2"] == 2 * 47 * 48 * 6 == 27072
     assert body["state_count_bound"] is None
     json.dumps(report)
+
+
+@pytest.mark.parametrize("kind, source, expected", [
+    ("ltl", "p U q", "fx:6:3"),
+    ("minsky", MINSKY_TEXT, "fx:13:3"),
+    ("ilp", ILP_TEXT, "fx:4:0"),
+])
+def test_classify_recommends_one_format_per_source(tmp_path, kind, source, expected):
+    model_path = str(tmp_path / "m.ssm")
+    if kind != "ltl":
+        source_path = tmp_path / f"source.{kind}"
+        source_path.write_text(source)
+        source = str(source_path)
+    assert run(["compile", kind, source, "-o", model_path])[0] == 0
+    status, report = run(["classify", model_path])
+    assert status == 0
+    assert report["result"]["recommended_arith"] == expected
+    # the metadata keeps the compiler's own min_bits, so saved bytes are unchanged
+    assert report["result"]["metadata"]["min_bits"] == expected.split(":")[1]
+    model = load_model(model_path)
+    save_model(replace(model, metadata=(("source", "handmade"),)), model_path)
+    assert run(["classify", model_path])[1]["result"]["recommended_arith"] is None
 
 
 def test_resource_limit_exit_code(tmp_path, monkeypatch):
@@ -410,13 +433,21 @@ def _malformed(tmp_path, name):
         data = [data]
     elif name == "string_vector":
         data["layers"][0]["h0"] = "0" * len(data["layers"][0]["h0"])
+    elif name == "layers_dict":
+        data["layers"] = {}
+    elif name == "layers_string":
+        data["layers"] = ""
+    elif name.startswith("json_literal_"):
+        value = {"json_literal_true": True, "json_literal_int": 1, "json_literal_float": 0.5}
+        data["layers"][0]["inc"]["offset"][0] = value[name]
     path.write_text(json.dumps(data))
     return path
 
 
 @pytest.mark.parametrize("name", [
     "h0_null", "no_layers", "list_literal", "null_literal", "top_level_array",
-    "not_utf8", "directory", "string_vector",
+    "not_utf8", "directory", "string_vector", "layers_dict", "layers_string",
+    "json_literal_true", "json_literal_int", "json_literal_float",
 ])
 def test_malformed_model_file_is_a_usage_error(tmp_path, capsys, name):
     path = str(_malformed(tmp_path, name))

@@ -6,11 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_formula, random_ilp, random_machine, trace_to_word, word_to_trace
+from helpers import (
+    geometric_model,
+    random_formula,
+    random_ilp,
+    random_machine,
+    trace_to_word,
+    word_to_trace,
+)
 from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat
 from ssmverify.compilers import IlpInstance, compile_ilp, compile_ltl, compile_minsky
 from ssmverify.errors import PreconditionError, ResourceLimitError
-from ssmverify.fnn import gadget_eq, gadget_leq
+from ssmverify.fnn import compose, gadget_eq, gadget_leq, select_fnn
 from ssmverify.ltl import holds, parse
 from ssmverify.solvers import (
     SATISFIABLE,
@@ -30,6 +37,7 @@ from ssmverify.ssm import (
     accepts,
     as_matrix,
     as_vector,
+    initial_state,
     projection_phi,
     quantization_report,
 )
@@ -237,6 +245,34 @@ def test_resource_limits_read_from_environment(monkeypatch):
     monkeypatch.delenv("SSMVERIFY_MAX_STATES")
     monkeypatch.delenv("SSMVERIFY_MAX_MEM_MB")
     assert ResourceLimits.from_env().max_mem_mb is None
+
+
+def test_search_stats_name_the_exact_domain_and_the_step_build():
+    rng = random.Random(7)
+    models = [compile_ltl(parse("(p U q) & X !p")), compile_minsky(random_machine(rng, 3)),
+              compile_ilp(random_ilp(rng))]
+    for model in models:
+        initial_state(model, EXACT)  # the step is built before the search
+        stats = sat_bounded(model, 3, EXACT).stats
+        assert stats.exact_domain == "int"
+        assert stats.transitions == stats.states_explored > 0
+        assert stats.stepper_build_s > 0
+    stats = sat_fixed(models[0], FX6).stats
+    assert stats.exact_domain is None
+    assert stats.transitions == stats.states_explored > 0
+
+
+@pytest.mark.parametrize("gate", [Fraction(1, 2), Fraction(1, 3)], ids=str)
+def test_sat_bounded_falls_back_to_fractions(gate):
+    """Gate 1/3 is not dyadic; with gate 1/2 the integer step leaves its
+    encoding near depth 65 and the search runs again on Fractions."""
+    model = geometric_model(gate, compose(gadget_eq(80), select_fnn([0], 2)))
+    result = sat_bounded(model, 80, EXACT)
+    assert result.verdict == SATISFIABLE
+    assert result.witness == ("a",) * 80
+    assert result.stats.states_explored == result.stats.transitions == 80
+    assert result.stats.exact_domain == "fraction"
+    assert sat_bounded(model, 79, EXACT).verdict == UNSAT_WITHIN_BOUND
 
 
 def test_resource_limit_is_distinct():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_formula, random_machine
+from helpers import geometric_model, random_formula, random_machine
 from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat
 from ssmverify.compilers import compile_ltl, compile_minsky
 from ssmverify.errors import DimensionError, EmptyWordError, UnknownSymbolError
@@ -115,11 +115,11 @@ def test_zero_layer_model_applies_out_to_embedding():
 
 
 @st.composite
-def small_models(draw):
+def small_models(draw, denominators=(1, 2, 4)):
     d = draw(st.integers(1, 3))
     nsyms = draw(st.integers(1, 3))
     L = draw(st.integers(1, 2))
-    frac = lambda: Fraction(draw(st.integers(-2, 2)), draw(st.sampled_from([1, 2, 4])))
+    frac = lambda: Fraction(draw(st.integers(-2, 2)), draw(st.sampled_from(denominators)))
     vec = lambda: as_vector([frac() for _ in range(d)])
     mat = lambda: as_matrix([[frac() for _ in range(d)] for _ in range(d)])
     layers = []
@@ -140,6 +140,17 @@ def test_streaming_equals_layerwise_exact(model, data):
     n = data.draw(st.integers(1, 5))
     word = [data.draw(st.sampled_from(model.alphabet)) for _ in range(n)]
     assert evaluate(model, word, EXACT) == evaluate_layerwise(model, word, EXACT)
+
+
+@given(small_models(denominators=(1, 2, 3, 4)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_streaming_equals_layerwise_exact_with_thirds(model, data):
+    """Constants with denominator 3 are outside the integer encoding, so these
+    models also run on the Fraction step."""
+    n = data.draw(st.integers(1, 5))
+    word = [data.draw(st.sampled_from(model.alphabet)) for _ in range(n)]
+    assert evaluate(model, word, EXACT) == evaluate_layerwise(model, word, EXACT)
+    assert accepts(model, word, EXACT) == (evaluate_layerwise(model, word, EXACT) == 1)
 
 
 @given(small_models(), st.data())
@@ -169,6 +180,24 @@ def test_compiled_models_stream_like_layerwise(mode):
             assert streamed == evaluate_layerwise(model, word, mode)
             if mode.is_exact:
                 assert type(streamed) is Fraction
+
+
+@pytest.mark.parametrize("gate", [Fraction(1, 2), Fraction(1, 3)], ids=str)
+def test_exact_values_outside_the_integer_encoding_fall_back_to_fractions(gate):
+    """Gate 1/3 is not dyadic, so the model compiles to the Fraction step;
+    with gate 1/2 the denominator of h1 doubles every symbol and leaves
+    the 2**SCALE_BITS encoding within an 80-symbol word."""
+    word = ["a"] * 80
+    model = geometric_model(gate, select_fnn([1], 2))
+    expected = (1 - gate ** 80) / (1 - gate)
+    assert evaluate(model, word, EXACT) == evaluate_layerwise(model, word, EXACT) == expected
+    assert not accepts(model, word, EXACT)
+    state = initial_state(model, EXACT)
+    for t in range(1, 81):
+        state, y = step(model, state, "a")
+        assert state.hidden == ((Fraction(t), (1 - gate ** t) / (1 - gate)),)
+        assert all(type(v) is Fraction for v in state.hidden[0])
+        assert y == state.hidden[0][1]
 
 
 def test_identity_phi_applies_the_saturated_unit():
