@@ -48,7 +48,8 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 # 2**14000 has 4215 decimal digits, within CPython's default 4300-digit
-# limit on int-to-str conversion; larger state-count bounds print as null.
+# limit on int-to-str conversion; larger state-count and binary length
+# bounds print as null.
 _PRINTABLE_LOG2 = 14_000
 
 # The fractional bits that each compiler's ``min_bits`` metadata leaves
@@ -187,7 +188,11 @@ def _cmd_sat(args) -> tuple[int, dict]:
         )
         result = sat_bounded(model, bound, mode)
         report = _sat_report(result)
-        report["bound"] = bound.value
+        if args.binary:
+            report["bound"] = bound.value if args.max_len <= _PRINTABLE_LOG2 else None
+            report["bound_log2"] = args.max_len
+        else:
+            report["bound"] = bound.value
     else:
         result = sat_fixed(model, mode.fmt)
         report = _sat_report(result)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import ltl as ltl_mod
-from .errors import DimensionError, InputFormatError, InvalidMachineError
+from .errors import DimensionError, InputFormatError, InvalidMachineError, PreconditionError
 from .fnn import (
     Fnn,
     FnnLayer,
@@ -59,18 +59,14 @@ def copy_matrix(i: int, j: int, d: int) -> Matrix:
     """C applied to x yields the vector whose j-th entry is x_i, rest zero."""
     if not (0 <= i < d and 0 <= j < d):
         raise DimensionError(f"copy indices ({i}, {j}) outside dimension {d}")
-    return tuple(
-        tuple(F1 if (r == j and c == i) else F0 for c in range(d)) for r in range(d)
-    )
+    return _sparse(d, [(j, i, F1)])
 
 
 def masked_identity(i: int, j: int, d: int) -> Matrix:
     """Identity restricted to the diagonal window i..j (inclusive)."""
     if not (0 <= i < d and 0 <= j < d):
         raise DimensionError(f"mask window ({i}, {j}) outside dimension {d}")
-    return tuple(
-        tuple(F1 if (r == c and i <= r <= j) else F0 for c in range(d)) for r in range(d)
-    )
+    return _sparse(d, [(r, r, F1) for r in range(i, j + 1)])
 
 
 def _sparse(d: int, entries, diagonal=F0) -> Matrix:
@@ -220,6 +216,7 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
     const = layout.const_dim
     no_gate = TimeInvariantGate(_sparse(d, ()))
     zero_off = _zeros(d)
+    proj = projection_phi(d)
 
     layers: list[SsmLayer] = []
     for sub in layout.subformulas:
@@ -227,11 +224,11 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
         if isinstance(sub, Atom):
             inc = _sparse(d, [(i, prop_dim[sub.name], F1)], F1)
             layers.append(SsmLayer(_zeros(d), no_gate, AffineMap(inc, zero_off),
-                                   projection_phi(d)))
+                                   proj))
         elif isinstance(sub, Not):
             inc = _sparse(d, [(i, const, F1), (i, dim[sub.sub], -F1)], F1)
             layers.append(SsmLayer(_zeros(d), no_gate, AffineMap(inc, zero_off),
-                                   projection_phi(d)))
+                                   proj))
         elif isinstance(sub, And):
             inc = _sparse(d, [(i, dim[sub.left], F1), (i, dim[sub.right], F1),
                               (i, const, -F1)], F1)
@@ -245,7 +242,7 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
         elif isinstance(sub, Next):
             inc = _sparse(d, [(i, dim[sub.sub], F1)], F1)
             layers.append(SsmLayer(_zeros(d), no_gate, AffineMap(inc, zero_off),
-                                   projection_phi(d)))
+                                   proj))
             layers.append(prev_bit_layer(d, (i,)))
         else:  # Until: requires the input-dependent diagonal gate
             gate = DiagonalAffineGate(copy_matrix(dim[sub.left], i, d), zero_off)
@@ -351,6 +348,8 @@ class MinskyRun:
 def minsky_oracle(machine: MinskyMachine, max_steps: int) -> Optional[MinskyRun]:
     """Deterministic simulation from (q0, 0, 0); the machine structure admits
     exactly one applicable transition per configuration."""
+    if max_steps < 0:
+        raise PreconditionError("max_steps must be >= 0")
     q, c = machine.start, [0, 0]
     steps: list[tuple[str, str]] = []
     for _ in range(max_steps + 1):
@@ -487,13 +486,14 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
 
     eye = _sparse(d, (), F1)
     zero_off = _zeros(d)
+    proj = projection_phi(d)
 
     # layer 1: accumulate the counters, pass everything else through
     l1 = SsmLayer(
         h0=_zeros(d),
         gate=TimeInvariantGate(masked_identity(c_dims[0], c_dims[1], d)),
         inc=AffineMap(eye, zero_off),
-        phi=projection_phi(d),
+        phi=proj,
     )
 
     # layer 2: quarter-shift history on the second state block, seeded with
@@ -503,26 +503,20 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
     l2_gate = TimeInvariantGate(_sparse(d, [(k, k, _QUARTER) for k in range(n, 2 * n)]))
     decode = prev_decode_fnn(d, range(n, 2 * n))
 
-    dup_rows = [[F0] * d for _ in range(d)]
-    for m in range(d):
-        dup_rows[m][m] = F1
-    trans_inputs = list(range(n, 2 * n)) + list(range(0, n)) + list(range(act_base, act_base + 6))
-    for src in trans_inputs:
-        row = [F0] * d
-        row[src] = F1
-        dup_rows.append(row)
     valid_cases = (
         ("dec1", c_dims[0], "geq0"),
         ("dec2", c_dims[1], "geq0"),
         ("ztest1", c_dims[0], "eq0"),
         ("ztest2", c_dims[1], "eq0"),
     )
-    for action, c_dim, _ in valid_cases:
-        for src in (act_base + _ACTION_INDEX[action], c_dim):
-            row = [F0] * d
-            row[src] = F1
-            dup_rows.append(row)
-    dup = linear_fnn(dup_rows)
+    # each coordinate, then the inputs of the transition lookup and of the
+    # four counter validators, in the order ``checks`` reads them
+    dup = select_fnn(
+        [*range(d), *range(n, 2 * n), *range(n), *range(act_base, act_base + 6)]
+        + [src for action, c_dim, _ in valid_cases
+           for src in (act_base + _ACTION_INDEX[action], c_dim)],
+        d,
+    )
 
     accepted = {
         (state_idx[q], state_idx[q2], _ACTION_INDEX[a])
@@ -538,15 +532,11 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
     ]
     checks = concat_all([identity_fnn(d), trans] + validators)
 
-    assemble_rows = []
-    for m in range(d):
-        row = [F0] * (d + 5)
-        row[m] = F1
-        if m == chk:
-            for extra in range(d, d + 5):
-                row[extra] = F1
-        assemble_rows.append(row)
-    assemble = linear_fnn(assemble_rows)
+    extras = [(e, 1) for e in range(d, d + 5)]
+    assemble = Fnn((FnnLayer(tuple(
+        _node(d + 5, [(m, 1)] + (extras if m == chk else []), activation=IDENTITY)
+        for m in range(d)
+    )),))
 
     phi2 = compose(assemble, compose(checks, compose(dup, decode)))
     l2 = SsmLayer(tuple(h0_2), l2_gate, AffineMap(eye, zero_off), phi2)
@@ -556,7 +546,7 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
         h0=_zeros(d),
         gate=TimeInvariantGate(masked_identity(chk, chk, d)),
         inc=AffineMap(eye, zero_off),
-        phi=projection_phi(d),
+        phi=proj,
     )
 
     out = compose(
@@ -625,15 +615,13 @@ def compile_ilp(inst: IlpInstance) -> SsmModel:
     emb = tuple(
         tuple(F1 if j == i else F0 for j in range(d)) + _zeros(d) for i in range(d)
     )
-    inc_rows = []
-    for r in range(d):
-        inc_rows.append(tuple(Fraction(inst.matrix[r][c]) for c in range(d)) + _zeros(d))
-    for r in range(d):
-        inc_rows.append(tuple(F1 if c == r else F0 for c in range(d)) + _zeros(d))
+    inc = _sparse(dd, [(r, c, Fraction(w)) for r, row in enumerate(inst.matrix)
+                       for c, w in enumerate(row) if w]
+                  + [(d + r, r, F1) for r in range(d)])
     layer = SsmLayer(
         h0=_zeros(dd),
         gate=TimeInvariantGate(_sparse(dd, (), F1)),
-        inc=AffineMap(tuple(inc_rows), _zeros(dd)),
+        inc=AffineMap(inc, _zeros(dd)),
         phi=projection_phi(dd),
     )
     out = compose(

@@ -35,6 +35,8 @@ from .errors import DimensionError, FormatMismatchError
 RELU = "relu"
 IDENTITY = "identity"
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 @dataclass(frozen=True)
 class FnnNode:
@@ -172,45 +174,33 @@ def compose(n1: Fnn, n2: Fnn) -> Fnn:
     return Fnn(n2.layers + n1.layers)
 
 
-def _identity_layer(dim: int) -> FnnLayer:
-    return FnnLayer(
-        tuple(
-            FnnNode(tuple(Fraction(int(i == j)) for j in range(dim)), Fraction(0), IDENTITY)
-            for i in range(dim)
-        )
-    )
-
-
 def _pad_depth(net: Fnn, depth: int) -> Fnn:
-    layers = list(net.layers)
-    while len(layers) < depth:
-        layers.append(_identity_layer(layers[-1].output_dim))
-    return Fnn(tuple(layers))
+    padding = identity_fnn(net.output_dim).layers * (depth - len(net.layers))
+    return Fnn(net.layers + padding)
 
 
 def concat(n1: Fnn, n2: Fnn) -> Fnn:
     """The network computing (n1(x1), n2(x2)) on disjoint input slices."""
-    depth = max(len(n1.layers), len(n2.layers))
-    a, b = _pad_depth(n1, depth), _pad_depth(n2, depth)
-    layers = []
-    for la, lb in zip(a.layers, b.layers):
-        za, zb = la.input_dim, lb.input_dim
-        nodes = [
-            FnnNode(n.weights + (Fraction(0),) * zb, n.bias, n.activation) for n in la.nodes
-        ]
-        nodes += [
-            FnnNode((Fraction(0),) * za + n.weights, n.bias, n.activation) for n in lb.nodes
-        ]
-        layers.append(FnnLayer(tuple(nodes)))
-    return Fnn(tuple(layers))
+    return concat_all((n1, n2))
 
 
 def concat_all(nets: Iterable[Fnn]) -> Fnn:
+    """The network computing (n1(x1), n2(x2), ...) on disjoint input
+    slices; shallower networks are padded with identity layers."""
     nets = list(nets)
-    result = nets[0]
-    for net in nets[1:]:
-        result = concat(result, net)
-    return result
+    depth = max(len(net.layers) for net in nets)
+    layers = []
+    for stage in zip(*(_pad_depth(net, depth).layers for net in nets)):
+        width = sum(layer.input_dim for layer in stage)
+        nodes, before = [], 0
+        for layer in stage:
+            pad_left = (_ZERO,) * before
+            pad_right = (_ZERO,) * (width - before - layer.input_dim)
+            nodes += [FnnNode(pad_left + n.weights + pad_right, n.bias, n.activation)
+                      for n in layer.nodes]
+            before += layer.input_dim
+        layers.append(FnnLayer(tuple(nodes)))
+    return Fnn(tuple(layers))
 
 
 def lower_identities(net: Fnn) -> Fnn:
@@ -265,13 +255,18 @@ def linear_fnn(matrix: Sequence[Sequence], bias: Sequence | None = None,
 
 
 def identity_fnn(dim: int) -> Fnn:
-    return Fnn((_identity_layer(dim),))
+    return select_fnn(range(dim), dim)
 
 
 def select_fnn(indices: Sequence[int], input_dim: int) -> Fnn:
     """Identity routing that picks the given input coordinates, in order."""
-    matrix = [[int(j == i) for j in range(input_dim)] for i in indices]
-    return linear_fnn(matrix)
+    zeros = (_ZERO,) * input_dim
+    nodes = []
+    for i in indices:
+        if not 0 <= i < input_dim:
+            raise DimensionError(f"selected index {i} outside 0..{input_dim - 1}")
+        nodes.append(FnnNode(zeros[:i] + (_ONE,) + zeros[i + 1:], _ZERO, IDENTITY))
+    return Fnn((FnnLayer(tuple(nodes)),))
 
 
 def _relu_layer(rows: Sequence[tuple[Sequence, int | Fraction]]) -> FnnLayer:

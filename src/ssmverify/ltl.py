@@ -2,9 +2,10 @@
 brute-force satisfiability, and the small-model bound.
 
 Core connectives are atom, !, |, &, X and U; ->, F, G, tt and ff are sugar
-lowered at parse time (tt becomes ``a | !a`` over the formula's first atom,
-or the atom ``p`` when the formula mentions none).  Traces are tuples of
-letters, each letter a frozenset of proposition names.
+lowered as the parser reads them (tt becomes ``a | !a`` over the
+alphabetically least atom of the text, or the atom ``p`` when the text
+mentions none).  Traces are tuples of letters, each letter a frozenset of
+proposition names.
 """
 
 from __future__ import annotations
@@ -79,24 +80,7 @@ def small_model_bound(phi: LtlFormula) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parsing.  Sugar nodes exist only inside the parser.
-
-@dataclass(frozen=True)
-class _Sugar:
-    kind: str  # "tt" | "ff"
-
-
-@dataclass(frozen=True)
-class _Unary:
-    op: str  # "F" | "G"
-    sub: object
-
-
-@dataclass(frozen=True)
-class _Implies:
-    left: object
-    right: object
-
+# Parsing
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<arrow>->)|(?P<op>[!&|()])|(?P<temporal>[XUFG])|(?P<word>[a-z][a-z0-9_]*))"
@@ -131,6 +115,9 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        anchor = Atom(min((v for k, v, _ in self.tokens if k == "atom"), default="p"))
+        self.tt = Or(anchor, Not(anchor))
+        self.ff = And(anchor, Not(anchor))
 
     def peek(self):
         return self.tokens[self.i]
@@ -153,7 +140,7 @@ class _Parser:
         left = self.disjunction()
         if self.peek()[0] == "->":
             self.take("->")
-            return _Implies(left, self.implication())
+            return Or(Not(left), self.implication())
         return left
 
     def disjunction(self):
@@ -185,9 +172,12 @@ class _Parser:
         if kind == "X":
             self.take("X")
             return Next(self.unary())
-        if kind in ("F", "G"):
-            self.take(kind)
-            return _Unary(kind, self.unary())
+        if kind == "F":
+            self.take("F")
+            return Until(self.tt, self.unary())
+        if kind == "G":
+            self.take("G")
+            return Not(Until(self.tt, Not(self.unary())))
         return self.primary()
 
     def primary(self):
@@ -197,52 +187,13 @@ class _Parser:
             return Atom(value)
         if kind in ("tt", "ff"):
             self.take(kind)
-            return _Sugar(kind)
+            return self.tt if kind == "tt" else self.ff
         if kind == "(":
             self.take("(")
             node = self.implication()
             self.take(")")
             return node
         raise LtlSyntaxError(f"expected a formula, found {value or 'end of input'!r}", pos)
-
-
-def _raw_atoms(ast) -> set:
-    if isinstance(ast, Atom):
-        return {ast.name}
-    if isinstance(ast, (Not, Next)):
-        return _raw_atoms(ast.sub)
-    if isinstance(ast, _Unary):
-        return _raw_atoms(ast.sub)
-    if isinstance(ast, (Or, And, Until, _Implies)):
-        return _raw_atoms(ast.left) | _raw_atoms(ast.right)
-    return set()
-
-
-def _lower(ast, anchor: str) -> LtlFormula:
-    if isinstance(ast, Atom):
-        return ast
-    if isinstance(ast, _Sugar):
-        a = Atom(anchor)
-        return Or(a, Not(a)) if ast.kind == "tt" else And(a, Not(a))
-    if isinstance(ast, Not):
-        return Not(_lower(ast.sub, anchor))
-    if isinstance(ast, Next):
-        return Next(_lower(ast.sub, anchor))
-    if isinstance(ast, _Unary):
-        sub = _lower(ast.sub, anchor)
-        tt = _lower(_Sugar("tt"), anchor)
-        if ast.op == "F":
-            return Until(tt, sub)
-        return Not(Until(tt, Not(sub)))
-    if isinstance(ast, _Implies):
-        return Or(Not(_lower(ast.left, anchor)), _lower(ast.right, anchor))
-    if isinstance(ast, Or):
-        return Or(_lower(ast.left, anchor), _lower(ast.right, anchor))
-    if isinstance(ast, And):
-        return And(_lower(ast.left, anchor), _lower(ast.right, anchor))
-    if isinstance(ast, Until):
-        return Until(_lower(ast.left, anchor), _lower(ast.right, anchor))
-    raise AssertionError(f"unreachable node {ast!r}")
 
 
 # The deepest lowered tree ``parse`` accepts, counted in nodes from the root
@@ -269,10 +220,7 @@ def parse(text: str) -> LtlFormula:
     nested deeper than ``MAX_NESTING`` is an ``LtlSyntaxError``."""
     parser = _Parser(text)
     try:
-        ast = parser.parse()
-        names = _raw_atoms(ast)
-        anchor = min(names) if names else "p"
-        phi = _lower(ast, anchor)
+        phi = parser.parse()
     except RecursionError:
         raise LtlSyntaxError("formula nested too deeply", parser.peek()[2]) from None
     if _depth(phi) > MAX_NESTING:

@@ -87,6 +87,8 @@ class LengthBound:
 
     @staticmethod
     def binary(n: int) -> "LengthBound":
+        if n < 0:
+            raise PreconditionError("binary length exponent must be >= 0")
         return LengthBound(1 << n, "binary")
 
 

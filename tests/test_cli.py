@@ -55,6 +55,16 @@ def test_sat_bounded_binary_flag(ilp_file, tmp_path):
     assert status == 0
 
 
+def test_sat_bounded_reports_a_binary_bound_too_large_to_print(tmp_path, capsys):
+    model_path = str(tmp_path / "pq.ssm")
+    save_model(compile_ltl(parse("p U q")), model_path)
+    for log2, bound in ((14_000, 1 << 14_000), (14_400, None)):
+        assert main(["sat", "bounded", model_path, "--max-len", str(log2), "--binary"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["witness"] == "{q}"
+        assert result["bound"] == bound and result["bound_log2"] == log2
+
+
 def test_unsat_exit_code_and_no_witness(tmp_path):
     model_path = str(tmp_path / "m.ssm")
     run(["compile", "ltl", "p & !p", "-o", model_path])
@@ -463,6 +473,10 @@ def _bad_input(tmp_path, name):
     not_utf8 = tmp_path / "latin1.ilp"
     not_utf8.write_bytes("2\n1 1\n0 1\n1 1 # caf\xe9\n".encode("latin-1"))
     model = str(tmp_path / "m.ssm")
+    compiled = str(tmp_path / "pq.ssm")
+    save_model(compile_ltl(parse("p U q")), compiled)
+    machine = tmp_path / "machine.mm"
+    machine.write_text(MINSKY_TEXT)
     return {
         "compile_minsky_directory": ["compile", "minsky", str(tmp_path), "-o", model],
         "compile_output_directory": ["compile", "ltl", "p", "-o", str(tmp_path)],
@@ -470,12 +484,15 @@ def _bad_input(tmp_path, name):
         "oracle_ilp_not_utf8": ["oracle", "ilp", str(not_utf8)],
         "compile_ltl_nested_too_deeply": ["compile", "ltl", "!" * 3000 + "p", "-o", model],
         "oracle_ltl_nested_too_deeply": ["oracle", "ltl", "!" * 600 + "p", "--trace", "{p}"],
+        "sat_bounded_negative_binary": ["sat", "bounded", compiled, "--max-len", "-3", "--binary"],
+        "oracle_minsky_negative_max_steps": ["oracle", "minsky", str(machine), "--max-steps", "-1"],
     }[name]
 
 
 @pytest.mark.parametrize("name", [
     "compile_minsky_directory", "compile_output_directory", "oracle_minsky_directory",
     "oracle_ilp_not_utf8", "compile_ltl_nested_too_deeply", "oracle_ltl_nested_too_deeply",
+    "sat_bounded_negative_binary", "oracle_minsky_negative_max_steps",
 ])
 def test_bad_input_file_or_formula_is_a_usage_error(tmp_path, capsys, name):
     argv = _bad_input(tmp_path, name)

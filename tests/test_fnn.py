@@ -269,3 +269,9 @@ def test_select_and_linear_helpers():
     assert fnn_eval(net, [Fraction(5), Fraction(6), Fraction(7)], EXACT) == [7, 5]
     aff = linear_fnn([[1, 1], [1, -1]], bias=[0, 1])
     assert fnn_eval(aff, [Fraction(2), Fraction(3)], EXACT) == [5, 0]
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_select_rejects_an_index_outside_the_input(index):
+    with pytest.raises(DimensionError):
+        select_fnn([0, index], 3)

@@ -110,3 +110,24 @@ def test_words_formulas_and_formats_end_in_a_report(model_path, tmp_path, formul
                  ["sat", "fixed", model_path, f"--arith={arith}"],
                  ["pump", model_path, f"--word={word}", f"--arith={arith}"]):
         _ends_in_a_report(*run(argv))
+
+
+@pytest.fixture(scope="module")
+def machine_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "loop.mm"
+    # counts up forever, so the oracle spends its whole step budget
+    path.write_text("start: q0\nfinal: qf\nq0 inc1 q0\n")
+    return str(path)
+
+
+int_option = st.integers(-3, 20_000)
+
+
+@given(int_option, st.booleans(), int_option, int_option)
+@SETTINGS
+def test_integer_options_end_in_a_report(model_path, machine_path, max_len, binary,
+                                         max_steps, bits):
+    for argv in (["sat", "bounded", model_path, "--max-len", str(max_len)] + ["--binary"] * binary,
+                 ["oracle", "minsky", machine_path, "--max-steps", str(max_steps)],
+                 ["classify", model_path, "--bits", str(bits)]):
+        _ends_in_a_report(*run(argv))

@@ -2,7 +2,9 @@
 serialisation; any change to either is a format break and must be deliberate."""
 
 import hashlib
+import random
 
+from helpers import hand_formulas, random_ilp, random_machine
 from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, parse_ilp, parse_minsky
 from ssmverify.ltl import parse
 from ssmverify.modelfile import load_model, save_model
@@ -56,3 +58,20 @@ def test_model_file_checksums(tmp_path):
         content = open(path).read()
         assert sha(content) == expected[name], name
         assert load_model(path) == model
+
+
+def test_compiled_corpus_checksum(tmp_path):
+    """One digest over the saved bytes of every hand formula and of seeded
+    random machines and 0-1 programs, so that a compiler rewrite keeps every
+    model it emits, not only the four above."""
+    rng = random.Random(5)
+    models = [compile_ltl(parse(text)) for text in hand_formulas()]
+    models += [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(8)]
+    models += [compile_ilp(random_ilp(rng)) for _ in range(8)]
+    digest = hashlib.sha256()
+    path = str(tmp_path / "model.ssm")
+    for model in models:
+        save_model(model, path)
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    assert digest.hexdigest() == "0d2fe734d53b3adebc1cddc065bdaef3be546ef316ce6a76b2b6b58f9856e886"

@@ -53,6 +53,9 @@ def test_parse_lowers_sugar():
     assert parse("G p") == Not(Until(tt, Not(P)))
     assert parse("tt") == Or(P, Not(P))  # anchored on the fallback atom
     assert parse("ff U q") == Until(And(Q, Not(Q)), Q)
+    # anchored on the alphabetically least atom, not on the first one
+    a = Atom("a")
+    assert parse("F b & a") == And(Until(Or(a, Not(a)), Atom("b")), a)
 
 
 def test_parse_errors_carry_position():
