@@ -15,7 +15,13 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import ltl as ltl_mod
-from .errors import DimensionError, InputFormatError, InvalidMachineError, PreconditionError
+from .errors import (
+    DimensionError,
+    InputFormatError,
+    InvalidMachineError,
+    PreconditionError,
+    ResourceLimitError,
+)
 from .fnn import (
     Fnn,
     FnnLayer,
@@ -205,11 +211,23 @@ def ltl_layout(phi: LtlFormula) -> LtlLayout:
     )
 
 
+# The most atoms ``compile_ltl`` accepts: the alphabet and the embedding
+# table hold every letter of 2^P, and 16 atoms already take seconds and
+# hundreds of MiB to compile.
+MAX_ATOMS = 16
+
+
 def compile_ltl(phi: LtlFormula) -> SsmModel:
     """Model over 2^P that accepts a word iff its reversal is a model of the
     formula.  One layer per subformula in dependency order (two for X); the
-    compiled model is exact under the 6-bit profile."""
+    compiled model is exact under the 6-bit profile.  A formula over more
+    than ``MAX_ATOMS`` atoms is a ``ResourceLimitError``."""
     layout = ltl_layout(phi)
+    count = len(layout.props)
+    if count > MAX_ATOMS:
+        raise ResourceLimitError(
+            f"formula has {count} atoms; compile_ltl enumerates all 2^{count} letters "
+            f"and accepts at most {MAX_ATOMS} atoms")
     d = layout.dimension
     dim = dict(layout.dim_of)
     prop_dim = {p: i for i, p in enumerate(layout.props)}

@@ -233,51 +233,32 @@ def sat_fixed(
     return SatResult(UNSATISFIABLE if exhausted else UNSAT_WITHIN_BOUND, None, stats)
 
 
-def _state_sequence(stepper, word):
-    states = [stepper.initial_hidden()]
-    for symbol in word:
-        hidden, _ = stepper.step(states[-1], symbol)
-        states.append(hidden)
-    return states
-
-
 def pump_down(model: SsmModel, word: Sequence[str], fmt: FixedPointFormat) -> list[str]:
-    """Shorten an accepted word by cutting (i, j] whenever the states before
-    positions i and j coincide.  The result is accepted, never longer, and
-    its departure states (positions 0..n-1) are pairwise distinct; a cut
-    ending at the last position is only taken when the shortened word
-    re-verifies, since equal states do not imply equal final outputs."""
-    mode = ArithMode(fmt)
-    stepper = _stepper(model, mode)
-    word = list(word)
-    states = _state_sequence(stepper, word)
-    final_y = None
-    if word:
-        _, final_y = stepper.step(states[-2], word[-1])
-    if not word or final_y != stepper.one:
+    """Shorten an accepted word by loop erasure: walking it once, cut the
+    segment since a departure state was last kept whenever it recurs, and
+    the suffix replays from the same state.  The result is accepted, never
+    longer, and its departure states (positions 0..n-1) are pairwise
+    distinct; a cut at a recurring final state is only taken when the
+    shortened word is itself accepted, since equal states do not imply
+    equal final outputs."""
+    stepper = _stepper(model, ArithMode(fmt))
+    kept, departs, outputs = [], [], []
+    position: dict = {}  # kept departure state -> its position
+    hidden = stepper.initial_hidden()
+    for symbol in word:
+        i = position.get(hidden)
+        if i is not None:
+            for state in departs[i:]:
+                del position[state]
+            del kept[i:], departs[i:], outputs[i:]
+        position[hidden] = len(kept)
+        kept.append(symbol)
+        departs.append(hidden)
+        hidden, y = stepper.step(hidden, symbol)
+        outputs.append(y)
+    if not outputs or outputs[-1] != stepper.one:
         raise PreconditionError("pump_down requires an accepted word")
-
-    while True:
-        n = len(word)
-        states = _state_sequence(stepper, word)
-        first_seen: dict = {}
-        cut = None
-        for j in range(n):  # departure states only
-            key = states[j]
-            if key in first_seen:
-                cut = (first_seen[key], j)
-                break
-            first_seen[key] = j
-        if cut is None and states[n] in first_seen:
-            i = first_seen[states[n]]
-            candidate = word[:i]
-            if candidate:
-                _, y = stepper.step(
-                    _state_sequence(stepper, candidate)[-2], candidate[-1]
-                )
-                if y == stepper.one:
-                    cut = (i, n)
-        if cut is None:
-            return word
-        i, j = cut
-        word = word[:i] + word[j:]
+    i = position.get(hidden)
+    if i and outputs[i - 1] == stepper.one:
+        del kept[i:]
+    return kept

@@ -25,7 +25,9 @@ A model with a constant outside that encoding compiles to a step on
 ``Fraction``s instead, and a call whose values leave the encoding at run
 time (a check finds nonzero bits) runs again, whole, on that step.  The
 public functions convert at the boundary, so ``StreamState`` and the
-scalars they return hold ``Fraction``s either way.
+scalars they return hold ``Fraction``s either way.  One interval analysis
+serves all three domains of the generated step, so exact mode, like fixed
+mode, emits a relu clamp only where its argument can be negative.
 """
 
 from __future__ import annotations
@@ -42,10 +44,8 @@ from .arithmetic import (
     FixedPointFormat,
     FixedPointValue,
     Scalar,
-    raw_add,
     raw_encode,
     raw_mul,
-    raw_relu,
 )
 from .errors import DimensionError, EmptyWordError, UnknownSymbolError
 from .fnn import Fnn, eval_program, select_fnn
@@ -232,7 +232,14 @@ def _nonzero(row):
     return [(k, w) for k, w in enumerate(row) if w]
 
 
-def _trunc_div(p: int, scale: int) -> int:
+_INF = float("inf")
+
+
+def _trunc_div(p, scale: int):
+    """``p / scale`` rounded toward zero; exact for a scale of 1, so that a
+    Fraction bound stays exact, and an infinite bound passes through."""
+    if scale == 1 or abs(p) == _INF:
+        return p
     return p // scale if p >= 0 else -((-p) // scale)
 
 
@@ -263,11 +270,12 @@ def _times(k: int, code: str) -> str:
 class _Val:
     """A value of the step being generated: a folded constant (``const`` is
     set), a local name, or, only on its way into a sum, a parenthesised
-    expression.  ``lo``/``hi`` bound its raw mantissa in fixed mode."""
+    expression.  ``lo``/``hi`` bound its encoding; an exact bound that
+    nothing fixes is infinite."""
 
     __slots__ = ("code", "const", "lo", "hi", "reads")
 
-    def __init__(self, code: str, const=None, lo=None, hi=None, reads=()):
+    def __init__(self, code: str, const, lo, hi, reads=()):
         self.code = code
         self.const = const
         self.lo = lo
@@ -278,34 +286,41 @@ class _Val:
 class _StepCompiler:
     """Emits the source of ``step(hidden, x) -> (new hidden, y)`` for one
     model and mode, in SSA form: every computed value gets a fresh local.
+    The domain is fixed-point raw mantissas, exact ints over the scale
+    ``2**SCALE_BITS`` (``scaled``) or exact ``Fraction``s.
 
     Terms are emitted in the canonical order (gate terms, inc offset, inc
     terms, each by ascending column; bias then terms in FNN nodes), with
     fixed-mode truncation and saturation inlined per term, so the function is
     bit-exact with ``evaluate_layerwise``.  Constants fold at generation
     time, zero terms vanish and a term whose encoded weight is the unit
-    becomes an alias.  In fixed mode every value carries the interval its raw
-    mantissa can take, and a saturation test is emitted only on a side that
-    can overflow.  Values nothing reads are dropped; the hidden state is
-    always returned in full.
+    becomes an alias.  One interval analysis covers every domain: each value
+    carries the interval its encoding can take, infinite in exact mode where
+    nothing bounds it (hidden inputs, products of an input-dependent gate).
+    A saturation test is emitted only on a side that can overflow, and a
+    relu clamp only where its argument can be negative.  Values nothing
+    reads are dropped; the hidden state is always returned in full.
 
-    Encoding a constant through ``enc`` also counts it in ``quantized`` when
-    it is not exactly representable, so one pass over the sparse constants
-    yields ``len(quantization_report(model, fmt))``.
-
-    With ``scaled`` set, exact mode computes on the integer encoding of its
-    values: no saturation, and every product that divides by a power of two
-    first checks that the bits it drops are zero, raising ``_Inexact`` from
-    the step otherwise.  A constant outside the encoding raises ``_Inexact``
-    from the build.
+    Per domain are the encoding of constants and the rounding of products.
+    ``enc`` counts a fixed-mode constant in ``quantized`` when it is not
+    exactly representable, so one pass over the sparse constants yields
+    ``len(quantization_report(model, fmt))``, and raises ``_Inexact`` from
+    the build for a constant outside the int encoding.  A product truncates
+    in fixed mode, multiplies by a named constant on ``Fraction``s, and in
+    the int domain first checks that the bits it shifts out are zero,
+    raising ``_Inexact`` from the step otherwise.
     """
 
     def __init__(self, mode: ArithMode, scaled: bool = False):
-        self.exact = mode.is_exact
+        self.fmt = fmt = mode.fmt
         self.scaled = scaled
-        self.fmt = mode.fmt
-        self.unit = _SCALE if scaled else Fraction(1) if self.exact else self.fmt.scale
-        self.zero = Fraction(0) if self.exact and not scaled else 0
+        self.named = mode.is_exact and not scaled
+        if fmt is None:
+            self.scale, self.bottom, self.top = (_SCALE if scaled else 1), -_INF, _INF
+        else:
+            self.scale, self.bottom, self.top = fmt.scale, fmt.min_raw, fmt.max_raw
+        self.unit = Fraction(1) if self.named else self.scale
+        self.zero = Fraction(0) if self.named else 0
         self.quantized = 0
         self.namespace: dict = {"Inexact": _Inexact} if scaled else {}
         self._const_names: dict = {}
@@ -314,9 +329,9 @@ class _StepCompiler:
     # -- values -------------------------------------------------------------
 
     def enc(self, w: Fraction):
-        if self.exact:
-            return _scaled(w) if self.scaled else w
         fmt = self.fmt
+        if fmt is None:
+            return _scaled(w) if self.scaled else w
         # w * scale is an integer iff the denominator divides the scale
         if fmt.scale % w.denominator == 0:
             raw = w.numerator * (fmt.scale // w.denominator)
@@ -326,62 +341,58 @@ class _StepCompiler:
         return raw_encode(w, fmt)
 
     def const(self, value) -> _Val:
-        if not self.exact or self.scaled:
-            return _Val(repr(value), value, value, value)
-        name = self._const_names.get(value)
-        if name is None:
-            name = self._const_names[value] = f"K{len(self._const_names)}"
-            self.namespace[name] = value
-        return _Val(name, value)
-
-    def local(self, name: str) -> _Val:
-        if self.exact:
-            return _Val(name, reads=(name,))
-        return _Val(name, None, self.fmt.min_raw, self.fmt.max_raw, (name,))
+        code = repr(value)
+        if self.named:
+            code = self._const_names.get(value)
+            if code is None:
+                code = self._const_names[value] = f"K{len(self._const_names)}"
+                self.namespace[code] = value
+        return _Val(code, value, value, value)
 
     def _fresh(self) -> str:
         return f"v{len(self._blocks)}"
 
-    def _bind(self, name: str, lines: list[str], reads, lo=None, hi=None) -> _Val:
+    def _bind(self, name: str, lines: list[str], reads, lo, hi) -> _Val:
         """Record the block of lines that computes the local ``name``."""
         self._blocks.append((name, lines, tuple(reads)))
         return _Val(name, None, lo, hi, (name,))
 
-    def _clamp(self, name: str, lo: int, hi: int, floor: int):
+    def _clamp(self, name: str, lo, hi, floor):
         """Saturation lines for ``name`` in [lo, hi] (``floor`` below: the
-        format minimum, or 0 where a relu follows); returns the lines and the
-        clamped interval."""
-        top = self.fmt.max_raw
+        range minimum, or zero where a relu follows); returns the lines and
+        the clamped interval."""
+        top = self.top
         lines = []
         if hi > top:
             lines.append(f"if {name} > {top}: {name} = {top}")
         if lo < floor:
-            lines.append(f"{'elif' if lines else 'if'} {name} < {floor}: {name} = {floor}")
+            code = self.const(floor).code
+            lines.append(f"{'elif' if lines else 'if'} {name} < {code}: {name} = {code}")
         return lines, min(max(lo, floor), top), min(max(hi, floor), top)
 
-    def _fits(self, code: str, lo: int, hi: int, reads) -> _Val:
-        """A product term: an expression when it cannot leave the format,
+    def _fits(self, code: str, lo, hi, reads) -> _Val:
+        """A product term: an expression when it cannot leave the range,
         else a local saturated on the sides that can overflow."""
-        if self.fmt.min_raw <= lo and hi <= self.fmt.max_raw:
+        if self.bottom <= lo and hi <= self.top:
             return _Val(f"({code})", None, lo, hi, reads)
         name = self._fresh()
-        clamp, lo, hi = self._clamp(name, lo, hi, self.fmt.min_raw)
+        clamp, lo, hi = self._clamp(name, lo, hi, self.bottom)
         return self._bind(name, [f"{name} = {code}"] + clamp, reads, lo, hi)
 
-    def _shifted(self, code: str, e: int, reads) -> _Val:
+    def _shifted(self, code: str, e: int, reads, lo, hi) -> _Val:
         """A local holding the int ``code`` divided by ``2**e``, after a
         check that the bits shifted out are zero."""
         name = self._fresh()
         lines = [f"{name} = {code}", f"if {name} & {(1 << e) - 1}: raise Inexact",
                  f"{name} >>= {e}"]
-        return self._bind(name, lines, reads)
+        return self._bind(name, lines, reads, lo, hi)
 
     # -- arithmetic ---------------------------------------------------------
 
     def mul(self, w, v: _Val) -> _Val:
         """The term ``w * v`` for an encoded constant weight ``w``."""
         if v.const is not None:
-            if not self.exact:
+            if self.fmt is not None:
                 return self.const(raw_mul(w, v.const, self.fmt))
             p = w * v.const
             return self.const(_exact_shift(p, SCALE_BITS) if self.scaled else p)
@@ -389,22 +400,18 @@ class _StepCompiler:
             return self.const(self.zero)
         if w == self.unit:
             return v
-        if self.exact:
-            if not self.scaled:
-                code = f"-{v.code}" if w == -1 else f"{self.const(w).code} * {v.code}"
-                return _Val(f"({code})", reads=v.reads)
-            zeros = (w & -w).bit_length() - 1
-            if zeros < SCALE_BITS:  # the weight is a / 2**e with a odd
-                return self._shifted(_times(w >> zeros, v.code), SCALE_BITS - zeros, v.reads)
-            return _Val(f"({_times(w >> SCALE_BITS, v.code)})", reads=v.reads)
-        scale, f = self.fmt.scale, self.fmt.frac_bits
+        scale = self.scale
         lo, hi = sorted((_trunc_div(w * v.lo, scale), _trunc_div(w * v.hi, scale)))
-        if w % scale == 0:  # an integer weight multiplies without truncation
-            k = w // scale
-            code = f"-{v.code}" if k == -1 else f"{k} * {v.code}"
+        if w % scale == 0:  # an integer weight multiplies without rounding
+            code = _times(w // scale, v.code)
+        elif self.named:
+            code = f"{self.const(w).code} * {v.code}"
+        elif self.scaled:  # the weight is a / 2**e with a odd
+            zeros = (w & -w).bit_length() - 1
+            return self._shifted(_times(w >> zeros, v.code), SCALE_BITS - zeros, v.reads, lo, hi)
         else:
             # truncation toward zero of w*v / 2**f, split on the sign of v
-            a = abs(w)
+            a, f = abs(w), self.fmt.frac_bits
             pos, neg = f"{a} * {v.code} >> {f}", f"{a} * -{v.code} >> {f}"
             pos, neg = (pos, f"-({neg})") if w > 0 else (f"-({pos})", neg)
             if v.lo >= 0:
@@ -416,31 +423,31 @@ class _StepCompiler:
         return self._fits(code, lo, hi, v.reads)
 
     def mul_var(self, g: _Val, v: _Val) -> _Val:
-        """The term ``g * v`` of a diagonal input-dependent gate."""
+        """The term ``g * v`` of a diagonal input-dependent gate; unbounded
+        in exact mode, where 0 * inf bounds nothing."""
         if g.const is not None:
             return self.mul(g.const, v)
         reads = g.reads + v.reads
         if self.scaled:
-            return self._shifted(f"{g.code} * {v.code}", SCALE_BITS, reads)
-        if self.exact:
-            return _Val(f"({g.code} * {v.code})", reads=reads)
+            return self._shifted(f"{g.code} * {v.code}", SCALE_BITS, reads, -_INF, _INF)
+        if self.fmt is None:
+            return self._fits(f"{g.code} * {v.code}", -_INF, _INF, reads)
         scale, f = self.fmt.scale, self.fmt.frac_bits
         ends = [a * b for a in (g.lo, g.hi) for b in (v.lo, v.hi)]
         lo, hi = _trunc_div(min(ends), scale), _trunc_div(max(ends), scale)
         if f == 0 or min(ends) >= 0:
             return self._fits(f"{g.code} * {v.code} >> {f}", lo, hi, reads)
         name = self._fresh()
-        clamp, lo, hi = self._clamp(name, lo, hi, self.fmt.min_raw)
+        clamp, lo, hi = self._clamp(name, lo, hi, self.bottom)
         lines = [f"{name} = {g.code} * {v.code}",
                  f"{name} = {name} >> {f} if {name} >= 0 else -(-{name} >> {f})"]
         return self._bind(name, lines + clamp, reads, lo, hi)
 
     def total(self, start, terms: list[_Val], relu: bool = False) -> _Val:
         """``start + t_1 + t_2 + ...`` (then relu), saturating after every
-        addition in fixed mode; the result is a constant or a local."""
-        if self.exact:
-            return self._total_exact(start, terms, relu)
-        bottom, top = self.fmt.min_raw, self.fmt.max_raw
+        addition that can leave the range; the result is a constant or a
+        local."""
+        bottom, top = self.bottom, self.top
         value, expr, name = start, None, None  # expr None: the sum is `value`
         lines: list[str] = []
         reads: tuple = ()
@@ -448,12 +455,13 @@ class _StepCompiler:
         for t in terms:
             if expr is None:
                 if t.const is not None:
-                    value = raw_add(value, t.const, self.fmt)
+                    value = min(max(value + t.const, bottom), top)
                     continue
                 if value == 0:
                     expr, lo, hi = t.code, t.lo, t.hi
                 else:
-                    expr, lo, hi = f"{value} + {t.code}", value + t.lo, value + t.hi
+                    expr = f"{self.const(value).code} + {t.code}"
+                    lo, hi = value + t.lo, value + t.hi
             elif t.const == 0:
                 continue
             else:
@@ -467,10 +475,10 @@ class _StepCompiler:
                 expr, lo, hi = f"{expr} + {t.code}", lo + t.lo, hi + t.hi
             reads += t.reads
             pending += 1
+        # relu after saturation is a clamp to [0, top]: the range holds 0
+        floor = self.zero if relu else bottom
         if expr is None:
-            return self.const(raw_relu(value) if relu else value)
-        # relu after saturation is a clamp to [0, top]: min_raw <= 0
-        floor = 0 if relu else bottom
+            return self.const(max(value, floor))
         if hi <= floor:
             return self.const(floor)
         if lo >= floor and hi <= top and not lines and expr.isidentifier():
@@ -478,36 +486,6 @@ class _StepCompiler:
         name = name or self._fresh()
         clamp, lo, hi = self._clamp(name, lo, hi, floor)
         return self._bind(name, lines + [f"{name} = {expr}"] + clamp, reads, lo, hi)
-
-    def _total_exact(self, start: Fraction, terms: list[_Val], relu: bool) -> _Val:
-        value, parts = start, []
-        for t in terms:
-            if t.const is not None:
-                value += t.const
-            else:
-                parts.append(t)
-        if not parts:
-            return self.const(self.zero if relu and value < 0 else value)
-        if value:
-            parts.append(self.const(value))
-        if len(parts) == 1 and not relu and parts[0].code.isidentifier():
-            return parts[0]
-        # a negated local is subtracted rather than negated and added, and a
-        # positive term goes first: exact sums do not depend on the order
-        signed = sorted(
-            (("-", p.code[2:-1]) if p.code.startswith("(-") else ("+", p.code) for p in parts),
-            key=lambda t: t[0] == "-",
-        )
-        name = self._fresh()
-        lines = []
-        for i in range(0, len(signed), 64):
-            expr = name if i else ("-" if signed[0][0] == "-" else "") + signed[0][1]
-            expr += "".join(f" {sign} {code}" for sign, code in signed[i + (not i):i + 64])
-            lines.append(f"{name} = {expr}")
-        if relu:
-            sign = name if self.scaled else f"{name}.numerator"
-            lines.append(f"if {sign} < 0: {name} = {self.const(self.zero).code}")
-        return self._bind(name, lines, sum((p.reads for p in parts), ()))
 
     # -- the model ----------------------------------------------------------
 
@@ -541,13 +519,12 @@ class _StepCompiler:
             column = [vec[k] for vec in inputs]
             if all(c == column[0] for c in column):
                 x.append(self.const(column[0]))
-            elif self.exact:
-                x.append(self.local(f"x{k}"))
             else:
                 x.append(_Val(f"x{k}", None, min(column), max(column), (f"x{k}",)))
         hidden = []
         for li, layer in enumerate(model.layers):
-            h = [self.local(f"h{li}_{j}") for j in range(layer.dim)]
+            h = [_Val(f"h{li}_{j}", None, self.bottom, self.top, (f"h{li}_{j}",))
+                 for j in range(layer.dim)]
             new = [self.recurrence(layer, j, h, x) for j in range(layer.dim)]
             hidden.append(new)
             x = self.fnn(layer.phi, new + x)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -182,6 +183,21 @@ def test_resource_limit_exit_code(tmp_path, monkeypatch):
     status, report = run(["sat", "fixed", model_path, "--arith", "fx:6:3"])
     assert status == 3
     assert report["result"]["partial_stats"]["states_explored"] >= 2
+
+
+@pytest.mark.parametrize("count", [17, 40])
+def test_compile_ltl_refuses_too_many_atoms(tmp_path, count):
+    """Above MAX_ATOMS the compiler would enumerate 2^count letters; it
+    stops first, with exit 3 and a JSON report, and writes no file."""
+    model_path = tmp_path / "m.ssm"
+    formula = " & ".join(f"a{i}" for i in range(count))
+    started = time.monotonic()
+    status, report = run(["compile", "ltl", formula, "-o", str(model_path)])
+    assert time.monotonic() - started < 1.0
+    assert status == 3
+    assert f"{count} atoms" in report["result"]["error"]
+    json.dumps(report)
+    assert not model_path.exists()
 
 
 @pytest.mark.parametrize(

@@ -331,16 +331,31 @@ def test_pump_down_fixpoint_on_minimal_witness():
     assert pump_down(model, witness, FX6) == witness
 
 
+def seeded_accepted_words(seed=29, formulas=12, tries=40):
+    """Accepted fx:6:3 words of up to 14 symbols over compiled random formulas."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(formulas):
+        model = compile_ltl(random_formula(rng, rng.randint(3, 9)))
+        for _ in range(tries):
+            word = [rng.choice(model.alphabet) for _ in range(rng.randint(1, 14))]
+            if accepts(model, word, FX6_MODE):
+                cases.append((model, word))
+    return cases
+
+
 def test_pump_down_contract():
     model = compile_ltl(parse("F p"))
     word = trace_to_word([frozenset(["p"])] + [frozenset()] * 6)
-    assert accepts(model, word, FX6_MODE)
-    pumped = pump_down(model, word, FX6)
-    assert accepts(model, pumped, FX6_MODE)
-    assert len(pumped) <= len(word)
-    # departure states (all but the last) are pairwise distinct
-    states = pump_states(model, pumped, FX6)[:-1]
-    assert len(set(states)) == len(states)
+    for model, word in [(model, word)] + seeded_accepted_words():
+        assert accepts(model, word, FX6_MODE)
+        pumped = pump_down(model, word, FX6)
+        assert accepts(model, pumped, FX6_MODE)
+        assert len(pumped) <= len(word)
+        # departure states (all but the last) are pairwise distinct
+        states = pump_states(model, pumped, FX6)[:-1]
+        assert len(set(states)) == len(states)
+        assert pump_down(model, pumped, FX6) == pumped
 
 
 def accumulator_with_out(out, emb_values):

@@ -11,7 +11,7 @@ from helpers import geometric_model, random_formula, random_machine
 from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat
 from ssmverify.compilers import compile_ltl, compile_minsky
 from ssmverify.errors import DimensionError, EmptyWordError, UnknownSymbolError
-from ssmverify.fnn import gadget_eq, compose, select_fnn
+from ssmverify.fnn import IDENTITY, RELU, Fnn, FnnLayer, FnnNode, gadget_eq, compose, select_fnn
 from ssmverify.ltl import parse
 from ssmverify.ssm import (
     AffineMap,
@@ -122,13 +122,27 @@ def small_models(draw, denominators=(1, 2, 4)):
     frac = lambda: Fraction(draw(st.integers(-2, 2)), draw(st.sampled_from(denominators)))
     vec = lambda: as_vector([frac() for _ in range(d)])
     mat = lambda: as_matrix([[frac() for _ in range(d)] for _ in range(d)])
+
+    def phi():
+        """0-1 hidden layers of up to 3 relu or identity nodes, then d nodes."""
+        sizes = [draw(st.integers(1, 3))] * draw(st.integers(0, 1)) + [d]
+        net, width = [], 2 * d
+        for size in sizes:
+            net.append(FnnLayer(tuple(
+                FnnNode(tuple(frac() for _ in range(width)), frac(),
+                        draw(st.sampled_from((RELU, IDENTITY))))
+                for _ in range(size))))
+            width = size
+        return Fnn(tuple(net))
+
     layers = []
     for _ in range(L):
         if draw(st.booleans()):
             gate = TimeInvariantGate(mat())
         else:
             gate = DiagonalAffineGate(mat(), vec())
-        layers.append(SsmLayer(vec(), gate, AffineMap(mat(), vec()), projection_phi(d)))
+        layers.append(SsmLayer(vec(), gate, AffineMap(mat(), vec()),
+                               projection_phi(d) if draw(st.booleans()) else phi()))
     out = compose(gadget_eq(1), select_fnn([0], d))
     alphabet = tuple(chr(ord("a") + i) for i in range(nsyms))
     return SsmModel(alphabet, tuple(vec() for _ in range(nsyms)), tuple(layers), out)
