@@ -9,12 +9,14 @@ that smuggles one step of history through the recurrence ``h = h/4 + x``.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import ltl as ltl_mod
+from ._row import Row
 from .errors import (
     DimensionError,
     InputFormatError,
@@ -65,35 +67,56 @@ def copy_matrix(i: int, j: int, d: int) -> Matrix:
     """C applied to x yields the vector whose j-th entry is x_i, rest zero."""
     if not (0 <= i < d and 0 <= j < d):
         raise DimensionError(f"copy indices ({i}, {j}) outside dimension {d}")
-    return _sparse(d, [(j, i, F1)])
+    return _dense(_sparse(_empty(d), [(j, i, F1)]))
 
 
 def masked_identity(i: int, j: int, d: int) -> Matrix:
     """Identity restricted to the diagonal window i..j (inclusive)."""
     if not (0 <= i < d and 0 <= j < d):
         raise DimensionError(f"mask window ({i}, {j}) outside dimension {d}")
-    return _sparse(d, [(r, r, F1) for r in range(i, j + 1)])
+    return _dense(_mask(i, j, d))
 
 
-def _sparse(d: int, entries, diagonal=F0) -> Matrix:
-    """``diagonal`` times the identity plus each (row, col, w) of entries."""
-    rows = [[F0] * d for _ in range(d)]
-    for r in range(d):
-        rows[r][r] = diagonal
+def _dense(rows: tuple[Row, ...]) -> Matrix:
+    return tuple(row.dense() for row in rows)
+
+
+def _empty(d: int) -> tuple[Row, ...]:
+    """The rows of the d x d zero matrix, one shared row object."""
+    return (Row((), d),) * d
+
+
+def _eye(d: int) -> tuple[Row, ...]:
+    return tuple(Row(((r, F1),), d) for r in range(d))
+
+
+def _mask(i: int, j: int, d: int) -> tuple[Row, ...]:
+    """The rows of the identity restricted to the diagonal window i..j."""
+    return _sparse(_empty(d), [(r, r, F1) for r in range(i, j + 1)])
+
+
+def _sparse(base: tuple[Row, ...], entries) -> tuple[Row, ...]:
+    """The rows of the matrix ``base`` plus each (row, col, w) of entries;
+    rows without an entry stay the rows of ``base``, shared."""
+    extra: dict[int, list] = {}
     for r, c, w in entries:
-        rows[r][c] += w
-    return tuple(map(tuple, rows))
+        extra.setdefault(r, list(base[r].terms)).append((c, w))
+    rows = list(base)
+    for r, pairs in extra.items():
+        rows[r] = Row.of(len(base), pairs)
+    return tuple(rows)
 
 
 def _zeros(d: int) -> Vector:
     return (F0,) * d
 
 
-def _node(width: int, terms, bias=0, activation=RELU) -> FnnNode:
-    weights = [F0] * width
-    for idx, w in terms:
-        weights[idx] += Fraction(w)
-    return FnnNode(tuple(weights), Fraction(bias), activation)
+@functools.lru_cache(maxsize=16)
+def _copies(width: int) -> tuple[FnnNode, ...]:
+    """The identity node copying each input of a ``width``-input layer;
+    immutable, so every pointwise network of that width shares them.  A
+    model's pointwise networks use a handful of widths, hence the bound."""
+    return tuple(FnnNode(Row(((k, F1),), width), F0, IDENTITY) for k in range(width))
 
 
 def _pointwise(d: int, positions: Iterable[int], gadget: Fnn) -> Fnn:
@@ -108,13 +131,16 @@ def _pointwise(d: int, positions: Iterable[int], gadget: Fnn) -> Fnn:
     layers = []
     for layer in gadget.layers:
         nodes: list[FnnNode] = []
+        copies = _copies(width)
         for j in range(d):
             first = len(nodes)
             if j in tracked:
-                nodes += [_node(width, zip(slots[j], n.weights), n.bias, n.activation)
+                # slots ascend, so the spliced terms stay in column order
+                nodes += [FnnNode(Row(tuple((slots[j][k], w) for k, w in n.row.terms), width),
+                                  n.bias, n.activation)
                           for n in layer.nodes]
             else:
-                nodes.append(_node(width, [(slots[j][0], 1)], 0, IDENTITY))
+                nodes.append(copies[slots[j][0]])
             slots[j] = tuple(range(first, len(nodes)))
         layers.append(FnnLayer(tuple(nodes)))
         width = len(nodes)
@@ -162,8 +188,8 @@ def prev_bit_layer(d: int, positions: Iterable[int]) -> SsmLayer:
     tracked = sorted(set(positions))
     return SsmLayer(
         h0=_zeros(d),
-        gate=TimeInvariantGate(_sparse(d, [(p, p, _QUARTER) for p in tracked])),
-        inc=AffineMap(_sparse(d, (), F1), _zeros(d)),
+        gate=TimeInvariantGate(_sparse(_empty(d), [(p, p, _QUARTER) for p in tracked])),
+        inc=AffineMap(_eye(d), _zeros(d)),
         phi=prev_decode_fnn(d, tracked),
     )
 
@@ -232,7 +258,8 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
     dim = dict(layout.dim_of)
     prop_dim = {p: i for i, p in enumerate(layout.props)}
     const = layout.const_dim
-    no_gate = TimeInvariantGate(_sparse(d, ()))
+    eye, empty = _eye(d), _empty(d)
+    no_gate = TimeInvariantGate(empty)
     zero_off = _zeros(d)
     proj = projection_phi(d)
 
@@ -240,31 +267,31 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
     for sub in layout.subformulas:
         i = dim[sub]
         if isinstance(sub, Atom):
-            inc = _sparse(d, [(i, prop_dim[sub.name], F1)], F1)
+            inc = _sparse(eye, [(i, prop_dim[sub.name], F1)])
             layers.append(SsmLayer(_zeros(d), no_gate, AffineMap(inc, zero_off),
                                    proj))
         elif isinstance(sub, Not):
-            inc = _sparse(d, [(i, const, F1), (i, dim[sub.sub], -F1)], F1)
+            inc = _sparse(eye, [(i, const, F1), (i, dim[sub.sub], -F1)])
             layers.append(SsmLayer(_zeros(d), no_gate, AffineMap(inc, zero_off),
                                    proj))
         elif isinstance(sub, And):
-            inc = _sparse(d, [(i, dim[sub.left], F1), (i, dim[sub.right], F1),
-                              (i, const, -F1)], F1)
+            inc = _sparse(eye, [(i, dim[sub.left], F1), (i, dim[sub.right], F1),
+                                (i, const, -F1)])
             layers.append(SsmLayer(_zeros(d), no_gate, AffineMap(inc, zero_off),
                                    relu_on_dim(d, i)))
         elif isinstance(sub, Or):
             # disjunction as min(1, left + right), the same clamp as until
-            inc = _sparse(d, [(i, dim[sub.left], F1), (i, dim[sub.right], F1)], F1)
+            inc = _sparse(eye, [(i, dim[sub.left], F1), (i, dim[sub.right], F1)])
             layers.append(SsmLayer(_zeros(d), no_gate, AffineMap(inc, zero_off),
                                    min1_on_dim(d, i)))
         elif isinstance(sub, Next):
-            inc = _sparse(d, [(i, dim[sub.sub], F1)], F1)
+            inc = _sparse(eye, [(i, dim[sub.sub], F1)])
             layers.append(SsmLayer(_zeros(d), no_gate, AffineMap(inc, zero_off),
                                    proj))
             layers.append(prev_bit_layer(d, (i,)))
         else:  # Until: requires the input-dependent diagonal gate
-            gate = DiagonalAffineGate(copy_matrix(dim[sub.left], i, d), zero_off)
-            inc = _sparse(d, [(i, dim[sub.right], F1)], F1)
+            gate = DiagonalAffineGate(_sparse(empty, [(i, dim[sub.left], F1)]), zero_off)
+            inc = _sparse(eye, [(i, dim[sub.right], F1)])
             layers.append(SsmLayer(_zeros(d), gate, AffineMap(inc, zero_off),
                                    min1_on_dim(d, i)))
 
@@ -502,14 +529,14 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
             vec[c_dims[i]] = -F1
         emb.append(tuple(vec))
 
-    eye = _sparse(d, (), F1)
+    eye = _eye(d)
     zero_off = _zeros(d)
     proj = projection_phi(d)
 
     # layer 1: accumulate the counters, pass everything else through
     l1 = SsmLayer(
         h0=_zeros(d),
-        gate=TimeInvariantGate(masked_identity(c_dims[0], c_dims[1], d)),
+        gate=TimeInvariantGate(_mask(c_dims[0], c_dims[1], d)),
         inc=AffineMap(eye, zero_off),
         phi=proj,
     )
@@ -518,7 +545,7 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
     # the start state, then decode + transition/counter checks in phi
     h0_2 = [F0] * d
     h0_2[n + state_idx[machine.start]] = F1
-    l2_gate = TimeInvariantGate(_sparse(d, [(k, k, _QUARTER) for k in range(n, 2 * n)]))
+    l2_gate = TimeInvariantGate(_sparse(_empty(d), [(k, k, _QUARTER) for k in range(n, 2 * n)]))
     decode = prev_decode_fnn(d, range(n, 2 * n))
 
     valid_cases = (
@@ -550,9 +577,9 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
     ]
     checks = concat_all([identity_fnn(d), trans] + validators)
 
-    extras = [(e, 1) for e in range(d, d + 5)]
+    extras = tuple((e, F1) for e in range(d, d + 5))
     assemble = Fnn((FnnLayer(tuple(
-        _node(d + 5, [(m, 1)] + (extras if m == chk else []), activation=IDENTITY)
+        FnnNode(Row(((m, F1),) + (extras if m == chk else ()), d + 5), F0, IDENTITY)
         for m in range(d)
     )),))
 
@@ -562,7 +589,7 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
     # layer 3: accumulate the violation dimension
     l3 = SsmLayer(
         h0=_zeros(d),
-        gate=TimeInvariantGate(masked_identity(chk, chk, d)),
+        gate=TimeInvariantGate(_mask(chk, chk, d)),
         inc=AffineMap(eye, zero_off),
         phi=proj,
     )
@@ -633,12 +660,12 @@ def compile_ilp(inst: IlpInstance) -> SsmModel:
     emb = tuple(
         tuple(F1 if j == i else F0 for j in range(d)) + _zeros(d) for i in range(d)
     )
-    inc = _sparse(dd, [(r, c, Fraction(w)) for r, row in enumerate(inst.matrix)
-                       for c, w in enumerate(row) if w]
+    inc = _sparse(_empty(dd), [(r, c, Fraction(w)) for r, row in enumerate(inst.matrix)
+                               for c, w in enumerate(row) if w]
                   + [(d + r, r, F1) for r in range(d)])
     layer = SsmLayer(
         h0=_zeros(dd),
-        gate=TimeInvariantGate(_sparse(dd, (), F1)),
+        gate=TimeInvariantGate(_eye(dd)),
         inc=AffineMap(inc, _zeros(dd)),
         phi=projection_phi(dd),
     )

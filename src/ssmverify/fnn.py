@@ -7,12 +7,16 @@ possibly-negative values through (counter dimensions in compiled models);
 ``x = relu(x) - relu(-x)``, leaving only final-layer identities, which no
 pure-relu network can express.
 
-Evaluation is available over both scalar domains.  Each network keeps one
-sparse program per arithmetic mode (zero weights dropped, constants encoded
-in the mode), which ``eval_program`` interprets with the mode's kernels and
-from which the SSM step compiler in ``ssm.py`` generates code.  Every node,
-a plain copy included, applies its weights: where 1 is not representable, a
-copy multiplies by the saturated unit like any other weight-1 term.
+A node holds its weights as one sparse row (``_row.Row``: the nonzero
+``(input, weight)`` pairs in input order, plus the input width); every
+combinator builds those rows directly, and ``FnnNode.weights`` densifies
+them only on demand.  Evaluation is available over both scalar domains.
+Each network keeps one program per arithmetic mode (the node rows with their
+constants encoded in the mode), which ``eval_program`` interprets with the
+mode's kernels and from which the SSM step compiler in ``ssm.py`` generates
+code.  Every node, a plain copy included, applies its weights: where 1 is
+not representable, a copy multiplies by the saturated unit like any other
+weight-1 term.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from ._row import Row
 from .arithmetic import (
     EXACT,
     ArithMode,
@@ -38,15 +43,26 @@ IDENTITY = "identity"
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FnnNode:
-    weights: tuple[Fraction, ...]
-    bias: Fraction
-    activation: str = RELU
+    """``act(row . x + bias)``; ``weights`` may be given dense or as a row."""
 
-    def __post_init__(self):
-        if self.activation not in (RELU, IDENTITY):
-            raise DimensionError(f"unknown activation {self.activation!r}")
+    row: Row
+    bias: Fraction
+    activation: str
+
+    def __init__(self, weights, bias: Fraction, activation: str = RELU):
+        if activation not in (RELU, IDENTITY):
+            raise DimensionError(f"unknown activation {activation!r}")
+        row = weights if isinstance(weights, Row) else Row.from_dense(weights)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "bias", bias)
+        object.__setattr__(self, "activation", activation)
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        """The dense weight vector."""
+        return self.row.dense()
 
 
 @dataclass(frozen=True)
@@ -56,13 +72,13 @@ class FnnLayer:
     def __post_init__(self):
         if not self.nodes:
             raise DimensionError("a layer needs at least one node")
-        width = len(self.nodes[0].weights)
-        if any(len(n.weights) != width for n in self.nodes):
+        width = self.nodes[0].row.width
+        if any(n.row.width != width for n in self.nodes):
             raise DimensionError("all nodes of a layer must share the input dimension")
 
     @property
     def input_dim(self) -> int:
-        return len(self.nodes[0].weights)
+        return self.nodes[0].row.width
 
     @property
     def output_dim(self) -> int:
@@ -99,8 +115,8 @@ class Fnn:
         return {}
 
     def _program_for(self, mode: ArithMode):
-        """The sparse program in ``mode``: per node ``(relu?, bias, ((src,
-        weight), ...))`` with zero weights dropped and constants encoded."""
+        """The program in ``mode``: per node ``(relu?, bias, ((src,
+        weight), ...))``, the node's row with its constants encoded."""
         prog = self._programs.get(mode)
         if prog is None:
             enc = mode.kernels[0]
@@ -109,7 +125,7 @@ class Fnn:
                     (
                         node.activation == RELU,
                         enc(node.bias),
-                        tuple((i, enc(w)) for i, w in enumerate(node.weights) if w),
+                        tuple((i, enc(w)) for i, w in node.row.terms),
                     )
                     for node in layer.nodes
                 )
@@ -194,9 +210,8 @@ def concat_all(nets: Iterable[Fnn]) -> Fnn:
         width = sum(layer.input_dim for layer in stage)
         nodes, before = [], 0
         for layer in stage:
-            pad_left = (_ZERO,) * before
-            pad_right = (_ZERO,) * (width - before - layer.input_dim)
-            nodes += [FnnNode(pad_left + n.weights + pad_right, n.bias, n.activation)
+            nodes += [FnnNode(Row(tuple((k + before, w) for k, w in n.row.terms), width),
+                              n.bias, n.activation)
                       for n in layer.nodes]
             before += layer.input_dim
         layers.append(FnnLayer(tuple(nodes)))
@@ -211,32 +226,30 @@ def lower_identities(net: Fnn) -> Fnn:
     mapping = [(i, None) for i in range(net.input_dim)]
     for li, layer in enumerate(net.layers):
         last = li == len(net.layers) - 1
+        width = 1 + max(max(pi, -1 if ni is None else ni) for pi, ni in mapping)
         nodes = []
         new_mapping = []
         for node in layer.nodes:
-            expanded = _expand_weights(node.weights, mapping)
+            expanded = Row.of(width, _expand_terms(node.row, mapping))
             if node.activation == IDENTITY and not last:
-                nodes.append(FnnNode(tuple(expanded), node.bias, RELU))
-                neg = tuple(-w for w in expanded)
+                nodes.append(FnnNode(expanded, node.bias, RELU))
+                neg = Row(tuple((k, -w) for k, w in expanded.terms), width)
                 nodes.append(FnnNode(neg, -node.bias, RELU))
                 new_mapping.append((len(nodes) - 2, len(nodes) - 1))
             else:
-                nodes.append(FnnNode(tuple(expanded), node.bias, node.activation))
+                nodes.append(FnnNode(expanded, node.bias, node.activation))
                 new_mapping.append((len(nodes) - 1, None))
         layers.append(FnnLayer(tuple(nodes)))
         mapping = new_mapping
     return Fnn(tuple(layers))
 
 
-def _expand_weights(weights, mapping) -> list[Fraction]:
-    width = max(pi for pi, _ in mapping) + 1
-    width = max(width, max((ni for _, ni in mapping if ni is not None), default=-1) + 1)
-    out = [Fraction(0)] * width
-    for w, (pi, ni) in zip(weights, mapping):
-        out[pi] += w
+def _expand_terms(row: Row, mapping):
+    for k, w in row.terms:
+        pi, ni = mapping[k]
+        yield pi, w
         if ni is not None:
-            out[ni] -= w
-    return out
+            yield ni, -w
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +258,9 @@ def _expand_weights(weights, mapping) -> list[Fraction]:
 def linear_fnn(matrix: Sequence[Sequence], bias: Sequence | None = None,
                activation: str = IDENTITY) -> Fnn:
     """One layer computing ``act(M x + b)`` row by row."""
-    rows = [tuple(Fraction(w) for w in row) for row in matrix]
     if bias is None:
-        bias = [Fraction(0)] * len(rows)
-    nodes = tuple(
-        FnnNode(row, Fraction(b), activation) for row, b in zip(rows, bias)
-    )
+        bias = [_ZERO] * len(matrix)
+    nodes = tuple(FnnNode(row, Fraction(b), activation) for row, b in zip(matrix, bias))
     return Fnn((FnnLayer(nodes),))
 
 
@@ -260,19 +270,17 @@ def identity_fnn(dim: int) -> Fnn:
 
 def select_fnn(indices: Sequence[int], input_dim: int) -> Fnn:
     """Identity routing that picks the given input coordinates, in order."""
-    zeros = (_ZERO,) * input_dim
     nodes = []
     for i in indices:
         if not 0 <= i < input_dim:
             raise DimensionError(f"selected index {i} outside 0..{input_dim - 1}")
-        nodes.append(FnnNode(zeros[:i] + (_ONE,) + zeros[i + 1:], _ZERO, IDENTITY))
+        nodes.append(FnnNode(Row(((i, _ONE),), input_dim), _ZERO, IDENTITY))
     return Fnn((FnnLayer(tuple(nodes)),))
 
 
-def _relu_layer(rows: Sequence[tuple[Sequence, int | Fraction]]) -> FnnLayer:
-    return FnnLayer(
-        tuple(FnnNode(tuple(Fraction(w) for w in ws), Fraction(b), RELU) for ws, b in rows)
-    )
+def _relu_layer(rows: Sequence[tuple[Sequence | Row, int | Fraction]]) -> FnnLayer:
+    """Relu nodes from (weights, bias) pairs, the weights dense or a row."""
+    return FnnLayer(tuple(FnnNode(ws, Fraction(b), RELU) for ws, b in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +343,13 @@ def gadget_lookup(block_sizes: Sequence[int], accepted: Iterable[tuple[int, ...]
             not 0 <= idx < size for idx, size in zip(entry, sizes)
         ):
             raise DimensionError(f"lookup entry {entry} does not match blocks {sizes}")
-    rows = []
-    for entry in entries:
-        weights = [0] * width
-        for idx, off in zip(entry, offsets):
-            weights[off + idx] = 1
-        rows.append((weights, -(len(sizes) - 1)))
+    rows = [
+        (Row(tuple((off + idx, _ONE) for idx, off in zip(entry, offsets)), width),
+         -(len(sizes) - 1))
+        for entry in entries
+    ]
     if not rows:
-        rows.append(([0] * width, 0))
+        rows.append((Row((), width), 0))
     l1 = _relu_layer(rows)
     l2 = _relu_layer([((-1,) * len(rows), 1)])
     return Fnn((l1, l2))

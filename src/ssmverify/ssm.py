@@ -6,6 +6,12 @@ pointwise map ``z_t = phi(h_t, x_t)``; layer outputs feed the next layer and
 the final output network maps the last layer's ``z`` to a scalar.  A word is
 accepted iff that scalar equals exactly 1 in the evaluation domain.
 
+Model data is sparse: every gate row, inc row and FNN node weight vector is
+one ``_row.Row``, the row's nonzero ``(column, weight)`` pairs in column
+order.  The public constructors also take dense rows, and ``.matrix`` and
+``FnnNode.weights`` give the dense view on demand; every reader here walks
+the rows' terms, so no layer stores or scans a zero.
+
 Two evaluation orders are implemented.  The streaming ``step``/``evaluate``
 path compiles each model, once per arithmetic mode, into one generated
 straight-line Python function: the model's constants are folded into the
@@ -38,6 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
+from ._row import Row
 from .arithmetic import (
     EXACT,
     ArithMode,
@@ -48,7 +55,7 @@ from .arithmetic import (
     raw_mul,
 )
 from .errors import DimensionError, EmptyWordError, UnknownSymbolError
-from .fnn import Fnn, eval_program, select_fnn
+from .fnn import RELU, Fnn, eval_program, select_fnn
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -67,62 +74,69 @@ def as_matrix(rows: Sequence[Sequence]) -> Matrix:
     return tuple(as_vector(row) for row in rows)
 
 
-@dataclass(frozen=True)
-class TimeInvariantGate:
+def _rows(matrix, offset, message: str) -> tuple[Row, ...]:
+    """The rows of a square matrix given as rows or dense sequences, which
+    must match ``offset`` (None: no offset) in length."""
+    rows = tuple(r if isinstance(r, Row) else Row.from_dense(r) for r in matrix)
+    d = len(rows)
+    if any(r.width != d for r in rows) or offset is not None and len(offset) != d:
+        raise DimensionError(message)
+    return rows
+
+
+class _SparseMatrix:
+    """A square matrix held as ``rows``, one sparse row each; ``matrix``
+    densifies them on first use."""
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        return tuple(row.dense() for row in self.rows)
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+
+@dataclass(frozen=True, init=False)
+class TimeInvariantGate(_SparseMatrix):
     """gate(x) = A for a constant square matrix A."""
 
-    matrix: Matrix
+    rows: tuple[Row, ...]
 
-    def __post_init__(self):
-        d = len(self.matrix)
-        if any(len(row) != d for row in self.matrix):
-            raise DimensionError("gate matrix must be square")
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
+    def __init__(self, matrix):
+        object.__setattr__(self, "rows", _rows(matrix, None, "gate matrix must be square"))
 
     def is_diagonal(self) -> bool:
-        return all(
-            w == 0 for i, row in enumerate(self.matrix) for j, w in enumerate(row) if i != j
-        )
+        return all(k == i for i, row in enumerate(self.rows) for k, _ in row.terms)
 
 
-@dataclass(frozen=True)
-class DiagonalAffineGate:
+@dataclass(frozen=True, init=False)
+class DiagonalAffineGate(_SparseMatrix):
     """gate(x) = diag(G x + g0): diagonal, but input-dependent."""
 
-    matrix: Matrix
+    rows: tuple[Row, ...]
     offset: Vector
 
-    def __post_init__(self):
-        d = len(self.matrix)
-        if any(len(row) != d for row in self.matrix) or len(self.offset) != d:
-            raise DimensionError("diagonal gate needs a square matrix and a matching offset")
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
+    def __init__(self, matrix, offset: Vector):
+        rows = _rows(matrix, offset, "diagonal gate needs a square matrix and a matching offset")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "offset", offset)
 
 
 GateSpec = Union[TimeInvariantGate, DiagonalAffineGate]
 
 
-@dataclass(frozen=True)
-class AffineMap:
+@dataclass(frozen=True, init=False)
+class AffineMap(_SparseMatrix):
     """inc(x) = B x + c."""
 
-    matrix: Matrix
+    rows: tuple[Row, ...]
     offset: Vector
 
-    def __post_init__(self):
-        d = len(self.matrix)
-        if any(len(row) != d for row in self.matrix) or len(self.offset) != d:
-            raise DimensionError("affine map needs a square matrix and a matching offset")
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
+    def __init__(self, matrix, offset: Vector):
+        rows = _rows(matrix, offset, "affine map needs a square matrix and a matching offset")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "offset", offset)
 
 
 def projection_phi(d: int) -> Fnn:
@@ -228,10 +242,6 @@ class StreamState:
 # Streaming evaluation: each (model, mode) is partially evaluated once into a
 # generated straight-line Python function.
 
-def _nonzero(row):
-    return [(k, w) for k, w in enumerate(row) if w]
-
-
 _INF = float("inf")
 
 
@@ -293,22 +303,25 @@ class _StepCompiler:
     terms, each by ascending column; bias then terms in FNN nodes), with
     fixed-mode truncation and saturation inlined per term, so the function is
     bit-exact with ``evaluate_layerwise``.  Constants fold at generation
-    time, zero terms vanish and a term whose encoded weight is the unit
-    becomes an alias.  One interval analysis covers every domain: each value
-    carries the interval its encoding can take, infinite in exact mode where
-    nothing bounds it (hidden inputs, products of an input-dependent gate).
-    A saturation test is emitted only on a side that can overflow, and a
-    relu clamp only where its argument can be negative.  Values nothing
-    reads are dropped; the hidden state is always returned in full.
+    time (an exact sum, which no order changes, folds all of its constant
+    terms into one), zero terms vanish and a term whose encoded weight is
+    the unit becomes an alias.  One interval analysis covers every domain:
+    each value carries the interval its encoding can take, infinite in exact
+    mode where nothing bounds it (hidden inputs, products of an
+    input-dependent gate).  A saturation test is emitted only on a side that
+    can overflow, and a relu clamp only where its argument can be negative.
+    Values nothing reads are dropped; the hidden state is always returned in
+    full.
 
     Per domain are the encoding of constants and the rounding of products.
     ``enc`` counts a fixed-mode constant in ``quantized`` when it is not
-    exactly representable, so one pass over the sparse constants yields
-    ``len(quantization_report(model, fmt))``, and raises ``_Inexact`` from
-    the build for a constant outside the int encoding.  A product truncates
-    in fixed mode, multiplies by a named constant on ``Fraction``s, and in
-    the int domain first checks that the bits it shifts out are zero,
-    raising ``_Inexact`` from the step otherwise.
+    exactly representable, so one pass over the constants (the rows' nonzero
+    weights among them) yields ``len(quantization_report(model, fmt))``,
+    and raises ``_Inexact`` from the build for a constant outside the int
+    encoding.  A product truncates in fixed mode, multiplies by a named
+    constant on ``Fraction``s, and in the int domain first checks that the
+    bits it shifts out are zero, raising ``_Inexact`` from the step
+    otherwise.
     """
 
     def __init__(self, mode: ArithMode, scaled: bool = False):
@@ -446,7 +459,11 @@ class _StepCompiler:
     def total(self, start, terms: list[_Val], relu: bool = False) -> _Val:
         """``start + t_1 + t_2 + ...`` (then relu), saturating after every
         addition that can leave the range; the result is a constant or a
-        local."""
+        local.  An exact sum, which no order changes, folds every constant
+        term into ``start``."""
+        if self.fmt is None:
+            start = sum((t.const for t in terms if t.const is not None), start)
+            terms = [t for t in terms if t.const is None]
         bottom, top = self.bottom, self.top
         value, expr, name = start, None, None  # expr None: the sum is `value`
         lines: list[str] = []
@@ -491,29 +508,30 @@ class _StepCompiler:
 
     def fnn(self, net: Fnn, inputs: list[_Val]) -> list[_Val]:
         current = inputs
-        for layer in net._program_for(EXACT):
+        for layer in net.layers:
             current = [
-                self.total(self.enc(bias),
-                           [self.mul(self.enc(w), current[i]) for i, w in terms], is_relu)
-                for is_relu, bias, terms in layer
+                self.total(self.enc(node.bias),
+                           [self.mul(self.enc(w), current[i]) for i, w in node.row.terms],
+                           node.activation == RELU)
+                for node in layer.nodes
             ]
         return current
 
     def recurrence(self, layer: SsmLayer, j: int, h: list[_Val], x: list[_Val]) -> _Val:
         gate, inc = layer.gate, layer.inc
         if isinstance(gate, TimeInvariantGate):
-            terms = [self.mul(self.enc(w), h[k]) for k, w in _nonzero(gate.matrix[j])]
+            terms = [self.mul(self.enc(w), h[k]) for k, w in gate.rows[j].terms]
         else:
             g = self.total(self.enc(gate.offset[j]),
-                           [self.mul(self.enc(w), x[k]) for k, w in _nonzero(gate.matrix[j])])
+                           [self.mul(self.enc(w), x[k]) for k, w in gate.rows[j].terms])
             terms = [self.mul_var(g, h[j])]
         terms.append(self.const(self.enc(inc.offset[j])))
-        terms += [self.mul(self.enc(w), x[k]) for k, w in _nonzero(inc.matrix[j])]
+        terms += [self.mul(self.enc(w), x[k]) for k, w in inc.rows[j].terms]
         return self.total(self.zero, terms)
 
-    def build(self, model: SsmModel, inputs: list[tuple]):
-        """Compile the step function; ``inputs`` are the encoded embeddings,
-        the only vectors it is ever called with."""
+    def source(self, model: SsmModel, inputs: list[tuple]) -> str:
+        """The source of the step function; ``inputs`` are the encoded
+        embeddings, the only vectors it is ever called with."""
         x = []
         for k in range(model.dim):
             column = [vec[k] for vec in inputs]
@@ -529,12 +547,17 @@ class _StepCompiler:
             hidden.append(new)
             x = self.fnn(layer.phi, new + x)
         (y,) = self.fnn(model.out, x)
-        code = compile(self._source(model, hidden, y), f"<ssm step {self.fmt or 'exact'}>", "exec")
+        return self._assemble(model, hidden, y)
+
+    def build(self, model: SsmModel, inputs: list[tuple]):
+        """Compile the step function; ``inputs`` are the encoded embeddings,
+        the only vectors it is ever called with."""
+        code = compile(self.source(model, inputs), f"<ssm step {self.fmt or 'exact'}>", "exec")
         namespace = dict(self.namespace)
         exec(code, namespace)
         return namespace["step"]
 
-    def _source(self, model: SsmModel, hidden: list[list[_Val]], y: _Val) -> str:
+    def _assemble(self, model: SsmModel, hidden: list[list[_Val]], y: _Val) -> str:
         state = "".join(f"({', '.join(v.code for v in new)},), " for new in hidden)
         live = set(y.reads).union(*(v.reads for new in hidden for v in new))
         body = []
@@ -691,19 +714,16 @@ def _recurrence(gate: GateSpec, inc: AffineMap, h: tuple, x: Sequence, mode: Ari
     for j in range(len(h)):
         if isinstance(gate, TimeInvariantGate):
             acc = zero
-            for k, w in enumerate(gate.matrix[j]):
-                if w:
-                    acc = add(acc, mul(enc(w), h[k]))
+            for k, w in gate.rows[j].terms:
+                acc = add(acc, mul(enc(w), h[k]))
         else:
             g = enc(gate.offset[j])
-            for k, w in enumerate(gate.matrix[j]):
-                if w:
-                    g = add(g, mul(enc(w), x[k]))
+            for k, w in gate.rows[j].terms:
+                g = add(g, mul(enc(w), x[k]))
             acc = mul(g, h[j])
         acc = add(acc, enc(inc.offset[j]))
-        for k, w in enumerate(inc.matrix[j]):
-            if w:
-                acc = add(acc, mul(enc(w), x[k]))
+        for k, w in inc.rows[j].terms:
+            acc = add(acc, mul(enc(w), x[k]))
         out.append(acc)
     return tuple(out)
 
@@ -777,11 +797,13 @@ def quantization_report(model: SsmModel, fmt: FixedPointFormat) -> list[tuple[st
         if Fraction(raw_encode(value, fmt), fmt.scale) != value:
             issues.append((path, value))
 
+    # a zero weight is representable in every format, so the rows' nonzero
+    # terms are all the weights there are to check
     def check_fnn(path: str, net: Fnn):
         for li, layer in enumerate(net.layers):
             for ni, node in enumerate(layer.nodes):
                 check(f"{path}.layer{li}.node{ni}.bias", node.bias)
-                for wi, w in enumerate(node.weights):
+                for wi, w in node.row.terms:
                     check(f"{path}.layer{li}.node{ni}.w{wi}", w)
 
     for s, vec in zip(model.alphabet, model.emb):
@@ -790,10 +812,9 @@ def quantization_report(model: SsmModel, fmt: FixedPointFormat) -> list[tuple[st
     for li, layer in enumerate(model.layers):
         for i, v in enumerate(layer.h0):
             check(f"layer{li}.h0[{i}]", v)
-        mats = [("gate", layer.gate.matrix), ("inc", layer.inc.matrix)]
-        for name, mat in mats:
-            for i, row in enumerate(mat):
-                for j, w in enumerate(row):
+        for name, mat in (("gate", layer.gate), ("inc", layer.inc)):
+            for i, row in enumerate(mat.rows):
+                for j, w in row.terms:
                     check(f"layer{li}.{name}[{i}][{j}]", w)
         if isinstance(layer.gate, DiagonalAffineGate):
             for i, v in enumerate(layer.gate.offset):

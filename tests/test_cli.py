@@ -425,6 +425,32 @@ def test_load_parses_each_distinct_literal_once_per_load(tmp_path, monkeypatch):
         assert sorted(calls) == sorted(distinct)
 
 
+def test_zero_literals_in_any_spelling_load_as_the_canonical_model(tmp_path):
+    """Rows are read sparse: every literal that parses to zero is dropped,
+    whatever its text, so the model and its saved bytes are canonical."""
+    model = compile_ltl(parse("(p U q) & X !p"))
+    canonical, spelled = tmp_path / "canonical.ssm", tmp_path / "spelled.ssm"
+    save_model(model, str(canonical))
+    data = model_to_json(model)
+    spellings = iter(["0/7", "-0", "00"] * 100_000)
+
+    def respell(rows):
+        for row in rows:
+            row[:] = [next(spellings) if text == "0" else text for text in row]
+
+    for layer in data["layers"]:
+        respell(layer["gate"]["matrix"])
+        respell(layer["inc"]["matrix"])
+    for net in [layer["phi"] for layer in data["layers"]] + [data["output"]]:
+        respell(node["weights"] for nodes in net["layers"] for node in nodes)
+    spelled.write_text(json.dumps(data))
+    assert all(f'"{text}"' in spelled.read_text() for text in ("0/7", "-0", "00"))
+    loaded = load_model(str(spelled))
+    assert loaded == model and hash(loaded) == hash(model)
+    save_model(loaded, str(spelled))
+    assert spelled.read_bytes() == canonical.read_bytes()
+
+
 def test_bad_literal_in_the_last_output_bias_is_rejected(tmp_path):
     from ssmverify.errors import InputFormatError
 
@@ -466,6 +492,14 @@ def _malformed(tmp_path, name):
     elif name.startswith("json_literal_"):
         value = {"json_literal_true": True, "json_literal_int": 1, "json_literal_float": 0.5}
         data["layers"][0]["inc"]["offset"][0] = value[name]
+    elif name == "ragged_gate_row":
+        data["layers"][0]["gate"]["matrix"][1].pop()
+    elif name == "ragged_inc_row":
+        data["layers"][0]["inc"]["matrix"][-1].append("0")
+    elif name == "ragged_node_weights":
+        data["layers"][0]["phi"]["layers"][0][1]["weights"].pop()
+    elif name == "short_embedding_row":
+        data["embedding"][0].pop()
     path.write_text(json.dumps(data))
     return path
 
@@ -474,6 +508,7 @@ def _malformed(tmp_path, name):
     "h0_null", "no_layers", "list_literal", "null_literal", "top_level_array",
     "not_utf8", "directory", "string_vector", "layers_dict", "layers_string",
     "json_literal_true", "json_literal_int", "json_literal_float",
+    "ragged_gate_row", "ragged_inc_row", "ragged_node_weights", "short_embedding_row",
 ])
 def test_malformed_model_file_is_a_usage_error(tmp_path, capsys, name):
     path = str(_malformed(tmp_path, name))

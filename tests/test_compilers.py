@@ -1,6 +1,7 @@
 """The three reductions checked against their brute-force oracles."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -202,6 +203,21 @@ def test_compile_ltl_differential_small(text):
 def test_compile_ltl_gate_classes():
     assert classify_gates(compile_ltl(parse("p U q"))) == GateClasses(False, True)
     assert classify_gates(compile_ltl(parse("X p & !q"))) == GateClasses(True, True)
+
+
+def test_nested_next_compiles_in_little_memory():
+    """Each X adds a previous-bit decoder over all d coordinates, so a dense
+    compile of 127 nested X peaked at 232 MiB of Python allocations; sparse
+    rows and shared pass-through nodes keep it far below a quarter of that."""
+    phi = parse("X " * 127 + "p")
+    tracemalloc.start()
+    try:
+        model = compile_ltl(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.num_layers == 2 * 127 + 1
+    assert peak < 57 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_subformula_dims_zero_on_layer_entry():

@@ -1,18 +1,22 @@
 """SSM evaluator: streaming vs batch order, closure, classification."""
 
+import os
 import random
+import re
+import tempfile
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import geometric_model, random_formula, random_machine
-from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat
-from ssmverify.compilers import compile_ltl, compile_minsky
+from helpers import geometric_model, random_formula, random_ilp, random_machine
+from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat, raw_encode
+from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky
 from ssmverify.errors import DimensionError, EmptyWordError, UnknownSymbolError
 from ssmverify.fnn import IDENTITY, RELU, Fnn, FnnLayer, FnnNode, gadget_eq, compose, select_fnn
 from ssmverify.ltl import parse
+from ssmverify.modelfile import save_model
 from ssmverify.ssm import (
     AffineMap,
     DiagonalAffineGate,
@@ -20,6 +24,7 @@ from ssmverify.ssm import (
     SsmLayer,
     SsmModel,
     TimeInvariantGate,
+    _StepCompiler,
     accepts,
     as_matrix,
     as_vector,
@@ -261,6 +266,98 @@ def test_alphabet_permutation_invariance(model, data):
     n = data.draw(st.integers(1, 4))
     word = [data.draw(st.sampled_from(model.alphabet)) for _ in range(n)]
     assert evaluate(model, word, EXACT) == evaluate(permuted, word, EXACT)
+
+
+def _through_dense_views(model: SsmModel) -> SsmModel:
+    """The model built again from its public dense views."""
+    def fnn(net):
+        return Fnn(tuple(FnnLayer(tuple(FnnNode(n.weights, n.bias, n.activation)
+                                        for n in layer.nodes)) for layer in net.layers))
+
+    layers = []
+    for layer in model.layers:
+        if isinstance(layer.gate, TimeInvariantGate):
+            gate = TimeInvariantGate(layer.gate.matrix)
+        else:
+            gate = DiagonalAffineGate(layer.gate.matrix, layer.gate.offset)
+        inc = AffineMap(layer.inc.matrix, layer.inc.offset)
+        layers.append(SsmLayer(layer.h0, gate, inc, fnn(layer.phi)))
+    return SsmModel(model.alphabet, model.emb, tuple(layers), fnn(model.out), model.metadata)
+
+
+def _dense_quantization_report(model: SsmModel, fmt: FixedPointFormat):
+    """Every dense entry checked in order, zeros included."""
+    issues = []
+
+    def check(path, values):
+        for i, value in enumerate(values):
+            if Fraction(raw_encode(value, fmt), fmt.scale) != value:
+                issues.append((path(i), value))
+
+    def check_fnn(prefix, net):
+        for li, layer in enumerate(net.layers):
+            for ni, node in enumerate(layer.nodes):
+                at = f"{prefix}.layer{li}.node{ni}"
+                check(lambda _: f"{at}.bias", [node.bias])
+                check(lambda i: f"{at}.w{i}", node.weights)
+
+    for s, vec in zip(model.alphabet, model.emb):
+        check(lambda i: f"emb[{s}][{i}]", vec)
+    for li, layer in enumerate(model.layers):
+        check(lambda i: f"layer{li}.h0[{i}]", layer.h0)
+        for name, mat in (("gate", layer.gate.matrix), ("inc", layer.inc.matrix)):
+            for r, row in enumerate(mat):
+                check(lambda c: f"layer{li}.{name}[{r}][{c}]", row)
+        if isinstance(layer.gate, DiagonalAffineGate):
+            check(lambda i: f"layer{li}.gate.offset[{i}]", layer.gate.offset)
+        check(lambda i: f"layer{li}.inc.offset[{i}]", layer.inc.offset)
+        check_fnn(f"layer{li}.phi", layer.phi)
+    check_fnn("out", model.out)
+    return issues
+
+
+@given(small_models(denominators=(1, 2, 3, 4, 16)))
+@settings(max_examples=80, deadline=None)
+def test_dense_views_rebuild_the_same_model(model):
+    """``.matrix`` and ``.weights`` are dense views of the sparse rows: a
+    model built again from them is equal, hashes equal and saves the same
+    bytes, and the quantisation report over the rows' nonzero entries is
+    the report of a scan over every dense entry."""
+    dim = model.dim
+    for layer in model.layers:
+        for mat in (layer.gate.matrix, layer.inc.matrix):
+            assert len(mat) == dim and all(len(row) == dim for row in mat)
+            assert all(type(w) is Fraction for row in mat for w in row)
+    rebuilt = _through_dense_views(model)
+    assert rebuilt == model and hash(rebuilt) == hash(model)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("model.ssm", "rebuilt.ssm")]
+        save_model(model, paths[0])
+        save_model(rebuilt, paths[1])
+        first, second = (open(path, "rb").read() for path in paths)
+    assert first == second
+    for fmt in (FX6, FixedPointFormat(3, 2), FixedPointFormat(6, 3, signed=False)):
+        report = quantization_report(model, fmt)
+        assert report == quantization_report(rebuilt, fmt) == _dense_quantization_report(model, fmt)
+
+
+def test_exact_sums_fold_every_constant():
+    """Exact sums do not depend on the order of their terms, so the int step
+    folds all constant terms of a sum into one literal."""
+    rng = random.Random(5)
+    models = [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(20)]
+    models += [compile_ilp(random_ilp(rng)) for _ in range(20)]
+    sums = 0
+    for model in models:
+        comp = _StepCompiler(EXACT, scaled=True)
+        source = comp.source(model, [tuple(map(comp.enc, vec)) for vec in model.emb])
+        for line in source.splitlines():
+            _, assigned, expr = line.partition(" = ")
+            terms = expr.split(" + ")
+            if assigned and len(terms) > 1:
+                sums += 1
+                assert sum(bool(re.fullmatch(r"-?\d+", t)) for t in terms) <= 1, line
+    assert sums > 1000
 
 
 def test_state_count_bound_formula():
