@@ -2,9 +2,11 @@
 
 ``sat_bounded`` and ``sat_fixed`` run one breadth-first search over the
 stream states a model reaches, storing each state once with a predecessor
-link.  Levels keep discovery order and each state is expanded in alphabet
-order, so the first accepting transition found spells the lexicographically
-least among the shortest accepted words, rebuilt through the links.
+link.  A state is stored as its key: the hidden coordinates that the
+generated step reads, which alone decide every later output.  Levels keep
+discovery order and each state is expanded in alphabet order, so the first
+accepting transition found spells the lexicographically least among the
+shortest accepted words, rebuilt through the links.
 ``sat_bounded`` caps the word length and reports a miss as
 'unsatisfiable-within-bound'; ``sat_fixed`` runs under a fixed-point format,
 whose state space is finite, so an exhausted frontier is a proof of
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .arithmetic import ArithMode, FixedPointFormat
@@ -44,7 +46,11 @@ class SearchStats:
     included) and ``max_frontier`` the largest breadth-first level.
     ``stepper_build_s`` is the build time of the compiled step that ran the
     search, whenever it was built, and ``exact_domain`` says whether exact
-    values ran as ``"int"`` or ``"fraction"`` (``None`` in fixed mode)."""
+    values ran as ``"int"`` or ``"fraction"`` (``None`` in fixed mode).
+    States are stored as keys of the hidden coordinates the step reads;
+    ``key_coordinates`` is the length of a key.  ``frontier_sizes`` gives
+    the size of each breadth-first level reached, the initial state's level
+    first."""
 
     states_explored: int = 0
     max_frontier: int = 0
@@ -54,6 +60,8 @@ class SearchStats:
     transitions: int = 0
     stepper_build_s: float = 0.0
     exact_domain: Optional[str] = None
+    key_coordinates: int = 0
+    frontier_sizes: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -149,15 +157,17 @@ def _search(model: SsmModel, mode: ArithMode, length_cap: Optional[int],
     limits = limits or ResourceLimits.from_env()
     start = time.monotonic()
     return _with_stepper(
-        model, mode, lambda stepper: _bfs(stepper, model.alphabet, length_cap, limits, start))
+        model, mode, lambda stepper: _bfs(stepper, length_cap, limits, start))
 
 
-def _bfs(stepper, alphabet, length_cap: Optional[int], limits: ResourceLimits, start: float):
+def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, start: float):
     one = stepper.one
     stats = SearchStats(quantized_constants=stepper.quantized_constants,
-                        stepper_build_s=stepper.build_s, exact_domain=stepper.domain)
-    init = stepper.initial_hidden()
+                        stepper_build_s=stepper.build_s, exact_domain=stepper.domain,
+                        key_coordinates=len(stepper.key))
+    init = stepper.init
     parents: dict = {init: None}
+    step, letters = stepper.search_step, list(stepper.emb.items())  # in alphabet order
 
     def finish(witness, exhausted):
         stats.distinct_states = len(parents)
@@ -168,26 +178,27 @@ def _bfs(stepper, alphabet, length_cap: Optional[int], limits: ResourceLimits, s
     level = [init]
     depth = 0
     while level:
+        stats.frontier_sizes.append(len(level))
         if length_cap is not None and depth >= length_cap:
             return finish(None, False)
         depth += 1
         next_level = []
-        for hidden in level:
-            for symbol in alphabet:
-                new_hidden, y = stepper.step(hidden, symbol)
+        for key in level:
+            for symbol, x in letters:
+                new_key, y = step(key, x)
                 stats.states_explored += 1
                 if stats.states_explored % 4096 == 0:
                     stats.distinct_states = len(parents)
                     _check_limits(stats, limits, start)
                 if y == one:
                     word = [symbol]
-                    while parents[hidden] is not None:
-                        hidden, sym = parents[hidden]
+                    while parents[key] is not None:
+                        key, sym = parents[key]
                         word.append(sym)
                     return finish(tuple(reversed(word)), False)
-                if new_hidden not in parents:
-                    parents[new_hidden] = (hidden, symbol)
-                    next_level.append(new_hidden)
+                if new_key not in parents:
+                    parents[new_key] = (key, symbol)
+                    next_level.append(new_key)
         stats.distinct_states = len(parents)
         _check_limits(stats, limits, start)
         stats.max_frontier = max(stats.max_frontier, len(next_level))
@@ -244,7 +255,7 @@ def pump_down(model: SsmModel, word: Sequence[str], fmt: FixedPointFormat) -> li
     stepper = _stepper(model, ArithMode(fmt))
     kept, departs, outputs = [], [], []
     position: dict = {}  # kept departure state -> its position
-    hidden = stepper.initial_hidden()
+    hidden = stepper.h0
     for symbol in word:
         i = position.get(hidden)
         if i is not None:
@@ -254,7 +265,7 @@ def pump_down(model: SsmModel, word: Sequence[str], fmt: FixedPointFormat) -> li
         position[hidden] = len(kept)
         kept.append(symbol)
         departs.append(hidden)
-        hidden, y = stepper.step(hidden, symbol)
+        hidden, y = stepper.step_full(stepper.key_of(hidden), symbol)
         outputs.append(y)
     if not outputs or outputs[-1] != stepper.one:
         raise PreconditionError("pump_down requires an accepted word")

@@ -34,6 +34,16 @@ public functions convert at the boundary, so ``StreamState`` and the
 scalars they return hold ``Fraction``s either way.  One interval analysis
 serves all three domains of the generated step, so exact mode, like fixed
 mode, emits a relu clamp only where its argument can be negative.
+
+The generated step reads only some hidden coordinates: those that a gate
+row of a live value reads.  Every other coordinate is recomputed from the
+current input alone, so it cannot affect the future (cone-of-influence
+reduction; Clarke, Grumberg and Peled, *Model Checking*, 1999).  The search
+step therefore takes and returns a flat *key* of the read coordinates, and
+the solvers, ``evaluate`` and ``accepts`` run on keys.  The public ``step``
+keeps ``StreamState``'s full per-layer layout through a second step,
+assembled on first use from the same generated code, that maps a key to
+every layer's new hidden vector.
 """
 
 from __future__ import annotations
@@ -294,8 +304,8 @@ class _Val:
 
 
 class _StepCompiler:
-    """Emits the source of ``step(hidden, x) -> (new hidden, y)`` for one
-    model and mode, in SSA form: every computed value gets a fresh local.
+    """Emits the source of ``step(key, x) -> (new key, y)`` for one model
+    and mode, in SSA form: every computed value gets a fresh local.
     The domain is fixed-point raw mantissas, exact ints over the scale
     ``2**SCALE_BITS`` (``scaled``) or exact ``Fraction``s.
 
@@ -310,8 +320,14 @@ class _StepCompiler:
     mode where nothing bounds it (hidden inputs, products of an
     input-dependent gate).  A saturation test is emitted only on a side that
     can overflow, and a relu clamp only where its argument can be negative.
-    Values nothing reads are dropped; the hidden state is always returned in
-    full.
+
+    The hidden coordinates that a value on the way to the new state or
+    ``y`` reads are the ``key``, in (layer, index) order; a key is the flat
+    tuple of their values.  Both shapes of the step take a key.  ``source``
+    assembles the search step, which returns the new key and ``y``;
+    ``build_full`` assembles, from the same blocks, the step that returns
+    every layer's new hidden vector and ``y``.  Each shape keeps only the
+    blocks its outputs need.
 
     Per domain are the encoding of constants and the rounding of products.
     ``enc`` counts a fixed-mode constant in ``quantized`` when it is not
@@ -530,8 +546,9 @@ class _StepCompiler:
         return self.total(self.zero, terms)
 
     def source(self, model: SsmModel, inputs: list[tuple]) -> str:
-        """The source of the step function; ``inputs`` are the encoded
-        embeddings, the only vectors it is ever called with."""
+        """The source of the search step; ``inputs`` are the encoded
+        embeddings, the only vectors it is ever called with.  Generates the
+        whole model, so every constant is encoded, and sets ``key``."""
         x = []
         for k in range(model.dim):
             column = [vec[k] for vec in inputs]
@@ -547,46 +564,72 @@ class _StepCompiler:
             hidden.append(new)
             x = self.fnn(layer.phi, new + x)
         (y,) = self.fnn(model.out, x)
-        return self._assemble(model, hidden, y)
+        self._hidden, self._y, self._dim = hidden, y, model.dim
+        live, _ = self._live([v for new in hidden for v in new])
+        self.key = tuple((li, j) for li, new in enumerate(hidden) for j in range(len(new))
+                         if f"h{li}_{j}" in live)
+        return self._assemble([hidden[li][j] for li, j in self.key], False)
 
     def build(self, model: SsmModel, inputs: list[tuple]):
-        """Compile the step function; ``inputs`` are the encoded embeddings,
+        """Compile the search step; ``inputs`` are the encoded embeddings,
         the only vectors it is ever called with."""
-        code = compile(self.source(model, inputs), f"<ssm step {self.fmt or 'exact'}>", "exec")
+        return self._compile(self.source(model, inputs))
+
+    def build_full(self):
+        """Compile the full-layout step, assembled from the blocks that
+        ``build`` generated."""
+        return self._compile(self._assemble([v for new in self._hidden for v in new], True))
+
+    def _compile(self, source: str):
+        code = compile(source, f"<ssm step {self.fmt or 'exact'}>", "exec")
         namespace = dict(self.namespace)
         exec(code, namespace)
         return namespace["step"]
 
-    def _assemble(self, model: SsmModel, hidden: list[list[_Val]], y: _Val) -> str:
-        state = "".join(f"({', '.join(v.code for v in new)},), " for new in hidden)
-        live = set(y.reads).union(*(v.reads for new in hidden for v in new))
+    def _live(self, outputs: list[_Val]) -> tuple[set, list]:
+        """The names that ``outputs`` and ``y`` need, and the blocks that
+        compute them in emission order."""
+        live = set(self._y.reads).union(*(v.reads for v in outputs))
         body = []
         for name, lines, reads in reversed(self._blocks):
             if name in live:
                 live.update(reads)
                 body.append(lines)
-        head = ["def step(hidden, x):"]
-        if hidden:
-            targets = "".join(
-                "(" + "".join(f"{n}, " if n in live else "_, " for n in
-                              (f"h{li}_{j}" for j in range(layer.dim))) + "), "
-                for li, layer in enumerate(model.layers)
-            )
-            head.append(f"    {targets}= hidden")
-        if model.dim:
+        body.reverse()
+        return live, body
+
+    def _assemble(self, outputs: list[_Val], full: bool) -> str:
+        """``def step(key, x)`` returning ``outputs`` and ``y``: the new key
+        as a flat tuple, or with ``full`` every layer's new hidden vector."""
+        live, body = self._live(outputs)
+        head = ["def step(key, x):"]
+        if self.key:
             head.append("    " + "".join(
-                f"x{k}, " if f"x{k}" in live else "_, " for k in range(model.dim)) + "= x")
-        lines = head + [f"    {line}" for block in reversed(body) for line in block]
-        lines.append(f"    return ({state}), {y.code}")
+                f"h{li}_{j}, " if f"h{li}_{j}" in live else "_, " for li, j in self.key) + "= key")
+        if self._dim:
+            head.append("    " + "".join(
+                f"x{k}, " if f"x{k}" in live else "_, " for k in range(self._dim)) + "= x")
+        if full:
+            state = "".join(f"({', '.join(v.code for v in new)},), " for new in self._hidden)
+        else:
+            state = "".join(f"{v.code}, " for v in outputs)
+        lines = head + [f"    {line}" for block in body for line in block]
+        lines.append(f"    return ({state}), {self._y.code}")
         return "\n".join(lines) + "\n"
 
 
 class _Stepper:
     """Model compiled for one arithmetic mode: the encoded embeddings and
-    initial state, the generated step function, the number of model
+    initial state, the generated search step on keys, the number of model
     constants the mode quantises, the domain exact values run in (``"int"``
     or ``"fraction"``; ``None`` in fixed mode) and the seconds the build
-    took."""
+    took.
+
+    A key is the flat tuple of the hidden coordinates the step reads,
+    ``key`` lists them as (layer, index) pairs and ``init`` is the initial
+    state's key.  ``step`` maps a key to the next key, ``step_full`` to the
+    next state in the full per-layer layout; the full-layout step is
+    assembled from the same generated blocks on its first call."""
 
     def __init__(self, model: SsmModel, mode: ArithMode, scaled: bool = False):
         started = time.perf_counter()
@@ -597,19 +640,32 @@ class _Stepper:
             s: tuple(comp.enc(v) for v in vec) for s, vec in zip(model.alphabet, model.emb)
         }
         self.h0 = tuple(tuple(comp.enc(v) for v in layer.h0) for layer in model.layers)
-        self._step = comp.build(model, list(self.emb.values()))
+        self.search_step = comp.build(model, list(self.emb.values()))
+        self.key = comp.key
+        self.init = self.key_of(self.h0)
         self.quantized_constants = comp.quantized
         self.domain = ("int" if scaled else "fraction") if mode.is_exact else None
+        self._comp, self._full = comp, None
         self.build_s = time.perf_counter() - started
 
-    def initial_hidden(self) -> tuple[tuple, ...]:
-        return self.h0
-
-    def step(self, hidden, symbol):
+    def _embedding(self, symbol):
         x = self.emb.get(symbol)
         if x is None:
             raise UnknownSymbolError(f"symbol {symbol!r} not in model alphabet")
-        return self._step(hidden, x)
+        return x
+
+    def step(self, key, symbol):
+        return self.search_step(key, self._embedding(symbol))
+
+    def step_full(self, key, symbol):
+        if self._full is None:
+            self._full = self._comp.build_full()
+            self._comp = None
+        return self._full(key, self._embedding(symbol))
+
+    def key_of(self, hidden) -> tuple:
+        """The key of a per-layer state in the step's encoding."""
+        return tuple(hidden[li][j] for li, j in self.key)
 
     def scalar(self, y) -> Scalar:
         """An output of the step as the public scalar of the mode."""
@@ -620,12 +676,13 @@ class _Stepper:
             return hidden
         return tuple(tuple(Fraction(v, _SCALE) for v in h) for h in hidden)
 
-    def own_hidden(self, hidden) -> tuple[tuple, ...]:
-        """A public hidden state in the step's encoding; raises ``_Inexact``
-        when the integer encoding cannot hold it."""
+    def own_key(self, hidden) -> tuple:
+        """The key of a public per-layer state, in the step's encoding;
+        raises ``_Inexact`` when the integer encoding cannot hold a read
+        coordinate."""
         if self.domain != "int":
-            return hidden
-        return tuple(tuple(map(_scaled, h)) for h in hidden)
+            return self.key_of(hidden)
+        return tuple(_scaled(hidden[li][j]) for li, j in self.key)
 
 
 def _stepper(model: SsmModel, mode: ArithMode) -> _Stepper:
@@ -668,7 +725,7 @@ def _scalar(y, mode: ArithMode) -> Scalar:
 
 def initial_state(model: SsmModel, mode: ArithMode) -> StreamState:
     stepper = _stepper(model, mode)
-    return StreamState(stepper.public_hidden(stepper.initial_hidden()), mode)
+    return StreamState(stepper.public_hidden(stepper.h0), mode)
 
 
 def step(model: SsmModel, state: StreamState, symbol: str) -> tuple[StreamState, Scalar]:
@@ -676,16 +733,16 @@ def step(model: SsmModel, state: StreamState, symbol: str) -> tuple[StreamState,
     output scalar (the value `accepts` compares against 1)."""
 
     def call(stepper):
-        hidden, y = stepper.step(stepper.own_hidden(state.hidden), symbol)
+        hidden, y = stepper.step_full(stepper.own_key(state.hidden), symbol)
         return StreamState(stepper.public_hidden(hidden), state.mode), stepper.scalar(y)
 
     return _with_stepper(model, state.mode, call)
 
 
 def _last_output(stepper: _Stepper, word: Sequence[str]):
-    hidden = stepper.initial_hidden()
+    key = stepper.init
     for symbol in word:
-        hidden, y = stepper.step(hidden, symbol)
+        key, y = stepper.step(key, symbol)
     return y
 
 

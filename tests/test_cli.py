@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -178,7 +179,7 @@ def test_classify_recommends_one_format_per_source(tmp_path, kind, source, expec
 
 def test_resource_limit_exit_code(tmp_path, monkeypatch):
     model_path = str(tmp_path / "m.ssm")
-    run(["compile", "ltl", "p & !p", "-o", model_path])
+    run(["compile", "ltl", "G p & F !p", "-o", model_path])
     monkeypatch.setenv("SSMVERIFY_MAX_STATES", "2")
     status, report = run(["sat", "fixed", model_path, "--arith", "fx:6:3"])
     assert status == 3
@@ -304,7 +305,7 @@ def test_model_save_load_identity(tmp_path):
     # canonical form: saving the loaded model reproduces the file
     path2 = str(tmp_path / "m2.ssm")
     save_model(loaded, path2)
-    assert open(path).read() == open(path2).read()
+    assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
 def test_round_trip_identity_across_compilers(tmp_path):
@@ -409,7 +410,7 @@ def test_load_parses_each_distinct_literal_once_per_load(tmp_path, monkeypatch):
     model = compile_ltl(parse("(p U q) & G (p -> X q) & F r"))
     path = str(tmp_path / "m.ssm")
     save_model(model, path)
-    distinct = _literals(json.loads(open(path).read()))
+    distinct = _literals(json.loads(Path(path).read_bytes()))
     assert {"0", "1"} <= distinct
     calls = []
 

@@ -55,7 +55,8 @@ def test_model_file_checksums(tmp_path):
     for name, model in cases.items():
         path = str(tmp_path / f"{name}.ssm")
         save_model(model, path)
-        content = open(path).read()
+        with open(path) as fh:
+            content = fh.read()
         assert sha(content) == expected[name], name
         assert load_model(path) == model
 

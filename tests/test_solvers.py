@@ -5,9 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     geometric_model,
+    hand_formulas,
+    is_one,
     random_formula,
     random_ilp,
     random_machine,
@@ -40,7 +44,9 @@ from ssmverify.ssm import (
     initial_state,
     projection_phi,
     quantization_report,
+    step,
 )
+from test_ssm import small_models
 
 FX6_MODE = ArithMode(FX6)
 
@@ -277,11 +283,112 @@ def test_sat_bounded_falls_back_to_fractions(gate):
 
 def test_resource_limit_is_distinct():
     # unsatisfiable, so the search would otherwise run to exhaustion
-    model = compile_ltl(parse("p & !p"))
+    model = compile_ltl(parse("G p & F !p"))
     with pytest.raises(ResourceLimitError) as err:
         sat_fixed(model, FX6, limits=ResourceLimits(max_states=3))
     assert err.value.stats is not None
     assert err.value.stats.states_explored >= 3
+
+
+# ---------------------------------------------------------------------------
+# The search keys its states on the hidden coordinates the step reads
+
+
+def reference_search(model, mode, cap):
+    """Breadth-first search over full ``StreamState``s through the public
+    ``step``, levels in discovery order and symbols in alphabet order:
+    (witness, exhausted), as ``_search`` returns them."""
+    start = initial_state(model, mode)
+    parents = {start: None}
+    level, depth = [start], 0
+    while level:
+        if cap is not None and depth >= cap:
+            return None, False
+        depth += 1
+        next_level = []
+        for state in level:
+            for symbol in model.alphabet:
+                successor, y = step(model, state, symbol)
+                if is_one(y, mode):
+                    word = [symbol]
+                    while parents[state] is not None:
+                        state, previous = parents[state]
+                        word.append(previous)
+                    return tuple(reversed(word)), False
+                if successor not in parents:
+                    parents[successor] = (state, symbol)
+                    next_level.append(successor)
+        level = next_level
+    return None, True
+
+
+def check_against_reference(model, fmt, cap, exact_cap):
+    """``sat_fixed`` uncapped and capped and ``sat_bounded`` in both modes
+    give the reference search's verdict and witness."""
+    fixed = ArithMode(fmt)
+    witness, _ = reference_search(model, fixed, None)
+    result = sat_fixed(model, fmt)
+    assert result.verdict == (SATISFIABLE if witness else UNSATISFIABLE)
+    assert result.witness == witness
+    unsatisfiable = witness is None
+    for mode, bound in ((fixed, cap), (EXACT, exact_cap)):
+        witness, _ = reference_search(model, mode, bound)
+        result = sat_bounded(model, bound, mode)
+        assert result.verdict == (SATISFIABLE if witness else UNSAT_WITHIN_BOUND)
+        assert result.witness == witness
+    # fewer keys than states can run out before the cap, never after it
+    witness, exhausted = reference_search(model, fixed, cap)
+    result = sat_fixed(model, fmt, length_cap=cap)
+    assert result.witness == witness
+    if witness:
+        assert result.verdict == SATISFIABLE
+    elif exhausted or result.verdict == UNSATISFIABLE:
+        assert unsatisfiable and result.verdict == UNSATISFIABLE
+    else:
+        assert result.verdict == UNSAT_WITHIN_BOUND
+
+
+@given(small_models(), st.sampled_from([FX6, FixedPointFormat(4, 1), FixedPointFormat(3, 2)]),
+       st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_search_on_keys_equals_search_on_full_states(model, fmt, cap):
+    check_against_reference(model, fmt, cap, 4)
+
+
+@pytest.mark.parametrize("text", hand_formulas())
+def test_search_on_keys_equals_search_on_full_states_for_hand_formulas(text):
+    check_against_reference(compile_ltl(parse(text)), FX6, 6, 3)
+
+
+@pytest.mark.parametrize("text, dim, key", [
+    ("(a U (b U (c U d))) & X X X !d", 255, 6),
+    ("!((a U (b U c)) | X X X d)", 224, 5),
+    ("G(p -> X q) & G(q -> X !p) & F(p & X X p)", 600, 7),
+])
+def test_search_key_holds_only_the_read_coordinates(text, dim, key):
+    """The anchors of cone-of-influence reduction: a few of the L*d hidden
+    coordinates are read, and only they key the search, while the public
+    ``step`` still hands out every layer's d entries."""
+    model = compile_ltl(parse(text))
+    assert model.num_layers * model.dim == dim
+    for mode in (FX6_MODE, EXACT):
+        assert sat_bounded(model, 1, mode).stats.key_coordinates == key
+        state, _ = step(model, initial_state(model, mode), model.alphabet[-1])
+        assert [len(h) for h in state.hidden] == [model.dim] * model.num_layers
+        assert state.mode.is_exact or all(type(v) is int for h in state.hidden for v in h)
+        assert not state.mode.is_exact or all(type(v) is Fraction for h in state.hidden for v in h)
+
+
+def test_frontier_sizes_list_every_level():
+    model = compile_ltl(parse("G(p -> X q) & F(q & X X p)"))
+    capped = sat_fixed(model, FX6, length_cap=2).stats
+    assert capped.frontier_sizes[0] == 1 and len(capped.frontier_sizes) == 3
+    stats = sat_fixed(model, FX6).stats
+    assert stats.frontier_sizes[:3] == capped.frontier_sizes
+    assert stats.max_frontier == max(stats.frontier_sizes[1:])
+    unsat = sat_fixed(compile_ltl(parse("G p & F !p")), FX6).stats
+    # an exhausted search has put every stored state on exactly one level
+    assert sum(unsat.frontier_sizes) == unsat.distinct_states
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 import re
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -334,7 +335,7 @@ def test_dense_views_rebuild_the_same_model(model):
         paths = [os.path.join(tmp, name) for name in ("model.ssm", "rebuilt.ssm")]
         save_model(model, paths[0])
         save_model(rebuilt, paths[1])
-        first, second = (open(path, "rb").read() for path in paths)
+        first, second = (Path(path).read_bytes() for path in paths)
     assert first == second
     for fmt in (FX6, FixedPointFormat(3, 2), FixedPointFormat(6, 3, signed=False)):
         report = quantization_report(model, fmt)
