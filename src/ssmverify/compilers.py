@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -155,7 +155,12 @@ _QUARTER = Fraction(1, 4)
 _EIGHTH = Fraction(1, 8)
 
 
-# The previous-bit decoder on one recurrence value r, one relu layer per stage.
+# The previous-bit decoder on one recurrence value r, one relu layer per
+# stage.  The four-interval rule: r lies in [0,1/8], [1/4,1/2], [1,9/8] or
+# [5/4,3/2], and the previous bit is 1 exactly on the second and fourth
+# interval.  All weights are within +-2 and the pipeline is exact under any
+# fixed format with at least 3 fractional bits and 6 total, so the slope-8
+# ramps of the naive piecewise-linear decoder never need to materialise.
 _PREV_BIT_DECODER = Fnn(tuple(
     linear_fnn(matrix, bias, RELU).layers[0]
     for matrix, bias in (
@@ -169,19 +174,6 @@ _PREV_BIT_DECODER = Fnn(tuple(
 ))
 
 
-def prev_decode_fnn(d: int, positions: Iterable[int]) -> Fnn:
-    """Decoder for the four-interval rule: on each tracked dimension the
-    recurrence value r lies in [0,1/8], [1/4,1/2], [1,9/8] or [5/4,3/2] and
-    the previous bit is 1 exactly on the second and fourth interval.
-
-    All weights are within +-2 and the pipeline is exact under any fixed
-    format with at least 3 fractional bits and 6 total, so the slope-8 ramps
-    of the naive piecewise-linear decoder never need to materialise.
-    Untracked dimensions pass through on identity nodes.
-    """
-    return _pointwise(d, positions, _PREV_BIT_DECODER)
-
-
 def prev_bit_layer(d: int, positions: Iterable[int]) -> SsmLayer:
     """Layer whose output on each tracked 0/1 dimension is that dimension's
     previous input (0 at the first position); passthrough elsewhere."""
@@ -190,21 +182,19 @@ def prev_bit_layer(d: int, positions: Iterable[int]) -> SsmLayer:
         h0=_zeros(d),
         gate=TimeInvariantGate(_sparse(_empty(d), [(p, p, _QUARTER) for p in tracked])),
         inc=AffineMap(_eye(d), _zeros(d)),
-        phi=prev_decode_fnn(d, tracked),
+        phi=_pointwise(d, tracked, _PREV_BIT_DECODER),
     )
 
 
 # ---------------------------------------------------------------------------
-# Pointwise maps used by the logic compiler
+# Model metadata shared by the three compilers
 
-def relu_on_dim(d: int, i: int) -> Fnn:
-    """(h, x) -> h with relu applied to coordinate i only."""
-    return _pointwise(d, (i,), linear_fnn([[1]], activation=RELU))
-
-
-def min1_on_dim(d: int, i: int) -> Fnn:
-    """(h, x) -> h with coordinate i clamped to min(1, h_i)."""
-    return _pointwise(d, (i,), gadget_min1())
+def _finish(model: SsmModel, *source: tuple[str, str]) -> SsmModel:
+    """``model`` carrying the ``source`` metadata and its gate classes."""
+    classes = classify_gates(model)
+    names = [name for name, member in (("time_invariant", classes.time_invariant),
+                                       ("diagonal", classes.diagonal)) if member]
+    return replace(model, metadata=(*source, ("gate_classes", ",".join(names) or "none")))
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +232,30 @@ def ltl_layout(phi: LtlFormula) -> LtlLayout:
 # hundreds of MiB to compile.
 MAX_ATOMS = 16
 
+# The one-input gadgets that the logic compiler's phi applies pointwise.
+_RELU = linear_fnn([[1]], activation=RELU)
+_MIN1 = gadget_min1()
+
+
+def _ltl_entry(sub: LtlFormula, dim: dict, layout: LtlLayout):
+    """What the layer of one subformula does to its own coordinate: the
+    coordinate that gates it (``None`` for the zero gate), the (column,
+    weight) terms of its inc row, and the gadget phi applies to it (``None``
+    for the projection).  Every other coordinate passes through."""
+    if isinstance(sub, Atom):
+        return None, [(layout.props.index(sub.name), F1)], None
+    if isinstance(sub, Not):
+        return None, [(layout.const_dim, F1), (dim[sub.sub], -F1)], None
+    if isinstance(sub, And):
+        return None, [(dim[sub.left], F1), (dim[sub.right], F1), (layout.const_dim, -F1)], _RELU
+    if isinstance(sub, Or):
+        # disjunction as min(1, left + right), the same clamp as until
+        return None, [(dim[sub.left], F1), (dim[sub.right], F1)], _MIN1
+    if isinstance(sub, Next):  # the previous-bit layer that follows delays it
+        return None, [(dim[sub.sub], F1)], None
+    # Until: the input-dependent diagonal gate keeps the value while left holds
+    return dim[sub.left], [(dim[sub.right], F1)], _MIN1
+
 
 def compile_ltl(phi: LtlFormula) -> SsmModel:
     """Model over 2^P that accepts a word iff its reversal is a model of the
@@ -256,44 +270,22 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
             f"and accepts at most {MAX_ATOMS} atoms")
     d = layout.dimension
     dim = dict(layout.dim_of)
-    prop_dim = {p: i for i, p in enumerate(layout.props)}
-    const = layout.const_dim
-    eye, empty = _eye(d), _empty(d)
-    no_gate = TimeInvariantGate(empty)
-    zero_off = _zeros(d)
-    proj = projection_phi(d)
+    eye, empty, zero_off = _eye(d), _empty(d), _zeros(d)
+    no_gate, proj = TimeInvariantGate(empty), projection_phi(d)
 
     layers: list[SsmLayer] = []
     for sub in layout.subformulas:
         i = dim[sub]
-        if isinstance(sub, Atom):
-            inc = _sparse(eye, [(i, prop_dim[sub.name], F1)])
-            layers.append(SsmLayer(_zeros(d), no_gate, AffineMap(inc, zero_off),
-                                   proj))
-        elif isinstance(sub, Not):
-            inc = _sparse(eye, [(i, const, F1), (i, dim[sub.sub], -F1)])
-            layers.append(SsmLayer(_zeros(d), no_gate, AffineMap(inc, zero_off),
-                                   proj))
-        elif isinstance(sub, And):
-            inc = _sparse(eye, [(i, dim[sub.left], F1), (i, dim[sub.right], F1),
-                                (i, const, -F1)])
-            layers.append(SsmLayer(_zeros(d), no_gate, AffineMap(inc, zero_off),
-                                   relu_on_dim(d, i)))
-        elif isinstance(sub, Or):
-            # disjunction as min(1, left + right), the same clamp as until
-            inc = _sparse(eye, [(i, dim[sub.left], F1), (i, dim[sub.right], F1)])
-            layers.append(SsmLayer(_zeros(d), no_gate, AffineMap(inc, zero_off),
-                                   min1_on_dim(d, i)))
-        elif isinstance(sub, Next):
-            inc = _sparse(eye, [(i, dim[sub.sub], F1)])
-            layers.append(SsmLayer(_zeros(d), no_gate, AffineMap(inc, zero_off),
-                                   proj))
+        gated_by, terms, gadget = _ltl_entry(sub, dim, layout)
+        layers.append(SsmLayer(
+            h0=zero_off,
+            gate=no_gate if gated_by is None
+            else DiagonalAffineGate(_sparse(empty, [(i, gated_by, F1)]), zero_off),
+            inc=AffineMap(_sparse(eye, [(i, c, w) for c, w in terms]), zero_off),
+            phi=proj if gadget is None else _pointwise(d, (i,), gadget),
+        ))
+        if isinstance(sub, Next):
             layers.append(prev_bit_layer(d, (i,)))
-        else:  # Until: requires the input-dependent diagonal gate
-            gate = DiagonalAffineGate(_sparse(empty, [(i, dim[sub.left], F1)]), zero_off)
-            inc = _sparse(eye, [(i, dim[sub.right], F1)])
-            layers.append(SsmLayer(_zeros(d), gate, AffineMap(inc, zero_off),
-                                   min1_on_dim(d, i)))
 
     out = compose(gadget_eq(1), select_fnn([dim[phi]], d))
     alphabet = tuple(set_symbol(l) for l in ltl_mod.letters(layout.props))
@@ -302,24 +294,8 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
         + _zeros(len(layout.subformulas)) + (F1,)
         for letter in ltl_mod.letters(layout.props)
     )
-    model = SsmModel(alphabet=alphabet, emb=emb, layers=tuple(layers), out=out)
-    classes = classify_gates(model)
-    meta = (
-        ("source", "ltl"),
-        ("formula", ltl_mod.pretty(phi)),
-        ("min_bits", "6"),
-        ("gate_classes", _class_string(classes)),
-    )
-    return SsmModel(model.alphabet, model.emb, model.layers, model.out, meta)
-
-
-def _class_string(classes) -> str:
-    parts = []
-    if classes.time_invariant:
-        parts.append("time_invariant")
-    if classes.diagonal:
-        parts.append("diagonal")
-    return ",".join(parts) if parts else "none"
+    return _finish(SsmModel(alphabet=alphabet, emb=emb, layers=tuple(layers), out=out),
+                   ("source", "ltl"), ("formula", ltl_mod.pretty(phi)), ("min_bits", "6"))
 
 
 # ---------------------------------------------------------------------------
@@ -529,24 +505,16 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
             vec[c_dims[i]] = -F1
         emb.append(tuple(vec))
 
-    eye = _eye(d)
-    zero_off = _zeros(d)
-    proj = projection_phi(d)
-
-    # layer 1: accumulate the counters, pass everything else through
-    l1 = SsmLayer(
-        h0=_zeros(d),
-        gate=TimeInvariantGate(_mask(c_dims[0], c_dims[1], d)),
-        inc=AffineMap(eye, zero_off),
-        phi=proj,
-    )
+    def accumulator(first: int, last: int) -> SsmLayer:
+        """Sums coordinates first..last over the word; passes the rest through."""
+        return SsmLayer(_zeros(d), TimeInvariantGate(_mask(first, last, d)),
+                        AffineMap(_eye(d), _zeros(d)), projection_phi(d))
 
     # layer 2: quarter-shift history on the second state block, seeded with
     # the start state, then decode + transition/counter checks in phi
-    h0_2 = [F0] * d
+    history = prev_bit_layer(d, range(n, 2 * n))
+    h0_2 = list(history.h0)
     h0_2[n + state_idx[machine.start]] = F1
-    l2_gate = TimeInvariantGate(_sparse(_empty(d), [(k, k, _QUARTER) for k in range(n, 2 * n)]))
-    decode = prev_decode_fnn(d, range(n, 2 * n))
 
     valid_cases = (
         ("dec1", c_dims[0], "geq0"),
@@ -583,16 +551,8 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
         for m in range(d)
     )),))
 
-    phi2 = compose(assemble, compose(checks, compose(dup, decode)))
-    l2 = SsmLayer(tuple(h0_2), l2_gate, AffineMap(eye, zero_off), phi2)
-
-    # layer 3: accumulate the violation dimension
-    l3 = SsmLayer(
-        h0=_zeros(d),
-        gate=TimeInvariantGate(_mask(chk, chk, d)),
-        inc=AffineMap(eye, zero_off),
-        phi=proj,
-    )
+    phi2 = compose(assemble, compose(checks, compose(dup, history.phi)))
+    l2 = replace(history, h0=tuple(h0_2), phi=phi2)
 
     out = compose(
         gadget_and(2),
@@ -601,15 +561,11 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
             select_fnn([chk, state_idx[machine.final]], d),
         ),
     )
-    model = SsmModel(alphabet=alphabet, emb=tuple(emb), layers=(l1, l2, l3), out=out)
-    classes = classify_gates(model)
-    meta = (
-        ("source", "minsky"),
-        ("min_bits", str(minsky_min_bits(word_bound))),
-        ("min_bits_word_bound", str(word_bound)),
-        ("gate_classes", _class_string(classes)),
-    )
-    return SsmModel(model.alphabet, model.emb, model.layers, model.out, meta)
+    # layer 1 accumulates the counters, layer 3 the violation dimension
+    layers = (accumulator(*c_dims), l2, accumulator(chk, chk))
+    return _finish(SsmModel(alphabet=alphabet, emb=tuple(emb), layers=layers, out=out),
+                   ("source", "minsky"), ("min_bits", str(minsky_min_bits(word_bound))),
+                   ("min_bits_word_bound", str(word_bound)))
 
 
 # ---------------------------------------------------------------------------
@@ -673,15 +629,9 @@ def compile_ilp(inst: IlpInstance) -> SsmModel:
         gadget_and(dd),
         concat_all([gadget_eq(b) for b in inst.target] + [gadget_leq(1)] * d),
     )
-    model = SsmModel(alphabet=ilp_alphabet(d), emb=emb, layers=(layer,), out=out)
     biggest = max(max(sum(row) for row in inst.matrix), max(inst.target), d, 1)
-    classes = classify_gates(model)
-    meta = (
-        ("source", "ilp"),
-        ("min_bits", str(biggest.bit_length() + 2)),
-        ("gate_classes", _class_string(classes)),
-    )
-    return SsmModel(model.alphabet, model.emb, model.layers, model.out, meta)
+    return _finish(SsmModel(alphabet=ilp_alphabet(d), emb=emb, layers=(layer,), out=out),
+                   ("source", "ilp"), ("min_bits", str(biggest.bit_length() + 2)))
 
 
 def ilp_decode_word(inst: IlpInstance, word: Sequence[str]) -> Optional[tuple[int, ...]]:

@@ -11,7 +11,7 @@ shortest accepted words, rebuilt through the links.
 'unsatisfiable-within-bound'; ``sat_fixed`` runs under a fixed-point format,
 whose state space is finite, so an exhausted frontier is a proof of
 'unsatisfiable'.  ``pump_down`` shortens accepted words by cutting segments
-between repeated states.
+between repeated keys.
 
 Hitting a state or memory ceiling raises ``ResourceLimitError`` with partial
 stats; it is never reported as unsatisfiable.
@@ -210,14 +210,12 @@ def sat_bounded(
     model: SsmModel,
     bound,
     mode: ArithMode,
-    memoize: bool = True,
     limits: Optional[ResourceLimits] = None,
 ) -> SatResult:
     """Is some word of length <= bound accepted?  The returned witness is
     the lexicographically least among the shortest accepted words.  A miss
     is 'unsatisfiable-within-bound', whether the search reached the bound or
-    ran out of states.  ``memoize`` is deprecated and ignored: the search
-    always stores each state once."""
+    ran out of states."""
     if not isinstance(bound, LengthBound):
         bound = LengthBound.unary(int(bound))
     witness, _, stats = _search(model, mode, bound.value, limits)
@@ -246,30 +244,30 @@ def sat_fixed(
 
 def pump_down(model: SsmModel, word: Sequence[str], fmt: FixedPointFormat) -> list[str]:
     """Shorten an accepted word by loop erasure: walking it once, cut the
-    segment since a departure state was last kept whenever it recurs, and
-    the suffix replays from the same state.  The result is accepted, never
-    longer, and its departure states (positions 0..n-1) are pairwise
-    distinct; a cut at a recurring final state is only taken when the
-    shortened word is itself accepted, since equal states do not imply
-    equal final outputs."""
+    segment since a departure key was last kept whenever it recurs, and the
+    suffix replays from the same key.  A key decides every later output, so
+    the result is accepted, never longer, and its departure keys (positions
+    0..n-1), hence its departure states, are pairwise distinct; a cut at a
+    recurring final key is only taken when the shortened word is itself
+    accepted, since equal keys do not imply equal final outputs."""
     stepper = _stepper(model, ArithMode(fmt))
     kept, departs, outputs = [], [], []
-    position: dict = {}  # kept departure state -> its position
-    hidden = stepper.h0
+    position: dict = {}  # kept departure key -> its position
+    key = stepper.init
     for symbol in word:
-        i = position.get(hidden)
+        i = position.get(key)
         if i is not None:
-            for state in departs[i:]:
-                del position[state]
+            for departed in departs[i:]:
+                del position[departed]
             del kept[i:], departs[i:], outputs[i:]
-        position[hidden] = len(kept)
+        position[key] = len(kept)
         kept.append(symbol)
-        departs.append(hidden)
-        hidden, y = stepper.step_full(stepper.key_of(hidden), symbol)
+        departs.append(key)
+        key, y = stepper.step(key, symbol)
         outputs.append(y)
     if not outputs or outputs[-1] != stepper.one:
         raise PreconditionError("pump_down requires an accepted word")
-    i = position.get(hidden)
+    i = position.get(key)
     if i and outputs[i - 1] == stepper.one:
         del kept[i:]
     return kept

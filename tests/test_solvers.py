@@ -81,11 +81,13 @@ def test_sat_bounded_shortest_lex_least():
 
 
 def test_sat_bounded_memoization_preserves_verdict():
+    # the search always stores each state once; the old memoize switch is gone
     model = compile_ltl(parse("X X p"))
-    with_memo = sat_bounded(model, 4, EXACT, memoize=True)
-    without = sat_bounded(model, 4, EXACT, memoize=False)
-    assert with_memo.verdict == without.verdict == SATISFIABLE
-    assert with_memo.witness == without.witness
+    result = sat_bounded(model, 4, EXACT)
+    assert result.verdict == SATISFIABLE
+    assert result.witness == ("{p}", "{}", "{}")
+    with pytest.raises(TypeError):
+        sat_bounded(model, 4, EXACT, memoize=False)
 
 
 def _first_accepted(model, mode, bound):

@@ -78,6 +78,22 @@ def test_pure_accumulation():
     assert not accepts(model, ["a", "a"], EXACT)
 
 
+def test_hidden_values_are_the_public_fractions():
+    # exact states hold Fractions; fx:6:3 states hold raw mantissas over 8
+    model = accumulator_model()
+    states = {}
+    for mode in (EXACT, FX6_MODE):
+        state = initial_state(model, mode)
+        for sym in ("a", "b", "a"):
+            state, _ = step(model, state, sym)
+        states[mode] = state
+        assert all(type(v) is Fraction for v in state.hidden_values()[0])
+    exact, fixed = states[EXACT], states[FX6_MODE]
+    assert exact.hidden_values() == exact.hidden == ((Fraction(2), Fraction(1)),)
+    assert fixed.hidden == ((16, 8),)
+    assert fixed.hidden_values() == ((Fraction(16, 8), Fraction(8, 8)),)
+
+
 def test_step_determinism():
     model = accumulator_model()
     s1 = initial_state(model, EXACT)
