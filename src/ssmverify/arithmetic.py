@@ -10,6 +10,7 @@ saturation on overflow.  Every operation is total and pure.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -19,12 +20,17 @@ from .errors import FormatMismatchError, InputFormatError
 
 Rational = Fraction
 
+_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a ``num`` or ``num/den`` decimal string."""
+    """Parse a ``num`` or ``num/den`` decimal string: ``-?[0-9]+(/[0-9]+)?``
+    and nothing else, so no sign ``+``, blank, ``_``, point or exponent."""
+    if not isinstance(text, str) or not _LITERAL.fullmatch(text):
+        raise InputFormatError(f"bad rational literal {text!r}: expected num or num/den")
     try:
         return Fraction(text)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"bad rational literal {text!r}: {exc}") from None
 
 

@@ -1,40 +1,50 @@
 """Model files: a structured-text (JSON) serialisation of compiled models.
 
-Every number is stored as a ``num`` or ``num/den`` decimal string; no binary
-floats at rest.  ``load`` of a ``save`` is the identity on canonical form.
+Every rational is stored as a ``num`` or ``num/den`` decimal string; no
+binary floats at rest.  ``load`` of a ``save`` is the identity on canonical
+form, and ``save`` of a ``load`` is byte-identical.
 
-The file stores every matrix row and weight vector dense, while a model
-holds them as sparse rows (``_row.Row``); the two directions convert at the
-file boundary.  Loading parses each distinct literal once: ``model_from_json``
-keeps one literal table per call, a ``dict`` from literal text to its
-``Fraction`` that parses a text on its first lookup.  Compiled matrices hold
-a handful of distinct values (``"0"``, ``"1"``, ``"-1"``, ``"1/2"``, ...), so
-equal entries share one ``Fraction``.  The table also builds each distinct
-row once, straight from its dense JSON list: entries whose text is ``"0"``
-are skipped unparsed, and any other literal that parses to zero (``"-0"``,
-``"0/7"``) is dropped.  Compiled models repeat most rows across layers (the
-zero rows of a constant gate, identity rows, copy nodes), so a load costs
-one tuple and one dict lookup per repeated row, and equal rows share one
-``Row``.
+``save_model`` writes ``ssmverify-model-v2``.  A model holds every gate row,
+inc row and FNN weight vector as one sparse ``_row.Row``, and a compiled
+model repeats most of them across layers: identity and zero rows, and copy
+nodes.  So v2 stores each distinct row once, in the top-level ``rows``
+table, as ``[width, [column, literal], ...]`` with strictly ascending
+columns and no zero weight.  Each distinct FNN node is stored once, in the
+``nodes`` table, as ``[row, bias, activation]`` with ``row`` an index into
+``rows``.  A gate or inc ``matrix`` is the list of its rows' indices, and a
+network (``phi``, ``output``) is a list of layers, each the list of its
+nodes' indices.  ``h0``, offsets, biases and the embedding stay literal
+strings, so the only JSON numbers are the dimension, indices, columns and
+widths.  The tables list entries in order of first use, the layers first and
+the output network last, so equal models give equal bytes whether or not
+they share row objects.  A save looks each row, node and literal up by
+identity first, so a shared object is formatted once, and writes the whole
+tree with one compact ``json.dumps``.
 
-Saving writes the same bytes as ``json.dump(model_to_json(m), fh, indent=1)``
-followed by a newline, without CPython's pure-Python indenting encoder.  A
-row is written by streaming the quoted zero literal and formatting only its
-nonzero weights; every other vector of literals is quoted and joined in one
-call.  The file is written one top-level entry at a time, and the layers,
-most of a file, are converted and written one at a time, so neither the
-whole text nor the whole JSON tree is held at once.
+``load_model`` also reads ``ssmverify-model-v1``, which stores every row
+dense.  ``model_to_json`` and ``model_from_json`` are the v1 reference
+writer and reader (``model_from_json`` reads v2 as well); the v1 bytes of a
+model are ``json.dumps(model_to_json(m), indent=1)`` followed by a newline.
+
+A load parses each distinct literal once: one ``_Literals`` table per load,
+a ``dict`` from literal text to its ``Fraction`` that parses a text on its
+first lookup.  It builds each distinct row once, so equal rows share one
+``Row`` as they do after a compile.  In v2 that is each ``rows`` entry, and
+each ``nodes`` entry gives one ``FnnNode``.  In v1 it is each distinct dense
+list of literals; entries whose text is ``"0"`` are skipped unparsed, and
+any other literal that parses to zero (``"-0"``, ``"0/7"``) is dropped.
 
 Every malformed file (not UTF-8, not JSON, a missing key, a value of the
 wrong type, a bad literal, mismatched dimensions) raises ``InputFormatError``
-naming the file.
+naming the file.  In v2 that includes a table index that is not an int in
+range, row columns not strictly ascending or outside the row's width, and a
+zero weight.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 
 from ._row import Row
 from .arithmetic import format_rational, parse_rational
@@ -48,30 +58,22 @@ from .ssm import (
     TimeInvariantGate,
 )
 
-FORMAT_TAG = "ssmverify-model-v1"
+V1_TAG = "ssmverify-model-v1"
+V2_TAG = "ssmverify-model-v2"
 
 
 def _vec_json(vec) -> list[str]:
     return list(map(format_rational, vec))
 
 
-def _mat_json(mat) -> list[list[str]]:
-    return list(map(_vec_json, mat))
-
-
 def _row_json(row: Row) -> list[str]:
     return _vec_json(row.dense())
 
 
-def _kept(row: Row) -> Row:
-    """A row left as it is, for ``_encode`` to write."""
-    return row
-
-
 class _Literals(dict):
     """Literal text -> ``Fraction``, parsed on first lookup; one per load.
-    ``rows`` holds the sparse row of each distinct list of texts, so equal
-    rows share one ``Row``."""
+    ``rows`` holds the sparse row of each distinct v1 list of texts, so
+    equal rows share one ``Row``."""
 
     __slots__ = ("rows",)
 
@@ -86,20 +88,14 @@ class _Literals(dict):
         return value
 
     def vec(self, data) -> tuple[Fraction, ...]:
-        if not isinstance(data, list):
-            raise InputFormatError(f"expected a list of literals, got {type(data).__name__}")
-        return tuple(map(self.__getitem__, data))
+        return tuple(map(self.__getitem__, _list(data, "literals")))
 
     def mat(self, data) -> tuple[tuple[Fraction, ...], ...]:
-        if not isinstance(data, list):
-            raise InputFormatError(f"expected a list of rows, got {type(data).__name__}")
-        return tuple(map(self.vec, data))
+        return tuple(map(self.vec, _list(data, "rows")))
 
     def row(self, data) -> Row:
         """The sparse row of a dense list of literals."""
-        if not isinstance(data, list):
-            raise InputFormatError(f"expected a list of literals, got {type(data).__name__}")
-        texts = tuple(data)
+        texts = tuple(_list(data, "literals"))
         row = self.rows.get(texts)
         if row is None:
             terms = [(k, w) for k, text in enumerate(texts) if text != "0" and (w := self[text])]
@@ -107,17 +103,75 @@ class _Literals(dict):
         return row
 
     def sparse_mat(self, data) -> tuple[Row, ...]:
-        if not isinstance(data, list):
-            raise InputFormatError(f"expected a list of rows, got {type(data).__name__}")
-        return tuple(map(self.row, data))
+        return tuple(map(self.row, _list(data, "rows")))
 
 
-def _fnn_json(net: Fnn, row_json) -> dict:
+def _list(data, what: str) -> list:
+    if not isinstance(data, list):
+        raise InputFormatError(f"expected a list of {what}, got {type(data).__name__}")
+    return data
+
+
+def _activation(act) -> str:
+    if act not in (RELU, IDENTITY):
+        raise InputFormatError(f"unknown activation {act!r}")
+    return act
+
+
+def _pick(table: list, data, what: str) -> tuple:
+    """The entries of ``table`` at the indices ``data``: ints, not bools,
+    in range."""
+    size = len(table)
+    for i in _list(data, f"{what} indices"):
+        if type(i) is not int or not 0 <= i < size:
+            raise InputFormatError(f"bad {what} index {i!r}: the table has {size} entries")
+    return tuple(map(table.__getitem__, data))
+
+
+def _read(data: dict, lit: _Literals, rows, net) -> SsmModel:
+    """The model of a file's JSON tree, given how its version stores a
+    matrix (``rows``: JSON -> tuple of ``Row``) and a network (``net``:
+    JSON -> ``Fnn``); the rest both versions store alike."""
+    layers = []
+    for entry in _list(data["layers"], "layers"):
+        gate_data = entry["gate"]
+        if gate_data["kind"] == "time_invariant":
+            gate = TimeInvariantGate(rows(gate_data["matrix"]))
+        elif gate_data["kind"] == "diagonal_affine":
+            gate = DiagonalAffineGate(rows(gate_data["matrix"]), lit.vec(gate_data["offset"]))
+        else:
+            raise InputFormatError(f"unknown gate kind {gate_data['kind']!r}")
+        layers.append(SsmLayer(
+            h0=lit.vec(entry["h0"]),
+            gate=gate,
+            inc=AffineMap(rows(entry["inc"]["matrix"]), lit.vec(entry["inc"]["offset"])),
+            phi=net(entry["phi"]),
+        ))
+    alphabet = data["alphabet"]
+    if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
+        raise InputFormatError("the alphabet must be a list of strings")
+    model = SsmModel(
+        alphabet=tuple(alphabet),
+        emb=lit.mat(data["embedding"]),
+        layers=tuple(layers),
+        out=net(data["output"]),
+        metadata=tuple(sorted(data.get("metadata", {}).items())),
+    )
+    dim = data.get("dimension")
+    if type(dim) is not int or dim != model.dim:
+        raise InputFormatError("declared dimension disagrees with the embedding table")
+    return model
+
+
+# ---------------------------------------------------------------------------
+# v1: every row dense, every node in place
+
+def _fnn_json(net: Fnn) -> dict:
     return {
         "layers": [
             [
                 {
-                    "weights": row_json(node.row),
+                    "weights": _row_json(node.row),
                     "bias": format_rational(node.bias),
                     "activation": node.activation,
                 }
@@ -128,159 +182,209 @@ def _fnn_json(net: Fnn, row_json) -> dict:
     }
 
 
-def _fnn_load(data, lit: _Literals) -> Fnn:
-    layers = []
-    for layer in data["layers"]:
-        nodes = []
-        for node in layer:
-            act = node.get("activation", RELU)
-            if act not in (RELU, IDENTITY):
-                raise InputFormatError(f"unknown activation {act!r}")
-            nodes.append(FnnNode(lit.row(node["weights"]), lit[node["bias"]], act))
-        layers.append(FnnLayer(tuple(nodes)))
-    return Fnn(tuple(layers))
-
-
-def _layer_json(layer: SsmLayer, row_json) -> dict:
-    """The JSON of a layer, each row rendered by ``row_json``."""
+def _layer_json(layer: SsmLayer) -> dict:
     if isinstance(layer.gate, TimeInvariantGate):
-        gate = {"kind": "time_invariant", "matrix": list(map(row_json, layer.gate.rows))}
+        gate = {"kind": "time_invariant", "matrix": list(map(_row_json, layer.gate.rows))}
     else:
         gate = {
             "kind": "diagonal_affine",
-            "matrix": list(map(row_json, layer.gate.rows)),
+            "matrix": list(map(_row_json, layer.gate.rows)),
             "offset": _vec_json(layer.gate.offset),
         }
     return {
         "h0": _vec_json(layer.h0),
         "gate": gate,
         "inc": {
-            "matrix": list(map(row_json, layer.inc.rows)),
+            "matrix": list(map(_row_json, layer.inc.rows)),
             "offset": _vec_json(layer.inc.offset),
         },
-        "phi": _fnn_json(layer.phi, row_json),
-    }
-
-
-def _model_json(model: SsmModel, row_json, layers) -> dict:
-    return {
-        "format": FORMAT_TAG,
-        "alphabet": list(model.alphabet),
-        "dimension": model.dim,
-        "embedding": _mat_json(model.emb),
-        "layers": layers,
-        "output": _fnn_json(model.out, row_json),
-        "metadata": dict(sorted(model.metadata)),
+        "phi": _fnn_json(layer.phi),
     }
 
 
 def model_to_json(model: SsmModel) -> dict:
-    layers = [_layer_json(layer, _row_json) for layer in model.layers]
-    return _model_json(model, _row_json, layers)
+    """The v1 JSON tree of ``model``."""
+    return {
+        "format": V1_TAG,
+        "alphabet": list(model.alphabet),
+        "dimension": model.dim,
+        "embedding": list(map(_vec_json, model.emb)),
+        "layers": list(map(_layer_json, model.layers)),
+        "output": _fnn_json(model.out),
+        "metadata": dict(sorted(model.metadata)),
+    }
 
 
-def _model_from_json(data: dict, lit: _Literals) -> SsmModel:
-    if not isinstance(data["layers"], list):
-        raise InputFormatError(f"expected a list of layers, got {type(data['layers']).__name__}")
+def _from_v1(data: dict, lit: _Literals) -> SsmModel:
+    def net(data) -> Fnn:
+        return Fnn(tuple(
+            FnnLayer(tuple(FnnNode(lit.row(node["weights"]), lit[node["bias"]],
+                                   _activation(node.get("activation", RELU)))
+                           for node in _list(layer, "nodes")))
+            for layer in _list(data["layers"], "layers")))
+
+    return _read(data, lit, lit.sparse_mat, net)
+
+
+# ---------------------------------------------------------------------------
+# v2: one table of distinct rows and one of distinct nodes
+
+class _Tables:
+    """The ``rows`` and ``nodes`` tables of one save.  A row, node or literal
+    is looked up by identity first, so an object the model shares is
+    formatted once; a new object is then looked up by its formatted entry,
+    so equal objects get one entry however the model shares them.  Every
+    object looked up is part of the model, so its id is not reused while
+    the save runs."""
+
+    def __init__(self):
+        self.rows: list[tuple] = []
+        self.nodes: list[tuple] = []
+        self._row_at: dict[tuple, int] = {}
+        self._node_at: dict[tuple, int] = {}
+        self._by_id: dict[int, int] = {}
+        self._texts: dict[int, str] = {}
+        self._vecs: dict[int, list[str]] = {}
+
+    def text(self, x: Fraction) -> str:
+        text = self._texts.get(id(x))
+        if text is None:
+            text = self._texts[id(x)] = format_rational(x)
+        return text
+
+    def vec(self, vec) -> list[str]:
+        texts = self._vecs.get(id(vec))
+        if texts is None:
+            texts = self._vecs[id(vec)] = list(map(self.text, vec))
+        return texts
+
+    def _add(self, obj, table: list, at: dict, entry: tuple) -> int:
+        i = at.setdefault(entry, len(table))
+        if i == len(table):
+            table.append(entry)
+        self._by_id[id(obj)] = i
+        return i
+
+    def row(self, row: Row) -> int:
+        i = self._by_id.get(id(row))
+        if i is None:
+            entry = (row.width, *[(k, self.text(w)) for k, w in row.terms])
+            i = self._add(row, self.rows, self._row_at, entry)
+        return i
+
+    def node(self, node: FnnNode) -> int:
+        i = self._by_id.get(id(node))
+        if i is None:
+            entry = (self.row(node.row), self.text(node.bias), node.activation)
+            i = self._add(node, self.nodes, self._node_at, entry)
+        return i
+
+    def matrix(self, rows) -> list[int]:
+        return list(map(self.row, rows))
+
+    def net(self, net: Fnn) -> list[list[int]]:
+        return [list(map(self.node, layer.nodes)) for layer in net.layers]
+
+
+def _v2_json(model: SsmModel) -> dict:
+    """The v2 JSON tree of ``model``."""
+    t = _Tables()
     layers = []
-    for entry in data["layers"]:
-        gate_data = entry["gate"]
-        if gate_data["kind"] == "time_invariant":
-            gate = TimeInvariantGate(lit.sparse_mat(gate_data["matrix"]))
-        elif gate_data["kind"] == "diagonal_affine":
-            gate = DiagonalAffineGate(lit.sparse_mat(gate_data["matrix"]),
-                                      lit.vec(gate_data["offset"]))
-        else:
-            raise InputFormatError(f"unknown gate kind {gate_data['kind']!r}")
-        layers.append(
-            SsmLayer(
-                h0=lit.vec(entry["h0"]),
-                gate=gate,
-                inc=AffineMap(lit.sparse_mat(entry["inc"]["matrix"]),
-                              lit.vec(entry["inc"]["offset"])),
-                phi=_fnn_load(entry["phi"], lit),
-            )
-        )
-    alphabet = data["alphabet"]
-    if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
-        raise InputFormatError("the alphabet must be a list of strings")
-    model = SsmModel(
-        alphabet=tuple(alphabet),
-        emb=lit.mat(data["embedding"]),
-        layers=tuple(layers),
-        out=_fnn_load(data["output"], lit),
-        metadata=tuple(sorted(data.get("metadata", {}).items())),
-    )
-    if model.dim != data.get("dimension"):
-        raise InputFormatError("declared dimension disagrees with the embedding table")
-    return model
+    for layer in model.layers:
+        gate = {"kind": "time_invariant", "matrix": t.matrix(layer.gate.rows)}
+        if isinstance(layer.gate, DiagonalAffineGate):
+            gate["kind"] = "diagonal_affine"
+            gate["offset"] = t.vec(layer.gate.offset)
+        layers.append({
+            "h0": t.vec(layer.h0),
+            "gate": gate,
+            "inc": {"matrix": t.matrix(layer.inc.rows), "offset": t.vec(layer.inc.offset)},
+            "phi": t.net(layer.phi),
+        })
+    output = t.net(model.out)
+    return {
+        "format": V2_TAG,
+        "alphabet": list(model.alphabet),
+        "dimension": model.dim,
+        "embedding": list(map(t.vec, model.emb)),
+        "rows": t.rows,
+        "nodes": t.nodes,
+        "layers": layers,
+        "output": output,
+        "metadata": dict(sorted(model.metadata)),
+    }
+
+
+def _v2_row(data, lit: _Literals) -> Row:
+    """The row of a ``rows`` entry ``[width, [column, literal], ...]``."""
+    if not isinstance(data, list) or not data or type(data[0]) is not int or data[0] < 0:
+        raise InputFormatError("a row must be a list: its width, then [column, literal] pairs")
+    width = data[0]
+    terms = []
+    last = -1
+    for pair in data[1:]:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise InputFormatError("a row term must be a [column, literal] pair")
+        k, text = pair
+        if type(k) is not int or not last < k < width:
+            raise InputFormatError(
+                f"row columns must ascend strictly inside the width {width}, got {k!r}")
+        w = lit[text]
+        if not w:
+            raise InputFormatError(f"zero weight {text!r} at column {k} of a row")
+        terms.append((k, w))
+        last = k
+    return Row(tuple(terms), width)
+
+
+def _v2_node(data, rows: list[Row], lit: _Literals) -> FnnNode:
+    """The node of a ``nodes`` entry ``[row, bias, activation]``."""
+    if not isinstance(data, list) or len(data) != 3:
+        raise InputFormatError("a node must be a [row, bias, activation] list")
+    row, bias, act = data
+    return FnnNode(_pick(rows, [row], "row")[0], lit[bias], _activation(act))
+
+
+def _from_v2(data: dict, lit: _Literals) -> SsmModel:
+    rows = [_v2_row(entry, lit) for entry in _list(data["rows"], "rows")]
+    nodes = [_v2_node(entry, rows, lit) for entry in _list(data["nodes"], "nodes")]
+
+    def net(data) -> Fnn:
+        return Fnn(tuple(FnnLayer(_pick(nodes, layer, "node"))
+                         for layer in _list(data, "network layers")))
+
+    return _read(data, lit, lambda matrix: _pick(rows, matrix, "row"), net)
+
+
+# ---------------------------------------------------------------------------
+
+_READERS = {V1_TAG: _from_v1, V2_TAG: _from_v2}
 
 
 def model_from_json(data: dict) -> SsmModel:
+    """The model of a v1 or v2 JSON tree."""
     if not isinstance(data, dict):
         raise InputFormatError(f"not a model file (top-level JSON {type(data).__name__})")
-    if data.get("format") != FORMAT_TAG:
-        raise InputFormatError(f"not a model file (format tag {data.get('format')!r})")
+    tag = data.get("format")
+    if not isinstance(tag, str) or tag not in _READERS:
+        raise InputFormatError(f"not a model file (format tag {tag!r})")
     try:
-        return _model_from_json(data, _Literals())
+        return _READERS[tag](data, _Literals())
     except KeyError as exc:
         raise InputFormatError(f"malformed model: missing key {exc}") from None
     except (TypeError, AttributeError) as exc:
         raise InputFormatError(f"malformed model: {exc}") from None
 
 
-_QUOTED_ZERO = _quote("0")
-
-
-def _encode(value, pad: str) -> str:
-    """``value`` as ``json.dumps(value, indent=1)`` renders it nested at
-    indentation ``pad``; a ``Row`` renders as its dense list of literals."""
-    if isinstance(value, str):
-        return _quote(value)
-    inner = pad + " "
-    sep = ",\n" + inner
-    if isinstance(value, Row):
-        if not value.width:
-            return "[]"
-        cells = [_QUOTED_ZERO] * value.width
-        for k, w in value.terms:
-            cells[k] = _quote(format_rational(w))
-        return "[\n" + inner + sep.join(cells) + "\n" + pad + "]"
-    if isinstance(value, list) and value:
-        if all(isinstance(v, str) for v in value):
-            body = sep.join(map(_quote, value))
-        else:
-            body = sep.join([_encode(v, inner) for v in value])
-        return "[\n" + inner + body + "\n" + pad + "]"
-    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
-        body = sep.join([_quote(k) + ": " + _encode(v, inner) for k, v in value.items()])
-        return "{\n" + inner + body + "\n" + pad + "}"
-    # scalars, tuples, empty containers and non-string keys; encoded
-    # strings hold no raw newline, so re-indenting the lines is exact
-    return json.dumps(value, indent=1).replace("\n", "\n" + pad)
-
-
 def save_model(model: SsmModel, path: str):
-    layers = (_layer_json(layer, _kept) for layer in model.layers)
-    data = _model_json(model, _kept, layers)
+    """Write ``model`` to ``path`` as a v2 file."""
+    text = json.dumps(_v2_json(model), separators=(",", ":"))
     with open(path, "w", encoding="ascii") as fh:
-        sep = "{\n "
-        for key, value in data.items():
-            fh.write(sep + _quote(key) + ": ")
-            sep = ",\n "
-            if key != "layers":
-                fh.write(_encode(value, " "))
-            elif not model.layers:
-                fh.write("[]")
-            else:
-                fh.write("[\n  " + _encode(next(value), "  "))
-                for layer in value:
-                    fh.write(",\n  " + _encode(layer, "  "))
-                fh.write("\n ]")
-        fh.write("\n}\n")
+        fh.write(text + "\n")
 
 
 def load_model(path: str) -> SsmModel:
+    """The model of a v1 or v2 file."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)

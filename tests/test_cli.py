@@ -386,19 +386,28 @@ def _seeded_models():
 
 
 def test_saved_bytes_equal_the_indented_json_dump(tmp_path):
-    path = tmp_path / "m.ssm"
+    """v1 bytes are the indented dump of ``model_to_json`` and load as the
+    model; ``save_model`` writes v2, whose load is the model again and whose
+    save of a load, from either version, is byte-identical."""
+    v1, v2, again = tmp_path / "m.v1.ssm", tmp_path / "m.v2.ssm", tmp_path / "again.ssm"
     for model in _seeded_models():
-        save_model(model, str(path))
-        assert path.read_bytes() == (json.dumps(model_to_json(model), indent=1) + "\n").encode()
-        loaded = load_model(str(path))
-        assert loaded == model
-        assert loaded.metadata_dict == json.loads(path.read_text())["metadata"]
+        v1.write_text(json.dumps(model_to_json(model), indent=1) + "\n")
+        save_model(model, str(v2))
+        assert json.loads(v2.read_text())["format"] == "ssmverify-model-v2"
+        for path in (v1, v2):
+            loaded = load_model(str(path))
+            assert loaded == model
+            assert loaded.metadata_dict == json.loads(path.read_text())["metadata"]
+            save_model(loaded, str(again))
+            assert again.read_bytes() == v2.read_bytes()
 
 
 def _literals(node, key=None) -> set[str]:
-    """Every number literal of a model file's JSON."""
+    """Every number literal of a v1 or v2 model file's JSON."""
     if key == "bias":
         return {node}
+    if key == "nodes":  # v2 nodes are [row, bias, activation]
+        return {bias for _, bias, _ in node}
     if isinstance(node, dict):
         return set().union(*(_literals(v, k) for k, v in node.items()))
     if isinstance(node, list) and key != "alphabet":
@@ -468,9 +477,18 @@ def test_bad_literal_in_the_last_output_bias_is_rejected(tmp_path):
         load_model(str(path))
 
 
+def _v2_row_with(data, terms: int) -> list:
+    """The first ``rows`` entry of a v2 tree with at least ``terms`` terms."""
+    return next(row for row in data["rows"] if len(row) > terms)
+
+
 def _malformed(tmp_path, name):
     data = model_to_json(compile_ltl(parse("p U q")))
     path = tmp_path / "bad.ssm"
+    if name.startswith("v2_"):
+        save_model(compile_ltl(parse("p U q")), str(path))
+        data = json.loads(path.read_text())
+    gate_rows = data["layers"][0]["gate"]["matrix"]
     if name == "directory":
         return tmp_path
     if name == "not_utf8":
@@ -503,6 +521,32 @@ def _malformed(tmp_path, name):
         data["layers"][0]["phi"]["layers"][0][1]["weights"].pop()
     elif name == "short_embedding_row":
         data["embedding"][0].pop()
+    elif name == "dimension_float":
+        data["dimension"] = float(data["dimension"])
+    elif name.startswith("literal_"):
+        spelling = {"literal_point": "1.5", "literal_blanks": " 1 ", "literal_underscore": "1_0",
+                    "literal_exponent": "1e300000", "literal_plus": "+1"}
+        data["layers"][0]["h0"][0] = spelling[name]
+    elif name == "v2_row_index_out_of_range":
+        gate_rows[0] = len(data["rows"])
+    elif name == "v2_row_index_negative":
+        gate_rows[0] = -1
+    elif name == "v2_row_index_bool":
+        gate_rows[0] = bool(gate_rows[0])
+    elif name == "v2_row_index_float":
+        gate_rows[0] = float(gate_rows[0])
+    elif name == "v2_node_index_out_of_range":
+        data["output"][0][0] = len(data["nodes"])
+    elif name == "v2_columns_not_ascending":
+        row = _v2_row_with(data, 2)
+        row[1], row[2] = row[2], row[1]
+    elif name == "v2_column_outside_width":
+        row = _v2_row_with(data, 1)
+        row[-1][0] = row[0]
+    elif name == "v2_row_width_not_dimension":
+        data["rows"][gate_rows[0]][0] += 1
+    elif name == "v2_zero_weight":
+        _v2_row_with(data, 1)[1][1] = "0"
     path.write_text(json.dumps(data))
     return path
 
@@ -512,6 +556,10 @@ def _malformed(tmp_path, name):
     "not_utf8", "directory", "string_vector", "layers_dict", "layers_string",
     "json_literal_true", "json_literal_int", "json_literal_float",
     "ragged_gate_row", "ragged_inc_row", "ragged_node_weights", "short_embedding_row",
+    "dimension_float", "literal_point", "literal_blanks", "literal_underscore", "literal_exponent", "literal_plus",
+    "v2_row_index_out_of_range", "v2_row_index_negative", "v2_row_index_bool",
+    "v2_row_index_float", "v2_node_index_out_of_range", "v2_columns_not_ascending",
+    "v2_column_outside_width", "v2_row_width_not_dimension", "v2_zero_weight",
 ])
 def test_malformed_model_file_is_a_usage_error(tmp_path, capsys, name):
     path = str(_malformed(tmp_path, name))

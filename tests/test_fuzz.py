@@ -29,8 +29,12 @@ json_values = st.recursive(
 
 
 @pytest.fixture(scope="module")
-def model_json():
-    return model_to_json(compile_ltl(parse("p U q")))
+def model_trees(tmp_path_factory):
+    """The v1 and the v2 JSON tree of one model."""
+    model = compile_ltl(parse("p U q"))
+    path = tmp_path_factory.mktemp("fuzz") / "pq.ssm"
+    save_model(model, str(path))
+    return model_to_json(model), json.loads(path.read_text())
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +72,8 @@ def _ends_in_a_report(status, report):
 
 @given(st.data())
 @SETTINGS
-def test_mutated_model_files_load_or_are_rejected(model_json, tmp_path, data):
-    mutated = copy.deepcopy(model_json)
+def test_mutated_model_files_load_or_are_rejected(model_trees, tmp_path, data):
+    mutated = copy.deepcopy(data.draw(st.sampled_from(model_trees)))
     for _ in range(data.draw(st.integers(0, 2))):
         _mutate(mutated, data.draw)
     if data.draw(st.booleans()) and isinstance(mutated.get("metadata"), dict):

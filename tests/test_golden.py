@@ -2,12 +2,15 @@
 serialisation; any change to either is a format break and must be deliberate."""
 
 import hashlib
+import json
 import random
+from pathlib import Path
 
 from helpers import hand_formulas, random_ilp, random_machine
+from ssmverify.cli import run
 from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, parse_ilp, parse_minsky
 from ssmverify.ltl import parse
-from ssmverify.modelfile import load_model, save_model
+from ssmverify.modelfile import load_model, model_to_json, save_model
 
 MINSKY_TEXT = (
     "start: q0\n"
@@ -38,6 +41,17 @@ def test_input_format_checksums():
     assert inst.matrix == ((1, 1), (0, 1)) and inst.target == (1, 1)
 
 
+def v1_text(model) -> str:
+    """The v1 bytes of ``model``: the indented dump of its v1 JSON tree."""
+    return json.dumps(model_to_json(model), indent=1) + "\n"
+
+
+def v2_text(model, path) -> str:
+    """The v2 bytes of ``model``, as ``save_model`` writes them to ``path``."""
+    save_model(model, str(path))
+    return path.read_text()
+
+
 def test_model_file_checksums(tmp_path):
     cases = {
         "minsky": compile_minsky(parse_minsky(MINSKY_TEXT)),
@@ -46,30 +60,34 @@ def test_model_file_checksums(tmp_path):
         # the relu and min1 gadgets and the previous-bit layer
         "ltl_pointwise": compile_ltl(parse("(X p | !q) & r")),
     }
-    expected = {
+    expected_v1 = {
         "minsky": "70cb671515d7333f626b12bd5c81e8408fd94ddf5ebf362d0b87c639ed392d22",
         "ilp": "0e94b9f3be6928193b94cdcd90ac28fc0f96e94dd82d5b7b81d48631f1b01119",
         "ltl": "38500d9487ada108dbd116aabca53bb1632c7c257a2371043522d72883dd37f1",
         "ltl_pointwise": "dce1a2fdfe51972f73d78d8a2fa8a0fe6bb548e12e0d58d18912c437d2d6e811",
     }
+    expected_v2 = {
+        "minsky": "3f52c783149a19d63c7d7b4698ed335b9c6968d6ccb941af478937a2fdb26455",
+        "ilp": "c34de705c59a44acc5d704d8c99d7bc46083c729b4b14f08dbd970c89a5eb01f",
+        "ltl": "659bc961e9a3bae5f32806200f8d3e19ac6983e6ec429874569b2bc452855be0",
+        "ltl_pointwise": "a64491640de432260a9352a991c716d430ca17866e7d04799b339f62e4a13a88",
+    }
     for name, model in cases.items():
-        path = str(tmp_path / f"{name}.ssm")
-        save_model(model, path)
-        with open(path) as fh:
-            content = fh.read()
-        assert sha(content) == expected[name], name
-        assert load_model(path) == model
+        assert sha(v1_text(model)) == expected_v1[name], name
+        v1, v2 = tmp_path / f"{name}.v1.ssm", tmp_path / f"{name}.ssm"
+        v1.write_text(v1_text(model))
+        assert sha(v2_text(model, v2)) == expected_v2[name], name
+        assert load_model(str(v1)) == load_model(str(v2)) == model
 
 
-def corpus_digest(models, tmp_path) -> str:
-    """One digest over the saved bytes of ``models``, in order."""
-    digest = hashlib.sha256()
-    path = str(tmp_path / "model.ssm")
+def corpus_digests(models, tmp_path) -> tuple[str, str]:
+    """One digest over the v1 bytes of ``models``, in order, and one over
+    their v2 bytes."""
+    v1, v2 = hashlib.sha256(), hashlib.sha256()
     for model in models:
-        save_model(model, path)
-        with open(path, "rb") as fh:
-            digest.update(fh.read())
-    return digest.hexdigest()
+        v1.update(v1_text(model).encode())
+        v2.update(v2_text(model, tmp_path / "model.ssm").encode())
+    return v1.hexdigest(), v2.hexdigest()
 
 
 # The two corpus digests below pin every model the compilers emit, not only
@@ -79,8 +97,9 @@ def corpus_digest(models, tmp_path) -> str:
 def test_compiled_ltl_corpus_checksum(tmp_path):
     """The saved bytes of every hand formula."""
     models = [compile_ltl(parse(text)) for text in hand_formulas()]
-    assert corpus_digest(models, tmp_path) == (
-        "0a306328413e6edf79fc7e65ad0d400c297a8e735438657e023f88974f473831")
+    assert corpus_digests(models, tmp_path) == (
+        "0a306328413e6edf79fc7e65ad0d400c297a8e735438657e023f88974f473831",
+        "16bb0c061616dfb06febf36bd30ed8a70961e06d47f4252e926ddfce05e988a4")
 
 
 def test_compiled_minsky_ilp_corpus_checksum(tmp_path):
@@ -88,5 +107,30 @@ def test_compiled_minsky_ilp_corpus_checksum(tmp_path):
     rng = random.Random(5)
     models = [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(8)]
     models += [compile_ilp(random_ilp(rng)) for _ in range(8)]
-    assert corpus_digest(models, tmp_path) == (
-        "75f21b60f79693ed9de2b4df1ea4de62f9cb992438664f633fa7c8dbb5cea276")
+    assert corpus_digests(models, tmp_path) == (
+        "75f21b60f79693ed9de2b4df1ea4de62f9cb992438664f633fa7c8dbb5cea276",
+        "9f832b27227f0240a9b6a1092d86ccb95caca79b8dc6ef0cb67ccc6da1667144")
+
+
+# A v1 file as the v1 writer saved the compiled model of V1_FORMULA, with
+# the verdict and witness that ``sat fixed --arith fx:6:3`` gave on it.
+V1_FIXTURE = Path(__file__).parent / "data" / "xp_and_not_q.v1.ssm"
+V1_FORMULA = "X p & !q"
+
+
+def test_v1_file_still_loads_and_decides(tmp_path):
+    assert sha(V1_FIXTURE.read_text()) == (
+        "2d917f79ce1c2c617a79136411dc19e049b747974f9e017efc03b6e396f7338d")
+    model = compile_ltl(parse(V1_FORMULA))
+    loaded = load_model(str(V1_FIXTURE))
+    assert loaded == model
+    assert V1_FIXTURE.read_text() == v1_text(model)
+    status, report = run(["sat", "fixed", str(V1_FIXTURE), "--arith", "fx:6:3"])
+    assert status == 0
+    assert report["result"]["verdict"] == "satisfiable"
+    assert report["result"]["witness"] == "{p};{}"
+    # a save of the loaded v1 model writes v2, which loads as the model
+    resaved = tmp_path / "resaved.ssm"
+    save_model(loaded, str(resaved))
+    assert json.loads(resaved.read_text())["format"] == "ssmverify-model-v2"
+    assert load_model(str(resaved)) == model

@@ -358,6 +358,26 @@ def test_dense_views_rebuild_the_same_model(model):
         assert report == quantization_report(rebuilt, fmt) == _dense_quantization_report(model, fmt)
 
 
+def test_saved_bytes_do_not_depend_on_shared_rows(tmp_path):
+    """A compiled model shares its identity rows and copy nodes; built
+    again from its dense views it shares none, and saves the same bytes."""
+    rng = random.Random(3)
+    models = [compile_ltl(parse("(X p | !q) & r")), compile_ltl(random_formula(rng, 7, ("p", "q"))),
+              compile_minsky(random_machine(rng, 3)), compile_ilp(random_ilp(rng))]
+    def objects(model):
+        rows = [row for layer in model.layers for row in layer.gate.rows + layer.inc.rows]
+        return len(rows), len({id(row) for row in rows})
+
+    assert objects(models[0])[1] < objects(models[0])[0]
+    for model in models:
+        rebuilt = _through_dense_views(model)
+        assert objects(rebuilt)[1] == objects(rebuilt)[0]
+        paths = [tmp_path / "model.ssm", tmp_path / "rebuilt.ssm"]
+        save_model(model, str(paths[0]))
+        save_model(rebuilt, str(paths[1]))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_exact_sums_fold_every_constant():
     """Exact sums do not depend on the order of their terms, so the int step
     folds all constant terms of a sum into one literal."""
