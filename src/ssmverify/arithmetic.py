@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 import re
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -23,15 +24,30 @@ Rational = Fraction
 _LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+# The most characters of a rejected literal that an error message quotes.
+_QUOTED_CHARS = 24
+
+
+def _quoted(text) -> str:
+    """``text`` as an error message quotes it: a long string is cut to a
+    prefix and its length."""
+    if isinstance(text, str) and len(text) > _QUOTED_CHARS:
+        return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
+    return reprlib.repr(text)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a ``num`` or ``num/den`` decimal string: ``-?[0-9]+(/[0-9]+)?``
     and nothing else, so no sign ``+``, blank, ``_``, point or exponent."""
     if not isinstance(text, str) or not _LITERAL.fullmatch(text):
-        raise InputFormatError(f"bad rational literal {text!r}: expected num or num/den")
+        raise InputFormatError(f"bad rational literal {_quoted(text)}: expected num or num/den")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputFormatError(f"bad rational literal {text!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise InputFormatError(f"bad rational literal {_quoted(text)}: zero denominator") from None
+    except ValueError:  # the grammar holds, so only the int digit limit is left
+        raise InputFormatError(
+            f"bad rational literal {_quoted(text)}: too many digits to convert") from None
 
 
 def format_rational(x: Fraction) -> str:

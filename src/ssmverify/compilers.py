@@ -3,8 +3,19 @@ and 0-1 integer programs all reduce to SSM satisfiability.
 
 Each compiler ships with an independent brute-force oracle over its source
 language so compiled models can be checked differentially.  The shared
-machinery lives up front: copy/masked matrices and the previous-bit layer
-that smuggles one step of history through the recurrence ``h = h/4 + x``.
+machinery lives up front: copy/masked matrices, ``_pointwise``, which
+applies one-input gadgets of any depth to chosen coordinates in one phi,
+and the previous-bit layer that smuggles one step of history through the
+recurrence ``h = h/4 + x``.
+
+The LTL compiler is levelled.  An atom has DAG height 0 and reads its
+proposition's embedding column.  Every other subformula has its own
+coordinate, and the subformulas of one height are computed together in
+one layer: each reads only lower heights, and each layer update is per
+coordinate, so their inc rows, until gates and gadgets merge.  A level
+that holds an ``X`` gets one previous-bit layer after it, for all of its
+``X`` coordinates.  The layer count is thus the formula's height plus the
+number of levels with an ``X``.
 """
 
 from __future__ import annotations
@@ -119,26 +130,28 @@ def _copies(width: int) -> tuple[FnnNode, ...]:
     return tuple(FnnNode(Row(((k, F1),), width), F0, IDENTITY) for k in range(width))
 
 
-def _pointwise(d: int, positions: Iterable[int], gadget: Fnn) -> Fnn:
-    """(h, x) -> h with the one-input ``gadget`` applied to each tracked
-    coordinate of h; every other coordinate passes through on identity
-    nodes, one per gadget layer.  Nodes keep coordinate order."""
-    tracked = set(positions)
-    if any(not 0 <= p < d for p in tracked):
-        raise DimensionError(f"tracked positions {sorted(tracked)} outside dimension {d}")
+def _pointwise(d: int, gadgets: dict[int, Fnn]) -> Fnn:
+    """(h, x) -> h with ``gadgets[j]``, a one-input network, applied to
+    coordinate j of h; every other coordinate passes through on identity
+    nodes, one per layer.  A gadget shallower than the deepest one ends in
+    identity nodes too, so gadgets of any depth share the network.  Nodes
+    keep coordinate order; with no gadget this is the projection."""
+    if any(not 0 <= p < d for p in gadgets):
+        raise DimensionError(f"tracked positions {sorted(gadgets)} outside dimension {d}")
     slots = [(j,) for j in range(d)]  # the nodes of the previous layer per coordinate
     width = 2 * d
     layers = []
-    for layer in gadget.layers:
+    for depth in range(max((len(g.layers) for g in gadgets.values()), default=1)):
         nodes: list[FnnNode] = []
         copies = _copies(width)
         for j in range(d):
             first = len(nodes)
-            if j in tracked:
+            gadget = gadgets.get(j)
+            if gadget is not None and depth < len(gadget.layers):
                 # slots ascend, so the spliced terms stay in column order
                 nodes += [FnnNode(Row(tuple((slots[j][k], w) for k, w in n.row.terms), width),
                                   n.bias, n.activation)
-                          for n in layer.nodes]
+                          for n in gadget.layers[depth].nodes]
             else:
                 nodes.append(copies[slots[j][0]])
             slots[j] = tuple(range(first, len(nodes)))
@@ -182,7 +195,7 @@ def prev_bit_layer(d: int, positions: Iterable[int]) -> SsmLayer:
         h0=_zeros(d),
         gate=TimeInvariantGate(_sparse(_empty(d), [(p, p, _QUARTER) for p in tracked])),
         inc=AffineMap(_eye(d), _zeros(d)),
-        phi=_pointwise(d, tracked, _PREV_BIT_DECODER),
+        phi=_pointwise(d, dict.fromkeys(tracked, _PREV_BIT_DECODER)),
     )
 
 
@@ -202,10 +215,15 @@ def _finish(model: SsmModel, *source: tuple[str, str]) -> SsmModel:
 
 @dataclass(frozen=True)
 class LtlLayout:
-    """Dimension bookkeeping of a compiled formula."""
+    """Dimension bookkeeping of a compiled formula.  An atom has DAG height
+    0 and reads its proposition's embedding column; ``levels`` holds the
+    other subformulas by height 1, 2, ..., each in topological order, and
+    they take the coordinates after the propositions in that order.  The
+    constant 1 is the last coordinate."""
 
     props: tuple[str, ...]
     subformulas: tuple[LtlFormula, ...]
+    levels: tuple[tuple[LtlFormula, ...], ...]
     dim_of: tuple[tuple[LtlFormula, int], ...]
     const_dim: int
     dimension: int
@@ -214,16 +232,35 @@ class LtlLayout:
         return dict(self.dim_of)[sub]
 
 
+def _children(sub: LtlFormula) -> tuple[LtlFormula, ...]:
+    if isinstance(sub, Atom):
+        return ()
+    if isinstance(sub, (Not, Next)):
+        return (sub.sub,)
+    return (sub.left, sub.right)
+
+
 def ltl_layout(phi: LtlFormula) -> LtlLayout:
     props = tuple(sorted(atoms(phi)))
     subs = tuple(subformulas_topo(phi))
-    dim_of = tuple((sub, len(props) + i) for i, sub in enumerate(subs))
+    height: dict[LtlFormula, int] = {}
+    for sub in subs:  # children come first
+        height[sub] = 1 + max((height[c] for c in _children(sub)), default=-1)
+    levels: list[list[LtlFormula]] = [[] for _ in range(height[phi])]
+    for sub in subs:
+        if height[sub]:
+            levels[height[sub] - 1].append(sub)
+    column = {sub: props.index(sub.name) for sub in subs if isinstance(sub, Atom)}
+    for level in levels:
+        for sub in level:  # the atoms fill columns 0 .. |P| - 1
+            column[sub] = len(column)
     return LtlLayout(
         props=props,
         subformulas=subs,
-        dim_of=dim_of,
-        const_dim=len(props) + len(subs),
-        dimension=len(props) + len(subs) + 1,
+        levels=tuple(map(tuple, levels)),
+        dim_of=tuple((sub, column[sub]) for sub in subs),
+        const_dim=len(column),
+        dimension=len(column) + 1,
     )
 
 
@@ -237,17 +274,15 @@ _RELU = linear_fnn([[1]], activation=RELU)
 _MIN1 = gadget_min1()
 
 
-def _ltl_entry(sub: LtlFormula, dim: dict, layout: LtlLayout):
-    """What the layer of one subformula does to its own coordinate: the
-    coordinate that gates it (``None`` for the zero gate), the (column,
+def _ltl_entry(sub: LtlFormula, dim: dict, const_dim: int):
+    """What the layer of a non-atom subformula does to its own coordinate:
+    the coordinate that gates it (``None`` for the zero gate), the (column,
     weight) terms of its inc row, and the gadget phi applies to it (``None``
     for the projection).  Every other coordinate passes through."""
-    if isinstance(sub, Atom):
-        return None, [(layout.props.index(sub.name), F1)], None
     if isinstance(sub, Not):
-        return None, [(layout.const_dim, F1), (dim[sub.sub], -F1)], None
+        return None, [(const_dim, F1), (dim[sub.sub], -F1)], None
     if isinstance(sub, And):
-        return None, [(dim[sub.left], F1), (dim[sub.right], F1), (layout.const_dim, -F1)], _RELU
+        return None, [(dim[sub.left], F1), (dim[sub.right], F1), (const_dim, -F1)], _RELU
     if isinstance(sub, Or):
         # disjunction as min(1, left + right), the same clamp as until
         return None, [(dim[sub.left], F1), (dim[sub.right], F1)], _MIN1
@@ -259,9 +294,11 @@ def _ltl_entry(sub: LtlFormula, dim: dict, layout: LtlLayout):
 
 def compile_ltl(phi: LtlFormula) -> SsmModel:
     """Model over 2^P that accepts a word iff its reversal is a model of the
-    formula.  One layer per subformula in dependency order (two for X); the
-    compiled model is exact under the 6-bit profile.  A formula over more
-    than ``MAX_ATOMS`` atoms is a ``ResourceLimitError``."""
+    formula.  Atoms read their propositions' embedding columns; every other
+    subformula of one DAG height is computed in one layer, and a level that
+    holds an X gets one previous-bit layer after it.  The compiled model is
+    exact under the 6-bit profile.  A formula over more than ``MAX_ATOMS``
+    atoms is a ``ResourceLimitError``."""
     layout = ltl_layout(phi)
     count = len(layout.props)
     if count > MAX_ATOMS:
@@ -271,29 +308,36 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
     d = layout.dimension
     dim = dict(layout.dim_of)
     eye, empty, zero_off = _eye(d), _empty(d), _zeros(d)
-    no_gate, proj = TimeInvariantGate(empty), projection_phi(d)
+    no_gate = TimeInvariantGate(empty)
 
     layers: list[SsmLayer] = []
-    for sub in layout.subformulas:
-        i = dim[sub]
-        gated_by, terms, gadget = _ltl_entry(sub, dim, layout)
+    for level in layout.levels:
+        gate_terms, inc_terms, gadgets, nexts = [], [], {}, []
+        for sub in level:
+            i = dim[sub]
+            gated_by, terms, gadget = _ltl_entry(sub, dim, layout.const_dim)
+            if gated_by is not None:
+                gate_terms.append((i, gated_by, F1))
+            inc_terms += [(i, c, w) for c, w in terms]
+            if gadget is not None:
+                gadgets[i] = gadget
+            if isinstance(sub, Next):
+                nexts.append(i)
         layers.append(SsmLayer(
             h0=zero_off,
-            gate=no_gate if gated_by is None
-            else DiagonalAffineGate(_sparse(empty, [(i, gated_by, F1)]), zero_off),
-            inc=AffineMap(_sparse(eye, [(i, c, w) for c, w in terms]), zero_off),
-            phi=proj if gadget is None else _pointwise(d, (i,), gadget),
+            gate=DiagonalAffineGate(_sparse(empty, gate_terms), zero_off) if gate_terms else no_gate,
+            inc=AffineMap(_sparse(eye, inc_terms), zero_off),
+            phi=_pointwise(d, gadgets),
         ))
-        if isinstance(sub, Next):
-            layers.append(prev_bit_layer(d, (i,)))
+        if nexts:
+            layers.append(prev_bit_layer(d, nexts))
 
     out = compose(gadget_eq(1), select_fnn([dim[phi]], d))
-    alphabet = tuple(set_symbol(l) for l in ltl_mod.letters(layout.props))
-    emb = tuple(
-        tuple(F1 if p in letter else F0 for p in layout.props)
-        + _zeros(len(layout.subformulas)) + (F1,)
-        for letter in ltl_mod.letters(layout.props)
-    )
+    letters = ltl_mod.letters(layout.props)
+    alphabet = tuple(set_symbol(l) for l in letters)
+    padding = _zeros(d - count - 1) + (F1,)
+    emb = tuple(tuple(F1 if p in letter else F0 for p in layout.props) + padding
+                for letter in letters)
     return _finish(SsmModel(alphabet=alphabet, emb=emb, layers=tuple(layers), out=out),
                    ("source", "ltl"), ("formula", ltl_mod.pretty(phi)), ("min_bits", "6"))
 

@@ -86,10 +86,14 @@ def as_matrix(rows: Sequence[Sequence]) -> Matrix:
 
 def _rows(matrix, offset, message: str) -> tuple[Row, ...]:
     """The rows of a square matrix given as rows or dense sequences, which
-    must match ``offset`` (None: no offset) in length."""
+    must match ``offset`` (None: no offset) in length.  A row of the wrong
+    width is named in the error, with its width and the expected one."""
     rows = tuple(r if isinstance(r, Row) else Row.from_dense(r) for r in matrix)
     d = len(rows)
-    if any(r.width != d for r in rows) or offset is not None and len(offset) != d:
+    for i, r in enumerate(rows):
+        if r.width != d:
+            raise DimensionError(f"{message}: row {i} has width {r.width}, expected {d}")
+    if offset is not None and len(offset) != d:
         raise DimensionError(message)
     return rows
 

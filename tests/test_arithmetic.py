@@ -19,6 +19,7 @@ from ssmverify.arithmetic import (
     fx_mul,
     fx_neg,
     fx_relu,
+    parse_rational,
 )
 from ssmverify.errors import FormatMismatchError, InputFormatError
 
@@ -102,6 +103,14 @@ def test_format_string_round_trip():
 def test_bad_format_strings(bad):
     with pytest.raises(InputFormatError):
         ArithMode.parse(bad)
+
+
+def test_parse_rational_quotes_a_prefix_of_a_long_literal():
+    # 5,000 digits pass the grammar but not CPython's int digit limit
+    with pytest.raises(InputFormatError) as info:
+        parse_rational("9" * 5000)
+    message = str(info.value)
+    assert len(message) < 200 and "(5000 characters)" in message
 
 
 FORMATS = [FixedPointFormat(6, 3), FixedPointFormat(8, 4), FixedPointFormat(12, 6)]

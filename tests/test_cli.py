@@ -143,16 +143,17 @@ def test_classify_reports_bounds(minsky_file, tmp_path):
 
 
 def test_classify_reports_a_bound_too_large_to_print(tmp_path):
-    # 12 props, 12 atoms, 12 X, 11 conjunctions and a constant give 48
-    # dimensions; each X takes two layers, so there are 47
+    # 12 props, 48 X, 11 conjunctions and a constant give 72 dimensions; the
+    # four levels of X take two layers each and the 11 levels of
+    # conjunctions one, so there are 19
     model_path = str(tmp_path / "wide.ssm")
-    formula = " & ".join(f"X p{i}" for i in range(12))
+    formula = " & ".join(f"X X X X p{i}" for i in range(12))
     assert run(["compile", "ltl", formula, "-o", model_path])[0] == 0
     status, report = run(["classify", model_path])
     assert status == 0
     body = report["result"]
-    assert (body["dimension"], body["layers"]) == (48, 47)
-    assert body["state_count_bound_log2"] == 2 * 47 * 48 * 6 == 27072
+    assert (body["dimension"], body["layers"]) == (72, 19)
+    assert body["state_count_bound_log2"] == 2 * 19 * 72 * 6 == 16416
     assert body["state_count_bound"] is None
     json.dumps(report)
 
@@ -566,9 +567,22 @@ def test_malformed_model_file_is_a_usage_error(tmp_path, capsys, name):
     status, report = run(["sat", "fixed", path, "--arith", "fx:6:3"])
     assert status == 2
     assert path in report["result"]["error"]
+    if name == "v2_row_width_not_dimension":
+        assert report["result"]["error"].endswith("row 0 has width 5, expected 4")
     assert main(["sat", "fixed", path, "--arith", "fx:6:3"]) == 2
     printed = json.loads(capsys.readouterr().out)
     assert "error" in printed["result"]
+
+
+def test_long_literal_in_a_model_file_is_quoted_short(tmp_path):
+    data = model_to_json(compile_ltl(parse("p U q")))
+    data["layers"][0]["h0"][0] = "9" * 5000
+    path = tmp_path / "long.ssm"
+    path.write_text(json.dumps(data))
+    status, report = run(["sat", "fixed", str(path), "--arith", "fx:6:3"])
+    assert status == 2
+    error = report["result"]["error"]
+    assert error.startswith(f"{path}: ") and len(error) - len(f"{path}: ") < 200
 
 
 def _bad_input(tmp_path, name):

@@ -38,7 +38,7 @@ from ssmverify.compilers import (
 )
 from ssmverify.errors import InputFormatError, InvalidMachineError
 from ssmverify.ltl import holds, parse
-from ssmverify.ssm import GateClasses, accepts, classify_gates, run_layer
+from ssmverify.ssm import GateClasses, accepts, classify_gates, evaluate_layerwise, run_layer
 from ssmverify.words import pair_symbol, set_symbol
 
 FX6_MODE = ArithMode(FX6)
@@ -179,10 +179,14 @@ def test_compile_ltl_dimension_bookkeeping():
     phi = parse("X p U q")  # X binds tighter: (X p) U q
     layout = ltl_layout(phi)
     model = compile_ltl(phi)
-    k = len(layout.subformulas)
-    k_x = sum(1 for s in layout.subformulas if isinstance(s, ltl.Next))
-    assert model.dim == len(layout.props) + k + 1
-    assert model.num_layers == k + k_x
+    # atoms read their embedding columns; one layer per height >= 1, and one
+    # previous-bit layer after each level that holds an X
+    assert layout.levels == ((ltl.Next(ltl.Atom("p")),), (phi,))
+    non_atoms = [s for s in layout.subformulas if not isinstance(s, ltl.Atom)]
+    x_levels = sum(1 for level in layout.levels if any(isinstance(s, ltl.Next) for s in level))
+    assert model.dim == len(layout.props) + len(non_atoms) + 1 == 5
+    assert model.num_layers == len(layout.levels) + x_levels == 3
+    assert [layout.dim(ltl.Atom(p)) for p in layout.props] == [0, 1]
 
 
 @pytest.mark.parametrize(
@@ -216,31 +220,45 @@ def test_nested_next_compiles_in_little_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert model.num_layers == 2 * 127 + 1
+    assert model.num_layers == 2 * 127
     assert peak < 57 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_subformula_dims_zero_on_layer_entry():
-    """Entering the layer that computes a subformula, that dimension is still
-    zero at every position."""
-    phi = parse("(X p) U q")
+    """Entering the layer that computes a level, every coordinate of that
+    level is still zero at every position."""
+    phi = parse("(X p) U q & !X X q")
     layout = ltl_layout(phi)
     model = compile_ltl(phi)
     word = [set_symbol(s) for s in ({"p"}, set(), {"q"}, {"p", "q"})]
     idx = model.symbol_index
     xs = [tuple(model.emb[idx[s]]) for s in word]
-    # replay layer by layer, pairing each non-prev layer with its subformula
-    sub_iter = iter(layout.subformulas)
-    for layer in model.layers:
-        is_prev = any(
-            w != 0 and w != 1 for row in layer.gate.matrix for w in row
-        ) if hasattr(layer.gate, "matrix") else False
-        if not is_prev:
-            sub = next(sub_iter)
-            dim = layout.dim(sub)
-            for x in xs:
-                assert x[dim] == 0, (sub, dim)
-        xs = run_layer(layer, xs, EXACT)
+    layers = iter(model.layers)
+    for level in layout.levels:
+        for x in xs:
+            assert all(x[layout.dim(sub)] == 0 for sub in level), level
+        xs = run_layer(next(layers), xs, EXACT)
+        if any(isinstance(sub, ltl.Next) for sub in level):
+            xs = run_layer(next(layers), xs, EXACT)  # the previous-bit layer
+    assert next(layers, None) is None
+
+
+@pytest.mark.parametrize("mode", [EXACT, FX6_MODE])
+def test_mixed_level_agrees_with_the_oracle(mode):
+    """Level 1 holds a relu (p & q), a min1 (p | q) and a diagonal gate
+    (p U q) in one layer, and its one pointwise network pads the relu to
+    the depth of the min1."""
+    phi = parse("(p & q) & ((p | q) & (p U q))")
+    model = compile_ltl(phi)
+    assert (model.num_layers, model.dim) == (3, 8)
+    assert len(ltl_layout(phi).levels[0]) == 3
+    for n in range(1, 5):
+        for trace in ltl.enumerate_traces(("p", "q"), n):
+            word = trace_to_word(reversed(trace))
+            want = holds(phi, trace, 1)
+            assert accepts(model, word, mode) == want, trace
+            y = evaluate_layerwise(model, word, mode)
+            assert ((y if mode.is_exact else y.value) == 1) == want, trace
 
 
 # ---------------------------------------------------------------------------

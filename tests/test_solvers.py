@@ -363,9 +363,9 @@ def test_search_on_keys_equals_search_on_full_states_for_hand_formulas(text):
 
 
 @pytest.mark.parametrize("text, dim, key", [
-    ("(a U (b U (c U d))) & X X X !d", 255, 6),
-    ("!((a U (b U c)) | X X X d)", 224, 5),
-    ("G(p -> X q) & G(q -> X !p) & F(p & X X p)", 600, 7),
+    ("(a U (b U (c U d))) & X X X !d", 104, 6),
+    ("!((a U (b U c)) | X X X d)", 96, 5),
+    ("G(p -> X q) & G(q -> X !p) & F(p & X X p)", 220, 7),
 ])
 def test_search_key_holds_only_the_read_coordinates(text, dim, key):
     """The anchors of cone-of-influence reduction: a few of the L*d hidden
