@@ -54,6 +54,12 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
+# The widest fixed-point format: wide enough for any model's ``min_bits``,
+# and narrow enough that every raw bound prints within CPython's default
+# 4300-digit limit on int-to-str conversion, which the generated step needs.
+MAX_TOTAL_BITS = 4096
+
+
 @dataclass(frozen=True)
 class FixedPointFormat:
     """Bit layout of a fixed-point number: value = raw / 2**frac_bits."""
@@ -67,8 +73,8 @@ class FixedPointFormat:
     max_raw: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.total_bits < 1:
-            raise InputFormatError("total_bits must be >= 1")
+        if not 1 <= self.total_bits <= MAX_TOTAL_BITS:
+            raise InputFormatError(f"total_bits must satisfy 1 <= total_bits <= {MAX_TOTAL_BITS}")
         if not 0 <= self.frac_bits < self.total_bits:
             raise InputFormatError("frac_bits must satisfy 0 <= frac_bits < total_bits")
         object.__setattr__(self, "scale", 1 << self.frac_bits)

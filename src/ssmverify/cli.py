@@ -52,6 +52,10 @@ EXIT_RESOURCE = 3
 # bounds print as null.
 _PRINTABLE_LOG2 = 14_000
 
+# No search reaches 2**63 levels, so a binary --max-len above 63 searches
+# with the cap 2**63; its printed bound is computed apart.
+_SEARCH_LOG2 = 63
+
 # The fractional bits that each compiler's ``min_bits`` metadata leaves
 # implicit: LTL and Minsky models count them in the width, ILP models have none.
 _MIN_BITS_FRAC = {"ltl": 3, "minsky": 3, "ilp": 0}
@@ -183,13 +187,13 @@ def _cmd_sat(args) -> tuple[int, dict]:
             )
     if bounded:
         bound = (
-            LengthBound.binary(args.max_len) if args.binary
+            LengthBound.binary(min(args.max_len, _SEARCH_LOG2)) if args.binary
             else LengthBound.unary(args.max_len)
         )
         result = sat_bounded(model, bound, mode)
         report = _sat_report(result)
         if args.binary:
-            report["bound"] = bound.value if args.max_len <= _PRINTABLE_LOG2 else None
+            report["bound"] = 1 << args.max_len if args.max_len <= _PRINTABLE_LOG2 else None
             report["bound_log2"] = args.max_len
         else:
             report["bound"] = bound.value
@@ -293,6 +297,9 @@ def run(argv) -> tuple[int, dict]:
         status, body = handlers[args.command](args)
     except ResourceLimitError as exc:
         body = {"error": str(exc), "partial_stats": asdict(exc.stats) if exc.stats else None}
+        status = EXIT_RESOURCE
+    except MemoryError:
+        body = {"error": "out of memory", "partial_stats": None}
         status = EXIT_RESOURCE
     except (InputFormatError, LtlSyntaxError, EmptyWordError, PreconditionError,
             OSError, UnicodeDecodeError, SsmVerifyError) as exc:

@@ -3,9 +3,9 @@ and 0-1 integer programs all reduce to SSM satisfiability.
 
 Each compiler ships with an independent brute-force oracle over its source
 language so compiled models can be checked differentially.  The shared
-machinery lives up front: copy/masked matrices, ``_pointwise``, which
-applies one-input gadgets of any depth to chosen coordinates in one phi,
-and the previous-bit layer that smuggles one step of history through the
+machinery lives up front: copy/masked matrices, ``_pointwise``, the one
+place that puts gadgets of any depth on chosen input columns, and the
+previous-bit layer that smuggles one step of history through the
 recurrence ``h = h/4 + x``.
 
 The LTL compiler is levelled.  An atom has DAG height 0 and reads its
@@ -130,30 +130,44 @@ def _copies(width: int) -> tuple[FnnNode, ...]:
     return tuple(FnnNode(Row(((k, F1),), width), F0, IDENTITY) for k in range(width))
 
 
-def _pointwise(d: int, gadgets: dict[int, Fnn]) -> Fnn:
-    """(h, x) -> h with ``gadgets[j]``, a one-input network, applied to
-    coordinate j of h; every other coordinate passes through on identity
-    nodes, one per layer.  A gadget shallower than the deepest one ends in
-    identity nodes too, so gadgets of any depth share the network.  Nodes
-    keep coordinate order; with no gadget this is the projection."""
-    if any(not 0 <= p < d for p in gadgets):
+def _pointwise(d: int, gadgets: dict, width: Optional[int] = None) -> Fnn:
+    """``width`` inputs (default 2d, the (h, x) of a layer) -> d outputs:
+    output j is ``gadgets[j]``, a one-output network reading input j or a
+    pair (network, columns) whose first layer reads those inputs in any
+    order; every other output j copies input j on identity nodes, one per
+    layer, as does a gadget shallower than the deepest one after its end.
+    Nodes keep output order; with no gadget this is the projection."""
+    width = 2 * d if width is None else width
+    if any(not 0 <= j < d for j in gadgets):
         raise DimensionError(f"tracked positions {sorted(gadgets)} outside dimension {d}")
-    slots = [(j,) for j in range(d)]  # the nodes of the previous layer per coordinate
-    width = 2 * d
+    # the columns each output reads next: first its gadget's, later the
+    # nodes of the previous layer, which ascend
+    slots = [(j,) for j in range(d)]
+    nets, unordered = {}, set()
+    for j, gadget in gadgets.items():
+        if isinstance(gadget, tuple):
+            gadget, slots[j] = gadget
+            if not all(0 <= c < width for c in slots[j]):
+                raise DimensionError(f"gadget columns {slots[j]} outside {width} inputs")
+            if any(a >= b for a, b in zip(slots[j], slots[j][1:])):
+                unordered.add(j)
+        nets[j] = gadget
     layers = []
-    for depth in range(max((len(g.layers) for g in gadgets.values()), default=1)):
+    for depth in range(max((len(net.layers) for net in nets.values()), default=1)):
         nodes: list[FnnNode] = []
         copies = _copies(width)
         for j in range(d):
-            first = len(nodes)
-            gadget = gadgets.get(j)
-            if gadget is not None and depth < len(gadget.layers):
-                # slots ascend, so the spliced terms stay in column order
-                nodes += [FnnNode(Row(tuple((slots[j][k], w) for k, w in n.row.terms), width),
+            first, cols, net = len(nodes), slots[j], nets.get(j)
+            if net is None or depth >= len(net.layers):
+                nodes.append(copies[cols[0]])
+            elif depth == 0 and j in unordered:  # Row.of sorts the terms
+                nodes += [FnnNode(Row.of(width, ((cols[k], w) for k, w in n.row.terms)),
                                   n.bias, n.activation)
-                          for n in gadget.layers[depth].nodes]
+                          for n in net.layers[0].nodes]
             else:
-                nodes.append(copies[slots[j][0]])
+                nodes += [FnnNode(Row(tuple((cols[k], w) for k, w in n.row.terms), width),
+                                  n.bias, n.activation)
+                          for n in net.layers[depth].nodes]
             slots[j] = tuple(range(first, len(nodes)))
         layers.append(FnnLayer(tuple(nodes)))
         width = len(nodes)
@@ -524,8 +538,14 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
 
     Dimension layout: current-state block, previous-state block (recovered
     from the quarter-shift history), six action flags, two counters, one
-    violation accumulator.  Gates are constant diagonal masks, so the model
-    is both time-invariant and diagonal.
+    violation accumulator.  Layer 1 sums the counters.  Layer 2's phi is the
+    previous-bit decoder followed by one ``_pointwise`` stage that adds to
+    the violation coordinate the transition lookup and the four counter
+    validators, each reading its columns of the decoded state directly.
+    Layer 3 sums the violations, and ``out``, one ``_pointwise`` gadget on
+    the violation and final-state columns, accepts when the sum is 0 and
+    the run ends in the final state.  Gates are constant diagonal masks, so
+    the model is both time-invariant and diagonal.
     """
     n = len(machine.states)
     d = 2 * n + 9
@@ -555,56 +575,30 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
                         AffineMap(_eye(d), _zeros(d)), projection_phi(d))
 
     # layer 2: quarter-shift history on the second state block, seeded with
-    # the start state, then decode + transition/counter checks in phi
+    # the start state; phi decodes it, then sums the violations of the step
     history = prev_bit_layer(d, range(n, 2 * n))
     h0_2 = list(history.h0)
     h0_2[n + state_idx[machine.start]] = F1
-
-    valid_cases = (
-        ("dec1", c_dims[0], "geq0"),
-        ("dec2", c_dims[1], "geq0"),
-        ("ztest1", c_dims[0], "eq0"),
-        ("ztest2", c_dims[1], "eq0"),
-    )
-    # each coordinate, then the inputs of the transition lookup and of the
-    # four counter validators, in the order ``checks`` reads them
-    dup = select_fnn(
-        [*range(d), *range(n, 2 * n), *range(n), *range(act_base, act_base + 6)]
-        + [src for action, c_dim, _ in valid_cases
-           for src in (act_base + _ACTION_INDEX[action], c_dim)],
-        d,
-    )
 
     accepted = {
         (state_idx[q], state_idx[q2], _ACTION_INDEX[a])
         for (q, a, q2) in machine.transitions
     }
-    trans = gadget_lookup((n, n, 6), accepted)
-    validators = [
-        compose(
-            gadget_implies(),
-            concat_all([identity_fnn(1), gadget_geq0() if kind == "geq0" else gadget_eq(0)]),
-        )
-        for _, _, kind in valid_cases
-    ]
-    checks = concat_all([identity_fnn(d), trans] + validators)
-
-    extras = tuple((e, F1) for e in range(d, d + 5))
-    assemble = Fnn((FnnLayer(tuple(
-        FnnNode(Row(((m, F1),) + (extras if m == chk else ()), d + 5), F0, IDENTITY)
-        for m in range(d)
-    )),))
-
-    phi2 = compose(assemble, compose(checks, compose(dup, history.phi)))
+    parts = [(identity_fnn(1), (chk,)),
+             (gadget_lookup((n, n, 6), accepted),
+              (*range(n, 2 * n), *range(n), *range(act_base, act_base + 6)))]
+    for action, test in (("dec1", gadget_geq0()), ("dec2", gadget_geq0()),
+                         ("ztest1", gadget_eq(0)), ("ztest2", gadget_eq(0))):
+        # 1 iff the action is taken while its counter test fails
+        parts.append((compose(gadget_implies(), concat_all([identity_fnn(1), test])),
+                      (act_base + _ACTION_INDEX[action], c_dims[_COUNTER_OF[action]])))
+    violations = compose(linear_fnn([[1] * len(parts)]), concat_all(net for net, _ in parts))
+    columns = tuple(c for _, cols in parts for c in cols)
+    phi2 = compose(_pointwise(d, {chk: (violations, columns)}, width=d), history.phi)
     l2 = replace(history, h0=tuple(h0_2), phi=phi2)
 
-    out = compose(
-        gadget_and(2),
-        compose(
-            concat_all([gadget_eq(0), gadget_eq(1)]),
-            select_fnn([chk, state_idx[machine.final]], d),
-        ),
-    )
+    accepting = compose(gadget_and(2), concat_all([gadget_eq(0), gadget_eq(1)]))
+    out = _pointwise(1, {0: (accepting, (chk, state_idx[machine.final]))}, width=d)
     # layer 1 accumulates the counters, layer 3 the violation dimension
     layers = (accumulator(*c_dims), l2, accumulator(chk, chk))
     return _finish(SsmModel(alphabet=alphabet, emb=tuple(emb), layers=layers, out=out),

@@ -324,11 +324,9 @@ def gadget_min1() -> Fnn:
 
 def gadget_implies() -> Fnn:
     """On 0/1 inputs (x, y): 0 iff x -> y holds, 1 otherwise (inverted
-    polarity): 1 - min(1, 1 - x + y)."""
-    # z = 1 - x + y; the three relus of min(1, z), then 1 - (z+ - z- - (z-1)+).
-    l1 = _relu_layer([((-1, 1), 1), ((1, -1), -1), ((-1, 1), 0)])
-    l2 = _relu_layer([((-1, 1, 1), 1)])
-    return Fnn((l1, l2))
+    polarity).  One node, relu(x - y), which equals 1 - min(1, 1 - x + y)
+    on every rational input."""
+    return Fnn((_relu_layer([((1, -1), 0)]),))
 
 
 def gadget_lookup(block_sizes: Sequence[int], accepted: Iterable[tuple[int, ...]]) -> Fnn:

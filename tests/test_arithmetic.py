@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ssmverify.arithmetic import (
     EXACT,
     FX6,
+    MAX_TOTAL_BITS,
     ArithMode,
     FixedPointFormat,
     FixedPointValue,
@@ -103,6 +104,16 @@ def test_format_string_round_trip():
 def test_bad_format_strings(bad):
     with pytest.raises(InputFormatError):
         ArithMode.parse(bad)
+
+
+def test_format_width_ceiling():
+    """The widest format's raw bounds print within CPython's int-to-str
+    digit limit; one bit more, or a width past 2**63, is an input error."""
+    widest = ArithMode.parse(f"fx:{MAX_TOTAL_BITS}:{MAX_TOTAL_BITS - 1}").fmt
+    assert len(str(widest.min_raw)) < 4300
+    for bad in (f"fx:{MAX_TOTAL_BITS + 1}:3", "fx:99999999999999999999:3"):
+        with pytest.raises(InputFormatError):
+            ArithMode.parse(bad)
 
 
 def test_parse_rational_quotes_a_prefix_of_a_long_literal():

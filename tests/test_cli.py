@@ -67,6 +67,58 @@ def test_sat_bounded_reports_a_binary_bound_too_large_to_print(tmp_path, capsys)
         assert result["bound"] == bound and result["bound_log2"] == log2
 
 
+def test_sat_bounded_binary_exponent_past_the_search_cap(minsky_file, tmp_path):
+    """No search reaches 2**63 levels, so a 20-digit exponent searches as 63
+    does and exits the same way, with the bound too large to print."""
+    model_path = str(tmp_path / "m.ssm")
+    run(["compile", "minsky", minsky_file, "-o", model_path])
+    results = []
+    for log2 in ("63", "9" * 20):
+        status, report = run(["sat", "bounded", model_path, "--max-len", log2, "--binary"])
+        result = report["result"]
+        for timing in ("elapsed_s", "stepper_build_s"):
+            del result["stats"][timing]
+        assert result["bound_log2"] == int(log2)
+        results.append((status, result.pop("bound"), result.pop("bound_log2"), result))
+    (status63, bound63, _, result63), (status, bound, _, result) = results
+    assert status == status63 == 0
+    assert bound63 == 1 << 63 and bound is None
+    assert result == result63 and result["verdict"] == "satisfiable"
+
+
+@pytest.mark.parametrize("command", [["eval", "--word", "{p};{q}"],
+                                     ["sat", "bounded", "--max-len", "2"],
+                                     ["sat", "fixed"],
+                                     ["pump", "--word", "{p};{q}"]],
+                         ids=["eval", "sat_bounded", "sat_fixed", "pump"])
+def test_a_huge_fixed_point_width_is_a_usage_error(tmp_path, command):
+    model_path = str(tmp_path / "pq.ssm")
+    save_model(compile_ltl(parse("p U q")), model_path)
+    status, report = run(command + [model_path, "--arith", "fx:99999999999999999999:3"])
+    assert status == 2
+    assert "total_bits" in json.loads(json.dumps(report))["result"]["error"]
+
+
+def test_the_widest_fixed_point_format_evaluates(tmp_path):
+    model_path = str(tmp_path / "pq.ssm")
+    save_model(compile_ltl(parse("p U q")), model_path)
+    status, report = run(["eval", model_path, "--word", "{p};{q}", "--arith", "fx:4096:4095"])
+    assert status in (0, 1) and "value" in report["result"]
+
+
+def test_running_out_of_memory_is_a_resource_limit(tmp_path, monkeypatch):
+    model_path = str(tmp_path / "pq.ssm")
+    save_model(compile_ltl(parse("p U q")), model_path)
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(ssmverify.cli, "_cmd_eval", exhausted)
+    status, report = run(["eval", model_path, "--word", "{p}"])
+    assert status == 3
+    assert json.loads(json.dumps(report))["result"]["error"] == "out of memory"
+
+
 def test_unsat_exit_code_and_no_witness(tmp_path):
     model_path = str(tmp_path / "m.ssm")
     run(["compile", "ltl", "p & !p", "-o", model_path])

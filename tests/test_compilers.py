@@ -16,6 +16,7 @@ from helpers import (
 from ssmverify import ltl
 from ssmverify.arithmetic import EXACT, FX6, ArithMode
 from ssmverify.compilers import (
+    _pointwise,
     IlpInstance,
     MinskyMachine,
     MinskyRun,
@@ -36,7 +37,8 @@ from ssmverify.compilers import (
     run_encode,
     validate_word,
 )
-from ssmverify.errors import InputFormatError, InvalidMachineError
+from ssmverify.errors import DimensionError, InputFormatError, InvalidMachineError
+from ssmverify.fnn import RELU, compose, fnn_eval, gadget_min1, linear_fnn, select_fnn
 from ssmverify.ltl import holds, parse
 from ssmverify.ssm import GateClasses, accepts, classify_gates, evaluate_layerwise, run_layer
 from ssmverify.words import pair_symbol, set_symbol
@@ -121,6 +123,31 @@ def test_prev_bit_exhaustive_short(mode):
             zs = run_layer(layer, xs, mode)
             want = [0] + list(bits[:-1])
             assert [z[0] for z in zs] == [w * one for w in want], bits
+
+
+def test_pointwise_reads_columns_out_of_order_and_shared():
+    """A gadget placed on columns equals the network after a select of
+    those columns, whatever their order and whoever else reads them; a
+    plain network reads its own position, and the rest is copied."""
+    width = 6
+    deep = compose(gadget_min1(), linear_fnn([[1, -2, Fraction(1, 3)]], [1], RELU))
+    shallow = linear_fnn([[1, 3]], [-1])
+    gadgets = {1: (deep, (5, 0, 3)), 2: gadget_min1(), 3: (shallow, (4, 3))}
+    net = _pointwise(4, gadgets, width=width)
+    rng = random.Random(13)
+    for _ in range(200):
+        xs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(width)]
+        got = fnn_eval(net, xs, EXACT)
+        assert got[0] == xs[0]
+        assert got[2] == fnn_eval(gadget_min1(), [xs[2]], EXACT)[0]
+        for j, (gadget, columns) in ((1, gadgets[1]), (3, gadgets[3])):
+            assert got[j] == fnn_eval(compose(gadget, select_fnn(columns, width)), xs, EXACT)[0]
+
+
+@pytest.mark.parametrize("gadgets", [{4: gadget_min1()}, {0: (gadget_min1(), (6,))}])
+def test_pointwise_rejects_a_gadget_off_its_network(gadgets):
+    with pytest.raises(DimensionError):
+        _pointwise(4, gadgets, width=6)
 
 
 def test_prev_bit_passthrough_keeps_other_dims():

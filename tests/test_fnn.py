@@ -92,6 +92,12 @@ def test_gadget_implies_polarity():
         assert fnn_eval(net, [Fraction(x), Fraction(y)], EXACT)[0] == want
 
 
+@given(st.fractions(), st.fractions())
+@settings(max_examples=200, deadline=None)
+def test_gadget_implies_is_one_minus_min1(x, y):
+    assert fnn_eval(gadget_implies(), [x, y], EXACT)[0] == 1 - min(1, 1 - x + y)
+
+
 def test_gadget_min1():
     net = gadget_min1()
     assert run1(net, Fraction(1, 2)) == Fraction(1, 2)

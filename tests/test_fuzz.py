@@ -124,14 +124,30 @@ def machine_path(tmp_path_factory):
     return str(path)
 
 
-int_option = st.integers(-3, 20_000)
+# small values, and values past 2**63, which no search or format reaches
+int_option = st.integers(-3, 20_000) | st.integers(10**19, 10**30)
+# the oracle simulates the machine that counts forever step by step, so it
+# only gets budgets that it spends in well under a second
+step_option = st.integers(-3, 20_000)
 
 
-@given(int_option, st.booleans(), int_option, int_option)
+@given(int_option, st.booleans(), step_option, int_option)
 @SETTINGS
 def test_integer_options_end_in_a_report(model_path, machine_path, max_len, binary,
                                          max_steps, bits):
     for argv in (["sat", "bounded", model_path, "--max-len", str(max_len)] + ["--binary"] * binary,
                  ["oracle", "minsky", machine_path, "--max-steps", str(max_steps)],
                  ["classify", model_path, "--bits", str(bits)]):
+        _ends_in_a_report(*run(argv))
+
+
+@given(int_option, int_option)
+@SETTINGS
+def test_fixed_point_widths_end_in_a_report(model_path, monkeypatch, total, frac):
+    # a wide format can leave p U q with a long search; the ceiling ends it
+    monkeypatch.setenv("SSMVERIFY_MAX_STATES", "1000")
+    arith = f"--arith=fx:{total}:{frac}"
+    for argv in (["eval", model_path, "--word={p};{q}", arith],
+                 ["sat", "fixed", model_path, arith],
+                 ["pump", model_path, "--word={p};{q}", arith]):
         _ends_in_a_report(*run(argv))

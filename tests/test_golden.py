@@ -61,13 +61,13 @@ def test_model_file_checksums(tmp_path):
         "ltl_pointwise": compile_ltl(parse("(X p | !q) & r")),
     }
     expected_v1 = {
-        "minsky": "70cb671515d7333f626b12bd5c81e8408fd94ddf5ebf362d0b87c639ed392d22",
+        "minsky": "3df61b8afe417314b5748605bb48ed2daa437c642ce5ce5ba2711cdff4c3dc6e",
         "ilp": "0e94b9f3be6928193b94cdcd90ac28fc0f96e94dd82d5b7b81d48631f1b01119",
         "ltl": "d95dfe81bf0d1eead07fd61a2111335ff6d84c1efd071857200ba33268e204fd",
         "ltl_pointwise": "b84526b4ce29ed044e9720e052b5ebe4504d0a978a5710b54ef0335350f5a687",
     }
     expected_v2 = {
-        "minsky": "3f52c783149a19d63c7d7b4698ed335b9c6968d6ccb941af478937a2fdb26455",
+        "minsky": "f2d294812c160ab0c73659732065637a2062cc20c66e73dd6438c8c85dd000fc",
         "ilp": "c34de705c59a44acc5d704d8c99d7bc46083c729b4b14f08dbd970c89a5eb01f",
         "ltl": "3be88ea2340950953829c88eaea8ac8cfca2c2798e514eb9587d7a3009c59976",
         "ltl_pointwise": "45addb90fe899ca30937ddd8977ca8529cacfe1d8656d080dc45b88a4128428d",
@@ -78,6 +78,14 @@ def test_model_file_checksums(tmp_path):
         v1.write_text(v1_text(model))
         assert sha(v2_text(model, v2)) == expected_v2[name], name
         assert load_model(str(v1)) == load_model(str(v2)) == model
+
+
+def test_golden_machine_shape():
+    """Layer 2's phi is the previous-bit decoder and one stage of checks,
+    and ``out`` reads its two columns with no routing layer."""
+    model = compile_minsky(parse_minsky(MINSKY_TEXT))
+    assert len(model.layers[1].phi.layers) == 12
+    assert len(model.out.layers) == 5
 
 
 def corpus_digests(models, tmp_path) -> tuple[str, str]:
@@ -108,8 +116,8 @@ def test_compiled_minsky_ilp_corpus_checksum(tmp_path):
     models = [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(8)]
     models += [compile_ilp(random_ilp(rng)) for _ in range(8)]
     assert corpus_digests(models, tmp_path) == (
-        "75f21b60f79693ed9de2b4df1ea4de62f9cb992438664f633fa7c8dbb5cea276",
-        "9f832b27227f0240a9b6a1092d86ccb95caca79b8dc6ef0cb67ccc6da1667144")
+        "1d76d7b499885fcefa15138e51434068c010877740bbd10806b6f95bab6a439f",
+        "dd32fbca97bc0487898481a7c9d88264ff07a3751235e0d5a23d126edca70fa6")
 
 
 # A v1 file as the v1 writer saved the compiled model of V1_FORMULA, with
