@@ -55,6 +55,7 @@ from .fnn import (
     select_fnn,
 )
 from .ltl import LtlFormula, Atom, Not, And, Or, Next, atoms, subformulas_topo
+from .solvers import ResourceLimits
 from .ssm import (
     AffineMap,
     DiagonalAffineGate,
@@ -426,12 +427,18 @@ class MinskyRun:
 
 def minsky_oracle(machine: MinskyMachine, max_steps: int) -> Optional[MinskyRun]:
     """Deterministic simulation from (q0, 0, 0); the machine structure admits
-    exactly one applicable transition per configuration."""
+    exactly one applicable transition per configuration.  The run is kept
+    step by step, so the simulation is held to ``ResourceLimits.from_env()``:
+    past ``max_states`` steps, or the memory ceiling, it raises
+    ``ResourceLimitError``."""
     if max_steps < 0:
         raise PreconditionError("max_steps must be >= 0")
+    limits = ResourceLimits.from_env()
     q, c = machine.start, [0, 0]
     steps: list[tuple[str, str]] = []
-    for _ in range(max_steps + 1):
+    for n in range(max_steps + 1):
+        if n > limits.max_states or n % 4096 == 0:
+            limits.check(n)
         if q == machine.final:
             return MinskyRun(tuple(steps))
         outs = machine.outgoing(q)

@@ -125,6 +125,14 @@ class ResourceLimits:
             max_mem_mb=read("SSMVERIFY_MAX_MEM_MB"),
         )
 
+    def check(self, states: int) -> None:
+        """Raise ``ResourceLimitError`` once ``states`` is past the state
+        ceiling or the process's peak memory is past the memory ceiling."""
+        if states > self.max_states:
+            raise ResourceLimitError(f"state ceiling {self.max_states} exceeded")
+        if self.max_mem_mb is not None and _mem_mb() > self.max_mem_mb:
+            raise ResourceLimitError(f"memory ceiling {self.max_mem_mb} MB exceeded")
+
 
 def _mem_mb() -> float:
     if _resource is None:
@@ -134,15 +142,13 @@ def _mem_mb() -> float:
 
 
 def _check_limits(stats: SearchStats, limits: ResourceLimits, start: float):
-    if stats.states_explored > limits.max_states:
-        error = f"state ceiling {limits.max_states} exceeded"
-    elif limits.max_mem_mb is not None and _mem_mb() > limits.max_mem_mb:
-        error = f"memory ceiling {limits.max_mem_mb} MB exceeded"
-    else:
-        return
-    stats.transitions = stats.states_explored
-    stats.elapsed_s = time.monotonic() - start
-    raise ResourceLimitError(error, stats=stats)
+    try:
+        limits.check(stats.states_explored)
+    except ResourceLimitError as exc:
+        stats.transitions = stats.states_explored
+        stats.elapsed_s = time.monotonic() - start
+        exc.stats = stats
+        raise
 
 
 def _search(model: SsmModel, mode: ArithMode, length_cap: Optional[int],

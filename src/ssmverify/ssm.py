@@ -12,16 +12,19 @@ order.  The public constructors also take dense rows, and ``.matrix`` and
 ``FnnNode.weights`` give the dense view on demand; every reader here walks
 the rows' terms, so no layer stores or scans a zero.
 
-Two evaluation orders are implemented.  The streaming ``step``/``evaluate``
-path compiles each model, once per arithmetic mode, into one generated
-straight-line Python function: the model's constants are folded into the
-code, unit weights become aliases and fixed-point truncation and saturation
-are inlined per term (partial evaluation; Jones, Gomard and Sestoft, 1993).
-``evaluate_layerwise`` is the independent oracle: one uncompiled interpreter
-that materialises whole sequences layer by layer, over either domain through
-the mode's scalar kernels.  Both apply per-dimension terms in the same
-canonical order (gate terms, inc offset, inc terms, each by ascending
-column) so fixed-mode saturation behaves identically.
+Two evaluation orders are implemented.  The solvers, ``evaluate`` and
+``accepts`` compile each model, once per arithmetic mode, into one
+generated straight-line Python function: the model's constants are folded
+into the code, unit weights become aliases and fixed-point truncation and
+saturation are inlined per term (partial evaluation; Jones, Gomard and
+Sestoft, 1993).  ``evaluate_layerwise`` is the independent oracle: one
+uncompiled interpreter that materialises whole sequences layer by layer,
+over either domain through the mode's scalar kernels.  Both apply
+per-dimension terms in the same canonical order (gate terms, inc offset,
+inc terms, each by ascending column) so fixed-mode saturation behaves
+identically.  The public ``step`` is one position of the oracle, each
+layer's ``_layer_step`` in turn, so it builds nothing and its
+``StreamState`` keeps every layer's full hidden vector.
 
 In exact mode the generated step runs on plain ints: every value ``v`` is
 the integer ``v * 2**SCALE_BITS``, which is exact for the dyadic values
@@ -29,21 +32,18 @@ the integer ``v * 2**SCALE_BITS``, which is exact for the dyadic values
 weight ``a / 2**e`` shifts out ``e`` bits after checking that they are zero.
 A model with a constant outside that encoding compiles to a step on
 ``Fraction``s instead, and a call whose values leave the encoding at run
-time (a check finds nonzero bits) runs again, whole, on that step.  The
-public functions convert at the boundary, so ``StreamState`` and the
-scalars they return hold ``Fraction``s either way.  One interval analysis
-serves all three domains of the generated step, so exact mode, like fixed
-mode, emits a relu clamp only where its argument can be negative.
+time (a check finds nonzero bits) runs again, whole, on that step.
+``evaluate`` converts at the boundary, so the scalars it returns are
+``Fraction``s either way.  One interval analysis serves all three domains
+of the generated step, so exact mode, like fixed mode, emits a relu clamp
+only where its argument can be negative.
 
 The generated step reads only some hidden coordinates: those that a gate
 row of a live value reads.  Every other coordinate is recomputed from the
 current input alone, so it cannot affect the future (cone-of-influence
-reduction; Clarke, Grumberg and Peled, *Model Checking*, 1999).  The search
-step therefore takes and returns a flat *key* of the read coordinates, and
-the solvers, ``evaluate`` and ``accepts`` run on keys.  The public ``step``
-keeps ``StreamState``'s full per-layer layout through a second step,
-assembled on first use from the same generated code, that maps a key to
-every layer's new hidden vector.
+reduction; Clarke, Grumberg and Peled, *Model Checking*, 1999).  The step
+therefore takes and returns a flat *key* of the read coordinates, and the
+solvers, ``evaluate`` and ``accepts`` run on keys.
 """
 
 from __future__ import annotations
@@ -235,10 +235,11 @@ class SsmModel:
 
 @dataclass(frozen=True)
 class StreamState:
-    """Per-layer hidden vectors, sufficient to continue symbol by symbol.
+    """Per-layer hidden vectors, sufficient to continue symbol by symbol
+    through the public ``step``.
 
-    Entries are Fractions in exact mode, whichever domain the generated step
-    computes in, and raw mantissas in fixed mode; states compare and hash
+    Entries are Fractions in exact mode and raw mantissas in fixed mode, as
+    the layer-major oracle computes them; states compare and hash
     bit-exactly.
     """
 
@@ -325,13 +326,10 @@ class _StepCompiler:
     input-dependent gate).  A saturation test is emitted only on a side that
     can overflow, and a relu clamp only where its argument can be negative.
 
-    The hidden coordinates that a value on the way to the new state or
-    ``y`` reads are the ``key``, in (layer, index) order; a key is the flat
-    tuple of their values.  Both shapes of the step take a key.  ``source``
-    assembles the search step, which returns the new key and ``y``;
-    ``build_full`` assembles, from the same blocks, the step that returns
-    every layer's new hidden vector and ``y``.  Each shape keeps only the
-    blocks its outputs need.
+    The hidden coordinates that a value on the way to some layer's new
+    hidden vector or ``y`` reads are the ``key``, in (layer, index) order; a
+    key is the flat tuple of their values.  The step maps a key to the new
+    key and ``y``, and keeps only the blocks those need.
 
     Per domain are the encoding of constants and the rounding of products.
     ``enc`` counts a fixed-mode constant in ``quantized`` when it is not
@@ -550,9 +548,9 @@ class _StepCompiler:
         return self.total(self.zero, terms)
 
     def source(self, model: SsmModel, inputs: list[tuple]) -> str:
-        """The source of the search step; ``inputs`` are the encoded
-        embeddings, the only vectors it is ever called with.  Generates the
-        whole model, so every constant is encoded, and sets ``key``."""
+        """The source of the step; ``inputs`` are the encoded embeddings,
+        the only vectors it is ever called with.  Generates the whole model,
+        so every constant is encoded, and sets ``key``."""
         x = []
         for k in range(model.dim):
             column = [vec[k] for vec in inputs]
@@ -568,32 +566,34 @@ class _StepCompiler:
             hidden.append(new)
             x = self.fnn(layer.phi, new + x)
         (y,) = self.fnn(model.out, x)
-        self._hidden, self._y, self._dim = hidden, y, model.dim
-        live, _ = self._live([v for new in hidden for v in new])
+        live, _ = self._live([y] + [v for new in hidden for v in new])
         self.key = tuple((li, j) for li, new in enumerate(hidden) for j in range(len(new))
                          if f"h{li}_{j}" in live)
-        return self._assemble([hidden[li][j] for li, j in self.key], False)
+        outputs = [hidden[li][j] for li, j in self.key]
+        live, body = self._live([y] + outputs)
+        lines = ["def step(key, x):"]
+        if self.key:
+            lines.append("    " + "".join(
+                f"h{li}_{j}, " if f"h{li}_{j}" in live else "_, " for li, j in self.key) + "= key")
+        if model.dim:
+            lines.append("    " + "".join(
+                f"x{k}, " if f"x{k}" in live else "_, " for k in range(model.dim)) + "= x")
+        lines += [f"    {line}" for block in body for line in block]
+        lines.append(f"    return ({''.join(f'{v.code}, ' for v in outputs)}), {y.code}")
+        return "\n".join(lines) + "\n"
 
     def build(self, model: SsmModel, inputs: list[tuple]):
-        """Compile the search step; ``inputs`` are the encoded embeddings,
-        the only vectors it is ever called with."""
-        return self._compile(self.source(model, inputs))
-
-    def build_full(self):
-        """Compile the full-layout step, assembled from the blocks that
-        ``build`` generated."""
-        return self._compile(self._assemble([v for new in self._hidden for v in new], True))
-
-    def _compile(self, source: str):
-        code = compile(source, f"<ssm step {self.fmt or 'exact'}>", "exec")
+        """Compile the step; ``inputs`` are the encoded embeddings, the only
+        vectors it is ever called with."""
+        code = compile(self.source(model, inputs), f"<ssm step {self.fmt or 'exact'}>", "exec")
         namespace = dict(self.namespace)
         exec(code, namespace)
         return namespace["step"]
 
     def _live(self, outputs: list[_Val]) -> tuple[set, list]:
-        """The names that ``outputs`` and ``y`` need, and the blocks that
-        compute them in emission order."""
-        live = set(self._y.reads).union(*(v.reads for v in outputs))
+        """The names that ``outputs`` need, and the blocks that compute
+        them in emission order."""
+        live = set().union(*(v.reads for v in outputs))
         body = []
         for name, lines, reads in reversed(self._blocks):
             if name in live:
@@ -602,38 +602,17 @@ class _StepCompiler:
         body.reverse()
         return live, body
 
-    def _assemble(self, outputs: list[_Val], full: bool) -> str:
-        """``def step(key, x)`` returning ``outputs`` and ``y``: the new key
-        as a flat tuple, or with ``full`` every layer's new hidden vector."""
-        live, body = self._live(outputs)
-        head = ["def step(key, x):"]
-        if self.key:
-            head.append("    " + "".join(
-                f"h{li}_{j}, " if f"h{li}_{j}" in live else "_, " for li, j in self.key) + "= key")
-        if self._dim:
-            head.append("    " + "".join(
-                f"x{k}, " if f"x{k}" in live else "_, " for k in range(self._dim)) + "= x")
-        if full:
-            state = "".join(f"({', '.join(v.code for v in new)},), " for new in self._hidden)
-        else:
-            state = "".join(f"{v.code}, " for v in outputs)
-        lines = head + [f"    {line}" for block in body for line in block]
-        lines.append(f"    return ({state}), {self._y.code}")
-        return "\n".join(lines) + "\n"
-
 
 class _Stepper:
-    """Model compiled for one arithmetic mode: the encoded embeddings and
-    initial state, the generated search step on keys, the number of model
-    constants the mode quantises, the domain exact values run in (``"int"``
-    or ``"fraction"``; ``None`` in fixed mode) and the seconds the build
-    took.
+    """Model compiled for one arithmetic mode: the encoded embeddings, the
+    generated step on keys, the number of model constants the mode
+    quantises, the domain exact values run in (``"int"`` or
+    ``"fraction"``; ``None`` in fixed mode) and the seconds the build took.
 
     A key is the flat tuple of the hidden coordinates the step reads,
     ``key`` lists them as (layer, index) pairs and ``init`` is the initial
-    state's key.  ``step`` maps a key to the next key, ``step_full`` to the
-    next state in the full per-layer layout; the full-layout step is
-    assembled from the same generated blocks on its first call."""
+    state's key.  ``step`` maps a key and a symbol to the next key and the
+    output."""
 
     def __init__(self, model: SsmModel, mode: ArithMode, scaled: bool = False):
         started = time.perf_counter()
@@ -643,50 +622,24 @@ class _Stepper:
         self.emb = {
             s: tuple(comp.enc(v) for v in vec) for s, vec in zip(model.alphabet, model.emb)
         }
-        self.h0 = tuple(tuple(comp.enc(v) for v in layer.h0) for layer in model.layers)
+        # every h0 entry is encoded, key or not, so `quantized` counts it
+        h0 = [[comp.enc(v) for v in layer.h0] for layer in model.layers]
         self.search_step = comp.build(model, list(self.emb.values()))
         self.key = comp.key
-        self.init = self.key_of(self.h0)
+        self.init = tuple(h0[li][j] for li, j in self.key)
         self.quantized_constants = comp.quantized
         self.domain = ("int" if scaled else "fraction") if mode.is_exact else None
-        self._comp, self._full = comp, None
         self.build_s = time.perf_counter() - started
 
-    def _embedding(self, symbol):
+    def step(self, key, symbol):
         x = self.emb.get(symbol)
         if x is None:
             raise UnknownSymbolError(f"symbol {symbol!r} not in model alphabet")
-        return x
-
-    def step(self, key, symbol):
-        return self.search_step(key, self._embedding(symbol))
-
-    def step_full(self, key, symbol):
-        if self._full is None:
-            self._full = self._comp.build_full()
-            self._comp = None
-        return self._full(key, self._embedding(symbol))
-
-    def key_of(self, hidden) -> tuple:
-        """The key of a per-layer state in the step's encoding."""
-        return tuple(hidden[li][j] for li, j in self.key)
+        return self.search_step(key, x)
 
     def scalar(self, y) -> Scalar:
         """An output of the step as the public scalar of the mode."""
         return Fraction(y, _SCALE) if self.domain == "int" else _scalar(y, self.mode)
-
-    def public_hidden(self, hidden) -> tuple[tuple, ...]:
-        if self.domain != "int":
-            return hidden
-        return tuple(tuple(Fraction(v, _SCALE) for v in h) for h in hidden)
-
-    def own_key(self, hidden) -> tuple:
-        """The key of a public per-layer state, in the step's encoding;
-        raises ``_Inexact`` when the integer encoding cannot hold a read
-        coordinate."""
-        if self.domain != "int":
-            return self.key_of(hidden)
-        return tuple(_scaled(hidden[li][j]) for li, j in self.key)
 
 
 def _stepper(model: SsmModel, mode: ArithMode) -> _Stepper:
@@ -728,19 +681,27 @@ def _scalar(y, mode: ArithMode) -> Scalar:
 
 
 def initial_state(model: SsmModel, mode: ArithMode) -> StreamState:
-    stepper = _stepper(model, mode)
-    return StreamState(stepper.public_hidden(stepper.h0), mode)
+    """The h0 vectors in the encoding of ``mode``; builds nothing."""
+    enc = mode.kernels[0]
+    return StreamState(tuple(tuple(map(enc, layer.h0)) for layer in model.layers), mode)
 
 
 def step(model: SsmModel, state: StreamState, symbol: str) -> tuple[StreamState, Scalar]:
     """Consume one symbol; returns the successor state and this position's
-    output scalar (the value `accepts` compares against 1)."""
-
-    def call(stepper):
-        hidden, y = stepper.step_full(stepper.own_key(state.hidden), symbol)
-        return StreamState(stepper.public_hidden(hidden), state.mode), stepper.scalar(y)
-
-    return _with_stepper(model, state.mode, call)
+    output scalar (the value `accepts` compares against 1).  This is one
+    position of the layer-major oracle; a state whose layout is not the
+    model's is a ``DimensionError``."""
+    hidden, mode = state.hidden, state.mode
+    if len(hidden) != model.num_layers or any(len(h) != model.dim for h in hidden):
+        raise DimensionError(
+            f"state has {len(hidden)} layers of widths {[len(h) for h in hidden]}, "
+            f"the model {model.num_layers} of width {model.dim}")
+    x = _embed(model, symbol, mode)
+    new = []
+    for layer, h in zip(model.layers, hidden):
+        h, x = _layer_step(layer, h, x, mode)
+        new.append(h)
+    return StreamState(tuple(new), mode), _scalar(eval_program(model.out, x, mode)[0], mode)
 
 
 def _last_output(stepper: _Stepper, word: Sequence[str]):
@@ -789,15 +750,30 @@ def _recurrence(gate: GateSpec, inc: AffineMap, h: tuple, x: Sequence, mode: Ari
     return tuple(out)
 
 
+def _layer_step(layer: SsmLayer, h: tuple, x: Sequence, mode: ArithMode) -> tuple[tuple, tuple]:
+    """One position of one layer: the new hidden vector from ``h`` and the
+    input ``x``, and the layer's output ``z``."""
+    h = _recurrence(layer.gate, layer.inc, h, x, mode)
+    return h, eval_program(layer.phi, h + tuple(x), mode)
+
+
 def run_layer(layer: SsmLayer, xs: Sequence[Sequence], mode: ArithMode) -> list[tuple]:
     """Apply one SSM layer to a whole input sequence, returning the z
     sequence.  Inputs/outputs are Fractions (exact) or raw ints (fixed)."""
     h = tuple(map(mode.kernels[0], layer.h0))
     zs = []
     for x in xs:
-        h = _recurrence(layer.gate, layer.inc, h, x, mode)
-        zs.append(eval_program(layer.phi, h + tuple(x), mode))
+        h, z = _layer_step(layer, h, x, mode)
+        zs.append(z)
     return zs
+
+
+def _embed(model: SsmModel, symbol: str, mode: ArithMode) -> tuple:
+    """The embedding of ``symbol`` in the encoding of ``mode``."""
+    i = model.symbol_index.get(symbol)
+    if i is None:
+        raise UnknownSymbolError(f"symbol {symbol!r} not in model alphabet")
+    return tuple(map(mode.kernels[0], model.emb[i]))
 
 
 def evaluate_layerwise(model: SsmModel, word: Sequence[str], mode: ArithMode) -> Scalar:
@@ -805,12 +781,7 @@ def evaluate_layerwise(model: SsmModel, word: Sequence[str], mode: ArithMode) ->
     streaming order on every model and word."""
     if len(word) == 0:
         raise EmptyWordError("evaluation of the empty word is undefined")
-    idx = model.symbol_index
-    for symbol in word:
-        if symbol not in idx:
-            raise UnknownSymbolError(f"symbol {symbol!r} not in model alphabet")
-    enc = mode.kernels[0]
-    xs = [tuple(map(enc, model.emb[idx[s]])) for s in word]
+    xs = [_embed(model, s, mode) for s in word]
     for layer in model.layers:
         xs = run_layer(layer, xs, mode)
     return _scalar(eval_program(model.out, xs[-1], mode)[0], mode)

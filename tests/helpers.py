@@ -13,11 +13,10 @@ from ssmverify.ssm import (
     SsmLayer,
     SsmModel,
     TimeInvariantGate,
+    _stepper,
     as_matrix,
     as_vector,
-    initial_state,
     projection_phi,
-    step,
 )
 from ssmverify.words import set_symbol, symbol_set
 
@@ -30,17 +29,18 @@ def is_one(value, mode: ArithMode) -> bool:
 
 def walk_words(model: SsmModel, mode: ArithMode, max_len: int):
     """Yield (word, accepted) for every word of length 1..max_len, sharing
-    prefix computations through the streaming state."""
+    prefix computations through the keys of the step the solvers run."""
+    stepper = _stepper(model, mode)
 
-    def rec(state, word):
+    def rec(key, word):
         for symbol in model.alphabet:
-            nxt, y = step(model, state, symbol)
+            nxt, y = stepper.step(key, symbol)
             extended = word + (symbol,)
-            yield extended, is_one(y, mode)
+            yield extended, y == stepper.one
             if len(extended) < max_len:
                 yield from rec(nxt, extended)
 
-    yield from rec(initial_state(model, mode), ())
+    yield from rec(stepper.init, ())
 
 
 def word_to_trace(word) -> tuple:

@@ -241,6 +241,20 @@ def test_resource_limit_exit_code(tmp_path, monkeypatch):
     assert report["result"]["partial_stats"]["states_explored"] >= 2
 
 
+@pytest.mark.parametrize("name, value, error", [
+    ("SSMVERIFY_MAX_STATES", "1000", "state ceiling 1000"),
+    ("SSMVERIFY_MAX_MEM_MB", "1", "memory ceiling 1 MB"),
+])
+def test_minsky_oracle_stops_at_the_resource_limits(tmp_path, monkeypatch, name, value, error):
+    """A machine that counts forever, under a 20-digit step budget."""
+    machine = tmp_path / "loop.mm"
+    machine.write_text("start: q0\nfinal: qf\nq0 inc1 q0\n")
+    monkeypatch.setenv(name, value)
+    status, report = run(["oracle", "minsky", str(machine), "--max-steps", "1" + "0" * 19])
+    assert status == 3
+    assert error in json.loads(json.dumps(report))["result"]["error"]
+
+
 @pytest.mark.parametrize("count", [17, 40])
 def test_compile_ltl_refuses_too_many_atoms(tmp_path, count):
     """Above MAX_ATOMS the compiler would enumerate 2^count letters; it

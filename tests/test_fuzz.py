@@ -119,22 +119,23 @@ def test_words_formulas_and_formats_end_in_a_report(model_path, tmp_path, formul
 @pytest.fixture(scope="module")
 def machine_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "loop.mm"
-    # counts up forever, so the oracle spends its whole step budget
+    # counts up forever, so the oracle runs until its step budget or the state
+    # ceiling ends it
     path.write_text("start: q0\nfinal: qf\nq0 inc1 q0\n")
     return str(path)
 
 
 # small values, and values past 2**63, which no search or format reaches
 int_option = st.integers(-3, 20_000) | st.integers(10**19, 10**30)
-# the oracle simulates the machine that counts forever step by step, so it
-# only gets budgets that it spends in well under a second
-step_option = st.integers(-3, 20_000)
 
 
-@given(int_option, st.booleans(), step_option, int_option)
+@given(int_option, st.booleans(), int_option, int_option)
 @SETTINGS
-def test_integer_options_end_in_a_report(model_path, machine_path, max_len, binary,
+def test_integer_options_end_in_a_report(model_path, machine_path, monkeypatch, max_len, binary,
                                          max_steps, bits):
+    # the oracle simulates the machine that counts forever step by step; the
+    # state ceiling ends a budget it would spend for ever
+    monkeypatch.setenv("SSMVERIFY_MAX_STATES", "1000")
     for argv in (["sat", "bounded", model_path, "--max-len", str(max_len)] + ["--binary"] * binary,
                  ["oracle", "minsky", machine_path, "--max-steps", str(max_steps)],
                  ["classify", model_path, "--bits", str(bits)]):

@@ -260,7 +260,6 @@ def test_search_stats_name_the_exact_domain_and_the_step_build():
     models = [compile_ltl(parse("(p U q) & X !p")), compile_minsky(random_machine(rng, 3)),
               compile_ilp(random_ilp(rng))]
     for model in models:
-        initial_state(model, EXACT)  # the step is built before the search
         stats = sat_bounded(model, 3, EXACT).stats
         assert stats.exact_domain == "int"
         assert stats.transitions == stats.states_explored > 0

@@ -24,6 +24,7 @@ from ssmverify.ssm import (
     GateClasses,
     SsmLayer,
     SsmModel,
+    StreamState,
     TimeInvariantGate,
     _StepCompiler,
     accepts,
@@ -104,6 +105,30 @@ def test_step_determinism():
         assert s1 == s2 and y1 == y2
 
 
+def test_public_step_builds_no_stepper():
+    model = compile_ltl(parse("(p U q) & X !p"))
+    for mode in (EXACT, FX6_MODE):
+        state = initial_state(model, mode)
+        for symbol in model.alphabet:
+            state, _ = step(model, state, symbol)
+    assert model._steppers == {}
+
+
+def test_step_rejects_a_state_of_another_layout():
+    """``(X p) U q & !X X q`` has 6 layers of width 9 and ``p U q`` one of
+    width 4; neither model steps the other's states."""
+    small, large = compile_ltl(parse("p U q")), compile_ltl(parse("(X p) U q & !X X q"))
+    assert (large.num_layers, large.dim) == (6, 9)
+    for model, other in ((small, large), (large, small)):
+        for mode in (EXACT, FX6_MODE):
+            with pytest.raises(DimensionError):
+                step(model, initial_state(other, mode), model.alphabet[0])
+    state = initial_state(small, EXACT)
+    narrow = StreamState((state.hidden[0][:-1],), EXACT)
+    with pytest.raises(DimensionError):
+        step(small, narrow, small.alphabet[0])
+
+
 def test_unknown_symbol_and_empty_word():
     model = accumulator_model()
     with pytest.raises(UnknownSymbolError):
@@ -170,12 +195,23 @@ def small_models(draw, denominators=(1, 2, 4)):
     return SsmModel(alphabet, tuple(vec() for _ in range(nsyms)), tuple(layers), out)
 
 
+def public_steps_match_evaluate(model, word, mode) -> bool:
+    """Folding the public ``step`` gives, at each position, the output that
+    ``evaluate`` gives on the prefix ending there."""
+    state, outputs = initial_state(model, mode), []
+    for symbol in word:
+        state, y = step(model, state, symbol)
+        outputs.append(y)
+    return outputs == [evaluate(model, word[:i], mode) for i in range(1, len(word) + 1)]
+
+
 @given(small_models(), st.data())
 @settings(max_examples=120, deadline=None)
 def test_streaming_equals_layerwise_exact(model, data):
     n = data.draw(st.integers(1, 5))
     word = [data.draw(st.sampled_from(model.alphabet)) for _ in range(n)]
     assert evaluate(model, word, EXACT) == evaluate_layerwise(model, word, EXACT)
+    assert public_steps_match_evaluate(model, word, EXACT)
 
 
 @given(small_models(denominators=(1, 2, 3, 4)), st.data())
@@ -187,6 +223,7 @@ def test_streaming_equals_layerwise_exact_with_thirds(model, data):
     word = [data.draw(st.sampled_from(model.alphabet)) for _ in range(n)]
     assert evaluate(model, word, EXACT) == evaluate_layerwise(model, word, EXACT)
     assert accepts(model, word, EXACT) == (evaluate_layerwise(model, word, EXACT) == 1)
+    assert public_steps_match_evaluate(model, word, EXACT)
 
 
 @given(small_models(), st.data())
@@ -201,6 +238,7 @@ def test_streaming_equals_layerwise_fixed(model, data):
     n = data.draw(st.integers(1, 5))
     word = [data.draw(st.sampled_from(model.alphabet)) for _ in range(n)]
     assert evaluate(model, word, mode) == evaluate_layerwise(model, word, mode)
+    assert public_steps_match_evaluate(model, word, mode)
 
 
 @pytest.mark.parametrize("mode", [EXACT, FX6_MODE], ids=str)
