@@ -45,8 +45,8 @@ class SearchStats:
     ``distinct_states`` counts the stream states stored (the initial one
     included) and ``max_frontier`` the largest breadth-first level.
     ``stepper_build_s`` is the build time of the compiled step that ran the
-    search, whenever it was built, and ``exact_domain`` says whether exact
-    values ran as ``"int"`` or ``"fraction"`` (``None`` in fixed mode).
+    search, whenever it was built, and ``exact_domain`` is the domain exact
+    values ran in, always ``"int"`` (``None`` in fixed mode).
     States are stored as keys of the hidden coordinates the step reads;
     ``key_coordinates`` is the length of a key.  ``frontier_sizes`` gives
     the size of each breadth-first level reached, the initial state's level
@@ -158,8 +158,8 @@ def _search(model: SsmModel, mode: ArithMode, length_cap: Optional[int],
     the first accepting (state, symbol) found spells the lexicographically
     least among the shortest accepted words.  Returns (witness or None,
     whether the frontier was exhausted, stats).  In exact mode a search
-    whose integer step leaves its encoding runs again on Fractions, and
-    ``elapsed_s`` counts both runs."""
+    whose values leave the step's scale runs again on a wider one, and
+    ``elapsed_s`` counts every run."""
     limits = limits or ResourceLimits.from_env()
     start = time.monotonic()
     return _with_stepper(

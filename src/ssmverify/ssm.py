@@ -27,16 +27,18 @@ layer's ``_layer_step`` in turn, so it builds nothing and its
 ``StreamState`` keeps every layer's full hidden vector.
 
 In exact mode the generated step runs on plain ints: every value ``v`` is
-the integer ``v * 2**SCALE_BITS``, which is exact for the dyadic values
-(denominator a power of two) that all three compilers emit.  A product by a
-weight ``a / 2**e`` shifts out ``e`` bits after checking that they are zero.
-A model with a constant outside that encoding compiles to a step on
-``Fraction``s instead, and a call whose values leave the encoding at run
-time (a check finds nonzero bits) runs again, whole, on that step.
+the integer ``v * S`` for a scale ``S``.  ``S`` is ``2**SCALE_BITS`` for
+the dyadic values (denominator a power of two) that all three compilers
+emit; a model with another denominator starts on a scale in which every
+prime of its denominators appears at least ``SCALE_BITS`` times.  A product by a weight
+divides by the part of ``S`` the weight does not cancel after checking
+that the division is exact: a shift for a power of two, one ``divmod``
+otherwise.  A build or a call whose values leave the scale (a check
+finds a remainder) squares ``S``, rebuilds the step and runs again, whole.
 ``evaluate`` converts at the boundary, so the scalars it returns are
-``Fraction``s either way.  One interval analysis serves all three domains
-of the generated step, so exact mode, like fixed mode, emits a relu clamp
-only where its argument can be negative.
+``Fraction``s.  One interval analysis serves both domains of the generated
+step, so exact mode, like fixed mode, emits a relu clamp only where its
+argument can be negative.
 
 The generated step reads only some hidden coordinates: those that a gate
 row of a live value reads.  Every other coordinate is recomputed from the
@@ -52,11 +54,11 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Sequence, Union
 
 from ._row import Row
 from .arithmetic import (
-    EXACT,
     ArithMode,
     FixedPointFormat,
     FixedPointValue,
@@ -260,36 +262,35 @@ class StreamState:
 _INF = float("inf")
 
 
-def _trunc_div(p, scale: int):
-    """``p / scale`` rounded toward zero; exact for a scale of 1, so that a
-    Fraction bound stays exact, and an infinite bound passes through."""
-    if scale == 1 or abs(p) == _INF:
-        return p
+def _plus(a, b):
+    """``a + b`` for interval bounds: an infinite bound absorbs the other,
+    so no int, however large, is converted to a float."""
+    return a if abs(a) == _INF else b if abs(b) == _INF else a + b
+
+
+def _scaled_bound(w: int, b, scale: int):
+    """The bound ``w * b / scale`` rounded toward zero; an infinite ``b``
+    gives an infinite bound without meeting an int."""
+    if abs(b) == _INF:
+        return b if w > 0 else -b
+    p = w * b
     return p // scale if p >= 0 else -((-p) // scale)
 
 
 class _Inexact(Exception):
     """An exact value that the integer encoding cannot hold: its denominator
-    is not a power of two, or exceeds 2**SCALE_BITS."""
+    does not divide the scale."""
 
 
-def _scaled(v: Fraction) -> int:
-    """The integer encoding ``v * 2**SCALE_BITS`` of an exact value."""
-    den = v.denominator
-    if den & (den - 1) or den > _SCALE:
-        raise _Inexact
-    return v.numerator * (_SCALE // den)
-
-
-def _exact_shift(p: int, e: int) -> int:
-    """``p / 2**e``, which must be an integer."""
-    if p & ((1 << e) - 1):
-        raise _Inexact
-    return p >> e
+def _literal(k: int) -> str:
+    """``k`` as a Python literal, in hex past 2048 bits (617 digits): CPython
+    refuses decimal text for ints past a settable limit of 640 or more
+    digits, and hex text for none."""
+    return repr(k) if k.bit_length() <= 2048 else hex(k)
 
 
 def _times(k: int, code: str) -> str:
-    return code if k == 1 else f"-{code}" if k == -1 else f"{k} * {code}"
+    return code if k == 1 else f"-{code}" if k == -1 else f"{_literal(k)} * {code}"
 
 
 class _Val:
@@ -311,8 +312,8 @@ class _Val:
 class _StepCompiler:
     """Emits the source of ``step(key, x) -> (new key, y)`` for one model
     and mode, in SSA form: every computed value gets a fresh local.
-    The domain is fixed-point raw mantissas, exact ints over the scale
-    ``2**SCALE_BITS`` (``scaled``) or exact ``Fraction``s.
+    The domain is fixed-point raw mantissas or, in exact mode, ints over
+    the scale ``scale``.
 
     Terms are emitted in the canonical order (gate terms, inc offset, inc
     terms, each by ascending column; bias then terms in FNN nodes), with
@@ -331,54 +332,41 @@ class _StepCompiler:
     key is the flat tuple of their values.  The step maps a key to the new
     key and ``y``, and keeps only the blocks those need.
 
-    Per domain are the encoding of constants and the rounding of products.
-    ``enc`` counts a fixed-mode constant in ``quantized`` when it is not
-    exactly representable, so one pass over the constants (the rows' nonzero
+    The domains differ in what a constant or a product cannot hold.  ``enc``
+    counts a fixed-mode constant in ``quantized`` when it is not exactly
+    representable, so one pass over the constants (the rows' nonzero
     weights among them) yields ``len(quantization_report(model, fmt))``,
-    and raises ``_Inexact`` from the build for a constant outside the int
-    encoding.  A product truncates in fixed mode, multiplies by a named
-    constant on ``Fraction``s, and in the int domain first checks that the
-    bits it shifts out are zero, raising ``_Inexact`` from the step
-    otherwise.
+    and raises ``_Inexact`` from the build for an exact constant whose
+    denominator does not divide the scale.  A product truncates in fixed
+    mode; in exact mode it first checks that the division by the scale is
+    exact, raising ``_Inexact`` from the build for a folded product and
+    from the step otherwise.
     """
 
-    def __init__(self, mode: ArithMode, scaled: bool = False):
+    def __init__(self, mode: ArithMode, scale: int = _SCALE):
         self.fmt = fmt = mode.fmt
-        self.scaled = scaled
-        self.named = mode.is_exact and not scaled
         if fmt is None:
-            self.scale, self.bottom, self.top = (_SCALE if scaled else 1), -_INF, _INF
+            self.scale, self.bottom, self.top = scale, -_INF, _INF
         else:
             self.scale, self.bottom, self.top = fmt.scale, fmt.min_raw, fmt.max_raw
-        self.unit = Fraction(1) if self.named else self.scale
-        self.zero = Fraction(0) if self.named else 0
         self.quantized = 0
-        self.namespace: dict = {"Inexact": _Inexact} if scaled else {}
-        self._const_names: dict = {}
         self._blocks: list[tuple[str, list[str], tuple]] = []
 
     # -- values -------------------------------------------------------------
 
-    def enc(self, w: Fraction):
-        fmt = self.fmt
-        if fmt is None:
-            return _scaled(w) if self.scaled else w
+    def enc(self, w: Fraction) -> int:
         # w * scale is an integer iff the denominator divides the scale
-        if fmt.scale % w.denominator == 0:
-            raw = w.numerator * (fmt.scale // w.denominator)
-            if fmt.min_raw <= raw <= fmt.max_raw:
+        if self.scale % w.denominator == 0:
+            raw = w.numerator * (self.scale // w.denominator)
+            if self.bottom <= raw <= self.top:
                 return raw
+        if self.fmt is None:
+            raise _Inexact
         self.quantized += 1
-        return raw_encode(w, fmt)
+        return raw_encode(w, self.fmt)
 
-    def const(self, value) -> _Val:
-        code = repr(value)
-        if self.named:
-            code = self._const_names.get(value)
-            if code is None:
-                code = self._const_names[value] = f"K{len(self._const_names)}"
-                self.namespace[code] = value
-        return _Val(code, value, value, value)
+    def const(self, value: int) -> _Val:
+        return _Val(_literal(value), value, value, value)
 
     def _fresh(self) -> str:
         return f"v{len(self._blocks)}"
@@ -410,12 +398,16 @@ class _StepCompiler:
         clamp, lo, hi = self._clamp(name, lo, hi, self.bottom)
         return self._bind(name, [f"{name} = {code}"] + clamp, reads, lo, hi)
 
-    def _shifted(self, code: str, e: int, reads, lo, hi) -> _Val:
-        """A local holding the int ``code`` divided by ``2**e``, after a
-        check that the bits shifted out are zero."""
+    def _divided(self, code: str, q: int, reads, lo, hi) -> _Val:
+        """A local holding the int ``code`` divided by ``q``, after a check
+        that the division is exact: of the bits shifted out for a power of
+        two, of the remainder otherwise."""
         name = self._fresh()
-        lines = [f"{name} = {code}", f"if {name} & {(1 << e) - 1}: raise Inexact",
-                 f"{name} >>= {e}"]
+        if q & (q - 1):
+            lines = [f"{name}, rest = divmod({code}, {_literal(q)})", "if rest: raise Inexact"]
+        else:
+            lines = [f"{name} = {code}", f"if {name} & {_literal(q - 1)}: raise Inexact",
+                     f"{name} >>= {q.bit_length() - 1}"]
         return self._bind(name, lines, reads, lo, hi)
 
     # -- arithmetic ---------------------------------------------------------
@@ -425,21 +417,21 @@ class _StepCompiler:
         if v.const is not None:
             if self.fmt is not None:
                 return self.const(raw_mul(w, v.const, self.fmt))
-            p = w * v.const
-            return self.const(_exact_shift(p, SCALE_BITS) if self.scaled else p)
+            p, rest = divmod(w * v.const, self.scale)
+            if rest:
+                raise _Inexact
+            return self.const(p)
         if w == 0:
-            return self.const(self.zero)
-        if w == self.unit:
+            return self.const(0)
+        if w == self.scale:
             return v
         scale = self.scale
-        lo, hi = sorted((_trunc_div(w * v.lo, scale), _trunc_div(w * v.hi, scale)))
+        lo, hi = sorted((_scaled_bound(w, v.lo, scale), _scaled_bound(w, v.hi, scale)))
         if w % scale == 0:  # an integer weight multiplies without rounding
             code = _times(w // scale, v.code)
-        elif self.named:
-            code = f"{self.const(w).code} * {v.code}"
-        elif self.scaled:  # the weight is a / 2**e with a odd
-            zeros = (w & -w).bit_length() - 1
-            return self._shifted(_times(w >> zeros, v.code), SCALE_BITS - zeros, v.reads, lo, hi)
+        elif self.fmt is None:  # the weight is a / q in lowest terms
+            g = gcd(w, scale)
+            return self._divided(_times(w // g, v.code), scale // g, v.reads, lo, hi)
         else:
             # truncation toward zero of w*v / 2**f, split on the sign of v
             a, f = abs(w), self.fmt.frac_bits
@@ -459,13 +451,11 @@ class _StepCompiler:
         if g.const is not None:
             return self.mul(g.const, v)
         reads = g.reads + v.reads
-        if self.scaled:
-            return self._shifted(f"{g.code} * {v.code}", SCALE_BITS, reads, -_INF, _INF)
         if self.fmt is None:
-            return self._fits(f"{g.code} * {v.code}", -_INF, _INF, reads)
+            return self._divided(f"{g.code} * {v.code}", self.scale, reads, -_INF, _INF)
         scale, f = self.fmt.scale, self.fmt.frac_bits
         ends = [a * b for a in (g.lo, g.hi) for b in (v.lo, v.hi)]
-        lo, hi = _trunc_div(min(ends), scale), _trunc_div(max(ends), scale)
+        lo, hi = _scaled_bound(1, min(ends), scale), _scaled_bound(1, max(ends), scale)
         if f == 0 or min(ends) >= 0:
             return self._fits(f"{g.code} * {v.code} >> {f}", lo, hi, reads)
         name = self._fresh()
@@ -496,7 +486,7 @@ class _StepCompiler:
                     expr, lo, hi = t.code, t.lo, t.hi
                 else:
                     expr = f"{self.const(value).code} + {t.code}"
-                    lo, hi = value + t.lo, value + t.hi
+                    lo, hi = _plus(value, t.lo), _plus(value, t.hi)
             elif t.const == 0:
                 continue
             else:
@@ -507,11 +497,11 @@ class _StepCompiler:
                     clamp, lo, hi = self._clamp(name, lo, hi, bottom)
                     lines += [f"{name} = {expr}"] + clamp
                     expr, pending = name, 0
-                expr, lo, hi = f"{expr} + {t.code}", lo + t.lo, hi + t.hi
+                expr, lo, hi = f"{expr} + {t.code}", _plus(lo, t.lo), _plus(hi, t.hi)
             reads += t.reads
             pending += 1
         # relu after saturation is a clamp to [0, top]: the range holds 0
-        floor = self.zero if relu else bottom
+        floor = 0 if relu else bottom
         if expr is None:
             return self.const(max(value, floor))
         if hi <= floor:
@@ -545,7 +535,7 @@ class _StepCompiler:
             terms = [self.mul_var(g, h[j])]
         terms.append(self.const(self.enc(inc.offset[j])))
         terms += [self.mul(self.enc(w), x[k]) for k, w in inc.rows[j].terms]
-        return self.total(self.zero, terms)
+        return self.total(0, terms)
 
     def source(self, model: SsmModel, inputs: list[tuple]) -> str:
         """The source of the step; ``inputs`` are the encoded embeddings,
@@ -586,7 +576,7 @@ class _StepCompiler:
         """Compile the step; ``inputs`` are the encoded embeddings, the only
         vectors it is ever called with."""
         code = compile(self.source(model, inputs), f"<ssm step {self.fmt or 'exact'}>", "exec")
-        namespace = dict(self.namespace)
+        namespace = {"Inexact": _Inexact}
         exec(code, namespace)
         return namespace["step"]
 
@@ -606,19 +596,20 @@ class _StepCompiler:
 class _Stepper:
     """Model compiled for one arithmetic mode: the encoded embeddings, the
     generated step on keys, the number of model constants the mode
-    quantises, the domain exact values run in (``"int"`` or
-    ``"fraction"``; ``None`` in fixed mode) and the seconds the build took.
+    quantises, the domain exact values run in (``"int"``; ``None`` in fixed
+    mode) and the seconds the build took.  ``one`` encodes the value 1: the
+    scale in exact mode.
 
     A key is the flat tuple of the hidden coordinates the step reads,
     ``key`` lists them as (layer, index) pairs and ``init`` is the initial
     state's key.  ``step`` maps a key and a symbol to the next key and the
     output."""
 
-    def __init__(self, model: SsmModel, mode: ArithMode, scaled: bool = False):
+    def __init__(self, model: SsmModel, mode: ArithMode, scale: int = _SCALE):
         started = time.perf_counter()
-        comp = _StepCompiler(mode, scaled)
+        comp = _StepCompiler(mode, scale)
         self.mode = mode
-        self.one = comp.unit
+        self.one = comp.scale
         self.emb = {
             s: tuple(comp.enc(v) for v in vec) for s, vec in zip(model.alphabet, model.emb)
         }
@@ -628,7 +619,7 @@ class _Stepper:
         self.key = comp.key
         self.init = tuple(h0[li][j] for li, j in self.key)
         self.quantized_constants = comp.quantized
-        self.domain = ("int" if scaled else "fraction") if mode.is_exact else None
+        self.domain = "int" if mode.is_exact else None
         self.build_s = time.perf_counter() - started
 
     def step(self, key, symbol):
@@ -639,40 +630,46 @@ class _Stepper:
 
     def scalar(self, y) -> Scalar:
         """An output of the step as the public scalar of the mode."""
-        return Fraction(y, _SCALE) if self.domain == "int" else _scalar(y, self.mode)
+        return Fraction(y, self.one) if self.mode.is_exact else _scalar(y, self.mode)
 
 
-def _stepper(model: SsmModel, mode: ArithMode) -> _Stepper:
-    """The model's step for ``mode``, built on first use; in exact mode, on
-    ints unless a model constant is outside the integer encoding."""
+def _stepper(model: SsmModel, mode: ArithMode, scale: int = _SCALE) -> _Stepper:
+    """The model's step for ``mode``, built on first use.  In exact mode it
+    runs over ``scale`` or, when a model constant or a folded product is
+    outside that, over the first wider scale that holds them all."""
     stepper = model._steppers.get(mode)
-    if stepper is None:
-        if not mode.is_exact:
-            stepper = _Stepper(model, mode)
-        else:
-            try:
-                stepper = _Stepper(model, mode, scaled=True)
-            except _Inexact:
-                stepper = _fraction_stepper(model)
-        model._steppers[mode] = stepper
+    while stepper is None:
+        try:
+            stepper = model._steppers[mode] = _Stepper(model, mode, scale)
+        except _Inexact:
+            scale = _wider(model, scale)
     return stepper
 
 
-def _fraction_stepper(model: SsmModel) -> _Stepper:
-    stepper = model._steppers.get("fraction")
-    if stepper is None:
-        stepper = model._steppers["fraction"] = _Stepper(model, EXACT)
-    return stepper
+def _wider(model: SsmModel, scale: int) -> int:
+    """The exact scale to try after ``scale`` failed.  When a constant's
+    denominator does not divide it: lcm(scale, D, odd(D)**SCALE_BITS), for D
+    the lcm of the model's denominators, so that every odd prime of D gets
+    ``SCALE_BITS`` digits too.  Otherwise its square: every prime of a
+    computed value's denominator is one of D's, so a word of length n needs
+    O(log n) squarings."""
+    d = lcm(*(v.denominator for _, v in _constants(model)))
+    if scale % d == 0:
+        return scale * scale
+    return lcm(scale, d, (d >> ((d & -d).bit_length() - 1)) ** SCALE_BITS)
 
 
 def _with_stepper(model: SsmModel, mode: ArithMode, call):
-    """``call(stepper)`` with the model's step for ``mode``.  When the
-    integer step of exact mode meets a value outside its encoding, the whole
-    call runs again on the Fraction step."""
-    try:
-        return call(_stepper(model, mode))
-    except _Inexact:
-        return call(_fraction_stepper(model))
+    """``call(stepper)`` with the model's step for ``mode``.  When the exact
+    step meets a value outside its scale, the model's step is rebuilt over
+    the squared scale and the whole call runs again."""
+    stepper = _stepper(model, mode)
+    while True:
+        try:
+            return call(stepper)
+        except _Inexact:
+            del model._steppers[mode]
+            stepper = _stepper(model, mode, stepper.one * stepper.one)
 
 
 def _scalar(y, mode: ArithMode) -> Scalar:
@@ -820,39 +817,39 @@ def classify_gates(model: SsmModel) -> GateClasses:
     return GateClasses(time_invariant=ti, diagonal=diag)
 
 
-def quantization_report(model: SsmModel, fmt: FixedPointFormat) -> list[tuple[str, Fraction]]:
-    """Model constants that are not exactly representable in ``fmt`` (they
-    will be truncated/saturated when evaluating in that format)."""
-    issues: list[tuple[str, Fraction]] = []
+def _constants(model: SsmModel):
+    """Every model constant as (path, value).  A zero weight is exact in
+    every encoding, so the rows' nonzero terms are all the weights there
+    are."""
 
-    def check(path: str, value: Fraction):
-        if Fraction(raw_encode(value, fmt), fmt.scale) != value:
-            issues.append((path, value))
-
-    # a zero weight is representable in every format, so the rows' nonzero
-    # terms are all the weights there are to check
-    def check_fnn(path: str, net: Fnn):
+    def fnn(path: str, net: Fnn):
         for li, layer in enumerate(net.layers):
             for ni, node in enumerate(layer.nodes):
-                check(f"{path}.layer{li}.node{ni}.bias", node.bias)
+                yield f"{path}.layer{li}.node{ni}.bias", node.bias
                 for wi, w in node.row.terms:
-                    check(f"{path}.layer{li}.node{ni}.w{wi}", w)
+                    yield f"{path}.layer{li}.node{ni}.w{wi}", w
 
     for s, vec in zip(model.alphabet, model.emb):
         for i, v in enumerate(vec):
-            check(f"emb[{s}][{i}]", v)
+            yield f"emb[{s}][{i}]", v
     for li, layer in enumerate(model.layers):
         for i, v in enumerate(layer.h0):
-            check(f"layer{li}.h0[{i}]", v)
+            yield f"layer{li}.h0[{i}]", v
         for name, mat in (("gate", layer.gate), ("inc", layer.inc)):
             for i, row in enumerate(mat.rows):
                 for j, w in row.terms:
-                    check(f"layer{li}.{name}[{i}][{j}]", w)
+                    yield f"layer{li}.{name}[{i}][{j}]", w
         if isinstance(layer.gate, DiagonalAffineGate):
             for i, v in enumerate(layer.gate.offset):
-                check(f"layer{li}.gate.offset[{i}]", v)
+                yield f"layer{li}.gate.offset[{i}]", v
         for i, v in enumerate(layer.inc.offset):
-            check(f"layer{li}.inc.offset[{i}]", v)
-        check_fnn(f"layer{li}.phi", layer.phi)
-    check_fnn("out", model.out)
-    return issues
+            yield f"layer{li}.inc.offset[{i}]", v
+        yield from fnn(f"layer{li}.phi", layer.phi)
+    yield from fnn("out", model.out)
+
+
+def quantization_report(model: SsmModel, fmt: FixedPointFormat) -> list[tuple[str, Fraction]]:
+    """Model constants that are not exactly representable in ``fmt`` (they
+    will be truncated/saturated when evaluating in that format)."""
+    return [(path, v) for path, v in _constants(model)
+            if Fraction(raw_encode(v, fmt), fmt.scale) != v]

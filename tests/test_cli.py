@@ -13,12 +13,23 @@ import pytest
 
 import ssmverify
 from helpers import walk_words
-from ssmverify.arithmetic import EXACT, FixedPointFormat
+from ssmverify.arithmetic import EXACT, MAX_TOTAL_BITS, FixedPointFormat
 from ssmverify.cli import main, run
 from ssmverify.compilers import compile_ltl, compile_minsky, parse_minsky
+from ssmverify.fnn import select_fnn
 from ssmverify.ltl import parse
 from ssmverify.modelfile import load_model, model_from_json, model_to_json, save_model
-from ssmverify.ssm import evaluate, quantization_report
+from ssmverify.ssm import (
+    AffineMap,
+    SsmLayer,
+    SsmModel,
+    TimeInvariantGate,
+    as_matrix,
+    as_vector,
+    evaluate,
+    projection_phi,
+    quantization_report,
+)
 
 ILP_TEXT = "2\n1 1\n0 1\n1 1\n"
 MINSKY_TEXT = "start: q0\nfinal: qf\nq0 inc1 q1\nq1 dec1 qf\nq1 ztest1 q0\n"
@@ -119,6 +130,23 @@ def test_running_out_of_memory_is_a_resource_limit(tmp_path, monkeypatch):
     assert json.loads(json.dumps(report))["result"]["error"] == "out of memory"
 
 
+def test_huge_exact_constants_decide(tmp_path):
+    """The offset 1 - 2**1100 cancels the embedding of a.  The step's
+    interval analysis adds such ints to infinite bounds, and none of them
+    fits in a float."""
+    big = 1 << 1100
+    layer = SsmLayer(h0=as_vector([0]), gate=TimeInvariantGate(as_matrix([[1]])),
+                     inc=AffineMap(as_matrix([[1]]), as_vector([1 - big])), phi=projection_phi(1))
+    model_path = str(tmp_path / "big.ssm")
+    save_model(SsmModel(alphabet=("a", "b"), emb=(as_vector([big]), as_vector([0])),
+                        layers=(layer,), out=select_fnn([0], 1)), model_path)
+    status, report = run(["sat", "bounded", model_path, "--max-len", "2"])
+    assert status == 0
+    assert (report["result"]["verdict"], report["result"]["witness"]) == ("satisfiable", "a")
+    status, report = run(["eval", model_path, "--word", "a"])
+    assert status == 0 and report["result"]["value"] == "1"
+
+
 def test_unsat_exit_code_and_no_witness(tmp_path):
     model_path = str(tmp_path / "m.ssm")
     run(["compile", "ltl", "p & !p", "-o", model_path])
@@ -149,6 +177,14 @@ def test_eval_word_and_empty_word(tmp_path):
     status, report = run(["eval", model_path, "--word", "", "--arith", "exact"])
     assert status == 2
     assert "empty word" in report["result"]["error"]
+
+
+def test_eval_reads_pair_letters(minsky_file, tmp_path):
+    model_path = str(tmp_path / "mm.ssm")
+    run(["compile", "minsky", minsky_file, "-o", model_path])
+    status, report = run(["eval", model_path, "--word", " ( q1 , inc1 );(qf,  dec1) "])
+    assert status == 0 and report["result"]["accepted"] is True
+    assert report["result"]["word"] == "(q1,inc1);(qf,dec1)"
 
 
 def test_oracle_commands(ilp_file, minsky_file):
@@ -228,6 +264,12 @@ def test_classify_recommends_one_format_per_source(tmp_path, kind, source, expec
     # the metadata keeps the compiler's own min_bits, so saved bytes are unchanged
     assert report["result"]["metadata"]["min_bits"] == expected.split(":")[1]
     model = load_model(model_path)
+    # no format is wider than MAX_TOTAL_BITS, so a larger min_bits names none
+    frac = expected.split(":")[2]
+    for bits, arith in ((MAX_TOTAL_BITS, f"fx:{MAX_TOTAL_BITS}:{frac}"), (MAX_TOTAL_BITS + 1, None)):
+        metadata = tuple(sorted({**model.metadata_dict, "min_bits": str(bits)}.items()))
+        save_model(replace(model, metadata=metadata), model_path)
+        assert run(["classify", model_path])[1]["result"]["recommended_arith"] == arith
     save_model(replace(model, metadata=(("source", "handmade"),)), model_path)
     assert run(["classify", model_path])[1]["result"]["recommended_arith"] is None
 
@@ -590,6 +632,10 @@ def _malformed(tmp_path, name):
         data["embedding"][0].pop()
     elif name == "dimension_float":
         data["dimension"] = float(data["dimension"])
+    elif name == "unknown_gate_kind":
+        data["layers"][0]["gate"]["kind"] = "dense"
+    elif name == "unknown_activation":
+        data["layers"][0]["phi"]["layers"][0][0]["activation"] = "sigmoid"
     elif name.startswith("literal_"):
         spelling = {"literal_point": "1.5", "literal_blanks": " 1 ", "literal_underscore": "1_0",
                     "literal_exponent": "1e300000", "literal_plus": "+1"}
@@ -614,6 +660,8 @@ def _malformed(tmp_path, name):
         data["rows"][gate_rows[0]][0] += 1
     elif name == "v2_zero_weight":
         _v2_row_with(data, 1)[1][1] = "0"
+    elif name == "v2_row_term_not_a_pair":
+        _v2_row_with(data, 1)[1].pop()
     path.write_text(json.dumps(data))
     return path
 
@@ -627,6 +675,7 @@ def _malformed(tmp_path, name):
     "v2_row_index_out_of_range", "v2_row_index_negative", "v2_row_index_bool",
     "v2_row_index_float", "v2_node_index_out_of_range", "v2_columns_not_ascending",
     "v2_column_outside_width", "v2_row_width_not_dimension", "v2_zero_weight",
+    "unknown_gate_kind", "unknown_activation", "v2_row_term_not_a_pair",
 ])
 def test_malformed_model_file_is_a_usage_error(tmp_path, capsys, name):
     path = str(_malformed(tmp_path, name))
@@ -668,6 +717,11 @@ def _bad_input(tmp_path, name):
         "oracle_ltl_nested_too_deeply": ["oracle", "ltl", "!" * 600 + "p", "--trace", "{p}"],
         "sat_bounded_negative_binary": ["sat", "bounded", compiled, "--max-len", "-3", "--binary"],
         "oracle_minsky_negative_max_steps": ["oracle", "minsky", str(machine), "--max-steps", "-1"],
+        "eval_pair_letter_unclosed": ["eval", compiled, "--word", "(q1,inc1"],
+        "eval_pair_letter_one_part": ["eval", compiled, "--word", "(q1)"],
+        "eval_pair_letter_empty_part": ["eval", compiled, "--word", "( ,inc1)"],
+        "eval_set_letter_unclosed": ["eval", compiled, "--word", "{p"],
+        "eval_set_letter_bad_proposition": ["eval", compiled, "--word", "{p,Q}"],
     }[name]
 
 
@@ -675,6 +729,8 @@ def _bad_input(tmp_path, name):
     "compile_minsky_directory", "compile_output_directory", "oracle_minsky_directory",
     "oracle_ilp_not_utf8", "compile_ltl_nested_too_deeply", "oracle_ltl_nested_too_deeply",
     "sat_bounded_negative_binary", "oracle_minsky_negative_max_steps",
+    "eval_pair_letter_unclosed", "eval_pair_letter_one_part", "eval_pair_letter_empty_part",
+    "eval_set_letter_unclosed", "eval_set_letter_bad_proposition",
 ])
 def test_bad_input_file_or_formula_is_a_usage_error(tmp_path, capsys, name):
     argv = _bad_input(tmp_path, name)

@@ -34,6 +34,7 @@ from ssmverify.solvers import (
     sat_fixed,
 )
 from ssmverify.ssm import (
+    SCALE_BITS,
     AffineMap,
     SsmLayer,
     SsmModel,
@@ -271,14 +272,17 @@ def test_search_stats_name_the_exact_domain_and_the_step_build():
 
 @pytest.mark.parametrize("gate", [Fraction(1, 2), Fraction(1, 3)], ids=str)
 def test_sat_bounded_falls_back_to_fractions(gate):
-    """Gate 1/3 is not dyadic; with gate 1/2 the integer step leaves its
-    encoding near depth 65 and the search runs again on Fractions."""
+    """Gate 1/3 is not dyadic, so the step starts on a scale widened by
+    3**SCALE_BITS; with either gate the values leave that scale near depth
+    65 and the search runs again on its square."""
     model = geometric_model(gate, compose(gadget_eq(80), select_fnn([0], 2)))
     result = sat_bounded(model, 80, EXACT)
     assert result.verdict == SATISFIABLE
     assert result.witness == ("a",) * 80
     assert result.stats.states_explored == result.stats.transitions == 80
-    assert result.stats.exact_domain == "fraction"
+    assert result.stats.exact_domain == "int"
+    (stepper,) = model._steppers.values()
+    assert stepper.one > 1 << SCALE_BITS and stepper.one % gate.denominator ** 80 == 0
     assert sat_bounded(model, 79, EXACT).verdict == UNSAT_WITHIN_BOUND
 
 

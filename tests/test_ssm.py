@@ -15,10 +15,13 @@ from helpers import geometric_model, random_formula, random_ilp, random_machine
 from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat, raw_encode
 from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky
 from ssmverify.errors import DimensionError, EmptyWordError, UnknownSymbolError
-from ssmverify.fnn import IDENTITY, RELU, Fnn, FnnLayer, FnnNode, gadget_eq, compose, select_fnn
+from ssmverify.fnn import (
+    IDENTITY, RELU, Fnn, FnnLayer, FnnNode, compose, gadget_eq, linear_fnn, select_fnn,
+)
 from ssmverify.ltl import parse
 from ssmverify.modelfile import save_model
 from ssmverify.ssm import (
+    SCALE_BITS,
     AffineMap,
     DiagonalAffineGate,
     GateClasses,
@@ -217,8 +220,8 @@ def test_streaming_equals_layerwise_exact(model, data):
 @given(small_models(denominators=(1, 2, 3, 4)), st.data())
 @settings(max_examples=80, deadline=None)
 def test_streaming_equals_layerwise_exact_with_thirds(model, data):
-    """Constants with denominator 3 are outside the integer encoding, so these
-    models also run on the Fraction step."""
+    """Constants with denominator 3 do not divide 2**SCALE_BITS, so these
+    models also run on a scale widened by a power of 3."""
     n = data.draw(st.integers(1, 5))
     word = [data.draw(st.sampled_from(model.alphabet)) for _ in range(n)]
     assert evaluate(model, word, EXACT) == evaluate_layerwise(model, word, EXACT)
@@ -258,9 +261,9 @@ def test_compiled_models_stream_like_layerwise(mode):
 
 @pytest.mark.parametrize("gate", [Fraction(1, 2), Fraction(1, 3)], ids=str)
 def test_exact_values_outside_the_integer_encoding_fall_back_to_fractions(gate):
-    """Gate 1/3 is not dyadic, so the model compiles to the Fraction step;
-    with gate 1/2 the denominator of h1 doubles every symbol and leaves
-    the 2**SCALE_BITS encoding within an 80-symbol word."""
+    """The denominator of h1 grows by the gate's every symbol and leaves the
+    step's first scale (2**SCALE_BITS, widened by 3**SCALE_BITS for gate
+    1/3) within an 80-symbol word, so the step runs again on its square."""
     word = ["a"] * 80
     model = geometric_model(gate, select_fnn([1], 2))
     expected = (1 - gate ** 80) / (1 - gate)
@@ -272,6 +275,39 @@ def test_exact_values_outside_the_integer_encoding_fall_back_to_fractions(gate):
         assert state.hidden == ((Fraction(t), (1 - gate ** t) / (1 - gate)),)
         assert all(type(v) is Fraction for v in state.hidden[0])
         assert y == state.hidden[0][1]
+
+
+def test_a_folded_product_outside_the_scale_widens_it():
+    """The weight 2**-40 on the embedding 2**-40 folds to 2**-80 while the
+    step is built, which the scale 2**SCALE_BITS cannot hold: the build
+    squares the scale."""
+    tiny = Fraction(1, 1 << 40)
+    layer = SsmLayer(h0=as_vector([0]), gate=TimeInvariantGate(zeros_mat(1)),
+                     inc=AffineMap(as_matrix([[tiny]]), as_vector([0])), phi=projection_phi(1))
+    model = SsmModel(alphabet=("a",), emb=(as_vector([tiny]),), layers=(layer,),
+                     out=select_fnn([0], 1))
+    assert evaluate(model, ["a"], EXACT) == evaluate_layerwise(model, ["a"], EXACT) == tiny * tiny
+    assert model._steppers[EXACT].one == 1 << 2 * SCALE_BITS
+
+
+def test_two_odd_denominators_widen_the_scale_for_both():
+    """Gates 1/3 and 1/5 start the step on the scale 30**SCALE_BITS, which
+    holds the first 64 symbols; past them it squares.  Past 2048 symbols
+    the scale has more decimal digits than CPython converts to a string,
+    and the step still builds."""
+    layer = SsmLayer(
+        h0=as_vector([0, 0]),
+        gate=TimeInvariantGate(as_matrix([[Fraction(1, 3), 0], [0, Fraction(1, 5)]])),
+        inc=AffineMap(eye(2), as_vector([0, 0])),
+        phi=projection_phi(2),
+    )
+    model = SsmModel(alphabet=("a", "b"), emb=(as_vector([1, 1]), as_vector([0, 1])),
+                     layers=(layer,), out=linear_fnn([[1, 1]]))
+    rng = random.Random(3)
+    for n, scale in ((64, 30 ** 64), (100, 30 ** 128), (2100, 30 ** 4096)):
+        word = ["a"] + [rng.choice("ab") for _ in range(n - 1)]
+        assert evaluate(model, word, EXACT) == evaluate_layerwise(model, word, EXACT)
+        assert model._steppers[EXACT].one == scale
 
 
 def test_identity_phi_applies_the_saturated_unit():
@@ -424,7 +460,7 @@ def test_exact_sums_fold_every_constant():
     models += [compile_ilp(random_ilp(rng)) for _ in range(20)]
     sums = 0
     for model in models:
-        comp = _StepCompiler(EXACT, scaled=True)
+        comp = _StepCompiler(EXACT)
         source = comp.source(model, [tuple(map(comp.enc, vec)) for vec in model.emb])
         for line in source.splitlines():
             _, assigned, expr = line.partition(" = ")
