@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
+from fractions import Fraction
 
 from . import ltl as ltl_mod
 from .arithmetic import ArithMode, FixedPointFormat
@@ -160,16 +162,34 @@ def _cmd_eval(args) -> tuple[int, dict]:
     value = evaluate(model, word, mode)
     if mode.is_exact:
         accepted = value == 1
-        shown = str(value)
     else:
         accepted = value.raw == mode.fmt.scale
-        shown = str(value.value)
-    report = {
-        "word": format_word(word),
-        "value": shown,
-        "accepted": accepted,
-    }
+        value = value.value
+    report = {"word": format_word(word), "value": None, "accepted": accepted}
+    try:
+        report["value"] = str(value)
+    except ValueError:  # more digits than CPython converts to a string
+        report["value_approx"] = _approximation(value)
     return (EXIT_SAT if accepted else EXIT_UNSAT), report
+
+
+def _approximation(value: Fraction) -> str:
+    """``value`` in scientific notation, truncated to 17 significant digits,
+    computed without converting the whole numerator or denominator."""
+    n, d = abs(value.numerator), value.denominator
+    if n == 0:
+        return "0"
+    # the exponent estimated from the bit lengths is off by at most one
+    e = math.floor((n.bit_length() - d.bit_length()) * math.log10(2))
+    while True:
+        m = n * 10 ** (16 - e) // d if e <= 16 else n // (d * 10 ** (e - 16))
+        if m >= 10 ** 17:
+            e += 1
+        elif m < 10 ** 16:
+            e -= 1
+        else:
+            digits = str(m)
+            return f"{'-' if value < 0 else ''}{digits[0]}.{digits[1:]}e{e:+d}"
 
 
 def _cmd_sat(args) -> tuple[int, dict]:
@@ -242,15 +262,15 @@ def _cmd_oracle(args) -> tuple[int, dict]:
     return (EXIT_SAT if run is not None else EXIT_UNSAT), report
 
 
-def _recommended_arith(meta: dict):
-    """The fixed-point format ``fx:<t>:<f>`` that a compiled model's
-    ``min_bits`` metadata names, or None."""
+def _recommended_format(meta: dict):
+    """The fixed-point format that a compiled model's ``min_bits`` metadata
+    names, or None."""
     source, bits = meta.get("source"), meta.get("min_bits")
     frac = _MIN_BITS_FRAC.get(source) if isinstance(source, str) else None
     if frac is None or not isinstance(bits, str) or not bits.isdecimal():
         return None
     try:
-        return str(FixedPointFormat(int(bits), frac))
+        return FixedPointFormat(int(bits), frac)
     except (ValueError, InputFormatError):
         return None
 
@@ -259,6 +279,7 @@ def _cmd_classify(args) -> tuple[int, dict]:
     model = load_model(args.model)
     classes = classify_gates(model)
     log2 = state_count_bound_log2(model, args.bits)
+    fmt = _recommended_format(model.metadata_dict)
     report = {
         "dimension": model.dim,
         "layers": model.num_layers,
@@ -269,7 +290,10 @@ def _cmd_classify(args) -> tuple[int, dict]:
         "state_count_bound_bits": args.bits,
         "state_count_bound_log2": log2,
         "state_count_bound": str(1 << log2) if log2 <= _PRINTABLE_LOG2 else None,
-        "recommended_arith": _recommended_arith(model.metadata_dict),
+        "recommended_arith": None if fmt is None else str(fmt),
+        # a search under recommended_arith stores at most 2**(b*|key|) keys
+        "key_state_bound_log2":
+            None if fmt is None else fmt.total_bits * len(_stepper(model, ArithMode(fmt)).key),
         "metadata": model.metadata_dict,
     }
     meta = model.metadata_dict

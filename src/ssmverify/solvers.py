@@ -48,7 +48,10 @@ class SearchStats:
     search, whenever it was built, and ``exact_domain`` is the domain exact
     values ran in, always ``"int"`` (``None`` in fixed mode).
     States are stored as keys of the hidden coordinates the step reads;
-    ``key_coordinates`` is the length of a key.  ``frontier_sizes`` gives
+    ``key_coordinates`` is the length of a key, and under a ``b``-bit
+    format ``key_state_bound_log2`` is ``b * key_coordinates``: the search
+    stores at most 2 to that many keys (``None`` in exact mode, where
+    nothing bounds them).  ``frontier_sizes`` gives
     the size of each breadth-first level reached, the initial state's level
     first."""
 
@@ -61,6 +64,7 @@ class SearchStats:
     stepper_build_s: float = 0.0
     exact_domain: Optional[str] = None
     key_coordinates: int = 0
+    key_state_bound_log2: Optional[int] = None
     frontier_sizes: list[int] = field(default_factory=list)
 
 
@@ -167,10 +171,11 @@ def _search(model: SsmModel, mode: ArithMode, length_cap: Optional[int],
 
 
 def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, start: float):
-    one = stepper.one
+    one, fmt, width = stepper.one, stepper.mode.fmt, len(stepper.key)
     stats = SearchStats(quantized_constants=stepper.quantized_constants,
                         stepper_build_s=stepper.build_s, exact_domain=stepper.domain,
-                        key_coordinates=len(stepper.key))
+                        key_coordinates=width,
+                        key_state_bound_log2=None if fmt is None else fmt.total_bits * width)
     init = stepper.init
     parents: dict = {init: None}
     step, letters = stepper.search_step, list(stepper.emb.items())  # in alphabet order

@@ -14,38 +14,43 @@ the rows' terms, so no layer stores or scans a zero.
 
 Two evaluation orders are implemented.  The solvers, ``evaluate`` and
 ``accepts`` compile each model, once per arithmetic mode, into one
-generated straight-line Python function: the model's constants are folded
-into the code, unit weights become aliases and fixed-point truncation and
-saturation are inlined per term (partial evaluation; Jones, Gomard and
-Sestoft, 1993).  ``evaluate_layerwise`` is the independent oracle: one
-uncompiled interpreter that materialises whole sequences layer by layer,
-over either domain through the mode's scalar kernels.  Both apply
-per-dimension terms in the same canonical order (gate terms, inc offset,
-inc terms, each by ascending column) so fixed-mode saturation behaves
-identically.  The public ``step`` is one position of the oracle, each
-layer's ``_layer_step`` in turn, so it builds nothing and its
-``StreamState`` keeps every layer's full hidden vector.
+generated straight-line Python function: the live part of the model is
+generated, its constants folded into the code, unit weights and unit copies
+become aliases and fixed-point truncation and saturation are inlined per
+term (partial evaluation; Jones, Gomard and Sestoft, 1993).
+``evaluate_layerwise`` is the independent oracle: one uncompiled
+interpreter that materialises whole sequences layer by layer, over either
+domain through the mode's scalar kernels.  Both apply per-dimension terms
+in the same canonical order (gate terms, inc offset, inc terms, each by
+ascending column) so fixed-mode saturation behaves identically.  The
+public ``step`` is one position of the oracle, each layer's
+``_layer_step`` in turn, so it builds nothing and its ``StreamState``
+keeps every layer's full hidden vector.
 
 In exact mode the generated step runs on plain ints: every value ``v`` is
 the integer ``v * S`` for a scale ``S``.  ``S`` is ``2**SCALE_BITS`` for
 the dyadic values (denominator a power of two) that all three compilers
-emit; a model with another denominator starts on a scale in which every
-prime of its denominators appears at least ``SCALE_BITS`` times.  A product by a weight
-divides by the part of ``S`` the weight does not cancel after checking
-that the division is exact: a shift for a power of two, one ``divmod``
-otherwise.  A build or a call whose values leave the scale (a check
-finds a remainder) squares ``S``, rebuilds the step and runs again, whole.
-``evaluate`` converts at the boundary, so the scalars it returns are
-``Fraction``s.  One interval analysis serves both domains of the generated
-step, so exact mode, like fixed mode, emits a relu clamp only where its
-argument can be negative.
+emit; a model whose *live* constants have another denominator starts on a
+scale in which every prime of its denominators appears at least
+``SCALE_BITS`` times.  A product by a weight divides by the part of ``S``
+the weight does not cancel after checking that the division is exact: a
+shift for a power of two, one ``divmod`` otherwise.  A build or a call
+whose values leave the scale (a check finds a remainder) squares ``S``,
+rebuilds the step and runs again, whole.  ``evaluate`` converts at the
+boundary, so the scalars it returns are ``Fraction``s.  One interval
+analysis serves both domains of the generated step, so exact mode, like
+fixed mode, emits a relu clamp only where its argument can be negative.
 
-The generated step reads only some hidden coordinates: those that a gate
-row of a live value reads.  Every other coordinate is recomputed from the
-current input alone, so it cannot affect the future (cone-of-influence
-reduction; Clarke, Grumberg and Peled, *Model Checking*, 1999).  The step
-therefore takes and returns a flat *key* of the read coordinates, and the
-solvers, ``evaluate`` and ``accepts`` run on keys.
+The generated step keeps only the hidden coordinates in the least set
+that holds those the output reads and those that the new value of a member
+reads.  No other coordinate can affect a later output (cone-of-influence
+reduction; Clarke, Grumberg and Peled, *Model Checking*, 1999).  A
+backward pass over the rows' terms finds, before any code is emitted, the
+FNN nodes and new hidden values the output can need; only they are
+generated, and the least set is then taken over the generated code, so
+constants that folding removes count too.  The step takes and returns a
+flat *key* of those coordinates, and the solvers, ``evaluate`` and
+``accepts`` run on keys.
 """
 
 from __future__ import annotations
@@ -321,23 +326,28 @@ class _StepCompiler:
     bit-exact with ``evaluate_layerwise``.  Constants fold at generation
     time (an exact sum, which no order changes, folds all of its constant
     terms into one), zero terms vanish and a term whose encoded weight is
-    the unit becomes an alias.  One interval analysis covers every domain:
-    each value carries the interval its encoding can take, infinite in exact
-    mode where nothing bounds it (hidden inputs, products of an
-    input-dependent gate).  A saturation test is emitted only on a side that
-    can overflow, and a relu clamp only where its argument can be negative.
+    the unit becomes an alias, as does a whole unit copy.  One interval
+    analysis covers every domain: each value carries the interval its
+    encoding can take, infinite in exact mode where nothing bounds it
+    (hidden inputs, products of an input-dependent gate).  A saturation test
+    is emitted only on a side that can overflow, and a relu clamp only where
+    its argument can be negative.
 
-    The hidden coordinates that a value on the way to some layer's new
-    hidden vector or ``y`` reads are the ``key``, in (layer, index) order; a
-    key is the flat tuple of their values.  The step maps a key to the new
-    key and ``y``, and keeps only the blocks those need.
+    Only what ``y`` can need is generated: a backward pass (``_plan``)
+    names the FNN nodes and new hidden values that ``out`` reaches through
+    the rows' terms.  Of those, the hidden coordinates in the least set
+    that holds ``y``'s reads and the reads of each member's new value are
+    the ``key``, in (layer, index) order; a key is the flat tuple of their
+    values.  The step maps a key to the new key and ``y``, and keeps only
+    the blocks those need, so what constant folding removes goes too.
 
-    The domains differ in what a constant or a product cannot hold.  ``enc``
-    counts a fixed-mode constant in ``quantized`` when it is not exactly
-    representable, so one pass over the constants (the rows' nonzero
-    weights among them) yields ``len(quantization_report(model, fmt))``,
-    and raises ``_Inexact`` from the build for an exact constant whose
-    denominator does not divide the scale.  A product truncates in fixed
+    Each constant and row is encoded once per build, memoised by the
+    identity of the object: models share them.  The domains differ in
+    what a constant or a product cannot hold.  In fixed mode ``quantized``
+    counts, over every model constant, dead ones included, those that are
+    not exactly representable: ``len(quantization_report(model, fmt))``.
+    In exact mode an encoded constant whose denominator does not divide the
+    scale raises ``_Inexact`` from the build.  A product truncates in fixed
     mode; in exact mode it first checks that the division by the scale is
     exact, raising ``_Inexact`` from the build for a folded product and
     from the step otherwise.
@@ -349,21 +359,60 @@ class _StepCompiler:
             self.scale, self.bottom, self.top = scale, -_INF, _INF
         else:
             self.scale, self.bottom, self.top = fmt.scale, fmt.min_raw, fmt.max_raw
-        self.quantized = 0
         self._blocks: list[tuple[str, list[str], tuple]] = []
+        # id(object) -> (object, its encoding, how many of its constants the
+        # mode quantises); holding the object keeps its id from reuse
+        self._memo: dict[int, tuple] = {}
 
-    # -- values -------------------------------------------------------------
+    # -- encoding -----------------------------------------------------------
 
     def enc(self, w: Fraction) -> int:
+        return self._const(w)[1]
+
+    def _const(self, w: Fraction) -> tuple:
+        """``(w, encoding, 1 if the encoding is inexact else 0)``."""
+        hit = self._memo.get(id(w))
+        if hit is None:
+            hit = self._memo[id(w)] = (w, *self._encode(w))
+        return hit
+
+    def _encode(self, w: Fraction) -> tuple[int, int]:
         # w * scale is an integer iff the denominator divides the scale
         if self.scale % w.denominator == 0:
             raw = w.numerator * (self.scale // w.denominator)
             if self.bottom <= raw <= self.top:
-                return raw
+                return raw, 0
         if self.fmt is None:
             raise _Inexact
-        self.quantized += 1
-        return raw_encode(w, self.fmt)
+        return raw_encode(w, self.fmt), 1
+
+    def _row(self, row: Row) -> tuple:
+        """``(row, its terms with encoded weights, quantised count)``."""
+        hit = self._memo.get(id(row))
+        if hit is None:
+            consts = [(k, self._const(w)) for k, w in row.terms]
+            hit = self._memo[id(row)] = (row, tuple((k, c[1]) for k, c in consts),
+                                         sum(c[2] for _, c in consts))
+        return hit
+
+    def quantized(self, model: SsmModel) -> int:
+        """How many model constants the fixed-point mode does not represent
+        exactly, dead ones included, in one walk through the memo."""
+        const, row = self._const, self._row
+        total = sum(const(w)[2] for vec in model.emb for w in vec)
+        for layer in model.layers:
+            gate, inc = layer.gate, layer.inc
+            vectors = [layer.h0, inc.offset]
+            if isinstance(gate, DiagonalAffineGate):
+                vectors.append(gate.offset)
+            total += sum(const(w)[2] for vec in vectors for w in vec)
+            total += sum(row(r)[2] for r in gate.rows + inc.rows)
+        for net in (*(layer.phi for layer in model.layers), model.out):
+            total += sum(const(node.bias)[2] + row(node.row)[2]
+                         for layer in net.layers for node in layer.nodes)
+        return total
+
+    # -- values -------------------------------------------------------------
 
     def const(self, value: int) -> _Val:
         return _Val(_literal(value), value, value, value)
@@ -514,33 +563,50 @@ class _StepCompiler:
 
     # -- the model ----------------------------------------------------------
 
-    def fnn(self, net: Fnn, inputs: list[_Val]) -> list[_Val]:
+    def fnn(self, net: Fnn, plan: list, inputs: list) -> list:
+        """The values of the nodes that ``plan`` lists for each layer of
+        ``net``, None for the others.  A unit copy (bias 0, one unit weight,
+        and no relu or a relu over a value that is never negative) is its
+        input itself."""
         current = inputs
-        for layer in net.layers:
-            current = [
-                self.total(self.enc(node.bias),
-                           [self.mul(self.enc(w), current[i]) for i, w in node.row.terms],
-                           node.activation == RELU)
-                for node in layer.nodes
-            ]
+        for layer, needed in zip(net.layers, plan):
+            nodes = layer.nodes
+            out = [None] * len(nodes)
+            for i in needed:
+                node = nodes[i]
+                bias, terms = self.enc(node.bias), self._row(node.row)[1]
+                relu = node.activation == RELU
+                if bias == 0 and len(terms) == 1 and terms[0][1] == self.scale:
+                    v = current[terms[0][0]]
+                    if not relu or v.lo >= 0:
+                        out[i] = v
+                        continue
+                out[i] = self.total(bias, [self.mul(w, current[k]) for k, w in terms], relu)
+            current = out
         return current
 
-    def recurrence(self, layer: SsmLayer, j: int, h: list[_Val], x: list[_Val]) -> _Val:
+    def recurrence(self, layer: SsmLayer, j: int, h: dict, x: list[_Val]) -> _Val:
+        """The new ``h[j]``.  A unit copy (no gate term, a gate offset and an
+        inc offset of 0, and one unit inc weight) is its input itself."""
         gate, inc = layer.gate, layer.inc
+        gate_terms, inc_terms = self._row(gate.rows[j])[1], self._row(inc.rows[j])[1]
+        offset = self.enc(inc.offset[j])
         if isinstance(gate, TimeInvariantGate):
-            terms = [self.mul(self.enc(w), h[k]) for k, w in gate.rows[j].terms]
+            terms = [self.mul(w, h[k]) for k, w in gate_terms]
         else:
-            g = self.total(self.enc(gate.offset[j]),
-                           [self.mul(self.enc(w), x[k]) for k, w in gate.rows[j].terms])
-            terms = [self.mul_var(g, h[j])]
-        terms.append(self.const(self.enc(inc.offset[j])))
-        terms += [self.mul(self.enc(w), x[k]) for k, w in inc.rows[j].terms]
+            g = self.total(self.enc(gate.offset[j]), [self.mul(w, x[k]) for k, w in gate_terms])
+            terms = [] if g.const == 0 else [self.mul_var(g, h[j])]
+        if not terms and offset == 0 and len(inc_terms) == 1 and inc_terms[0][1] == self.scale:
+            return x[inc_terms[0][0]]
+        terms.append(self.const(offset))
+        terms += [self.mul(w, x[k]) for k, w in inc_terms]
         return self.total(0, terms)
 
     def source(self, model: SsmModel, inputs: list[tuple]) -> str:
         """The source of the step; ``inputs`` are the encoded embeddings,
-        the only vectors it is ever called with.  Generates the whole model,
-        so every constant is encoded, and sets ``key``."""
+        the only vectors it is ever called with.  Generates only the nodes
+        and new hidden values that ``_plan`` finds ``y`` can need, so only
+        their constants are encoded, and sets ``key``."""
         x = []
         for k in range(model.dim):
             column = [vec[k] for vec in inputs]
@@ -548,28 +614,29 @@ class _StepCompiler:
                 x.append(self.const(column[0]))
             else:
                 x.append(_Val(f"x{k}", None, min(column), max(column), (f"x{k}",)))
-        hidden = []
-        for li, layer in enumerate(model.layers):
-            h = [_Val(f"h{li}_{j}", None, self.bottom, self.top, (f"h{li}_{j}",))
-                 for j in range(layer.dim)]
-            new = [self.recurrence(layer, j, h, x) for j in range(layer.dim)]
-            hidden.append(new)
-            x = self.fnn(layer.phi, new + x)
-        (y,) = self.fnn(model.out, x)
-        live, _ = self._live([y] + [v for new in hidden for v in new])
-        self.key = tuple((li, j) for li, new in enumerate(hidden) for j in range(len(new))
-                         if f"h{li}_{j}" in live)
-        outputs = [hidden[li][j] for li, j in self.key]
-        live, body = self._live([y] + outputs)
+        layers, out_plan = _plan(model)
+        hidden = {}  # the name of each generated hidden input -> ((layer, index), new value)
+        for li, (layer, (news, phi_plan)) in enumerate(zip(model.layers, layers)):
+            h = {j: _Val(f"h{li}_{j}", None, self.bottom, self.top, (f"h{li}_{j}",))
+                 for j in news}
+            new = [None] * layer.dim
+            for j in news:
+                new[j] = self.recurrence(layer, j, h, x)
+                hidden[h[j].code] = (li, j), new[j]
+            x = self.fnn(layer.phi, phi_plan, new + x)
+        (y,) = self.fnn(model.out, out_plan, x)
+        live = self._live(y, hidden)
+        keyed = [value for name, value in hidden.items() if name in live]
+        self.key = tuple(lj for lj, _ in keyed)
         lines = ["def step(key, x):"]
         if self.key:
-            lines.append("    " + "".join(
-                f"h{li}_{j}, " if f"h{li}_{j}" in live else "_, " for li, j in self.key) + "= key")
+            lines.append("    " + "".join(f"h{li}_{j}, " for li, j in self.key) + "= key")
         if model.dim:
             lines.append("    " + "".join(
                 f"x{k}, " if f"x{k}" in live else "_, " for k in range(model.dim)) + "= x")
-        lines += [f"    {line}" for block in body for line in block]
-        lines.append(f"    return ({''.join(f'{v.code}, ' for v in outputs)}), {y.code}")
+        lines += [f"    {line}" for name, block, _ in self._blocks if name in live
+                  for line in block]
+        lines.append(f"    return ({''.join(f'{v.code}, ' for _, v in keyed)}), {y.code}")
         return "\n".join(lines) + "\n"
 
     def build(self, model: SsmModel, inputs: list[tuple]):
@@ -580,17 +647,62 @@ class _StepCompiler:
         exec(code, namespace)
         return namespace["step"]
 
-    def _live(self, outputs: list[_Val]) -> tuple[set, list]:
-        """The names that ``outputs`` need, and the blocks that compute
-        them in emission order."""
-        live = set().union(*(v.reads for v in outputs))
-        body = []
-        for name, lines, reads in reversed(self._blocks):
-            if name in live:
-                live.update(reads)
-                body.append(lines)
-        body.reverse()
-        return live, body
+    def _live(self, y: _Val, hidden: dict) -> set:
+        """The names that ``y`` needs, where a hidden input needs its new
+        value too: the least such set, with what folding removed left out."""
+        reads = {name: block_reads for name, _, block_reads in self._blocks}
+        reads.update((name, value.reads) for name, (_, value) in hidden.items())
+        live, todo = set(), list(y.reads)
+        while todo:
+            name = todo.pop()
+            if name not in live:
+                live.add(name)
+                todo += reads.get(name, ())
+        return live
+
+
+def _needed_nodes(net: Fnn, wanted: set) -> tuple[list, set]:
+    """The nodes of each layer of ``net`` that its outputs ``wanted`` read
+    through the rows' terms, each layer's in ascending order, and the
+    inputs they read."""
+    plan = []
+    for layer in reversed(net.layers):
+        needed = sorted(wanted)
+        plan.append(needed)
+        nodes = layer.nodes
+        wanted = {k for i in needed for k, _ in nodes[i].row.terms}
+    plan.reverse()
+    return plan, wanted
+
+
+def _plan(model: SsmModel) -> tuple[list, list]:
+    """The backward pass from ``out``: for each layer, the new hidden values
+    that ``y`` can need in ascending order and the ``phi`` plan of
+    ``_needed_nodes``; and the plan of ``out``.  Within a layer, a needed
+    value whose time-invariant gate row reads ``h[k]`` makes ``new[k]``
+    needed, up to the least fixed point; the embedding columns or the
+    previous layer's outputs that the layer reads are needed below."""
+    out_plan, wanted = _needed_nodes(model.out, {0})
+    layers = []
+    for layer in reversed(model.layers):
+        phi_plan, reads = _needed_nodes(layer.phi, wanted)
+        d, gate, inc = layer.dim, layer.gate, layer.inc
+        new = {k for k in reads if k < d}
+        wanted = {k - d for k in reads if k >= d}
+        todo = list(new)
+        while todo:
+            j = todo.pop()
+            wanted.update(k for k, _ in inc.rows[j].terms)
+            if isinstance(gate, DiagonalAffineGate):
+                wanted.update(k for k, _ in gate.rows[j].terms)
+            else:  # h[k] is the previous new[k]
+                for k, _ in gate.rows[j].terms:
+                    if k not in new:
+                        new.add(k)
+                        todo.append(k)
+        layers.append((sorted(new), phi_plan))
+    layers.reverse()
+    return layers, out_plan
 
 
 class _Stepper:
@@ -613,12 +725,10 @@ class _Stepper:
         self.emb = {
             s: tuple(comp.enc(v) for v in vec) for s, vec in zip(model.alphabet, model.emb)
         }
-        # every h0 entry is encoded, key or not, so `quantized` counts it
-        h0 = [[comp.enc(v) for v in layer.h0] for layer in model.layers]
         self.search_step = comp.build(model, list(self.emb.values()))
         self.key = comp.key
-        self.init = tuple(h0[li][j] for li, j in self.key)
-        self.quantized_constants = comp.quantized
+        self.init = tuple(comp.enc(model.layers[li].h0[j]) for li, j in self.key)
+        self.quantized_constants = 0 if mode.is_exact else comp.quantized(model)
         self.domain = "int" if mode.is_exact else None
         self.build_s = time.perf_counter() - started
 

@@ -7,13 +7,14 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ssmverify
-from helpers import walk_words
-from ssmverify.arithmetic import EXACT, MAX_TOTAL_BITS, FixedPointFormat
+from helpers import geometric_model, walk_words
+from ssmverify.arithmetic import EXACT, MAX_TOTAL_BITS, ArithMode, FixedPointFormat
 from ssmverify.cli import main, run
 from ssmverify.compilers import compile_ltl, compile_minsky, parse_minsky
 from ssmverify.fnn import select_fnn
@@ -147,6 +148,22 @@ def test_huge_exact_constants_decide(tmp_path):
     assert status == 0 and report["result"]["value"] == "1"
 
 
+def test_eval_reports_a_value_too_long_to_print(tmp_path, capsys):
+    """After 50 symbols h1 is a sum of powers of 10**100, about 4,900 digits,
+    more than CPython converts to a string: the report shows ``value`` as
+    null beside a 17-digit approximation, and the exit code still follows
+    acceptance."""
+    model_path = str(tmp_path / "geometric.ssm")
+    save_model(geometric_model(Fraction(10 ** 100), select_fnn([1], 2)), model_path)
+    assert main(["eval", model_path, "--word", ";".join(["a"] * 50)]) == 1
+    body = json.loads(capsys.readouterr().out)["result"]
+    assert body["value"] is None and body["accepted"] is False
+    assert body["value_approx"] == "1.0000000000000000e+4900"
+    status, report = run(["eval", model_path, "--word", "a"])
+    assert status == 0 and report["result"]["value"] == "1"
+    assert "value_approx" not in report["result"]
+
+
 def test_unsat_exit_code_and_no_witness(tmp_path):
     model_path = str(tmp_path / "m.ssm")
     run(["compile", "ltl", "p & !p", "-o", model_path])
@@ -261,6 +278,12 @@ def test_classify_recommends_one_format_per_source(tmp_path, kind, source, expec
     status, report = run(["classify", model_path])
     assert status == 0
     assert report["result"]["recommended_arith"] == expected
+    # the keys a search under that format can store: b bits per key coordinate
+    fmt = ArithMode.parse(expected).fmt
+    sat = run(["sat", "bounded", model_path, "--max-len", "1", "--arith", expected])[1]
+    stats = sat["result"]["stats"]
+    assert report["result"]["key_state_bound_log2"] == stats["key_state_bound_log2"]
+    assert stats["key_state_bound_log2"] == fmt.total_bits * stats["key_coordinates"] > 0
     # the metadata keeps the compiler's own min_bits, so saved bytes are unchanged
     assert report["result"]["metadata"]["min_bits"] == expected.split(":")[1]
     model = load_model(model_path)
@@ -271,7 +294,8 @@ def test_classify_recommends_one_format_per_source(tmp_path, kind, source, expec
         save_model(replace(model, metadata=metadata), model_path)
         assert run(["classify", model_path])[1]["result"]["recommended_arith"] == arith
     save_model(replace(model, metadata=(("source", "handmade"),)), model_path)
-    assert run(["classify", model_path])[1]["result"]["recommended_arith"] is None
+    body = run(["classify", model_path])[1]["result"]
+    assert body["recommended_arith"] is None and body["key_state_bound_log2"] is None
 
 
 def test_resource_limit_exit_code(tmp_path, monkeypatch):

@@ -19,9 +19,16 @@ from helpers import (
     word_to_trace,
 )
 from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat
-from ssmverify.compilers import IlpInstance, compile_ilp, compile_ltl, compile_minsky
+from ssmverify.compilers import (
+    IlpInstance,
+    compile_ilp,
+    compile_ltl,
+    compile_minsky,
+    parse_ilp,
+    parse_minsky,
+)
 from ssmverify.errors import PreconditionError, ResourceLimitError
-from ssmverify.fnn import compose, gadget_eq, gadget_leq, select_fnn
+from ssmverify.fnn import RELU, compose, gadget_eq, gadget_leq, linear_fnn, select_fnn
 from ssmverify.ltl import holds, parse
 from ssmverify.solvers import (
     SATISFIABLE,
@@ -262,25 +269,31 @@ def test_search_stats_name_the_exact_domain_and_the_step_build():
               compile_ilp(random_ilp(rng))]
     for model in models:
         stats = sat_bounded(model, 3, EXACT).stats
-        assert stats.exact_domain == "int"
+        assert stats.exact_domain == "int" and stats.key_state_bound_log2 is None
         assert stats.transitions == stats.states_explored > 0
         assert stats.stepper_build_s > 0
     stats = sat_fixed(models[0], FX6).stats
     assert stats.exact_domain is None
+    assert stats.key_state_bound_log2 == 6 * stats.key_coordinates > 0
     assert stats.transitions == stats.states_explored > 0
 
 
 @pytest.mark.parametrize("gate", [Fraction(1, 2), Fraction(1, 3)], ids=str)
-def test_sat_bounded_falls_back_to_fractions(gate):
-    """Gate 1/3 is not dyadic, so the step starts on a scale widened by
-    3**SCALE_BITS; with either gate the values leave that scale near depth
-    65 and the search runs again on its square."""
-    model = geometric_model(gate, compose(gadget_eq(80), select_fnn([0], 2)))
+def test_sat_bounded_widens_the_exact_scale(gate):
+    """The output reads the counter h0 and, through min(1, h1) =
+    1 - relu(1 - h1), the geometric coordinate h1, so both are in the key.
+    Gate 1/3 is not dyadic, so the step starts on a scale widened by
+    3**SCALE_BITS; with either gate h1 leaves that scale near depth 65 and
+    the search runs again on its square."""
+    clipped = linear_fnn([[1, 0], [0, -1]], [0, 1], RELU)
+    out = compose(gadget_eq(81), compose(linear_fnn([[1, -1]], [1]), clipped))
+    model = geometric_model(gate, out)
     result = sat_bounded(model, 80, EXACT)
     assert result.verdict == SATISFIABLE
     assert result.witness == ("a",) * 80
     assert result.stats.states_explored == result.stats.transitions == 80
     assert result.stats.exact_domain == "int"
+    assert result.stats.key_coordinates == 2
     (stepper,) = model._steppers.values()
     assert stepper.one > 1 << SCALE_BITS and stepper.one % gate.denominator ** 80 == 0
     assert sat_bounded(model, 79, EXACT).verdict == UNSAT_WITHIN_BOUND
@@ -382,6 +395,53 @@ def test_search_key_holds_only_the_read_coordinates(text, dim, key):
         assert [len(h) for h in state.hidden] == [model.dim] * model.num_layers
         assert state.mode.is_exact or all(type(v) is int for h in state.hidden for v in h)
         assert not state.mode.is_exact or all(type(v) is Fraction for h in state.hidden for v in h)
+
+
+def test_search_key_is_the_least_set_closed_under_reads():
+    """One coordinate of the second layer's history block is read only by a
+    new value that neither ``y`` nor a key coordinate needs: the key holds 7 of
+    the machine's 57 coordinates, one fewer than the set that every new
+    value reads.  The search and its witness do not change."""
+    machine = parse_minsky("start: q0\nfinal: qf\nq0 inc2 q1\nq1 dec2 q2\nq1 ztest2 q0\n"
+                           "q2 inc1 q3\nq3 dec1 qf\nq3 ztest1 q1\n")
+    model = compile_minsky(machine)
+    result = sat_bounded(model, 8, EXACT)
+    assert model.num_layers * model.dim == 57
+    assert result.stats.key_coordinates == 7
+    assert result.verdict == SATISFIABLE
+    assert result.witness == ("(q1,inc2)", "(q2,dec2)", "(q3,inc1)", "(qf,dec1)")
+    assert (result.stats.transitions, result.stats.distinct_states) == (854, 833)
+
+
+def test_an_output_folded_to_a_constant_keys_on_nothing():
+    """Under fx:6:3 the interval analysis folds this program's output to
+    the constant 0, so no hidden coordinate is in the key and the search
+    ends after one level."""
+    model = compile_ilp(parse_ilp("3\n1 1 0\n0 1 1\n1 0 1\n1 1 1\n"))
+    result = sat_fixed(model, FX6)
+    assert result.verdict == UNSATISFIABLE and result.witness is None
+    assert result.stats.key_coordinates == 0
+    assert result.stats.key_state_bound_log2 == 0
+    assert result.stats.distinct_states == 1
+    assert sat_bounded(model, 4, EXACT).stats.key_coordinates == 6
+
+
+def test_a_dead_constant_is_still_counted_as_quantised():
+    """1/3, which fx:6:3 cannot hold, weighs a phi node that nothing reads:
+    the step never encodes it, and the count still includes it."""
+    layer = SsmLayer(
+        h0=as_vector([0, 0]),
+        gate=TimeInvariantGate(as_matrix([[0, 0], [0, 0]])),
+        inc=AffineMap(as_matrix([[1, 0], [0, 1]]), as_vector([0, 0])),
+        phi=linear_fnn([[1, 0, 0, 0], [0, Fraction(1, 3), 0, 0]]),
+    )
+    model = SsmModel(("a",), (as_vector([1, 1]),), (layer,), select_fnn([0], 2))
+    assert [path for path, _ in quantization_report(model, FX6)] == ["layer0.phi.layer0.node1.w1"]
+    result = sat_fixed(model, FX6)
+    assert result.stats.quantized_constants == 1
+    assert (result.verdict, result.witness) == (SATISFIABLE, ("a",))
+    assert result.stats.key_coordinates == 0
+    assert sat_bounded(model, 1, EXACT).stats.quantized_constants == 0
 
 
 def test_frontier_sizes_list_every_level():

@@ -1,5 +1,6 @@
 """SSM evaluator: streaming vs batch order, closure, classification."""
 
+import itertools
 import os
 import random
 import re
@@ -308,6 +309,27 @@ def test_two_odd_denominators_widen_the_scale_for_both():
         word = ["a"] + [rng.choice("ab") for _ in range(n - 1)]
         assert evaluate(model, word, EXACT) == evaluate_layerwise(model, word, EXACT)
         assert model._steppers[EXACT].one == scale
+
+
+@pytest.mark.parametrize("fmt", [None, FX6, FixedPointFormat(3, 2), FixedPointFormat(8, 4)],
+                         ids=str)
+def test_only_unit_copies_become_aliases(fmt):
+    """Near copies keep their arithmetic: an inc offset of 1/2, a gate row
+    reading h1, a diagonal gate offset of 1/2, and a relu over a value that
+    can be negative.  Only the diagonal layer's second coordinate, with no
+    gate term and both offsets 0, is a copy of its input."""
+    ti = SsmLayer(h0=as_vector([0, 0]), gate=TimeInvariantGate(as_matrix([[0, 0], [0, 1]])),
+                  inc=AffineMap(eye(2), as_vector([Fraction(1, 2), 0])),
+                  phi=linear_fnn([[1, 0, 0, 0], [0, 1, 0, 0]], activation=RELU))
+    diagonal = SsmLayer(h0=as_vector([0, 0]),
+                        gate=DiagonalAffineGate(zeros_mat(2), as_vector([Fraction(1, 2), 0])),
+                        inc=AffineMap(eye(2), as_vector([0, 0])), phi=projection_phi(2))
+    emb = (as_vector([1, -1]), as_vector([Fraction(-1, 2), Fraction(1, 4)]))
+    model = SsmModel(("a", "b"), emb, (ti, diagonal), linear_fnn([[1, 1]]))
+    mode = EXACT if fmt is None else ArithMode(fmt)
+    for n in (1, 2, 3):
+        for word in itertools.product(model.alphabet, repeat=n):
+            assert evaluate(model, word, mode) == evaluate_layerwise(model, word, mode)
 
 
 def test_identity_phi_applies_the_saturated_unit():
