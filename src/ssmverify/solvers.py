@@ -47,6 +47,9 @@ class SearchStats:
     ``stepper_build_s`` is the build time of the compiled step that ran the
     search, whenever it was built, and ``exact_domain`` is the domain exact
     values ran in, always ``"int"`` (``None`` in fixed mode).
+    ``exact_scale_bits`` is the bit length of the scale those ints ran on:
+    1 for a model with only integer constants, ``SCALE_BITS + 1`` for a
+    dyadic one (``None`` in fixed mode).
     States are stored as keys of the hidden coordinates the step reads;
     ``key_coordinates`` is the length of a key, and under a ``b``-bit
     format ``key_state_bound_log2`` is ``b * key_coordinates``: the search
@@ -63,6 +66,7 @@ class SearchStats:
     transitions: int = 0
     stepper_build_s: float = 0.0
     exact_domain: Optional[str] = None
+    exact_scale_bits: Optional[int] = None
     key_coordinates: int = 0
     key_state_bound_log2: Optional[int] = None
     frontier_sizes: list[int] = field(default_factory=list)
@@ -174,6 +178,7 @@ def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, start: floa
     one, fmt, width = stepper.one, stepper.mode.fmt, len(stepper.key)
     stats = SearchStats(quantized_constants=stepper.quantized_constants,
                         stepper_build_s=stepper.build_s, exact_domain=stepper.domain,
+                        exact_scale_bits=one.bit_length() if fmt is None else None,
                         key_coordinates=width,
                         key_state_bound_log2=None if fmt is None else fmt.total_bits * width)
     init = stepper.init

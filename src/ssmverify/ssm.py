@@ -28,18 +28,22 @@ public ``step`` is one position of the oracle, each layer's
 keeps every layer's full hidden vector.
 
 In exact mode the generated step runs on plain ints: every value ``v`` is
-the integer ``v * S`` for a scale ``S``.  ``S`` is ``2**SCALE_BITS`` for
-the dyadic values (denominator a power of two) that all three compilers
-emit; a model whose *live* constants have another denominator starts on a
-scale in which every prime of its denominators appears at least
-``SCALE_BITS`` times.  A product by a weight divides by the part of ``S``
-the weight does not cancel after checking that the division is exact: a
-shift for a power of two, one ``divmod`` otherwise.  A build or a call
-whose values leave the scale (a check finds a remainder) squares ``S``,
-rebuilds the step and runs again, whole.  ``evaluate`` converts at the
-boundary, so the scalars it returns are ``Fraction``s.  One interval
-analysis serves both domains of the generated step, so exact mode, like
-fixed mode, emits a relu clamp only where its argument can be negative.
+the integer ``v * S`` for a scale ``S``.  The first ``S`` follows from
+``D``, the lcm of the denominators of every model constant, dead ones
+included: it is ``D``'s smallest multiple in which every prime of ``D``
+appears at least ``SCALE_BITS`` times.  So a model with only integer
+constants (the 0-1 ILPs, X-free LTL formulas) runs on ``S = 1``, where
+sums, integer products and relu keep every value integral and no check is
+emitted; a dyadic model (a Minsky machine, ``D = 8``) runs on
+``2**SCALE_BITS`` and a model of thirds on ``3**SCALE_BITS``.  A product
+by a weight divides by the part of ``S`` the weight does not cancel after
+checking that the division is exact: a shift for a power of two, one
+``divmod`` otherwise.  A build or a call whose values leave the scale (a
+check finds a remainder) squares ``S``, rebuilds the step and runs again,
+whole.  ``evaluate`` converts at the boundary, so the scalars it returns
+are ``Fraction``s.  One interval analysis serves both domains of the
+generated step, so exact mode, like fixed mode, emits a relu clamp only
+where its argument can be negative.
 
 The generated step keeps only the hidden coordinates in the least set
 that holds those the output reads and those that the new value of a member
@@ -77,8 +81,11 @@ from .fnn import RELU, Fnn, eval_program, select_fnn
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
-#: Fractional bits of the integer encoding of exact values in the generated
-#: step: the value v runs as the int v * 2**SCALE_BITS.
+#: How many times, at least, each prime of the model's denominators divides
+#: the first scale S of the integer encoding of exact values in the
+#: generated step, where the value v runs as the int v * S: S is
+#: 2**SCALE_BITS for a dyadic model, 3**SCALE_BITS for a model of thirds
+#: and 1 for a model with only integer constants.
 SCALE_BITS = 64
 _SCALE = 1 << SCALE_BITS
 
@@ -239,6 +246,16 @@ class SsmModel:
     def _steppers(self) -> dict:
         return {}
 
+    @cached_property
+    def _denominator(self) -> int:
+        """The lcm of the denominators of every model constant, dead ones
+        included.  One walk computes it on the first exact build; a row
+        that several layers or nodes share is read once."""
+        vectors, rows = _holders(self)
+        found = {w.denominator for vec in vectors for w in vec}
+        found.update(w.denominator for r in {id(r): r for r in rows}.values() for _, w in r.terms)
+        return lcm(*found)
+
 
 @dataclass(frozen=True)
 class StreamState:
@@ -398,19 +415,10 @@ class _StepCompiler:
     def quantized(self, model: SsmModel) -> int:
         """How many model constants the fixed-point mode does not represent
         exactly, dead ones included, in one walk through the memo."""
+        vectors, rows = _holders(model)
         const, row = self._const, self._row
-        total = sum(const(w)[2] for vec in model.emb for w in vec)
-        for layer in model.layers:
-            gate, inc = layer.gate, layer.inc
-            vectors = [layer.h0, inc.offset]
-            if isinstance(gate, DiagonalAffineGate):
-                vectors.append(gate.offset)
-            total += sum(const(w)[2] for vec in vectors for w in vec)
-            total += sum(row(r)[2] for r in gate.rows + inc.rows)
-        for net in (*(layer.phi for layer in model.layers), model.out):
-            total += sum(const(node.bias)[2] + row(node.row)[2]
-                         for layer in net.layers for node in layer.nodes)
-        return total
+        return (sum(const(w)[2] for vec in vectors for w in vec)
+                + sum(row(r)[2] for r in rows))
 
     # -- values -------------------------------------------------------------
 
@@ -450,7 +458,10 @@ class _StepCompiler:
     def _divided(self, code: str, q: int, reads, lo, hi) -> _Val:
         """A local holding the int ``code`` divided by ``q``, after a check
         that the division is exact: of the bits shifted out for a power of
-        two, of the remainder otherwise."""
+        two, of the remainder otherwise.  At ``q = 1`` it is ``code``
+        itself."""
+        if q == 1:
+            return self._fits(code, lo, hi, reads)
         name = self._fresh()
         if q & (q - 1):
             lines = [f"{name}, rest = divmod({code}, {_literal(q)})", "if rest: raise Inexact"]
@@ -710,14 +721,15 @@ class _Stepper:
     generated step on keys, the number of model constants the mode
     quantises, the domain exact values run in (``"int"``; ``None`` in fixed
     mode) and the seconds the build took.  ``one`` encodes the value 1: the
-    scale in exact mode.
+    scale in exact mode, which ``_stepper`` starts on ``_first_scale`` of
+    the model's denominators, so 1 for a model with only integer constants.
 
     A key is the flat tuple of the hidden coordinates the step reads,
     ``key`` lists them as (layer, index) pairs and ``init`` is the initial
     state's key.  ``step`` maps a key and a symbol to the next key and the
     output."""
 
-    def __init__(self, model: SsmModel, mode: ArithMode, scale: int = _SCALE):
+    def __init__(self, model: SsmModel, mode: ArithMode, scale: int | None):
         started = time.perf_counter()
         comp = _StepCompiler(mode, scale)
         self.mode = mode
@@ -743,30 +755,40 @@ class _Stepper:
         return Fraction(y, self.one) if self.mode.is_exact else _scalar(y, self.mode)
 
 
-def _stepper(model: SsmModel, mode: ArithMode, scale: int = _SCALE) -> _Stepper:
+def _stepper(model: SsmModel, mode: ArithMode, scale: int | None = None) -> _Stepper:
     """The model's step for ``mode``, built on first use.  In exact mode it
-    runs over ``scale`` or, when a model constant or a folded product is
-    outside that, over the first wider scale that holds them all."""
+    runs over ``_first_scale`` of the lcm of the model's denominators, or
+    over its lcm with ``scale`` when one is given, so that the scale always
+    holds every constant; when a folded product is outside it, over the
+    first square of it that holds them all."""
     stepper = model._steppers.get(mode)
+    if stepper is None and mode.is_exact:
+        first = _first_scale(model._denominator)
+        scale = first if scale is None else lcm(scale, first)
     while stepper is None:
         try:
             stepper = model._steppers[mode] = _Stepper(model, mode, scale)
         except _Inexact:
-            scale = _wider(model, scale)
+            scale = _wider(scale)
     return stepper
 
 
-def _wider(model: SsmModel, scale: int) -> int:
-    """The exact scale to try after ``scale`` failed.  When a constant's
-    denominator does not divide it: lcm(scale, D, odd(D)**SCALE_BITS), for D
-    the lcm of the model's denominators, so that every odd prime of D gets
-    ``SCALE_BITS`` digits too.  Otherwise its square: every prime of a
-    computed value's denominator is one of D's, so a word of length n needs
-    O(log n) squarings."""
-    d = lcm(*(v.denominator for _, v in _constants(model)))
-    if scale % d == 0:
-        return scale * scale
-    return lcm(scale, d, (d >> ((d & -d).bit_length() - 1)) ** SCALE_BITS)
+def _first_scale(d: int) -> int:
+    """The least multiple of ``d`` in which every prime of ``d`` appears at
+    least ``SCALE_BITS`` times: 1 for ``d = 1``, ``2**SCALE_BITS`` for
+    ``d = 8``, ``15**SCALE_BITS`` for ``d = 15``.  It encodes every model
+    constant exactly."""
+    odd = d >> ((d & -d).bit_length() - 1)
+    return lcm(d, odd ** SCALE_BITS, 1 if d & 1 else _SCALE)
+
+
+def _wider(scale: int) -> int:
+    """The exact scale to try after ``scale`` failed: its square, and
+    ``2**SCALE_BITS`` after 1, so it always grows.  Every first scale holds
+    the model's denominators and every prime of a computed value's
+    denominator is one of theirs, so a word of length n needs O(log n)
+    squarings."""
+    return scale * scale if scale > 1 else _SCALE
 
 
 def _with_stepper(model: SsmModel, mode: ArithMode, call):
@@ -779,7 +801,7 @@ def _with_stepper(model: SsmModel, mode: ArithMode, call):
             return call(stepper)
         except _Inexact:
             del model._steppers[mode]
-            stepper = _stepper(model, mode, stepper.one * stepper.one)
+            stepper = _stepper(model, mode, _wider(stepper.one))
 
 
 def _scalar(y, mode: ArithMode) -> Scalar:
@@ -925,6 +947,22 @@ def classify_gates(model: SsmModel) -> GateClasses:
         for l in model.layers
     )
     return GateClasses(time_invariant=ti, diagonal=diag)
+
+
+def _holders(model: SsmModel) -> tuple[list[Vector], list[Row]]:
+    """The vectors and rows that hold every model constant, dead ones
+    included; a row that several layers or nodes share is listed for each."""
+    vectors, rows = list(model.emb), []
+    for layer in model.layers:
+        vectors += (layer.h0, layer.inc.offset)
+        if isinstance(layer.gate, DiagonalAffineGate):
+            vectors.append(layer.gate.offset)
+        rows += layer.gate.rows + layer.inc.rows
+    for net in (*(layer.phi for layer in model.layers), model.out):
+        for fnn_layer in net.layers:
+            vectors.append(tuple(node.bias for node in fnn_layer.nodes))
+            rows += (node.row for node in fnn_layer.nodes)
+    return vectors, rows
 
 
 def _constants(model: SsmModel):

@@ -4,13 +4,17 @@ serialisation; any change to either is a format break and must be deliberate."""
 import hashlib
 import json
 import random
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
-from helpers import hand_formulas, random_ilp, random_machine
+from helpers import geometric_model, hand_formulas, random_ilp, random_machine
 from ssmverify.cli import run
 from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, parse_ilp, parse_minsky
+from ssmverify.fnn import linear_fnn, select_fnn
 from ssmverify.ltl import parse
 from ssmverify.modelfile import load_model, model_to_json, save_model
+from ssmverify.ssm import AffineMap, DiagonalAffineGate, SsmLayer, SsmModel, _constants
 
 MINSKY_TEXT = (
     "start: q0\n"
@@ -145,3 +149,34 @@ def test_v1_file_still_loads_and_decides(tmp_path):
     save_model(loaded, str(resaved))
     assert json.loads(resaved.read_text())["format"] == "ssmverify-model-v2"
     assert load_model(str(resaved)) == loaded
+
+
+def test_the_denominators_walk_reads_every_constant_the_report_names(tmp_path):
+    """The lcm of the denominators, from which the exact step picks its
+    first scale, walks the vectors and rows that hold the constants; it
+    equals the lcm over the path walk behind ``quantization_report``, on
+    models in memory, their v2 files and a v1 file."""
+
+    def walk(model) -> int:
+        return lcm(*(v.denominator for _, v in _constants(model)))
+
+    # each place that holds a constant gets a prime of its own
+    p = [Fraction(1, q) for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)]
+    layer = SsmLayer(h0=(p[1],), gate=DiagonalAffineGate([[p[3]]], (p[2],)),
+                     inc=AffineMap([[p[4]]], (p[5],)), phi=linear_fnn([[p[7], 1]], [p[6]]))
+    primes = SsmModel(alphabet=("a",), emb=((p[0],),), layers=(layer,),
+                      out=linear_fnn([[p[9]]], [p[8]]))
+    rng = random.Random(41)
+    models = [compile_minsky(random_machine(rng, 3)), compile_ilp(random_ilp(rng)),
+              compile_ltl(parse("p U q")), compile_ltl(parse(V1_FORMULA)),
+              geometric_model(Fraction(2, 15), select_fnn([1], 2)), primes]
+    path = tmp_path / "model.ssm"
+    denominators = []
+    for model in models:
+        save_model(model, str(path))
+        loaded = load_model(str(path))
+        assert loaded._denominator == walk(loaded) == model._denominator == walk(model)
+        denominators.append(loaded._denominator)
+    assert denominators == [8, 1, 1, 8, 15, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29]
+    loaded = load_model(str(V1_FIXTURE))
+    assert loaded._denominator == walk(loaded) > 1

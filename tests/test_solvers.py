@@ -29,7 +29,7 @@ from ssmverify.compilers import (
 )
 from ssmverify.errors import PreconditionError, ResourceLimitError
 from ssmverify.fnn import RELU, compose, gadget_eq, gadget_leq, linear_fnn, select_fnn
-from ssmverify.ltl import holds, parse
+from ssmverify.ltl import holds, parse, pretty
 from ssmverify.solvers import (
     SATISFIABLE,
     UNSATISFIABLE,
@@ -46,9 +46,12 @@ from ssmverify.ssm import (
     SsmLayer,
     SsmModel,
     TimeInvariantGate,
+    _stepper,
     accepts,
     as_matrix,
     as_vector,
+    evaluate,
+    evaluate_layerwise,
     initial_state,
     projection_phi,
     quantization_report,
@@ -267,24 +270,51 @@ def test_search_stats_name_the_exact_domain_and_the_step_build():
     rng = random.Random(7)
     models = [compile_ltl(parse("(p U q) & X !p")), compile_minsky(random_machine(rng, 3)),
               compile_ilp(random_ilp(rng))]
-    for model in models:
+    # X puts 1/2 into an LTL model's constants; a 0-1 ILP has only integers
+    for model, scale_bits in zip(models, (SCALE_BITS + 1, SCALE_BITS + 1, 1)):
         stats = sat_bounded(model, 3, EXACT).stats
         assert stats.exact_domain == "int" and stats.key_state_bound_log2 is None
+        assert stats.exact_scale_bits == scale_bits
         assert stats.transitions == stats.states_explored > 0
         assert stats.stepper_build_s > 0
     stats = sat_fixed(models[0], FX6).stats
-    assert stats.exact_domain is None
+    assert stats.exact_domain is stats.exact_scale_bits is None
     assert stats.key_state_bound_log2 == 6 * stats.key_coordinates > 0
     assert stats.transitions == stats.states_explored > 0
+
+
+def test_integral_models_search_on_scale_one_as_on_the_dyadic_scale():
+    """0-1 ILPs and X-free LTL formulas have only integer constants, so
+    their exact step runs on scale 1.  Its search reports what a step
+    forced onto 2**SCALE_BITS reports: verdict, witness and every count."""
+    rng = random.Random(29)
+    builds = [(lambda ilp=random_ilp(rng, 5): compile_ilp(ilp), 5) for _ in range(12)]
+    texts = [t for t in hand_formulas() if "X" not in t]
+    texts += [t for t in (pretty(random_formula(rng, rng.randint(3, 9))) for _ in range(20))
+              if "X" not in t]
+    builds += [(lambda text=text: compile_ltl(parse(text)), 4) for text in texts]
+    for build, bound in builds:
+        model, forced = build(), build()
+        _stepper(forced, EXACT, 1 << SCALE_BITS)
+        result, reference = sat_bounded(model, bound, EXACT), sat_bounded(forced, bound, EXACT)
+        assert (result.verdict, result.witness) == (reference.verdict, reference.witness)
+        for name in ("transitions", "distinct_states", "frontier_sizes", "key_coordinates"):
+            assert getattr(result.stats, name) == getattr(reference.stats, name), name
+        assert result.stats.exact_scale_bits == 1
+        assert reference.stats.exact_scale_bits == SCALE_BITS + 1
+        assert model._steppers[EXACT].one == 1
+        for _ in range(4):
+            word = [rng.choice(model.alphabet) for _ in range(rng.randint(1, bound))]
+            assert evaluate(model, word, EXACT) == evaluate_layerwise(model, word, EXACT)
 
 
 @pytest.mark.parametrize("gate", [Fraction(1, 2), Fraction(1, 3)], ids=str)
 def test_sat_bounded_widens_the_exact_scale(gate):
     """The output reads the counter h0 and, through min(1, h1) =
     1 - relu(1 - h1), the geometric coordinate h1, so both are in the key.
-    Gate 1/3 is not dyadic, so the step starts on a scale widened by
-    3**SCALE_BITS; with either gate h1 leaves that scale near depth 65 and
-    the search runs again on its square."""
+    The step starts on 2**SCALE_BITS for gate 1/2 and on 3**SCALE_BITS for
+    gate 1/3, whose model has no other fraction; with either gate h1 leaves
+    that scale near depth 65 and the search runs again on its square."""
     clipped = linear_fnn([[1, 0], [0, -1]], [0, 1], RELU)
     out = compose(gadget_eq(81), compose(linear_fnn([[1, -1]], [1]), clipped))
     model = geometric_model(gate, out)

@@ -31,6 +31,9 @@ from ssmverify.ssm import (
     StreamState,
     TimeInvariantGate,
     _StepCompiler,
+    _first_scale,
+    _stepper,
+    _wider,
     accepts,
     as_matrix,
     as_vector,
@@ -221,8 +224,9 @@ def test_streaming_equals_layerwise_exact(model, data):
 @given(small_models(denominators=(1, 2, 3, 4)), st.data())
 @settings(max_examples=80, deadline=None)
 def test_streaming_equals_layerwise_exact_with_thirds(model, data):
-    """Constants with denominator 3 do not divide 2**SCALE_BITS, so these
-    models also run on a scale widened by a power of 3."""
+    """Constants with denominator 3 put 3**SCALE_BITS into the step's first
+    scale, times 2**SCALE_BITS when a constant is dyadic; a model whose
+    constants are all integers runs on scale 1."""
     n = data.draw(st.integers(1, 5))
     word = [data.draw(st.sampled_from(model.alphabet)) for _ in range(n)]
     assert evaluate(model, word, EXACT) == evaluate_layerwise(model, word, EXACT)
@@ -263,7 +267,7 @@ def test_compiled_models_stream_like_layerwise(mode):
 @pytest.mark.parametrize("gate", [Fraction(1, 2), Fraction(1, 3)], ids=str)
 def test_exact_values_outside_the_integer_encoding_fall_back_to_fractions(gate):
     """The denominator of h1 grows by the gate's every symbol and leaves the
-    step's first scale (2**SCALE_BITS, widened by 3**SCALE_BITS for gate
+    step's first scale (2**SCALE_BITS for gate 1/2, 3**SCALE_BITS for gate
     1/3) within an 80-symbol word, so the step runs again on its square."""
     word = ["a"] * 80
     model = geometric_model(gate, select_fnn([1], 2))
@@ -292,8 +296,9 @@ def test_a_folded_product_outside_the_scale_widens_it():
 
 
 def test_two_odd_denominators_widen_the_scale_for_both():
-    """Gates 1/3 and 1/5 start the step on the scale 30**SCALE_BITS, which
-    holds the first 64 symbols; past them it squares.  Past 2048 symbols
+    """Gates 1/3 and 1/5 start the step on the scale 15**SCALE_BITS, which
+    holds the first 64 symbols; past them it squares.  No constant is
+    dyadic, so no power of two joins the scale.  Past 2048 symbols
     the scale has more decimal digits than CPython converts to a string,
     and the step still builds."""
     layer = SsmLayer(
@@ -305,10 +310,62 @@ def test_two_odd_denominators_widen_the_scale_for_both():
     model = SsmModel(alphabet=("a", "b"), emb=(as_vector([1, 1]), as_vector([0, 1])),
                      layers=(layer,), out=linear_fnn([[1, 1]]))
     rng = random.Random(3)
-    for n, scale in ((64, 30 ** 64), (100, 30 ** 128), (2100, 30 ** 4096)):
+    for n, scale in ((64, 15 ** 64), (100, 15 ** 128), (2100, 15 ** 4096)):
         word = ["a"] + [rng.choice("ab") for _ in range(n - 1)]
         assert evaluate(model, word, EXACT) == evaluate_layerwise(model, word, EXACT)
         assert model._steppers[EXACT].one == scale
+
+
+def test_the_first_scale_holds_every_prime_of_the_denominators():
+    assert [_first_scale(d) for d in (1, 8, 3, 15, 6, 9, 1 << 70)] == [
+        1, 1 << SCALE_BITS, 3 ** SCALE_BITS, 15 ** SCALE_BITS, 6 ** SCALE_BITS,
+        3 ** (2 * SCALE_BITS), 1 << 70]
+    # squaring always grows the scale, so a failed scale of 1 cannot repeat
+    assert _wider(1) > 1
+    assert _wider(15 ** SCALE_BITS) == 15 ** (2 * SCALE_BITS)
+
+
+def test_a_given_scale_joins_the_first_scale():
+    """A scale passed to ``_stepper`` that lacks a prime of the model's
+    denominators is taken in lcm with the first scale, so the step holds
+    every constant instead of squaring a scale that never will."""
+    gate = Fraction(1, 3)
+    model = geometric_model(gate, select_fnn([1], 2))
+    assert _stepper(model, EXACT, 1 << SCALE_BITS).one == 6 ** SCALE_BITS
+    word = ["a"] * 20
+    assert evaluate(model, word, EXACT) == (1 - gate ** 20) / (1 - gate)
+
+
+def test_a_dead_fraction_keeps_the_step_off_scale_one():
+    """The output reads only h0, whose constants are integers.  h1's inc
+    weight 1/2 is dead, yet it is a model constant, so the step runs on
+    2**SCALE_BITS and not on 1, and still agrees with the oracle."""
+    layer = SsmLayer(h0=as_vector([0, 0]), gate=TimeInvariantGate(eye(2)),
+                     inc=AffineMap(as_matrix([[1, 0], [0, Fraction(1, 2)]]), as_vector([0, 0])),
+                     phi=projection_phi(2))
+    model = SsmModel(("a", "b"), (as_vector([1, 1]), as_vector([-1, 3])), (layer,),
+                     select_fnn([0], 2))
+    for word in (["a"], ["a", "b", "a"], ["b", "a", "a", "a"]):
+        expected = evaluate_layerwise(model, word, EXACT)
+        assert evaluate(model, word, EXACT) == expected
+        assert accepts(model, word, EXACT) == (expected == 1)
+    stepper = model._steppers[EXACT]
+    assert stepper.one == 1 << SCALE_BITS and stepper.key == ((0, 0),)
+
+
+def test_a_diagonal_gate_on_scale_one_multiplies_without_checks():
+    """With only integer constants the step runs on scale 1, where the
+    product of an input-dependent gate and a hidden value is a plain
+    product: no shift and no check of the bits shifted out."""
+    layer = SsmLayer(h0=as_vector([1]), gate=DiagonalAffineGate(as_matrix([[2]]), as_vector([-1])),
+                     inc=AffineMap(as_matrix([[1]]), as_vector([0])), phi=projection_phi(1))
+    model = SsmModel(("a", "b"), (as_vector([1]), as_vector([-2])), (layer,), select_fnn([0], 1))
+    comp = _StepCompiler(EXACT, 1)
+    source = comp.source(model, [tuple(map(comp.enc, vec)) for vec in model.emb])
+    assert "Inexact" not in source and ">>" not in source and "&" not in source
+    for word in (["a"], ["b", "a", "b"], ["a", "b", "b", "a", "b"]):
+        assert evaluate(model, word, EXACT) == evaluate_layerwise(model, word, EXACT)
+    assert model._steppers[EXACT].one == 1
 
 
 @pytest.mark.parametrize("fmt", [None, FX6, FixedPointFormat(3, 2), FixedPointFormat(8, 4)],
