@@ -177,7 +177,8 @@ def _search(model: SsmModel, mode: ArithMode, length_cap: Optional[int],
 def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, start: float):
     one, fmt, width = stepper.one, stepper.mode.fmt, len(stepper.key)
     stats = SearchStats(quantized_constants=stepper.quantized_constants,
-                        stepper_build_s=stepper.build_s, exact_domain=stepper.domain,
+                        stepper_build_s=stepper.build_s,
+                        exact_domain="int" if fmt is None else None,
                         exact_scale_bits=one.bit_length() if fmt is None else None,
                         key_coordinates=width,
                         key_state_bound_log2=None if fmt is None else fmt.total_bits * width)

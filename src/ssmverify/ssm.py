@@ -38,12 +38,12 @@ emitted; a dyadic model (a Minsky machine, ``D = 8``) runs on
 ``2**SCALE_BITS`` and a model of thirds on ``3**SCALE_BITS``.  A product
 by a weight divides by the part of ``S`` the weight does not cancel after
 checking that the division is exact: a shift for a power of two, one
-``divmod`` otherwise.  A build or a call whose values leave the scale (a
-check finds a remainder) squares ``S``, rebuilds the step and runs again,
-whole.  ``evaluate`` converts at the boundary, so the scalars it returns
-are ``Fraction``s.  One interval analysis serves both domains of the
-generated step, so exact mode, like fixed mode, emits a relu clamp only
-where its argument can be negative.
+``divmod`` otherwise.  A call whose values leave the scale (a check finds
+a remainder) squares ``S``, rebuilds the step and runs again, whole.
+``evaluate`` converts at the boundary, so the scalars it returns are
+``Fraction``s.  One interval analysis serves both domains of the generated
+step, so exact mode, like fixed mode, emits a relu clamp only where its
+argument can be negative.
 
 The generated step keeps only the hidden coordinates in the least set
 that holds those the output reads and those that the new value of a member
@@ -246,16 +246,6 @@ class SsmModel:
     def _steppers(self) -> dict:
         return {}
 
-    @cached_property
-    def _denominator(self) -> int:
-        """The lcm of the denominators of every model constant, dead ones
-        included.  One walk computes it on the first exact build; a row
-        that several layers or nodes share is read once."""
-        vectors, rows = _holders(self)
-        found = {w.denominator for vec in vectors for w in vec}
-        found.update(w.denominator for r in {id(r): r for r in rows}.values() for _, w in r.terms)
-        return lcm(*found)
-
 
 @dataclass(frozen=True)
 class StreamState:
@@ -297,6 +287,15 @@ def _scaled_bound(w: int, b, scale: int):
         return b if w > 0 else -b
     p = w * b
     return p // scale if p >= 0 else -((-p) // scale)
+
+
+def _outward(w: int, lo, hi, scale: int) -> tuple:
+    """The interval of ``w * v / scale`` for ``v`` in [lo, hi], its ends
+    rounded outward: an exact value between two ints raises where its
+    block runs, and folding must not take it for either of them."""
+    ends = sorted(w * b if abs(b) != _INF else b if w > 0 else -b for b in (lo, hi))
+    return (ends[0] if abs(ends[0]) == _INF else ends[0] // scale,
+            ends[1] if abs(ends[1]) == _INF else -(-ends[1] // scale))
 
 
 class _Inexact(Exception):
@@ -364,10 +363,10 @@ class _StepCompiler:
     counts, over every model constant, dead ones included, those that are
     not exactly representable: ``len(quantization_report(model, fmt))``.
     In exact mode an encoded constant whose denominator does not divide the
-    scale raises ``_Inexact`` from the build.  A product truncates in fixed
-    mode; in exact mode it first checks that the division by the scale is
-    exact, raising ``_Inexact`` from the build for a folded product and
-    from the step otherwise.
+    scale raises ``_Inexact``, which a scale of ``_first_scale`` never does.
+    A product truncates in fixed mode; in exact mode it folds only when the
+    division by the scale is exact, and otherwise is a checked division
+    that raises ``_Inexact`` from a call, if its block is live.
     """
 
     def __init__(self, mode: ArithMode, scale: int = _SCALE):
@@ -478,9 +477,8 @@ class _StepCompiler:
             if self.fmt is not None:
                 return self.const(raw_mul(w, v.const, self.fmt))
             p, rest = divmod(w * v.const, self.scale)
-            if rest:
-                raise _Inexact
-            return self.const(p)
+            if not rest:
+                return self.const(p)
         if w == 0:
             return self.const(0)
         if w == self.scale:
@@ -491,6 +489,7 @@ class _StepCompiler:
             code = _times(w // scale, v.code)
         elif self.fmt is None:  # the weight is a / q in lowest terms
             g = gcd(w, scale)
+            lo, hi = _outward(w, v.lo, v.hi, scale)
             return self._divided(_times(w // g, v.code), scale // g, v.reads, lo, hi)
         else:
             # truncation toward zero of w*v / 2**f, split on the sign of v
@@ -719,10 +718,10 @@ def _plan(model: SsmModel) -> tuple[list, list]:
 class _Stepper:
     """Model compiled for one arithmetic mode: the encoded embeddings, the
     generated step on keys, the number of model constants the mode
-    quantises, the domain exact values run in (``"int"``; ``None`` in fixed
-    mode) and the seconds the build took.  ``one`` encodes the value 1: the
-    scale in exact mode, which ``_stepper`` starts on ``_first_scale`` of
-    the model's denominators, so 1 for a model with only integer constants.
+    quantises and the seconds the build took.  ``one`` encodes the value 1:
+    the scale in exact mode, which ``_stepper`` starts on ``_first_scale``
+    of the model's denominators (1 for only integer constants); a call
+    raises ``_Inexact`` when a value leaves it.
 
     A key is the flat tuple of the hidden coordinates the step reads,
     ``key`` lists them as (layer, index) pairs and ``init`` is the initial
@@ -741,7 +740,6 @@ class _Stepper:
         self.key = comp.key
         self.init = tuple(comp.enc(model.layers[li].h0[j]) for li, j in self.key)
         self.quantized_constants = 0 if mode.is_exact else comp.quantized(model)
-        self.domain = "int" if mode.is_exact else None
         self.build_s = time.perf_counter() - started
 
     def step(self, key, symbol):
@@ -757,20 +755,25 @@ class _Stepper:
 
 def _stepper(model: SsmModel, mode: ArithMode, scale: int | None = None) -> _Stepper:
     """The model's step for ``mode``, built on first use.  In exact mode it
-    runs over ``_first_scale`` of the lcm of the model's denominators, or
-    over its lcm with ``scale`` when one is given, so that the scale always
-    holds every constant; when a folded product is outside it, over the
-    first square of it that holds them all."""
+    runs over ``scale``, by default ``_first_scale`` of the model's
+    ``_denominator``, which holds every constant; a given scale that lacks
+    a prime of it raises ``_Inexact`` and builds nothing."""
     stepper = model._steppers.get(mode)
-    if stepper is None and mode.is_exact:
-        first = _first_scale(model._denominator)
-        scale = first if scale is None else lcm(scale, first)
-    while stepper is None:
-        try:
-            stepper = model._steppers[mode] = _Stepper(model, mode, scale)
-        except _Inexact:
-            scale = _wider(scale)
+    if stepper is None:
+        if scale is None and mode.is_exact:
+            scale = _first_scale(_denominator(model))
+        stepper = model._steppers[mode] = _Stepper(model, mode, scale)
     return stepper
+
+
+def _denominator(model: SsmModel) -> int:
+    """The lcm of the denominators of every model constant, dead ones
+    included, in one walk; a row that several layers or nodes share is
+    read once."""
+    vectors, rows = _holders(model)
+    found = {w.denominator for vec in vectors for w in vec}
+    found.update(w.denominator for r in {id(r): r for r in rows}.values() for _, w in r.terms)
+    return lcm(*found)
 
 
 def _first_scale(d: int) -> int:
@@ -782,26 +785,19 @@ def _first_scale(d: int) -> int:
     return lcm(d, odd ** SCALE_BITS, 1 if d & 1 else _SCALE)
 
 
-def _wider(scale: int) -> int:
-    """The exact scale to try after ``scale`` failed: its square, and
-    ``2**SCALE_BITS`` after 1, so it always grows.  Every first scale holds
-    the model's denominators and every prime of a computed value's
-    denominator is one of theirs, so a word of length n needs O(log n)
-    squarings."""
-    return scale * scale if scale > 1 else _SCALE
-
-
 def _with_stepper(model: SsmModel, mode: ArithMode, call):
-    """``call(stepper)`` with the model's step for ``mode``.  When the exact
-    step meets a value outside its scale, the model's step is rebuilt over
-    the squared scale and the whole call runs again."""
+    """``call(stepper)`` with the model's step for ``mode``.  A call whose
+    exact values leave the scale rebuilds the step on its square and runs
+    again, whole: every prime of a value's denominator is a constant's, so
+    n symbols need O(log n) squarings.  Scale 1 emits no check, so its
+    calls never raise."""
     stepper = _stepper(model, mode)
     while True:
         try:
             return call(stepper)
         except _Inexact:
             del model._steppers[mode]
-            stepper = _stepper(model, mode, _wider(stepper.one))
+            stepper = _stepper(model, mode, stepper.one ** 2)
 
 
 def _scalar(y, mode: ArithMode) -> Scalar:

@@ -14,7 +14,9 @@ from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, parse_
 from ssmverify.fnn import linear_fnn, select_fnn
 from ssmverify.ltl import parse
 from ssmverify.modelfile import load_model, model_to_json, save_model
-from ssmverify.ssm import AffineMap, DiagonalAffineGate, SsmLayer, SsmModel, _constants
+from ssmverify.ssm import (
+    AffineMap, DiagonalAffineGate, SsmLayer, SsmModel, _constants, _denominator,
+)
 
 MINSKY_TEXT = (
     "start: q0\n"
@@ -175,8 +177,8 @@ def test_the_denominators_walk_reads_every_constant_the_report_names(tmp_path):
     for model in models:
         save_model(model, str(path))
         loaded = load_model(str(path))
-        assert loaded._denominator == walk(loaded) == model._denominator == walk(model)
-        denominators.append(loaded._denominator)
+        assert _denominator(loaded) == walk(loaded) == _denominator(model) == walk(model)
+        denominators.append(_denominator(loaded))
     assert denominators == [8, 1, 1, 8, 15, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29]
     loaded = load_model(str(V1_FIXTURE))
-    assert loaded._denominator == walk(loaded) > 1
+    assert _denominator(loaded) == walk(loaded) > 1

@@ -30,10 +30,10 @@ from ssmverify.ssm import (
     SsmModel,
     StreamState,
     TimeInvariantGate,
+    _Inexact,
     _StepCompiler,
     _first_scale,
     _stepper,
-    _wider,
     accepts,
     as_matrix,
     as_vector,
@@ -283,9 +283,9 @@ def test_exact_values_outside_the_integer_encoding_fall_back_to_fractions(gate):
 
 
 def test_a_folded_product_outside_the_scale_widens_it():
-    """The weight 2**-40 on the embedding 2**-40 folds to 2**-80 while the
-    step is built, which the scale 2**SCALE_BITS cannot hold: the build
-    squares the scale."""
+    """The weight 2**-40 on the embedding 2**-40 gives 2**-80, which the
+    scale 2**SCALE_BITS cannot hold: the product does not fold, the first
+    call raises from its check and the step is rebuilt on the square."""
     tiny = Fraction(1, 1 << 40)
     layer = SsmLayer(h0=as_vector([0]), gate=TimeInvariantGate(zeros_mat(1)),
                      inc=AffineMap(as_matrix([[tiny]]), as_vector([0])), phi=projection_phi(1))
@@ -320,20 +320,52 @@ def test_the_first_scale_holds_every_prime_of_the_denominators():
     assert [_first_scale(d) for d in (1, 8, 3, 15, 6, 9, 1 << 70)] == [
         1, 1 << SCALE_BITS, 3 ** SCALE_BITS, 15 ** SCALE_BITS, 6 ** SCALE_BITS,
         3 ** (2 * SCALE_BITS), 1 << 70]
-    # squaring always grows the scale, so a failed scale of 1 cannot repeat
-    assert _wider(1) > 1
-    assert _wider(15 ** SCALE_BITS) == 15 ** (2 * SCALE_BITS)
 
 
-def test_a_given_scale_joins_the_first_scale():
-    """A scale passed to ``_stepper`` that lacks a prime of the model's
-    denominators is taken in lcm with the first scale, so the step holds
-    every constant instead of squaring a scale that never will."""
+def test_a_given_scale_that_lacks_a_prime_is_refused():
+    """A scale passed to ``_stepper`` is used as given: one that lacks a
+    prime of the model's denominators cannot encode a constant, so the
+    build raises and leaves no step behind; the default scale then
+    serves."""
     gate = Fraction(1, 3)
     model = geometric_model(gate, select_fnn([1], 2))
-    assert _stepper(model, EXACT, 1 << SCALE_BITS).one == 6 ** SCALE_BITS
+    with pytest.raises(_Inexact):
+        _stepper(model, EXACT, 1 << SCALE_BITS)
+    assert EXACT not in model._steppers
     word = ["a"] * 20
     assert evaluate(model, word, EXACT) == (1 - gate ** 20) / (1 - gate)
+
+
+def test_a_dead_product_outside_the_scale_keeps_the_first_scale():
+    """h0's new value 2**-40 * 2**-40 = 2**-80 is outside 2**SCALE_BITS, and
+    relu(h0 - 10) folds to 0 whatever it is, so the block that divides is
+    dead: nothing raises and the step stays on its first scale."""
+    tiny = Fraction(1, 1 << 40)
+    layer = SsmLayer(h0=as_vector([0, 0]), gate=TimeInvariantGate(as_matrix([[0, 0], [0, 1]])),
+                     inc=AffineMap(as_matrix([[tiny, 0], [0, 1]]), as_vector([0, 0])),
+                     phi=projection_phi(2))
+    out = compose(linear_fnn([[1, 1]]), linear_fnn(eye(2), [-10, 0], RELU))
+    model = SsmModel(alphabet=("a", "b"), emb=(as_vector([tiny, 1]), as_vector([tiny, 0])),
+                     layers=(layer,), out=out)
+    for word in (["a"], ["a", "b", "a"]):
+        assert evaluate(model, word, EXACT) == evaluate_layerwise(model, word, EXACT)
+    assert model._steppers[EXACT].one.bit_length() == SCALE_BITS + 1
+
+
+@pytest.mark.parametrize("symbols", [1, 2])
+def test_a_relu_does_not_fold_a_product_outside_the_scale_to_zero(symbols):
+    """relu(2 * h0) for h0 = 2**-40 * x, x in {2**-40, 2**-39}: the product
+    lies between the ints 0 and 1 of the scale 2**SCALE_BITS, so its bounds
+    hold both and the relu stays; the call raises and the step is rebuilt
+    on the square.  With one symbol the product is a constant."""
+    tiny = Fraction(1, 1 << 40)
+    layer = SsmLayer(h0=as_vector([0]), gate=TimeInvariantGate(zeros_mat(1)),
+                     inc=AffineMap(as_matrix([[tiny]]), as_vector([0])), phi=projection_phi(1))
+    emb = (as_vector([tiny]), as_vector([2 * tiny]))[:symbols]
+    model = SsmModel(alphabet=("a", "b")[:symbols], emb=emb, layers=(layer,),
+                     out=linear_fnn([[2]], [0], RELU))
+    assert evaluate(model, ["a"], EXACT) == evaluate_layerwise(model, ["a"], EXACT) == 2 * tiny ** 2
+    assert model._steppers[EXACT].one == 1 << 2 * SCALE_BITS
 
 
 def test_a_dead_fraction_keeps_the_step_off_scale_one():
