@@ -25,9 +25,7 @@ from .compilers import (
     compile_ilp,
     compile_ltl,
     compile_minsky,
-    copy_matrix,
     ilp_oracle,
-    masked_identity,
     minsky_oracle,
     parse_ilp,
     parse_minsky,
@@ -40,7 +38,6 @@ from .fnn import (
     FnnLayer,
     FnnNode,
     compose,
-    concat,
     fnn_eval,
     gadget_and,
     gadget_eq,

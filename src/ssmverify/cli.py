@@ -34,8 +34,6 @@ from .compilers import (
 from .errors import (
     EmptyWordError,
     InputFormatError,
-    LtlSyntaxError,
-    PreconditionError,
     ResourceLimitError,
     SsmVerifyError,
 )
@@ -293,7 +291,7 @@ def _cmd_classify(args) -> tuple[int, dict]:
         "recommended_arith": None if fmt is None else str(fmt),
         # a search under recommended_arith stores at most 2**(b*|key|) keys
         "key_state_bound_log2":
-            None if fmt is None else fmt.total_bits * len(_stepper(model, ArithMode(fmt)).key),
+            None if fmt is None else _stepper(model, ArithMode(fmt)).key_state_bound_log2,
         "metadata": model.metadata_dict,
     }
     meta = model.metadata_dict
@@ -325,8 +323,7 @@ def run(argv) -> tuple[int, dict]:
     except MemoryError:
         body = {"error": "out of memory", "partial_stats": None}
         status = EXIT_RESOURCE
-    except (InputFormatError, LtlSyntaxError, EmptyWordError, PreconditionError,
-            OSError, UnicodeDecodeError, SsmVerifyError) as exc:
+    except (OSError, UnicodeDecodeError, SsmVerifyError) as exc:
         body = {"error": str(exc)}
         status = EXIT_USAGE
     report = {

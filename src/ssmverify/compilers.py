@@ -3,9 +3,9 @@ and 0-1 integer programs all reduce to SSM satisfiability.
 
 Each compiler ships with an independent brute-force oracle over its source
 language so compiled models can be checked differentially.  The shared
-machinery lives up front: copy/masked matrices, ``_pointwise``, the one
-place that puts gadgets of any depth on chosen input columns, and the
-previous-bit layer that smuggles one step of history through the
+machinery lives up front: the sparse matrix helpers, ``_pointwise``,
+the one place that puts gadgets of any depth on chosen input columns, and
+the previous-bit layer that smuggles one step of history through the
 recurrence ``h = h/4 + x``.
 
 The LTL compiler is levelled.  An atom has DAG height 0 and reads its
@@ -42,7 +42,6 @@ from .fnn import (
     IDENTITY,
     RELU,
     compose,
-    concat_all,
     gadget_and,
     gadget_eq,
     gadget_geq0,
@@ -59,7 +58,6 @@ from .solvers import ResourceLimits
 from .ssm import (
     AffineMap,
     DiagonalAffineGate,
-    Matrix,
     SsmLayer,
     SsmModel,
     TimeInvariantGate,
@@ -74,24 +72,6 @@ F0, F1 = Fraction(0), Fraction(1)
 
 # ---------------------------------------------------------------------------
 # Matrix helpers (0-indexed throughout)
-
-def copy_matrix(i: int, j: int, d: int) -> Matrix:
-    """C applied to x yields the vector whose j-th entry is x_i, rest zero."""
-    if not (0 <= i < d and 0 <= j < d):
-        raise DimensionError(f"copy indices ({i}, {j}) outside dimension {d}")
-    return _dense(_sparse(_empty(d), [(j, i, F1)]))
-
-
-def masked_identity(i: int, j: int, d: int) -> Matrix:
-    """Identity restricted to the diagonal window i..j (inclusive)."""
-    if not (0 <= i < d and 0 <= j < d):
-        raise DimensionError(f"mask window ({i}, {j}) outside dimension {d}")
-    return _dense(_mask(i, j, d))
-
-
-def _dense(rows: tuple[Row, ...]) -> Matrix:
-    return tuple(row.dense() for row in rows)
-
 
 def _empty(d: int) -> tuple[Row, ...]:
     """The rows of the d x d zero matrix, one shared row object."""
@@ -549,10 +529,11 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
     previous-bit decoder followed by one ``_pointwise`` stage that adds to
     the violation coordinate the transition lookup and the four counter
     validators, each reading its columns of the decoded state directly.
-    Layer 3 sums the violations, and ``out``, one ``_pointwise`` gadget on
-    the violation and final-state columns, accepts when the sum is 0 and
-    the run ends in the final state.  Gates are constant diagonal masks, so
-    the model is both time-invariant and diagonal.
+    Layer 3 sums the violations, and ``out``, the conjunction of two
+    ``_pointwise`` equality gadgets on the violation and final-state
+    columns, accepts when the sum is 0 and the run ends in the final state.
+    Gates are constant diagonal masks, so the model is both time-invariant
+    and diagonal.
     """
     n = len(machine.states)
     d = 2 * n + 9
@@ -597,15 +578,16 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
     for action, test in (("dec1", gadget_geq0()), ("dec2", gadget_geq0()),
                          ("ztest1", gadget_eq(0)), ("ztest2", gadget_eq(0))):
         # 1 iff the action is taken while its counter test fails
-        parts.append((compose(gadget_implies(), concat_all([identity_fnn(1), test])),
+        parts.append((compose(gadget_implies(), _pointwise(2, {1: test}, width=2)),
                       (act_base + _ACTION_INDEX[action], c_dims[_COUNTER_OF[action]])))
-    violations = compose(linear_fnn([[1] * len(parts)]), concat_all(net for net, _ in parts))
-    columns = tuple(c for _, cols in parts for c in cols)
-    phi2 = compose(_pointwise(d, {chk: (violations, columns)}, width=d), history.phi)
+    violations = compose(linear_fnn([[1] * len(parts)]),
+                         _pointwise(len(parts), dict(enumerate(parts)), width=d))
+    phi2 = compose(_pointwise(d, {chk: (violations, tuple(range(d)))}, width=d), history.phi)
     l2 = replace(history, h0=tuple(h0_2), phi=phi2)
 
-    accepting = compose(gadget_and(2), concat_all([gadget_eq(0), gadget_eq(1)]))
-    out = _pointwise(1, {0: (accepting, (chk, state_idx[machine.final]))}, width=d)
+    out = compose(gadget_and(2), _pointwise(
+        2, {0: (gadget_eq(0), (chk,)), 1: (gadget_eq(1), (state_idx[machine.final],))},
+        width=d))
     # layer 1 accumulates the counters, layer 3 the violation dimension
     layers = (accumulator(*c_dims), l2, accumulator(chk, chk))
     return _finish(SsmModel(alphabet=alphabet, emb=tuple(emb), layers=layers, out=out),
@@ -670,10 +652,8 @@ def compile_ilp(inst: IlpInstance) -> SsmModel:
         inc=AffineMap(inc, _zeros(dd)),
         phi=projection_phi(dd),
     )
-    out = compose(
-        gadget_and(dd),
-        concat_all([gadget_eq(b) for b in inst.target] + [gadget_leq(1)] * d),
-    )
+    gadgets = [gadget_eq(b) for b in inst.target] + [gadget_leq(1)] * d
+    out = compose(gadget_and(dd), _pointwise(dd, dict(enumerate(gadgets)), width=dd))
     biggest = max(max(sum(row) for row in inst.matrix), max(inst.target), d, 1)
     return _finish(SsmModel(alphabet=ilp_alphabet(d), emb=emb, layers=(layer,), out=out),
                    ("source", "ilp"), ("min_bits", str(biggest.bit_length() + 2)))

@@ -13,9 +13,10 @@ combinator builds those rows directly, and ``FnnNode.weights`` densifies
 them only on demand.  Evaluation is available over both scalar domains.
 Each network keeps one program per arithmetic mode (the node rows with their
 constants encoded in the mode), which ``eval_program`` interprets with the
-mode's kernels and from which the SSM step compiler in ``ssm.py`` generates
-code.  Every node, a plain copy included, applies its weights: where 1 is
-not representable, a copy multiplies by the saturated unit like any other
+mode's kernels.  The SSM step compiler in ``ssm.py`` does not use these
+programs: it reads each node's row and bias and encodes them itself.  Every
+node, a plain copy included, applies its weights: where 1 is not
+representable, a copy multiplies by the saturated unit like any other
 weight-1 term.
 """
 
@@ -188,34 +189,6 @@ def compose(n1: Fnn, n2: Fnn) -> Fnn:
             f"cannot compose: inner output {n2.output_dim} != outer input {n1.input_dim}"
         )
     return Fnn(n2.layers + n1.layers)
-
-
-def _pad_depth(net: Fnn, depth: int) -> Fnn:
-    padding = identity_fnn(net.output_dim).layers * (depth - len(net.layers))
-    return Fnn(net.layers + padding)
-
-
-def concat(n1: Fnn, n2: Fnn) -> Fnn:
-    """The network computing (n1(x1), n2(x2)) on disjoint input slices."""
-    return concat_all((n1, n2))
-
-
-def concat_all(nets: Iterable[Fnn]) -> Fnn:
-    """The network computing (n1(x1), n2(x2), ...) on disjoint input
-    slices; shallower networks are padded with identity layers."""
-    nets = list(nets)
-    depth = max(len(net.layers) for net in nets)
-    layers = []
-    for stage in zip(*(_pad_depth(net, depth).layers for net in nets)):
-        width = sum(layer.input_dim for layer in stage)
-        nodes, before = [], 0
-        for layer in stage:
-            nodes += [FnnNode(Row(tuple((k + before, w) for k, w in n.row.terms), width),
-                              n.bias, n.activation)
-                      for n in layer.nodes]
-            before += layer.input_dim
-        layers.append(FnnLayer(tuple(nodes)))
-    return Fnn(tuple(layers))
 
 
 def lower_identities(net: Fnn) -> Fnn:

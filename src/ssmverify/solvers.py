@@ -175,13 +175,13 @@ def _search(model: SsmModel, mode: ArithMode, length_cap: Optional[int],
 
 
 def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, start: float):
-    one, fmt, width = stepper.one, stepper.mode.fmt, len(stepper.key)
+    one, exact = stepper.one, stepper.mode.is_exact
     stats = SearchStats(quantized_constants=stepper.quantized_constants,
                         stepper_build_s=stepper.build_s,
-                        exact_domain="int" if fmt is None else None,
-                        exact_scale_bits=one.bit_length() if fmt is None else None,
-                        key_coordinates=width,
-                        key_state_bound_log2=None if fmt is None else fmt.total_bits * width)
+                        exact_domain="int" if exact else None,
+                        exact_scale_bits=one.bit_length() if exact else None,
+                        key_coordinates=len(stepper.key),
+                        key_state_bound_log2=stepper.key_state_bound_log2)
     init = stepper.init
     parents: dict = {init: None}
     step, letters = stepper.search_step, list(stepper.emb.items())  # in alphabet order

@@ -726,7 +726,9 @@ class _Stepper:
     A key is the flat tuple of the hidden coordinates the step reads,
     ``key`` lists them as (layer, index) pairs and ``init`` is the initial
     state's key.  ``step`` maps a key and a symbol to the next key and the
-    output."""
+    output.  In fixed mode with b total bits ``key_state_bound_log2`` is
+    b * |key|, since at most 2**(b * |key|) keys exist; in exact mode, where
+    nothing bounds them, it is None."""
 
     def __init__(self, model: SsmModel, mode: ArithMode, scale: int | None):
         started = time.perf_counter()
@@ -738,6 +740,7 @@ class _Stepper:
         }
         self.search_step = comp.build(model, list(self.emb.values()))
         self.key = comp.key
+        self.key_state_bound_log2 = None if mode.is_exact else mode.fmt.total_bits * len(self.key)
         self.init = tuple(comp.enc(model.layers[li].h0[j]) for li, j in self.key)
         self.quantized_constants = 0 if mode.is_exact else comp.quantized(model)
         self.build_s = time.perf_counter() - started

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -389,6 +390,31 @@ def test_parse_error_exit_codes(tmp_path):
     assert status == 2
     status, _ = run(["eval", str(tmp_path / "missing.ssm"), "--word", "{p}"])
     assert status == 2
+
+
+# The names ``ssmverify`` exports, modules and private names aside.  A
+# removal is a deliberate deprecation, recorded in CHANGES.md, and so is
+# each addition: edit this set only together with such a record.
+PUBLIC_NAMES = frozenset("""
+    AffineMap ArithMode DiagonalAffineGate EXACT FX6 FixedPointFormat
+    FixedPointValue Fnn FnnLayer FnnNode IlpInstance LengthBound MinskyMachine
+    MinskyRun Rational ResourceLimits SatResult SsmLayer SsmModel StreamState
+    TimeInvariantGate accepts classify_gates compile_ilp compile_ltl
+    compile_minsky compose evaluate evaluate_layerwise fnn_eval fx_add fx_cmp
+    fx_encode fx_max fx_mul fx_neg fx_relu gadget_and gadget_eq gadget_geq0
+    gadget_implies gadget_leq gadget_lookup gadget_min1 holds ilp_oracle
+    initial_state load_model lower_identities minsky_oracle parse parse_ilp
+    parse_minsky pretty prev_bit_layer pump_down quantization_report
+    run_encode run_layer sat_bounded sat_fixed satisfiable_bruteforce
+    save_model small_model_bound state_count_bound step subformulas_topo
+    validate_word
+""".split())
+
+
+def test_the_package_exports_exactly_the_public_names():
+    exported = {name for name, value in vars(ssmverify).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == PUBLIC_NAMES
 
 
 def test_console_entry_point(tmp_path):

@@ -23,11 +23,9 @@ from ssmverify.compilers import (
     compile_ilp,
     compile_ltl,
     compile_minsky,
-    copy_matrix,
     ilp_decode_word,
     ilp_oracle,
     ltl_layout,
-    masked_identity,
     minsky_alphabet,
     minsky_min_bits,
     minsky_oracle,
@@ -44,45 +42,6 @@ from ssmverify.ssm import GateClasses, accepts, classify_gates, evaluate_layerwi
 from ssmverify.words import pair_symbol, set_symbol
 
 FX6_MODE = ArithMode(FX6)
-
-
-def mat_mul(a, b):
-    d = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
-        for i in range(d)
-    )
-
-
-def mat_apply(m, v):
-    return tuple(sum(row[i] * v[i] for i in range(len(v))) for row in m)
-
-
-# ---------------------------------------------------------------------------
-# Matrix helpers
-
-def test_copy_matrix_routes_one_coordinate():
-    c = copy_matrix(0, 1, 2)
-    assert mat_apply(c, (5, 0)) == (0, 5)
-    proj = copy_matrix(1, 1, 3)
-    assert mat_apply(proj, (7, 8, 9)) == (0, 8, 0)
-
-
-def test_copy_matrix_rank_one():
-    c = copy_matrix(0, 2, 3)
-    assert mat_mul(c, c) != c  # nilpotent when i != j
-    assert all(w == 0 for row in mat_mul(c, c) for w in row)
-    p = copy_matrix(1, 1, 3)
-    assert mat_mul(p, p) == p  # idempotent projection when i == j
-
-
-def test_masked_identity():
-    assert masked_identity(0, 2, 3) == tuple(
-        tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)
-    )
-    assert mat_apply(masked_identity(1, 1, 3), (1, 2, 3)) == (0, 2, 0)
-    e = masked_identity(1, 2, 4)
-    assert mat_mul(e, e) == e
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from ssmverify.fnn import (
     IDENTITY,
     RELU,
     compose,
-    concat,
     fnn_eval,
     gadget_and,
     gadget_eq,
@@ -147,28 +146,6 @@ def test_compose_examples():
         compose(gadget_and(2), gadget_eq(0))
 
 
-def test_concat_on_disjoint_slices():
-    net = concat(gadget_eq(1), gadget_eq(2))
-    assert fnn_eval(net, [Fraction(1), Fraction(2)], EXACT) == [1, 1]
-    assert net.input_dim == 2 and net.output_dim == 2
-
-
-def test_concat_dims_are_sums():
-    net = concat(gadget_and(3), gadget_min1())
-    assert net.input_dim == 4
-    assert net.output_dim == 2
-
-
-def test_concat_identity_padding_preserves_negatives():
-    # identity_fnn is shallow, gadget_eq deep: the padding must carry -1
-    net = concat(gadget_eq(0), identity_fnn(1))
-    got = fnn_eval(net, [Fraction(0), Fraction(-1)], EXACT)
-    assert got == [1, -1]
-    # and the relu-pair lowering computes the same thing
-    lowered = lower_identities(net)
-    assert fnn_eval(lowered, [Fraction(0), Fraction(-1)], EXACT) == [1, -1]
-
-
 @st.composite
 def small_linear_nets(draw, input_dim=None):
     depth = draw(st.integers(1, 3))
@@ -198,15 +175,6 @@ def test_compose_extensionality(inner, data):
     assert fnn_eval(compose(inner, identity_fnn(inner.input_dim)), xs, EXACT) == fnn_eval(
         inner, xs, EXACT
     )
-
-
-@given(small_linear_nets(), small_linear_nets(), st.data())
-@settings(max_examples=150)
-def test_concat_extensionality(n1, n2, data):
-    xs1 = [Fraction(data.draw(st.integers(-4, 4))) for _ in range(n1.input_dim)]
-    xs2 = [Fraction(data.draw(st.integers(-4, 4))) for _ in range(n2.input_dim)]
-    combined = fnn_eval(concat(n1, n2), xs1 + xs2, EXACT)
-    assert combined == fnn_eval(n1, xs1, EXACT) + fnn_eval(n2, xs2, EXACT)
 
 
 @given(small_linear_nets(), st.data())
