@@ -127,8 +127,9 @@ def raw_saturate(r: int, fmt: FixedPointFormat) -> int:
 
 
 def raw_encode(x: Fraction, fmt: FixedPointFormat) -> int:
-    # int() on a Fraction truncates toward zero.
-    return raw_saturate(int(x * fmt.scale), fmt)
+    # x * scale truncated toward zero, in integer arithmetic: no Fraction is built.
+    n, d = x.numerator * fmt.scale, x.denominator
+    return raw_saturate(n // d if n >= 0 else -(-n // d), fmt)
 
 
 def raw_add(a: int, b: int, fmt: FixedPointFormat) -> int:

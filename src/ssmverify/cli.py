@@ -11,9 +11,9 @@ override the solver resource guards.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
-import math
 import sys
 import time
 from dataclasses import asdict
@@ -174,20 +174,12 @@ def _cmd_eval(args) -> tuple[int, dict]:
 def _approximation(value: Fraction) -> str:
     """``value`` in scientific notation, truncated to 17 significant digits,
     computed without converting the whole numerator or denominator."""
-    n, d = abs(value.numerator), value.denominator
-    if n == 0:
+    if value == 0:
         return "0"
-    # the exponent estimated from the bit lengths is off by at most one
-    e = math.floor((n.bit_length() - d.bit_length()) * math.log10(2))
-    while True:
-        m = n * 10 ** (16 - e) // d if e <= 16 else n // (d * 10 ** (e - 16))
-        if m >= 10 ** 17:
-            e += 1
-        elif m < 10 ** 16:
-            e -= 1
-        else:
-            digits = str(m)
-            return f"{'-' if value < 0 else ''}{digits[0]}.{digits[1:]}e{e:+d}"
+    context = decimal.Context(prec=17, rounding=decimal.ROUND_DOWN,
+                              Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    with decimal.localcontext(context):
+        return f"{decimal.Decimal(value.numerator) / value.denominator:.16e}"
 
 
 def _cmd_sat(args) -> tuple[int, dict]:

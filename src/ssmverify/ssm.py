@@ -999,4 +999,4 @@ def quantization_report(model: SsmModel, fmt: FixedPointFormat) -> list[tuple[st
     """Model constants that are not exactly representable in ``fmt`` (they
     will be truncated/saturated when evaluating in that format)."""
     return [(path, v) for path, v in _constants(model)
-            if Fraction(raw_encode(v, fmt), fmt.scale) != v]
+            if raw_encode(v, fmt) * v.denominator != v.numerator * fmt.scale]

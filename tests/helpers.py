@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ssmverify.arithmetic import ArithMode
+from ssmverify.arithmetic import ArithMode, FixedPointFormat, raw_saturate
 from ssmverify.compilers import IlpInstance, MinskyMachine
 from ssmverify.ltl import Atom, Not, And, Or, Next, Until
 from ssmverify.ssm import (
@@ -25,6 +25,13 @@ def is_one(value, mode: ArithMode) -> bool:
     if mode.is_exact:
         return value == Fraction(1)
     return value.raw == mode.fmt.scale
+
+
+def fraction_encode(x, fmt: FixedPointFormat) -> int:
+    """The raw encoding of ``x`` as a Fraction product that ``int()``
+    truncates toward zero, then saturated: the reference for the integer
+    encode."""
+    return raw_saturate(int(Fraction(x) * fmt.scale), fmt)
 
 
 def walk_words(model: SsmModel, mode: ArithMode, max_len: int):

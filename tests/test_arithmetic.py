@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import fraction_encode
 from ssmverify.arithmetic import (
     EXACT,
     FX6,
@@ -21,6 +22,7 @@ from ssmverify.arithmetic import (
     fx_neg,
     fx_relu,
     parse_rational,
+    raw_encode,
 )
 from ssmverify.errors import FormatMismatchError, InputFormatError
 
@@ -46,6 +48,25 @@ def test_encode_idempotent_on_representable():
     for raw in range(FMT63.min_raw, FMT63.max_raw + 1):
         v = FixedPointValue(raw, FMT63)
         assert fx_encode(v.value, FMT63) == v
+
+
+def test_raw_out_of_range_is_an_input_error():
+    for raw in (FMT63.min_raw - 1, FMT63.max_raw + 1):
+        with pytest.raises(InputFormatError):
+            FixedPointValue(raw, FMT63)
+
+
+ENCODE_FORMATS = [FixedPointFormat(6, 3), FixedPointFormat(3, 2), FixedPointFormat(4, 0),
+                  FixedPointFormat(8, 3, signed=False), FixedPointFormat(4096, 4095)]
+NUMERATORS = st.one_of(st.integers(-300, 300), st.integers(-10**40, 10**40))
+DENOMINATORS = st.one_of(st.integers(1, 16), st.integers(1, 10**40))
+
+
+@given(st.one_of(NUMERATORS, st.builds(Fraction, NUMERATORS, DENOMINATORS)),
+       st.sampled_from(ENCODE_FORMATS))
+@settings(max_examples=200)
+def test_integer_encode_equals_the_fraction_product(x, fmt):
+    assert raw_encode(x, fmt) == fraction_encode(x, fmt)
 
 
 def test_mul_truncates():

@@ -712,6 +712,10 @@ def _malformed(tmp_path, name):
         _v2_row_with(data, 1)[1][1] = "0"
     elif name == "v2_row_term_not_a_pair":
         _v2_row_with(data, 1)[1].pop()
+    elif name == "v2_rows_not_a_list":
+        data["rows"] = {}
+    elif name == "v2_nodes_not_a_list":
+        data["nodes"] = "nodes"
     path.write_text(json.dumps(data))
     return path
 
@@ -726,6 +730,7 @@ def _malformed(tmp_path, name):
     "v2_row_index_float", "v2_node_index_out_of_range", "v2_columns_not_ascending",
     "v2_column_outside_width", "v2_row_width_not_dimension", "v2_zero_weight",
     "unknown_gate_kind", "unknown_activation", "v2_row_term_not_a_pair",
+    "v2_rows_not_a_list", "v2_nodes_not_a_list",
 ])
 def test_malformed_model_file_is_a_usage_error(tmp_path, capsys, name):
     path = str(_malformed(tmp_path, name))
@@ -758,7 +763,17 @@ def _bad_input(tmp_path, name):
     save_model(compile_ltl(parse("p U q")), compiled)
     machine = tmp_path / "machine.mm"
     machine.write_text(MINSKY_TEXT)
+    # q0 both increments and branches, which the determinism rule forbids
+    branching = tmp_path / "branching.mm"
+    branching.write_text(MINSKY_TEXT + "q0 dec1 qf\n")
+    empty, short = tmp_path / "empty.ilp", tmp_path / "short.ilp"
+    empty.write_text("# no instance\n")
+    short.write_text("2\n1 1\n0 1\n1\n")
     return {
+        "compile_minsky_nondeterministic": ["compile", "minsky", str(branching), "-o", model],
+        "compile_ilp_empty": ["compile", "ilp", str(empty), "-o", model],
+        "compile_ilp_short_target": ["compile", "ilp", str(short), "-o", model],
+        "classify_negative_bits": ["classify", compiled, "--bits", "-1"],
         "compile_minsky_directory": ["compile", "minsky", str(tmp_path), "-o", model],
         "compile_output_directory": ["compile", "ltl", "p", "-o", str(tmp_path)],
         "oracle_minsky_directory": ["oracle", "minsky", str(tmp_path), "--max-steps", "3"],
@@ -781,6 +796,8 @@ def _bad_input(tmp_path, name):
     "sat_bounded_negative_binary", "oracle_minsky_negative_max_steps",
     "eval_pair_letter_unclosed", "eval_pair_letter_one_part", "eval_pair_letter_empty_part",
     "eval_set_letter_unclosed", "eval_set_letter_bad_proposition",
+    "compile_minsky_nondeterministic", "compile_ilp_empty", "compile_ilp_short_target",
+    "classify_negative_bits",
 ])
 def test_bad_input_file_or_formula_is_a_usage_error(tmp_path, capsys, name):
     argv = _bad_input(tmp_path, name)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat
-from ssmverify.errors import DimensionError
+from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat, FixedPointValue
+from ssmverify.errors import DimensionError, FormatMismatchError
 from ssmverify.fnn import (
     Fnn,
     FnnLayer,
@@ -40,6 +40,16 @@ def run1(net, *xs):
 def test_identity_net():
     net = identity_fnn(2)
     assert fnn_eval(net, [Fraction(3), Fraction(-2)], EXACT) == [3, -2]
+
+
+def test_fixed_point_inputs_pass_as_they_are():
+    """Inputs already in the mode's format are taken raw; an input of
+    another format is refused, not re-encoded."""
+    net = linear_fnn([[1, 1]], [0])
+    inputs = [FixedPointValue(3, FX6), Fraction(1, 2)]
+    assert fnn_eval(net, inputs, FX6_MODE) == [FixedPointValue(7, FX6)]
+    with pytest.raises(FormatMismatchError):
+        fnn_eval(net, [FixedPointValue(3, FixedPointFormat(8, 4)), Fraction(1, 2)], FX6_MODE)
 
 
 @pytest.mark.parametrize("b", range(-8, 9))

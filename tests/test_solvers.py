@@ -342,16 +342,25 @@ def test_resource_limit_is_distinct():
 # The search keys its states on the hidden coordinates the step reads
 
 
-def reference_search(model, mode, cap):
+# Full states that the uncapped reference search stores before it stops at
+# the last level it completed.  Most draws end well inside it; a draw with a
+# large fixed-mode state space is then checked to that depth, in seconds
+# rather than minutes.
+REFERENCE_STATES = 1000
+
+
+def reference_search(model, mode, cap, budget=None):
     """Breadth-first search over full ``StreamState``s through the public
     ``step``, levels in discovery order and symbols in alphabet order:
-    (witness, exhausted), as ``_search`` returns them."""
+    (witness, exhausted), as ``_search`` returns them, and the number of
+    levels searched in full.  A search that has stored more than ``budget``
+    states stops before its next level, as at a cap."""
     start = initial_state(model, mode)
     parents = {start: None}
     level, depth = [start], 0
     while level:
-        if cap is not None and depth >= cap:
-            return None, False
+        if cap is not None and depth >= cap or budget is not None and len(parents) > budget:
+            return None, False, depth
         depth += 1
         next_level = []
         for state in level:
@@ -362,30 +371,36 @@ def reference_search(model, mode, cap):
                     while parents[state] is not None:
                         state, previous = parents[state]
                         word.append(previous)
-                    return tuple(reversed(word)), False
+                    return tuple(reversed(word)), False, depth
                 if successor not in parents:
                     parents[successor] = (state, symbol)
                     next_level.append(successor)
         level = next_level
-    return None, True
+    return None, True, depth
 
 
 def check_against_reference(model, fmt, cap, exact_cap):
     """``sat_fixed`` uncapped and capped and ``sat_bounded`` in both modes
-    give the reference search's verdict and witness."""
+    give the reference search's verdict and witness.  Where the reference
+    search runs out of its budget, ``sat_fixed`` is checked up to the
+    deepest level the reference search completed."""
     fixed = ArithMode(fmt)
-    witness, _ = reference_search(model, fixed, None)
-    result = sat_fixed(model, fmt)
-    assert result.verdict == (SATISFIABLE if witness else UNSATISFIABLE)
+    witness, exhausted, depth = reference_search(model, fixed, None, REFERENCE_STATES)
+    if witness or exhausted:
+        result = sat_fixed(model, fmt)
+        assert result.verdict == (SATISFIABLE if witness else UNSATISFIABLE)
+    else:
+        result = sat_fixed(model, fmt, length_cap=depth)
+        assert result.verdict in (UNSAT_WITHIN_BOUND, UNSATISFIABLE)
     assert result.witness == witness
     unsatisfiable = witness is None
     for mode, bound in ((fixed, cap), (EXACT, exact_cap)):
-        witness, _ = reference_search(model, mode, bound)
+        witness, _, _ = reference_search(model, mode, bound)
         result = sat_bounded(model, bound, mode)
         assert result.verdict == (SATISFIABLE if witness else UNSAT_WITHIN_BOUND)
         assert result.witness == witness
     # fewer keys than states can run out before the cap, never after it
-    witness, exhausted = reference_search(model, fixed, cap)
+    witness, exhausted, _ = reference_search(model, fixed, cap)
     result = sat_fixed(model, fmt, length_cap=cap)
     assert result.witness == witness
     if witness:

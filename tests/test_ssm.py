@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import geometric_model, random_formula, random_ilp, random_machine
+from helpers import (
+    fraction_encode, geometric_model, hand_formulas, random_formula, random_ilp, random_machine,
+)
 from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat, raw_encode
 from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky
 from ssmverify.errors import DimensionError, EmptyWordError, UnknownSymbolError
@@ -32,6 +34,7 @@ from ssmverify.ssm import (
     TimeInvariantGate,
     _Inexact,
     _StepCompiler,
+    _constants,
     _first_scale,
     _stepper,
     accepts,
@@ -144,6 +147,10 @@ def test_unknown_symbol_and_empty_word():
         evaluate(model, [], EXACT)
     with pytest.raises(EmptyWordError):
         accepts(model, [], EXACT)
+    with pytest.raises(EmptyWordError):
+        evaluate_layerwise(model, [], EXACT)
+    with pytest.raises(UnknownSymbolError):
+        step(model, initial_state(model, EXACT), "zz")
 
 
 def test_dimension_validation():
@@ -541,6 +548,25 @@ def test_dense_views_rebuild_the_same_model(model):
     for fmt in (FX6, FixedPointFormat(3, 2), FixedPointFormat(6, 3, signed=False)):
         report = quantization_report(model, fmt)
         assert report == quantization_report(rebuilt, fmt) == _dense_quantization_report(model, fmt)
+
+
+def test_quantization_report_is_the_fraction_round_trip():
+    """The report's integer test of representability names the constants
+    that, encoded and read back as ``Fraction(raw, scale)``, come back
+    changed; on seed-11 LTL, Minsky and ILP models and the hand formulas."""
+    rng = random.Random(11)
+    models = [compile_ltl(parse(text)) for text in hand_formulas()]
+    models += [compile_ltl(random_formula(rng, rng.randint(3, 9))) for _ in range(20)]
+    models += [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(8)]
+    models += [compile_ilp(random_ilp(rng)) for _ in range(8)]
+    reported = 0
+    for fmt in (FX6, FixedPointFormat(3, 2), FixedPointFormat(4, 0)):
+        for model in models:
+            report = quantization_report(model, fmt)
+            assert report == [(path, v) for path, v in _constants(model)
+                              if Fraction(fraction_encode(v, fmt), fmt.scale) != v]
+            reported += len(report)
+    assert reported > 0
 
 
 def test_saved_bytes_do_not_depend_on_shared_rows(tmp_path):
