@@ -85,14 +85,6 @@ class FixedPointFormat:
             object.__setattr__(self, "min_raw", 0)
             object.__setattr__(self, "max_raw", (1 << self.total_bits) - 1)
 
-    @property
-    def max_value(self) -> Fraction:
-        return Fraction(self.max_raw, self.scale)
-
-    @property
-    def min_value(self) -> Fraction:
-        return Fraction(self.min_raw, self.scale)
-
     @staticmethod
     def parse(text: str) -> "FixedPointFormat":
         """Parse the ``fx:<total>:<frac>`` format string."""

@@ -174,8 +174,6 @@ def _cmd_eval(args) -> tuple[int, dict]:
 def _approximation(value: Fraction) -> str:
     """``value`` in scientific notation, truncated to 17 significant digits,
     computed without converting the whole numerator or denominator."""
-    if value == 0:
-        return "0"
     context = decimal.Context(prec=17, rounding=decimal.ROUND_DOWN,
                               Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
     with decimal.localcontext(context):

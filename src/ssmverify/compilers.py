@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -53,7 +53,7 @@ from .fnn import (
     linear_fnn,
     select_fnn,
 )
-from .ltl import LtlFormula, Atom, Not, And, Or, Next, atoms, subformulas_topo
+from .ltl import LtlFormula, Atom, Not, And, Or, Next, children, subformulas_topo
 from .solvers import ResourceLimits
 from .ssm import (
     AffineMap,
@@ -227,20 +227,12 @@ class LtlLayout:
         return dict(self.dim_of)[sub]
 
 
-def _children(sub: LtlFormula) -> tuple[LtlFormula, ...]:
-    if isinstance(sub, Atom):
-        return ()
-    if isinstance(sub, (Not, Next)):
-        return (sub.sub,)
-    return (sub.left, sub.right)
-
-
 def ltl_layout(phi: LtlFormula) -> LtlLayout:
-    props = tuple(sorted(atoms(phi)))
     subs = tuple(subformulas_topo(phi))
+    props = tuple(sorted(sub.name for sub in subs if isinstance(sub, Atom)))
     height: dict[LtlFormula, int] = {}
     for sub in subs:  # children come first
-        height[sub] = 1 + max((height[c] for c in _children(sub)), default=-1)
+        height[sub] = 1 + max((height[c] for c in children(sub)), default=-1)
     levels: list[list[LtlFormula]] = [[] for _ in range(height[phi])]
     for sub in subs:
         if height[sub]:
@@ -342,7 +334,10 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
 
 ACTIONS = ("inc1", "inc2", "dec1", "dec2", "ztest1", "ztest2")
 _ACTION_INDEX = {a: i for i, a in enumerate(ACTIONS)}
-_COUNTER_OF = {"inc1": 0, "dec1": 0, "ztest1": 0, "inc2": 1, "dec2": 1, "ztest2": 1}
+# the counter an action reads or writes, and what it adds to that counter
+_EFFECT = {"inc1": (0, 1), "inc2": (1, 1), "dec1": (0, -1), "dec2": (1, -1),
+           "ztest1": (0, 0), "ztest2": (1, 0)}
+_COUNTER_OF = {a: i for a, (i, _) in _EFFECT.items()}
 
 
 @dataclass(frozen=True)
@@ -352,38 +347,35 @@ class MinskyMachine:
     final: str
     transitions: frozenset
 
+    _moves: dict = field(init=False, compare=False, repr=False)  # read by ``outgoing``
+
     def __post_init__(self):
         known = set(self.states)
         if len(known) != len(self.states):
             raise InvalidMachineError("duplicate state names")
         if self.start not in known or self.final not in known:
             raise InvalidMachineError("start/final state not among the states")
-        outgoing: dict[str, list[tuple[str, str]]] = {}
+        moves: dict[str, list[tuple[str, str]]] = {}
         for q, a, q2 in self.transitions:
             if q not in known or q2 not in known:
                 raise InvalidMachineError(f"transition ({q}, {a}, {q2}) uses unknown states")
             if a not in _ACTION_INDEX:
                 raise InvalidMachineError(f"unknown action {a!r}")
-            outgoing.setdefault(q, []).append((a, q2))
+            moves.setdefault(q, []).append((a, q2))
         # determinism rule: a state either halts, increments one counter, or
         # branches on exactly one counter with a dec/ztest pair
-        for q, outs in outgoing.items():
-            acts = sorted(a for a, _ in outs)
-            if len(outs) == 1 and acts[0] in ("inc1", "inc2"):
-                continue
-            if len(outs) == 2 and (
-                acts == ["dec1", "ztest1"] or acts == ["dec2", "ztest2"]
-            ):
-                continue
-            raise InvalidMachineError(
-                f"state {q!r} must have one inc or a dec/ztest pair on one counter"
-            )
+        for q, outs in moves.items():
+            outs.sort(key=lambda move: _ACTION_INDEX[move[0]])
+            shape = [a for a, _ in outs]
+            if shape not in (["inc1"], ["inc2"], ["dec1", "ztest1"], ["dec2", "ztest2"]):
+                raise InvalidMachineError(
+                    f"state {q!r} must have one inc or a dec/ztest pair on one counter"
+                )
+        object.__setattr__(self, "_moves", {q: tuple(outs) for q, outs in moves.items()})
 
-    def outgoing(self, q: str) -> list[tuple[str, str]]:
-        return sorted(
-            ((a, q2) for (src, a, q2) in self.transitions if src == q),
-            key=lambda t: _ACTION_INDEX[t[0]],
-        )
+    def outgoing(self, q: str) -> tuple[tuple[str, str], ...]:
+        """The (action, target) moves out of ``q`` in action order."""
+        return self._moves.get(q, ())
 
 
 @dataclass(frozen=True)
@@ -397,10 +389,8 @@ class MinskyRun:
         c = [0, 0]
         trajectory = []
         for _, a in self.steps:
-            if a.startswith("inc"):
-                c[_COUNTER_OF[a]] += 1
-            elif a.startswith("dec"):
-                c[_COUNTER_OF[a]] -= 1
+            i, delta = _EFFECT[a]
+            c[i] += delta
             trajectory.append((c[0], c[1]))
         return trajectory
 
@@ -424,16 +414,12 @@ def minsky_oracle(machine: MinskyMachine, max_steps: int) -> Optional[MinskyRun]
         outs = machine.outgoing(q)
         if not outs:
             return None
-        if len(outs) == 1:
-            a, q2 = outs[0]
+        a, q2 = outs[0]
+        i, delta = _EFFECT[a]
+        if c[i] + delta < 0:  # a dec on an empty counter takes the ztest move
+            a, q2 = outs[1]
         else:
-            (dec_a, dec_q), (zt_a, zt_q) = outs
-            i = _COUNTER_OF[dec_a]
-            a, q2 = (dec_a, dec_q) if c[i] > 0 else (zt_a, zt_q)
-        if a.startswith("inc"):
-            c[_COUNTER_OF[a]] += 1
-        elif a.startswith("dec"):
-            c[_COUNTER_OF[a]] -= 1
+            c[i] += delta
         steps.append((q2, a))
         q = q2
     return None
@@ -478,14 +464,7 @@ def parse_minsky(text: str) -> MinskyMachine:
     """Line format: `start: q` / `final: q` headers, then `state action state`
     triples; `#` starts a comment.  States are ordered by first appearance."""
     start = final = None
-    states: list[str] = []
-    seen: set[str] = set()
-
-    def note(q: str):
-        if q not in seen:
-            seen.add(q)
-            states.append(q)
-
+    states: dict[str, None] = {}
     transitions = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -493,17 +472,16 @@ def parse_minsky(text: str) -> MinskyMachine:
             continue
         if line.startswith("start:"):
             start = line.split(":", 1)[1].strip()
-            note(start)
+            states[start] = None
         elif line.startswith("final:"):
             final = line.split(":", 1)[1].strip()
-            note(final)
+            states[final] = None
         else:
             parts = line.split()
             if len(parts) != 3:
                 raise InputFormatError(f"line {lineno}: expected `state action state`")
             q, a, q2 = parts
-            note(q)
-            note(q2)
+            states.update(dict.fromkeys((q, q2)))
             transitions.append((q, a, q2))
     if start is None or final is None:
         raise InputFormatError("missing start:/final: header")
@@ -660,14 +638,13 @@ def compile_ilp(inst: IlpInstance) -> SsmModel:
 
 
 def ilp_decode_word(inst: IlpInstance, word: Sequence[str]) -> Optional[tuple[int, ...]]:
-    """The 0/1 vector a duplicate-free word encodes, None on duplicates."""
+    """The 0/1 vector a duplicate-free word over ``ilp_alphabet`` encodes,
+    None on a repeated or unknown symbol."""
+    index = {symbol: i for i, symbol in enumerate(ilp_alphabet(inst.dim))}
     v = [0] * inst.dim
     for symbol in word:
-        try:
-            i = int(symbol) - 1
-        except ValueError:
-            return None
-        if not 0 <= i < inst.dim or v[i]:
+        i = index.get(symbol)
+        if i is None or v[i]:
             return None
         v[i] = 1
     return tuple(v)

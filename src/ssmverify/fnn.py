@@ -107,10 +107,6 @@ class Fnn:
     def output_dim(self) -> int:
         return self.layers[-1].output_dim
 
-    @property
-    def size(self) -> int:
-        return sum(layer.output_dim for layer in self.layers)
-
     @cached_property
     def _programs(self) -> dict:
         return {}

@@ -56,21 +56,24 @@ class Until:
 LtlFormula = Union[Atom, Not, Or, And, Next, Until]
 
 
+def children(phi: LtlFormula) -> tuple[LtlFormula, ...]:
+    """The direct subformulas, left before right."""
+    if isinstance(phi, Atom):
+        return ()
+    if isinstance(phi, (Not, Next)):
+        return (phi.sub,)
+    return (phi.left, phi.right)
+
+
 def size(phi: LtlFormula) -> int:
     """Node count of the lowered formula tree."""
-    if isinstance(phi, Atom):
-        return 1
-    if isinstance(phi, (Not, Next)):
-        return 1 + size(phi.sub)
-    return 1 + size(phi.left) + size(phi.right)
+    return 1 + sum(map(size, children(phi)))
 
 
 def atoms(phi: LtlFormula) -> frozenset:
     if isinstance(phi, Atom):
         return frozenset((phi.name,))
-    if isinstance(phi, (Not, Next)):
-        return atoms(phi.sub)
-    return atoms(phi.left) | atoms(phi.right)
+    return frozenset().union(*map(atoms, children(phi)))
 
 
 def small_model_bound(phi: LtlFormula) -> int:
@@ -208,10 +211,7 @@ def _depth(phi: LtlFormula) -> int:
     while stack:
         node, depth = stack.pop()
         deepest = max(deepest, depth)
-        if isinstance(node, (Not, Next)):
-            stack.append((node.sub, depth + 1))
-        elif not isinstance(node, Atom):
-            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        stack += [(child, depth + 1) for child in children(node)]
     return deepest
 
 
@@ -288,11 +288,8 @@ def subformulas_topo(phi: LtlFormula) -> list[LtlFormula]:
     def walk(node: LtlFormula):
         if node in seen:
             return
-        if isinstance(node, (Not, Next)):
-            walk(node.sub)
-        elif not isinstance(node, Atom):
-            walk(node.left)
-            walk(node.right)
+        for child in children(node):
+            walk(child)
         seen[node] = None
 
     walk(phi)

@@ -716,6 +716,14 @@ def _malformed(tmp_path, name):
         data["rows"] = {}
     elif name == "v2_nodes_not_a_list":
         data["nodes"] = "nodes"
+    elif name == "alphabet_empty":
+        data["alphabet"] = []
+    elif name == "alphabet_repeated":
+        data["alphabet"][1] = data["alphabet"][0]
+    elif name == "alphabet_not_a_string":
+        data["alphabet"][0] = 1
+    elif name == "short_h0":
+        data["layers"][0]["h0"].pop()
     path.write_text(json.dumps(data))
     return path
 
@@ -731,6 +739,7 @@ def _malformed(tmp_path, name):
     "v2_column_outside_width", "v2_row_width_not_dimension", "v2_zero_weight",
     "unknown_gate_kind", "unknown_activation", "v2_row_term_not_a_pair",
     "v2_rows_not_a_list", "v2_nodes_not_a_list",
+    "alphabet_empty", "alphabet_repeated", "alphabet_not_a_string", "short_h0",
 ])
 def test_malformed_model_file_is_a_usage_error(tmp_path, capsys, name):
     path = str(_malformed(tmp_path, name))
@@ -787,6 +796,7 @@ def _bad_input(tmp_path, name):
         "eval_pair_letter_empty_part": ["eval", compiled, "--word", "( ,inc1)"],
         "eval_set_letter_unclosed": ["eval", compiled, "--word", "{p"],
         "eval_set_letter_bad_proposition": ["eval", compiled, "--word", "{p,Q}"],
+        "eval_empty_letter": ["eval", compiled, "--word", "{p};;{q}"],
     }[name]
 
 
@@ -795,7 +805,7 @@ def _bad_input(tmp_path, name):
     "oracle_ilp_not_utf8", "compile_ltl_nested_too_deeply", "oracle_ltl_nested_too_deeply",
     "sat_bounded_negative_binary", "oracle_minsky_negative_max_steps",
     "eval_pair_letter_unclosed", "eval_pair_letter_one_part", "eval_pair_letter_empty_part",
-    "eval_set_letter_unclosed", "eval_set_letter_bad_proposition",
+    "eval_set_letter_unclosed", "eval_set_letter_bad_proposition", "eval_empty_letter",
     "compile_minsky_nondeterministic", "compile_ilp_empty", "compile_ilp_short_target",
     "classify_negative_bits",
 ])

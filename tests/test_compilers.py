@@ -269,6 +269,14 @@ def test_machine_validation_rejects_bad_structure():
         MinskyMachine(("a", "b"), "a", "b", frozenset({("a", "dec1", "b"), ("a", "ztest2", "b")}))
     with pytest.raises(InvalidMachineError):
         MinskyMachine(("a",), "a", "a", frozenset({("a", "jump", "a")}))
+    with pytest.raises(InvalidMachineError, match="duplicate"):
+        MinskyMachine(("a", "b", "a"), "a", "b", frozenset({("a", "inc1", "b")}))
+    with pytest.raises(InvalidMachineError, match="start/final"):
+        MinskyMachine(("a", "b"), "c", "b", frozenset({("a", "inc1", "b")}))
+    with pytest.raises(InvalidMachineError, match="start/final"):
+        MinskyMachine(("a", "b"), "a", "c", frozenset({("a", "inc1", "b")}))
+    with pytest.raises(InvalidMachineError, match="unknown states"):
+        MinskyMachine(("a", "b"), "a", "b", frozenset({("a", "inc1", "c")}))
 
 
 def test_oracle_and_encoding(example_machine):
@@ -286,6 +294,8 @@ def test_oracle_no_accepting_run():
         frozenset({("a", "inc1", "a")}),
     )
     assert minsky_oracle(loop, 50) is None
+    stuck = MinskyMachine(("a", "b", "c"), "a", "c", frozenset({("a", "inc1", "b")}))
+    assert minsky_oracle(stuck, 50) is None  # b is not final and has no move
 
 
 def test_layer1_accumulates_counters(example_machine):
@@ -417,6 +427,20 @@ def test_compile_ilp_differential_random():
                 sum(inst.matrix[r][c] * v[c] for c in range(inst.dim)) == inst.target[r]
                 for r in range(inst.dim)
             )
+
+
+def test_ilp_decode_word_reads_only_the_alphabet():
+    """Only the symbols 1..d decode; other spellings of an index, which the
+    compiled model rejects as unknown symbols, decode to None."""
+    inst = IlpInstance(tuple(tuple(int(r == c) for c in range(10)) for r in range(10)), (1,) * 10)
+    assert ilp_decode_word(inst, ["10", "2"]) == (0, 1) + (0,) * 7 + (1,)
+    assert ilp_decode_word(inst, ["11"]) is None
+    assert ilp_decode_word(inst, ["0"]) is None
+    assert ilp_decode_word(inst, ["3", "3"]) is None
+    odd = ["1_0", "010", " 10", "\u0663"]
+    assert not set(odd) & set(compile_ilp(inst).alphabet)
+    for symbol in odd:
+        assert ilp_decode_word(inst, [symbol]) is None, symbol
 
 
 def test_ilp_acceptance_permutation_invariant():

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -91,7 +91,7 @@ def test_sat_bounded_shortest_lex_least():
     assert sat_bounded(model, 5, EXACT).witness == ("{p}",)
 
 
-def test_sat_bounded_memoization_preserves_verdict():
+def test_sat_bounded_stores_each_state_once_and_takes_no_memoize():
     # the search always stores each state once; the old memoize switch is gone
     model = compile_ltl(parse("X X p"))
     result = sat_bounded(model, 4, EXACT)
@@ -413,7 +413,9 @@ def check_against_reference(model, fmt, cap, exact_cap):
 
 @given(small_models(), st.sampled_from([FX6, FixedPointFormat(4, 1), FixedPointFormat(3, 2)]),
        st.integers(1, 4))
-@settings(max_examples=150, deadline=None)
+# no shrink phase: shrinking re-runs the full-state reference search for
+# minutes, where the failing draw itself is found and printed in seconds
+@settings(max_examples=150, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 def test_search_on_keys_equals_search_on_full_states(model, fmt, cap):
     check_against_reference(model, fmt, cap, 4)
 

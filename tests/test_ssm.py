@@ -272,7 +272,7 @@ def test_compiled_models_stream_like_layerwise(mode):
 
 
 @pytest.mark.parametrize("gate", [Fraction(1, 2), Fraction(1, 3)], ids=str)
-def test_exact_values_outside_the_integer_encoding_fall_back_to_fractions(gate):
+def test_exact_values_outside_the_first_scale_widen_it(gate):
     """The denominator of h1 grows by the gate's every symbol and leaves the
     step's first scale (2**SCALE_BITS for gate 1/2, 3**SCALE_BITS for gate
     1/3) within an 80-symbol word, so the step runs again on its square."""
