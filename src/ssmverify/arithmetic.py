@@ -12,11 +12,11 @@ from __future__ import annotations
 import operator
 import re
 import reprlib
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Union
 
+from ._value import Value
 from .errors import FormatMismatchError, InputFormatError
 
 Rational = Fraction
@@ -60,19 +60,16 @@ def format_rational(x: Fraction) -> str:
 MAX_TOTAL_BITS = 4096
 
 
-@dataclass(frozen=True)
-class FixedPointFormat:
+class FixedPointFormat(Value):
     """Bit layout of a fixed-point number: value = raw / 2**frac_bits."""
 
-    total_bits: int
-    frac_bits: int
-    signed: bool = True
+    __slots__ = ("total_bits", "frac_bits", "signed", "scale", "min_raw", "max_raw")
+    _fields = __slots__[:3]
 
-    scale: int = field(init=False, compare=False, repr=False)
-    min_raw: int = field(init=False, compare=False, repr=False)
-    max_raw: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, total_bits: int, frac_bits: int, signed: bool = True):
+        object.__setattr__(self, "total_bits", total_bits)
+        object.__setattr__(self, "frac_bits", frac_bits)
+        object.__setattr__(self, "signed", signed)
         if not 1 <= self.total_bits <= MAX_TOTAL_BITS:
             raise InputFormatError(f"total_bits must satisfy 1 <= total_bits <= {MAX_TOTAL_BITS}")
         if not 0 <= self.frac_bits < self.total_bits:
@@ -153,14 +150,13 @@ def _exact_relu(a: Fraction) -> Fraction:
     return a if a > 0 else _ZERO
 
 
-@dataclass(frozen=True)
-class FixedPointValue:
+class FixedPointValue(Value):
     """An integer mantissa tagged with its format."""
 
-    raw: int
-    fmt: FixedPointFormat
+    __slots__ = _fields = ("raw", "fmt")
 
-    def __post_init__(self):
+    def __init__(self, raw: int, fmt: FixedPointFormat):
+        self._assign(raw, fmt)
         if not self.fmt.min_raw <= self.raw <= self.fmt.max_raw:
             raise InputFormatError(f"raw mantissa {self.raw} out of range for {self.fmt}")
 
@@ -215,8 +211,7 @@ def fx_cmp(a: FixedPointValue, b: FixedPointValue) -> int:
     return (a.raw > b.raw) - (a.raw < b.raw)
 
 
-@dataclass(frozen=True)
-class ArithMode:
+class ArithMode(Value):
     """Tagged arithmetic domain: exact rationals, or one fixed-point format.
 
     ``ArithMode()`` / the module constant ``EXACT`` is exact mode;
@@ -227,11 +222,11 @@ class ArithMode:
     (and truncates, for products) in ``fmt``.
     """
 
-    fmt: FixedPointFormat | None = None
-    kernels: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("fmt", "kernels")
+    _fields = ("fmt",)
 
-    def __post_init__(self):
-        fmt = self.fmt
+    def __init__(self, fmt: FixedPointFormat | None = None):
+        object.__setattr__(self, "fmt", fmt)
         if fmt is None:
             kernels = (_exact_encode, operator.add, operator.mul, _exact_relu)
         else:

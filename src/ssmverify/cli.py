@@ -16,7 +16,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import ltl as ltl_mod
@@ -114,8 +113,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stats(stats) -> dict:
+    """A ``SearchStats`` as its report: every field, in field order."""
+    return {name: getattr(stats, name) for name in stats._fields}
+
+
 def _sat_report(result) -> dict:
-    report = {"verdict": result.verdict, "stats": asdict(result.stats)}
+    report = {"verdict": result.verdict, "stats": _stats(result.stats)}
     if result.witness is not None:
         report["witness"] = format_word(result.witness)
     return report
@@ -308,7 +312,7 @@ def run(argv) -> tuple[int, dict]:
     try:
         status, body = handlers[args.command](args)
     except ResourceLimitError as exc:
-        body = {"error": str(exc), "partial_stats": asdict(exc.stats) if exc.stats else None}
+        body = {"error": str(exc), "partial_stats": _stats(exc.stats) if exc.stats else None}
         status = EXIT_RESOURCE
     except MemoryError:
         body = {"error": "out of memory", "partial_stats": None}

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import ltl as ltl_mod
 from ._row import Row
+from ._value import Value
 from .errors import (
     DimensionError,
     InputFormatError,
@@ -202,26 +202,26 @@ def _finish(model: SsmModel, *source: tuple[str, str]) -> SsmModel:
     classes = classify_gates(model)
     names = [name for name, member in (("time_invariant", classes.time_invariant),
                                        ("diagonal", classes.diagonal)) if member]
-    return replace(model, metadata=(*source, ("gate_classes", ",".join(names) or "none")))
+    return SsmModel(model.alphabet, model.emb, model.layers, model.out,
+                    (*source, ("gate_classes", ",".join(names) or "none")))
 
 
 # ---------------------------------------------------------------------------
 # LTL_f -> SSM (models are checked on reversed words)
 
-@dataclass(frozen=True)
-class LtlLayout:
+class LtlLayout(Value):
     """Dimension bookkeeping of a compiled formula.  An atom has DAG height
     0 and reads its proposition's embedding column; ``levels`` holds the
     other subformulas by height 1, 2, ..., each in topological order, and
     they take the coordinates after the propositions in that order.  The
     constant 1 is the last coordinate."""
 
-    props: tuple[str, ...]
-    subformulas: tuple[LtlFormula, ...]
-    levels: tuple[tuple[LtlFormula, ...], ...]
-    dim_of: tuple[tuple[LtlFormula, int], ...]
-    const_dim: int
-    dimension: int
+    __slots__ = _fields = ("props", "subformulas", "levels", "dim_of", "const_dim", "dimension")
+
+    def __init__(self, props: tuple[str, ...], subformulas: tuple[LtlFormula, ...],
+                 levels: tuple[tuple[LtlFormula, ...], ...],
+                 dim_of: tuple[tuple[LtlFormula, int], ...], const_dim: int, dimension: int):
+        self._assign(props, subformulas, levels, dim_of, const_dim, dimension)
 
     def dim(self, sub: LtlFormula) -> int:
         return dict(self.dim_of)[sub]
@@ -340,16 +340,12 @@ _EFFECT = {"inc1": (0, 1), "inc2": (1, 1), "dec1": (0, -1), "dec2": (1, -1),
 _COUNTER_OF = {a: i for a, (i, _) in _EFFECT.items()}
 
 
-@dataclass(frozen=True)
-class MinskyMachine:
-    states: tuple[str, ...]
-    start: str
-    final: str
-    transitions: frozenset
+class MinskyMachine(Value):
+    __slots__ = ("states", "start", "final", "transitions", "_moves")  # ``outgoing`` reads _moves
+    _fields = __slots__[:4]
 
-    _moves: dict = field(init=False, compare=False, repr=False)  # read by ``outgoing``
-
-    def __post_init__(self):
+    def __init__(self, states: tuple[str, ...], start: str, final: str, transitions: frozenset):
+        self._assign(states, start, final, transitions)
         known = set(self.states)
         if len(known) != len(self.states):
             raise InvalidMachineError("duplicate state names")
@@ -361,12 +357,12 @@ class MinskyMachine:
                 raise InvalidMachineError(f"transition ({q}, {a}, {q2}) uses unknown states")
             if a not in _ACTION_INDEX:
                 raise InvalidMachineError(f"unknown action {a!r}")
-            moves.setdefault(q, []).append((a, q2))
+            moves.setdefault(q, []).append((q2, a))
         # determinism rule: a state either halts, increments one counter, or
         # branches on exactly one counter with a dec/ztest pair
         for q, outs in moves.items():
-            outs.sort(key=lambda move: _ACTION_INDEX[move[0]])
-            shape = [a for a, _ in outs]
+            outs.sort(key=lambda move: _ACTION_INDEX[move[1]])
+            shape = [a for _, a in outs]
             if shape not in (["inc1"], ["inc2"], ["dec1", "ztest1"], ["dec2", "ztest2"]):
                 raise InvalidMachineError(
                     f"state {q!r} must have one inc or a dec/ztest pair on one counter"
@@ -374,16 +370,19 @@ class MinskyMachine:
         object.__setattr__(self, "_moves", {q: tuple(outs) for q, outs in moves.items()})
 
     def outgoing(self, q: str) -> tuple[tuple[str, str], ...]:
-        """The (action, target) moves out of ``q`` in action order."""
+        """The moves out of ``q`` in action order, each the (target, action)
+        step that a run through it records."""
         return self._moves.get(q, ())
 
 
-@dataclass(frozen=True)
-class MinskyRun:
+class MinskyRun(Value):
     """A run as the sequence of (entered state, action) pairs, the initial
     state being implicit."""
 
-    steps: tuple[tuple[str, str], ...]
+    __slots__ = _fields = ("steps",)
+
+    def __init__(self, steps: tuple[tuple[str, str], ...]):
+        object.__setattr__(self, "steps", steps)
 
     def counters(self) -> list[tuple[int, int]]:
         c = [0, 0]
@@ -414,14 +413,14 @@ def minsky_oracle(machine: MinskyMachine, max_steps: int) -> Optional[MinskyRun]
         outs = machine.outgoing(q)
         if not outs:
             return None
-        a, q2 = outs[0]
-        i, delta = _EFFECT[a]
+        move = outs[0]
+        i, delta = _EFFECT[move[1]]
         if c[i] + delta < 0:  # a dec on an empty counter takes the ztest move
-            a, q2 = outs[1]
+            move = outs[1]
         else:
             c[i] += delta
-        steps.append((q2, a))
-        q = q2
+        steps.append(move)  # the run shares the table's tuple: 8 bytes a step
+        q = move[0]
     return None
 
 
@@ -561,7 +560,7 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
     violations = compose(linear_fnn([[1] * len(parts)]),
                          _pointwise(len(parts), dict(enumerate(parts)), width=d))
     phi2 = compose(_pointwise(d, {chk: (violations, tuple(range(d)))}, width=d), history.phi)
-    l2 = replace(history, h0=tuple(h0_2), phi=phi2)
+    l2 = SsmLayer(tuple(h0_2), history.gate, history.inc, phi2)
 
     out = compose(gadget_and(2), _pointwise(
         2, {0: (gadget_eq(0), (chk,)), 1: (gadget_eq(1), (state_idx[machine.final],))},
@@ -576,12 +575,11 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
 # ---------------------------------------------------------------------------
 # 0-1 integer programming
 
-@dataclass(frozen=True)
-class IlpInstance:
-    matrix: tuple[tuple[int, ...], ...]
-    target: tuple[int, ...]
+class IlpInstance(Value):
+    __slots__ = _fields = ("matrix", "target")
 
-    def __post_init__(self):
+    def __init__(self, matrix: tuple[tuple[int, ...], ...], target: tuple[int, ...]):
+        self._assign(matrix, target)
         d = len(self.matrix)
         if d == 0:
             raise DimensionError("empty instance")

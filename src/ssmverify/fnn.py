@@ -22,12 +22,12 @@ weight-1 term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from ._row import Row
+from ._value import Value
 from .arithmetic import (
     EXACT,
     ArithMode,
@@ -44,13 +44,10 @@ IDENTITY = "identity"
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-@dataclass(frozen=True, init=False)
-class FnnNode:
+class FnnNode(Value):
     """``act(row . x + bias)``; ``weights`` may be given dense or as a row."""
 
-    row: Row
-    bias: Fraction
-    activation: str
+    __slots__ = _fields = ("row", "bias", "activation")
 
     def __init__(self, weights, bias: Fraction, activation: str = RELU):
         if activation not in (RELU, IDENTITY):
@@ -66,11 +63,11 @@ class FnnNode:
         return self.row.dense()
 
 
-@dataclass(frozen=True)
-class FnnLayer:
-    nodes: tuple[FnnNode, ...]
+class FnnLayer(Value):
+    __slots__ = _fields = ("nodes",)
 
-    def __post_init__(self):
+    def __init__(self, nodes: tuple[FnnNode, ...]):
+        object.__setattr__(self, "nodes", nodes)
         if not self.nodes:
             raise DimensionError("a layer needs at least one node")
         width = self.nodes[0].row.width
@@ -86,11 +83,11 @@ class FnnLayer:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
-class Fnn:
-    layers: tuple[FnnLayer, ...]
+class Fnn(Value):
+    _fields = ("layers",)
 
-    def __post_init__(self):
+    def __init__(self, layers: tuple[FnnLayer, ...]):
+        object.__setattr__(self, "layers", layers)
         if not self.layers:
             raise DimensionError("a network needs at least one layer")
         for a, b in zip(self.layers, self.layers[1:]):

@@ -11,46 +11,58 @@ proposition names.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Union
 
+from ._value import Value
 from .errors import LtlSyntaxError, TracePositionError
 
 Trace = tuple[frozenset, ...]
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class Atom(Value):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Not:
-    sub: "LtlFormula"
+class Not(Value):
+    __slots__ = _fields = ("sub",)
+
+    def __init__(self, sub: LtlFormula):
+        object.__setattr__(self, "sub", sub)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "LtlFormula"
-    right: "LtlFormula"
+class Or(Value):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: LtlFormula, right: LtlFormula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "LtlFormula"
-    right: "LtlFormula"
+class And(Value):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: LtlFormula, right: LtlFormula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Next:
-    sub: "LtlFormula"
+class Next(Value):
+    __slots__ = _fields = ("sub",)
+
+    def __init__(self, sub: LtlFormula):
+        object.__setattr__(self, "sub", sub)
 
 
-@dataclass(frozen=True)
-class Until:
-    left: "LtlFormula"
-    right: "LtlFormula"
+class Until(Value):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: LtlFormula, right: LtlFormula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 LtlFormula = Union[Atom, Not, Or, And, Next, Until]

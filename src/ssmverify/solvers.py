@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ._value import Value
 from .arithmetic import ArithMode, FixedPointFormat
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
 from .ssm import SsmModel, _stepper, _with_stepper
@@ -38,8 +38,7 @@ UNSAT_WITHIN_BOUND = "unsatisfiable-within-bound"
 UNSATISFIABLE = "unsatisfiable"
 
 
-@dataclass
-class SearchStats:
+class SearchStats(Value):
     """``states_explored`` counts ``step()`` calls (transitions taken), and
     ``transitions`` repeats that count under its plain name;
     ``distinct_states`` counts the stream states stored (the initial one
@@ -56,42 +55,47 @@ class SearchStats:
     stores at most 2 to that many keys (``None`` in exact mode, where
     nothing bounds them).  ``frontier_sizes`` gives
     the size of each breadth-first level reached, the initial state's level
-    first."""
+    first.  Unlike the other values, stats are mutable, so they have no hash."""
 
-    states_explored: int = 0
-    max_frontier: int = 0
-    elapsed_s: float = 0.0
-    quantized_constants: int = 0
-    distinct_states: int = 0
-    transitions: int = 0
-    stepper_build_s: float = 0.0
-    exact_domain: Optional[str] = None
-    exact_scale_bits: Optional[int] = None
-    key_coordinates: int = 0
-    key_state_bound_log2: Optional[int] = None
-    frontier_sizes: list[int] = field(default_factory=list)
+    __slots__ = _fields = (
+        "states_explored", "max_frontier", "elapsed_s", "quantized_constants",
+        "distinct_states", "transitions", "stepper_build_s", "exact_domain",
+        "exact_scale_bits", "key_coordinates", "key_state_bound_log2", "frontier_sizes")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, states_explored: int = 0, max_frontier: int = 0, elapsed_s: float = 0.0,
+                 quantized_constants: int = 0, distinct_states: int = 0, transitions: int = 0,
+                 stepper_build_s: float = 0.0, exact_domain: Optional[str] = None,
+                 exact_scale_bits: Optional[int] = None, key_coordinates: int = 0,
+                 key_state_bound_log2: Optional[int] = None,
+                 frontier_sizes: Optional[list[int]] = None):
+        self._assign(states_explored, max_frontier, elapsed_s, quantized_constants,
+                     distinct_states, transitions, stepper_build_s, exact_domain,
+                     exact_scale_bits, key_coordinates, key_state_bound_log2,
+                     [] if frontier_sizes is None else frontier_sizes)
 
 
-@dataclass(frozen=True)
-class SatResult:
-    verdict: str
-    witness: Optional[tuple[str, ...]]
-    stats: SearchStats
+class SatResult(Value):
+    __slots__ = _fields = ("verdict", "witness", "stats")
+
+    def __init__(self, verdict: str, witness: Optional[tuple[str, ...]], stats: SearchStats):
+        self._assign(verdict, witness, stats)
 
     @property
     def satisfiable(self) -> bool:
         return self.verdict == SATISFIABLE
 
 
-@dataclass(frozen=True)
-class LengthBound:
+class LengthBound(Value):
     """A word-length limit plus the encoding it came from; a binary-encoded
     problem parameter n denotes the limit 2**n."""
 
-    value: int
-    encoding: str = "unary"
+    __slots__ = _fields = ("value", "encoding")
 
-    def __post_init__(self):
+    def __init__(self, value: int, encoding: str = "unary"):
+        self._assign(value, encoding)
         if self.encoding not in ("unary", "binary"):
             raise PreconditionError(f"unknown encoding {self.encoding!r}")
         if self.value < 1:
@@ -108,10 +112,11 @@ class LengthBound:
         return LengthBound(1 << n, "binary")
 
 
-@dataclass(frozen=True)
-class ResourceLimits:
-    max_states: int = 5_000_000
-    max_mem_mb: Optional[int] = None
+class ResourceLimits(Value):
+    __slots__ = _fields = ("max_states", "max_mem_mb")
+
+    def __init__(self, max_states: int = 5_000_000, max_mem_mb: Optional[int] = None):
+        self._assign(max_states, max_mem_mb)
 
     @staticmethod
     def from_env() -> "ResourceLimits":

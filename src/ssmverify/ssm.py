@@ -60,13 +60,13 @@ flat *key* of those coordinates, and the solvers, ``evaluate`` and
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence, Union
 
 from ._row import Row
+from ._value import Value
 from .arithmetic import (
     ArithMode,
     FixedPointFormat,
@@ -112,7 +112,7 @@ def _rows(matrix, offset, message: str) -> tuple[Row, ...]:
     return rows
 
 
-class _SparseMatrix:
+class _SparseMatrix(Value):
     """A square matrix held as ``rows``, one sparse row each; ``matrix``
     densifies them on first use."""
 
@@ -125,11 +125,10 @@ class _SparseMatrix:
         return len(self.rows)
 
 
-@dataclass(frozen=True, init=False)
 class TimeInvariantGate(_SparseMatrix):
     """gate(x) = A for a constant square matrix A."""
 
-    rows: tuple[Row, ...]
+    _fields = ("rows",)
 
     def __init__(self, matrix):
         object.__setattr__(self, "rows", _rows(matrix, None, "gate matrix must be square"))
@@ -138,33 +137,27 @@ class TimeInvariantGate(_SparseMatrix):
         return all(k == i for i, row in enumerate(self.rows) for k, _ in row.terms)
 
 
-@dataclass(frozen=True, init=False)
 class DiagonalAffineGate(_SparseMatrix):
     """gate(x) = diag(G x + g0): diagonal, but input-dependent."""
 
-    rows: tuple[Row, ...]
-    offset: Vector
+    _fields = ("rows", "offset")
 
     def __init__(self, matrix, offset: Vector):
         rows = _rows(matrix, offset, "diagonal gate needs a square matrix and a matching offset")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "offset", offset)
+        self._assign(rows, offset)
 
 
 GateSpec = Union[TimeInvariantGate, DiagonalAffineGate]
 
 
-@dataclass(frozen=True, init=False)
 class AffineMap(_SparseMatrix):
     """inc(x) = B x + c."""
 
-    rows: tuple[Row, ...]
-    offset: Vector
+    _fields = ("rows", "offset")
 
     def __init__(self, matrix, offset: Vector):
         rows = _rows(matrix, offset, "affine map needs a square matrix and a matching offset")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "offset", offset)
+        self._assign(rows, offset)
 
 
 def projection_phi(d: int) -> Fnn:
@@ -172,14 +165,14 @@ def projection_phi(d: int) -> Fnn:
     return select_fnn(range(d), 2 * d)
 
 
-@dataclass(frozen=True)
-class SsmLayer:
-    h0: Vector
-    gate: GateSpec
-    inc: AffineMap
-    phi: Fnn
+class SsmLayer(Value):
+    __slots__ = _fields = ("h0", "gate", "inc", "phi")
 
-    def __post_init__(self):
+    def __init__(self, h0: Vector, gate: GateSpec, inc: AffineMap, phi: Fnn):
+        object.__setattr__(self, "h0", h0)
+        object.__setattr__(self, "gate", gate)
+        object.__setattr__(self, "inc", inc)
+        object.__setattr__(self, "phi", phi)
         d = len(self.h0)
         if self.gate.dim != d or self.inc.dim != d:
             raise DimensionError("layer gate/inc dimensions disagree with h0")
@@ -193,18 +186,21 @@ class SsmLayer:
         return len(self.h0)
 
 
-@dataclass(frozen=True)
-class SsmModel:
+class SsmModel(Value):
     """(emb, l_1 .. l_L, out) with the embedding table aligned to the ordered
     alphabet; the alphabet order is the canonical symbol order everywhere."""
 
-    alphabet: tuple[str, ...]
-    emb: tuple[Vector, ...]
-    layers: tuple[SsmLayer, ...]
-    out: Fnn
-    metadata: tuple[tuple[str, str], ...] = field(default=(), compare=False)
+    _fields = ("alphabet", "emb", "layers", "out")
+    _shown = ("metadata",)
 
-    def __post_init__(self):
+    def __init__(self, alphabet: tuple[str, ...], emb: tuple[Vector, ...],
+                 layers: tuple[SsmLayer, ...], out: Fnn,
+                 metadata: tuple[tuple[str, str], ...] = ()):
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "emb", emb)
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "out", out)
+        object.__setattr__(self, "metadata", metadata)
         if not self.alphabet:
             raise DimensionError("alphabet must be non-empty")
         if len(set(self.alphabet)) != len(self.alphabet):
@@ -247,8 +243,7 @@ class SsmModel:
         return {}
 
 
-@dataclass(frozen=True)
-class StreamState:
+class StreamState(Value):
     """Per-layer hidden vectors, sufficient to continue symbol by symbol
     through the public ``step``.
 
@@ -257,8 +252,10 @@ class StreamState:
     bit-exactly.
     """
 
-    hidden: tuple[tuple, ...]
-    mode: ArithMode
+    __slots__ = _fields = ("hidden", "mode")
+
+    def __init__(self, hidden: tuple[tuple, ...], mode: ArithMode):
+        self._assign(hidden, mode)
 
     def hidden_values(self) -> tuple[tuple[Fraction, ...], ...]:
         if self.mode.is_exact:
@@ -931,10 +928,11 @@ def state_count_bound(model: SsmModel, bits: int) -> int:
     return 1 << state_count_bound_log2(model, bits)
 
 
-@dataclass(frozen=True)
-class GateClasses:
-    time_invariant: bool
-    diagonal: bool
+class GateClasses(Value):
+    __slots__ = _fields = ("time_invariant", "diagonal")
+
+    def __init__(self, time_invariant: bool, diagonal: bool):
+        self._assign(time_invariant, diagonal)
 
 
 def classify_gates(model: SsmModel) -> GateClasses:

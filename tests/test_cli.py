@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 import types
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -292,9 +291,11 @@ def test_classify_recommends_one_format_per_source(tmp_path, kind, source, expec
     frac = expected.split(":")[2]
     for bits, arith in ((MAX_TOTAL_BITS, f"fx:{MAX_TOTAL_BITS}:{frac}"), (MAX_TOTAL_BITS + 1, None)):
         metadata = tuple(sorted({**model.metadata_dict, "min_bits": str(bits)}.items()))
-        save_model(replace(model, metadata=metadata), model_path)
+        save_model(SsmModel(model.alphabet, model.emb, model.layers, model.out, metadata),
+                   model_path)
         assert run(["classify", model_path])[1]["result"]["recommended_arith"] == arith
-    save_model(replace(model, metadata=(("source", "handmade"),)), model_path)
+    save_model(SsmModel(model.alphabet, model.emb, model.layers, model.out,
+                        (("source", "handmade"),)), model_path)
     body = run(["classify", model_path])[1]["result"]
     assert body["recommended_arith"] is None and body["key_state_bound_log2"] is None
 
@@ -432,6 +433,18 @@ def test_console_entry_point(tmp_path):
     assert report["result"]["holds"] is True
 
 
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    """The value classes are plain classes, so a command process loads
+    neither module."""
+    src = os.path.dirname(os.path.dirname(ssmverify.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    check = ("import sys, ssmverify.cli; "
+             "assert not {'dataclasses', 'inspect'} & set(sys.modules), sorted(sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 def test_demo_script_runs(tmp_path):
     src = os.path.dirname(os.path.dirname(ssmverify.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -525,8 +538,6 @@ def test_model_file_rejects_garbage(tmp_path):
 
 
 def _seeded_models():
-    from dataclasses import replace
-
     from helpers import hand_formulas, random_formula, random_ilp, random_machine
     from ssmverify.compilers import compile_ilp
 
@@ -539,8 +550,10 @@ def _seeded_models():
     # metadata beyond strings: nested, empty, numeric, non-ASCII, non-string keys
     odd = (("a", [1, "x", {"k": None, "l": []}]), ("b", {}), ("c", 2.5), ("d", "é\n\""),
            ("e", {1: "x", None: [2]}))
-    models.append(replace(models[0], metadata=models[0].metadata + odd))
-    models.append(replace(models[0], layers=()))
+    first = models[0]
+    models.append(SsmModel(first.alphabet, first.emb, first.layers, first.out,
+                           first.metadata + odd))
+    models.append(SsmModel(first.alphabet, first.emb, (), first.out, first.metadata))
     return models
 
 

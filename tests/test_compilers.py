@@ -298,6 +298,21 @@ def test_oracle_no_accepting_run():
     assert minsky_oracle(stuck, 50) is None  # b is not final and has no move
 
 
+def test_oracle_run_shares_the_move_tables_steps():
+    """A run keeps one reference a step: each step is the (target, action)
+    tuple of the machine's move table, not a new tuple."""
+    loop = parse_minsky("start: q0\nfinal: qf\nq0 inc1 q1\nq1 dec1 q0\nq1 ztest1 q0\n")
+    steps = 200_000
+    tracemalloc.start()
+    try:
+        assert minsky_oracle(loop, steps) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / steps < 16, f"{peak / steps:.1f} bytes a step"
+    assert loop.outgoing("q1") == (("q0", "dec1"), ("q0", "ztest1"))
+
+
 def test_layer1_accumulates_counters(example_machine):
     model = compile_minsky(example_machine)
     word = [pair_symbol("q1", "inc1"), pair_symbol("qf", "dec1")]
