@@ -233,7 +233,7 @@ def _cmd_oracle(args) -> tuple[int, dict]:
         trace = parse_trace(args.trace)
         if not trace:
             raise EmptyWordError("empty trace undefined")
-        result = ltl_mod.holds(phi, trace, 1)
+        result = ltl_mod.models(phi, trace)
         return (EXIT_SAT if result else EXIT_UNSAT), {
             "formula": ltl_mod.pretty(phi),
             "holds": result,

@@ -594,9 +594,14 @@ class IlpInstance(Value):
 
 
 def ilp_oracle(inst: IlpInstance) -> Optional[tuple[int, ...]]:
-    """Exhaustive search over {0,1}^d in binary-counting order."""
+    """Exhaustive search over {0,1}^d in binary-counting order, held to
+    ``ResourceLimits.from_env()``: past ``max_states`` candidates, or the
+    memory ceiling, it raises ``ResourceLimitError``."""
     d = inst.dim
+    limits = ResourceLimits.from_env()
     for m in range(1 << d):
+        if m > limits.max_states or m % 4096 == 0:
+            limits.check(m)
         v = tuple((m >> i) & 1 for i in range(d))
         if all(
             sum(inst.matrix[r][c] * v[c] for c in range(d)) == inst.target[r]

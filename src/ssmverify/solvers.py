@@ -55,15 +55,12 @@ class SearchStats(Value):
     stores at most 2 to that many keys (``None`` in exact mode, where
     nothing bounds them).  ``frontier_sizes`` gives
     the size of each breadth-first level reached, the initial state's level
-    first.  Unlike the other values, stats are mutable, so they have no hash."""
+    first; it is a list, so stats have no hash."""
 
     __slots__ = _fields = (
         "states_explored", "max_frontier", "elapsed_s", "quantized_constants",
         "distinct_states", "transitions", "stepper_build_s", "exact_domain",
         "exact_scale_bits", "key_coordinates", "key_state_bound_log2", "frontier_sizes")
-    __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
 
     def __init__(self, states_explored: int = 0, max_frontier: int = 0, elapsed_s: float = 0.0,
                  quantized_constants: int = 0, distinct_states: int = 0, transitions: int = 0,
@@ -140,7 +137,11 @@ class ResourceLimits(Value):
 
     def check(self, states: int) -> None:
         """Raise ``ResourceLimitError`` once ``states`` is past the state
-        ceiling or the process's peak memory is past the memory ceiling."""
+        ceiling or the process's peak memory is past the memory ceiling.
+        The search passes the transitions it has taken (``states_explored``),
+        not the keys it has stored, so it can stop with far fewer stored
+        keys than ``max_states``; the oracles pass the steps or candidates
+        they have tried."""
         if states > self.max_states:
             raise ResourceLimitError(f"state ceiling {self.max_states} exceeded")
         if self.max_mem_mb is not None and _mem_mb() > self.max_mem_mb:
@@ -152,16 +153,6 @@ def _mem_mb() -> float:
         return 0.0
     # ru_maxrss is in KiB on Linux
     return _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def _check_limits(stats: SearchStats, limits: ResourceLimits, start: float):
-    try:
-        limits.check(stats.states_explored)
-    except ResourceLimitError as exc:
-        stats.transitions = stats.states_explored
-        stats.elapsed_s = time.monotonic() - start
-        exc.stats = stats
-        raise
 
 
 def _search(model: SsmModel, mode: ArithMode, length_cap: Optional[int],
@@ -180,52 +171,48 @@ def _search(model: SsmModel, mode: ArithMode, length_cap: Optional[int],
 
 
 def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, start: float):
-    one, exact = stepper.one, stepper.mode.is_exact
-    stats = SearchStats(quantized_constants=stepper.quantized_constants,
-                        stepper_build_s=stepper.build_s,
-                        exact_domain="int" if exact else None,
-                        exact_scale_bits=one.bit_length() if exact else None,
-                        key_coordinates=len(stepper.key),
-                        key_state_bound_log2=stepper.key_state_bound_log2)
-    init = stepper.init
+    one, init = stepper.one, stepper.init
     parents: dict = {init: None}
     step, letters = stepper.search_step, list(stepper.emb.items())  # in alphabet order
+    level, sizes, explored = [init], [], 0  # sizes: one per level reached
+    try:
+        while level:
+            sizes.append(len(level))
+            if length_cap is not None and len(sizes) > length_cap:
+                return None, False, _stats(stepper, start, explored, sizes, len(parents))
+            next_level = []
+            for key in level:
+                for symbol, x in letters:
+                    new_key, y = step(key, x)
+                    explored += 1
+                    if explored % 4096 == 0:
+                        limits.check(explored)
+                    if y == one:
+                        word = [symbol]
+                        while parents[key] is not None:
+                            key, sym = parents[key]
+                            word.append(sym)
+                        return (tuple(reversed(word)), False,
+                                _stats(stepper, start, explored, sizes, len(parents)))
+                    if new_key not in parents:
+                        parents[new_key] = (key, symbol)
+                        next_level.append(new_key)
+            limits.check(explored)
+            level = next_level
+    except ResourceLimitError as exc:
+        exc.stats = _stats(stepper, start, explored, sizes, len(parents))
+        raise
+    return None, True, _stats(stepper, start, explored, sizes, len(parents))
 
-    def finish(witness, exhausted):
-        stats.distinct_states = len(parents)
-        stats.transitions = stats.states_explored
-        stats.elapsed_s = time.monotonic() - start
-        return witness, exhausted, stats
 
-    level = [init]
-    depth = 0
-    while level:
-        stats.frontier_sizes.append(len(level))
-        if length_cap is not None and depth >= length_cap:
-            return finish(None, False)
-        depth += 1
-        next_level = []
-        for key in level:
-            for symbol, x in letters:
-                new_key, y = step(key, x)
-                stats.states_explored += 1
-                if stats.states_explored % 4096 == 0:
-                    stats.distinct_states = len(parents)
-                    _check_limits(stats, limits, start)
-                if y == one:
-                    word = [symbol]
-                    while parents[key] is not None:
-                        key, sym = parents[key]
-                        word.append(sym)
-                    return finish(tuple(reversed(word)), False)
-                if new_key not in parents:
-                    parents[new_key] = (key, symbol)
-                    next_level.append(new_key)
-        stats.distinct_states = len(parents)
-        _check_limits(stats, limits, start)
-        stats.max_frontier = max(stats.max_frontier, len(next_level))
-        level = next_level
-    return finish(None, True)
+def _stats(stepper, start: float, transitions: int, sizes: list[int], stored: int) -> SearchStats:
+    """The report of a search that took ``transitions`` steps over levels
+    of ``sizes`` and stored ``stored`` keys."""
+    exact = stepper.mode.is_exact
+    return SearchStats(transitions, max(sizes[1:], default=0), time.monotonic() - start,
+                       stepper.quantized_constants, stored, transitions, stepper.build_s,
+                       "int" if exact else None, stepper.one.bit_length() if exact else None,
+                       len(stepper.key), stepper.key_state_bound_log2, sizes)
 
 
 def sat_bounded(

@@ -323,6 +323,26 @@ def test_minsky_oracle_stops_at_the_resource_limits(tmp_path, monkeypatch, name,
     assert error in json.loads(json.dumps(report))["result"]["error"]
 
 
+def test_ilp_oracle_stops_at_the_state_ceiling(tmp_path, monkeypatch):
+    """2^30 candidates, none a solution, would take hours to enumerate."""
+    instance = tmp_path / "ones.txt"
+    instance.write_text("\n".join(["30", *["1 " * 30] * 30, "99 " * 30]) + "\n")
+    monkeypatch.setenv("SSMVERIFY_MAX_STATES", "1000")
+    status, report = run(["oracle", "ilp", str(instance)])
+    assert status == 3
+    assert "state ceiling 1000" in json.loads(json.dumps(report))["result"]["error"]
+
+
+def test_oracle_ltl_is_linear_in_nested_until():
+    """15 nested p U (...) over 12 letters that never reach q: the recursive
+    relation re-enters each until at every later position."""
+    formula = "p U (" * 15 + "q" + ")" * 15
+    started = time.monotonic()
+    status, report = run(["oracle", "ltl", formula, "--trace", ";".join(["{p}"] * 12)])
+    assert time.monotonic() - started < 2.0
+    assert status == 1 and report["result"]["holds"] is False
+
+
 @pytest.mark.parametrize("count", [17, 40])
 def test_compile_ltl_refuses_too_many_atoms(tmp_path, count):
     """Above MAX_ATOMS the compiler would enumerate 2^count letters; it

@@ -336,6 +336,10 @@ def test_resource_limit_is_distinct():
         sat_fixed(model, FX6, limits=ResourceLimits(max_states=3))
     assert err.value.stats is not None
     assert err.value.stats.states_explored >= 3
+    # the ceiling counts transitions taken, not keys stored
+    with pytest.raises(ResourceLimitError) as err:
+        sat_fixed(model, FX6, limits=ResourceLimits(max_states=6))
+    assert (err.value.stats.states_explored, err.value.stats.distinct_states) == (8, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +505,20 @@ def test_frontier_sizes_list_every_level():
     unsat = sat_fixed(compile_ltl(parse("G p & F !p")), FX6).stats
     # an exhausted search has put every stored state on exactly one level
     assert sum(unsat.frontier_sizes) == unsat.distinct_states
+    # the ceiling stops p U q, which finds 2 new keys per level under this
+    # format, at the end of its eighth level; 12 atoms give 4096 letters,
+    # so the check every 4096 transitions stops the first level inside it
+    partials = []
+    for formula, fmt, ceiling in (("p U q", FixedPointFormat(4096, 4095), 50),
+                                  ("X (" + " | ".join(f"a{i}" for i in range(12)) + ")", FX6, 100)):
+        with pytest.raises(ResourceLimitError) as err:
+            sat_fixed(compile_ltl(parse(formula)), fmt, limits=ResourceLimits(max_states=ceiling))
+        partials.append(err.value.stats)
+    assert partials[0].frontier_sizes == [1, 1, 2, 2, 2, 2, 2, 2]
+    assert (partials[1].states_explored, partials[1].frontier_sizes) == (4096, [1])
+    for exit_stats in (capped, stats, unsat, *partials):
+        assert exit_stats.transitions == exit_stats.states_explored
+        assert exit_stats.max_frontier == max(exit_stats.frontier_sizes[1:], default=0)
 
 
 # ---------------------------------------------------------------------------
