@@ -10,13 +10,6 @@ from .arithmetic import (
     FixedPointFormat,
     FixedPointValue,
     Rational,
-    fx_add,
-    fx_cmp,
-    fx_encode,
-    fx_max,
-    fx_mul,
-    fx_neg,
-    fx_relu,
 )
 from .compilers import (
     IlpInstance,
@@ -38,7 +31,6 @@ from .fnn import (
     FnnLayer,
     FnnNode,
     compose,
-    fnn_eval,
     gadget_and,
     gadget_eq,
     gadget_geq0,

@@ -17,7 +17,7 @@ from functools import partial
 from typing import Union
 
 from ._value import Value
-from .errors import FormatMismatchError, InputFormatError
+from .errors import InputFormatError
 
 Rational = Fraction
 
@@ -63,24 +63,19 @@ MAX_TOTAL_BITS = 4096
 class FixedPointFormat(Value):
     """Bit layout of a fixed-point number: value = raw / 2**frac_bits."""
 
-    __slots__ = ("total_bits", "frac_bits", "signed", "scale", "min_raw", "max_raw")
-    _fields = __slots__[:3]
+    __slots__ = ("total_bits", "frac_bits", "scale", "min_raw", "max_raw")
+    _fields = __slots__[:2]
 
-    def __init__(self, total_bits: int, frac_bits: int, signed: bool = True):
+    def __init__(self, total_bits: int, frac_bits: int):
         object.__setattr__(self, "total_bits", total_bits)
         object.__setattr__(self, "frac_bits", frac_bits)
-        object.__setattr__(self, "signed", signed)
         if not 1 <= self.total_bits <= MAX_TOTAL_BITS:
             raise InputFormatError(f"total_bits must satisfy 1 <= total_bits <= {MAX_TOTAL_BITS}")
         if not 0 <= self.frac_bits < self.total_bits:
             raise InputFormatError("frac_bits must satisfy 0 <= frac_bits < total_bits")
         object.__setattr__(self, "scale", 1 << self.frac_bits)
-        if self.signed:
-            object.__setattr__(self, "min_raw", -(1 << (self.total_bits - 1)))
-            object.__setattr__(self, "max_raw", (1 << (self.total_bits - 1)) - 1)
-        else:
-            object.__setattr__(self, "min_raw", 0)
-            object.__setattr__(self, "max_raw", (1 << self.total_bits) - 1)
+        object.__setattr__(self, "min_raw", -(1 << (self.total_bits - 1)))
+        object.__setattr__(self, "max_raw", (1 << (self.total_bits - 1)) - 1)
 
     @staticmethod
     def parse(text: str) -> "FixedPointFormat":
@@ -103,9 +98,9 @@ class FixedPointFormat(Value):
 FX6 = FixedPointFormat(6, 3)
 
 
-# Raw-mantissa kernels.  The SSM/FNN evaluators run on bare ints for speed;
-# the FixedPointValue ops below are thin wrappers over the same functions so
-# there is a single definition of the arithmetic.
+# Raw-mantissa kernels: the one definition of fixed-point arithmetic.
+# ``ArithMode.kernels`` binds them to a format, and ``fnn.eval_program``,
+# ``ssm.evaluate_layerwise`` and the generated step all run on bare ints.
 
 def raw_saturate(r: int, fmt: FixedPointFormat) -> int:
     if r > fmt.max_raw:
@@ -129,10 +124,6 @@ def raw_mul(a: int, b: int, fmt: FixedPointFormat) -> int:
     p = a * b
     q = p // fmt.scale if p >= 0 else -((-p) // fmt.scale)
     return raw_saturate(q, fmt)
-
-
-def raw_neg(a: int, fmt: FixedPointFormat) -> int:
-    return raw_saturate(-a, fmt)
 
 
 def raw_relu(a: int) -> int:
@@ -169,46 +160,6 @@ class FixedPointValue(Value):
 
 
 Scalar = Union[Fraction, FixedPointValue]
-
-
-def _require_same_format(a: FixedPointValue, b: FixedPointValue) -> FixedPointFormat:
-    if a.fmt != b.fmt:
-        raise FormatMismatchError(f"operand formats differ: {a.fmt} vs {b.fmt}")
-    return a.fmt
-
-
-def fx_encode(x: Fraction, fmt: FixedPointFormat) -> FixedPointValue:
-    """Quantise a rational: scale, truncate toward zero, saturate."""
-    return FixedPointValue(raw_encode(x, fmt), fmt)
-
-
-def fx_add(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    fmt = _require_same_format(a, b)
-    return FixedPointValue(raw_add(a.raw, b.raw, fmt), fmt)
-
-
-def fx_mul(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    fmt = _require_same_format(a, b)
-    return FixedPointValue(raw_mul(a.raw, b.raw, fmt), fmt)
-
-
-def fx_neg(a: FixedPointValue) -> FixedPointValue:
-    return FixedPointValue(raw_neg(a.raw, a.fmt), a.fmt)
-
-
-def fx_relu(a: FixedPointValue) -> FixedPointValue:
-    return FixedPointValue(raw_relu(a.raw), a.fmt)
-
-
-def fx_max(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    fmt = _require_same_format(a, b)
-    return FixedPointValue(max(a.raw, b.raw), fmt)
-
-
-def fx_cmp(a: FixedPointValue, b: FixedPointValue) -> int:
-    """-1, 0 or 1 as a is below, equal to or above b."""
-    _require_same_format(a, b)
-    return (a.raw > b.raw) - (a.raw < b.raw)
 
 
 class ArithMode(Value):

@@ -7,10 +7,6 @@ class SsmVerifyError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class FormatMismatchError(SsmVerifyError):
-    """Two fixed-point operands carry different formats (caller bug)."""
-
-
 class DimensionError(SsmVerifyError):
     """Vector/matrix/network dimensions do not line up."""
 

@@ -10,14 +10,15 @@ pure-relu network can express.
 A node holds its weights as one sparse row (``_row.Row``: the nonzero
 ``(input, weight)`` pairs in input order, plus the input width); every
 combinator builds those rows directly, and ``FnnNode.weights`` densifies
-them only on demand.  Evaluation is available over both scalar domains.
-Each network keeps one program per arithmetic mode (the node rows with their
-constants encoded in the mode), which ``eval_program`` interprets with the
-mode's kernels.  The SSM step compiler in ``ssm.py`` does not use these
-programs: it reads each node's row and bias and encodes them itself.  Every
-node, a plain copy included, applies its weights: where 1 is not
-representable, a copy multiplies by the saturated unit like any other
-weight-1 term.
+them only on demand.  ``eval_program`` is the one evaluator of a network,
+in either scalar domain: it takes values already in the mode (rationals, or
+raw mantissas) and runs the mode's kernels.  Each network keeps one program
+per arithmetic mode (the node rows with their constants encoded in the
+mode), which ``eval_program`` interprets.  The SSM step compiler in
+``ssm.py`` does not use these programs: it reads each node's row and bias
+and encodes them itself.  Every node, a plain copy included, applies its
+weights: where 1 is not representable, a copy multiplies by the saturated
+unit like any other weight-1 term.
 """
 
 from __future__ import annotations
@@ -28,15 +29,8 @@ from typing import Iterable, Sequence
 
 from ._row import Row
 from ._value import Value
-from .arithmetic import (
-    EXACT,
-    ArithMode,
-    FixedPointFormat,
-    FixedPointValue,
-    Scalar,
-    raw_encode,
-)
-from .errors import DimensionError, FormatMismatchError
+from .arithmetic import EXACT, ArithMode, FixedPointFormat
+from .errors import DimensionError
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -152,24 +146,6 @@ def eval_fractions(net: Fnn, values: Sequence[Fraction]) -> tuple[Fraction, ...]
 def eval_raws(net: Fnn, raws: Sequence[int], fmt: FixedPointFormat) -> tuple[int, ...]:
     """Fixed-mode evaluation on raw mantissas in ``fmt``."""
     return eval_program(net, raws, ArithMode(fmt))
-
-
-def fnn_eval(net: Fnn, inputs: Sequence[Scalar], mode: ArithMode) -> list[Scalar]:
-    """Evaluate ``net`` on an input vector, entirely within ``mode``."""
-    if len(inputs) != net.input_dim:
-        raise DimensionError(f"expected {net.input_dim} inputs, got {len(inputs)}")
-    if mode.is_exact:
-        return list(eval_program(net, tuple(Fraction(x) for x in inputs), mode))
-    fmt = mode.fmt
-    raws = []
-    for x in inputs:
-        if isinstance(x, FixedPointValue):
-            if x.fmt != fmt:
-                raise FormatMismatchError(f"input format {x.fmt} differs from mode {fmt}")
-            raws.append(x.raw)
-        else:
-            raws.append(raw_encode(Fraction(x), fmt))
-    return [FixedPointValue(r, fmt) for r in eval_program(net, raws, mode)]
 
 
 # ---------------------------------------------------------------------------

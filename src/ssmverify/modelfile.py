@@ -22,9 +22,9 @@ identity first, so a shared object is formatted once, and writes the whole
 tree with one compact ``json.dumps``.
 
 ``load_model`` also reads ``ssmverify-model-v1``, which stores every row
-dense.  ``model_to_json`` and ``model_from_json`` are the v1 reference
-writer and reader (``model_from_json`` reads v2 as well); the v1 bytes of a
-model are ``json.dumps(model_to_json(m), indent=1)`` followed by a newline.
+dense and every node in place; ``model_from_json`` reads a v1 or v2 JSON
+tree.  The library writes only v2: the v1 writer that the tests use to make
+v1 fixtures lives in ``tests/helpers.py``.
 
 A load parses each distinct literal once: one ``_Literals`` table per load,
 a ``dict`` from literal text to its ``Fraction`` that parses a text on its
@@ -60,14 +60,6 @@ from .ssm import (
 
 V1_TAG = "ssmverify-model-v1"
 V2_TAG = "ssmverify-model-v2"
-
-
-def _vec_json(vec) -> list[str]:
-    return list(map(format_rational, vec))
-
-
-def _row_json(row: Row) -> list[str]:
-    return _vec_json(row.dense())
 
 
 class _Literals(dict):
@@ -165,55 +157,6 @@ def _read(data: dict, lit: _Literals, rows, net) -> SsmModel:
 
 # ---------------------------------------------------------------------------
 # v1: every row dense, every node in place
-
-def _fnn_json(net: Fnn) -> dict:
-    return {
-        "layers": [
-            [
-                {
-                    "weights": _row_json(node.row),
-                    "bias": format_rational(node.bias),
-                    "activation": node.activation,
-                }
-                for node in layer.nodes
-            ]
-            for layer in net.layers
-        ]
-    }
-
-
-def _layer_json(layer: SsmLayer) -> dict:
-    if isinstance(layer.gate, TimeInvariantGate):
-        gate = {"kind": "time_invariant", "matrix": list(map(_row_json, layer.gate.rows))}
-    else:
-        gate = {
-            "kind": "diagonal_affine",
-            "matrix": list(map(_row_json, layer.gate.rows)),
-            "offset": _vec_json(layer.gate.offset),
-        }
-    return {
-        "h0": _vec_json(layer.h0),
-        "gate": gate,
-        "inc": {
-            "matrix": list(map(_row_json, layer.inc.rows)),
-            "offset": _vec_json(layer.inc.offset),
-        },
-        "phi": _fnn_json(layer.phi),
-    }
-
-
-def model_to_json(model: SsmModel) -> dict:
-    """The v1 JSON tree of ``model``."""
-    return {
-        "format": V1_TAG,
-        "alphabet": list(model.alphabet),
-        "dimension": model.dim,
-        "embedding": list(map(_vec_json, model.emb)),
-        "layers": list(map(_layer_json, model.layers)),
-        "output": _fnn_json(model.out),
-        "metadata": dict(sorted(model.metadata)),
-    }
-
 
 def _from_v1(data: dict, lit: _Literals) -> SsmModel:
     def net(data) -> Fnn:

@@ -18,18 +18,7 @@ from helpers import (
     word_to_trace,
 )
 from ssmverify import ltl
-from ssmverify.arithmetic import (
-    EXACT,
-    FX6,
-    ArithMode,
-    FixedPointFormat,
-    FixedPointValue,
-    fx_add,
-    fx_encode,
-    fx_mul,
-    fx_neg,
-    fx_relu,
-)
+from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat, FixedPointValue, raw_encode
 from ssmverify.compilers import (
     compile_ilp,
     compile_ltl,
@@ -45,7 +34,7 @@ from ssmverify.compilers import (
 )
 from ssmverify.errors import ResourceLimitError
 from ssmverify.fnn import (
-    fnn_eval,
+    eval_program,
     gadget_and,
     gadget_eq,
     gadget_geq0,
@@ -96,24 +85,24 @@ def test_criterion_1_gadget_tables():
         eq, leq = gadget_eq(b), gadget_leq(b)
         for n in range(-64, 65):
             x = [Fraction(n)]
-            if fnn_eval(eq, x, EXACT)[0] != (1 if n == b else 0):
+            if eval_program(eq, x, EXACT)[0] != (1 if n == b else 0):
                 failures.append(("eq", b, n))
-            if fnn_eval(leq, x, EXACT)[0] != (1 if n <= b else 0):
+            if eval_program(leq, x, EXACT)[0] != (1 if n <= b else 0):
                 failures.append(("leq", b, n))
     geq = gadget_geq0()
     for n in range(-64, 65):
-        if fnn_eval(geq, [Fraction(n)], EXACT)[0] != (1 if n >= 0 else 0):
+        if eval_program(geq, [Fraction(n)], EXACT)[0] != (1 if n >= 0 else 0):
             failures.append(("geq0", n))
     for k in range(1, 6):
         net = gadget_and(k)
         for m in range(1 << k):
             bits = [Fraction((m >> i) & 1) for i in range(k)]
-            if fnn_eval(net, bits, EXACT)[0] != (1 if all(bits) else 0):
+            if eval_program(net, bits, EXACT)[0] != (1 if all(bits) else 0):
                 failures.append(("and", k, m))
     imp = gadget_implies()
     for x, y in product((0, 1), repeat=2):
         want = 1 if (x and not y) else 0
-        if fnn_eval(imp, [Fraction(x), Fraction(y)], EXACT)[0] != want:
+        if eval_program(imp, [Fraction(x), Fraction(y)], EXACT)[0] != want:
             failures.append(("implies", x, y))
     _report("1 gadget tables", failures, time.monotonic() - start, 5.0)
 
@@ -362,7 +351,10 @@ def test_criterion_7_small_model_bound():
 
 def test_criterion_8_arithmetic_closure():
     """1e5 random op evaluations across four formats stay in range and agree
-    with the compute-exactly-then-quantise oracle; zero tolerance."""
+    with the compute-exactly-then-quantise oracle; zero tolerance.  The ops
+    are the mode's kernels on raw mantissas, the ones every evaluator and
+    the generated step run; negation is the product with the encoded -1, as
+    in a compiled model."""
     start = time.monotonic()
     rng = random.Random(SEED + 4)
     formats = [
@@ -371,22 +363,25 @@ def test_criterion_8_arithmetic_closure():
         FixedPointFormat(12, 6),
         FixedPointFormat(16, 8),
     ]
+    kernels = [ArithMode(fmt).kernels for fmt in formats]
     failures = 0
     triples = 0
     while triples < 100_000:
         fmt = formats[triples % 4]
-        a = FixedPointValue(rng.randint(fmt.min_raw, fmt.max_raw), fmt)
-        b = FixedPointValue(rng.randint(fmt.min_raw, fmt.max_raw), fmt)
+        _, add, mul, relu = kernels[triples % 4]
+        a = rng.randint(fmt.min_raw, fmt.max_raw)
+        b = rng.randint(fmt.min_raw, fmt.max_raw)
+        va, vb = Fraction(a, fmt.scale), Fraction(b, fmt.scale)
         cases = (
-            (fx_add(a, b), a.value + b.value),
-            (fx_mul(a, b), a.value * b.value),
-            (fx_relu(a), max(Fraction(0), a.value)),
-            (fx_neg(a), -a.value),
+            (add(a, b), va + vb),
+            (mul(a, b), va * vb),
+            (relu(a), max(Fraction(0), va)),
+            (mul(a, raw_encode(Fraction(-1), fmt)), -va),
         )
         for got, exact in cases:
-            if not fmt.min_raw <= got.raw <= fmt.max_raw:
+            if not fmt.min_raw <= got <= fmt.max_raw:
                 failures += 1
-            if got != fx_encode(exact, fmt):
+            if got != raw_encode(exact, fmt):
                 failures += 1
         triples += 4
     _report(

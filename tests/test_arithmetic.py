@@ -14,40 +14,35 @@ from ssmverify.arithmetic import (
     ArithMode,
     FixedPointFormat,
     FixedPointValue,
-    fx_add,
-    fx_cmp,
-    fx_encode,
-    fx_max,
-    fx_mul,
-    fx_neg,
-    fx_relu,
     parse_rational,
+    raw_add,
     raw_encode,
+    raw_mul,
+    raw_relu,
 )
-from ssmverify.errors import FormatMismatchError, InputFormatError
+from ssmverify.errors import InputFormatError
 
 FMT63 = FixedPointFormat(6, 3)
 
 
 def test_encode_exactly_representable():
-    v = fx_encode(Fraction(1, 4), FMT63)
-    assert v.raw == 2 and v.value == Fraction(1, 4)
+    raw = raw_encode(Fraction(1, 4), FMT63)
+    assert raw == 2 and FixedPointValue(raw, FMT63).value == Fraction(1, 4)
 
 
 def test_encode_truncates_toward_zero():
-    assert fx_encode(Fraction(1, 3), FMT63).value == Fraction(1, 4)
-    assert fx_encode(Fraction(-1, 3), FMT63).value == Fraction(-1, 4)
+    assert raw_encode(Fraction(1, 3), FMT63) == 2  # 1/4
+    assert raw_encode(Fraction(-1, 3), FMT63) == -2  # -1/4
 
 
 def test_encode_saturates():
-    assert fx_encode(Fraction(100), FMT63).value == Fraction(31, 8)
-    assert fx_encode(Fraction(-100), FMT63).value == Fraction(-4)
+    assert raw_encode(Fraction(100), FMT63) == FMT63.max_raw == 31  # 31/8
+    assert raw_encode(Fraction(-100), FMT63) == FMT63.min_raw == -32  # -4
 
 
 def test_encode_idempotent_on_representable():
     for raw in range(FMT63.min_raw, FMT63.max_raw + 1):
-        v = FixedPointValue(raw, FMT63)
-        assert fx_encode(v.value, FMT63) == v
+        assert raw_encode(FixedPointValue(raw, FMT63).value, FMT63) == raw
 
 
 def test_raw_out_of_range_is_an_input_error():
@@ -57,7 +52,7 @@ def test_raw_out_of_range_is_an_input_error():
 
 
 ENCODE_FORMATS = [FixedPointFormat(6, 3), FixedPointFormat(3, 2), FixedPointFormat(4, 0),
-                  FixedPointFormat(8, 3, signed=False), FixedPointFormat(4096, 4095)]
+                  FixedPointFormat(8, 3), FixedPointFormat(4096, 4095)]
 NUMERATORS = st.one_of(st.integers(-300, 300), st.integers(-10**40, 10**40))
 DENOMINATORS = st.one_of(st.integers(1, 16), st.integers(1, 10**40))
 
@@ -70,53 +65,49 @@ def test_integer_encode_equals_the_fraction_product(x, fmt):
 
 
 def test_mul_truncates():
-    a = fx_encode(Fraction(1, 4), FMT63)
-    b = fx_encode(Fraction(5, 4), FMT63)
-    assert fx_mul(a, b).value == Fraction(1, 4)  # exact 5/16 truncates to 1/4
+    a, b = raw_encode(Fraction(1, 4), FMT63), raw_encode(Fraction(5, 4), FMT63)
+    assert raw_mul(a, b, FMT63) == 2  # exact 5/16 truncates to 1/4
+    assert raw_mul(-a, b, FMT63) == -2  # and -5/16 toward zero, to -1/4
 
 
 def test_add_saturates_at_max():
-    top = FixedPointValue(FMT63.max_raw, FMT63)
-    assert fx_add(top, top) == top
+    top, bottom = FMT63.max_raw, FMT63.min_raw
+    assert raw_add(top, top, FMT63) == top
+    assert raw_add(bottom, bottom, FMT63) == bottom
 
 
 def test_relu():
-    assert fx_relu(fx_encode(Fraction(-3, 8), FMT63)).value == 0
-    assert fx_relu(fx_encode(Fraction(3, 8), FMT63)).value == Fraction(3, 8)
+    assert raw_relu(raw_encode(Fraction(-3, 8), FMT63)) == 0
+    assert raw_relu(raw_encode(Fraction(3, 8), FMT63)) == 3
 
 
 def test_neg_of_minimum_saturates():
-    bottom = FixedPointValue(FMT63.min_raw, FMT63)
-    assert fx_neg(bottom).raw == FMT63.max_raw
+    """A compiled model negates by multiplying with the encoded -1, so the
+    negation of the least mantissa saturates to the greatest."""
+    minus_one = raw_encode(Fraction(-1), FMT63)
+    assert raw_mul(FMT63.min_raw, minus_one, FMT63) == FMT63.max_raw
 
 
 def test_max_and_cmp():
-    a = fx_encode(Fraction(1, 2), FMT63)
-    b = fx_encode(Fraction(-1, 2), FMT63)
-    assert fx_max(a, b) == a
-    assert fx_cmp(a, b) == 1 and fx_cmp(b, a) == -1 and fx_cmp(a, a) == 0
+    """The encode keeps order, and mantissas compare as their values do, so
+    ``max`` and comparisons run on the bare ints."""
+    values = sorted({Fraction(n, d) for n in range(-40, 41) for d in (1, 3, 8)})
+    raws = [raw_encode(x, FMT63) for x in values]
+    assert raws == sorted(raws)
+    a, b = raw_encode(Fraction(1, 2), FMT63), raw_encode(Fraction(-1, 2), FMT63)
+    assert max(a, b) == a and a > b
+    assert FixedPointValue(a, FMT63).value > FixedPointValue(b, FMT63).value
 
 
-def test_format_mismatch_raises():
-    a = fx_encode(Fraction(1), FixedPointFormat(6, 3))
-    b = fx_encode(Fraction(1), FixedPointFormat(8, 4))
-    with pytest.raises(FormatMismatchError):
-        fx_add(a, b)
-
-
-def test_unsigned_format_range():
-    fmt = FixedPointFormat(4, 2, signed=False)
-    assert (fmt.min_raw, fmt.max_raw) == (0, 15)
-    assert fx_encode(Fraction(-1), fmt).raw == 0
-    top = FixedPointValue(15, fmt)
-    assert fx_add(top, top) == top
-    assert fx_neg(fx_encode(Fraction(1, 2), fmt)).raw == 0
-
-
-def test_format_string_round_trip():
-    fmt = FixedPointFormat.parse("fx:6:3")
-    assert fmt == FX6
-    assert str(fmt) == "fx:6:3"
+@given(st.integers(1, MAX_TOTAL_BITS).flatmap(
+    lambda total: st.tuples(st.just(total), st.integers(0, total - 1))))
+def test_format_string_round_trip(bits):
+    fmt = FixedPointFormat(*bits)
+    assert FixedPointFormat.parse(str(fmt)) == fmt
+    mode = ArithMode(fmt)
+    assert ArithMode.parse(str(mode)) == mode
+    assert FixedPointFormat.parse("fx:6:3") == FX6
+    assert str(FX6) == "fx:6:3"
     assert ArithMode.parse("exact") == EXACT
     assert ArithMode.parse("fx:8:4").fmt == FixedPointFormat(8, 4)
 
@@ -149,36 +140,38 @@ FORMATS = [FixedPointFormat(6, 3), FixedPointFormat(8, 4), FixedPointFormat(12, 
 
 
 @st.composite
-def fixed_values(draw):
+def fixed_raws(draw):
+    """A format and a mantissa in it."""
     fmt = draw(st.sampled_from(FORMATS))
-    raw = draw(st.integers(fmt.min_raw, fmt.max_raw))
-    return FixedPointValue(raw, fmt)
+    return fmt, draw(st.integers(fmt.min_raw, fmt.max_raw))
 
 
-@given(fixed_values())
-def test_ops_closed_in_format(a):
-    fmt = a.fmt
-    b = FixedPointValue((a.raw * 3 + 1) % (fmt.max_raw + 1), fmt)
-    for result in (fx_add(a, b), fx_mul(a, b), fx_neg(a), fx_relu(a)):
-        assert fmt.min_raw <= result.raw <= fmt.max_raw
-        assert result.fmt == fmt
+@given(fixed_raws())
+def test_ops_closed_in_format(fa):
+    fmt, a = fa
+    _, add, mul, relu = ArithMode(fmt).kernels
+    b = (a * 3 + 1) % (fmt.max_raw + 1)
+    minus_one = raw_encode(Fraction(-1), fmt)
+    for result in (add(a, b), mul(a, b), mul(a, minus_one), relu(a)):
+        assert fmt.min_raw <= result <= fmt.max_raw
 
 
-@given(fixed_values(), st.integers(-40, 40), st.integers(-40, 40))
-def test_ops_match_exact_then_quantise(a, rb, rc):
+@given(fixed_raws(), st.integers(-40, 40))
+def test_ops_match_exact_then_quantise(fa, rb):
     """Saturating fixed ops coincide with computing exactly and re-encoding."""
-    fmt = a.fmt
-    b = FixedPointValue(max(fmt.min_raw, min(fmt.max_raw, rb)), fmt)
-    assert fx_add(a, b) == fx_encode(a.value + b.value, fmt)
-    assert fx_mul(a, b) == fx_encode(a.value * b.value, fmt)
-    assert fx_neg(a) == fx_encode(-a.value, fmt)
-    assert fx_relu(a) == fx_encode(max(Fraction(0), a.value), fmt)
+    fmt, a = fa
+    _, add, mul, relu = ArithMode(fmt).kernels
+    b = max(fmt.min_raw, min(fmt.max_raw, rb))
+    va, vb = Fraction(a, fmt.scale), Fraction(b, fmt.scale)
+    assert add(a, b) == raw_encode(va + vb, fmt)
+    assert mul(a, b) == raw_encode(va * vb, fmt)
+    assert mul(a, raw_encode(Fraction(-1), fmt)) == raw_encode(-va, fmt)
+    assert relu(a) == raw_encode(max(Fraction(0), va), fmt)
 
 
 @given(st.fractions(min_value=-6, max_value=6))
 def test_truncation_never_grows_magnitude(x):
-    encoded = fx_encode(x, FMT63)
-    assert abs(encoded.value) <= abs(x)
+    assert abs(Fraction(raw_encode(x, FMT63), FMT63.scale)) <= abs(x)
 
 
 # Expression trees: (op, left, right) over rational leaves. The oracle works
@@ -245,15 +238,15 @@ def test_exact_mode_matches_bigint_oracle():
         assert (value.numerator, value.denominator) == (n, d)
 
 
-@given(fixed_values(), st.integers(), st.integers())
+@given(fixed_raws(), st.integers(), st.integers())
 @settings(max_examples=200)
-def test_add_never_leaves_bounds_on_triples(a, rb, rc):
-    fmt = a.fmt
-    b = FixedPointValue(rb % (fmt.max_raw - fmt.min_raw + 1) + fmt.min_raw, fmt)
-    c = FixedPointValue(rc % (fmt.max_raw - fmt.min_raw + 1) + fmt.min_raw, fmt)
-    left = fx_add(fx_add(a, b), c)
-    right = fx_add(a, fx_add(b, c))
+def test_add_never_leaves_bounds_on_triples(fa, rb, rc):
+    fmt, a = fa
+    b = rb % (fmt.max_raw - fmt.min_raw + 1) + fmt.min_raw
+    c = rc % (fmt.max_raw - fmt.min_raw + 1) + fmt.min_raw
+    left = raw_add(raw_add(a, b, fmt), c, fmt)
+    right = raw_add(a, raw_add(b, c, fmt), fmt)
     for r in (left, right):
-        assert fmt.min_raw <= r.raw <= fmt.max_raw
+        assert fmt.min_raw <= r <= fmt.max_raw
     # commutativity survives saturation even when associativity does not
-    assert fx_add(a, b) == fx_add(b, a)
+    assert raw_add(a, b, fmt) == raw_add(b, a, fmt)

@@ -13,13 +13,13 @@ from pathlib import Path
 import pytest
 
 import ssmverify
-from helpers import geometric_model, walk_words
+from helpers import geometric_model, model_to_json, v1_text, walk_words
 from ssmverify.arithmetic import EXACT, MAX_TOTAL_BITS, ArithMode, FixedPointFormat
 from ssmverify.cli import main, run
 from ssmverify.compilers import compile_ltl, compile_minsky, parse_minsky
 from ssmverify.fnn import select_fnn
 from ssmverify.ltl import parse
-from ssmverify.modelfile import load_model, model_from_json, model_to_json, save_model
+from ssmverify.modelfile import load_model, model_from_json, save_model
 from ssmverify.ssm import (
     AffineMap,
     SsmLayer,
@@ -421,9 +421,8 @@ PUBLIC_NAMES = frozenset("""
     FixedPointValue Fnn FnnLayer FnnNode IlpInstance LengthBound MinskyMachine
     MinskyRun Rational ResourceLimits SatResult SsmLayer SsmModel StreamState
     TimeInvariantGate accepts classify_gates compile_ilp compile_ltl
-    compile_minsky compose evaluate evaluate_layerwise fnn_eval fx_add fx_cmp
-    fx_encode fx_max fx_mul fx_neg fx_relu gadget_and gadget_eq gadget_geq0
-    gadget_implies gadget_leq gadget_lookup gadget_min1 holds ilp_oracle
+    compile_minsky compose evaluate evaluate_layerwise gadget_and gadget_eq
+    gadget_geq0 gadget_implies gadget_leq gadget_lookup gadget_min1 holds ilp_oracle
     initial_state load_model lower_identities minsky_oracle parse parse_ilp
     parse_minsky pretty prev_bit_layer pump_down quantization_report
     run_encode run_layer sat_bounded sat_fixed satisfiable_bruteforce
@@ -583,7 +582,7 @@ def test_saved_bytes_equal_the_indented_json_dump(tmp_path):
     save of a load, from either version, is byte-identical."""
     v1, v2, again = tmp_path / "m.v1.ssm", tmp_path / "m.v2.ssm", tmp_path / "again.ssm"
     for model in _seeded_models():
-        v1.write_text(json.dumps(model_to_json(model), indent=1) + "\n")
+        v1.write_text(v1_text(model))
         save_model(model, str(v2))
         assert json.loads(v2.read_text())["format"] == "ssmverify-model-v2"
         for path in (v1, v2):

@@ -36,7 +36,7 @@ from ssmverify.compilers import (
     validate_word,
 )
 from ssmverify.errors import DimensionError, InputFormatError, InvalidMachineError
-from ssmverify.fnn import RELU, compose, fnn_eval, gadget_min1, linear_fnn, select_fnn
+from ssmverify.fnn import RELU, compose, eval_program, gadget_min1, linear_fnn, select_fnn
 from ssmverify.ltl import holds, parse
 from ssmverify.ssm import GateClasses, accepts, classify_gates, evaluate_layerwise, run_layer
 from ssmverify.words import pair_symbol, set_symbol
@@ -96,11 +96,11 @@ def test_pointwise_reads_columns_out_of_order_and_shared():
     rng = random.Random(13)
     for _ in range(200):
         xs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(width)]
-        got = fnn_eval(net, xs, EXACT)
+        got = eval_program(net, xs, EXACT)
         assert got[0] == xs[0]
-        assert got[2] == fnn_eval(gadget_min1(), [xs[2]], EXACT)[0]
+        assert got[2] == eval_program(gadget_min1(), [xs[2]], EXACT)[0]
         for j, (gadget, columns) in ((1, gadgets[1]), (3, gadgets[3])):
-            assert got[j] == fnn_eval(compose(gadget, select_fnn(columns, width)), xs, EXACT)[0]
+            assert got[j] == eval_program(compose(gadget, select_fnn(columns, width)), xs, EXACT)[0]
 
 
 @pytest.mark.parametrize("gadgets", [{4: gadget_min1()}, {0: (gadget_min1(), (6,))}])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat, FixedPointValue
-from ssmverify.errors import DimensionError, FormatMismatchError
+from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat, raw_encode
+from ssmverify.errors import DimensionError
 from ssmverify.fnn import (
     Fnn,
     FnnLayer,
@@ -16,7 +16,7 @@ from ssmverify.fnn import (
     IDENTITY,
     RELU,
     compose,
-    fnn_eval,
+    eval_program,
     gadget_and,
     gadget_eq,
     gadget_geq0,
@@ -34,22 +34,17 @@ FX6_MODE = ArithMode(FX6)
 
 
 def run1(net, *xs):
-    return fnn_eval(net, [Fraction(x) for x in xs], EXACT)[0]
+    return eval_program(net, [Fraction(x) for x in xs], EXACT)[0]
+
+
+def raws1(net, *xs, mode=FX6_MODE):
+    """The first output mantissa of ``net`` on ``xs`` encoded in ``mode``."""
+    return eval_program(net, [raw_encode(Fraction(x), mode.fmt) for x in xs], mode)[0]
 
 
 def test_identity_net():
     net = identity_fnn(2)
-    assert fnn_eval(net, [Fraction(3), Fraction(-2)], EXACT) == [3, -2]
-
-
-def test_fixed_point_inputs_pass_as_they_are():
-    """Inputs already in the mode's format are taken raw; an input of
-    another format is refused, not re-encoded."""
-    net = linear_fnn([[1, 1]], [0])
-    inputs = [FixedPointValue(3, FX6), Fraction(1, 2)]
-    assert fnn_eval(net, inputs, FX6_MODE) == [FixedPointValue(7, FX6)]
-    with pytest.raises(FormatMismatchError):
-        fnn_eval(net, [FixedPointValue(3, FixedPointFormat(8, 4)), Fraction(1, 2)], FX6_MODE)
+    assert eval_program(net, [Fraction(3), Fraction(-2)], EXACT) == (3, -2)
 
 
 @pytest.mark.parametrize("b", range(-8, 9))
@@ -89,8 +84,7 @@ def test_gadget_and_table(k):
     net = gadget_and(k)
     for m in range(1 << k):
         bits = [(m >> i) & 1 for i in range(k)]
-        got = fnn_eval(net, [Fraction(b) for b in bits], EXACT)[0]
-        assert got == (1 if all(bits) else 0)
+        assert run1(net, *bits) == (1 if all(bits) else 0)
 
 
 def test_gadget_implies_polarity():
@@ -98,13 +92,13 @@ def test_gadget_implies_polarity():
     # 0 when the implication holds, 1 otherwise
     table = {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0}
     for (x, y), want in table.items():
-        assert fnn_eval(net, [Fraction(x), Fraction(y)], EXACT)[0] == want
+        assert run1(net, x, y) == want
 
 
 @given(st.fractions(), st.fractions())
 @settings(max_examples=200, deadline=None)
 def test_gadget_implies_is_one_minus_min1(x, y):
-    assert fnn_eval(gadget_implies(), [x, y], EXACT)[0] == 1 - min(1, 1 - x + y)
+    assert run1(gadget_implies(), x, y) == 1 - min(1, 1 - x + y)
 
 
 def test_gadget_min1():
@@ -130,7 +124,7 @@ def test_gadget_lookup_transition_table():
         vec[f] = 1
         vec[2 + t] = 1
         vec[4 + a] = 1
-        return fnn_eval(net, [Fraction(v) for v in vec], EXACT)[0]
+        return run1(net, *vec)
     assert query(0, 1, 0) == 0
     assert query(1, 1, 0) == 1
     for f in range(2):
@@ -146,7 +140,7 @@ def test_gadget_lookup_empty_table_rejects_everything():
             vec = [0] * 4
             vec[f] = 1
             vec[2 + t] = 1
-            assert fnn_eval(net, [Fraction(v) for v in vec], EXACT)[0] == 1
+            assert run1(net, *vec) == 1
 
 
 def test_compose_examples():
@@ -180,9 +174,9 @@ def small_linear_nets(draw, input_dim=None):
 def test_compose_extensionality(inner, data):
     outer = data.draw(small_linear_nets(input_dim=inner.output_dim))
     xs = [Fraction(data.draw(st.integers(-4, 4))) for _ in range(inner.input_dim)]
-    sequential = fnn_eval(outer, fnn_eval(inner, xs, EXACT), EXACT)
-    assert fnn_eval(compose(outer, inner), xs, EXACT) == sequential
-    assert fnn_eval(compose(inner, identity_fnn(inner.input_dim)), xs, EXACT) == fnn_eval(
+    sequential = eval_program(outer, eval_program(inner, xs, EXACT), EXACT)
+    assert eval_program(compose(outer, inner), xs, EXACT) == sequential
+    assert eval_program(compose(inner, identity_fnn(inner.input_dim)), xs, EXACT) == eval_program(
         inner, xs, EXACT
     )
 
@@ -192,7 +186,7 @@ def test_compose_extensionality(inner, data):
 def test_lowering_is_extensional(net, data):
     xs = [Fraction(data.draw(st.integers(-4, 4))) for _ in range(net.input_dim)]
     lowered = lower_identities(net)
-    assert fnn_eval(lowered, xs, EXACT) == fnn_eval(net, xs, EXACT)
+    assert eval_program(lowered, xs, EXACT) == eval_program(net, xs, EXACT)
     # interior layers of the lowered net are pure relu
     for layer in lowered.layers[:-1]:
         assert all(n.activation == RELU for n in layer.nodes)
@@ -200,59 +194,51 @@ def test_lowering_is_extensional(net, data):
 
 def test_fixed_mode_gadgets_within_six_bits():
     """The compiled models only use gadget instances whose pre-activations
-    fit the 6-bit range; those stay exact on inputs -3..3 in fx6."""
+    fit the 6-bit range; those stay exact on inputs -3..3 in fx6, where 1
+    is the mantissa ``FX6.scale``."""
+    one = FX6.scale
     for b in (-2, -1, 0, 1, 2, 3):
         net = gadget_eq(b)
         for n in range(-3, 4):
-            got = fnn_eval(net, [Fraction(n)], FX6_MODE)[0]
-            assert got.value == (1 if n == b else 0), (b, n)
+            assert raws1(net, n) == (one if n == b else 0), (b, n)
     # leq: the true side needs b - x <= 2 before saturation bites
     for b in (-1, 0, 1, 2):
         net = gadget_leq(b)
         for n in range(max(-3, b - 2), 4):
-            got = fnn_eval(net, [Fraction(n)], FX6_MODE)[0]
-            assert got.value == (1 if n <= b else 0), (b, n)
+            assert raws1(net, n) == (one if n <= b else 0), (b, n)
     # geq0 saturates at +3 (pre-activation 4); exact below that
     net = gadget_geq0()
     for n in range(-3, 3):
-        assert fnn_eval(net, [Fraction(n)], FX6_MODE)[0].value == (1 if n >= 0 else 0)
+        assert raws1(net, n) == (one if n >= 0 else 0)
     # conjunction sums saturate beyond arity 3
     for k in (1, 2, 3):
         net = gadget_and(k)
         for m in range(1 << k):
-            bits = [Fraction((m >> i) & 1) for i in range(k)]
-            got = fnn_eval(net, bits, FX6_MODE)[0]
-            assert got.value == (1 if all(bits) else 0)
+            bits = [(m >> i) & 1 for i in range(k)]
+            assert raws1(net, *bits) == (one if all(bits) else 0)
     net = gadget_min1()
     for n in range(-3, 4):
-        assert fnn_eval(net, [Fraction(n)], FX6_MODE)[0].value == min(1, n)
+        assert raws1(net, n) == min(1, n) * one
     net = gadget_implies()
     for x in (0, 1):
         for y in (0, 1):
-            got = fnn_eval(net, [Fraction(x), Fraction(y)], FX6_MODE)[0]
-            assert got.value == (1 if (x and not y) else 0)
+            assert raws1(net, x, y) == (one if (x and not y) else 0)
 
 
 def test_unit_weight_copy_saturates_like_any_unit_weight():
     """In fx:3:2 the weight 1 encodes to 3/4, and an identity copy applies
     it like a relu node does: 3/4 * 1/2 truncates to 1/4 (raw 1)."""
     mode = ArithMode(FixedPointFormat(3, 2))
-    copied = fnn_eval(linear_fnn([[1]]), [Fraction(1, 2)], mode)
-    rectified = fnn_eval(linear_fnn([[1]], activation=RELU), [Fraction(1, 2)], mode)
-    assert copied == rectified
-    assert copied[0].raw == 1
-
-
-def test_eval_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        fnn_eval(gadget_eq(0), [Fraction(1), Fraction(2)], EXACT)
+    copied = raws1(linear_fnn([[1]]), Fraction(1, 2), mode=mode)
+    rectified = raws1(linear_fnn([[1]], activation=RELU), Fraction(1, 2), mode=mode)
+    assert copied == rectified == 1
 
 
 def test_select_and_linear_helpers():
     net = select_fnn([2, 0], 3)
-    assert fnn_eval(net, [Fraction(5), Fraction(6), Fraction(7)], EXACT) == [7, 5]
+    assert eval_program(net, [Fraction(5), Fraction(6), Fraction(7)], EXACT) == (7, 5)
     aff = linear_fnn([[1, 1], [1, -1]], bias=[0, 1])
-    assert fnn_eval(aff, [Fraction(2), Fraction(3)], EXACT) == [5, 0]
+    assert eval_program(aff, [Fraction(2), Fraction(3)], EXACT) == (5, 0)
 
 
 @pytest.mark.parametrize("index", [-1, 3])

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import model_to_json
 from ssmverify.cli import run
 from ssmverify.compilers import compile_ltl
 from ssmverify.errors import InputFormatError
 from ssmverify.ltl import parse
-from ssmverify.modelfile import load_model, model_to_json, save_model
+from ssmverify.modelfile import load_model, save_model
 from ssmverify.ssm import SsmModel
 
 SETTINGS = settings(max_examples=120, deadline=None,

@@ -8,12 +8,12 @@ from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
-from helpers import geometric_model, hand_formulas, random_ilp, random_machine
+from helpers import geometric_model, hand_formulas, random_ilp, random_machine, v1_text
 from ssmverify.cli import run
 from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, parse_ilp, parse_minsky
 from ssmverify.fnn import linear_fnn, select_fnn
 from ssmverify.ltl import parse
-from ssmverify.modelfile import load_model, model_to_json, save_model
+from ssmverify.modelfile import load_model, save_model
 from ssmverify.ssm import (
     AffineMap, DiagonalAffineGate, SsmLayer, SsmModel, _constants, _denominator,
 )
@@ -45,11 +45,6 @@ def test_input_format_checksums():
     assert machine.states == ("q0", "qf", "q1")
     inst = parse_ilp(ILP_TEXT)
     assert inst.matrix == ((1, 1), (0, 1)) and inst.target == (1, 1)
-
-
-def v1_text(model) -> str:
-    """The v1 bytes of ``model``: the indented dump of its v1 JSON tree."""
-    return json.dumps(model_to_json(model), indent=1) + "\n"
 
 
 def v2_text(model, path) -> str:
@@ -126,10 +121,11 @@ def test_compiled_minsky_ilp_corpus_checksum(tmp_path):
         "dd32fbca97bc0487898481a7c9d88264ff07a3751235e0d5a23d126edca70fa6")
 
 
-# A v1 file as the v1 writer saved the compiled model of V1_FORMULA, with
-# the verdict and witness that ``sat fixed --arith fx:6:3`` gave on it.  The
-# file holds an earlier layout of the compile (one layer per subformula), so
-# it is judged by its behaviour, which a fresh compile must share.
+# A v1 file as the v1 writer in ``helpers`` saved the compiled model of
+# V1_FORMULA, with the verdict and witness that ``sat fixed --arith fx:6:3``
+# gave on it.  The file holds an earlier layout of the compile (one layer
+# per subformula), so it is judged by its behaviour, which a fresh compile
+# must share.
 V1_FIXTURE = Path(__file__).parent / "data" / "xp_and_not_q.v1.ssm"
 V1_FORMULA = "X p & !q"
 

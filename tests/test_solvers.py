@@ -209,7 +209,7 @@ def test_sat_fixed_quantisation_is_reported():
 
 @pytest.mark.parametrize(
     "fmt",
-    [FX6, FixedPointFormat(3, 2), FixedPointFormat(4, 0), FixedPointFormat(6, 3, signed=False)],
+    [FX6, FixedPointFormat(3, 2), FixedPointFormat(4, 0)],
     ids=str,
 )
 def test_sat_fixed_counts_quantised_constants_like_the_report(fmt):

@@ -247,7 +247,6 @@ def test_streaming_equals_layerwise_fixed(model, data):
     # fx:3:2 cannot represent 1, so no unit weight may become an alias there
     fmt = data.draw(st.sampled_from([
         FX6, FixedPointFormat(8, 4), FixedPointFormat(10, 2), FixedPointFormat(3, 2),
-        FixedPointFormat(6, 3, signed=False),
     ]))
     mode = ArithMode(fmt)
     n = data.draw(st.integers(1, 5))
@@ -545,7 +544,7 @@ def test_dense_views_rebuild_the_same_model(model):
         save_model(rebuilt, paths[1])
         first, second = (Path(path).read_bytes() for path in paths)
     assert first == second
-    for fmt in (FX6, FixedPointFormat(3, 2), FixedPointFormat(6, 3, signed=False)):
+    for fmt in (FX6, FixedPointFormat(3, 2)):
         report = quantization_report(model, fmt)
         assert report == quantization_report(rebuilt, fmt) == _dense_quantization_report(model, fmt)
 

@@ -56,9 +56,8 @@ CASES = [
     (Next, dict(sub=Atom("p")), dict(sub=Not(Atom("p"))), ("sub",), ("sub",)),
     (Until, dict(left=Atom("p"), right=Atom("q")), dict(left=Atom("r"), right=Atom("q")),
      ("left", "right"), ("left", "right")),
-    (FixedPointFormat, dict(total_bits=6, frac_bits=3, signed=False),
-     dict(total_bits=6, frac_bits=3, signed=True),
-     ("total_bits", "frac_bits", "signed"), ("total_bits", "frac_bits", "signed")),
+    (FixedPointFormat, dict(total_bits=6, frac_bits=3), dict(total_bits=6, frac_bits=4),
+     ("total_bits", "frac_bits"), ("total_bits", "frac_bits")),
     (FixedPointValue, dict(raw=5, fmt=FX), dict(raw=-5, fmt=FX), ("raw", "fmt"), ("raw", "fmt")),
     (ArithMode, dict(fmt=FX), dict(fmt=None), ("fmt",), ("fmt",)),
     (FnnNode, dict(weights=(F(1), F(0)), bias=F(1, 2), activation=IDENTITY),
@@ -143,8 +142,8 @@ class _Impostor:
 
 
 def test_defaults():
-    assert FixedPointFormat(6, 3) == FixedPointFormat(6, 3, True)
-    assert FixedPointFormat(6, 3).signed is True
+    with pytest.raises(TypeError):  # every format is signed; str and parse say all of it
+        FixedPointFormat(6, 3, False)
     assert ArithMode().fmt is None
     assert FnnNode((F(1),), F(0)).activation == RELU
     assert LengthBound(3).encoding == "unary"
