@@ -14,7 +14,6 @@ import re
 import reprlib
 from fractions import Fraction
 from functools import partial
-from typing import Union
 
 from ._value import Value
 from .errors import InputFormatError
@@ -159,7 +158,7 @@ class FixedPointValue(Value):
         return f"{self.value} [{self.fmt}]"
 
 
-Scalar = Union[Fraction, FixedPointValue]
+Scalar = Fraction | FixedPointValue
 
 
 class ArithMode(Value):

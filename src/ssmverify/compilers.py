@@ -20,7 +20,6 @@ number of levels with an ``X``.
 
 from __future__ import annotations
 
-import functools
 import re
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -39,7 +38,6 @@ from .fnn import (
     Fnn,
     FnnLayer,
     FnnNode,
-    IDENTITY,
     RELU,
     compose,
     gadget_and,
@@ -52,6 +50,7 @@ from .fnn import (
     identity_fnn,
     linear_fnn,
     select_fnn,
+    _copies,
 )
 from .ltl import LtlFormula, Atom, Not, And, Or, Next, children, subformulas_topo
 from .solvers import ResourceLimits
@@ -63,7 +62,6 @@ from .ssm import (
     TimeInvariantGate,
     Vector,
     classify_gates,
-    projection_phi,
 )
 from .words import pair_symbol, set_symbol, symbol_pair
 
@@ -103,21 +101,17 @@ def _zeros(d: int) -> Vector:
     return (F0,) * d
 
 
-@functools.lru_cache(maxsize=16)
-def _copies(width: int) -> tuple[FnnNode, ...]:
-    """The identity node copying each input of a ``width``-input layer;
-    immutable, so every pointwise network of that width shares them.  A
-    model's pointwise networks use a handful of widths, hence the bound."""
-    return tuple(FnnNode(Row(((k, F1),), width), F0, IDENTITY) for k in range(width))
-
-
-def _pointwise(d: int, gadgets: dict, width: Optional[int] = None) -> Fnn:
+def _pointwise(d: int, gadgets: dict, width: Optional[int] = None,
+               compact: bool = False) -> Fnn:
     """``width`` inputs (default 2d, the (h, x) of a layer) -> d outputs:
     output j is ``gadgets[j]``, a one-output network reading input j or a
     pair (network, columns) whose first layer reads those inputs in any
     order; every other output j copies input j on identity nodes, one per
     layer, as does a gadget shallower than the deepest one after its end.
-    Nodes keep output order; with no gadget this is the projection."""
+    Nodes keep output order; with no gadget this is the projection.  With
+    ``compact`` only the gadgets' outputs are built, in ascending order:
+    the ``net`` of a layer that computes those coordinates and passes the
+    others through (it needs at least one gadget)."""
     width = 2 * d if width is None else width
     if any(not 0 <= j < d for j in gadgets):
         raise DimensionError(f"tracked positions {sorted(gadgets)} outside dimension {d}")
@@ -137,7 +131,7 @@ def _pointwise(d: int, gadgets: dict, width: Optional[int] = None) -> Fnn:
     for depth in range(max((len(net.layers) for net in nets.values()), default=1)):
         nodes: list[FnnNode] = []
         copies = _copies(width)
-        for j in range(d):
+        for j in sorted(nets) if compact else range(d):
             first, cols, net = len(nodes), slots[j], nets.get(j)
             if net is None or depth >= len(net.layers):
                 nodes.append(copies[cols[0]])
@@ -182,16 +176,20 @@ _PREV_BIT_DECODER = Fnn(tuple(
 ))
 
 
+def _layer(h0: Vector, gate, inc: AffineMap, gadgets: dict) -> SsmLayer:
+    """The layer whose phi applies ``gadgets`` as ``_pointwise`` does and
+    passes every other coordinate through, with no copy node stored."""
+    net = _pointwise(len(h0), gadgets, compact=True) if gadgets else None
+    return SsmLayer(h0, gate, inc, net, tuple(sorted(gadgets)))
+
+
 def prev_bit_layer(d: int, positions: Iterable[int]) -> SsmLayer:
     """Layer whose output on each tracked 0/1 dimension is that dimension's
     previous input (0 at the first position); passthrough elsewhere."""
     tracked = sorted(set(positions))
-    return SsmLayer(
-        h0=_zeros(d),
-        gate=TimeInvariantGate(_sparse(_empty(d), [(p, p, _QUARTER) for p in tracked])),
-        inc=AffineMap(_eye(d), _zeros(d)),
-        phi=_pointwise(d, dict.fromkeys(tracked, _PREV_BIT_DECODER)),
-    )
+    gate = TimeInvariantGate(_sparse(_empty(d), [(p, p, _QUARTER) for p in tracked]))
+    return _layer(_zeros(d), gate, AffineMap(_eye(d), _zeros(d)),
+                  dict.fromkeys(tracked, _PREV_BIT_DECODER))
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +308,11 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
                 gadgets[i] = gadget
             if isinstance(sub, Next):
                 nexts.append(i)
-        layers.append(SsmLayer(
-            h0=zero_off,
-            gate=DiagonalAffineGate(_sparse(empty, gate_terms), zero_off) if gate_terms else no_gate,
-            inc=AffineMap(_sparse(eye, inc_terms), zero_off),
-            phi=_pointwise(d, gadgets),
+        layers.append(_layer(
+            zero_off,
+            DiagonalAffineGate(_sparse(empty, gate_terms), zero_off) if gate_terms else no_gate,
+            AffineMap(_sparse(eye, inc_terms), zero_off),
+            gadgets,
         ))
         if nexts:
             layers.append(prev_bit_layer(d, nexts))
@@ -536,8 +534,8 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
 
     def accumulator(first: int, last: int) -> SsmLayer:
         """Sums coordinates first..last over the word; passes the rest through."""
-        return SsmLayer(_zeros(d), TimeInvariantGate(_mask(first, last, d)),
-                        AffineMap(_eye(d), _zeros(d)), projection_phi(d))
+        return _layer(_zeros(d), TimeInvariantGate(_mask(first, last, d)),
+                      AffineMap(_eye(d), _zeros(d)), {})
 
     # layer 2: quarter-shift history on the second state block, seeded with
     # the start state; phi decodes it, then sums the violations of the step
@@ -627,12 +625,7 @@ def compile_ilp(inst: IlpInstance) -> SsmModel:
     inc = _sparse(_empty(dd), [(r, c, Fraction(w)) for r, row in enumerate(inst.matrix)
                                for c, w in enumerate(row) if w]
                   + [(d + r, r, F1) for r in range(d)])
-    layer = SsmLayer(
-        h0=_zeros(dd),
-        gate=TimeInvariantGate(_eye(dd)),
-        inc=AffineMap(inc, _zeros(dd)),
-        phi=projection_phi(dd),
-    )
+    layer = _layer(_zeros(dd), TimeInvariantGate(_eye(dd)), AffineMap(inc, _zeros(dd)), {})
     gadgets = [gadget_eq(b) for b in inst.target] + [gadget_leq(1)] * d
     out = compose(gadget_and(dd), _pointwise(dd, dict(enumerate(gadgets)), width=dd))
     biggest = max(max(sum(row) for row in inst.matrix), max(inst.target), d, 1)

@@ -18,13 +18,17 @@ mode), which ``eval_program`` interprets.  The SSM step compiler in
 ``ssm.py`` does not use these programs: it reads each node's row and bias
 and encodes them itself.  Every node, a plain copy included, applies its
 weights: where 1 is not representable, a copy multiplies by the saturated
-unit like any other weight-1 term.
+unit like any other weight-1 term.  A compiled SSM layer stores no copy
+nodes for the coordinates it passes through; ``SsmLayer.phi`` rebuilds them
+as ``_copies`` nodes, and the pass-through rule of ``ssm.py`` applies the
+same unit products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from math import inf
 from typing import Iterable, Sequence
 
 from ._row import Row
@@ -125,7 +129,10 @@ class Fnn(Value):
 def eval_program(net: Fnn, values: Sequence, mode: ArithMode) -> tuple:
     """Evaluate ``net`` on values already in ``mode`` (rationals, or raw
     mantissas): each node adds its terms to the bias one by one, so in fixed
-    mode every product and partial sum saturates in the canonical order."""
+    mode every product and partial sum saturates in the canonical order.
+    ``values`` must have one entry per input of ``net``."""
+    if len(values) != net.input_dim:
+        raise DimensionError(f"network has {net.input_dim} inputs, got {len(values)} values")
     _, add, mul, relu = mode.kernels
     current = values
     for layer in net._program_for(mode):
@@ -218,6 +225,76 @@ def select_fnn(indices: Sequence[int], input_dim: int) -> Fnn:
             raise DimensionError(f"selected index {i} outside 0..{input_dim - 1}")
         nodes.append(FnnNode(Row(((i, _ONE),), input_dim), _ZERO, IDENTITY))
     return Fnn((FnnLayer(tuple(nodes)),))
+
+
+@lru_cache(maxsize=16)
+def _copies(width: int) -> tuple[FnnNode, ...]:
+    """The identity node copying each input of a ``width``-input layer;
+    immutable, so every network of that width shares them.  A model's
+    networks use a handful of widths, hence the bound."""
+    return tuple(FnnNode(Row(((k, _ONE),), width), _ZERO, IDENTITY) for k in range(width))
+
+
+def _owners(net: Fnn, computes: tuple) -> list[list]:
+    """For each layer of ``net``, the owner of each node: the least listed
+    coordinate whose output reads it through the rows' terms, infinite for
+    a node that no output reads."""
+    owners = [list(computes)]
+    for layer in reversed(net.layers[1:]):
+        below = [inf] * layer.input_dim
+        for node, owner in zip(layer.nodes, owners[-1]):
+            for k, _ in node.row.terms:
+                if owner < below[k]:
+                    below[k] = owner
+        owners.append(below)
+    owners.reverse()
+    return owners
+
+
+def _merged(passes: list, nodes, owners: list):
+    """The ``nodes`` of one layer of a network, in ascending order, and the
+    copy of each coordinate of ``passes`` (ascending) in their order in the
+    expanded layer: a copy comes before the first node that a greater
+    coordinate owns.  Yields ``i`` for node i and ``~j`` for the copy of j."""
+    p, n = 0, len(passes)
+    for i in nodes:
+        while p < n and passes[p] < owners[i]:
+            yield ~passes[p]
+            p += 1
+        yield i
+    for j in passes[p:]:
+        yield ~j
+
+
+def _with_copies(net: Fnn | None, computes: tuple, d: int) -> Fnn:
+    """The full 2d -> d network of a layer that computes the coordinates
+    ``computes`` with ``net`` (None for none) and passes every other
+    coordinate j through: input j copied on one identity node per layer of
+    ``net``, at least one.  The nodes are in ``_merged`` order, which keeps
+    the nodes of each output together and in output order."""
+    if len(computes) == d:
+        return net
+    listed = set(computes)
+    passes = [j for j in range(d) if j not in listed]
+    where, at, width = None, {j: j for j in passes}, 2 * d  # positions in the layer below
+    layers = []
+    for t, owners in enumerate(_owners(net, computes) if net is not None else [()]):
+        nodes = net.layers[t].nodes if net is not None else ()
+        out, above, copied = [], [0] * len(nodes), {}
+        for item in _merged(passes, range(len(nodes)), owners):
+            if item < 0:
+                copied[~item] = len(out)
+                out.append(_copies(width)[at[~item]])
+                continue
+            node = nodes[item]
+            if where is not None:
+                node = FnnNode(Row(tuple((where[k], w) for k, w in node.row.terms), width),
+                               node.bias, node.activation)
+            above[item] = len(out)
+            out.append(node)
+        layers.append(FnnLayer(tuple(out)))
+        where, at, width = above, copied, len(out)
+    return Fnn(tuple(layers))
 
 
 def _relu_layer(rows: Sequence[tuple[Sequence | Row, int | Fraction]]) -> FnnLayer:

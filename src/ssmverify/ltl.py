@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from itertools import product
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from ._value import Value
 from .errors import LtlSyntaxError, TracePositionError
@@ -65,7 +65,7 @@ class Until(Value):
         object.__setattr__(self, "right", right)
 
 
-LtlFormula = Union[Atom, Not, Or, And, Next, Until]
+LtlFormula = Atom | Not | Or | And | Next | Until
 
 
 def children(phi: LtlFormula) -> tuple[LtlFormula, ...]:

@@ -15,16 +15,22 @@ columns and no zero weight.  Each distinct FNN node is stored once, in the
 network (``phi``, ``output``) is a list of layers, each the list of its
 nodes' indices.  ``h0``, offsets, biases and the embedding stay literal
 strings, so the only JSON numbers are the dimension, indices, columns and
-widths.  The tables list entries in order of first use, the layers first and
+widths.  A layer that passes coordinates through (see ``ssm.SsmLayer``)
+has the key ``computes``, the ascending list of the coordinates it
+computes, and its ``phi`` is the network of those alone, ``[]`` when the
+list is empty.  Without the key a layer computes every coordinate, so
+files written before the key existed load, decide and re-save as they
+were.  The tables list entries in order of first use, the layers first and
 the output network last, so equal models give equal bytes whether or not
 they share row objects.  A save looks each row, node and literal up by
 identity first, so a shared object is formatted once, and writes the whole
 tree with one compact ``json.dumps``.
 
 ``load_model`` also reads ``ssmverify-model-v1``, which stores every row
-dense and every node in place; ``model_from_json`` reads a v1 or v2 JSON
-tree.  The library writes only v2: the v1 writer that the tests use to make
-v1 fixtures lives in ``tests/helpers.py``.
+dense, every node in place and every layer's full network;
+``model_from_json`` reads a v1 or v2 JSON tree.  The library writes only
+v2: the v1 writer that the tests use to make v1 fixtures lives in
+``tests/helpers.py``.
 
 A load parses each distinct literal once: one ``_Literals`` table per load,
 a ``dict`` from literal text to its ``Fraction`` that parses a text on its
@@ -37,8 +43,9 @@ any other literal that parses to zero (``"-0"``, ``"0/7"``) is dropped.
 Every malformed file (not UTF-8, not JSON, a missing key, a value of the
 wrong type, a bad literal, mismatched dimensions) raises ``InputFormatError``
 naming the file.  In v2 that includes a table index that is not an int in
-range, row columns not strictly ascending or outside the row's width, and a
-zero weight.
+range, row columns not strictly ascending or outside the row's width, a
+zero weight, and a ``computes`` that is not a list of ints in range,
+strictly ascending, with one output of ``phi`` each.
 """
 
 from __future__ import annotations
@@ -133,11 +140,13 @@ def _read(data: dict, lit: _Literals, rows, net) -> SsmModel:
             gate = DiagonalAffineGate(rows(gate_data["matrix"]), lit.vec(gate_data["offset"]))
         else:
             raise InputFormatError(f"unknown gate kind {gate_data['kind']!r}")
+        computes = entry.get("computes")
         layers.append(SsmLayer(
             h0=lit.vec(entry["h0"]),
             gate=gate,
             inc=AffineMap(rows(entry["inc"]["matrix"]), lit.vec(entry["inc"]["offset"])),
-            phi=net(entry["phi"]),
+            net=None if entry["phi"] == [] else net(entry["phi"]),
+            computes=None if computes is None else _list(computes, "computed coordinates"),
         ))
     alphabet = data["alphabet"]
     if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
@@ -238,12 +247,15 @@ def _v2_json(model: SsmModel) -> dict:
         if isinstance(layer.gate, DiagonalAffineGate):
             gate["kind"] = "diagonal_affine"
             gate["offset"] = t.vec(layer.gate.offset)
-        layers.append({
+        entry = {
             "h0": t.vec(layer.h0),
             "gate": gate,
             "inc": {"matrix": t.matrix(layer.inc.rows), "offset": t.vec(layer.inc.offset)},
-            "phi": t.net(layer.phi),
-        })
+        }
+        if len(layer.computes) != layer.dim:
+            entry["computes"] = list(layer.computes)
+        entry["phi"] = t.net(layer.net) if layer.net is not None else []
+        layers.append(entry)
     output = t.net(model.out)
     return {
         "format": V2_TAG,

@@ -4,7 +4,10 @@ symbol-by-symbol evaluator.
 A layer computes ``h_t = gate(x_t) . h_{t-1} + inc(x_t)`` followed by the
 pointwise map ``z_t = phi(h_t, x_t)``; layer outputs feed the next layer and
 the final output network maps the last layer's ``z`` to a scalar.  A word is
-accepted iff that scalar equals exactly 1 in the evaluation domain.
+accepted iff that scalar equals exactly 1 in the evaluation domain.  Most
+coordinates of a compiled layer only pass their value on, so a layer
+stores the network of the coordinates its ``phi`` computes and passes the
+others through (``SsmLayer``).
 
 Model data is sparse: every gate row, inc row and FNN node weight vector is
 one ``_row.Row``, the row's nonzero ``(column, weight)`` pairs in column
@@ -20,12 +23,13 @@ become aliases and fixed-point truncation and saturation are inlined per
 term (partial evaluation; Jones, Gomard and Sestoft, 1993).
 ``evaluate_layerwise`` is the independent oracle: one uncompiled
 interpreter that materialises whole sequences layer by layer, over either
-domain through the mode's scalar kernels.  Both apply per-dimension terms
-in the same canonical order (gate terms, inc offset, inc terms, each by
-ascending column) so fixed-mode saturation behaves identically.  The
-public ``step`` is one position of the oracle, each layer's
-``_layer_step`` in turn, so it builds nothing and its ``StreamState``
-keeps every layer's full hidden vector.
+domain through the mode's scalar kernels, with each layer's full ``phi``
+where the step applies the pass-through rule itself.  Both apply
+per-dimension terms in the same canonical order (gate terms, inc offset,
+inc terms, each by ascending column) so fixed-mode saturation behaves
+identically.  The public ``step`` is one position of the oracle, each
+layer's ``_layer_step`` in turn, so it builds nothing and its
+``StreamState`` keeps every layer's full hidden vector.
 
 In exact mode the generated step runs on plain ints: every value ``v`` is
 the integer ``v * S`` for a scale ``S``.  The first ``S`` follows from
@@ -63,7 +67,7 @@ import time
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Sequence
 
 from ._row import Row
 from ._value import Value
@@ -76,7 +80,7 @@ from .arithmetic import (
     raw_mul,
 )
 from .errors import DimensionError, EmptyWordError, UnknownSymbolError
-from .fnn import RELU, Fnn, eval_program, select_fnn
+from .fnn import RELU, Fnn, _merged, _owners, _with_copies, eval_program, select_fnn
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -88,6 +92,7 @@ Matrix = tuple[Vector, ...]
 #: and 1 for a model with only integer constants.
 SCALE_BITS = 64
 _SCALE = 1 << SCALE_BITS
+_ONE = Fraction(1)
 
 
 def as_vector(values: Sequence) -> Vector:
@@ -147,7 +152,7 @@ class DiagonalAffineGate(_SparseMatrix):
         self._assign(rows, offset)
 
 
-GateSpec = Union[TimeInvariantGate, DiagonalAffineGate]
+GateSpec = TimeInvariantGate | DiagonalAffineGate
 
 
 class AffineMap(_SparseMatrix):
@@ -166,24 +171,57 @@ def projection_phi(d: int) -> Fnn:
 
 
 class SsmLayer(Value):
-    __slots__ = _fields = ("h0", "gate", "inc", "phi")
+    """``h0``, ``gate`` and ``inc``, and the coordinates that the layer's
+    pointwise map computes: ``computes`` lists them in ascending order, and
+    ``net`` maps ``(h, x)`` to one output per listed coordinate (None for
+    none).  Every other coordinate j passes through: its output is ``h_j``
+    times the encoded 1, once per layer of ``net`` and at least once, each
+    product truncated and saturated like any other term, which is ``h_j``
+    itself wherever 1 is representable.
 
-    def __init__(self, h0: Vector, gate: GateSpec, inc: AffineMap, phi: Fnn):
-        object.__setattr__(self, "h0", h0)
-        object.__setattr__(self, "gate", gate)
-        object.__setattr__(self, "inc", inc)
-        object.__setattr__(self, "phi", phi)
-        d = len(self.h0)
-        if self.gate.dim != d or self.inc.dim != d:
+    A full 2d -> d network, given as ``net`` or as ``phi``, computes every
+    coordinate.  ``phi`` is always the full network: for a layer that passes
+    coordinates through it is built on first read, with an identity copy
+    node per layer of ``net`` for each of them.  The generated step never
+    reads it.  Layers compare by what they store, so such a layer differs
+    from its expanded twin ``SsmLayer(h0, gate, inc, layer.phi)``, though
+    both compute the same: equal models save equal bytes."""
+
+    _fields = ("h0", "gate", "inc", "net", "computes")
+
+    def __init__(self, h0: Vector, gate: GateSpec, inc: AffineMap, net: Fnn | None = None,
+                 computes: tuple[int, ...] | None = None, *, phi: Fnn | None = None):
+        d = len(h0)
+        if phi is not None:
+            net = phi
+        computes = tuple(range(d)) if computes is None else tuple(computes)
+        self._assign(h0, gate, inc, net, computes)
+        if gate.dim != d or inc.dim != d:
             raise DimensionError("layer gate/inc dimensions disagree with h0")
-        if self.phi.input_dim != 2 * d or self.phi.output_dim != d:
+        if not (all(type(j) is int and 0 <= j < d for j in computes)
+                and all(a < b for a, b in zip(computes, computes[1:]))):
+            raise DimensionError(f"computes must list coordinates of 0..{d - 1} in strictly "
+                                 f"ascending order, got {list(computes)}")
+        if (net is None) != (not computes):
+            raise DimensionError("a layer has a network exactly when it computes a coordinate")
+        if net is not None and (net.input_dim != 2 * d or net.output_dim != len(computes)):
             raise DimensionError(
-                f"phi must map 2d -> d, got {self.phi.input_dim} -> {self.phi.output_dim}"
-            )
+                f"phi must map 2d -> {'d' if len(computes) == d else len(computes)}, "
+                f"got {net.input_dim} -> {net.output_dim}")
 
     @property
     def dim(self) -> int:
         return len(self.h0)
+
+    @cached_property
+    def phi(self) -> Fnn:
+        return _with_copies(self.net, self.computes, self.dim)
+
+
+def _depth(layer: SsmLayer) -> int:
+    """How many unit products a coordinate that ``layer`` passes through
+    takes: one per layer of ``net``, and at least one."""
+    return len(layer.net.layers) if layer.net is not None else 1
 
 
 class SsmModel(Value):
@@ -410,11 +448,14 @@ class _StepCompiler:
 
     def quantized(self, model: SsmModel) -> int:
         """How many model constants the fixed-point mode does not represent
-        exactly, dead ones included, in one walk through the memo."""
+        exactly, dead ones included, in one walk through the memo; each unit
+        product of a coordinate passed through counts as the weight 1 of a
+        copy node of ``phi`` would."""
         vectors, rows = _holders(model)
         const, row = self._const, self._row
+        passes = sum((layer.dim - len(layer.computes)) * _depth(layer) for layer in model.layers)
         return (sum(const(w)[2] for vec in vectors for w in vec)
-                + sum(row(r)[2] for r in rows))
+                + sum(row(r)[2] for r in rows) + passes * const(_ONE)[2])
 
     # -- values -------------------------------------------------------------
 
@@ -572,25 +613,55 @@ class _StepCompiler:
 
     def fnn(self, net: Fnn, plan: list, inputs: list) -> list:
         """The values of the nodes that ``plan`` lists for each layer of
-        ``net``, None for the others.  A unit copy (bias 0, one unit weight,
-        and no relu or a relu over a value that is never negative) is its
-        input itself."""
+        ``net``, None for the others."""
         current = inputs
         for layer, needed in zip(net.layers, plan):
             nodes = layer.nodes
             out = [None] * len(nodes)
             for i in needed:
-                node = nodes[i]
-                bias, terms = self.enc(node.bias), self._row(node.row)[1]
-                relu = node.activation == RELU
-                if bias == 0 and len(terms) == 1 and terms[0][1] == self.scale:
-                    v = current[terms[0][0]]
-                    if not relu or v.lo >= 0:
-                        out[i] = v
-                        continue
-                out[i] = self.total(bias, [self.mul(w, current[k]) for k, w in terms], relu)
+                out[i] = self.node(nodes[i], current)
             current = out
         return current
+
+    def node(self, node, inputs: list) -> _Val:
+        """The value of ``node`` on the values ``inputs``.  A unit copy (bias
+        0, one unit weight, and no relu or a relu over a value that is never
+        negative) is its input itself."""
+        bias, terms = self.enc(node.bias), self._row(node.row)[1]
+        relu = node.activation == RELU
+        if bias == 0 and len(terms) == 1 and terms[0][1] == self.scale:
+            v = inputs[terms[0][0]]
+            if not relu or v.lo >= 0:
+                return v
+        return self.total(bias, [self.mul(w, inputs[k]) for k, w in terms], relu)
+
+    def phi(self, layer: SsmLayer, plan: list, passes: list, new: list, x: list) -> list:
+        """The outputs of ``layer`` from its new hidden values ``new`` and its
+        input ``x``: those of ``net`` that ``plan`` lists and the coordinates
+        of ``passes`` passed through, None for the others.  Where 1 is the
+        scale a coordinate passed through is its new value itself; else each
+        of its unit products is emitted where ``phi`` has its copy node, so
+        that the locals are numbered as they are for the full network."""
+        net, computes = layer.net, layer.computes
+        z, out = new[:], ()
+        one = self.enc(_ONE)
+        if one != self.scale and passes:
+            out, owners = new + x, [()]
+            if net is not None:
+                owners = _owners(net, computes)
+            for t, owned in enumerate(owners):
+                nodes, needed = (net.layers[t].nodes, plan[t]) if net is not None else ((), ())
+                current, out = out, [None] * len(nodes)
+                for item in _merged(passes, needed, owned):
+                    if item < 0:
+                        z[~item] = self.total(0, [self.mul(one, z[~item])])
+                    else:
+                        out[item] = self.node(nodes[item], current)
+        elif net is not None:
+            out = self.fnn(net, plan, new + x)
+        for j, v in zip(computes, out):
+            z[j] = v
+        return z
 
     def recurrence(self, layer: SsmLayer, j: int, h: dict, x: list[_Val]) -> _Val:
         """The new ``h[j]``.  A unit copy (no gate term, a gate offset and an
@@ -623,14 +694,14 @@ class _StepCompiler:
                 x.append(_Val(f"x{k}", None, min(column), max(column), (f"x{k}",)))
         layers, out_plan = _plan(model)
         hidden = {}  # the name of each generated hidden input -> ((layer, index), new value)
-        for li, (layer, (news, phi_plan)) in enumerate(zip(model.layers, layers)):
+        for li, (layer, (news, phi_plan, passes)) in enumerate(zip(model.layers, layers)):
             h = {j: _Val(f"h{li}_{j}", None, self.bottom, self.top, (f"h{li}_{j}",))
                  for j in news}
             new = [None] * layer.dim
             for j in news:
                 new[j] = self.recurrence(layer, j, h, x)
                 hidden[h[j].code] = (li, j), new[j]
-            x = self.fnn(layer.phi, phi_plan, new + x)
+            x = self.phi(layer, phi_plan, passes, new, x)
         (y,) = self.fnn(model.out, out_plan, x)
         live = self._live(y, hidden)
         keyed = [value for name, value in hidden.items() if name in live]
@@ -684,16 +755,21 @@ def _needed_nodes(net: Fnn, wanted: set) -> tuple[list, set]:
 
 def _plan(model: SsmModel) -> tuple[list, list]:
     """The backward pass from ``out``: for each layer, the new hidden values
-    that ``y`` can need in ascending order and the ``phi`` plan of
-    ``_needed_nodes``; and the plan of ``out``.  Within a layer, a needed
-    value whose time-invariant gate row reads ``h[k]`` makes ``new[k]``
-    needed, up to the least fixed point; the embedding columns or the
-    previous layer's outputs that the layer reads are needed below."""
+    that ``y`` can need in ascending order, the ``net`` plan of
+    ``_needed_nodes`` and the needed coordinates that the layer passes
+    through; and the plan of ``out``.  Within a layer, a needed value whose
+    time-invariant gate row reads ``h[k]`` makes ``new[k]`` needed, up to
+    the least fixed point; the embedding columns or the previous layer's
+    outputs that the layer reads are needed below."""
     out_plan, wanted = _needed_nodes(model.out, {0})
     layers = []
     for layer in reversed(model.layers):
-        phi_plan, reads = _needed_nodes(layer.phi, wanted)
         d, gate, inc = layer.dim, layer.gate, layer.inc
+        output = {j: i for i, j in enumerate(layer.computes)}
+        passes = sorted(j for j in wanted if j not in output)
+        phi_plan, reads = ([], set()) if layer.net is None else _needed_nodes(
+            layer.net, {output[j] for j in wanted if j in output})
+        reads.update(passes)  # a coordinate passed through reads its new value
         new = {k for k in reads if k < d}
         wanted = {k - d for k in reads if k >= d}
         todo = list(new)
@@ -707,7 +783,7 @@ def _plan(model: SsmModel) -> tuple[list, list]:
                     if k not in new:
                         new.add(k)
                         todo.append(k)
-        layers.append((sorted(new), phi_plan))
+        layers.append((sorted(new), phi_plan, passes))
     layers.reverse()
     return layers, out_plan
 
@@ -955,7 +1031,7 @@ def _holders(model: SsmModel) -> tuple[list[Vector], list[Row]]:
         if isinstance(layer.gate, DiagonalAffineGate):
             vectors.append(layer.gate.offset)
         rows += layer.gate.rows + layer.inc.rows
-    for net in (*(layer.phi for layer in model.layers), model.out):
+    for net in (*(layer.net for layer in model.layers if layer.net is not None), model.out):
         for fnn_layer in net.layers:
             vectors.append(tuple(node.bias for node in fnn_layer.nodes))
             rows += (node.row for node in fnn_layer.nodes)

@@ -1,5 +1,5 @@
-"""Shared test machinery: corpus generators, differential walkers and the
-v1 model file writer."""
+"""Shared test machinery: corpus generators, differential walkers, the v1
+model file writer and the expanded twin of a model."""
 
 from __future__ import annotations
 
@@ -101,6 +101,13 @@ def model_to_json(model: SsmModel) -> dict:
 def v1_text(model: SsmModel) -> str:
     """The v1 bytes of ``model``: the indented dump of its v1 JSON tree."""
     return json.dumps(model_to_json(model), indent=1) + "\n"
+
+
+def expanded(model: SsmModel) -> SsmModel:
+    """The twin of ``model`` whose layers store their full networks ``phi``
+    and so compute every coordinate: what a v1 file of ``model`` loads as."""
+    layers = tuple(SsmLayer(layer.h0, layer.gate, layer.inc, layer.phi) for layer in model.layers)
+    return SsmModel(model.alphabet, model.emb, layers, model.out, model.metadata)
 
 
 def walk_words(model: SsmModel, mode: ArithMode, max_len: int):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ssmverify
-from helpers import geometric_model, model_to_json, v1_text, walk_words
+from helpers import expanded, geometric_model, model_to_json, v1_text, walk_words
 from ssmverify.arithmetic import EXACT, MAX_TOTAL_BITS, ArithMode, FixedPointFormat
 from ssmverify.cli import main, run
 from ssmverify.compilers import compile_ltl, compile_minsky, parse_minsky
@@ -464,6 +464,31 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+def test_a_dropped_copy_of_the_library_is_freed():
+    """Nothing outside the package keeps its classes: once a process drops
+    the ssmverify modules and imports them again, as the benchmark's set-up
+    does, the first copy is garbage.  A module-level ``typing.Union`` of
+    package classes sits in typing's cache and kept every copy alive."""
+    src = os.path.dirname(os.path.dirname(ssmverify.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    check = (
+        "import gc, importlib, sys, weakref\n"
+        "def fresh():\n"
+        "    for name in [m for m in sys.modules if m.split('.')[0] == 'ssmverify']:\n"
+        "        del sys.modules[name]\n"
+        "    return importlib.import_module('ssmverify.cli')\n"
+        "fresh()\n"
+        "members = (('ssm', 'DiagonalAffineGate'), ('arithmetic', 'FixedPointValue'),\n"
+        "           ('ltl', 'Atom'))\n"
+        "classes = [weakref.ref(getattr(sys.modules[f'ssmverify.{m}'], c)) for m, c in members]\n"
+        "fresh()\n"
+        "gc.collect()\n"
+        "assert all(c() is None for c in classes), [c() for c in classes]\n")
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 def test_demo_script_runs(tmp_path):
     src = os.path.dirname(os.path.dirname(ssmverify.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -541,7 +566,8 @@ def test_model_json_has_no_floats(tmp_path):
                 check(v)
 
     check(data)
-    assert model_from_json(data) == model
+    # a v1 tree stores every layer's full network
+    assert model_from_json(data) == expanded(model)
 
 
 def test_model_file_rejects_garbage(tmp_path):
@@ -578,19 +604,80 @@ def _seeded_models():
 
 def test_saved_bytes_equal_the_indented_json_dump(tmp_path):
     """v1 bytes are the indented dump of ``model_to_json`` and load as the
-    model; ``save_model`` writes v2, whose load is the model again and whose
-    save of a load, from either version, is byte-identical."""
-    v1, v2, again = tmp_path / "m.v1.ssm", tmp_path / "m.v2.ssm", tmp_path / "again.ssm"
+    model's expanded twin, since v1 stores every layer's full network;
+    ``save_model`` writes v2, whose load is the model again.  A save of a
+    load is byte-identical: the v2 file of the model, or from v1 that of
+    its twin."""
+    v1, v2, full = tmp_path / "m.v1.ssm", tmp_path / "m.v2.ssm", tmp_path / "full.ssm"
+    again = tmp_path / "again.ssm"
     for model in _seeded_models():
         v1.write_text(v1_text(model))
         save_model(model, str(v2))
+        save_model(expanded(model), str(full))
         assert json.loads(v2.read_text())["format"] == "ssmverify-model-v2"
-        for path in (v1, v2):
+        twin = expanded(model)
+        for path, loads_as, saved in ((v1, twin, full), (v2, model, v2), (full, twin, full)):
             loaded = load_model(str(path))
-            assert loaded == model
+            assert loaded == loads_as
             assert loaded.metadata_dict == json.loads(path.read_text())["metadata"]
             save_model(loaded, str(again))
-            assert again.read_bytes() == v2.read_bytes()
+            assert again.read_bytes() == saved.read_bytes()
+
+
+def _decisions(path: str, argvs) -> list:
+    """The exit status and result of each ``sat`` argv on ``path``, timings
+    removed."""
+    out = []
+    for argv in argvs:
+        status, report = run(argv[:2] + [path] + argv[2:])
+        result = report["result"]
+        stats = result.get("stats", result.get("partial_stats", {}))
+        for key in ("elapsed_s", "stepper_build_s"):
+            stats.pop(key, None)
+        out.append((status, result))
+    return out
+
+
+def test_full_network_twins_decide_as_the_compact_files(tmp_path):
+    """A compiled layer stores only the network of the coordinates it
+    computes.  Its expanded twin, saved as a v2 file that stores every
+    layer's full network, decides alike: the same verdict, witness and
+    stats, also in fx:3:2, where each copy node shrinks its value."""
+    compact, full = str(tmp_path / "compact.ssm"), str(tmp_path / "full.ssm")
+    stored = 0
+    for model in _seeded_models():
+        save_model(model, compact)
+        save_model(expanded(model), full)
+        keyed = [["computes" in layer for layer in json.loads(Path(path).read_text())["layers"]]
+                 for path in (compact, full)]
+        stored += sum(keyed[0])
+        assert not any(keyed[1])
+        if model.metadata_dict["source"] == "ltl":
+            argvs = [["sat", "fixed", "--arith", fmt] for fmt in ("fx:6:3", "fx:3:2")]
+        else:
+            argvs = [["sat", "bounded", "--max-len", "5", "--arith", arith]
+                     for arith in ("exact", "fx:6:3", "fx:3:2")]
+        assert _decisions(compact, argvs) == _decisions(full, argvs)
+    assert stored > 0
+
+
+def test_compile_and_sat_read_no_full_network(tmp_path, monkeypatch):
+    """``compile ltl`` and ``sat fixed`` read each layer's ``net`` and
+    ``computes``: no layer's full network ``phi`` is built or read."""
+
+    def unread(layer):
+        raise AssertionError("a layer's full network was read")
+
+    argvs = [["sat", "fixed", "--arith", fmt] for fmt in ("fx:6:3", "fx:3:2")]
+    decided = []
+    for formula in ("(p U q) & X !p", "G (p -> X q) & F r", "p & !p"):
+        path = str(tmp_path / f"m{len(decided)}.ssm")
+        with monkeypatch.context() as patch:
+            patch.setattr(SsmLayer, "phi", property(unread))
+            assert run(["compile", "ltl", formula, "-o", path])[0] == 0
+            decided.append(_decisions(path, argvs))
+        assert decided[-1] == _decisions(path, argvs)
+    assert [status for status, _ in decided[0] + decided[2]] == [0, 1, 1, 1]
 
 
 def _literals(node, key=None) -> set[str]:
@@ -632,8 +719,9 @@ def test_zero_literals_in_any_spelling_load_as_the_canonical_model(tmp_path):
     """Rows are read sparse: every literal that parses to zero is dropped,
     whatever its text, so the model and its saved bytes are canonical."""
     model = compile_ltl(parse("(p U q) & X !p"))
+    twin = expanded(model)  # the v1 tree stores every layer's full network
     canonical, spelled = tmp_path / "canonical.ssm", tmp_path / "spelled.ssm"
-    save_model(model, str(canonical))
+    save_model(twin, str(canonical))
     data = model_to_json(model)
     spellings = iter(["0/7", "-0", "00"] * 100_000)
 
@@ -649,7 +737,7 @@ def test_zero_literals_in_any_spelling_load_as_the_canonical_model(tmp_path):
     spelled.write_text(json.dumps(data))
     assert all(f'"{text}"' in spelled.read_text() for text in ("0/7", "-0", "00"))
     loaded = load_model(str(spelled))
-    assert loaded == model and hash(loaded) == hash(model)
+    assert loaded == twin and hash(loaded) == hash(twin)
     save_model(loaded, str(spelled))
     assert spelled.read_bytes() == canonical.read_bytes()
 
@@ -756,6 +844,13 @@ def _malformed(tmp_path, name):
         data["alphabet"][0] = 1
     elif name == "short_h0":
         data["layers"][0]["h0"].pop()
+    elif name.startswith("v2_computes_"):  # p U q computes [2] of its 4 coordinates
+        data["layers"][0]["computes"] = {
+            "v2_computes_not_a_list": 2, "v2_computes_index_string": ["2"],
+            "v2_computes_index_bool": [True], "v2_computes_index_out_of_range": [4],
+            "v2_computes_not_ascending": [2, 2], "v2_computes_net_width": [1, 2],
+            "v2_computes_nothing_with_a_net": [],
+        }[name]
     path.write_text(json.dumps(data))
     return path
 
@@ -772,14 +867,27 @@ def _malformed(tmp_path, name):
     "unknown_gate_kind", "unknown_activation", "v2_row_term_not_a_pair",
     "v2_rows_not_a_list", "v2_nodes_not_a_list",
     "alphabet_empty", "alphabet_repeated", "alphabet_not_a_string", "short_h0",
+    "v2_computes_not_a_list", "v2_computes_index_string", "v2_computes_index_bool",
+    "v2_computes_index_out_of_range", "v2_computes_not_ascending", "v2_computes_net_width",
+    "v2_computes_nothing_with_a_net",
 ])
 def test_malformed_model_file_is_a_usage_error(tmp_path, capsys, name):
     path = str(_malformed(tmp_path, name))
     status, report = run(["sat", "fixed", path, "--arith", "fx:6:3"])
     assert status == 2
     assert path in report["result"]["error"]
-    if name == "v2_row_width_not_dimension":
-        assert report["result"]["error"].endswith("row 0 has width 5, expected 4")
+    ending = {
+        "v2_row_width_not_dimension": "row 0 has width 5, expected 4",
+        "v2_computes_not_a_list": "expected a list of computed coordinates, got int",
+        "v2_computes_index_string": "ascending order, got ['2']",
+        "v2_computes_index_bool": "ascending order, got [True]",
+        "v2_computes_index_out_of_range": "ascending order, got [4]",
+        "v2_computes_not_ascending": "ascending order, got [2, 2]",
+        "v2_computes_net_width": "phi must map 2d -> 2, got 8 -> 1",
+        "v2_computes_nothing_with_a_net": "a network exactly when it computes a coordinate",
+    }.get(name)
+    if ending:
+        assert report["result"]["error"].endswith(ending)
     assert main(["sat", "fixed", path, "--arith", "fx:6:3"]) == 2
     printed = json.loads(capsys.readouterr().out)
     assert "error" in printed["result"]

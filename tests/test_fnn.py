@@ -245,3 +245,14 @@ def test_select_and_linear_helpers():
 def test_select_rejects_an_index_outside_the_input(index):
     with pytest.raises(DimensionError):
         select_fnn([0, index], 3)
+
+
+@pytest.mark.parametrize("net, values", [
+    (gadget_eq(0), [Fraction(0), Fraction(5)]),  # one value too many
+    (gadget_and(2), [Fraction(1)]),  # one value too few
+], ids=["extra", "missing"])
+def test_eval_program_checks_the_input_width(net, values):
+    with pytest.raises(DimensionError, match=f"{net.input_dim} inputs, got {len(values)}"):
+        eval_program(net, values, EXACT)
+    with pytest.raises(DimensionError):
+        eval_program(net, [raw_encode(v, FX6) for v in values], ArithMode(FX6))

@@ -8,7 +8,9 @@ from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
-from helpers import geometric_model, hand_formulas, random_ilp, random_machine, v1_text
+from helpers import (
+    expanded, geometric_model, hand_formulas, random_ilp, random_machine, v1_text,
+)
 from ssmverify.cli import run
 from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, parse_ilp, parse_minsky
 from ssmverify.fnn import linear_fnn, select_fnn
@@ -68,17 +70,20 @@ def test_model_file_checksums(tmp_path):
         "ltl_pointwise": "b84526b4ce29ed044e9720e052b5ebe4504d0a978a5710b54ef0335350f5a687",
     }
     expected_v2 = {
-        "minsky": "f2d294812c160ab0c73659732065637a2062cc20c66e73dd6438c8c85dd000fc",
-        "ilp": "c34de705c59a44acc5d704d8c99d7bc46083c729b4b14f08dbd970c89a5eb01f",
-        "ltl": "3be88ea2340950953829c88eaea8ac8cfca2c2798e514eb9587d7a3009c59976",
-        "ltl_pointwise": "45addb90fe899ca30937ddd8977ca8529cacfe1d8656d080dc45b88a4128428d",
+        "minsky": "761535770e67d43ebda047f5c0110c8c9937b9afc1a4b380a89cba9589c78591",
+        "ilp": "ecc3bb29fc7ea73b0d0e754b4c7aedcef9cde51585f16248429f3469477e3977",
+        "ltl": "7b47178e7f3ab7bb472b2104f08317cbc3ec6368719f342ef96dcf08dc310c52",
+        "ltl_pointwise": "2b1b52de9ce6948e8a3ab6beb309bbb3c8461c8a259e21a4b4ce6d2c5bc6ac87",
     }
     for name, model in cases.items():
         assert sha(v1_text(model)) == expected_v1[name], name
         v1, v2 = tmp_path / f"{name}.v1.ssm", tmp_path / f"{name}.ssm"
         v1.write_text(v1_text(model))
         assert sha(v2_text(model, v2)) == expected_v2[name], name
-        assert load_model(str(v1)) == load_model(str(v2)) == model
+        # v1 stores every layer's full network, which v2 stores only where
+        # the layer computes every coordinate
+        assert load_model(str(v1)) == expanded(model)
+        assert load_model(str(v2)) == model
 
 
 def test_golden_machine_shape():
@@ -101,14 +106,16 @@ def corpus_digests(models, tmp_path) -> tuple[str, str]:
 
 # The two corpus digests below pin every model the compilers emit, not only
 # the four above.  They are apart so that a change to the LTL compiler can
-# re-pin its digest while the Minsky and ILP bytes stay fixed.
+# re-pin its digest while the Minsky and ILP bytes stay fixed.  The v1 bytes
+# hold each layer's full network ``phi``, copy nodes included, and the v2
+# bytes only the network of the coordinates a layer computes.
 
 def test_compiled_ltl_corpus_checksum(tmp_path):
     """The saved bytes of every hand formula."""
     models = [compile_ltl(parse(text)) for text in hand_formulas()]
     assert corpus_digests(models, tmp_path) == (
         "99c10085a92df9017b65c77769b5ab33e6e780a755484e584bbd853700f11717",
-        "ea8b28143040253300e52fcb86a1e9c0dbda2f615d38fbee8acd783c3cfa1460")
+        "e3b2aa1bd10e5b3234258dda5e7833106e2920b8870ef37eec7c8d6d973d31b6")
 
 
 def test_compiled_minsky_ilp_corpus_checksum(tmp_path):
@@ -118,7 +125,7 @@ def test_compiled_minsky_ilp_corpus_checksum(tmp_path):
     models += [compile_ilp(random_ilp(rng)) for _ in range(8)]
     assert corpus_digests(models, tmp_path) == (
         "1d76d7b499885fcefa15138e51434068c010877740bbd10806b6f95bab6a439f",
-        "dd32fbca97bc0487898481a7c9d88264ff07a3751235e0d5a23d126edca70fa6")
+        "fbfc2100fe906bf32d3f8d9ceaa4794485f477a723a9422b02fd01534bb2bd39")
 
 
 # A v1 file as the v1 writer in ``helpers`` saved the compiled model of

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    fraction_encode, geometric_model, hand_formulas, random_formula, random_ilp, random_machine,
+    expanded, fraction_encode, geometric_model, hand_formulas, random_formula, random_ilp,
+    random_machine,
 )
 from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat, raw_encode
 from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky
@@ -184,9 +185,10 @@ def small_models(draw, denominators=(1, 2, 4)):
     vec = lambda: as_vector([frac() for _ in range(d)])
     mat = lambda: as_matrix([[frac() for _ in range(d)] for _ in range(d)])
 
-    def phi():
-        """0-1 hidden layers of up to 3 relu or identity nodes, then d nodes."""
-        sizes = [draw(st.integers(1, 3))] * draw(st.integers(0, 1)) + [d]
+    def phi(outputs):
+        """0-2 hidden layers of up to 3 relu or identity nodes, then one node
+        per output."""
+        sizes = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(0, 2)))] + [outputs]
         net, width = [], 2 * d
         for size in sizes:
             net.append(FnnLayer(tuple(
@@ -202,8 +204,13 @@ def small_models(draw, denominators=(1, 2, 4)):
             gate = TimeInvariantGate(mat())
         else:
             gate = DiagonalAffineGate(mat(), vec())
-        layers.append(SsmLayer(vec(), gate, AffineMap(mat(), vec()),
-                               projection_phi(d) if draw(st.booleans()) else phi()))
+        kind = draw(st.sampled_from(("projection", "full", "compact")))
+        if kind == "compact":  # it passes the other coordinates through
+            computes = tuple(j for j in range(d) if draw(st.booleans()))
+            net = phi(len(computes)) if computes else None
+        else:
+            computes, net = None, projection_phi(d) if kind == "projection" else phi(d)
+        layers.append(SsmLayer(vec(), gate, AffineMap(mat(), vec()), net, computes))
     out = compose(gadget_eq(1), select_fnn([0], d))
     alphabet = tuple(chr(ord("a") + i) for i in range(nsyms))
     return SsmModel(alphabet, tuple(vec() for _ in range(nsyms)), tuple(layers), out)
@@ -253,6 +260,26 @@ def test_streaming_equals_layerwise_fixed(model, data):
     word = [data.draw(st.sampled_from(model.alphabet)) for _ in range(n)]
     assert evaluate(model, word, mode) == evaluate_layerwise(model, word, mode)
     assert public_steps_match_evaluate(model, word, mode)
+
+
+@given(small_models(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_compact_layers_agree_with_their_expanded_twins(model, data):
+    """A layer that passes coordinates through evaluates as its expanded
+    twin, whose ``phi`` holds a copy node for each of them, also where 1 is
+    not representable (fx:3:2, fx:4:3) and each copy shrinks its value; the
+    step's count of quantised constants is the report's, copies included."""
+    mode = data.draw(st.sampled_from(
+        [EXACT, FX6_MODE, ArithMode(FixedPointFormat(3, 2)), ArithMode(FixedPointFormat(4, 3))]))
+    n = data.draw(st.integers(1, 5))
+    word = [data.draw(st.sampled_from(model.alphabet)) for _ in range(n)]
+    twin = expanded(model)
+    assert evaluate(model, word, mode) == evaluate_layerwise(model, word, mode) == evaluate(
+        twin, word, mode)
+    if not mode.is_exact:
+        assert (_stepper(model, mode).quantized_constants
+                == len(quantization_report(model, mode.fmt))
+                == _stepper(twin, mode).quantized_constants)
 
 
 @pytest.mark.parametrize("mode", [EXACT, FX6_MODE], ids=str)
@@ -489,7 +516,8 @@ def _through_dense_views(model: SsmModel) -> SsmModel:
         else:
             gate = DiagonalAffineGate(layer.gate.matrix, layer.gate.offset)
         inc = AffineMap(layer.inc.matrix, layer.inc.offset)
-        layers.append(SsmLayer(layer.h0, gate, inc, fnn(layer.phi)))
+        net = None if layer.net is None else fnn(layer.net)
+        layers.append(SsmLayer(layer.h0, gate, inc, net, layer.computes))
     return SsmModel(model.alphabet, model.emb, tuple(layers), fnn(model.out), model.metadata)
 
 

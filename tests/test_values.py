@@ -71,9 +71,10 @@ CASES = [
      dict(matrix=[[1]], offset=as_vector([3])), ("rows", "offset"), ("rows", "offset")),
     (AffineMap, dict(matrix=[[1]], offset=as_vector([2])),
      dict(matrix=[[2]], offset=as_vector([2])), ("rows", "offset"), ("rows", "offset")),
-    (SsmLayer, dict(h0=LAYER.h0, gate=LAYER.gate, inc=LAYER.inc, phi=LAYER.phi),
-     dict(h0=as_vector([1]), gate=LAYER.gate, inc=LAYER.inc, phi=LAYER.phi),
-     ("h0", "gate", "inc", "phi"), ("h0", "gate", "inc", "phi")),
+    # a layer that passes its one coordinate through, with no network
+    (SsmLayer, dict(h0=LAYER.h0, gate=LAYER.gate, inc=LAYER.inc, net=None, computes=()),
+     dict(h0=as_vector([1]), gate=LAYER.gate, inc=LAYER.inc, net=None, computes=()),
+     ("h0", "gate", "inc", "net", "computes"), ("h0", "gate", "inc", "net", "computes")),
     (SsmModel, dict(MODEL_ARGS, metadata=(("source", "test"),)), dict(MODEL_ARGS, alphabet=("a", "c")),
      ("alphabet", "emb", "layers", "out"), ("alphabet", "emb", "layers", "out", "metadata")),
     (StreamState, dict(hidden=((1, 2),), mode=ArithMode(FX)), dict(hidden=((1, 2),), mode=ArithMode()),
@@ -150,6 +151,9 @@ def test_defaults():
     limits = ResourceLimits()
     assert (limits.max_states, limits.max_mem_mb) == (5_000_000, None)
     assert SsmModel(**MODEL_ARGS).metadata == ()
+    # a full network, given positionally or as phi, computes every coordinate
+    assert LAYER.computes == (0,) and LAYER.net is LAYER.phi
+    assert SsmLayer(LAYER.h0, LAYER.gate, LAYER.inc, phi=LAYER.net) == LAYER
     stats = SearchStats()
     assert [getattr(stats, name) for name in STATS_KEYS] == [
         0, 0, 0.0, 0, 0, 0, 0.0, None, None, 0, None, []]
