@@ -56,8 +56,9 @@ _PRINTABLE_LOG2 = 14_000
 _SEARCH_LOG2 = 63
 
 # The fractional bits that each compiler's ``min_bits`` metadata leaves
-# implicit: LTL and Minsky models count them in the width, ILP models have none.
-_MIN_BITS_FRAC = {"ltl": 3, "minsky": 3, "ilp": 0}
+# implicit where no ``frac_bits`` names them: LTL and Minsky models count
+# them in the width, ILP models have none.
+_MIN_BITS_FRAC = {"ltl": "3", "minsky": "3", "ilp": "0"}
 
 
 @functools.cache
@@ -255,14 +256,14 @@ def _cmd_oracle(args) -> tuple[int, dict]:
 
 
 def _recommended_format(meta: dict):
-    """The fixed-point format that a compiled model's ``min_bits`` metadata
-    names, or None."""
+    """The fixed-point format that a compiled model's ``min_bits`` and
+    ``frac_bits`` metadata name, or None."""
     source, bits = meta.get("source"), meta.get("min_bits")
-    frac = _MIN_BITS_FRAC.get(source) if isinstance(source, str) else None
-    if frac is None or not isinstance(bits, str) or not bits.isdecimal():
+    frac = meta.get("frac_bits", _MIN_BITS_FRAC.get(source) if isinstance(source, str) else None)
+    if not all(isinstance(v, str) and v.isdecimal() for v in (bits, frac)):
         return None
     try:
-        return FixedPointFormat(int(bits), frac)
+        return FixedPointFormat(int(bits), int(frac))
     except (ValueError, InputFormatError):
         return None
 

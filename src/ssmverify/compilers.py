@@ -16,6 +16,17 @@ coordinate, so their inc rows, until gates and gadgets merge.  A level
 that holds an ``X`` gets one previous-bit layer after it, for all of its
 ``X`` coordinates.  The layer count is thus the formula's height plus the
 number of levels with an ``X``.
+
+Until is Boolean.  ``l U r`` runs ``h = g * h + r`` under the diagonal gate
+``g = l & !r``, so h is 0 or 1 in every arithmetic mode and a search's keys
+do not grow with the format.  A gate is affine in its layer's input, so
+``relu(l - r)``, which is ``l & !r`` on 0/1 values, is one more coordinate
+of that input, after the subformulas' and before the constant.  For an
+until of height 1 it is an embedding column, a Boolean of the letter;
+otherwise the phi of the layer just below the until's level (the level
+layer, or the previous-bit layer when that level holds an ``X``) stacks
+it, one relu node, on that layer's outputs for l and r.  No layer is
+added.
 """
 
 from __future__ import annotations
@@ -52,7 +63,7 @@ from .fnn import (
     select_fnn,
     _copies,
 )
-from .ltl import LtlFormula, Atom, Not, And, Or, Next, children, subformulas_topo
+from .ltl import LtlFormula, Atom, Not, And, Or, Next, Until, children, subformulas_topo
 from .solvers import ResourceLimits
 from .ssm import (
     AffineMap,
@@ -102,7 +113,7 @@ def _zeros(d: int) -> Vector:
 
 
 def _pointwise(d: int, gadgets: dict, width: Optional[int] = None,
-               compact: bool = False) -> Fnn:
+               compact: bool = False, stacked: Optional[dict] = None) -> Fnn:
     """``width`` inputs (default 2d, the (h, x) of a layer) -> d outputs:
     output j is ``gadgets[j]``, a one-output network reading input j or a
     pair (network, columns) whose first layer reads those inputs in any
@@ -111,38 +122,58 @@ def _pointwise(d: int, gadgets: dict, width: Optional[int] = None,
     Nodes keep output order; with no gadget this is the projection.  With
     ``compact`` only the gadgets' outputs are built, in ascending order:
     the ``net`` of a layer that computes those coordinates and passes the
-    others through (it needs at least one gadget)."""
+    others through (it needs at least one gadget).  There ``stacked`` maps
+    more outputs to pairs (network, outputs): the network reads those
+    outputs in the layer after their gadgets end, so it shares their nodes;
+    an output without a gadget is its input, carried there on copies."""
     width = 2 * d if width is None else width
-    if any(not 0 <= j < d for j in gadgets):
-        raise DimensionError(f"tracked positions {sorted(gadgets)} outside dimension {d}")
-    # the columns each output reads next: first its gadget's, later the
-    # nodes of the previous layer, which ascend
+    stacked = stacked or {}
+    if any(not 0 <= j < d for j in [*gadgets, *stacked]):
+        raise DimensionError(
+            f"tracked positions {sorted([*gadgets, *stacked])} outside dimension {d}")
+    # the columns each output reads next: first its gadget's (a stacked
+    # one's are its operands' outputs), later the nodes of the previous
+    # layer, which ascend
     slots = [(j,) for j in range(d)]
-    nets, unordered = {}, set()
+    nets = {}
     for j, gadget in gadgets.items():
         if isinstance(gadget, tuple):
             gadget, slots[j] = gadget
             if not all(0 <= c < width for c in slots[j]):
                 raise DimensionError(f"gadget columns {slots[j]} outside {width} inputs")
-            if any(a >= b for a, b in zip(slots[j], slots[j][1:])):
-                unordered.add(j)
         nets[j] = gadget
+    # the depth at which each stacked output starts, and the depth up to
+    # which each of its operands without a gadget is carried
+    start, carried = {}, {}
+    for j, (net, operands) in stacked.items():
+        start[j] = max((len(nets[o].layers) for o in operands if o in nets), default=0)
+        for o in operands:
+            if o not in nets:
+                carried[o] = max(carried.get(o, 0), start[j])
+    nets.update((j, net) for j, (net, _) in stacked.items())
     layers = []
-    for depth in range(max((len(net.layers) for net in nets.values()), default=1)):
+    for depth in range(max((start.get(j, 0) + len(net.layers) for j, net in nets.items()),
+                           default=1)):
+        for j, begins in start.items():
+            if begins == depth:
+                slots[j] = tuple(slots[o][0] for o in stacked[j][1])
         nodes: list[FnnNode] = []
         copies = _copies(width)
-        for j in sorted(nets) if compact else range(d):
+        for j in sorted({*nets, *carried}) if compact else range(d):
             first, cols, net = len(nodes), slots[j], nets.get(j)
-            if net is None or depth >= len(net.layers):
+            at = depth - start.get(j, 0)
+            if at < 0 or depth >= carried.get(j, depth + 1):
+                continue  # a stacked output not begun, or an operand no longer read
+            if net is None or at >= len(net.layers):
                 nodes.append(copies[cols[0]])
-            elif depth == 0 and j in unordered:  # Row.of sorts the terms
+            elif at == 0 and any(a >= b for a, b in zip(cols, cols[1:])):  # Row.of sorts
                 nodes += [FnnNode(Row.of(width, ((cols[k], w) for k, w in n.row.terms)),
                                   n.bias, n.activation)
                           for n in net.layers[0].nodes]
             else:
                 nodes += [FnnNode(Row(tuple((cols[k], w) for k, w in n.row.terms), width),
                                   n.bias, n.activation)
-                          for n in net.layers[depth].nodes]
+                          for n in net.layers[at].nodes]
             slots[j] = tuple(range(first, len(nodes)))
         layers.append(FnnLayer(tuple(nodes)))
         width = len(nodes)
@@ -151,6 +182,13 @@ def _pointwise(d: int, gadgets: dict, width: Optional[int] = None,
 
 # ---------------------------------------------------------------------------
 # Previous-bit layer (history in the binary expansion of h = h/4 + x)
+#
+# Unlike until, X still relies on truncation: h keeps every earlier input
+# as a base-4 digit, and only a fixed-point format forgets the digits below
+# its fractional bits.  A diagonal layer has no exact one-step delay with
+# bounded state, so in exact mode every word keeps its own key:
+# ``G (p -> X q) & G (q -> X !p) & F (p & X X p)`` has a frontier of
+# 4**8 = 65,536 keys at bound 8.
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
@@ -176,20 +214,29 @@ _PREV_BIT_DECODER = Fnn(tuple(
 ))
 
 
-def _layer(h0: Vector, gate, inc: AffineMap, gadgets: dict) -> SsmLayer:
-    """The layer whose phi applies ``gadgets`` as ``_pointwise`` does and
-    passes every other coordinate through, with no copy node stored."""
-    net = _pointwise(len(h0), gadgets, compact=True) if gadgets else None
-    return SsmLayer(h0, gate, inc, net, tuple(sorted(gadgets)))
+def _layer(h0: Vector, gate, inc: AffineMap, gadgets: dict,
+           stacked: Optional[dict] = None) -> SsmLayer:
+    """The layer whose phi applies ``gadgets`` and ``stacked`` as
+    ``_pointwise`` does and passes every other coordinate through, with no
+    copy node stored."""
+    computes = tuple(sorted([*gadgets, *(stacked or ())]))
+    net = _pointwise(len(h0), gadgets, compact=True, stacked=stacked) if computes else None
+    return SsmLayer(h0, gate, inc, net, computes)
+
+
+def _prev_bit(d: int, positions: Iterable[int]) -> tuple:
+    """The gate, inc and gadgets of ``prev_bit_layer``."""
+    tracked = sorted(set(positions))
+    gate = TimeInvariantGate(_sparse(_empty(d), [(p, p, _QUARTER) for p in tracked]))
+    return gate, AffineMap(_eye(d), _zeros(d)), dict.fromkeys(tracked, _PREV_BIT_DECODER)
 
 
 def prev_bit_layer(d: int, positions: Iterable[int]) -> SsmLayer:
     """Layer whose output on each tracked 0/1 dimension is that dimension's
-    previous input (0 at the first position); passthrough elsewhere."""
-    tracked = sorted(set(positions))
-    gate = TimeInvariantGate(_sparse(_empty(d), [(p, p, _QUARTER) for p in tracked]))
-    return _layer(_zeros(d), gate, AffineMap(_eye(d), _zeros(d)),
-                  dict.fromkeys(tracked, _PREV_BIT_DECODER))
+    previous input (0 at the first position); passthrough elsewhere.  The
+    delay is exact in every mode, but in exact mode the hidden value keeps
+    the whole history (see above)."""
+    return _layer(_zeros(d), *_prev_bit(d, positions))
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +259,17 @@ class LtlLayout(Value):
     0 and reads its proposition's embedding column; ``levels`` holds the
     other subformulas by height 1, 2, ..., each in topological order, and
     they take the coordinates after the propositions in that order.  The
-    constant 1 is the last coordinate."""
+    gate of each until, in the same order, takes the next coordinate
+    (``gate_of``).  The constant 1 is the last coordinate."""
 
-    __slots__ = _fields = ("props", "subformulas", "levels", "dim_of", "const_dim", "dimension")
+    __slots__ = _fields = ("props", "subformulas", "levels", "dim_of", "gate_of", "const_dim",
+                           "dimension")
 
     def __init__(self, props: tuple[str, ...], subformulas: tuple[LtlFormula, ...],
                  levels: tuple[tuple[LtlFormula, ...], ...],
-                 dim_of: tuple[tuple[LtlFormula, int], ...], const_dim: int, dimension: int):
-        self._assign(props, subformulas, levels, dim_of, const_dim, dimension)
+                 dim_of: tuple[tuple[LtlFormula, int], ...],
+                 gate_of: tuple[tuple[Until, int], ...], const_dim: int, dimension: int):
+        self._assign(props, subformulas, levels, dim_of, gate_of, const_dim, dimension)
 
     def dim(self, sub: LtlFormula) -> int:
         return dict(self.dim_of)[sub]
@@ -239,13 +289,17 @@ def ltl_layout(phi: LtlFormula) -> LtlLayout:
     for level in levels:
         for sub in level:  # the atoms fill columns 0 .. |P| - 1
             column[sub] = len(column)
+    untils = [sub for level in levels for sub in level if isinstance(sub, Until)]
+    gate = {sub: len(column) + k for k, sub in enumerate(untils)}
+    const_dim = len(column) + len(gate)
     return LtlLayout(
         props=props,
         subformulas=subs,
         levels=tuple(map(tuple, levels)),
         dim_of=tuple((sub, column[sub]) for sub in subs),
-        const_dim=len(column),
-        dimension=len(column) + 1,
+        gate_of=tuple(gate.items()),
+        const_dim=const_dim,
+        dimension=const_dim + 1,
     )
 
 
@@ -254,36 +308,45 @@ def ltl_layout(phi: LtlFormula) -> LtlLayout:
 # hundreds of MiB to compile.
 MAX_ATOMS = 16
 
-# The one-input gadgets that the logic compiler's phi applies pointwise.
+# The one-input gadgets that the logic compiler's phi applies pointwise,
+# and the until gate relu(a - b), which is a & !b on 0/1 inputs.
 _RELU = linear_fnn([[1]], activation=RELU)
 _MIN1 = gadget_min1()
+_AND_NOT = gadget_implies()
 
 
-def _ltl_entry(sub: LtlFormula, dim: dict, const_dim: int):
+def _ltl_entry(sub: LtlFormula, dim: dict, gate: dict, const_dim: int):
     """What the layer of a non-atom subformula does to its own coordinate:
     the coordinate that gates it (``None`` for the zero gate), the (column,
     weight) terms of its inc row, and the gadget phi applies to it (``None``
-    for the projection).  Every other coordinate passes through."""
+    for the projection).  Every other coordinate passes through.
+
+    Until is Boolean: ``h = g * h + r`` under the diagonal gate ``g = l &
+    !r``, which is the coordinate ``gate[sub]`` of the layer's input.  A
+    letter keeps the value while l holds and r does not, sets it to 1 where
+    r holds and clears it elsewhere, so h is 0 or 1 in every mode and needs
+    no clamp."""
     if isinstance(sub, Not):
         return None, [(const_dim, F1), (dim[sub.sub], -F1)], None
     if isinstance(sub, And):
         return None, [(dim[sub.left], F1), (dim[sub.right], F1), (const_dim, -F1)], _RELU
-    if isinstance(sub, Or):
-        # disjunction as min(1, left + right), the same clamp as until
+    if isinstance(sub, Or):  # min(1, left + right)
         return None, [(dim[sub.left], F1), (dim[sub.right], F1)], _MIN1
     if isinstance(sub, Next):  # the previous-bit layer that follows delays it
         return None, [(dim[sub.sub], F1)], None
-    # Until: the input-dependent diagonal gate keeps the value while left holds
-    return dim[sub.left], [(dim[sub.right], F1)], _MIN1
+    return gate[sub], [(dim[sub.right], F1)], None
 
 
 def compile_ltl(phi: LtlFormula) -> SsmModel:
     """Model over 2^P that accepts a word iff its reversal is a model of the
     formula.  Atoms read their propositions' embedding columns; every other
     subformula of one DAG height is computed in one layer, and a level that
-    holds an X gets one previous-bit layer after it.  The compiled model is
-    exact under the 6-bit profile.  A formula over more than ``MAX_ATOMS``
-    atoms is a ``ResourceLimitError``."""
+    holds an X gets one previous-bit layer after it.  The gate of an until
+    of height 1 is an embedding column; that of a higher until is stacked on
+    the outputs of the layer below its level.  The compiled model is exact
+    under the 6-bit profile, and an X-free one under ``fx:3:0``, which its
+    ``min_bits`` and ``frac_bits`` metadata name.  A formula over more than
+    ``MAX_ATOMS`` atoms is a ``ResourceLimitError``."""
     layout = ltl_layout(phi)
     count = len(layout.props)
     if count > MAX_ATOMS:
@@ -291,40 +354,57 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
             f"formula has {count} atoms; compile_ltl enumerates all 2^{count} letters "
             f"and accepts at most {MAX_ATOMS} atoms")
     d = layout.dimension
-    dim = dict(layout.dim_of)
+    dim, gate = dict(layout.dim_of), dict(layout.gate_of)
     eye, empty, zero_off = _eye(d), _empty(d), _zeros(d)
     no_gate = TimeInvariantGate(empty)
 
-    layers: list[SsmLayer] = []
+    # (gate, inc, gadgets, stacked) of each layer; a level stacks its
+    # untils' gates on the outputs of the layer below before any layer is built
+    stages: list[tuple] = []
     for level in layout.levels:
         gate_terms, inc_terms, gadgets, nexts = [], [], {}, []
         for sub in level:
             i = dim[sub]
-            gated_by, terms, gadget = _ltl_entry(sub, dim, layout.const_dim)
+            gated_by, terms, gadget = _ltl_entry(sub, dim, gate, layout.const_dim)
             if gated_by is not None:
                 gate_terms.append((i, gated_by, F1))
+                if stages:  # at height 1 the gate is a column of the letter
+                    stages[-1][3][gated_by] = (_AND_NOT, (dim[sub.left], dim[sub.right]))
             inc_terms += [(i, c, w) for c, w in terms]
             if gadget is not None:
                 gadgets[i] = gadget
             if isinstance(sub, Next):
                 nexts.append(i)
-        layers.append(_layer(
-            zero_off,
+        stages.append((
             DiagonalAffineGate(_sparse(empty, gate_terms), zero_off) if gate_terms else no_gate,
             AffineMap(_sparse(eye, inc_terms), zero_off),
             gadgets,
+            {},
         ))
         if nexts:
-            layers.append(prev_bit_layer(d, nexts))
+            stages.append((*_prev_bit(d, nexts), {}))
 
     out = compose(gadget_eq(1), select_fnn([dim[phi]], d))
     letters = ltl_mod.letters(layout.props)
     alphabet = tuple(set_symbol(l) for l in letters)
-    padding = _zeros(d - count - 1) + (F1,)
-    emb = tuple(tuple(F1 if p in letter else F0 for p in layout.props) + padding
-                for letter in letters)
-    return _finish(SsmModel(alphabet=alphabet, emb=emb, layers=tuple(layers), out=out),
-                   ("source", "ltl"), ("formula", ltl_mod.pretty(phi)), ("min_bits", "6"))
+    letter_gates = [(gate[sub], sub.left.name, sub.right.name)
+                    for level in layout.levels[:1] for sub in level if isinstance(sub, Until)]
+    emb = []
+    for letter in letters:
+        row = [F1 if p in letter else F0 for p in layout.props] + [F0] * (d - count - 1) + [F1]
+        for c, left, right in letter_gates:
+            if left in letter and right not in letter:
+                row[c] = F1
+        emb.append(tuple(row))
+    layers = tuple(_layer(zero_off, *stage) for stage in stages)
+    # the previous-bit decoder needs 3 fractional bits of 6; every value of
+    # an X-free model is an integer in [-1, 2]
+    if any(isinstance(sub, Next) for sub in layout.subformulas):
+        bits = (("min_bits", "6"),)
+    else:
+        bits = (("min_bits", "3"), ("frac_bits", "0"))
+    return _finish(SsmModel(alphabet=alphabet, emb=tuple(emb), layers=layers, out=out),
+                   ("source", "ltl"), ("formula", ltl_mod.pretty(phi)), *bits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Linear temporal logic over finite traces: grammar, 1-based semantics,
-brute-force satisfiability, and the small-model bound.
+a complete satisfiability judge, brute-force satisfiability, and the
+small-model bound.
 
 Core connectives are atom, !, |, &, X and U; ->, F, G, tt and ff are sugar
 lowered as the parser reads them (tt becomes ``a | !a`` over the
@@ -351,6 +352,66 @@ def letters(props) -> list[frozenset]:
         frozenset(name for bit, name in enumerate(names) if m >> bit & 1)
         for m in range(1 << len(names))
     ]
+
+
+def least_reversed_model(phi: LtlFormula) -> Optional[Trace]:
+    """Decide LTL_f satisfiability on the formula: the lexicographically
+    least among the shortest reversed models of ``phi`` (a model read from
+    its last letter to its first, letters in ``letters`` order), or None
+    when ``phi`` has no model.
+
+    The reversed trace is read as ``trace_labels`` reads a trace, right to
+    left: each subformula's truth at a position follows from the letter
+    there and the truths one position later, of which only the operands of
+    X and the untils are read.  Those truths, all false past the end, are
+    the states of a deterministic automaton, and a breadth-first search over
+    them, levels in discovery order, stops at the first letter that makes
+    ``phi`` true (De Giacomo and Vardi, IJCAI 2013).  No SSM and no
+    arithmetic take part."""
+    subs = subformulas_topo(phi)
+    at = {sub: k for k, sub in enumerate(subs)}
+    carried = sorted({at[s.sub] for s in subs if isinstance(s, Next)}
+                     | {at[s] for s in subs if isinstance(s, Until)})
+
+    def labels(key: tuple, letter: frozenset) -> list[bool]:
+        """The truths at a position with this letter, where ``key`` holds
+        the carried truths one position later."""
+        later = dict(zip(carried, key))
+        row: list[bool] = []
+        for sub in subs:
+            if isinstance(sub, Atom):
+                row.append(sub.name in letter)
+            elif isinstance(sub, Not):
+                row.append(not row[at[sub.sub]])
+            elif isinstance(sub, And):
+                row.append(row[at[sub.left]] and row[at[sub.right]])
+            elif isinstance(sub, Or):
+                row.append(row[at[sub.left]] or row[at[sub.right]])
+            elif isinstance(sub, Next):
+                row.append(later[at[sub.sub]])
+            else:
+                row.append(row[at[sub.right]] or (row[at[sub.left]] and later[at[sub]]))
+        return row
+
+    parents: dict = {(False,) * len(carried): None}
+    level, alphabet = list(parents), letters(atoms(phi))
+    while level:
+        next_level = []
+        for key in level:
+            for letter in alphabet:
+                row = labels(key, letter)
+                if row[-1]:
+                    word = [letter]
+                    while parents[key] is not None:
+                        key, prior = parents[key]
+                        word.append(prior)
+                    return tuple(reversed(word))
+                new_key = tuple(row[k] for k in carried)
+                if new_key not in parents:
+                    parents[new_key] = (key, letter)
+                    next_level.append(new_key)
+        level = next_level
+    return None
 
 
 def enumerate_traces(props, length: int) -> Iterator[Trace]:

@@ -11,14 +11,24 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ssmverify
-from helpers import expanded, geometric_model, model_to_json, v1_text, walk_words
+from helpers import (
+    expanded,
+    geometric_model,
+    hand_formulas,
+    model_to_json,
+    random_formula,
+    v1_text,
+    walk_words,
+)
 from ssmverify.arithmetic import EXACT, MAX_TOTAL_BITS, ArithMode, FixedPointFormat
 from ssmverify.cli import main, run
 from ssmverify.compilers import compile_ltl, compile_minsky, parse_minsky
 from ssmverify.fnn import select_fnn
-from ssmverify.ltl import parse
+from ssmverify.ltl import least_reversed_model, parse, pretty
 from ssmverify.modelfile import load_model, model_from_json, save_model
 from ssmverify.ssm import (
     AffineMap,
@@ -31,6 +41,7 @@ from ssmverify.ssm import (
     projection_phi,
     quantization_report,
 )
+from ssmverify.words import format_word, set_symbol
 
 ILP_TEXT = "2\n1 1\n0 1\n1 1\n"
 MINSKY_TEXT = "start: q0\nfinal: qf\nq0 inc1 q1\nq1 dec1 qf\nq1 ztest1 q0\n"
@@ -48,6 +59,36 @@ def minsky_file(tmp_path):
     path = tmp_path / "machine.mm"
     path.write_text(MINSKY_TEXT)
     return str(path)
+
+
+def check_sat_fixed_by_the_judge(phi, path: str):
+    """``compile ltl`` then ``sat fixed`` under ``fx:6:3`` and under the
+    format that ``classify`` recommends give the verdict and the witness of
+    ``least_reversed_model``, which reads the formula and no model."""
+    assert run(["compile", "ltl", pretty(phi), "-o", path])[0] == 0
+    recommended = run(["classify", path])[1]["result"]["recommended_arith"]
+    judged = least_reversed_model(phi)
+    for arith in ("fx:6:3", recommended):
+        status, report = run(["sat", "fixed", path, "--arith", arith])
+        result = report["result"]
+        if judged is None:
+            assert (status, result["verdict"]) == (1, "unsatisfiable"), arith
+        else:
+            assert (status, result["verdict"]) == (0, "satisfiable"), arith
+            assert result["witness"] == format_word([set_symbol(l) for l in judged]), arith
+
+
+@pytest.mark.parametrize("text", hand_formulas())
+def test_sat_fixed_agrees_with_the_judge_on_hand_formulas(text, tmp_path):
+    check_sat_fixed_by_the_judge(parse(text), str(tmp_path / "phi.ssm"))
+
+
+@given(st.integers(0, 10**9), st.integers(1, 9))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_sat_fixed_agrees_with_the_judge(tmp_path, seed, fsize):
+    rng = random.Random(seed)
+    phi = random_formula(rng, fsize, props=("p", "q", "r")[:rng.randint(1, 3)])
+    check_sat_fixed_by_the_judge(phi, str(tmp_path / "phi.ssm"))
 
 
 def test_compile_then_sat_bounded(ilp_file, tmp_path):
@@ -264,7 +305,9 @@ def test_classify_reports_a_bound_too_large_to_print(tmp_path):
 
 
 @pytest.mark.parametrize("kind, source, expected", [
-    ("ltl", "p U q", "fx:6:3"),
+    # the previous-bit decoder needs fx:6:3; an X-free model is integral
+    ("ltl", "X p U q", "fx:6:3"),
+    ("ltl", "p U q", "fx:3:0"),
     ("minsky", MINSKY_TEXT, "fx:13:3"),
     ("ilp", ILP_TEXT, "fx:4:0"),
 ])
@@ -583,7 +626,7 @@ def test_model_file_rejects_garbage(tmp_path):
 
 
 def _seeded_models():
-    from helpers import hand_formulas, random_formula, random_ilp, random_machine
+    from helpers import random_ilp, random_machine
     from ssmverify.compilers import compile_ilp
 
     rng = random.Random(20261018)
@@ -764,8 +807,8 @@ def _v2_row_with(data, terms: int) -> list:
 def _malformed(tmp_path, name):
     data = model_to_json(compile_ltl(parse("p U q")))
     path = tmp_path / "bad.ssm"
-    if name.startswith("v2_"):
-        save_model(compile_ltl(parse("p U q")), str(path))
+    if name.startswith("v2_"):  # p & q computes [2] of its 4 coordinates on a relu node
+        save_model(compile_ltl(parse("p & q")), str(path))
         data = json.loads(path.read_text())
     gate_rows = data["layers"][0]["gate"]["matrix"]
     if name == "directory":
@@ -844,7 +887,7 @@ def _malformed(tmp_path, name):
         data["alphabet"][0] = 1
     elif name == "short_h0":
         data["layers"][0]["h0"].pop()
-    elif name.startswith("v2_computes_"):  # p U q computes [2] of its 4 coordinates
+    elif name.startswith("v2_computes_"):
         data["layers"][0]["computes"] = {
             "v2_computes_not_a_list": 2, "v2_computes_index_string": ["2"],
             "v2_computes_index_bool": [True], "v2_computes_index_out_of_range": [4],

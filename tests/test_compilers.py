@@ -36,9 +36,25 @@ from ssmverify.compilers import (
     validate_word,
 )
 from ssmverify.errors import DimensionError, InputFormatError, InvalidMachineError
-from ssmverify.fnn import RELU, compose, eval_program, gadget_min1, linear_fnn, select_fnn
+from ssmverify.fnn import (
+    RELU,
+    compose,
+    eval_program,
+    gadget_implies,
+    gadget_min1,
+    linear_fnn,
+    select_fnn,
+)
 from ssmverify.ltl import holds, parse
-from ssmverify.ssm import GateClasses, accepts, classify_gates, evaluate_layerwise, run_layer
+from ssmverify.ssm import (
+    GateClasses,
+    accepts,
+    classify_gates,
+    evaluate_layerwise,
+    initial_state,
+    run_layer,
+    step,
+)
 from ssmverify.words import pair_symbol, set_symbol
 
 FX6_MODE = ArithMode(FX6)
@@ -101,6 +117,22 @@ def test_pointwise_reads_columns_out_of_order_and_shared():
         assert got[2] == eval_program(gadget_min1(), [xs[2]], EXACT)[0]
         for j, (gadget, columns) in ((1, gadgets[1]), (3, gadgets[3])):
             assert got[j] == eval_program(compose(gadget, select_fnn(columns, width)), xs, EXACT)[0]
+
+
+def test_pointwise_stacks_a_network_on_other_outputs():
+    """A stacked network reads the outputs of other coordinates in the
+    layer after their gadgets end, so it adds only its own node: here the
+    min1 on 0 is built once, and 3, which has no gadget, is carried to the
+    stacked nodes on two copies."""
+    gadgets = {0: gadget_min1()}
+    stacked = {2: (gadget_implies(), (0, 3)), 1: (gadget_implies(), (3, 0))}
+    net = _pointwise(4, gadgets, compact=True, stacked=stacked)
+    assert [len(layer.nodes) for layer in net.layers] == [3 + 1, 1 + 1, 3]
+    rng = random.Random(17)
+    for _ in range(200):
+        xs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(8)]
+        low = min(Fraction(1), xs[0])
+        assert eval_program(net, xs, EXACT) == (low, max(xs[3] - low, 0), max(low - xs[3], 0))
 
 
 @pytest.mark.parametrize("gadgets", [{4: gadget_min1()}, {0: (gadget_min1(), (6,))}])
@@ -170,9 +202,14 @@ def test_compile_ltl_dimension_bookkeeping():
     assert layout.levels == ((ltl.Next(ltl.Atom("p")),), (phi,))
     non_atoms = [s for s in layout.subformulas if not isinstance(s, ltl.Atom)]
     x_levels = sum(1 for level in layout.levels if any(isinstance(s, ltl.Next) for s in level))
-    assert model.dim == len(layout.props) + len(non_atoms) + 1 == 5
+    # each until's gate takes a coordinate after the subformulas', before the constant
+    assert layout.gate_of == ((phi, 4),) and layout.const_dim == 5
+    assert model.dim == len(layout.props) + len(non_atoms) + len(layout.gate_of) + 1 == 6
     assert model.num_layers == len(layout.levels) + x_levels == 3
     assert [layout.dim(ltl.Atom(p)) for p in layout.props] == [0, 1]
+    # the previous-bit layer below the until computes its gate beside X p,
+    # and the until itself, 0 or 1, needs no gadget
+    assert [layer.computes for layer in model.layers] == [(), (2, 4), ()]
 
 
 @pytest.mark.parametrize(
@@ -233,10 +270,10 @@ def test_subformula_dims_zero_on_layer_entry():
 def test_mixed_level_agrees_with_the_oracle(mode):
     """Level 1 holds a relu (p & q), a min1 (p | q) and a diagonal gate
     (p U q) in one layer, and its one pointwise network pads the relu to
-    the depth of the min1."""
+    the depth of the min1.  The until's gate is a column of the letter."""
     phi = parse("(p & q) & ((p | q) & (p U q))")
     model = compile_ltl(phi)
-    assert (model.num_layers, model.dim) == (3, 8)
+    assert (model.num_layers, model.dim) == (3, 9)
     assert len(ltl_layout(phi).levels[0]) == 3
     for n in range(1, 5):
         for trace in ltl.enumerate_traces(("p", "q"), n):
@@ -245,6 +282,36 @@ def test_mixed_level_agrees_with_the_oracle(mode):
             assert accepts(model, word, mode) == want, trace
             y = evaluate_layerwise(model, word, mode)
             assert ((y if mode.is_exact else y.value) == 1) == want, trace
+
+
+@pytest.mark.parametrize("mode", [EXACT, FX6_MODE])
+@pytest.mark.parametrize("text, computes", [
+    # level 1's layer computes, beside its min1 (2) and relu (3), the gates
+    # of level 2: 10 on top of the min1 and the relu, 11 on two copies; the
+    # gate 9 of p U q is a column of the letter
+    ("((p | q) U (p & q)) & (!p U (p U q))", [(2, 3, 10, 11), (), (8,)]),
+    # each previous-bit layer computes the gates of the level above it on
+    # top of its decoders (2, 4 and 5) and a copy
+    ("(X p) U (X !q) & (p U X q)", [(), (2, 4, 9), (), (5, 10), (), (8,)]),
+])
+def test_until_gates_agree_with_the_oracle(mode, text, computes):
+    """An until above height 1 reads its gate ``relu(l - r)`` from the layer
+    below its level, which computes it from the outputs of that layer's
+    gadgets on l and r; its own coordinate is 0 or 1 at every position."""
+    phi = parse(text)
+    model = compile_ltl(phi)
+    layout = ltl_layout(phi)
+    assert [layer.computes for layer in model.layers] == computes
+    untils = [layout.dim(sub) for sub, _ in layout.gate_of]
+    one = 1 if mode.is_exact else mode.fmt.scale
+    for n in range(1, 5):
+        for trace in ltl.enumerate_traces(("p", "q"), n):
+            word = trace_to_word(reversed(trace))
+            assert accepts(model, word, mode) == holds(phi, trace, 1), trace
+            state = initial_state(model, mode)
+            for symbol in word:
+                state, _ = step(model, state, symbol)
+                assert all(h[i] in (0, one) for h in state.hidden for i in untils), trace
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_mutated_model_files_load_or_are_rejected(model_trees, tmp_path, data):
         _mutate(mutated, data.draw)
     if data.draw(st.booleans()) and isinstance(mutated.get("metadata"), dict):
         # the metadata keys that classify reads
-        key = data.draw(st.sampled_from(["source", "formula", "min_bits"]))
+        key = data.draw(st.sampled_from(["source", "formula", "min_bits", "frac_bits"]))
         mutated["metadata"][key] = data.draw(json_values | st.sampled_from(
             ["ltl", "minsky", "ilp", "p U q", "9", "2"]))
     path = str(tmp_path / "mutated.ssm")

@@ -62,18 +62,22 @@ def test_model_file_checksums(tmp_path):
         "ltl": compile_ltl(parse("p U q")),
         # the relu and min1 gadgets and the previous-bit layer
         "ltl_pointwise": compile_ltl(parse("(X p | !q) & r")),
+        # an until whose gate the previous-bit layer computes
+        "ltl_until_gate": compile_ltl(parse("(p | q) U X q")),
     }
     expected_v1 = {
         "minsky": "3df61b8afe417314b5748605bb48ed2daa437c642ce5ce5ba2711cdff4c3dc6e",
         "ilp": "0e94b9f3be6928193b94cdcd90ac28fc0f96e94dd82d5b7b81d48631f1b01119",
-        "ltl": "d95dfe81bf0d1eead07fd61a2111335ff6d84c1efd071857200ba33268e204fd",
+        "ltl": "47ccee3f635a06d69ee38824ab14466750ea108ddf1794a8658bbb4f71fc79f2",
         "ltl_pointwise": "b84526b4ce29ed044e9720e052b5ebe4504d0a978a5710b54ef0335350f5a687",
+        "ltl_until_gate": "1ae0ce349a481dffcbbeb28ebdba03a17504f8de588d94744a1bdf936bacf370",
     }
     expected_v2 = {
         "minsky": "761535770e67d43ebda047f5c0110c8c9937b9afc1a4b380a89cba9589c78591",
         "ilp": "ecc3bb29fc7ea73b0d0e754b4c7aedcef9cde51585f16248429f3469477e3977",
-        "ltl": "7b47178e7f3ab7bb472b2104f08317cbc3ec6368719f342ef96dcf08dc310c52",
+        "ltl": "7cabcde5b8c81e728a44cea0572f0119c86c025f6a775f9664c03eff58f16076",
         "ltl_pointwise": "2b1b52de9ce6948e8a3ab6beb309bbb3c8461c8a259e21a4b4ce6d2c5bc6ac87",
+        "ltl_until_gate": "0eb10b7b2470dc5da5fbb9215d1bda86a00d0a2458090cbd50f72bdc04d9e0f1",
     }
     for name, model in cases.items():
         assert sha(v1_text(model)) == expected_v1[name], name
@@ -114,8 +118,8 @@ def test_compiled_ltl_corpus_checksum(tmp_path):
     """The saved bytes of every hand formula."""
     models = [compile_ltl(parse(text)) for text in hand_formulas()]
     assert corpus_digests(models, tmp_path) == (
-        "99c10085a92df9017b65c77769b5ab33e6e780a755484e584bbd853700f11717",
-        "e3b2aa1bd10e5b3234258dda5e7833106e2920b8870ef37eec7c8d6d973d31b6")
+        "15062429446f080ac183f6ad6204eb3fdc6f6a664185d60290eaedb31bb8e5cc",
+        "4e66ded86bfbc860e5109515ed7a07bb9d088defcbd03a3a76c0a99016166c4a")
 
 
 def test_compiled_minsky_ilp_corpus_checksum(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_formula
+from helpers import hand_formulas, random_formula
 from ssmverify.errors import LtlSyntaxError, TracePositionError
 from ssmverify.ltl import (
     MAX_NESTING,
@@ -19,6 +19,7 @@ from ssmverify.ltl import (
     atoms,
     enumerate_traces,
     holds,
+    least_reversed_model,
     letters,
     models,
     parse,
@@ -140,6 +141,41 @@ def test_bruteforce_canonical_order():
     # binary-counting letters: {} before {p}; shortest first
     assert satisfiable_bruteforce(P, 1) == T({"p"})
     assert satisfiable_bruteforce(Next(P), 2) == T({}, {"p"})
+
+
+def check_judge_by_bruteforce(phi, max_len: int):
+    """``least_reversed_model`` against every trace of up to ``max_len``
+    letters: no model that short exists iff the judge's is longer or
+    missing, and a judged model that short is the first of its length whose
+    reversal is a model, in ``enumerate_traces`` order."""
+    judged = least_reversed_model(phi)
+    if judged is None or len(judged) > max_len:
+        assert satisfiable_bruteforce(phi, max_len) is None
+        return
+    assert len(satisfiable_bruteforce(phi, max_len)) == len(judged)
+    first = next(t for t in enumerate_traces(atoms(phi), len(judged)) if models(phi, t[::-1]))
+    assert judged == first
+
+
+@pytest.mark.parametrize("text", hand_formulas() + ["G p & F !p", "(p U q) & G !q",
+                                                    "G (p -> X q) & G (q -> X !p) & F (p & X X p)"])
+def test_judge_agrees_with_bruteforce_on_hand_formulas(text):
+    check_judge_by_bruteforce(parse(text), 5)
+
+
+@given(st.integers(0, 10**9), st.integers(1, 7))
+@settings(max_examples=200, deadline=None)
+def test_judge_agrees_with_bruteforce(seed, fsize):
+    check_judge_by_bruteforce(random_formula(random.Random(seed), fsize), 4)
+
+
+def test_judge_decides_past_any_bound():
+    """The judge is complete: it proves unsatisfiability outright, and finds
+    models longer than a brute force would reach."""
+    assert least_reversed_model(parse("G p & F !p")) is None
+    assert least_reversed_model(parse("(p U q) & G !q")) is None
+    deep = least_reversed_model(parse("X X X X X X X X p"))
+    assert deep == T({"p"}, *[()] * 8)
 
 
 def test_letters_binary_counting():

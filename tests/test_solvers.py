@@ -329,17 +329,39 @@ def test_sat_bounded_widens_the_exact_scale(gate):
     assert sat_bounded(model, 79, EXACT).verdict == UNSAT_WITHIN_BOUND
 
 
+@pytest.mark.parametrize("text, keys", [("G p & F !p", 2), ("(p U q) & G !q", 3)])
+def test_ltl_keys_do_not_grow_with_the_format(text, keys):
+    """An until's value is 0 or 1 in every mode, so these unsatisfiable
+    formulas store as many keys in exact mode as under any format that
+    represents 1, and every search but the bounded one exhausts."""
+    model = compile_ltl(parse(text))
+    exact = sat_bounded(model, 8, EXACT)
+    fixed = [sat_fixed(model, FixedPointFormat(bits, 3)) for bits in (6, 12, 24)]
+    assert [r.stats.distinct_states for r in (exact, *fixed)] == [keys] * 4
+    assert exact.verdict == UNSAT_WITHIN_BOUND and len(exact.stats.frontier_sizes) < 8
+    assert {r.verdict for r in fixed} == {UNSATISFIABLE}
+
+
+def test_ltl_transitions_do_not_grow_with_the_format():
+    for text in hand_formulas() + ["(p U q) & G !q"]:
+        model = compile_ltl(parse(text))
+        narrow, wide = (sat_fixed(model, FixedPointFormat(bits, 3)) for bits in (6, 8))
+        assert narrow.stats.transitions == wide.stats.transitions, text
+        assert (narrow.verdict, narrow.witness) == (wide.verdict, wide.witness), text
+
+
 def test_resource_limit_is_distinct():
-    # unsatisfiable, so the search would otherwise run to exhaustion
-    model = compile_ltl(parse("G p & F !p"))
+    # 1 is not representable in this format, so no output is 1 and the
+    # until's value decays by the saturated unit: the search never ends
+    model, fmt = compile_ltl(parse("p U q")), FixedPointFormat(4096, 4095)
     with pytest.raises(ResourceLimitError) as err:
-        sat_fixed(model, FX6, limits=ResourceLimits(max_states=3))
+        sat_fixed(model, fmt, limits=ResourceLimits(max_states=3))
     assert err.value.stats is not None
     assert err.value.stats.states_explored >= 3
     # the ceiling counts transitions taken, not keys stored
     with pytest.raises(ResourceLimitError) as err:
-        sat_fixed(model, FX6, limits=ResourceLimits(max_states=6))
-    assert (err.value.stats.states_explored, err.value.stats.distinct_states) == (8, 5)
+        sat_fixed(model, fmt, limits=ResourceLimits(max_states=6))
+    assert (err.value.stats.states_explored, err.value.stats.distinct_states) == (8, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +452,9 @@ def test_search_on_keys_equals_search_on_full_states_for_hand_formulas(text):
 
 
 @pytest.mark.parametrize("text, dim, key", [
-    ("(a U (b U (c U d))) & X X X !d", 104, 6),
-    ("!((a U (b U c)) | X X X d)", 96, 5),
-    ("G(p -> X q) & G(q -> X !p) & F(p & X X p)", 220, 7),
+    ("(a U (b U (c U d))) & X X X !d", 128, 6),
+    ("!((a U (b U c)) | X X X d)", 112, 5),
+    ("G(p -> X q) & G(q -> X !p) & F(p & X X p)", 250, 7),
 ])
 def test_search_key_holds_only_the_read_coordinates(text, dim, key):
     """The anchors of cone-of-influence reduction: a few of the L*d hidden
@@ -505,8 +527,8 @@ def test_frontier_sizes_list_every_level():
     unsat = sat_fixed(compile_ltl(parse("G p & F !p")), FX6).stats
     # an exhausted search has put every stored state on exactly one level
     assert sum(unsat.frontier_sizes) == unsat.distinct_states
-    # the ceiling stops p U q, which finds 2 new keys per level under this
-    # format, at the end of its eighth level; 12 atoms give 4096 letters,
+    # the ceiling stops p U q, which finds 1 new key per level under this
+    # format, at the end of its thirteenth level; 12 atoms give 4096 letters,
     # so the check every 4096 transitions stops the first level inside it
     partials = []
     for formula, fmt, ceiling in (("p U q", FixedPointFormat(4096, 4095), 50),
@@ -514,7 +536,7 @@ def test_frontier_sizes_list_every_level():
         with pytest.raises(ResourceLimitError) as err:
             sat_fixed(compile_ltl(parse(formula)), fmt, limits=ResourceLimits(max_states=ceiling))
         partials.append(err.value.stats)
-    assert partials[0].frontier_sizes == [1, 1, 2, 2, 2, 2, 2, 2]
+    assert partials[0].frontier_sizes == [1] * 13
     assert (partials[1].states_explored, partials[1].frontier_sizes) == (4096, [1])
     for exit_stats in (capped, stats, unsat, *partials):
         assert exit_stats.transitions == exit_stats.states_explored

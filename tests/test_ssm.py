@@ -126,10 +126,10 @@ def test_public_step_builds_no_stepper():
 
 
 def test_step_rejects_a_state_of_another_layout():
-    """``(X p) U q & !X X q`` has 6 layers of width 9 and ``p U q`` one of
-    width 4; neither model steps the other's states."""
+    """``(X p) U q & !X X q`` has 6 layers of width 10 and ``p U q`` one of
+    width 5; neither model steps the other's states."""
     small, large = compile_ltl(parse("p U q")), compile_ltl(parse("(X p) U q & !X X q"))
-    assert (large.num_layers, large.dim) == (6, 9)
+    assert (large.num_layers, large.dim) == (6, 10)
     for model, other in ((small, large), (large, small)):
         for mode in (EXACT, FX6_MODE):
             with pytest.raises(DimensionError):

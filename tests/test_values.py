@@ -42,7 +42,7 @@ STATS_KEYS = list(STATS)
 MACHINE = dict(states=("q0", "qf"), start="q0", final="qf",
                transitions=frozenset({("q0", "inc1", "qf")}))
 LAYOUT = ltl_layout(parse("p U q"))
-LAYOUT_FIELDS = ("props", "subformulas", "levels", "dim_of", "const_dim", "dimension")
+LAYOUT_FIELDS = ("props", "subformulas", "levels", "dim_of", "gate_of", "const_dim", "dimension")
 
 # (class, keyword arguments, the same with one compared field changed,
 #  the compared fields in order, the fields that repr shows in order)
