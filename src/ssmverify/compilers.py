@@ -619,8 +619,8 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
 
     # layer 2: quarter-shift history on the second state block, seeded with
     # the start state; phi decodes it, then sums the violations of the step
-    history = prev_bit_layer(d, range(n, 2 * n))
-    h0_2 = list(history.h0)
+    gate, inc, decoders = _prev_bit(d, range(n, 2 * n))
+    h0_2 = list(_zeros(d))
     h0_2[n + state_idx[machine.start]] = F1
 
     accepted = {
@@ -637,8 +637,9 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
                       (act_base + _ACTION_INDEX[action], c_dims[_COUNTER_OF[action]])))
     violations = compose(linear_fnn([[1] * len(parts)]),
                          _pointwise(len(parts), dict(enumerate(parts)), width=d))
-    phi2 = compose(_pointwise(d, {chk: (violations, tuple(range(d)))}, width=d), history.phi)
-    l2 = SsmLayer(tuple(h0_2), history.gate, history.inc, phi2)
+    phi2 = compose(_pointwise(d, {chk: (violations, tuple(range(d)))}, width=d),
+                   _pointwise(d, decoders))
+    l2 = SsmLayer(tuple(h0_2), gate, inc, phi2)
 
     out = compose(gadget_and(2), _pointwise(
         2, {0: (gadget_eq(0), (chk,)), 1: (gadget_eq(1), (state_idx[machine.final],))},

@@ -19,16 +19,16 @@ mode), which ``eval_program`` interprets.  The SSM step compiler in
 and encodes them itself.  Every node, a plain copy included, applies its
 weights: where 1 is not representable, a copy multiplies by the saturated
 unit like any other weight-1 term.  A compiled SSM layer stores no copy
-nodes for the coordinates it passes through; ``SsmLayer.phi`` rebuilds them
-as ``_copies`` nodes, and the pass-through rule of ``ssm.py`` applies the
-same unit products.
+nodes for the coordinates it passes through: each evaluator in ``ssm.py``
+applies the pass-through rule itself, with the same unit products.
+``SsmLayer.phi``, which ``_with_copies`` builds from ``_copies`` nodes, is
+a derived view; in the library only the quantisation report reads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import inf
 from typing import Iterable, Sequence
 
 from ._row import Row
@@ -235,65 +235,32 @@ def _copies(width: int) -> tuple[FnnNode, ...]:
     return tuple(FnnNode(Row(((k, _ONE),), width), _ZERO, IDENTITY) for k in range(width))
 
 
-def _owners(net: Fnn, computes: tuple) -> list[list]:
-    """For each layer of ``net``, the owner of each node: the least listed
-    coordinate whose output reads it through the rows' terms, infinite for
-    a node that no output reads."""
-    owners = [list(computes)]
-    for layer in reversed(net.layers[1:]):
-        below = [inf] * layer.input_dim
-        for node, owner in zip(layer.nodes, owners[-1]):
-            for k, _ in node.row.terms:
-                if owner < below[k]:
-                    below[k] = owner
-        owners.append(below)
-    owners.reverse()
-    return owners
-
-
-def _merged(passes: list, nodes, owners: list):
-    """The ``nodes`` of one layer of a network, in ascending order, and the
-    copy of each coordinate of ``passes`` (ascending) in their order in the
-    expanded layer: a copy comes before the first node that a greater
-    coordinate owns.  Yields ``i`` for node i and ``~j`` for the copy of j."""
-    p, n = 0, len(passes)
-    for i in nodes:
-        while p < n and passes[p] < owners[i]:
-            yield ~passes[p]
-            p += 1
-        yield i
-    for j in passes[p:]:
-        yield ~j
-
-
 def _with_copies(net: Fnn | None, computes: tuple, d: int) -> Fnn:
     """The full 2d -> d network of a layer that computes the coordinates
     ``computes`` with ``net`` (None for none) and passes every other
     coordinate j through: input j copied on one identity node per layer of
-    ``net``, at least one.  The nodes are in ``_merged`` order, which keeps
-    the nodes of each output together and in output order."""
+    ``net``, at least one.  A derived view, which no evaluator reads: each
+    layer but the last holds ``net``'s nodes at their own indices, then the
+    copies in coordinate order; the last layer is in coordinate order."""
     if len(computes) == d:
         return net
-    listed = set(computes)
-    passes = [j for j in range(d) if j not in listed]
-    where, at, width = None, {j: j for j in passes}, 2 * d  # positions in the layer below
-    layers = []
-    for t, owners in enumerate(_owners(net, computes) if net is not None else [()]):
-        nodes = net.layers[t].nodes if net is not None else ()
-        out, above, copied = [], [0] * len(nodes), {}
-        for item in _merged(passes, range(len(nodes)), owners):
-            if item < 0:
-                copied[~item] = len(out)
-                out.append(_copies(width)[at[~item]])
-                continue
-            node = nodes[item]
-            if where is not None:
-                node = FnnNode(Row(tuple((where[k], w) for k, w in node.row.terms), width),
-                               node.bias, node.activation)
-            above[item] = len(out)
-            out.append(node)
-        layers.append(FnnLayer(tuple(out)))
-        where, at, width = above, copied, len(out)
+    output = {j: i for i, j in enumerate(computes)}
+    passes = [j for j in range(d) if j not in output]
+    depth = len(net.layers) if net is not None else 1
+    layers, at, width = [], passes, 2 * d  # where each copied input is in the layer below
+    for t in range(depth):
+        nodes = () if net is None else tuple(
+            FnnNode(n.row._replace(width=width), n.bias, n.activation)
+            for n in net.layers[t].nodes)
+        copies = [_copies(width)[k] for k in at]
+        if t < depth - 1:
+            at = range(len(nodes), len(nodes) + len(copies))
+            nodes += tuple(copies)
+        else:
+            pick = iter(copies)
+            nodes = tuple(nodes[output[j]] if j in output else next(pick) for j in range(d))
+        layers.append(FnnLayer(nodes))
+        width = len(nodes)
     return Fnn(tuple(layers))
 
 

@@ -23,8 +23,9 @@ become aliases and fixed-point truncation and saturation are inlined per
 term (partial evaluation; Jones, Gomard and Sestoft, 1993).
 ``evaluate_layerwise`` is the independent oracle: one uncompiled
 interpreter that materialises whole sequences layer by layer, over either
-domain through the mode's scalar kernels, with each layer's full ``phi``
-where the step applies the pass-through rule itself.  Both apply
+domain through the mode's scalar kernels.  Each of the two applies the
+pass-through rule itself, on a layer's ``net`` and ``computes``; neither
+reads the full network ``phi``, a derived view.  Both apply
 per-dimension terms in the same canonical order (gate terms, inc offset,
 inc terms, each by ascending column) so fixed-mode saturation behaves
 identically.  The public ``step`` is one position of the oracle, each
@@ -80,7 +81,7 @@ from .arithmetic import (
     raw_mul,
 )
 from .errors import DimensionError, EmptyWordError, UnknownSymbolError
-from .fnn import RELU, Fnn, _merged, _owners, _with_copies, eval_program, select_fnn
+from .fnn import RELU, Fnn, _with_copies, eval_program, select_fnn
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -180,12 +181,15 @@ class SsmLayer(Value):
     itself wherever 1 is representable.
 
     A full 2d -> d network, given as ``net`` or as ``phi``, computes every
-    coordinate.  ``phi`` is always the full network: for a layer that passes
-    coordinates through it is built on first read, with an identity copy
-    node per layer of ``net`` for each of them.  The generated step never
-    reads it.  Layers compare by what they store, so such a layer differs
-    from its expanded twin ``SsmLayer(h0, gate, inc, layer.phi)``, though
-    both compute the same: equal models save equal bytes."""
+    coordinate.  ``phi`` is a derived view, the full network: for a layer
+    that passes coordinates through, ``fnn._with_copies`` builds it on first
+    read, with an identity copy node per layer of ``net`` for each of them.
+    No evaluator reads it: the oracle and the generated step each apply the
+    pass-through rule, and ``quantization_report`` reads it as the
+    independent count that the step's is checked against.  Layers compare
+    by what they store, so such a layer differs from its expanded twin
+    ``SsmLayer(h0, gate, inc, layer.phi)``, though both compute the same:
+    equal models save equal bytes."""
 
     _fields = ("h0", "gate", "inc", "net", "computes")
 
@@ -637,30 +641,21 @@ class _StepCompiler:
 
     def phi(self, layer: SsmLayer, plan: list, passes: list, new: list, x: list) -> list:
         """The outputs of ``layer`` from its new hidden values ``new`` and its
-        input ``x``: those of ``net`` that ``plan`` lists and the coordinates
-        of ``passes`` passed through, None for the others.  Where 1 is the
-        scale a coordinate passed through is its new value itself; else each
-        of its unit products is emitted where ``phi`` has its copy node, so
-        that the locals are numbered as they are for the full network."""
-        net, computes = layer.net, layer.computes
-        z, out = new[:], ()
+        input ``x``: those of ``net`` that ``plan`` lists, then the
+        coordinates of ``passes`` passed through, None for the others.  The
+        pass-through rule is applied here, not read from ``phi``: where 1 is
+        the scale a coordinate passed through is its new value itself, else
+        its ``_depth`` unit products follow the planned nodes in coordinate
+        order."""
+        z = new[:]
+        if layer.net is not None:
+            for j, v in zip(layer.computes, self.fnn(layer.net, plan, new + x)):
+                z[j] = v
         one = self.enc(_ONE)
-        if one != self.scale and passes:
-            out, owners = new + x, [()]
-            if net is not None:
-                owners = _owners(net, computes)
-            for t, owned in enumerate(owners):
-                nodes, needed = (net.layers[t].nodes, plan[t]) if net is not None else ((), ())
-                current, out = out, [None] * len(nodes)
-                for item in _merged(passes, needed, owned):
-                    if item < 0:
-                        z[~item] = self.total(0, [self.mul(one, z[~item])])
-                    else:
-                        out[item] = self.node(nodes[item], current)
-        elif net is not None:
-            out = self.fnn(net, plan, new + x)
-        for j, v in zip(computes, out):
-            z[j] = v
+        if one != self.scale:
+            for j in passes:
+                for _ in range(_depth(layer)):
+                    z[j] = self.total(0, [self.mul(one, z[j])])
         return z
 
     def recurrence(self, layer: SsmLayer, j: int, h: dict, x: list[_Val]) -> _Val:
@@ -953,9 +948,23 @@ def _recurrence(gate: GateSpec, inc: AffineMap, h: tuple, x: Sequence, mode: Ari
 
 def _layer_step(layer: SsmLayer, h: tuple, x: Sequence, mode: ArithMode) -> tuple[tuple, tuple]:
     """One position of one layer: the new hidden vector from ``h`` and the
-    input ``x``, and the layer's output ``z``."""
+    input ``x``, and the layer's output ``z``.  The pass-through rule is
+    applied here, not read from ``phi``: ``net`` gives the coordinates it
+    computes, and every other coordinate takes ``_depth`` unit products of
+    its new value, as a copy node ``add(enc(0), mul(enc(1), v))`` of the
+    view would."""
     h = _recurrence(layer.gate, layer.inc, h, x, mode)
-    return h, eval_program(layer.phi, h + tuple(x), mode)
+    z = list(h)
+    if layer.net is not None:
+        for j, v in zip(layer.computes, eval_program(layer.net, h + tuple(x), mode)):
+            z[j] = v
+    enc, _, mul, _ = mode.kernels
+    one, computed = enc(_ONE), set(layer.computes)
+    for j in range(layer.dim):
+        if j not in computed:
+            for _ in range(_depth(layer)):
+                z[j] = mul(one, z[j])
+    return h, tuple(z)
 
 
 def run_layer(layer: SsmLayer, xs: Sequence[Sequence], mode: ArithMode) -> list[tuple]:
@@ -964,6 +973,8 @@ def run_layer(layer: SsmLayer, xs: Sequence[Sequence], mode: ArithMode) -> list[
     h = tuple(map(mode.kernels[0], layer.h0))
     zs = []
     for x in xs:
+        if len(x) != layer.dim:
+            raise DimensionError(f"layer has {layer.dim} inputs, got {len(x)} values")
         h, z = _layer_step(layer, h, x, mode)
         zs.append(z)
     return zs

@@ -27,7 +27,7 @@ from helpers import (
 from ssmverify.arithmetic import EXACT, MAX_TOTAL_BITS, ArithMode, FixedPointFormat
 from ssmverify.cli import main, run
 from ssmverify.compilers import compile_ltl, compile_minsky, parse_minsky
-from ssmverify.fnn import select_fnn
+from ssmverify.fnn import eval_program, select_fnn
 from ssmverify.ltl import least_reversed_model, parse, pretty
 from ssmverify.modelfile import load_model, model_from_json, save_model
 from ssmverify.ssm import (
@@ -38,8 +38,12 @@ from ssmverify.ssm import (
     as_matrix,
     as_vector,
     evaluate,
+    evaluate_layerwise,
+    initial_state,
     projection_phi,
     quantization_report,
+    run_layer,
+    step,
 )
 from ssmverify.words import format_word, set_symbol
 
@@ -704,21 +708,46 @@ def test_full_network_twins_decide_as_the_compact_files(tmp_path):
     assert stored > 0
 
 
-def test_compile_and_sat_read_no_full_network(tmp_path, monkeypatch):
-    """``compile ltl`` and ``sat fixed`` read each layer's ``net`` and
-    ``computes``: no layer's full network ``phi`` is built or read."""
+def test_compile_and_sat_read_no_full_network(tmp_path, monkeypatch, ilp_file, minsky_file):
+    """``compile``, ``sat``, ``eval`` and the library's oracle (``step``,
+    ``run_layer`` and ``evaluate_layerwise``) read each layer's ``net`` and
+    ``computes``: no layer's full network ``phi`` is built or read, also
+    under fx:3:2, where each coordinate passed through shrinks."""
 
     def unread(layer):
         raise AssertionError("a layer's full network was read")
 
-    argvs = [["sat", "fixed", "--arith", fmt] for fmt in ("fx:6:3", "fx:3:2")]
+    fixed = [["sat", "fixed", "--arith", fmt] for fmt in ("fx:6:3", "fx:3:2")]
+    bounded = [["sat", "bounded", "--max-len", "4", "--arith", arith]
+               for arith in ("exact", "fx:3:2")]
+    sources = [("ltl", formula, fixed)
+               for formula in ("(p U q) & X !p", "G (p -> X q) & F r", "p & !p")]
+    sources += [("minsky", minsky_file, bounded), ("ilp", ilp_file, bounded)]
     decided = []
-    for formula in ("(p U q) & X !p", "G (p -> X q) & F r", "p & !p"):
+    for kind, source, argvs in sources:
         path = str(tmp_path / f"m{len(decided)}.ssm")
         with monkeypatch.context() as patch:
             patch.setattr(SsmLayer, "phi", property(unread))
-            assert run(["compile", "ltl", formula, "-o", path])[0] == 0
+            assert run(["compile", kind, source, "-o", path])[0] == 0
             decided.append(_decisions(path, argvs))
+            model = load_model(path)
+            word = [model.alphabet[i % len(model.alphabet)] for i in range(4)]
+            for arith in ("exact", "fx:3:2"):
+                mode = ArithMode.parse(arith)
+                status, report = run(["eval", path, "--word", format_word(word), "--arith", arith])
+                assert status in (0, 1) and report["result"]["word"] == format_word(word)
+                state, outputs = initial_state(model, mode), []
+                for symbol in word:
+                    state, y = step(model, state, symbol)
+                    outputs.append(y)
+                xs = [tuple(map(mode.kernels[0], model.emb[model.symbol_index[s]]))
+                      for s in word]
+                for layer in model.layers:
+                    xs = run_layer(layer, xs, mode)
+                value = evaluate(model, word, mode)
+                assert outputs[-1] == evaluate_layerwise(model, word, mode) == value
+                raw = value if mode.is_exact else value.raw
+                assert eval_program(model.out, xs[-1], mode) == (raw,)
         assert decided[-1] == _decisions(path, argvs)
     assert [status for status, _ in decided[0] + decided[2]] == [0, 1, 1, 1]
 

@@ -69,8 +69,8 @@ def test_model_file_checksums(tmp_path):
         "minsky": "3df61b8afe417314b5748605bb48ed2daa437c642ce5ce5ba2711cdff4c3dc6e",
         "ilp": "0e94b9f3be6928193b94cdcd90ac28fc0f96e94dd82d5b7b81d48631f1b01119",
         "ltl": "47ccee3f635a06d69ee38824ab14466750ea108ddf1794a8658bbb4f71fc79f2",
-        "ltl_pointwise": "b84526b4ce29ed044e9720e052b5ebe4504d0a978a5710b54ef0335350f5a687",
-        "ltl_until_gate": "1ae0ce349a481dffcbbeb28ebdba03a17504f8de588d94744a1bdf936bacf370",
+        "ltl_pointwise": "e4b6de2560a4410e46155b11b273891c64a430c84a345d381650205f8d36c334",
+        "ltl_until_gate": "0c4a99e99268af1565a00338840369bb7b04d669643d5585ca47bc27cfa9d58e",
     }
     expected_v2 = {
         "minsky": "761535770e67d43ebda047f5c0110c8c9937b9afc1a4b380a89cba9589c78591",
@@ -111,14 +111,15 @@ def corpus_digests(models, tmp_path) -> tuple[str, str]:
 # The two corpus digests below pin every model the compilers emit, not only
 # the four above.  They are apart so that a change to the LTL compiler can
 # re-pin its digest while the Minsky and ILP bytes stay fixed.  The v1 bytes
-# hold each layer's full network ``phi``, copy nodes included, and the v2
-# bytes only the network of the coordinates a layer computes.
+# hold each layer's full network ``phi``, copy nodes included, in the order
+# of ``fnn._with_copies``, and the v2 bytes only the network of the
+# coordinates a layer computes.
 
 def test_compiled_ltl_corpus_checksum(tmp_path):
     """The saved bytes of every hand formula."""
     models = [compile_ltl(parse(text)) for text in hand_formulas()]
     assert corpus_digests(models, tmp_path) == (
-        "15062429446f080ac183f6ad6204eb3fdc6f6a664185d60290eaedb31bb8e5cc",
+        "aecda5b9cb2df90499cdb05e8c936a5ed7cf0bd7d9a83eb37732f3f9fd070b53",
         "4e66ded86bfbc860e5109515ed7a07bb9d088defcbd03a3a76c0a99016166c4a")
 
 

@@ -47,6 +47,7 @@ from ssmverify.ssm import (
     initial_state,
     projection_phi,
     quantization_report,
+    run_layer,
     state_count_bound,
     step,
 )
@@ -267,19 +268,42 @@ def test_streaming_equals_layerwise_fixed(model, data):
 def test_compact_layers_agree_with_their_expanded_twins(model, data):
     """A layer that passes coordinates through evaluates as its expanded
     twin, whose ``phi`` holds a copy node for each of them, also where 1 is
-    not representable (fx:3:2, fx:4:3) and each copy shrinks its value; the
-    step's count of quantised constants is the report's, copies included."""
+    not representable (fx:3:2, fx:4:3) and each copy shrinks its value: the
+    step and the oracle, the public ``step`` at every position included,
+    apply the pass-through rule as the view's copy nodes do, layer by
+    layer.  The step's count of quantised constants is the report's, copies
+    included."""
     mode = data.draw(st.sampled_from(
         [EXACT, FX6_MODE, ArithMode(FixedPointFormat(3, 2)), ArithMode(FixedPointFormat(4, 3))]))
     n = data.draw(st.integers(1, 5))
     word = [data.draw(st.sampled_from(model.alphabet)) for _ in range(n)]
     twin = expanded(model)
-    assert evaluate(model, word, mode) == evaluate_layerwise(model, word, mode) == evaluate(
-        twin, word, mode)
+    assert (evaluate(model, word, mode) == evaluate_layerwise(model, word, mode)
+            == evaluate(twin, word, mode) == evaluate_layerwise(twin, word, mode))
+    assert public_steps_match_evaluate(model, word, mode)
+    assert public_steps_match_evaluate(twin, word, mode)
+    xs = [tuple(map(mode.kernels[0], model.emb[model.symbol_index[s]])) for s in word]
+    for layer, full in zip(model.layers, twin.layers):
+        zs = run_layer(layer, xs, mode)
+        assert zs == run_layer(full, xs, mode)
+        xs = zs
     if not mode.is_exact:
         assert (_stepper(model, mode).quantized_constants
                 == len(quantization_report(model, mode.fmt))
                 == _stepper(twin, mode).quantized_constants)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["net_none", "full_network"])
+def test_run_layer_checks_its_input_width(full):
+    """An input that is not ``layer.dim`` wide is a ``DimensionError``, also
+    on a layer with no network, where no network evaluation checks it."""
+    model = compile_ltl(parse("p U q"))
+    (layer,) = (expanded(model) if full else model).layers
+    assert (layer.net is None, len(layer.computes)) == ((False, 5) if full else (True, 0))
+    for width in (layer.dim - 1, layer.dim + 2):
+        for mode in (EXACT, FX6_MODE):
+            with pytest.raises(DimensionError, match=f"layer has 5 inputs, got {width}"):
+                run_layer(layer, [(mode.kernels[0](Fraction(0)),) * width], mode)
 
 
 @pytest.mark.parametrize("mode", [EXACT, FX6_MODE], ids=str)
