@@ -92,8 +92,9 @@ class FixedPointFormat(Value):
         return f"fx:{self.total_bits}:{self.frac_bits}"
 
 
-#: Canonical 6-bit profile: sign + 2 integer bits + 3 fractional bits.  All
-#: interval borders of the previous-bit decoder (1/8 .. 3/2) are exact here.
+#: Canonical 6-bit profile: sign + 2 integer bits + 3 fractional bits.  The
+#: previous-bit decoder, which needs 2 fractional bits and room for 8/3, is
+#: exact here.
 FX6 = FixedPointFormat(6, 3)
 
 

@@ -6,10 +6,12 @@ language so compiled models can be checked differentially.  The shared
 machinery lives up front: the sparse matrix helpers, ``_pointwise``,
 the one place that puts gadgets of any depth on chosen input columns, and
 the previous-bit layer that smuggles one step of history through the
-recurrence ``h = h/4 + x``.
+recurrence ``h = h/4 + x`` and decodes it from h and the current bit x.
 
 The LTL compiler is levelled.  An atom has DAG height 0 and reads its
-proposition's embedding column.  Every other subformula has its own
+proposition's embedding column; so does ``tt``, the parser's ``a | !a``,
+on the constant coordinate, which makes the untils of ``F`` and ``G`` no
+higher than their operands.  Every other subformula has its own
 coordinate, and the subformulas of one height are computed together in
 one layer: each reads only lower heights, and each layer update is per
 coordinate, so their inc rows, until gates and gadgets merge.  A level
@@ -190,25 +192,22 @@ def _pointwise(d: int, gadgets: dict, width: Optional[int] = None,
 # ``G (p -> X q) & G (q -> X !p) & F (p & X X p)`` has a frontier of
 # 4**8 = 65,536 keys at bound 8.
 
-_HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
-_EIGHTH = Fraction(1, 8)
 
-
-# The previous-bit decoder on one recurrence value r, one relu layer per
-# stage.  The four-interval rule: r lies in [0,1/8], [1/4,1/2], [1,9/8] or
-# [5/4,3/2], and the previous bit is 1 exactly on the second and fourth
-# interval.  All weights are within +-2 and the pipeline is exact under any
-# fixed format with at least 3 fractional bits and 6 total, so the slope-8
-# ramps of the naive piecewise-linear decoder never need to materialise.
+# The previous-bit decoder on the recurrence value r and the layer's input
+# x, one relu layer per stage.  s = r - x is the truncated h_{t-1}/4: it
+# lies in [0, 1/12] after a 0 and in [1/4, 1/3] after a 1, seed h0 = 1
+# included, since h <= 4/3.  The first stage, relu(2s - 1/4), is 0 after a
+# 0 and at least 1/4 after a 1; two doublings lift that to at least 1, and
+# the clamp to 1 reads the bit.  Every weight is within +-2, so the
+# pipeline is exact in every mode with at least 2 fractional bits and room
+# for 8/3.
 _PREV_BIT_DECODER = Fnn(tuple(
     linear_fnn(matrix, bias, RELU).layers[0]
     for matrix, bias in (
-        ([[1], [1], [1]], [-_HALF, -1, 0]),  # relu(r - 1/2), relu(r - 1), r
-        ([[2, -2, 0], [0, 0, 1]], [0, 0]),   # the current bit, r
-        ([[-1, 1]], [-_EIGHTH]),             # r - bit - 1/8
-        *[([[2]], [0])] * 3,                 # scale the 1/8-spaced remainder up to >= 1
-        ([[1], [1]], [0, -1]),               # clamp to 1: relu(s) - relu(s - 1)
+        ([[2, -2]], [-_QUARTER]),  # relu(2r - 2x - 1/4)
+        ([[2]], [0]),
+        ([[2], [2]], [0, -1]),     # clamp to 1: relu(2b) - relu(2b - 1)
         ([[1, -1]], [0]),
     )
 ))
@@ -228,7 +227,8 @@ def _prev_bit(d: int, positions: Iterable[int]) -> tuple:
     """The gate, inc and gadgets of ``prev_bit_layer``."""
     tracked = sorted(set(positions))
     gate = TimeInvariantGate(_sparse(_empty(d), [(p, p, _QUARTER) for p in tracked]))
-    return gate, AffineMap(_eye(d), _zeros(d)), dict.fromkeys(tracked, _PREV_BIT_DECODER)
+    return gate, AffineMap(_eye(d), _zeros(d)), {p: (_PREV_BIT_DECODER, (p, d + p))
+                                                  for p in tracked}
 
 
 def prev_bit_layer(d: int, positions: Iterable[int]) -> SsmLayer:
@@ -260,7 +260,10 @@ class LtlLayout(Value):
     other subformulas by height 1, 2, ..., each in topological order, and
     they take the coordinates after the propositions in that order.  The
     gate of each until, in the same order, takes the next coordinate
-    (``gate_of``).  The constant 1 is the last coordinate."""
+    (``gate_of``).  The constant 1 is the last coordinate, and ``tt``
+    (``a | !a`` for an atom a) is a leaf of height 0 that reads it: its
+    child ``!a`` is among ``subformulas`` only where another subformula
+    reads it, though every atom of the formula is a proposition."""
 
     __slots__ = _fields = ("props", "subformulas", "levels", "dim_of", "gate_of", "const_dim",
                            "dimension")
@@ -275,12 +278,26 @@ class LtlLayout(Value):
         return dict(self.dim_of)[sub]
 
 
+def _is_tt(sub: LtlFormula) -> bool:
+    """Whether ``sub`` is ``a | !a`` for an atom a, the parser's ``tt``."""
+    return (isinstance(sub, Or) and isinstance(sub.left, Atom) and isinstance(sub.right, Not)
+            and sub.right.sub == sub.left)
+
+
 def ltl_layout(phi: LtlFormula) -> LtlLayout:
-    subs = tuple(subformulas_topo(phi))
-    props = tuple(sorted(sub.name for sub in subs if isinstance(sub, Atom)))
+    every = subformulas_topo(phi)
+    props = tuple(sorted(sub.name for sub in every if isinstance(sub, Atom)))
+    # tt is a leaf: its children are read only where another subformula reads them
+    tts = {sub for sub in every if _is_tt(sub)}
+    read = {phi}
+    for sub in reversed(every):  # parents come first
+        if sub in read and sub not in tts:
+            read.update(children(sub))
+    subs = tuple(sub for sub in every if sub in read or isinstance(sub, Atom))
     height: dict[LtlFormula, int] = {}
     for sub in subs:  # children come first
-        height[sub] = 1 + max((height[c] for c in children(sub)), default=-1)
+        height[sub] = 0 if sub in tts else 1 + max((height[c] for c in children(sub)),
+                                                   default=-1)
     levels: list[list[LtlFormula]] = [[] for _ in range(height[phi])]
     for sub in subs:
         if height[sub]:
@@ -292,6 +309,7 @@ def ltl_layout(phi: LtlFormula) -> LtlLayout:
     untils = [sub for level in levels for sub in level if isinstance(sub, Until)]
     gate = {sub: len(column) + k for k, sub in enumerate(untils)}
     const_dim = len(column) + len(gate)
+    column.update(dict.fromkeys(tts, const_dim))
     return LtlLayout(
         props=props,
         subformulas=subs,
@@ -339,9 +357,10 @@ def _ltl_entry(sub: LtlFormula, dim: dict, gate: dict, const_dim: int):
 
 def compile_ltl(phi: LtlFormula) -> SsmModel:
     """Model over 2^P that accepts a word iff its reversal is a model of the
-    formula.  Atoms read their propositions' embedding columns; every other
-    subformula of one DAG height is computed in one layer, and a level that
-    holds an X gets one previous-bit layer after it.  The gate of an until
+    formula.  Atoms read their propositions' embedding columns and tt the
+    constant coordinate; every other subformula of one DAG height is
+    computed in one layer, and a level that holds an X gets one previous-bit
+    layer after it.  The gate of an until
     of height 1 is an embedding column; that of a higher until is stacked on
     the outputs of the layer below its level.  The compiled model is exact
     under the 6-bit profile, and an X-free one under ``fx:3:0``, which its
@@ -387,18 +406,23 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
     out = compose(gadget_eq(1), select_fnn([dim[phi]], d))
     letters = ltl_mod.letters(layout.props)
     alphabet = tuple(set_symbol(l) for l in letters)
-    letter_gates = [(gate[sub], sub.left.name, sub.right.name)
+    letter_gates = [(gate[sub], sub.left, sub.right)
                     for level in layout.levels[:1] for sub in level if isinstance(sub, Until)]
+
+    def truth(leaf: LtlFormula, letter: frozenset) -> bool:  # an atom or tt
+        return not isinstance(leaf, Atom) or leaf.name in letter
+
     emb = []
     for letter in letters:
         row = [F1 if p in letter else F0 for p in layout.props] + [F0] * (d - count - 1) + [F1]
         for c, left, right in letter_gates:
-            if left in letter and right not in letter:
+            if truth(left, letter) and not truth(right, letter):
                 row[c] = F1
         emb.append(tuple(row))
     layers = tuple(_layer(zero_off, *stage) for stage in stages)
-    # the previous-bit decoder needs 3 fractional bits of 6; every value of
-    # an X-free model is an integer in [-1, 2]
+    # the previous-bit decoder needs 2 fractional bits and room for 8/3,
+    # which the 6-bit profile fx:6:3 gives; every value of an X-free model
+    # is an integer in [-1, 2]
     if any(isinstance(sub, Next) for sub in layout.subformulas):
         bits = (("min_bits", "6"),)
     else:

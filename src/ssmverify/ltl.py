@@ -5,8 +5,9 @@ small-model bound.
 Core connectives are atom, !, |, &, X and U; ->, F, G, tt and ff are sugar
 lowered as the parser reads them (tt becomes ``a | !a`` over the
 alphabetically least atom of the text, or the atom ``p`` when the text
-mentions none).  Traces are tuples of letters, each letter a frozenset of
-proposition names.
+mentions none, so its atom is a proposition of the formula; the LTL
+compiler reads any ``a | !a`` as the constant 1).  Traces are tuples of
+letters, each letter a frozenset of proposition names.
 """
 
 from __future__ import annotations

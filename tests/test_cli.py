@@ -218,6 +218,22 @@ def test_unsat_exit_code_and_no_witness(tmp_path):
     assert "witness" not in report["result"]
 
 
+def test_bare_tt_has_no_layer_and_is_satisfied_by_the_least_letter(tmp_path):
+    """tt reads the constant coordinate: the model has no layer, and every
+    command decides it on the letter {}."""
+    model_path = str(tmp_path / "tt.ssm")
+    assert run(["compile", "ltl", "tt", "-o", model_path])[0] == 0
+    status, report = run(["classify", model_path])
+    assert (status, report["result"]["layers"]) == (0, 0)
+    for argv in (["sat", "fixed", model_path, "--arith", "fx:6:3"],
+                 ["sat", "bounded", model_path, "--max-len", "3"]):
+        status, report = run(argv)
+        assert (status, report["result"]["verdict"], report["result"]["witness"]) == (
+            0, "satisfiable", "{}"), argv
+    status, report = run(["eval", model_path, "--word", "{}"])
+    assert (status, report["result"]["accepted"]) == (0, True)
+
+
 def test_sat_bounded_accepts_fixed_arith(tmp_path):
     model_path = str(tmp_path / "m.ssm")
     run(["compile", "ltl", "p U q", "-o", model_path])

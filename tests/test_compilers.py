@@ -48,6 +48,7 @@ from ssmverify.fnn import (
 from ssmverify.ltl import holds, parse
 from ssmverify.ssm import (
     GateClasses,
+    SsmLayer,
     accepts,
     classify_gates,
     evaluate_layerwise,
@@ -90,14 +91,31 @@ def test_prev_bit_fx6_truncated_history():
 
 @pytest.mark.parametrize("mode", [EXACT, FX6_MODE, ArithMode.parse("fx:8:4")])
 def test_prev_bit_exhaustive_short(mode):
-    layer = prev_bit_layer(1, [0])
+    """From h0 = 0, and from the seed h0 = 1 with which ``compile_minsky``
+    starts its state history, the first output is the seed."""
+    zero = prev_bit_layer(1, [0])
     one = Fraction(1) if mode.is_exact else mode.fmt.scale
-    for n in range(1, 9):
-        for bits in product((0, 1), repeat=n):
-            xs = [(b * one,) for b in bits]
-            zs = run_layer(layer, xs, mode)
-            want = [0] + list(bits[:-1])
-            assert [z[0] for z in zs] == [w * one for w in want], bits
+    for seed in (0, 1):
+        layer = SsmLayer((Fraction(seed),), zero.gate, zero.inc, zero.net, zero.computes)
+        for n in range(1, 9):
+            for bits in product((0, 1), repeat=n):
+                xs = [(b * one,) for b in bits]
+                zs = run_layer(layer, xs, mode)
+                want = [seed] + list(bits[:-1])
+                assert [z[0] for z in zs] == [w * one for w in want], (seed, bits)
+
+
+def test_prev_bit_decoder_shape():
+    """The decoder reads the history value and the current bit of its
+    coordinate: 4 relu layers of 1, 1, 2 and 1 nodes, every weight and bias
+    within +-2, so that no product saturates in a 6-bit format."""
+    d = 3
+    net = prev_bit_layer(d, [1]).net
+    assert [len(layer.nodes) for layer in net.layers] == [1, 1, 2, 1]
+    assert net.layers[0].nodes[0].row.terms == ((1, 2), (d + 1, -2))
+    assert all(node.activation == RELU for layer in net.layers for node in layer.nodes)
+    assert all(abs(w) <= 2 for layer in net.layers for node in layer.nodes
+               for w in (node.bias, *(w for _, w in node.row.terms)))
 
 
 def test_pointwise_reads_columns_out_of_order_and_shared():
@@ -210,6 +228,45 @@ def test_compile_ltl_dimension_bookkeeping():
     # the previous-bit layer below the until computes its gate beside X p,
     # and the until itself, 0 or 1, needs no gadget
     assert [layer.computes for layer in model.layers] == [(), (2, 4), ()]
+
+
+@pytest.mark.parametrize("text, layers", [("F p", 1), ("F p & F q", 2), ("G p", 3)])
+def test_tt_is_the_constant_coordinate(text, layers):
+    """The parser's tt, ``a | !a``, is a leaf of height 0 on the constant
+    coordinate, so F and G put no layer under their untils."""
+    phi = parse(text)
+    layout = ltl_layout(phi)
+    tt = parse("p | !p")
+    assert layout.dim(tt) == layout.const_dim == layout.dimension - 1
+    assert tt not in sum(layout.levels, ())
+    assert compile_ltl(phi).num_layers == layers
+
+
+def test_hand_written_tt_compiles_like_tt():
+    """``q | !q`` written out is tt over q: a leaf, though ``!q`` keeps a
+    coordinate where another subformula reads it, and ``q`` stays a
+    proposition of the alphabet."""
+    phi = parse("(q | !q) U p")
+    layout = ltl_layout(phi)
+    assert layout.props == ("p", "q") and layout.dim(parse("q | !q")) == layout.const_dim
+    assert layout.levels == ((phi,),)
+    assert compile_ltl(parse("p | !p")) == compile_ltl(parse("tt"))
+    read = parse("(q | !q) & !q")
+    assert ltl_layout(read).levels == ((parse("!q"),), (read,))
+    for phi in (phi, read, parse("X (p | !p) & (q U (q | !q))")):
+        model = compile_ltl(phi)
+        for mode in (EXACT, FX6_MODE):
+            for n in range(1, 4):
+                for trace in ltl.enumerate_traces(ltl.atoms(phi), n):
+                    word = trace_to_word(reversed(trace))
+                    assert accepts(model, word, mode) == holds(phi, trace, 1), (phi, trace)
+
+
+def test_g_tt_keeps_its_alphabet():
+    """tt's atom is still a proposition: ``G tt`` is over {} and {p}."""
+    model = compile_ltl(parse("G tt"))
+    assert model.alphabet == ("{}", "{p}")
+    assert all(accepts(model, [symbol], EXACT) for symbol in model.alphabet)
 
 
 @pytest.mark.parametrize(

@@ -66,18 +66,18 @@ def test_model_file_checksums(tmp_path):
         "ltl_until_gate": compile_ltl(parse("(p | q) U X q")),
     }
     expected_v1 = {
-        "minsky": "3df61b8afe417314b5748605bb48ed2daa437c642ce5ce5ba2711cdff4c3dc6e",
+        "minsky": "343d347218f4f95f15e10447ff25e93420782c34d400cf8bf41eb7abed888f4e",
         "ilp": "0e94b9f3be6928193b94cdcd90ac28fc0f96e94dd82d5b7b81d48631f1b01119",
         "ltl": "47ccee3f635a06d69ee38824ab14466750ea108ddf1794a8658bbb4f71fc79f2",
-        "ltl_pointwise": "e4b6de2560a4410e46155b11b273891c64a430c84a345d381650205f8d36c334",
-        "ltl_until_gate": "0c4a99e99268af1565a00338840369bb7b04d669643d5585ca47bc27cfa9d58e",
+        "ltl_pointwise": "beae2e5126bca4386c34d96dbde223e4a91a982e966d8e2bbeafa365b1408dde",
+        "ltl_until_gate": "1fc8e575677f15eb209f6faf3dcc74ed28b0e7e3dd59c1d0ad3905fb95a0a58f",
     }
     expected_v2 = {
-        "minsky": "761535770e67d43ebda047f5c0110c8c9937b9afc1a4b380a89cba9589c78591",
+        "minsky": "cefe0bf73f8963ba6f2bbb11481873b55e0e0d5bff0c1897cddf2b0fca2b1d0f",
         "ilp": "ecc3bb29fc7ea73b0d0e754b4c7aedcef9cde51585f16248429f3469477e3977",
         "ltl": "7cabcde5b8c81e728a44cea0572f0119c86c025f6a775f9664c03eff58f16076",
-        "ltl_pointwise": "2b1b52de9ce6948e8a3ab6beb309bbb3c8461c8a259e21a4b4ce6d2c5bc6ac87",
-        "ltl_until_gate": "0eb10b7b2470dc5da5fbb9215d1bda86a00d0a2458090cbd50f72bdc04d9e0f1",
+        "ltl_pointwise": "a16c11f1e16c701c5f3d6c9bfe32f91c669fdcb6384678f0354e51db182ab6eb",
+        "ltl_until_gate": "b0c4a33125aeebd92c26b19b53e11558f8a9c394acb28658571d9e395748e99e",
     }
     for name, model in cases.items():
         assert sha(v1_text(model)) == expected_v1[name], name
@@ -94,7 +94,7 @@ def test_golden_machine_shape():
     """Layer 2's phi is the previous-bit decoder and one stage of checks,
     and ``out`` reads its two columns with no routing layer."""
     model = compile_minsky(parse_minsky(MINSKY_TEXT))
-    assert len(model.layers[1].phi.layers) == 12
+    assert len(model.layers[1].phi.layers) == 8
     assert len(model.out.layers) == 5
 
 
@@ -119,8 +119,8 @@ def test_compiled_ltl_corpus_checksum(tmp_path):
     """The saved bytes of every hand formula."""
     models = [compile_ltl(parse(text)) for text in hand_formulas()]
     assert corpus_digests(models, tmp_path) == (
-        "aecda5b9cb2df90499cdb05e8c936a5ed7cf0bd7d9a83eb37732f3f9fd070b53",
-        "4e66ded86bfbc860e5109515ed7a07bb9d088defcbd03a3a76c0a99016166c4a")
+        "2753b9726ad43fc62e40cfcc8d676f871032f82a83816f993aeeec7bf2ad1ef2",
+        "166c3fcc94c12d1902a817d47224ea8b47b26c72a5672c45b88ec5e3b21d4a02")
 
 
 def test_compiled_minsky_ilp_corpus_checksum(tmp_path):
@@ -129,8 +129,8 @@ def test_compiled_minsky_ilp_corpus_checksum(tmp_path):
     models = [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(8)]
     models += [compile_ilp(random_ilp(rng)) for _ in range(8)]
     assert corpus_digests(models, tmp_path) == (
-        "1d76d7b499885fcefa15138e51434068c010877740bbd10806b6f95bab6a439f",
-        "fbfc2100fe906bf32d3f8d9ceaa4794485f477a723a9422b02fd01534bb2bd39")
+        "20f3b51bca0dae8c2fc9e93eccc56c32b054e25fcb1b08efae1fdf056c6cf6df",
+        "cc3cc0bc4abaedd47faf2d10934bf30de20e87db2a74b2b31d5020d592904692")
 
 
 # A v1 file as the v1 writer in ``helpers`` saved the compiled model of
@@ -187,6 +187,6 @@ def test_the_denominators_walk_reads_every_constant_the_report_names(tmp_path):
         loaded = load_model(str(path))
         assert _denominator(loaded) == walk(loaded) == _denominator(model) == walk(model)
         denominators.append(_denominator(loaded))
-    assert denominators == [8, 1, 1, 8, 15, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29]
+    assert denominators == [4, 1, 1, 4, 15, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29]
     loaded = load_model(str(V1_FIXTURE))
     assert _denominator(loaded) == walk(loaded) > 1
