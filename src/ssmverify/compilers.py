@@ -3,10 +3,11 @@ and 0-1 integer programs all reduce to SSM satisfiability.
 
 Each compiler ships with an independent brute-force oracle over its source
 language so compiled models can be checked differentially.  The shared
-machinery lives up front: the sparse matrix helpers, ``_pointwise``,
-the one place that puts gadgets of any depth on chosen input columns, and
-the previous-bit layer that smuggles one step of history through the
-recurrence ``h = h/4 + x`` and decodes it from h and the current bit x.
+machinery lives up front: the sparse matrix helpers; ``_pointwise``, the
+one place that puts gadgets of any depth on chosen input columns and
+stacks networks on their outputs, and builds only those, so that a layer
+stores only what it computes; and the previous-bit layer that smuggles a
+step of history through ``h = h/4 + x`` and decodes it from h and x.
 
 The LTL compiler is levelled.  An atom has DAG height 0 and reads its
 proposition's embedding column; so does ``tt``, the parser's ``a | !a``,
@@ -115,24 +116,25 @@ def _zeros(d: int) -> Vector:
 
 
 def _pointwise(d: int, gadgets: dict, width: Optional[int] = None,
-               compact: bool = False, stacked: Optional[dict] = None) -> Fnn:
-    """``width`` inputs (default 2d, the (h, x) of a layer) -> d outputs:
-    output j is ``gadgets[j]``, a one-output network reading input j or a
+               stacked: Optional[dict] = None) -> Fnn:
+    """``width`` inputs (default 2d, the (h, x) of a layer) -> one output
+    per key of ``gadgets`` and ``stacked``, all below d, in ascending order.
+    Output j is ``gadgets[j]``, a one-output network reading input j or a
     pair (network, columns) whose first layer reads those inputs in any
-    order; every other output j copies input j on identity nodes, one per
-    layer, as does a gadget shallower than the deepest one after its end.
-    Nodes keep output order; with no gadget this is the projection.  With
-    ``compact`` only the gadgets' outputs are built, in ascending order:
-    the ``net`` of a layer that computes those coordinates and passes the
-    others through (it needs at least one gadget).  There ``stacked`` maps
-    more outputs to pairs (network, outputs): the network reads those
-    outputs in the layer after their gadgets end, so it shares their nodes;
-    an output without a gadget is its input, carried there on copies."""
+    order; a gadget shallower than the deepest one is copied on identity
+    nodes after its end.  ``stacked`` maps more outputs to pairs (network,
+    operands): the network reads the outputs of those operands in the layer
+    after their gadgets end, so it shares their nodes; an operand without a
+    gadget is its input, carried there on copies, and no stacked output is
+    an operand.  As a layer's ``net`` it computes exactly those outputs and
+    the layer passes the others through."""
     width = 2 * d if width is None else width
     stacked = stacked or {}
-    if any(not 0 <= j < d for j in [*gadgets, *stacked]):
-        raise DimensionError(
-            f"tracked positions {sorted([*gadgets, *stacked])} outside dimension {d}")
+    read = {o for _, operands in stacked.values() for o in operands}
+    if not (positions := {*gadgets, *stacked, *read}) <= set(range(d)):
+        raise DimensionError(f"tracked positions {sorted(positions)} outside dimension {d}")
+    if not stacked.keys().isdisjoint({*gadgets, *read}):
+        raise DimensionError(f"stacked outputs {sorted(stacked)} are also gadgets or operands")
     # the columns each output reads next: first its gadget's (a stacked
     # one's are its operands' outputs), later the nodes of the previous
     # layer, which ascend
@@ -161,7 +163,7 @@ def _pointwise(d: int, gadgets: dict, width: Optional[int] = None,
                 slots[j] = tuple(slots[o][0] for o in stacked[j][1])
         nodes: list[FnnNode] = []
         copies = _copies(width)
-        for j in sorted({*nets, *carried}) if compact else range(d):
+        for j in sorted({*nets, *carried}):
             first, cols, net = len(nodes), slots[j], nets.get(j)
             at = depth - start.get(j, 0)
             if at < 0 or depth >= carried.get(j, depth + 1):
@@ -215,11 +217,11 @@ _PREV_BIT_DECODER = Fnn(tuple(
 
 def _layer(h0: Vector, gate, inc: AffineMap, gadgets: dict,
            stacked: Optional[dict] = None) -> SsmLayer:
-    """The layer whose phi applies ``gadgets`` and ``stacked`` as
-    ``_pointwise`` does and passes every other coordinate through, with no
+    """The layer whose ``net`` is ``_pointwise`` of ``gadgets`` and
+    ``stacked`` and that passes every other coordinate through, with no
     copy node stored."""
     computes = tuple(sorted([*gadgets, *(stacked or ())]))
-    net = _pointwise(len(h0), gadgets, compact=True, stacked=stacked) if computes else None
+    net = _pointwise(len(h0), gadgets, stacked=stacked) if computes else None
     return SsmLayer(h0, gate, inc, net, computes)
 
 
@@ -604,16 +606,15 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
 
     Dimension layout: current-state block, previous-state block (recovered
     from the quarter-shift history), six action flags, two counters, one
-    violation accumulator.  Layer 1 sums the counters.  Layer 2's phi is the
-    previous-bit decoder followed by one ``_pointwise`` stage that adds to
-    the violation coordinate the transition lookup and the four counter
-    validators, each reading its columns of the decoded state directly.
-    Layer 3 sums the violations, and ``out``, the conjunction of two
-    ``_pointwise`` equality gadgets on the violation and final-state
+    violation accumulator.  Layer 1 sums the counters.  Layer 2 computes
+    the previous-state block with the previous-bit decoder and, stacked on
+    its outputs and the other coordinates, the violation coordinate: the
+    transition lookup plus the four counter validators.  It passes the
+    rest through.  Layer 3 sums the violations, and ``out``, the
+    conjunction of two equality gadgets on the violation and final-state
     columns, accepts when the sum is 0 and the run ends in the final state.
     Gates are constant diagonal masks, so the model is both time-invariant
-    and diagonal.
-    """
+    and diagonal."""
     n = len(machine.states)
     d = 2 * n + 9
     state_idx = {q: i for i, q in enumerate(machine.states)}
@@ -642,28 +643,23 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
                       AffineMap(_eye(d), _zeros(d)), {})
 
     # layer 2: quarter-shift history on the second state block, seeded with
-    # the start state; phi decodes it, then sums the violations of the step
+    # the start state; phi decodes it, and the violations of the step are
+    # stacked on the decoded block and the other coordinates below chk
     gate, inc, decoders = _prev_bit(d, range(n, 2 * n))
-    h0_2 = list(_zeros(d))
-    h0_2[n + state_idx[machine.start]] = F1
-
-    accepted = {
-        (state_idx[q], state_idx[q2], _ACTION_INDEX[a])
-        for (q, a, q2) in machine.transitions
-    }
-    parts = [(identity_fnn(1), (chk,)),
-             (gadget_lookup((n, n, 6), accepted),
+    h0_2 = tuple(F1 if j == n + state_idx[machine.start] else F0 for j in range(d))
+    accepted = {(state_idx[q], state_idx[q2], _ACTION_INDEX[a])
+                for (q, a, q2) in machine.transitions}
+    parts = [(gadget_lookup((n, n, 6), accepted),
               (*range(n, 2 * n), *range(n), *range(act_base, act_base + 6)))]
     for action, test in (("dec1", gadget_geq0()), ("dec2", gadget_geq0()),
                          ("ztest1", gadget_eq(0)), ("ztest2", gadget_eq(0))):
         # 1 iff the action is taken while its counter test fails
-        parts.append((compose(gadget_implies(), _pointwise(2, {1: test}, width=2)),
+        check = _pointwise(2, {0: identity_fnn(1), 1: test}, width=2)
+        parts.append((compose(gadget_implies(), check),
                       (act_base + _ACTION_INDEX[action], c_dims[_COUNTER_OF[action]])))
     violations = compose(linear_fnn([[1] * len(parts)]),
-                         _pointwise(len(parts), dict(enumerate(parts)), width=d))
-    phi2 = compose(_pointwise(d, {chk: (violations, tuple(range(d)))}, width=d),
-                   _pointwise(d, decoders))
-    l2 = SsmLayer(tuple(h0_2), gate, inc, phi2)
+                         _pointwise(len(parts), dict(enumerate(parts)), width=chk))
+    l2 = _layer(h0_2, gate, inc, decoders, {chk: (violations, tuple(range(chk)))})
 
     out = compose(gadget_and(2), _pointwise(
         2, {0: (gadget_eq(0), (chk,)), 1: (gadget_eq(1), (state_idx[machine.final],))},

@@ -43,9 +43,9 @@ class SearchStats(Value):
     ``transitions`` repeats that count under its plain name;
     ``distinct_states`` counts the stream states stored (the initial one
     included) and ``max_frontier`` the largest breadth-first level.
-    ``stepper_build_s`` is the build time of the compiled step that ran the
-    search, whenever it was built, and ``exact_domain`` is the domain exact
-    values ran in, always ``"int"`` (``None`` in fixed mode).
+    ``elapsed_s`` times the search alone and ``stepper_build_s`` the build
+    of the compiled step that ran it, whenever it was built; ``exact_domain``
+    is the domain exact values ran in, always ``"int"`` (``None`` in fixed mode).
     ``exact_scale_bits`` is the bit length of the scale those ints ran on:
     1 for a model with only integer constants, ``SCALE_BITS + 1`` for a
     dyadic one (``None`` in fixed mode).
@@ -162,15 +162,17 @@ def _search(model: SsmModel, mode: ArithMode, length_cap: Optional[int],
     the first accepting (state, symbol) found spells the lexicographically
     least among the shortest accepted words.  Returns (witness or None,
     whether the frontier was exhausted, stats).  In exact mode a search
-    whose values leave the step's scale runs again on a wider one, and
-    ``elapsed_s`` counts every run."""
+    whose values leave the step's scale runs again on a wider one;
+    ``elapsed_s`` sums the runs and leaves out every build of the step."""
     limits = limits or ResourceLimits.from_env()
-    start = time.monotonic()
+    clock = [0.0]  # the seconds of the runs so far
     return _with_stepper(
-        model, mode, lambda stepper: _bfs(stepper, length_cap, limits, start))
+        model, mode, lambda stepper: _bfs(stepper, length_cap, limits, clock))
 
 
-def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, start: float):
+def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, clock: list):
+    """One run of ``_search``, which adds its seconds to ``clock[0]`` however it ends."""
+    start = time.monotonic() - clock[0]
     one, init = stepper.one, stepper.init
     parents: dict = {init: None}
     step, letters = stepper.search_step, list(stepper.emb.items())  # in alphabet order
@@ -202,6 +204,8 @@ def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, start: floa
     except ResourceLimitError as exc:
         exc.stats = _stats(stepper, start, explored, sizes, len(parents))
         raise
+    finally:
+        clock[0] = time.monotonic() - start
     return None, True, _stats(stepper, start, explored, sizes, len(parents))
 
 

@@ -121,20 +121,21 @@ def test_prev_bit_decoder_shape():
 def test_pointwise_reads_columns_out_of_order_and_shared():
     """A gadget placed on columns equals the network after a select of
     those columns, whatever their order and whoever else reads them; a
-    plain network reads its own position, and the rest is copied."""
+    plain network reads its own position.  Only the gadgets' outputs are
+    built, in ascending order: output 0, which has none, is not."""
     width = 6
     deep = compose(gadget_min1(), linear_fnn([[1, -2, Fraction(1, 3)]], [1], RELU))
     shallow = linear_fnn([[1, 3]], [-1])
     gadgets = {1: (deep, (5, 0, 3)), 2: gadget_min1(), 3: (shallow, (4, 3))}
     net = _pointwise(4, gadgets, width=width)
+    assert net.output_dim == 3
     rng = random.Random(13)
     for _ in range(200):
         xs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(width)]
         got = eval_program(net, xs, EXACT)
-        assert got[0] == xs[0]
-        assert got[2] == eval_program(gadget_min1(), [xs[2]], EXACT)[0]
-        for j, (gadget, columns) in ((1, gadgets[1]), (3, gadgets[3])):
-            assert got[j] == eval_program(compose(gadget, select_fnn(columns, width)), xs, EXACT)[0]
+        assert got[1] == eval_program(gadget_min1(), [xs[2]], EXACT)[0]
+        for k, (gadget, columns) in ((0, gadgets[1]), (2, gadgets[3])):
+            assert got[k] == eval_program(compose(gadget, select_fnn(columns, width)), xs, EXACT)[0]
 
 
 def test_pointwise_stacks_a_network_on_other_outputs():
@@ -144,7 +145,7 @@ def test_pointwise_stacks_a_network_on_other_outputs():
     stacked nodes on two copies."""
     gadgets = {0: gadget_min1()}
     stacked = {2: (gadget_implies(), (0, 3)), 1: (gadget_implies(), (3, 0))}
-    net = _pointwise(4, gadgets, compact=True, stacked=stacked)
+    net = _pointwise(4, gadgets, stacked=stacked)
     assert [len(layer.nodes) for layer in net.layers] == [3 + 1, 1 + 1, 3]
     rng = random.Random(17)
     for _ in range(200):
@@ -153,10 +154,18 @@ def test_pointwise_stacks_a_network_on_other_outputs():
         assert eval_program(net, xs, EXACT) == (low, max(xs[3] - low, 0), max(low - xs[3], 0))
 
 
-@pytest.mark.parametrize("gadgets", [{4: gadget_min1()}, {0: (gadget_min1(), (6,))}])
-def test_pointwise_rejects_a_gadget_off_its_network(gadgets):
+@pytest.mark.parametrize("gadgets, stacked", [
+    ({4: gadget_min1()}, None),
+    ({0: (gadget_min1(), (6,))}, None),
+    # a stacked output that is also a gadget, or an operand of a stacked network
+    ({0: gadget_min1()}, {0: (gadget_implies(), (1, 2))}),
+    ({0: gadget_min1()}, {1: (gadget_implies(), (0, 1))}),
+    ({0: gadget_min1()}, {1: (gadget_implies(), (0, 3)), 2: (gadget_implies(), (1, 0))}),
+], ids=["gadgets0", "gadgets1", "stacked_gadget", "stacked_own_operand",
+        "stacked_other_operand"])
+def test_pointwise_rejects_a_gadget_off_its_network(gadgets, stacked):
     with pytest.raises(DimensionError):
-        _pointwise(4, gadgets, width=6)
+        _pointwise(4, gadgets, width=6, stacked=stacked)
 
 
 def test_prev_bit_passthrough_keeps_other_dims():

@@ -13,7 +13,7 @@ from helpers import (
 )
 from ssmverify.cli import run
 from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, parse_ilp, parse_minsky
-from ssmverify.fnn import linear_fnn, select_fnn
+from ssmverify.fnn import IDENTITY, linear_fnn, select_fnn
 from ssmverify.ltl import parse
 from ssmverify.modelfile import load_model, save_model
 from ssmverify.ssm import (
@@ -66,14 +66,14 @@ def test_model_file_checksums(tmp_path):
         "ltl_until_gate": compile_ltl(parse("(p | q) U X q")),
     }
     expected_v1 = {
-        "minsky": "343d347218f4f95f15e10447ff25e93420782c34d400cf8bf41eb7abed888f4e",
+        "minsky": "498d72da405b415ce835b67699fa1baf671fbf0e6d3b472ce2797dec744b6c73",
         "ilp": "0e94b9f3be6928193b94cdcd90ac28fc0f96e94dd82d5b7b81d48631f1b01119",
         "ltl": "47ccee3f635a06d69ee38824ab14466750ea108ddf1794a8658bbb4f71fc79f2",
         "ltl_pointwise": "beae2e5126bca4386c34d96dbde223e4a91a982e966d8e2bbeafa365b1408dde",
         "ltl_until_gate": "1fc8e575677f15eb209f6faf3dcc74ed28b0e7e3dd59c1d0ad3905fb95a0a58f",
     }
     expected_v2 = {
-        "minsky": "cefe0bf73f8963ba6f2bbb11481873b55e0e0d5bff0c1897cddf2b0fca2b1d0f",
+        "minsky": "bb0a02acecacbba5d392d78edaad47b8923aa40d0d1b30bd031fce083f236e69",
         "ilp": "ecc3bb29fc7ea73b0d0e754b4c7aedcef9cde51585f16248429f3469477e3977",
         "ltl": "7cabcde5b8c81e728a44cea0572f0119c86c025f6a775f9664c03eff58f16076",
         "ltl_pointwise": "a16c11f1e16c701c5f3d6c9bfe32f91c669fdcb6384678f0354e51db182ab6eb",
@@ -92,10 +92,44 @@ def test_model_file_checksums(tmp_path):
 
 def test_golden_machine_shape():
     """Layer 2's phi is the previous-bit decoder and one stage of checks,
-    and ``out`` reads its two columns with no routing layer."""
+    and ``out`` reads its two columns with no routing layer.  Layer 2
+    computes only the decoded previous states, coordinates 3 to 5 of this
+    3-state machine, and the violation coordinate 14."""
     model = compile_minsky(parse_minsky(MINSKY_TEXT))
     assert len(model.layers[1].phi.layers) == 8
+    assert model.layers[1].computes == (3, 4, 5, 14)
     assert len(model.out.layers) == 5
+
+
+def passed_through(layer) -> list[int]:
+    """The coordinates j whose output in ``layer.net`` is only a chain of
+    unit copies of the layer's own input h_j: a pass-through stored as
+    nodes, which the layer should leave out of ``computes`` instead."""
+    found = []
+    for k, j in enumerate(layer.computes):
+        for fnn_layer in reversed(layer.net.layers):
+            node = fnn_layer.nodes[k]
+            terms = node.row.terms
+            if node.activation != IDENTITY or node.bias or len(terms) != 1 or terms[0][1] != 1:
+                break
+            k = terms[0][0]
+        else:
+            if k == j:
+                found.append(j)
+    return found
+
+
+def test_compilers_store_no_pass_through():
+    """No compiled layer stores a coordinate that it only copies: every
+    output of a ``net`` computes something."""
+    rng = random.Random(31)
+    models = [compile_ltl(parse(text)) for text in hand_formulas()]
+    models.append(compile_minsky(parse_minsky(MINSKY_TEXT)))
+    models += [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(12)]
+    models += [compile_ilp(random_ilp(rng)) for _ in range(12)]
+    for model in models:
+        for i, layer in enumerate(model.layers):
+            assert passed_through(layer) == [], (model.metadata, i)
 
 
 def corpus_digests(models, tmp_path) -> tuple[str, str]:
@@ -129,8 +163,8 @@ def test_compiled_minsky_ilp_corpus_checksum(tmp_path):
     models = [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(8)]
     models += [compile_ilp(random_ilp(rng)) for _ in range(8)]
     assert corpus_digests(models, tmp_path) == (
-        "20f3b51bca0dae8c2fc9e93eccc56c32b054e25fcb1b08efae1fdf056c6cf6df",
-        "cc3cc0bc4abaedd47faf2d10934bf30de20e87db2a74b2b31d5020d592904692")
+        "d7fd39e1230383e4f05ba3a7a0c5528363a95a9157bec6c359f76f76f2e0b4a7",
+        "97278f452ebf820e49f669a46846efb4e3e21562f623dd0857c6b9f45806d1ad")
 
 
 # A v1 file as the v1 writer in ``helpers`` saved the compiled model of

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,7 @@ from ssmverify.ssm import (
     SsmLayer,
     SsmModel,
     TimeInvariantGate,
+    _StepCompiler,
     _stepper,
     accepts,
     as_matrix,
@@ -281,6 +283,29 @@ def test_search_stats_name_the_exact_domain_and_the_step_build():
     assert stats.exact_domain is stats.exact_scale_bits is None
     assert stats.key_state_bound_log2 == 6 * stats.key_coordinates > 0
     assert stats.transitions == stats.states_explored > 0
+
+
+def test_elapsed_s_is_the_search_alone(monkeypatch):
+    """With the step build 0.2 s slower, ``elapsed_s`` stays the search
+    alone under both solvers: on a fresh model, after a prebuild, and over
+    the two runs of a widened exact scale.  ``stepper_build_s`` holds the
+    build."""
+    build = _StepCompiler.build
+
+    def slow(self, *args):
+        time.sleep(0.2)
+        return build(self, *args)
+
+    monkeypatch.setattr(_StepCompiler, "build", slow)
+    fresh = lambda: compile_ltl(parse("(p U q) & X !p"))
+    prebuilt = fresh()
+    _stepper(prebuilt, ArithMode(FX6))
+    clipped = linear_fnn([[1, 0], [0, -1]], [0, 1], RELU)
+    widened = geometric_model(Fraction(1, 2), compose(
+        gadget_eq(81), compose(linear_fnn([[1, -1]], [1]), clipped)))
+    for result in (sat_bounded(fresh(), 4, EXACT), sat_fixed(fresh(), FX6),
+                   sat_fixed(prebuilt, FX6), sat_bounded(widened, 80, EXACT)):
+        assert result.stats.elapsed_s < 0.2 <= result.stats.stepper_build_s
 
 
 def test_integral_models_search_on_scale_one_as_on_the_dyadic_scale():
