@@ -441,7 +441,8 @@ _ACTION_INDEX = {a: i for i, a in enumerate(ACTIONS)}
 # the counter an action reads or writes, and what it adds to that counter
 _EFFECT = {"inc1": (0, 1), "inc2": (1, 1), "dec1": (0, -1), "dec2": (1, -1),
            "ztest1": (0, 0), "ztest2": (1, 0)}
-_COUNTER_OF = {a: i for a, (i, _) in _EFFECT.items()}
+# the word length that a compiled machine's ``min_bits`` covers
+MINSKY_WORD_BOUND = 64
 
 
 class MinskyMachine(Value):
@@ -549,16 +550,11 @@ def validate_word(machine: MinskyMachine, symbols: Sequence[str]) -> bool:
         q2, a = symbol_pair(symbol)
         if (q, a, q2) not in machine.transitions:
             return False
-        i = _COUNTER_OF.get(a)
-        if a.startswith("inc"):
-            c[i] += 1
-        elif a.startswith("dec"):
-            if c[i] <= 0:
-                return False
-            c[i] -= 1
-        else:
-            if c[i] != 0:
-                return False
+        i, delta = _EFFECT[a]
+        # a dec must find its counter positive, and a ztest find it zero
+        if c[i] + delta < 0 or (delta == 0 and c[i] != 0):
+            return False
+        c[i] += delta
         q = q2
     return q == machine.final and len(symbols) > 0
 
@@ -601,7 +597,7 @@ def minsky_min_bits(max_len: int) -> int:
     return 3 + 1 + max(2, (5 * max_len + 1).bit_length())
 
 
-def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
+def compile_minsky(machine: MinskyMachine) -> SsmModel:
     """Model accepting exactly the words that spell accepting runs.
 
     Dimension layout: current-state block, previous-state block (recovered
@@ -630,11 +626,8 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
         vec[state_idx[q]] = F1
         vec[n + state_idx[q]] = F1
         vec[act_base + _ACTION_INDEX[a]] = F1
-        i = _COUNTER_OF[a]
-        if a.startswith("inc"):
-            vec[c_dims[i]] = F1
-        elif a.startswith("dec"):
-            vec[c_dims[i]] = -F1
+        i, delta = _EFFECT[a]
+        vec[c_dims[i]] = delta * F1
         emb.append(tuple(vec))
 
     def accumulator(first: int, last: int) -> SsmLayer:
@@ -656,7 +649,7 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
         # 1 iff the action is taken while its counter test fails
         check = _pointwise(2, {0: identity_fnn(1), 1: test}, width=2)
         parts.append((compose(gadget_implies(), check),
-                      (act_base + _ACTION_INDEX[action], c_dims[_COUNTER_OF[action]])))
+                      (act_base + _ACTION_INDEX[action], c_dims[_EFFECT[action][0]])))
     violations = compose(linear_fnn([[1] * len(parts)]),
                          _pointwise(len(parts), dict(enumerate(parts)), width=chk))
     l2 = _layer(h0_2, gate, inc, decoders, {chk: (violations, tuple(range(chk)))})
@@ -667,8 +660,8 @@ def compile_minsky(machine: MinskyMachine, word_bound: int = 64) -> SsmModel:
     # layer 1 accumulates the counters, layer 3 the violation dimension
     layers = (accumulator(*c_dims), l2, accumulator(chk, chk))
     return _finish(SsmModel(alphabet=alphabet, emb=tuple(emb), layers=layers, out=out),
-                   ("source", "minsky"), ("min_bits", str(minsky_min_bits(word_bound))),
-                   ("min_bits_word_bound", str(word_bound)))
+                   ("source", "minsky"), ("min_bits", str(minsky_min_bits(MINSKY_WORD_BOUND))),
+                   ("min_bits_word_bound", str(MINSKY_WORD_BOUND)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Linear temporal logic over finite traces: grammar, 1-based semantics,
-a complete satisfiability judge, brute-force satisfiability, and the
-small-model bound.
+"""Linear temporal logic over finite traces: grammar, the recursive 1-based
+semantics ``holds`` (the independent reference), one automaton that serves
+both ``models`` and the complete satisfiability judge, brute-force
+satisfiability, and the small-model bound.
 
 Core connectives are atom, !, |, &, X and U; ->, F, G, tt and ff are sugar
 lowered as the parser reads them (tt becomes ``a | !a`` over the
@@ -310,40 +311,48 @@ def subformulas_topo(phi: LtlFormula) -> list[LtlFormula]:
     return list(seen)
 
 
-def trace_labels(phi: LtlFormula, trace: Trace) -> dict[LtlFormula, list[bool]]:
-    """Bottom-up truth tables: for each distinct subformula, its value at
-    every position.  Agrees with ``holds`` but costs O(k * n) per trace."""
-    n = len(trace)
-    labels: dict[LtlFormula, list[bool]] = {}
-    for sub in subformulas_topo(phi):
-        if isinstance(sub, Atom):
-            row = [sub.name in letter for letter in trace]
-        elif isinstance(sub, Not):
-            inner = labels[sub.sub]
-            row = [not v for v in inner]
-        elif isinstance(sub, And):
-            lrow, rrow = labels[sub.left], labels[sub.right]
-            row = [a and b for a, b in zip(lrow, rrow)]
-        elif isinstance(sub, Or):
-            lrow, rrow = labels[sub.left], labels[sub.right]
-            row = [a or b for a, b in zip(lrow, rrow)]
-        elif isinstance(sub, Next):
-            inner = labels[sub.sub]
-            row = [inner[i + 1] if i + 1 < n else False for i in range(n)]
-        else:
-            lrow, rrow = labels[sub.left], labels[sub.right]
-            row = [False] * n
-            for i in range(n - 1, -1, -1):
-                nxt = row[i + 1] if i + 1 < n else False
-                row[i] = rrow[i] or (lrow[i] and nxt)
-        labels[sub] = row
-    return labels
+def _automaton(phi: LtlFormula):
+    """The deterministic automaton that reads a trace from its last letter
+    to its first (De Giacomo and Vardi, IJCAI 2013).  Each subformula's
+    truth at a position follows from the letter there and the truths one
+    position later, of which only those of the X operands and the untils
+    are read.  A key is the tuple of those carried truths, all false past
+    the end.  Returns the initial key and ``step(key, letter)``, which gives
+    the key at this position and the truth of ``phi`` there."""
+    subs = subformulas_topo(phi)
+    at = {sub: k for k, sub in enumerate(subs)}
+    carried = sorted({at[s.sub] for s in subs if isinstance(s, Next)}
+                     | {at[s] for s in subs if isinstance(s, Until)})
+    slot = {k: c for c, k in enumerate(carried)}
+
+    def step(key: tuple, letter: frozenset) -> tuple[tuple, bool]:
+        row: list[bool] = []
+        for sub in subs:
+            if isinstance(sub, Atom):
+                row.append(sub.name in letter)
+            elif isinstance(sub, Not):
+                row.append(not row[at[sub.sub]])
+            elif isinstance(sub, And):
+                row.append(row[at[sub.left]] and row[at[sub.right]])
+            elif isinstance(sub, Or):
+                row.append(row[at[sub.left]] or row[at[sub.right]])
+            elif isinstance(sub, Next):
+                row.append(key[slot[at[sub.sub]]])
+            else:
+                row.append(row[at[sub.right]] or (row[at[sub.left]] and key[slot[at[sub]]]))
+        return tuple(row[k] for k in carried), row[-1]
+
+    return (False,) * len(carried), step
 
 
 def models(phi: LtlFormula, trace: Trace) -> bool:
-    if not trace:
-        return False
-    return trace_labels(phi, trace)[phi][0]
+    """Whether ``phi`` holds at the first position of ``trace``: ``_automaton``
+    folded over the reversed trace.  The empty trace is a model of nothing."""
+    key, step = _automaton(phi)
+    truth = False
+    for letter in reversed(trace):
+        key, truth = step(key, letter)
+    return truth
 
 
 def letters(props) -> list[frozenset]:
@@ -361,53 +370,23 @@ def least_reversed_model(phi: LtlFormula) -> Optional[Trace]:
     its last letter to its first, letters in ``letters`` order), or None
     when ``phi`` has no model.
 
-    The reversed trace is read as ``trace_labels`` reads a trace, right to
-    left: each subformula's truth at a position follows from the letter
-    there and the truths one position later, of which only the operands of
-    X and the untils are read.  Those truths, all false past the end, are
-    the states of a deterministic automaton, and a breadth-first search over
-    them, levels in discovery order, stops at the first letter that makes
-    ``phi`` true (De Giacomo and Vardi, IJCAI 2013).  No SSM and no
-    arithmetic take part."""
-    subs = subformulas_topo(phi)
-    at = {sub: k for k, sub in enumerate(subs)}
-    carried = sorted({at[s.sub] for s in subs if isinstance(s, Next)}
-                     | {at[s] for s in subs if isinstance(s, Until)})
-
-    def labels(key: tuple, letter: frozenset) -> list[bool]:
-        """The truths at a position with this letter, where ``key`` holds
-        the carried truths one position later."""
-        later = dict(zip(carried, key))
-        row: list[bool] = []
-        for sub in subs:
-            if isinstance(sub, Atom):
-                row.append(sub.name in letter)
-            elif isinstance(sub, Not):
-                row.append(not row[at[sub.sub]])
-            elif isinstance(sub, And):
-                row.append(row[at[sub.left]] and row[at[sub.right]])
-            elif isinstance(sub, Or):
-                row.append(row[at[sub.left]] or row[at[sub.right]])
-            elif isinstance(sub, Next):
-                row.append(later[at[sub.sub]])
-            else:
-                row.append(row[at[sub.right]] or (row[at[sub.left]] and later[at[sub]]))
-        return row
-
-    parents: dict = {(False,) * len(carried): None}
-    level, alphabet = list(parents), letters(atoms(phi))
+    A breadth-first search over the keys of ``_automaton``, levels in
+    discovery order and letters in ``letters`` order, stops at the first
+    letter that makes ``phi`` true.  No SSM and no arithmetic take part."""
+    key, step = _automaton(phi)
+    parents: dict = {key: None}
+    level, alphabet = [key], letters(atoms(phi))
     while level:
         next_level = []
         for key in level:
             for letter in alphabet:
-                row = labels(key, letter)
-                if row[-1]:
+                new_key, truth = step(key, letter)
+                if truth:
                     word = [letter]
                     while parents[key] is not None:
                         key, prior = parents[key]
                         word.append(prior)
                     return tuple(reversed(word))
-                new_key = tuple(row[k] for k in carried)
                 if new_key not in parents:
                     parents[new_key] = (key, letter)
                     next_level.append(new_key)

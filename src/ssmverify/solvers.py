@@ -118,16 +118,18 @@ class ResourceLimits(Value):
     @staticmethod
     def from_env() -> "ResourceLimits":
         """Limits from ``SSMVERIFY_MAX_STATES`` / ``SSMVERIFY_MAX_MEM_MB``; a
-        value that is not an integer is an ``InputFormatError``."""
+        value that is not a non-negative integer is an ``InputFormatError``."""
 
         def read(name: str):
             text = os.environ.get(name)
             if not text:
                 return None
             try:
-                return int(text)
+                if int(text) >= 0:
+                    return int(text)
             except ValueError:
-                raise InputFormatError(f"{name} must be an integer, got {text!r}") from None
+                pass
+            raise InputFormatError(f"{name} must be a non-negative integer, got {text!r}")
 
         states = read("SSMVERIFY_MAX_STATES")
         return ResourceLimits(

@@ -180,8 +180,8 @@ class SsmLayer(Value):
     product truncated and saturated like any other term, which is ``h_j``
     itself wherever 1 is representable.
 
-    A full 2d -> d network, given as ``net`` or as ``phi``, computes every
-    coordinate.  ``phi`` is a derived view, the full network: for a layer
+    Without ``computes``, ``net`` is a full 2d -> d network that computes
+    every coordinate.  ``phi`` is a derived view, the full network: for a layer
     that passes coordinates through, ``fnn._with_copies`` builds it on first
     read, with an identity copy node per layer of ``net`` for each of them.
     No evaluator reads it: the oracle and the generated step each apply the
@@ -194,10 +194,8 @@ class SsmLayer(Value):
     _fields = ("h0", "gate", "inc", "net", "computes")
 
     def __init__(self, h0: Vector, gate: GateSpec, inc: AffineMap, net: Fnn | None = None,
-                 computes: tuple[int, ...] | None = None, *, phi: Fnn | None = None):
+                 computes: tuple[int, ...] | None = None):
         d = len(h0)
-        if phi is not None:
-            net = phi
         computes = tuple(range(d)) if computes is None else tuple(computes)
         self._assign(h0, gate, inc, net, computes)
         if gate.dim != d or inc.dim != d:

@@ -221,9 +221,9 @@ def geometric_model(gate, out):
     becomes gate * h1 + 1, so after t symbols h1 is the geometric sum
     (1 - gate**t) / (1 - gate)."""
     layer = SsmLayer(
-        h0=as_vector([0, 0]),
-        gate=TimeInvariantGate(as_matrix([[1, 0], [0, gate]])),
-        inc=AffineMap(as_matrix([[1, 0], [0, 1]]), as_vector([0, 0])),
-        phi=projection_phi(2),
+        as_vector([0, 0]),
+        TimeInvariantGate(as_matrix([[1, 0], [0, gate]])),
+        AffineMap(as_matrix([[1, 0], [0, 1]]), as_vector([0, 0])),
+        projection_phi(2),
     )
     return SsmModel(alphabet=("a",), emb=(as_vector([1, 1]),), layers=(layer,), out=out)

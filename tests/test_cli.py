@@ -181,8 +181,8 @@ def test_huge_exact_constants_decide(tmp_path):
     interval analysis adds such ints to infinite bounds, and none of them
     fits in a float."""
     big = 1 << 1100
-    layer = SsmLayer(h0=as_vector([0]), gate=TimeInvariantGate(as_matrix([[1]])),
-                     inc=AffineMap(as_matrix([[1]]), as_vector([1 - big])), phi=projection_phi(1))
+    layer = SsmLayer(as_vector([0]), TimeInvariantGate(as_matrix([[1]])),
+                     AffineMap(as_matrix([[1]]), as_vector([1 - big])), projection_phi(1))
     model_path = str(tmp_path / "big.ssm")
     save_model(SsmModel(alphabet=("a", "b"), emb=(as_vector([big]), as_vector([0])),
                         layers=(layer,), out=select_fnn([0], 1)), model_path)
@@ -421,15 +421,23 @@ def test_compile_ltl_refuses_too_many_atoms(tmp_path, count):
     assert not model_path.exists()
 
 
-@pytest.mark.parametrize(
-    "name, value", [("SSMVERIFY_MAX_STATES", "abc"), ("SSMVERIFY_MAX_MEM_MB", "x")]
-)
+@pytest.mark.parametrize("name, value", [
+    ("SSMVERIFY_MAX_STATES", "abc"), ("SSMVERIFY_MAX_MEM_MB", "x"),
+    ("SSMVERIFY_MAX_STATES", "-1"), ("SSMVERIFY_MAX_MEM_MB", "-5"),
+])
 def test_bad_resource_environment_is_a_usage_error(tmp_path, monkeypatch, name, value):
+    """A ceiling that is not a non-negative integer is bad input, in the
+    search and in the oracles alike, not a limit that was hit."""
     model_path = str(tmp_path / "m.ssm")
     run(["compile", "ltl", "p U q", "-o", model_path])
+    machine, instance = tmp_path / "loop.mm", tmp_path / "ilp.txt"
+    machine.write_text("start: q0\nfinal: qf\nq0 inc1 q0\n")
+    instance.write_text("2\n1 1\n0 1\n1 1\n")
     monkeypatch.setenv(name, value)
     for argv in (["sat", "fixed", model_path, "--arith", "fx:6:3"],
-                 ["sat", "bounded", model_path, "--max-len", "2"]):
+                 ["sat", "bounded", model_path, "--max-len", "2"],
+                 ["oracle", "minsky", str(machine), "--max-steps", "5"],
+                 ["oracle", "ilp", str(instance)]):
         status, report = run(argv)
         assert status == 2
         assert name in report["result"]["error"]

@@ -206,8 +206,8 @@ def test_the_denominators_walk_reads_every_constant_the_report_names(tmp_path):
 
     # each place that holds a constant gets a prime of its own
     p = [Fraction(1, q) for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)]
-    layer = SsmLayer(h0=(p[1],), gate=DiagonalAffineGate([[p[3]]], (p[2],)),
-                     inc=AffineMap([[p[4]]], (p[5],)), phi=linear_fnn([[p[7], 1]], [p[6]]))
+    layer = SsmLayer((p[1],), DiagonalAffineGate([[p[3]]], (p[2],)),
+                     AffineMap([[p[4]]], (p[5],)), linear_fnn([[p[7], 1]], [p[6]]))
     primes = SsmModel(alphabet=("a",), emb=((p[0],),), layers=(layer,),
                       out=linear_fnn([[p[9]]], [p[8]]))
     rng = random.Random(41)

@@ -28,7 +28,6 @@ from ssmverify.ltl import (
     size,
     small_model_bound,
     subformulas_topo,
-    trace_labels,
 )
 
 P, Q = Atom("p"), Atom("q")
@@ -122,15 +121,16 @@ def test_until_unrolling_exhaustive():
 
 @given(st.integers(0, 10**9), st.integers(1, 6), st.integers(1, 4))
 @settings(max_examples=200)
-def test_labels_agree_with_holds(seed, fsize, tlen):
+def test_models_agree_with_holds(seed, fsize, tlen):
+    """The automaton behind ``models``, run on each suffix, against the
+    recursive ``holds`` at each position."""
     rng = random.Random(seed)
     phi = random_formula(rng, fsize)
     trace = tuple(
         frozenset(p for p in ("p", "q") if rng.random() < 0.5) for _ in range(tlen)
     )
-    labels = trace_labels(phi, trace)
     for i in range(1, tlen + 1):
-        assert labels[phi][i - 1] == holds(phi, trace, i)
+        assert models(phi, trace[i - 1:]) == holds(phi, trace, i)
 
 
 def test_bruteforce_contradiction():

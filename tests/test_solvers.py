@@ -160,10 +160,10 @@ def test_sat_fixed_constant_state_saturates_immediately():
     # after one expansion of the alphabet
     d = 1
     layer = SsmLayer(
-        h0=as_vector([0]),
-        gate=TimeInvariantGate(as_matrix([[1]])),
-        inc=AffineMap(as_matrix([[0]]), as_vector([0])),
-        phi=projection_phi(d),
+        as_vector([0]),
+        TimeInvariantGate(as_matrix([[1]])),
+        AffineMap(as_matrix([[0]]), as_vector([0])),
+        projection_phi(d),
     )
     model = SsmModel(
         alphabet=("a", "b"),
@@ -199,10 +199,10 @@ def test_sat_fixed_thread_count_does_not_change_answer():
 
 def test_sat_fixed_quantisation_is_reported():
     layer = SsmLayer(
-        h0=as_vector([Fraction(1, 3)]),
-        gate=TimeInvariantGate(as_matrix([[1]])),
-        inc=AffineMap(as_matrix([[0]]), as_vector([0])),
-        phi=projection_phi(1),
+        as_vector([Fraction(1, 3)]),
+        TimeInvariantGate(as_matrix([[1]])),
+        AffineMap(as_matrix([[0]]), as_vector([0])),
+        projection_phi(1),
     )
     model = SsmModel(("a",), (as_vector([1]),), (layer,), gadget_eq(1))
     result = sat_fixed(model, FX6)
@@ -266,6 +266,8 @@ def test_resource_limits_read_from_environment(monkeypatch):
     monkeypatch.delenv("SSMVERIFY_MAX_STATES")
     monkeypatch.delenv("SSMVERIFY_MAX_MEM_MB")
     assert ResourceLimits.from_env().max_mem_mb is None
+    monkeypatch.setenv("SSMVERIFY_MAX_STATES", "0")  # 0 is a ceiling, not bad input
+    assert ResourceLimits.from_env().max_states == 0
 
 
 def test_search_stats_name_the_exact_domain_and_the_step_build():
@@ -528,10 +530,10 @@ def test_a_dead_constant_is_still_counted_as_quantised():
     """1/3, which fx:6:3 cannot hold, weighs a phi node that nothing reads:
     the step never encodes it, and the count still includes it."""
     layer = SsmLayer(
-        h0=as_vector([0, 0]),
-        gate=TimeInvariantGate(as_matrix([[0, 0], [0, 0]])),
-        inc=AffineMap(as_matrix([[1, 0], [0, 1]]), as_vector([0, 0])),
-        phi=linear_fnn([[1, 0, 0, 0], [0, Fraction(1, 3), 0, 0]]),
+        as_vector([0, 0]),
+        TimeInvariantGate(as_matrix([[0, 0], [0, 0]])),
+        AffineMap(as_matrix([[1, 0], [0, 1]]), as_vector([0, 0])),
+        linear_fnn([[1, 0, 0, 0], [0, Fraction(1, 3), 0, 0]]),
     )
     model = SsmModel(("a",), (as_vector([1, 1]),), (layer,), select_fnn([0], 2))
     assert [path for path, _ in quantization_report(model, FX6)] == ["layer0.phi.layer0.node1.w1"]
@@ -575,10 +577,10 @@ def noop_symbol_model():
     """Accumulator where symbol x embeds to zero: a state no-op."""
     d = 1
     layer = SsmLayer(
-        h0=as_vector([0]),
-        gate=TimeInvariantGate(as_matrix([[1]])),
-        inc=AffineMap(as_matrix([[1]]), as_vector([0])),
-        phi=projection_phi(d),
+        as_vector([0]),
+        TimeInvariantGate(as_matrix([[1]])),
+        AffineMap(as_matrix([[1]]), as_vector([0])),
+        projection_phi(d),
     )
     return SsmModel(
         alphabet=("s", "t", "x"),
@@ -644,10 +646,10 @@ def test_pump_down_contract():
 
 def accumulator_with_out(out, emb_values):
     layer = SsmLayer(
-        h0=as_vector([0]),
-        gate=TimeInvariantGate(as_matrix([[1]])),
-        inc=AffineMap(as_matrix([[1]]), as_vector([0])),
-        phi=projection_phi(1),
+        as_vector([0]),
+        TimeInvariantGate(as_matrix([[1]])),
+        AffineMap(as_matrix([[1]]), as_vector([0])),
+        projection_phi(1),
     )
     return SsmModel(
         alphabet=tuple(chr(ord("a") + i) for i in range(len(emb_values))),

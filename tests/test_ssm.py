@@ -66,10 +66,10 @@ def zeros_mat(d):
 def accumulator_model(d=2):
     """gate = I, inc = identity map: the hidden state sums the embeddings."""
     layer = SsmLayer(
-        h0=as_vector([0] * d),
-        gate=TimeInvariantGate(eye(d)),
-        inc=AffineMap(eye(d), as_vector([0] * d)),
-        phi=projection_phi(d),
+        as_vector([0] * d),
+        TimeInvariantGate(eye(d)),
+        AffineMap(eye(d), as_vector([0] * d)),
+        projection_phi(d),
     )
     out = compose(gadget_eq(3), select_fnn([0], d))
     return SsmModel(
@@ -344,8 +344,8 @@ def test_a_folded_product_outside_the_scale_widens_it():
     scale 2**SCALE_BITS cannot hold: the product does not fold, the first
     call raises from its check and the step is rebuilt on the square."""
     tiny = Fraction(1, 1 << 40)
-    layer = SsmLayer(h0=as_vector([0]), gate=TimeInvariantGate(zeros_mat(1)),
-                     inc=AffineMap(as_matrix([[tiny]]), as_vector([0])), phi=projection_phi(1))
+    layer = SsmLayer(as_vector([0]), TimeInvariantGate(zeros_mat(1)),
+                     AffineMap(as_matrix([[tiny]]), as_vector([0])), projection_phi(1))
     model = SsmModel(alphabet=("a",), emb=(as_vector([tiny]),), layers=(layer,),
                      out=select_fnn([0], 1))
     assert evaluate(model, ["a"], EXACT) == evaluate_layerwise(model, ["a"], EXACT) == tiny * tiny
@@ -359,10 +359,10 @@ def test_two_odd_denominators_widen_the_scale_for_both():
     the scale has more decimal digits than CPython converts to a string,
     and the step still builds."""
     layer = SsmLayer(
-        h0=as_vector([0, 0]),
-        gate=TimeInvariantGate(as_matrix([[Fraction(1, 3), 0], [0, Fraction(1, 5)]])),
-        inc=AffineMap(eye(2), as_vector([0, 0])),
-        phi=projection_phi(2),
+        as_vector([0, 0]),
+        TimeInvariantGate(as_matrix([[Fraction(1, 3), 0], [0, Fraction(1, 5)]])),
+        AffineMap(eye(2), as_vector([0, 0])),
+        projection_phi(2),
     )
     model = SsmModel(alphabet=("a", "b"), emb=(as_vector([1, 1]), as_vector([0, 1])),
                      layers=(layer,), out=linear_fnn([[1, 1]]))
@@ -398,9 +398,9 @@ def test_a_dead_product_outside_the_scale_keeps_the_first_scale():
     relu(h0 - 10) folds to 0 whatever it is, so the block that divides is
     dead: nothing raises and the step stays on its first scale."""
     tiny = Fraction(1, 1 << 40)
-    layer = SsmLayer(h0=as_vector([0, 0]), gate=TimeInvariantGate(as_matrix([[0, 0], [0, 1]])),
-                     inc=AffineMap(as_matrix([[tiny, 0], [0, 1]]), as_vector([0, 0])),
-                     phi=projection_phi(2))
+    layer = SsmLayer(as_vector([0, 0]), TimeInvariantGate(as_matrix([[0, 0], [0, 1]])),
+                     AffineMap(as_matrix([[tiny, 0], [0, 1]]), as_vector([0, 0])),
+                     projection_phi(2))
     out = compose(linear_fnn([[1, 1]]), linear_fnn(eye(2), [-10, 0], RELU))
     model = SsmModel(alphabet=("a", "b"), emb=(as_vector([tiny, 1]), as_vector([tiny, 0])),
                      layers=(layer,), out=out)
@@ -416,8 +416,8 @@ def test_a_relu_does_not_fold_a_product_outside_the_scale_to_zero(symbols):
     hold both and the relu stays; the call raises and the step is rebuilt
     on the square.  With one symbol the product is a constant."""
     tiny = Fraction(1, 1 << 40)
-    layer = SsmLayer(h0=as_vector([0]), gate=TimeInvariantGate(zeros_mat(1)),
-                     inc=AffineMap(as_matrix([[tiny]]), as_vector([0])), phi=projection_phi(1))
+    layer = SsmLayer(as_vector([0]), TimeInvariantGate(zeros_mat(1)),
+                     AffineMap(as_matrix([[tiny]]), as_vector([0])), projection_phi(1))
     emb = (as_vector([tiny]), as_vector([2 * tiny]))[:symbols]
     model = SsmModel(alphabet=("a", "b")[:symbols], emb=emb, layers=(layer,),
                      out=linear_fnn([[2]], [0], RELU))
@@ -429,9 +429,9 @@ def test_a_dead_fraction_keeps_the_step_off_scale_one():
     """The output reads only h0, whose constants are integers.  h1's inc
     weight 1/2 is dead, yet it is a model constant, so the step runs on
     2**SCALE_BITS and not on 1, and still agrees with the oracle."""
-    layer = SsmLayer(h0=as_vector([0, 0]), gate=TimeInvariantGate(eye(2)),
-                     inc=AffineMap(as_matrix([[1, 0], [0, Fraction(1, 2)]]), as_vector([0, 0])),
-                     phi=projection_phi(2))
+    layer = SsmLayer(as_vector([0, 0]), TimeInvariantGate(eye(2)),
+                     AffineMap(as_matrix([[1, 0], [0, Fraction(1, 2)]]), as_vector([0, 0])),
+                     projection_phi(2))
     model = SsmModel(("a", "b"), (as_vector([1, 1]), as_vector([-1, 3])), (layer,),
                      select_fnn([0], 2))
     for word in (["a"], ["a", "b", "a"], ["b", "a", "a", "a"]):
@@ -446,8 +446,8 @@ def test_a_diagonal_gate_on_scale_one_multiplies_without_checks():
     """With only integer constants the step runs on scale 1, where the
     product of an input-dependent gate and a hidden value is a plain
     product: no shift and no check of the bits shifted out."""
-    layer = SsmLayer(h0=as_vector([1]), gate=DiagonalAffineGate(as_matrix([[2]]), as_vector([-1])),
-                     inc=AffineMap(as_matrix([[1]]), as_vector([0])), phi=projection_phi(1))
+    layer = SsmLayer(as_vector([1]), DiagonalAffineGate(as_matrix([[2]]), as_vector([-1])),
+                     AffineMap(as_matrix([[1]]), as_vector([0])), projection_phi(1))
     model = SsmModel(("a", "b"), (as_vector([1]), as_vector([-2])), (layer,), select_fnn([0], 1))
     comp = _StepCompiler(EXACT, 1)
     source = comp.source(model, [tuple(map(comp.enc, vec)) for vec in model.emb])
@@ -464,12 +464,12 @@ def test_only_unit_copies_become_aliases(fmt):
     reading h1, a diagonal gate offset of 1/2, and a relu over a value that
     can be negative.  Only the diagonal layer's second coordinate, with no
     gate term and both offsets 0, is a copy of its input."""
-    ti = SsmLayer(h0=as_vector([0, 0]), gate=TimeInvariantGate(as_matrix([[0, 0], [0, 1]])),
-                  inc=AffineMap(eye(2), as_vector([Fraction(1, 2), 0])),
-                  phi=linear_fnn([[1, 0, 0, 0], [0, 1, 0, 0]], activation=RELU))
-    diagonal = SsmLayer(h0=as_vector([0, 0]),
-                        gate=DiagonalAffineGate(zeros_mat(2), as_vector([Fraction(1, 2), 0])),
-                        inc=AffineMap(eye(2), as_vector([0, 0])), phi=projection_phi(2))
+    ti = SsmLayer(as_vector([0, 0]), TimeInvariantGate(as_matrix([[0, 0], [0, 1]])),
+                  AffineMap(eye(2), as_vector([Fraction(1, 2), 0])),
+                  linear_fnn([[1, 0, 0, 0], [0, 1, 0, 0]], activation=RELU))
+    diagonal = SsmLayer(as_vector([0, 0]),
+                        DiagonalAffineGate(zeros_mat(2), as_vector([Fraction(1, 2), 0])),
+                        AffineMap(eye(2), as_vector([0, 0])), projection_phi(2))
     emb = (as_vector([1, -1]), as_vector([Fraction(-1, 2), Fraction(1, 4)]))
     model = SsmModel(("a", "b"), emb, (ti, diagonal), linear_fnn([[1, 1]]))
     mode = EXACT if fmt is None else ArithMode(fmt)
@@ -483,10 +483,10 @@ def test_identity_phi_applies_the_saturated_unit():
     = 1/2: h = 3/4 * 1/2 -> raw 1, phi 3/4 * 1/4 -> raw 0, out raw 0; both
     evaluation orders agree on it."""
     layer = SsmLayer(
-        h0=as_vector([0]),
-        gate=TimeInvariantGate(zeros_mat(1)),
-        inc=AffineMap(eye(1), as_vector([0])),
-        phi=projection_phi(1),
+        as_vector([0]),
+        TimeInvariantGate(zeros_mat(1)),
+        AffineMap(eye(1), as_vector([0])),
+        projection_phi(1),
     )
     model = SsmModel(alphabet=("a",), emb=(as_vector([Fraction(1, 2)]),),
                      layers=(layer,), out=select_fnn([0], 1))

@@ -151,9 +151,8 @@ def test_defaults():
     limits = ResourceLimits()
     assert (limits.max_states, limits.max_mem_mb) == (5_000_000, None)
     assert SsmModel(**MODEL_ARGS).metadata == ()
-    # a full network, given positionally or as phi, computes every coordinate
+    # a full network computes every coordinate
     assert LAYER.computes == (0,) and LAYER.net is LAYER.phi
-    assert SsmLayer(LAYER.h0, LAYER.gate, LAYER.inc, phi=LAYER.net) == LAYER
     stats = SearchStats()
     assert [getattr(stats, name) for name in STATS_KEYS] == [
         0, 0, 0.0, 0, 0, 0, 0.0, None, None, 0, None, []]
