@@ -10,15 +10,15 @@ stores only what it computes; and the previous-bit layer that smuggles a
 step of history through ``h = h/4 + x`` and decodes it from h and x.
 
 The LTL compiler is levelled.  An atom has DAG height 0 and reads its
-proposition's embedding column; so does ``tt``, the parser's ``a | !a``,
-on the constant coordinate, which makes the untils of ``F`` and ``G`` no
-higher than their operands.  Every other subformula has its own
-coordinate, and the subformulas of one height are computed together in
-one layer: each reads only lower heights, and each layer update is per
-coordinate, so their inc rows, until gates and gadgets merge.  A level
-that holds an ``X`` gets one previous-bit layer after it, for all of its
-``X`` coordinates.  The layer count is thus the formula's height plus the
-number of levels with an ``X``.
+proposition's embedding column; so do ``tt``, the parser's ``a | !a``, on
+the constant coordinate, and ``ff``, its ``a & !a``, on a coordinate that
+is 0 in every letter and that only a formula reading ``ff`` has.  Every
+other subformula has its own coordinate, and the subformulas of one height
+are computed together in one layer: each reads only lower heights, and
+each layer update is per coordinate, so their inc rows, until gates and
+gadgets merge.  A level that holds an ``X`` gets one previous-bit layer
+after it, for all of its ``X`` coordinates.  The layer count is thus the
+formula's height plus the number of levels with an ``X``.
 
 Until is Boolean.  ``l U r`` runs ``h = g * h + r`` under the diagonal gate
 ``g = l & !r``, so h is 0 or 1 in every arithmetic mode and a search's keys
@@ -30,6 +30,13 @@ otherwise the phi of the layer just below the until's level (the level
 layer, or the previous-bit layer when that level holds an ``X``) stacks
 it, one relu node, on that layer's outputs for l and r.  No layer is
 added.
+
+``F`` and ``G`` need no gate coordinate: their gates are affine in the
+operand itself.  ``F psi``, the parser's ``tt U psi``, runs ``h = (1 - psi)
+* h + psi`` from 0, and ``G psi``, its ``!(tt U !psi)``, runs ``h = psi *
+h`` from 1.  Each is one coordinate one level above psi, and G's inner
+until and ``!psi`` get coordinates only where another subformula reads
+them.
 """
 
 from __future__ import annotations
@@ -261,11 +268,14 @@ class LtlLayout(Value):
     0 and reads its proposition's embedding column; ``levels`` holds the
     other subformulas by height 1, 2, ..., each in topological order, and
     they take the coordinates after the propositions in that order.  The
-    gate of each until, in the same order, takes the next coordinate
-    (``gate_of``).  The constant 1 is the last coordinate, and ``tt``
-    (``a | !a`` for an atom a) is a leaf of height 0 that reads it: its
-    child ``!a`` is among ``subformulas`` only where another subformula
-    reads it, though every atom of the formula is a proposition."""
+    gate of each until other than an ``F``, in the same order, takes the
+    next coordinate (``gate_of``).  The constant 1 is the last coordinate,
+    and ``tt`` (``a | !a`` for an atom a) is a leaf of height 0 that reads
+    it; ``ff`` (``a & !a``) is a leaf that reads the coordinate before it,
+    which only a formula that reads ``ff`` has.  ``G psi`` reads only psi
+    and is one level above it.  A child that a leaf or a ``G`` skips is
+    among ``subformulas`` only where another subformula reads it, though
+    every atom of the formula is a proposition."""
 
     __slots__ = _fields = ("props", "subformulas", "levels", "dim_of", "gate_of", "const_dim",
                            "dimension")
@@ -286,20 +296,48 @@ def _is_tt(sub: LtlFormula) -> bool:
             and sub.right.sub == sub.left)
 
 
+def _is_ff(sub: LtlFormula) -> bool:
+    """Whether ``sub`` is ``a & !a`` for an atom a, the parser's ``ff``."""
+    return (isinstance(sub, And) and isinstance(sub.left, Atom) and isinstance(sub.right, Not)
+            and sub.right.sub == sub.left)
+
+
+def _is_f(sub: LtlFormula) -> bool:
+    """Whether ``sub`` is ``tt U psi``, the parser's ``F psi``."""
+    return isinstance(sub, Until) and _is_tt(sub.left)
+
+
+def _g_operand(sub: LtlFormula) -> Optional[LtlFormula]:
+    """psi where ``sub`` is ``!(tt U !psi)``, the parser's ``G psi``; else None."""
+    if isinstance(sub, Not) and _is_f(sub.sub) and isinstance(sub.sub.right, Not):
+        return sub.sub.right.sub
+    return None
+
+
+def _operands(sub: LtlFormula, leaves: set) -> tuple[LtlFormula, ...]:
+    """The subformulas whose coordinates the layer of ``sub`` reads: none
+    for a leaf, psi for ``G psi``, else its children."""
+    if sub in leaves:
+        return ()
+    operand = _g_operand(sub)
+    return children(sub) if operand is None else (operand,)
+
+
 def ltl_layout(phi: LtlFormula) -> LtlLayout:
     every = subformulas_topo(phi)
     props = tuple(sorted(sub.name for sub in every if isinstance(sub, Atom)))
-    # tt is a leaf: its children are read only where another subformula reads them
+    # tt and ff are leaves, and G psi reads only psi: the other children
+    # are read only where another subformula reads them
     tts = {sub for sub in every if _is_tt(sub)}
+    leaves = tts | {sub for sub in every if _is_ff(sub)}
     read = {phi}
     for sub in reversed(every):  # parents come first
-        if sub in read and sub not in tts:
-            read.update(children(sub))
+        if sub in read:
+            read.update(_operands(sub, leaves))
     subs = tuple(sub for sub in every if sub in read or isinstance(sub, Atom))
     height: dict[LtlFormula, int] = {}
     for sub in subs:  # children come first
-        height[sub] = 0 if sub in tts else 1 + max((height[c] for c in children(sub)),
-                                                   default=-1)
+        height[sub] = 1 + max((height[c] for c in _operands(sub, leaves)), default=-1)
     levels: list[list[LtlFormula]] = [[] for _ in range(height[phi])]
     for sub in subs:
         if height[sub]:
@@ -308,9 +346,12 @@ def ltl_layout(phi: LtlFormula) -> LtlLayout:
     for level in levels:
         for sub in level:  # the atoms fill columns 0 .. |P| - 1
             column[sub] = len(column)
-    untils = [sub for level in levels for sub in level if isinstance(sub, Until)]
+    untils = [sub for level in levels for sub in level
+              if isinstance(sub, Until) and not _is_f(sub)]
     gate = {sub: len(column) + k for k, sub in enumerate(untils)}
-    const_dim = len(column) + len(gate)
+    ffs = [sub for sub in subs if sub in leaves and sub not in tts]
+    const_dim = len(column) + len(gate) + (1 if ffs else 0)
+    column.update(dict.fromkeys(ffs, const_dim - 1))
     column.update(dict.fromkeys(tts, const_dim))
     return LtlLayout(
         props=props,
@@ -337,37 +378,44 @@ _AND_NOT = gadget_implies()
 
 def _ltl_entry(sub: LtlFormula, dim: dict, gate: dict, const_dim: int):
     """What the layer of a non-atom subformula does to its own coordinate:
-    the coordinate that gates it (``None`` for the zero gate), the (column,
-    weight) terms of its inc row, and the gadget phi applies to it (``None``
-    for the projection).  Every other coordinate passes through.
+    its start value h0, the (column, weight) terms of its gate row (none
+    for the zero gate) and of its inc row, and the gadget phi applies to it
+    (``None`` for the projection).  Every other coordinate passes through.
 
     Until is Boolean: ``h = g * h + r`` under the diagonal gate ``g = l &
     !r``, which is the coordinate ``gate[sub]`` of the layer's input.  A
     letter keeps the value while l holds and r does not, sets it to 1 where
     r holds and clears it elsewhere, so h is 0 or 1 in every mode and needs
-    no clamp."""
+    no clamp.  ``F psi`` is the until whose gate is the affine ``1 - psi``,
+    and ``G psi`` is ``h = psi * h`` from ``h0 = 1``: neither takes a gate
+    coordinate."""
+    if (operand := _g_operand(sub)) is not None:
+        return F1, [(dim[operand], F1)], [], None
     if isinstance(sub, Not):
-        return None, [(const_dim, F1), (dim[sub.sub], -F1)], None
+        return F0, [], [(const_dim, F1), (dim[sub.sub], -F1)], None
     if isinstance(sub, And):
-        return None, [(dim[sub.left], F1), (dim[sub.right], F1), (const_dim, -F1)], _RELU
+        return F0, [], [(dim[sub.left], F1), (dim[sub.right], F1), (const_dim, -F1)], _RELU
     if isinstance(sub, Or):  # min(1, left + right)
-        return None, [(dim[sub.left], F1), (dim[sub.right], F1)], _MIN1
+        return F0, [], [(dim[sub.left], F1), (dim[sub.right], F1)], _MIN1
     if isinstance(sub, Next):  # the previous-bit layer that follows delays it
-        return None, [(dim[sub.sub], F1)], None
-    return gate[sub], [(dim[sub.right], F1)], None
+        return F0, [], [(dim[sub.sub], F1)], None
+    if _is_f(sub):
+        return F0, [(const_dim, F1), (dim[sub.right], -F1)], [(dim[sub.right], F1)], None
+    return F0, [(gate[sub], F1)], [(dim[sub.right], F1)], None
 
 
 def compile_ltl(phi: LtlFormula) -> SsmModel:
     """Model over 2^P that accepts a word iff its reversal is a model of the
-    formula.  Atoms read their propositions' embedding columns and tt the
-    constant coordinate; every other subformula of one DAG height is
-    computed in one layer, and a level that holds an X gets one previous-bit
-    layer after it.  The gate of an until
-    of height 1 is an embedding column; that of a higher until is stacked on
-    the outputs of the layer below its level.  The compiled model is exact
-    under the 6-bit profile, and an X-free one under ``fx:3:0``, which its
-    ``min_bits`` and ``frac_bits`` metadata name.  A formula over more than
-    ``MAX_ATOMS`` atoms is a ``ResourceLimitError``."""
+    formula.  Atoms read their propositions' embedding columns, tt the
+    constant coordinate and ff a coordinate that is 0 in every letter;
+    every other subformula of one DAG height is computed in one layer, and
+    a level that holds an X gets one previous-bit layer after it.  ``F`` and
+    ``G`` are one coordinate each, gated by their operand.  The gate of any
+    other until of height 1 is an embedding column; that of a higher until
+    is stacked on the outputs of the layer below its level.  The compiled
+    model is exact under the 6-bit profile, and an X-free one under
+    ``fx:3:0``, which its ``min_bits`` and ``frac_bits`` metadata name.  A
+    formula over more than ``MAX_ATOMS`` atoms is a ``ResourceLimitError``."""
     layout = ltl_layout(phi)
     count = len(layout.props)
     if count > MAX_ATOMS:
@@ -379,40 +427,40 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
     eye, empty, zero_off = _eye(d), _empty(d), _zeros(d)
     no_gate = TimeInvariantGate(empty)
 
-    # (gate, inc, gadgets, stacked) of each layer; a level stacks its
+    # (h0, gate, inc, gadgets, stacked) of each layer; a level stacks its
     # untils' gates on the outputs of the layer below before any layer is built
     stages: list[tuple] = []
     for level in layout.levels:
-        gate_terms, inc_terms, gadgets, nexts = [], [], {}, []
+        h0, gate_terms, inc_terms, gadgets, nexts = list(zero_off), [], [], {}, []
         for sub in level:
             i = dim[sub]
-            gated_by, terms, gadget = _ltl_entry(sub, dim, gate, layout.const_dim)
-            if gated_by is not None:
-                gate_terms.append((i, gated_by, F1))
-                if stages:  # at height 1 the gate is a column of the letter
-                    stages[-1][3][gated_by] = (_AND_NOT, (dim[sub.left], dim[sub.right]))
+            h0[i], gate_row, terms, gadget = _ltl_entry(sub, dim, gate, layout.const_dim)
+            gate_terms += [(i, c, w) for c, w in gate_row]
+            if sub in gate and stages:  # at height 1 the gate is a column of the letter
+                stages[-1][4][gate[sub]] = (_AND_NOT, (dim[sub.left], dim[sub.right]))
             inc_terms += [(i, c, w) for c, w in terms]
             if gadget is not None:
                 gadgets[i] = gadget
             if isinstance(sub, Next):
                 nexts.append(i)
         stages.append((
+            tuple(h0),
             DiagonalAffineGate(_sparse(empty, gate_terms), zero_off) if gate_terms else no_gate,
             AffineMap(_sparse(eye, inc_terms), zero_off),
             gadgets,
             {},
         ))
         if nexts:
-            stages.append((*_prev_bit(d, nexts), {}))
+            stages.append((zero_off, *_prev_bit(d, nexts), {}))
 
     out = compose(gadget_eq(1), select_fnn([dim[phi]], d))
     letters = ltl_mod.letters(layout.props)
     alphabet = tuple(set_symbol(l) for l in letters)
     letter_gates = [(gate[sub], sub.left, sub.right)
-                    for level in layout.levels[:1] for sub in level if isinstance(sub, Until)]
+                    for level in layout.levels[:1] for sub in level if sub in gate]
 
-    def truth(leaf: LtlFormula, letter: frozenset) -> bool:  # an atom or tt
-        return not isinstance(leaf, Atom) or leaf.name in letter
+    def truth(leaf: LtlFormula, letter: frozenset) -> bool:  # an atom, tt or ff
+        return leaf.name in letter if isinstance(leaf, Atom) else _is_tt(leaf)
 
     emb = []
     for letter in letters:
@@ -421,7 +469,7 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
             if truth(left, letter) and not truth(right, letter):
                 row[c] = F1
         emb.append(tuple(row))
-    layers = tuple(_layer(zero_off, *stage) for stage in stages)
+    layers = tuple(_layer(*stage) for stage in stages)
     # the previous-bit decoder needs 2 fractional bits and room for 8/3,
     # which the 6-bit profile fx:6:3 gives; every value of an X-free model
     # is an integer in [-1, 2]

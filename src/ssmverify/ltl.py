@@ -345,14 +345,20 @@ def _automaton(phi: LtlFormula):
     return (False,) * len(carried), step
 
 
-def models(phi: LtlFormula, trace: Trace) -> bool:
-    """Whether ``phi`` holds at the first position of ``trace``: ``_automaton``
-    folded over the reversed trace.  The empty trace is a model of nothing."""
-    key, step = _automaton(phi)
+def _run(automaton, trace: Trace) -> bool:
+    """The truth that ``automaton``, an ``_automaton`` pair, gives at the
+    first position of ``trace``; False on the empty trace."""
+    key, step = automaton
     truth = False
     for letter in reversed(trace):
         key, truth = step(key, letter)
     return truth
+
+
+def models(phi: LtlFormula, trace: Trace) -> bool:
+    """Whether ``phi`` holds at the first position of ``trace``: ``_automaton``
+    folded over the reversed trace.  The empty trace is a model of nothing."""
+    return _run(_automaton(phi), trace)
 
 
 def letters(props) -> list[frozenset]:
@@ -403,9 +409,9 @@ def enumerate_traces(props, length: int) -> Iterator[Trace]:
 def satisfiable_bruteforce(phi: LtlFormula, max_len: int) -> Optional[Trace]:
     """First model in canonical order among traces of length 1..max_len over
     the formula's own propositions; None is a definite no-model-up-to-bound."""
-    props = atoms(phi)
+    props, automaton = atoms(phi), _automaton(phi)
     for length in range(1, max_len + 1):
         for trace in enumerate_traces(props, length):
-            if models(phi, trace):
+            if _run(automaton, trace):
                 return trace
     return None

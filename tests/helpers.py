@@ -1,5 +1,6 @@
-"""Shared test machinery: corpus generators, differential walkers, the v1
-model file writer and the expanded twin of a model."""
+"""Shared test machinery: corpus generators, differential walkers, the
+equivalence check of a compiled formula, the v1 model file writer and the
+expanded twin of a model."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 from ssmverify.arithmetic import ArithMode, FixedPointFormat, format_rational, raw_saturate
 from ssmverify.compilers import IlpInstance, MinskyMachine
-from ssmverify.ltl import Atom, Not, And, Or, Next, Until
+from ssmverify.ltl import Atom, Not, And, Or, Next, Until, _automaton
 from ssmverify.modelfile import V1_TAG
 from ssmverify.ssm import (
     AffineMap,
@@ -124,6 +125,40 @@ def walk_words(model: SsmModel, mode: ArithMode, max_len: int):
                 yield from rec(nxt, extended)
 
     yield from rec(stepper.init, ())
+
+
+def distinguishing_word(phi, model: SsmModel, mode: ArithMode):
+    """Translation validation of a compiled formula (Pnueli, Siegel and
+    Singerman, TACAS 1998): a breadth-first search over the pairs (key of
+    ``_automaton(phi)``, key of the model's step under ``mode``), levels in
+    discovery order and letters in alphabet order.  At each transition the
+    model must output 1 exactly where ``phi`` holds.  Returns None when the
+    two agree on every word, else the least among the shortest words on
+    which they differ.  The model's keys must be finitely many: a fixed
+    format, or exact mode on an X-free formula."""
+    judge_key, judge = _automaton(phi)
+    stepper = _stepper(model, mode)
+    letters = [(symbol, symbol_set(symbol), x) for symbol, x in stepper.emb.items()]
+    pair = (judge_key, stepper.init)
+    parents: dict = {pair: None}
+    level = [pair]
+    while level:
+        next_level = []
+        for pair in level:
+            for symbol, letter, x in letters:
+                judge_key, truth = judge(pair[0], letter)
+                model_key, y = stepper.search_step(pair[1], x)
+                if (y == stepper.one) != truth:
+                    word = [symbol]
+                    while parents[pair] is not None:
+                        pair, prior = parents[pair]
+                        word.append(prior)
+                    return tuple(reversed(word))
+                if (judge_key, model_key) not in parents:
+                    parents[judge_key, model_key] = (pair, symbol)
+                    next_level.append((judge_key, model_key))
+        level = next_level
+    return None
 
 
 def word_to_trace(word) -> tuple:

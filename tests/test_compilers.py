@@ -6,15 +6,19 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    distinguishing_word,
+    hand_formulas,
     random_ilp,
     random_machine,
     trace_to_word,
     walk_words,
 )
 from ssmverify import ltl
-from ssmverify.arithmetic import EXACT, FX6, ArithMode
+from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat
 from ssmverify.compilers import (
     _pointwise,
     IlpInstance,
@@ -45,7 +49,8 @@ from ssmverify.fnn import (
     linear_fnn,
     select_fnn,
 )
-from ssmverify.ltl import holds, parse
+from ssmverify.ltl import holds, least_reversed_model, parse
+from ssmverify.solvers import UNSATISFIABLE, sat_bounded, sat_fixed
 from ssmverify.ssm import (
     GateClasses,
     SsmLayer,
@@ -239,10 +244,10 @@ def test_compile_ltl_dimension_bookkeeping():
     assert [layer.computes for layer in model.layers] == [(), (2, 4), ()]
 
 
-@pytest.mark.parametrize("text, layers", [("F p", 1), ("F p & F q", 2), ("G p", 3)])
+@pytest.mark.parametrize("text, layers", [("F p", 1), ("F p & F q", 2), ("G F p", 2)])
 def test_tt_is_the_constant_coordinate(text, layers):
     """The parser's tt, ``a | !a``, is a leaf of height 0 on the constant
-    coordinate, so F and G put no layer under their untils."""
+    coordinate, so an F puts no layer under itself."""
     phi = parse(text)
     layout = ltl_layout(phi)
     tt = parse("p | !p")
@@ -278,14 +283,97 @@ def test_g_tt_keeps_its_alphabet():
     assert all(accepts(model, [symbol], EXACT) for symbol in model.alphabet)
 
 
-@pytest.mark.parametrize(
-    "text", ["p", "!p", "p & q", "p | q", "X p", "p U q", "F p", "G p", "p -> q"]
-)
+def test_f_and_g_are_one_gated_coordinate_each():
+    """``G psi`` is ``h = psi * h`` from ``h0 = 1`` and ``F psi`` the until
+    gated by ``1 - psi``: one coordinate each, one level above psi, with no
+    gate coordinate."""
+    model = compile_ltl(parse("G p"))
+    (layer,) = model.layers
+    g = ltl_layout(parse("G p")).dim(parse("G p"))
+    assert layer.h0[g] == 1 and sum(layer.h0) == 1
+    assert layer.gate.rows[g].terms == ((0, 1),) and layer.inc.rows[g].terms == ((g, 1),)
+    assert compile_ltl(parse("G(p -> F q)")).num_layers == 3
+    # G's inner until is an F, which gets a coordinate where it is read
+    for text, gated in (("G(p -> F q)", []), ("F G p & G(p -> X q)", []),
+                        ("(p U q) & G !q", [parse("p U q")]), ("F !p & G p", [])):
+        assert [u for u, _ in ltl_layout(parse(text)).gate_of] == gated, text
+    assert ltl_layout(parse("F !p & G p")).levels == (
+        (parse("!p"), parse("G p")), (parse("F !p"),), (parse("F !p & G p"),))
+
+
+def test_ff_is_a_leaf():
+    """The parser's ff, ``a & !a``, is a leaf of height 0 on a coordinate
+    that is 0 in every letter, added only where a formula reads it."""
+    assert ltl_layout(parse("p & q")).dimension == 4
+    for text, layers in (("ff", 0), ("p & ff", 1), ("p & (q & !q)", 1)):
+        layout, model = ltl_layout(parse(text)), compile_ltl(parse(text))
+        ff = layout.dim(parse("p & !p" if "ff" in text else "q & !q"))
+        assert ff == layout.const_dim - 1 and model.dim == layout.dimension
+        assert model.num_layers == layers
+        assert all(vec[ff] == 0 for vec in model.emb)
+        for result in (sat_fixed(model, FX6, length_cap=None),
+                       sat_bounded(model, 4, EXACT), sat_bounded(model, 4, FX6_MODE)):
+            assert result.witness is None and result.verdict.startswith(UNSATISFIABLE), text
+
+
+# Formulas whose F and G share, nest or meet tt and ff, beside the hand formulas
+F_AND_G = ["G(p -> F q)", "F !p & G p", "G F p & F G !q", "(p U q) & G !q", "G(p | X q)",
+           "F(p & G q)", "G G p", "F F p", "G tt", "F tt", "G ff", "F ff", "ff U p",
+           "p U ff", "!ff | p", "G(q | !q) & F p", "X G p & F X !q"]
+
+
+@pytest.mark.parametrize("text", hand_formulas() + F_AND_G)
+def test_compiled_ltl_is_equivalent_to_its_formula(text):
+    """The model accepts exactly the reversed models of its formula, on
+    every word, under the 6-bit profile and ``fx:8:3``."""
+    phi = parse(text)
+    for fmt in (FX6, FixedPointFormat(8, 3)):
+        assert distinguishing_word(phi, compile_ltl(phi), ArithMode(fmt)) is None
+
+
+# The patterns of the ltl_deep benchmark workload, over two distinct atoms
+PATTERNS = ["G({a} -> X {b})", "G({a} -> X !{b})", "F({a} & X {b})", "F({a} & X X {b})",
+            "{a} U {b}", "!{a} U {b}", "G({a} | {b})", "G F {a}", "F G {a}", "G({a} -> F {b})"]
+
+
+@st.composite
+def pattern_conjunctions(draw):
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(st.permutations(("p", "q", "r")))[:2]
+        parts.append(draw(st.sampled_from(PATTERNS)).format(a=a, b=b))
+    return " & ".join(f"({part})" for part in parts)
+
+
+@given(pattern_conjunctions(), st.sampled_from([FX6, FixedPointFormat(8, 3)]))
+@settings(max_examples=60, deadline=None)
+def test_pattern_conjunctions_are_equivalent_to_their_formulas(text, fmt):
+    phi = parse(text)
+    assert distinguishing_word(phi, compile_ltl(phi), ArithMode(fmt)) is None
+
+
+def test_a_wrong_model_has_a_least_shortest_distinguishing_word():
+    """Where 1 is not representable the model accepts nothing, so it first
+    differs from its formula on the formula's least shortest reversed
+    model."""
+    phi = parse("F p & G(p -> X q)")
+    word = distinguishing_word(phi, compile_ltl(phi), ArithMode(FixedPointFormat(4, 3)))
+    assert word == tuple(map(set_symbol, least_reversed_model(phi)))
+
+
+@pytest.mark.parametrize("text", hand_formulas() + F_AND_G)
 def test_compile_ltl_differential_small(text):
+    """Every word up to length 3 under exact mode and the 6-bit profile,
+    and under ``fx:3:0`` for an X-free formula, whose metadata names it."""
     phi = parse(text)
     model = compile_ltl(phi)
     props = sorted(ltl.atoms(phi))
-    for mode in (EXACT, FX6_MODE):
+    meta = dict(model.metadata)
+    modes = [EXACT, FX6_MODE]
+    if "frac_bits" in meta:
+        assert not any(isinstance(sub, ltl.Next) for sub in ltl.subformulas_topo(phi))
+        modes.append(ArithMode(FixedPointFormat(int(meta["min_bits"]), int(meta["frac_bits"]))))
+    for mode in modes:
         for n in range(1, 4):
             for trace in ltl.enumerate_traces(props, n):
                 want = holds(phi, trace, 1)

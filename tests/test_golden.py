@@ -153,8 +153,8 @@ def test_compiled_ltl_corpus_checksum(tmp_path):
     """The saved bytes of every hand formula."""
     models = [compile_ltl(parse(text)) for text in hand_formulas()]
     assert corpus_digests(models, tmp_path) == (
-        "2753b9726ad43fc62e40cfcc8d676f871032f82a83816f993aeeec7bf2ad1ef2",
-        "166c3fcc94c12d1902a817d47224ea8b47b26c72a5672c45b88ec5e3b21d4a02")
+        "d371dc62c314fa99fe728e45fad92acee6ff3198cb5e8667d756fdc49917a875",
+        "f68b1ffce24085ec78df29b893c80c9770970c48f91b9e27c663110e72237a04")
 
 
 def test_compiled_minsky_ilp_corpus_checksum(tmp_path):
