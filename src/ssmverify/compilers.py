@@ -37,11 +37,19 @@ operand itself.  ``F psi``, the parser's ``tt U psi``, runs ``h = (1 - psi)
 h`` from 1.  Each is one coordinate one level above psi, and G's inner
 until and ``!psi`` get coordinates only where another subformula reads
 them.
+
+Every coordinate's output is thus 0 or 1 wherever the format holds 1, so
+``out`` is one identity node on the formula's coordinate, which is 1
+exactly where ``eq(1)`` of it is.  No interval shows that an until, ``F``
+or ``G`` coordinate stays in [0, 1], so the step compiler assumes that
+range for every gated coordinate and guards it (``ssm._StepCompiler``):
+their new values need no saturation test.
 """
 
 from __future__ import annotations
 
 import re
+import time
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -414,8 +422,10 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
     other until of height 1 is an embedding column; that of a higher until
     is stacked on the outputs of the layer below its level.  The compiled
     model is exact under the 6-bit profile, and an X-free one under
-    ``fx:3:0``, which its ``min_bits`` and ``frac_bits`` metadata name.  A
-    formula over more than ``MAX_ATOMS`` atoms is a ``ResourceLimitError``."""
+    ``fx:3:0``, which its ``min_bits`` and ``frac_bits`` metadata name.
+    Every coordinate's output is 0 or 1 wherever the format holds 1, so
+    ``out`` is one identity node on the formula's coordinate.  A formula
+    over more than ``MAX_ATOMS`` atoms is a ``ResourceLimitError``."""
     layout = ltl_layout(phi)
     count = len(layout.props)
     if count > MAX_ATOMS:
@@ -453,7 +463,7 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
         if nexts:
             stages.append((zero_off, *_prev_bit(d, nexts), {}))
 
-    out = compose(gadget_eq(1), select_fnn([dim[phi]], d))
+    out = select_fnn([dim[phi]], d)
     letters = ltl_mod.letters(layout.props)
     alphabet = tuple(set_symbol(l) for l in letters)
     letter_gates = [(gate[sub], sub.left, sub.right)
@@ -551,16 +561,16 @@ def minsky_oracle(machine: MinskyMachine, max_steps: int) -> Optional[MinskyRun]
     """Deterministic simulation from (q0, 0, 0); the machine structure admits
     exactly one applicable transition per configuration.  The run is kept
     step by step, so the simulation is held to ``ResourceLimits.from_env()``:
-    past ``max_states`` steps, or the memory ceiling, it raises
-    ``ResourceLimitError``."""
+    past ``max_states`` steps, the memory ceiling or the time ceiling, it
+    raises ``ResourceLimitError``."""
     if max_steps < 0:
         raise PreconditionError("max_steps must be >= 0")
-    limits = ResourceLimits.from_env()
+    limits, started = ResourceLimits.from_env(), time.monotonic()
     q, c = machine.start, [0, 0]
     steps: list[tuple[str, str]] = []
     for n in range(max_steps + 1):
         if n > limits.max_states or n % 4096 == 0:
-            limits.check(n)
+            limits.check(n, started)
         if q == machine.final:
             return MinskyRun(tuple(steps))
         outs = machine.outgoing(q)
@@ -735,13 +745,13 @@ class IlpInstance(Value):
 
 def ilp_oracle(inst: IlpInstance) -> Optional[tuple[int, ...]]:
     """Exhaustive search over {0,1}^d in binary-counting order, held to
-    ``ResourceLimits.from_env()``: past ``max_states`` candidates, or the
-    memory ceiling, it raises ``ResourceLimitError``."""
+    ``ResourceLimits.from_env()``: past ``max_states`` candidates, the
+    memory ceiling or the time ceiling, it raises ``ResourceLimitError``."""
     d = inst.dim
-    limits = ResourceLimits.from_env()
+    limits, started = ResourceLimits.from_env(), time.monotonic()
     for m in range(1 << d):
         if m > limits.max_states or m % 4096 == 0:
-            limits.check(m)
+            limits.check(m, started)
         v = tuple((m >> i) & 1 for i in range(d))
         if all(
             sum(inst.matrix[r][c] * v[c] for c in range(d)) == inst.target[r]

@@ -13,8 +13,8 @@ whose state space is finite, so an exhausted frontier is a proof of
 'unsatisfiable'.  ``pump_down`` shortens accepted words by cutting segments
 between repeated keys.
 
-Hitting a state or memory ceiling raises ``ResourceLimitError`` with partial
-stats; it is never reported as unsatisfiable.
+Hitting a state, memory or time ceiling raises ``ResourceLimitError`` with
+partial stats; it is never reported as unsatisfiable.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from ._value import Value
 from .arithmetic import ArithMode, FixedPointFormat
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
-from .ssm import SsmModel, _stepper, _with_stepper
+from .ssm import SsmModel, _with_stepper
 
 try:
     import resource as _resource
@@ -110,15 +110,17 @@ class LengthBound(Value):
 
 
 class ResourceLimits(Value):
-    __slots__ = _fields = ("max_states", "max_mem_mb")
+    __slots__ = _fields = ("max_states", "max_mem_mb", "max_seconds")
 
-    def __init__(self, max_states: int = 5_000_000, max_mem_mb: Optional[int] = None):
-        self._assign(max_states, max_mem_mb)
+    def __init__(self, max_states: int = 5_000_000, max_mem_mb: Optional[int] = None,
+                 max_seconds: Optional[int] = None):
+        self._assign(max_states, max_mem_mb, max_seconds)
 
     @staticmethod
     def from_env() -> "ResourceLimits":
-        """Limits from ``SSMVERIFY_MAX_STATES`` / ``SSMVERIFY_MAX_MEM_MB``; a
-        value that is not a non-negative integer is an ``InputFormatError``."""
+        """Limits from ``SSMVERIFY_MAX_STATES``, ``SSMVERIFY_MAX_MEM_MB`` and
+        ``SSMVERIFY_MAX_SECONDS``; a value that is not a non-negative
+        integer is an ``InputFormatError``."""
 
         def read(name: str):
             text = os.environ.get(name)
@@ -135,19 +137,26 @@ class ResourceLimits(Value):
         return ResourceLimits(
             max_states=5_000_000 if states is None else states,
             max_mem_mb=read("SSMVERIFY_MAX_MEM_MB"),
+            max_seconds=read("SSMVERIFY_MAX_SECONDS"),
         )
 
-    def check(self, states: int) -> None:
+    def check(self, states: int, started: Optional[float] = None) -> None:
         """Raise ``ResourceLimitError`` once ``states`` is past the state
-        ceiling or the process's peak memory is past the memory ceiling.
-        The search passes the transitions it has taken (``states_explored``),
-        not the keys it has stored, so it can stop with far fewer stored
-        keys than ``max_states``; the oracles pass the steps or candidates
-        they have tried."""
+        ceiling, the process's peak memory is past the memory ceiling or,
+        given the ``time.monotonic()`` reading ``started``, ``max_seconds``
+        have passed since it.  The search passes the transitions it has taken
+        (``states_explored``), not the keys it has stored, so it can stop
+        with far fewer stored keys than ``max_states``; the oracles pass the
+        steps or candidates they have tried.  The callers run it every
+        4,096 transitions, steps or candidates and at each search level, so
+        the clock is read no more often."""
         if states > self.max_states:
             raise ResourceLimitError(f"state ceiling {self.max_states} exceeded")
         if self.max_mem_mb is not None and _mem_mb() > self.max_mem_mb:
             raise ResourceLimitError(f"memory ceiling {self.max_mem_mb} MB exceeded")
+        if (self.max_seconds is not None and started is not None
+                and time.monotonic() - started >= self.max_seconds):
+            raise ResourceLimitError(f"time ceiling {self.max_seconds} s reached")
 
 
 def _mem_mb() -> float:
@@ -190,7 +199,7 @@ def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, clock: list
                     new_key, y = step(key, x)
                     explored += 1
                     if explored % 4096 == 0:
-                        limits.check(explored)
+                        limits.check(explored, start)
                     if y == one:
                         word = [symbol]
                         while parents[key] is not None:
@@ -201,7 +210,7 @@ def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, clock: list
                     if new_key not in parents:
                         parents[new_key] = (key, symbol)
                         next_level.append(new_key)
-            limits.check(explored)
+            limits.check(explored, start)
             level = next_level
     except ResourceLimitError as exc:
         exc.stats = _stats(stepper, start, explored, sizes, len(parents))
@@ -265,7 +274,11 @@ def pump_down(model: SsmModel, word: Sequence[str], fmt: FixedPointFormat) -> li
     0..n-1), hence its departure states, are pairwise distinct; a cut at a
     recurring final key is only taken when the shortened word is itself
     accepted, since equal keys do not imply equal final outputs."""
-    stepper = _stepper(model, ArithMode(fmt))
+    return _with_stepper(model, ArithMode(fmt), lambda stepper: _pumped(stepper, word))
+
+
+def _pumped(stepper, word: Sequence[str]) -> list[str]:
+    """One run of ``pump_down``."""
     kept, departs, outputs = [], [], []
     position: dict = {}  # kept departure key -> its position
     key = stepper.init

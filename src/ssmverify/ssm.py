@@ -50,6 +50,17 @@ a remainder) squares ``S``, rebuilds the step and runs again, whole.
 step, so exact mode, like fixed mode, emits a relu clamp only where its
 argument can be negative.
 
+The step assumes that a hidden coordinate whose diagonal gate row reads
+the input (the until, ``F`` and ``G`` coordinates of an LTL model) stays
+in [min(0, h0), max(1, h0)], clipped to the format, where any other
+coordinate takes the whole domain.  On that range the interval analysis
+drops the saturation tests and relu clamps that cannot fire.  Where a new
+value's interval can leave its range, one guard line raises ``_Retract``;
+the call then rebuilds the step without the assumption and runs again,
+whole, as a call whose exact values leave the scale does
+(guard-and-deoptimise; Hoelzle, Chambers and Ungar, PLDI 1992).  So every
+output and key coordinate that a caller sees is the unassumed step's.
+
 The generated step keeps only the hidden coordinates in the least set
 that holds those the output reads and those that the new value of a member
 reads.  No other coordinate can affect a later output (cone-of-influence
@@ -340,6 +351,11 @@ class _Inexact(Exception):
     does not divide the scale."""
 
 
+class _Retract(Exception):
+    """A gated coordinate's new value outside the range that the step
+    assumed for it."""
+
+
 def _literal(k: int) -> str:
     """``k`` as a Python literal, in hex past 2048 bits (617 digits): CPython
     refuses decimal text for ints past a settable limit of 640 or more
@@ -386,6 +402,20 @@ class _StepCompiler:
     is emitted only on a side that can overflow, and a relu clamp only where
     its argument can be negative.
 
+    With ``assume``, a hidden input whose gate row reads the input takes
+    its ``assumed`` range, [min(0, h0), max(1, h0)] clipped to the format,
+    in place of the whole domain: an until, ``F`` or ``G`` coordinate is 0
+    or 1, though no interval can show it (``g * h + r`` stays in [0, 1]
+    only because ``g * r = 0``), and an ungated ``Or`` sum can reach 2, so
+    it is left alone.  Each new value of such a coordinate whose interval
+    can leave the range gets one ``guard`` line, which raises ``Retract``
+    from a call, and every guard is live, so its coordinate stays in the
+    key and is checked at each step.  The initial key lies in every range,
+    so by induction over a call's steps each range holds wherever the step
+    reads it: a guarded one because its guard checked it, any other because
+    its new value's interval lies inside it.  Where every range holds, the
+    step computes what the unassumed step does.
+
     Only what ``y`` can need is generated: a backward pass (``_plan``)
     names the FNN nodes and new hidden values that ``out`` reaches through
     the rows' terms.  Of those, the hidden coordinates in the least set
@@ -406,13 +436,15 @@ class _StepCompiler:
     that raises ``_Inexact`` from a call, if its block is live.
     """
 
-    def __init__(self, mode: ArithMode, scale: int = _SCALE):
+    def __init__(self, mode: ArithMode, scale: int = _SCALE, assume: bool = True):
         self.fmt = fmt = mode.fmt
+        self.assume = assume
         if fmt is None:
             self.scale, self.bottom, self.top = scale, -_INF, _INF
         else:
             self.scale, self.bottom, self.top = fmt.scale, fmt.min_raw, fmt.max_raw
         self._blocks: list[tuple[str, list[str], tuple]] = []
+        self._guards: list[str] = []  # the blocks that check an assumed range
         # id(object) -> (object, its encoding, how many of its constants the
         # mode quantises); holding the object keeps its id from reuse
         self._memo: dict[int, tuple] = {}
@@ -546,14 +578,17 @@ class _StepCompiler:
 
     def mul_var(self, g: _Val, v: _Val) -> _Val:
         """The term ``g * v`` of a diagonal input-dependent gate; unbounded
-        in exact mode, where 0 * inf bounds nothing."""
+        in exact mode where a factor is, since 0 * inf bounds nothing."""
         if g.const is not None:
             return self.mul(g.const, v)
         reads = g.reads + v.reads
+        bounds = (g.lo, g.hi, v.lo, v.hi)
+        ends = [a * b for a in bounds[:2] for b in bounds[2:]]
         if self.fmt is None:
-            return self._divided(f"{g.code} * {v.code}", self.scale, reads, -_INF, _INF)
+            lo, hi = ((min(ends) // self.scale, -(-max(ends) // self.scale))
+                      if _INF not in map(abs, bounds) else (-_INF, _INF))
+            return self._divided(f"{g.code} * {v.code}", self.scale, reads, lo, hi)
         scale, f = self.fmt.scale, self.fmt.frac_bits
-        ends = [a * b for a in (g.lo, g.hi) for b in (v.lo, v.hi)]
         lo, hi = _scaled_bound(1, min(ends), scale), _scaled_bound(1, max(ends), scale)
         if f == 0 or min(ends) >= 0:
             return self._fits(f"{g.code} * {v.code} >> {f}", lo, hi, reads)
@@ -673,11 +708,46 @@ class _StepCompiler:
         terms += [self.mul(w, x[k]) for k, w in inc_terms]
         return self.total(0, terms)
 
+    def assumed(self, layer: SsmLayer, news: list[int]) -> dict:
+        """The range that the step assumes for each hidden input of
+        ``news`` whose gate row reads the input (a diagonal row with a term
+        or a nonzero offset): [min(0, h0), max(1, h0)], clipped to the
+        format.  Every other hidden input takes the whole domain."""
+        gate = layer.gate
+        if not (self.assume and isinstance(gate, DiagonalAffineGate)):
+            return {}
+        ranges = {}
+        for j in news:
+            if gate.rows[j].terms or gate.offset[j]:
+                h0 = self.enc(layer.h0[j])
+                ranges[j] = min(0, h0), min(max(self.scale, h0), self.top)
+        return ranges
+
+    def guard(self, v: _Val, lo, hi) -> _Val:
+        """``v``, the new value of a coordinate assumed in [lo, hi], after
+        one line that raises ``Retract`` where it leaves the range; no line
+        where its interval stays inside."""
+        if lo <= v.lo and v.hi <= hi:
+            return v
+        low, high = self.const(lo).code, self.const(hi).code
+        if v.lo >= lo:
+            test = f"{v.code} > {high}"
+        elif v.hi <= hi:
+            test = f"{v.code} < {low}"
+        else:
+            test = f"not {low} <= {v.code} <= {high}"
+        name = self._fresh()
+        self._guards.append(name)
+        self._bind(name, [f"if {test}: raise Retract"], v.reads, lo, hi)
+        return _Val(v.code, None, max(v.lo, lo), min(v.hi, hi), v.reads + (name,))
+
     def source(self, model: SsmModel, inputs: list[tuple]) -> str:
         """The source of the step; ``inputs`` are the encoded embeddings,
         the only vectors it is ever called with.  Generates only the nodes
         and new hidden values that ``_plan`` finds ``y`` can need, so only
-        their constants are encoded, and sets ``key``."""
+        their constants are encoded, and sets ``key``.  A hidden input
+        takes its ``assumed`` range, and the new value of an assumed
+        coordinate its ``guard``."""
         x = []
         for k in range(model.dim):
             column = [vec[k] for vec in inputs]
@@ -690,9 +760,14 @@ class _StepCompiler:
         for li, (layer, (news, phi_plan, passes)) in enumerate(zip(model.layers, layers)):
             h = {j: _Val(f"h{li}_{j}", None, self.bottom, self.top, (f"h{li}_{j}",))
                  for j in news}
+            ranges = self.assumed(layer, news)
+            for j, (lo, hi) in ranges.items():
+                h[j].lo, h[j].hi = lo, hi
             new = [None] * layer.dim
             for j in news:
                 new[j] = self.recurrence(layer, j, h, x)
+                if j in ranges:
+                    new[j] = self.guard(new[j], *ranges[j])
                 hidden[h[j].code] = (li, j), new[j]
             x = self.phi(layer, phi_plan, passes, new, x)
         (y,) = self.fnn(model.out, out_plan, x)
@@ -714,16 +789,18 @@ class _StepCompiler:
         """Compile the step; ``inputs`` are the encoded embeddings, the only
         vectors it is ever called with."""
         code = compile(self.source(model, inputs), f"<ssm step {self.fmt or 'exact'}>", "exec")
-        namespace = {"Inexact": _Inexact}
+        namespace = {"Inexact": _Inexact, "Retract": _Retract}
         exec(code, namespace)
         return namespace["step"]
 
     def _live(self, y: _Val, hidden: dict) -> set:
-        """The names that ``y`` needs, where a hidden input needs its new
-        value too: the least such set, with what folding removed left out."""
+        """The names that ``y`` or a guard needs, where a hidden input needs
+        its new value too: the least such set, with what folding removed
+        left out.  Every guard is live, since folding may have used its
+        range where no live line reads the coordinate."""
         reads = {name: block_reads for name, _, block_reads in self._blocks}
         reads.update((name, value.reads) for name, (_, value) in hidden.items())
-        live, todo = set(), list(y.reads)
+        live, todo = set(), [*y.reads, *self._guards]
         while todo:
             name = todo.pop()
             if name not in live:
@@ -794,12 +871,15 @@ class _Stepper:
     state's key.  ``step`` maps a key and a symbol to the next key and the
     output.  In fixed mode with b total bits ``key_state_bound_log2`` is
     b * |key|, since at most 2**(b * |key|) keys exist; in exact mode, where
-    nothing bounds them, it is None."""
+    nothing bounds them, it is None.  ``assume`` says whether the step runs
+    on the assumed ranges of its gated coordinates, whose guards raise
+    ``_Retract`` from a call where one fails."""
 
-    def __init__(self, model: SsmModel, mode: ArithMode, scale: int | None):
+    def __init__(self, model: SsmModel, mode: ArithMode, scale: int | None, assume: bool = True):
         started = time.perf_counter()
-        comp = _StepCompiler(mode, scale)
+        comp = _StepCompiler(mode, scale, assume)
         self.mode = mode
+        self.assume = assume
         self.one = comp.scale
         self.emb = {
             s: tuple(comp.enc(v) for v in vec) for s, vec in zip(model.alphabet, model.emb)
@@ -822,16 +902,18 @@ class _Stepper:
         return Fraction(y, self.one) if self.mode.is_exact else _scalar(y, self.mode)
 
 
-def _stepper(model: SsmModel, mode: ArithMode, scale: int | None = None) -> _Stepper:
-    """The model's step for ``mode``, built on first use.  In exact mode it
-    runs over ``scale``, by default ``_first_scale`` of the model's
+def _stepper(model: SsmModel, mode: ArithMode, scale: int | None = None,
+             assume: bool = True) -> _Stepper:
+    """The model's step for ``mode``, built on first use, with the assumed
+    ranges of its gated coordinates unless ``assume`` is false.  In exact
+    mode it runs over ``scale``, by default ``_first_scale`` of the model's
     ``_denominator``, which holds every constant; a given scale that lacks
     a prime of it raises ``_Inexact`` and builds nothing."""
     stepper = model._steppers.get(mode)
     if stepper is None:
         if scale is None and mode.is_exact:
             scale = _first_scale(_denominator(model))
-        stepper = model._steppers[mode] = _Stepper(model, mode, scale)
+        stepper = model._steppers[mode] = _Stepper(model, mode, scale, assume)
     return stepper
 
 
@@ -859,14 +941,27 @@ def _with_stepper(model: SsmModel, mode: ArithMode, call):
     exact values leave the scale rebuilds the step on its square and runs
     again, whole: every prime of a value's denominator is a constant's, so
     n symbols need O(log n) squarings.  Scale 1 emits no check, so its
-    calls never raise."""
+    calls never raise.
+
+    A call that meets a gated coordinate outside its assumed range retracts
+    the assumption: it rebuilds the step without one, on the same scale,
+    and runs again, whole.  Until a guard fires, every value that the
+    call's steps compute, so each output and each key coordinate, is the
+    one the unassumed step computes: by induction from the initial key,
+    each step starts where every range holds, and there the assumed step
+    only leaves out tests and clamps that cannot fire (``_StepCompiler``).
+    A step left on the model after a retraction keeps no assumption, also
+    when its scale widens later."""
     stepper = _stepper(model, mode)
     while True:
         try:
             return call(stepper)
         except _Inexact:
-            del model._steppers[mode]
-            stepper = _stepper(model, mode, stepper.one ** 2)
+            scale, assume = stepper.one ** 2, stepper.assume
+        except _Retract:
+            scale, assume = stepper.one, False
+        del model._steppers[mode]
+        stepper = _stepper(model, mode, scale, assume)
 
 
 def _scalar(y, mode: ArithMode) -> Scalar:

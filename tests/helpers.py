@@ -17,10 +17,12 @@ from ssmverify.ssm import (
     SsmLayer,
     SsmModel,
     TimeInvariantGate,
-    _stepper,
+    _with_stepper,
     as_matrix,
     as_vector,
+    initial_state,
     projection_phi,
+    step,
 )
 from ssmverify.words import set_symbol, symbol_set
 
@@ -111,44 +113,70 @@ def expanded(model: SsmModel) -> SsmModel:
     return SsmModel(model.alphabet, model.emb, layers, model.out, model.metadata)
 
 
-def walk_words(model: SsmModel, mode: ArithMode, max_len: int):
-    """Yield (word, accepted) for every word of length 1..max_len, sharing
-    prefix computations through the keys of the step the solvers run."""
-    stepper = _stepper(model, mode)
+def walk_words(model: SsmModel, mode: ArithMode, max_len: int) -> list:
+    """(word, accepted) for every word of length 1..max_len, sharing prefix
+    computations through the keys of the step the solvers run, which a
+    retraction rebuilds as it does theirs."""
 
-    def rec(key, word):
-        for symbol in model.alphabet:
-            nxt, y = stepper.step(key, symbol)
-            extended = word + (symbol,)
-            yield extended, y == stepper.one
-            if len(extended) < max_len:
-                yield from rec(nxt, extended)
+    def walk(stepper):
+        def rec(key, word):
+            for symbol in model.alphabet:
+                nxt, y = stepper.step(key, symbol)
+                extended = word + (symbol,)
+                yield extended, y == stepper.one
+                if len(extended) < max_len:
+                    yield from rec(nxt, extended)
 
-    yield from rec(stepper.init, ())
+        return list(rec(stepper.init, ()))
+
+    return _with_stepper(model, mode, walk)
 
 
-def distinguishing_word(phi, model: SsmModel, mode: ArithMode):
+def distinguishing_word(phi, model: SsmModel, mode: ArithMode, oracle: bool = False):
     """Translation validation of a compiled formula (Pnueli, Siegel and
     Singerman, TACAS 1998): a breadth-first search over the pairs (key of
-    ``_automaton(phi)``, key of the model's step under ``mode``), levels in
+    ``_automaton(phi)``, state of the model under ``mode``), levels in
     discovery order and letters in alphabet order.  At each transition the
     model must output 1 exactly where ``phi`` holds.  Returns None when the
     two agree on every word, else the least among the shortest words on
-    which they differ.  The model's keys must be finitely many: a fixed
-    format, or exact mode on an X-free formula."""
+    which they differ.  The model's states are the keys of the step the
+    solvers run or, with ``oracle``, the full states of the layer-major
+    oracle behind the public ``step``, so that a step-compiler bug cannot
+    hide a compiler bug.  They must be finitely many: a fixed format, or
+    exact mode on an X-free formula."""
+    if oracle:
+        def advance(state, symbol):
+            state, y = step(model, state, symbol)
+            return state, is_one(y, mode)
+
+        return _product_search(phi, model, initial_state(model, mode), advance)
+
+    def search(stepper):
+        def advance(key, symbol):
+            key, y = stepper.step(key, symbol)
+            return key, y == stepper.one
+
+        return _product_search(phi, model, stepper.init, advance)
+
+    return _with_stepper(model, mode, search)
+
+
+def _product_search(phi, model: SsmModel, init, advance):
+    """The breadth-first search of ``distinguishing_word`` from the model
+    state ``init``, where ``advance(state, symbol)`` gives the next state
+    and whether the model accepts."""
     judge_key, judge = _automaton(phi)
-    stepper = _stepper(model, mode)
-    letters = [(symbol, symbol_set(symbol), x) for symbol, x in stepper.emb.items()]
-    pair = (judge_key, stepper.init)
+    letters = [(symbol, symbol_set(symbol)) for symbol in model.alphabet]
+    pair = (judge_key, init)
     parents: dict = {pair: None}
     level = [pair]
     while level:
         next_level = []
         for pair in level:
-            for symbol, letter, x in letters:
+            for symbol, letter in letters:
                 judge_key, truth = judge(pair[0], letter)
-                model_key, y = stepper.search_step(pair[1], x)
-                if (y == stepper.one) != truth:
+                model_key, accepted = advance(pair[1], symbol)
+                if accepted != truth:
                     word = [symbol]
                     while parents[pair] is not None:
                         pair, prior = parents[pair]

@@ -27,11 +27,12 @@ from helpers import (
 from ssmverify.arithmetic import EXACT, MAX_TOTAL_BITS, ArithMode, FixedPointFormat
 from ssmverify.cli import main, run
 from ssmverify.compilers import compile_ltl, compile_minsky, parse_minsky
-from ssmverify.fnn import eval_program, select_fnn
+from ssmverify.fnn import RELU, eval_program, linear_fnn, select_fnn
 from ssmverify.ltl import least_reversed_model, parse, pretty
 from ssmverify.modelfile import load_model, model_from_json, save_model
 from ssmverify.ssm import (
     AffineMap,
+    DiagonalAffineGate,
     SsmLayer,
     SsmModel,
     TimeInvariantGate,
@@ -324,6 +325,26 @@ def test_classify_reports_a_bound_too_large_to_print(tmp_path):
     json.dumps(report)
 
 
+def test_classify_bounds_the_keys_of_a_retracted_search(tmp_path):
+    """Layer 1 sums the ``b``s and layer 2 counts the ``a``s under a
+    diagonal gate.  On the count's assumed range [0, 1], the output
+    relu(count + sum / 8 - 3/2) folds to 0 and reads no sum, so the first
+    step keys on the count alone.  The second ``a`` retracts the range, and
+    the search stores keys of both coordinates, which ``classify`` bounds."""
+    first = SsmLayer(as_vector([0, 0]), TimeInvariantGate([[0, 0], [0, 1]]),
+                     AffineMap([[1, 0], [0, 1]], as_vector([0, 0])), None, ())
+    second = SsmLayer(as_vector([0, 0]), DiagonalAffineGate([[0, 0], [0, 0]], as_vector([1, 0])),
+                      AffineMap([[1, 0], [0, 1]], as_vector([0, 0])), None, ())
+    out = linear_fnn([[1, Fraction(1, 8)]], [Fraction(-3, 2)], RELU)
+    emb = (as_vector([1, 0]), as_vector([0, 1]), as_vector([0, 0]))
+    model_path = str(tmp_path / "m.ssm")
+    save_model(SsmModel(("a", "b", "c"), emb, (first, second), out,
+                        (("source", "ltl"), ("min_bits", "6"))), model_path)
+    stats = run(["sat", "fixed", model_path, "--arith", "fx:6:3"])[1]["result"]["stats"]
+    assert (stats["key_coordinates"], stats["key_state_bound_log2"]) == (2, 12)
+    assert run(["classify", model_path])[1]["result"]["key_state_bound_log2"] == 12
+
+
 @pytest.mark.parametrize("kind, source, expected", [
     # the previous-bit decoder needs fx:6:3; an X-free model is integral
     ("ltl", "X p U q", "fx:6:3"),
@@ -386,6 +407,32 @@ def test_minsky_oracle_stops_at_the_resource_limits(tmp_path, monkeypatch, name,
     assert error in json.loads(json.dumps(report))["result"]["error"]
 
 
+def test_a_time_ceiling_of_zero_stops_every_search(tmp_path, monkeypatch):
+    """``SSMVERIFY_MAX_SECONDS=0`` is reached at the first check, which the
+    search makes after its first level and each oracle before its first
+    step or candidate: each exits 3, and the search reports partial stats."""
+    runaway, unsat = str(tmp_path / "pq.ssm"), str(tmp_path / "unsat.ssm")
+    run(["compile", "ltl", "p U q", "-o", runaway])
+    run(["compile", "ltl", "G p & F !p", "-o", unsat])
+    machine, instance = tmp_path / "loop.mm", tmp_path / "ilp.txt"
+    machine.write_text("start: q0\nfinal: qf\nq0 inc1 q0\n")
+    instance.write_text("2\n1 1\n0 1\n1 1\n")
+    monkeypatch.setenv("SSMVERIFY_MAX_SECONDS", "0")
+    for argv in (["sat", "fixed", runaway, "--arith", "fx:4096:4095"],
+                 ["sat", "bounded", unsat, "--max-len", "9"],
+                 ["oracle", "minsky", str(machine), "--max-steps", "5"],
+                 ["oracle", "ilp", str(instance)]):
+        status, report = run(argv)
+        assert status == 3, argv
+        body = json.loads(json.dumps(report))["result"]
+        assert body["error"] == "time ceiling 0 s reached", argv
+        if argv[0] == "sat":
+            # one level taken: one transition per letter of the alphabet
+            stats = body["partial_stats"]
+            letters = 4 if argv[2] == runaway else 2
+            assert (stats["transitions"], stats["frontier_sizes"]) == (letters, [1]), stats
+
+
 def test_ilp_oracle_stops_at_the_state_ceiling(tmp_path, monkeypatch):
     """2^30 candidates, none a solution, would take hours to enumerate."""
     instance = tmp_path / "ones.txt"
@@ -424,6 +471,8 @@ def test_compile_ltl_refuses_too_many_atoms(tmp_path, count):
 @pytest.mark.parametrize("name, value", [
     ("SSMVERIFY_MAX_STATES", "abc"), ("SSMVERIFY_MAX_MEM_MB", "x"),
     ("SSMVERIFY_MAX_STATES", "-1"), ("SSMVERIFY_MAX_MEM_MB", "-5"),
+    ("SSMVERIFY_MAX_SECONDS", "-1"), ("SSMVERIFY_MAX_SECONDS", "1.5"),
+    ("SSMVERIFY_MAX_SECONDS", "soon"),
 ])
 def test_bad_resource_environment_is_a_usage_error(tmp_path, monkeypatch, name, value):
     """A ceiling that is not a non-negative integer is bad input, in the

@@ -331,6 +331,25 @@ def test_compiled_ltl_is_equivalent_to_its_formula(text):
         assert distinguishing_word(phi, compile_ltl(phi), ArithMode(fmt)) is None
 
 
+def test_the_oracle_agrees_with_every_hand_formula():
+    """The same product search on the full states of the layer-major
+    oracle under the 6-bit profile, so that a step-compiler bug cannot hide
+    a compiler bug."""
+    for text in hand_formulas() + F_AND_G:
+        phi = parse(text)
+        assert distinguishing_word(phi, compile_ltl(phi), ArithMode(FX6), oracle=True) is None, text
+
+
+def test_a_compiled_formula_outputs_its_coordinate():
+    """``out`` is one identity node on the formula's coordinate, which is 0
+    or 1 wherever the format holds 1, so acceptance needs no ``eq(1)``
+    gadget."""
+    for text in hand_formulas() + F_AND_G:
+        phi = parse(text)
+        model = compile_ltl(phi)
+        assert model.out == select_fnn([ltl_layout(phi).dim(phi)], model.dim), text
+
+
 # The patterns of the ltl_deep benchmark workload, over two distinct atoms
 PATTERNS = ["G({a} -> X {b})", "G({a} -> X !{b})", "F({a} & X {b})", "F({a} & X X {b})",
             "{a} U {b}", "!{a} U {b}", "G({a} | {b})", "G F {a}", "F G {a}", "G({a} -> F {b})"]

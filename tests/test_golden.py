@@ -68,16 +68,16 @@ def test_model_file_checksums(tmp_path):
     expected_v1 = {
         "minsky": "498d72da405b415ce835b67699fa1baf671fbf0e6d3b472ce2797dec744b6c73",
         "ilp": "0e94b9f3be6928193b94cdcd90ac28fc0f96e94dd82d5b7b81d48631f1b01119",
-        "ltl": "47ccee3f635a06d69ee38824ab14466750ea108ddf1794a8658bbb4f71fc79f2",
-        "ltl_pointwise": "beae2e5126bca4386c34d96dbde223e4a91a982e966d8e2bbeafa365b1408dde",
-        "ltl_until_gate": "1fc8e575677f15eb209f6faf3dcc74ed28b0e7e3dd59c1d0ad3905fb95a0a58f",
+        "ltl": "b7f623ad8f53bf3b493c0fa4b29e3af1d922ebf720c6b6ba3680f4589a4fd445",
+        "ltl_pointwise": "82224a1cc91bdfa7d7469782f5f72c78e9caba8e8c9d2a6444809580de3876c7",
+        "ltl_until_gate": "41ecfbe9763c837ead78687c0c28ed4d5774e6ed569cf5c92ea79baf57aa1fc6",
     }
     expected_v2 = {
         "minsky": "bb0a02acecacbba5d392d78edaad47b8923aa40d0d1b30bd031fce083f236e69",
         "ilp": "ecc3bb29fc7ea73b0d0e754b4c7aedcef9cde51585f16248429f3469477e3977",
-        "ltl": "7cabcde5b8c81e728a44cea0572f0119c86c025f6a775f9664c03eff58f16076",
-        "ltl_pointwise": "a16c11f1e16c701c5f3d6c9bfe32f91c669fdcb6384678f0354e51db182ab6eb",
-        "ltl_until_gate": "b0c4a33125aeebd92c26b19b53e11558f8a9c394acb28658571d9e395748e99e",
+        "ltl": "0cec0e424233c73e6f3075ac04a9291e6166baf68f5f44f86fc04098ed722c41",
+        "ltl_pointwise": "cc811ba7439bf58f9ba97220c423ffa87b05ede31c6213827c580f811f110767",
+        "ltl_until_gate": "498aa45d0349572d03386fd79cc0c432298118b832d2fe6502d44d16faaf34cf",
     }
     for name, model in cases.items():
         assert sha(v1_text(model)) == expected_v1[name], name
@@ -153,8 +153,8 @@ def test_compiled_ltl_corpus_checksum(tmp_path):
     """The saved bytes of every hand formula."""
     models = [compile_ltl(parse(text)) for text in hand_formulas()]
     assert corpus_digests(models, tmp_path) == (
-        "d371dc62c314fa99fe728e45fad92acee6ff3198cb5e8667d756fdc49917a875",
-        "f68b1ffce24085ec78df29b893c80c9770970c48f91b9e27c663110e72237a04")
+        "1cf4baf680b85f4cbe48b0f687eff485411824016610c1517223dfe465838913",
+        "be344793beda5dee525dd382d4fa00018381c826d98977db802bda782303e6bd")
 
 
 def test_compiled_minsky_ilp_corpus_checksum(tmp_path):

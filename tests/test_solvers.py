@@ -260,14 +260,20 @@ def test_determinism_of_results():
 def test_resource_limits_read_from_environment(monkeypatch):
     monkeypatch.setenv("SSMVERIFY_MAX_STATES", "1234")
     monkeypatch.setenv("SSMVERIFY_MAX_MEM_MB", "256")
+    monkeypatch.setenv("SSMVERIFY_MAX_SECONDS", "9")
     limits = ResourceLimits.from_env()
     assert limits.max_states == 1234
     assert limits.max_mem_mb == 256
+    assert limits.max_seconds == 9
     monkeypatch.delenv("SSMVERIFY_MAX_STATES")
     monkeypatch.delenv("SSMVERIFY_MAX_MEM_MB")
+    monkeypatch.delenv("SSMVERIFY_MAX_SECONDS")
     assert ResourceLimits.from_env().max_mem_mb is None
+    assert ResourceLimits.from_env().max_seconds is None
     monkeypatch.setenv("SSMVERIFY_MAX_STATES", "0")  # 0 is a ceiling, not bad input
+    monkeypatch.setenv("SSMVERIFY_MAX_SECONDS", "0")
     assert ResourceLimits.from_env().max_states == 0
+    assert ResourceLimits.from_env().max_seconds == 0
 
 
 def test_search_stats_name_the_exact_domain_and_the_step_build():

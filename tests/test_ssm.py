@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    expanded, fraction_encode, geometric_model, hand_formulas, random_formula, random_ilp,
-    random_machine,
+    expanded, fraction_encode, geometric_model, hand_formulas, is_one, random_formula,
+    random_ilp, random_machine,
 )
 from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat, raw_encode
 from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky
@@ -24,6 +24,7 @@ from ssmverify.fnn import (
 )
 from ssmverify.ltl import parse
 from ssmverify.modelfile import save_model
+from ssmverify.solvers import pump_down, sat_bounded, sat_fixed
 from ssmverify.ssm import (
     SCALE_BITS,
     AffineMap,
@@ -455,6 +456,88 @@ def test_a_diagonal_gate_on_scale_one_multiplies_without_checks():
     for word in (["a"], ["b", "a", "b"], ["a", "b", "b", "a", "b"]):
         assert evaluate(model, word, EXACT) == evaluate_layerwise(model, word, EXACT)
     assert model._steppers[EXACT].one == 1
+
+
+def counting_model(out: Fnn = gadget_eq(3)) -> SsmModel:
+    """One coordinate under the diagonal gate 1 that counts the ``a``s from
+    0, by default accepted at exactly 3: the range [0, 1] that the step
+    assumes for a gated coordinate fails at the second ``a``."""
+    layer = SsmLayer(as_vector([0]), DiagonalAffineGate(zeros_mat(1), as_vector([1])),
+                     AffineMap(eye(1), as_vector([0])), projection_phi(1))
+    return SsmModel(("a", "b"), (as_vector([1]), as_vector([0])), (layer,), out)
+
+
+def step_source(model: SsmModel, mode: ArithMode) -> str:
+    """The source of the first step that ``_stepper`` builds for ``mode``."""
+    stepper = _stepper(model, mode)
+    comp = _StepCompiler(mode, stepper.one)
+    return comp.source(model, list(stepper.emb.values()))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FX6_MODE], ids=str)
+def test_a_gated_count_past_one_retracts_its_range(mode):
+    """The first step guards the counter's new value, which its interval
+    lets leave [0, 1].  A call that meets the second ``a`` retracts the
+    range: the step is rebuilt without it and the call runs again, whole,
+    so every report is the one the step gave before ranges were assumed,
+    and the layer-major oracle agrees.  The step left on the model is the
+    rebuilt one."""
+    assert "raise Retract" in step_source(counting_model(), mode)
+    calls = [lambda model: sat_bounded(model, 6, mode)]
+    if not mode.is_exact:
+        calls += [lambda model: sat_fixed(model, mode.fmt)]
+    for call in calls:
+        model = counting_model()
+        result = call(model)
+        stats = result.stats
+        assert (result.witness, stats.transitions, stats.distinct_states, stats.frontier_sizes,
+                stats.key_coordinates) == (("a", "a", "a"), 5, 3, [1, 1, 1], 1)
+        assert model._steppers[mode].assume is False
+    if not mode.is_exact:
+        for word in (["a", "b", "a", "b", "a"], ["b", "a", "b", "b", "a", "a"]):
+            model = counting_model()
+            assert pump_down(model, word, mode.fmt) == ["a", "a", "a"]
+            assert model._steppers[mode].assume is False
+    for word in (["a"], ["b", "a"], ["a", "b", "a", "a"], ["a"] * 5, ["b", "a", "a", "a", "b"]):
+        expected = evaluate_layerwise(counting_model(), word, mode)
+        assert evaluate(counting_model(), word, mode) == expected
+        assert accepts(counting_model(), word, mode) == is_one(expected, mode)
+        assert is_one(expected, mode) == (word.count("a") == 3)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FX6_MODE], ids=str)
+def test_a_guard_runs_where_folding_drops_its_coordinate(mode):
+    """On the assumed [0, 1], the output relu(h - 1) folds to 0 and reads
+    no coordinate.  The counter's guard still runs at every step and keeps
+    the counter in the key, so the second ``a``, which the model accepts,
+    retracts the range."""
+    model = counting_model(linear_fnn([[1]], [-1], RELU))
+    assert "raise Retract" in step_source(model, mode)
+    result = sat_bounded(model, 4, mode)
+    assert (result.witness, result.stats.key_coordinates) == (("a", "a"), 1)
+    assert model._steppers[mode].assume is False
+    assert accepts(counting_model(linear_fnn([[1]], [-1], RELU)), ["b", "a", "a"], mode)
+
+
+def test_ltl_steps_run_on_assumed_ranges():
+    """Under fx:6:3 the until ``p U q`` tests no saturation and guards its
+    new value once: its gate ``p & !q`` and ``q`` are never both 1, which
+    no interval shows.  ``G p`` multiplies two values of [0, 1], which stay
+    there, so its range needs no guard.  Each model outputs its formula's
+    coordinate."""
+    assert step_source(compile_ltl(parse("p U q")), FX6_MODE) == (
+        "def step(key, x):\n"
+        "    h0_2, = key\n"
+        "    _, x1, _, x3, _, = x\n"
+        "    v0 = (x3 * h0_2 >> 3) + x1\n"
+        "    if v0 > 8: raise Retract\n"
+        "    return (v0, ), v0\n")
+    assert step_source(compile_ltl(parse("G p")), FX6_MODE) == (
+        "def step(key, x):\n"
+        "    h0_1, = key\n"
+        "    x0, _, _, = x\n"
+        "    v0 = (x0 * h0_1 >> 3)\n"
+        "    return (v0, ), v0\n")
 
 
 @pytest.mark.parametrize("fmt", [None, FX6, FixedPointFormat(3, 2), FixedPointFormat(8, 4)],

@@ -88,8 +88,9 @@ CASES = [
      ("verdict", "witness", "stats"), ("verdict", "witness", "stats")),
     (LengthBound, dict(value=4, encoding="binary"), dict(value=4, encoding="unary"),
      ("value", "encoding"), ("value", "encoding")),
-    (ResourceLimits, dict(max_states=10, max_mem_mb=20), dict(max_states=10, max_mem_mb=None),
-     ("max_states", "max_mem_mb"), ("max_states", "max_mem_mb")),
+    (ResourceLimits, dict(max_states=10, max_mem_mb=20, max_seconds=5),
+     dict(max_states=10, max_mem_mb=20, max_seconds=None),
+     ("max_states", "max_mem_mb", "max_seconds"), ("max_states", "max_mem_mb", "max_seconds")),
     (LtlLayout, {name: getattr(LAYOUT, name) for name in LAYOUT_FIELDS},
      {name: getattr(LAYOUT, name) for name in LAYOUT_FIELDS} | {"const_dim": 99},
      LAYOUT_FIELDS, LAYOUT_FIELDS),
@@ -149,7 +150,7 @@ def test_defaults():
     assert FnnNode((F(1),), F(0)).activation == RELU
     assert LengthBound(3).encoding == "unary"
     limits = ResourceLimits()
-    assert (limits.max_states, limits.max_mem_mb) == (5_000_000, None)
+    assert (limits.max_states, limits.max_mem_mb, limits.max_seconds) == (5_000_000, None, None)
     assert SsmModel(**MODEL_ARGS).metadata == ()
     # a full network computes every coordinate
     assert LAYER.computes == (0,) and LAYER.net is LAYER.phi
