@@ -10,15 +10,19 @@ stores only what it computes; and the previous-bit layer that smuggles a
 step of history through ``h = h/4 + x`` and decodes it from h and x.
 
 The LTL compiler is levelled.  An atom has DAG height 0 and reads its
-proposition's embedding column; so do ``tt``, the parser's ``a | !a``, on
-the constant coordinate, and ``ff``, its ``a & !a``, on a coordinate that
-is 0 in every letter and that only a formula reading ``ff`` has.  Every
-other subformula has its own coordinate, and the subformulas of one height
-are computed together in one layer: each reads only lower heights, and
-each layer update is per coordinate, so their inc rows, until gates and
-gadgets merge.  A level that holds an ``X`` gets one previous-bit layer
-after it, for all of its ``X`` coordinates.  The layer count is thus the
-formula's height plus the number of levels with an ``X``.
+proposition's embedding column.  Every gate and inc row is affine in its
+layer's input, and so is negating a 0/1 value, so a subformula's value is
+a sum of weighted coordinates (``_value``): ``!psi`` is ``1 - psi``, at
+psi's height and on no coordinate of its own; ``tt``, the parser's ``a |
+!a``, is the constant coordinate, and ``ff``, its ``a & !a``, is no terms
+at all, both of height 0.  Every other subformula has its own coordinate,
+and the subformulas of one height are computed together in one layer:
+each reads only lower heights, and each layer update is per coordinate,
+so their inc rows, until gates and gadgets merge.  ``l & r`` is one relu
+node, ``relu(l + r - 1)``, and ``l | r`` stores ``!l & !r``, which its
+readers read negated.  A level that holds an ``X`` gets one previous-bit
+layer after it, for all of its ``X`` coordinates.  The layer count is thus
+the formula's height plus the number of levels with an ``X``.
 
 Until is Boolean.  ``l U r`` runs ``h = g * h + r`` under the diagonal gate
 ``g = l & !r``, so h is 0 or 1 in every arithmetic mode and a search's keys
@@ -28,22 +32,21 @@ of that input, after the subformulas' and before the constant.  For an
 until of height 1 it is an embedding column, a Boolean of the letter;
 otherwise the phi of the layer just below the until's level (the level
 layer, or the previous-bit layer when that level holds an ``X``) stacks
-it, one relu node, on that layer's outputs for l and r.  No layer is
-added.
+it, one relu node over the terms of ``l - r``, on that layer's outputs.
+No layer is added.
 
-``F`` and ``G`` need no gate coordinate: their gates are affine in the
-operand itself.  ``F psi``, the parser's ``tt U psi``, runs ``h = (1 - psi)
-* h + psi`` from 0, and ``G psi``, its ``!(tt U !psi)``, runs ``h = psi *
-h`` from 1.  Each is one coordinate one level above psi, and G's inner
-until and ``!psi`` get coordinates only where another subformula reads
-them.
+``F`` needs no gate coordinate: ``F psi``, the parser's ``tt U psi``,
+stores ``G !psi``, which runs ``h = (1 - psi) * h`` from 1, a gate affine
+in the operand itself and no inc term, one coordinate one level above psi
+that ``F psi`` reads negated.  ``G psi``, the parser's ``!(tt U !psi)``,
+is that coordinate for ``F !psi`` read negated twice, ``h = psi * h``.
 
 Every coordinate's output is thus 0 or 1 wherever the format holds 1, so
-``out`` is one identity node on the formula's coordinate, which is 1
-exactly where ``eq(1)`` of it is.  No interval shows that an until, ``F``
-or ``G`` coordinate stays in [0, 1], so the step compiler assumes that
-range for every gated coordinate and guards it (``ssm._StepCompiler``):
-their new values need no saturation test.
+``out`` is one identity node over the formula's terms, which is 1 exactly
+where ``eq(1)`` of it is.  No interval shows that an until or ``F``
+coordinate stays in [0, 1], so the step compiler assumes that range for
+every gated coordinate and guards it (``ssm._StepCompiler``): their new
+values need no saturation test.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from .fnn import (
     Fnn,
     FnnLayer,
     FnnNode,
+    IDENTITY,
     RELU,
     compose,
     gadget_and,
@@ -75,10 +79,8 @@ from .fnn import (
     gadget_implies,
     gadget_leq,
     gadget_lookup,
-    gadget_min1,
     identity_fnn,
     linear_fnn,
-    select_fnn,
     _copies,
 )
 from .ltl import LtlFormula, Atom, Not, And, Or, Next, Until, children, subformulas_topo
@@ -273,17 +275,14 @@ def _finish(model: SsmModel, *source: tuple[str, str]) -> SsmModel:
 
 class LtlLayout(Value):
     """Dimension bookkeeping of a compiled formula.  An atom has DAG height
-    0 and reads its proposition's embedding column; ``levels`` holds the
-    other subformulas by height 1, 2, ..., each in topological order, and
-    they take the coordinates after the propositions in that order.  The
-    gate of each until other than an ``F``, in the same order, takes the
-    next coordinate (``gate_of``).  The constant 1 is the last coordinate,
-    and ``tt`` (``a | !a`` for an atom a) is a leaf of height 0 that reads
-    it; ``ff`` (``a & !a``) is a leaf that reads the coordinate before it,
-    which only a formula that reads ``ff`` has.  ``G psi`` reads only psi
-    and is one level above it.  A child that a leaf or a ``G`` skips is
-    among ``subformulas`` only where another subformula reads it, though
-    every atom of the formula is a proposition."""
+    0 and reads its proposition's embedding column.  ``tt`` (``a | !a`` for
+    an atom a) and ``ff`` (``a & !a``) have height 0 and a negation its
+    operand's, and none of them takes a coordinate (``_value``).
+    ``levels`` holds the other subformulas by height 1, 2, ..., each in
+    topological order, and they take the coordinates after the
+    propositions in that order; ``subformulas`` holds them and the atoms.
+    The gate of each until other than an ``F``, in the same order, takes
+    the next coordinate (``gate_of``), and the constant 1 the last."""
 
     __slots__ = _fields = ("props", "subformulas", "levels", "dim_of", "gate_of", "const_dim",
                            "dimension")
@@ -315,41 +314,20 @@ def _is_f(sub: LtlFormula) -> bool:
     return isinstance(sub, Until) and _is_tt(sub.left)
 
 
-def _g_operand(sub: LtlFormula) -> Optional[LtlFormula]:
-    """psi where ``sub`` is ``!(tt U !psi)``, the parser's ``G psi``; else None."""
-    if isinstance(sub, Not) and _is_f(sub.sub) and isinstance(sub.sub.right, Not):
-        return sub.sub.right.sub
-    return None
-
-
-def _operands(sub: LtlFormula, leaves: set) -> tuple[LtlFormula, ...]:
-    """The subformulas whose coordinates the layer of ``sub`` reads: none
-    for a leaf, psi for ``G psi``, else its children."""
-    if sub in leaves:
-        return ()
-    operand = _g_operand(sub)
-    return children(sub) if operand is None else (operand,)
-
-
 def ltl_layout(phi: LtlFormula) -> LtlLayout:
     every = subformulas_topo(phi)
     props = tuple(sorted(sub.name for sub in every if isinstance(sub, Atom)))
-    # tt and ff are leaves, and G psi reads only psi: the other children
-    # are read only where another subformula reads them
-    tts = {sub for sub in every if _is_tt(sub)}
-    leaves = tts | {sub for sub in every if _is_ff(sub)}
-    read = {phi}
-    for sub in reversed(every):  # parents come first
-        if sub in read:
-            read.update(_operands(sub, leaves))
-    subs = tuple(sub for sub in every if sub in read or isinstance(sub, Atom))
     height: dict[LtlFormula, int] = {}
-    for sub in subs:  # children come first
-        height[sub] = 1 + max((height[c] for c in _operands(sub, leaves)), default=-1)
-    levels: list[list[LtlFormula]] = [[] for _ in range(height[phi])]
-    for sub in subs:
-        if height[sub]:
-            levels[height[sub] - 1].append(sub)
+    for sub in every:  # children come first
+        if isinstance(sub, Atom) or _is_tt(sub) or _is_ff(sub):
+            height[sub] = 0
+        elif isinstance(sub, Not):
+            height[sub] = height[sub.sub]
+        else:
+            height[sub] = 1 + max(height[c] for c in children(sub))
+    subs = tuple(sub for sub in every
+                 if isinstance(sub, Atom) or height[sub] and not isinstance(sub, Not))
+    levels = [[sub for sub in subs if height[sub] == k] for k in range(1, height[phi] + 1)]
     column = {sub: props.index(sub.name) for sub in subs if isinstance(sub, Atom)}
     for level in levels:
         for sub in level:  # the atoms fill columns 0 .. |P| - 1
@@ -357,10 +335,7 @@ def ltl_layout(phi: LtlFormula) -> LtlLayout:
     untils = [sub for level in levels for sub in level
               if isinstance(sub, Until) and not _is_f(sub)]
     gate = {sub: len(column) + k for k, sub in enumerate(untils)}
-    ffs = [sub for sub in subs if sub in leaves and sub not in tts]
-    const_dim = len(column) + len(gate) + (1 if ffs else 0)
-    column.update(dict.fromkeys(ffs, const_dim - 1))
-    column.update(dict.fromkeys(tts, const_dim))
+    const_dim = len(column) + len(gate)
     return LtlLayout(
         props=props,
         subformulas=subs,
@@ -377,54 +352,68 @@ def ltl_layout(phi: LtlFormula) -> LtlLayout:
 # hundreds of MiB to compile.
 MAX_ATOMS = 16
 
-# The one-input gadgets that the logic compiler's phi applies pointwise,
-# and the until gate relu(a - b), which is a & !b on 0/1 inputs.
+# The one-input gadget that the logic compiler's phi applies pointwise
 _RELU = linear_fnn([[1]], activation=RELU)
-_MIN1 = gadget_min1()
-_AND_NOT = gadget_implies()
 
 
-def _ltl_entry(sub: LtlFormula, dim: dict, gate: dict, const_dim: int):
-    """What the layer of a non-atom subformula does to its own coordinate:
-    its start value h0, the (column, weight) terms of its gate row (none
-    for the zero gate) and of its inc row, and the gadget phi applies to it
+def _value(sub: LtlFormula, dim: dict, one: int) -> list[tuple[int, Fraction]]:
+    """The 0/1 value of ``sub`` as (column, weight) terms over the
+    coordinates, ``one`` the constant one's, a column possibly repeated:
+    an affine form, which any gate or inc row may read.  ``!psi`` is ``1 -
+    psi``, ``tt`` the constant and ``ff`` no terms at all.  ``l | r`` and
+    ``F psi`` store their negations, ``!l & !r`` and ``G !psi``, and read
+    their own coordinate negated; any other subformula reads its own."""
+    if isinstance(sub, Not):
+        return [(one, F1), *((c, -w) for c, w in _value(sub.sub, dim, one))]
+    if _is_tt(sub):
+        return [(one, F1)]
+    if _is_ff(sub):
+        return []
+    if isinstance(sub, Or) or _is_f(sub):
+        return [(one, F1), (dim[sub], -F1)]
+    return [(dim[sub], F1)]
+
+
+def _ltl_entry(sub: LtlFormula, dim: dict, gate: dict, one: int):
+    """What the layer of a subformula with a coordinate does to it: its
+    start value h0, the (column, weight) terms of its gate row (none for
+    the zero gate) and of its inc row, and the gadget phi applies to it
     (``None`` for the projection).  Every other coordinate passes through.
 
-    Until is Boolean: ``h = g * h + r`` under the diagonal gate ``g = l &
-    !r``, which is the coordinate ``gate[sub]`` of the layer's input.  A
-    letter keeps the value while l holds and r does not, sets it to 1 where
-    r holds and clears it elsewhere, so h is 0 or 1 in every mode and needs
-    no clamp.  ``F psi`` is the until whose gate is the affine ``1 - psi``,
-    and ``G psi`` is ``h = psi * h`` from ``h0 = 1``: neither takes a gate
-    coordinate."""
-    if (operand := _g_operand(sub)) is not None:
-        return F1, [(dim[operand], F1)], [], None
-    if isinstance(sub, Not):
-        return F0, [], [(const_dim, F1), (dim[sub.sub], -F1)], None
-    if isinstance(sub, And):
-        return F0, [], [(dim[sub.left], F1), (dim[sub.right], F1), (const_dim, -F1)], _RELU
-    if isinstance(sub, Or):  # min(1, left + right)
-        return F0, [], [(dim[sub.left], F1), (dim[sub.right], F1)], _MIN1
+    ``l & r`` is ``relu(l + r - 1)`` on one relu node, and ``l | r`` stores
+    ``!l & !r``.  Until is Boolean: ``h = g * h + r`` under the diagonal
+    gate ``g = l & !r``, which is the coordinate ``gate[sub]`` of the
+    layer's input.  A letter keeps the value while l holds and r does not,
+    sets it to 1 where r holds and clears it elsewhere, so h is 0 or 1 in
+    every mode and needs no clamp.  ``F psi`` stores ``G !psi``, which is
+    ``h = (1 - psi) * h`` from ``h0 = 1``: its gate is affine in psi, so it
+    takes no gate coordinate and no inc term."""
     if isinstance(sub, Next):  # the previous-bit layer that follows delays it
-        return F0, [], [(dim[sub.sub], F1)], None
+        return F0, [], _value(sub.sub, dim, one), None
     if _is_f(sub):
-        return F0, [(const_dim, F1), (dim[sub.right], -F1)], [(dim[sub.right], F1)], None
-    return F0, [(gate[sub], F1)], [(dim[sub.right], F1)], None
+        return F1, _value(Not(sub.right), dim, one), [], None
+    if isinstance(sub, Until):
+        return F0, [(gate[sub], F1)], _value(sub.right, dim, one), None
+    if isinstance(sub, Or):
+        return _ltl_entry(And(Not(sub.left), Not(sub.right)), dim, gate, one)
+    return F0, [], [*_value(sub.left, dim, one), *_value(sub.right, dim, one), (one, -F1)], _RELU
 
 
 def compile_ltl(phi: LtlFormula) -> SsmModel:
     """Model over 2^P that accepts a word iff its reversal is a model of the
-    formula.  Atoms read their propositions' embedding columns, tt the
-    constant coordinate and ff a coordinate that is 0 in every letter;
-    every other subformula of one DAG height is computed in one layer, and
-    a level that holds an X gets one previous-bit layer after it.  ``F`` and
-    ``G`` are one coordinate each, gated by their operand.  The gate of any
-    other until of height 1 is an embedding column; that of a higher until
-    is stacked on the outputs of the layer below its level.  The compiled
-    model is exact under the 6-bit profile, and an X-free one under
-    ``fx:3:0``, which its ``min_bits`` and ``frac_bits`` metadata name.
-    Every coordinate's output is 0 or 1 wherever the format holds 1, so
-    ``out`` is one identity node on the formula's coordinate.  A formula
+    formula.  Atoms read their propositions' embedding columns and tt the
+    constant coordinate; ff and every negation read affine forms of those
+    (``_value``) and take no coordinate.  Every other subformula of one DAG
+    height is computed in one layer, and a level that holds an X gets one
+    previous-bit layer after it.  ``F psi`` is one coordinate, gated by
+    its operand, and ``G psi``, the parser's ``!F!psi``, reads the
+    coordinate of ``F !psi`` as it is.  The gate of any other until of height 1 is an embedding
+    column; that of a higher until is one relu node over the terms of ``l -
+    r``, stacked on the outputs of the layer below its level.  The
+    compiled model is exact under the 6-bit profile, and an X-free one
+    under ``fx:3:0``, which its ``min_bits`` and ``frac_bits`` metadata
+    name.  Every coordinate's output is 0 or 1 wherever the format holds
+    1, so ``out`` is one identity node over the formula's terms.  A formula
     over more than ``MAX_ATOMS`` atoms is a ``ResourceLimitError``."""
     layout = ltl_layout(phi)
     count = len(layout.props)
@@ -432,7 +421,7 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
         raise ResourceLimitError(
             f"formula has {count} atoms; compile_ltl enumerates all 2^{count} letters "
             f"and accepts at most {MAX_ATOMS} atoms")
-    d = layout.dimension
+    d, one = layout.dimension, layout.const_dim
     dim, gate = dict(layout.dim_of), dict(layout.gate_of)
     eye, empty, zero_off = _eye(d), _empty(d), _zeros(d)
     no_gate = TimeInvariantGate(empty)
@@ -444,10 +433,12 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
         h0, gate_terms, inc_terms, gadgets, nexts = list(zero_off), [], [], {}, []
         for sub in level:
             i = dim[sub]
-            h0[i], gate_row, terms, gadget = _ltl_entry(sub, dim, gate, layout.const_dim)
+            h0[i], gate_row, terms, gadget = _ltl_entry(sub, dim, gate, one)
             gate_terms += [(i, c, w) for c, w in gate_row]
             if sub in gate and stages:  # at height 1 the gate is a column of the letter
-                stages[-1][4][gate[sub]] = (_AND_NOT, (dim[sub.left], dim[sub.right]))
+                g = Row.of(d, _ltl_entry(And(sub.left, Not(sub.right)), dim, gate, one)[2]).terms
+                stages[-1][4][gate[sub]] = (linear_fnn([[w for _, w in g]], activation=RELU),
+                                            tuple(c for c, _ in g))
             inc_terms += [(i, c, w) for c, w in terms]
             if gadget is not None:
                 gadgets[i] = gadget
@@ -463,26 +454,23 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
         if nexts:
             stages.append((zero_off, *_prev_bit(d, nexts), {}))
 
-    out = select_fnn([dim[phi]], d)
+    out = Fnn((FnnLayer((FnnNode(Row.of(d, _value(phi, dim, one)), F0, IDENTITY),)),))
     letters = ltl_mod.letters(layout.props)
     alphabet = tuple(set_symbol(l) for l in letters)
-    letter_gates = [(gate[sub], sub.left, sub.right)
+    letter_gates = [(gate[sub], And(sub.left, Not(sub.right)))
                     for level in layout.levels[:1] for sub in level if sub in gate]
-
-    def truth(leaf: LtlFormula, letter: frozenset) -> bool:  # an atom, tt or ff
-        return leaf.name in letter if isinstance(leaf, Atom) else _is_tt(leaf)
-
     emb = []
     for letter in letters:
         row = [F1 if p in letter else F0 for p in layout.props] + [F0] * (d - count - 1) + [F1]
-        for c, left, right in letter_gates:
-            if truth(left, letter) and not truth(right, letter):
+        for c, opens in letter_gates:
+            if ltl_mod.holds(opens, (letter,), 1):
                 row[c] = F1
         emb.append(tuple(row))
     layers = tuple(_layer(*stage) for stage in stages)
     # the previous-bit decoder needs 2 fractional bits and room for 8/3,
     # which the 6-bit profile fx:6:3 gives; every value of an X-free model
-    # is an integer in [-1, 2]
+    # is an integer in [-2, 2], partial sums included (``!p & !q`` runs -1,
+    # -2, -1), which fx:3:0 holds
     if any(isinstance(sub, Next) for sub in layout.subformulas):
         bits = (("min_bits", "6"),)
     else:

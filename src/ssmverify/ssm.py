@@ -51,7 +51,7 @@ step, so exact mode, like fixed mode, emits a relu clamp only where its
 argument can be negative.
 
 The step assumes that a hidden coordinate whose diagonal gate row reads
-the input (the until, ``F`` and ``G`` coordinates of an LTL model) stays
+the input (the until and ``F`` coordinates of an LTL model) stays
 in [min(0, h0), max(1, h0)], clipped to the format, where any other
 coordinate takes the whole domain.  On that range the interval analysis
 drops the saturation tests and relu clamps that cannot fire.  Where a new
@@ -404,10 +404,10 @@ class _StepCompiler:
 
     With ``assume``, a hidden input whose gate row reads the input takes
     its ``assumed`` range, [min(0, h0), max(1, h0)] clipped to the format,
-    in place of the whole domain: an until, ``F`` or ``G`` coordinate is 0
-    or 1, though no interval can show it (``g * h + r`` stays in [0, 1]
-    only because ``g * r = 0``), and an ungated ``Or`` sum can reach 2, so
-    it is left alone.  Each new value of such a coordinate whose interval
+    in place of the whole domain: an until or ``F`` coordinate is 0 or 1,
+    though no interval can show it (``g * h + r`` stays in [0, 1] only
+    because ``g * r = 0``), and an ungated counter can pass 1, so it is
+    left alone.  Each new value of such a coordinate whose interval
     can leave the range gets one ``guard`` line, which raises ``Retract``
     from a call, and every guard is live, so its coordinate stays in the
     key and is checked at each step.  The initial key lies in every range,
@@ -643,6 +643,8 @@ class _StepCompiler:
         if lo >= floor and hi <= top and not lines and expr.isidentifier():
             return _Val(expr, None, lo, hi, (expr,))
         name = name or self._fresh()
+        if relu and hi <= top and not lines and expr.isidentifier():  # one line, not two
+            return self._bind(name, [f"{name} = {expr} if {expr} > 0 else 0"], reads, 0, hi)
         clamp, lo, hi = self._clamp(name, lo, hi, floor)
         return self._bind(name, lines + [f"{name} = {expr}"] + clamp, reads, lo, hi)
 

@@ -386,7 +386,7 @@ def test_classify_recommends_one_format_per_source(tmp_path, kind, source, expec
 
 def test_resource_limit_exit_code(tmp_path, monkeypatch):
     model_path = str(tmp_path / "m.ssm")
-    run(["compile", "ltl", "G p & F !p", "-o", model_path])
+    run(["compile", "ltl", "(p U q) & G !q", "-o", model_path])
     monkeypatch.setenv("SSMVERIFY_MAX_STATES", "2")
     status, report = run(["sat", "fixed", model_path, "--arith", "fx:6:3"])
     assert status == 3

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     distinguishing_word,
     hand_formulas,
+    random_formula,
     random_ilp,
     random_machine,
     trace_to_word,
@@ -41,6 +42,7 @@ from ssmverify.compilers import (
 )
 from ssmverify.errors import DimensionError, InputFormatError, InvalidMachineError
 from ssmverify.fnn import (
+    IDENTITY,
     RELU,
     compose,
     eval_program,
@@ -246,27 +248,30 @@ def test_compile_ltl_dimension_bookkeeping():
 
 @pytest.mark.parametrize("text, layers", [("F p", 1), ("F p & F q", 2), ("G F p", 2)])
 def test_tt_is_the_constant_coordinate(text, layers):
-    """The parser's tt, ``a | !a``, is a leaf of height 0 on the constant
-    coordinate, so an F puts no layer under itself."""
+    """The parser's tt, ``a | !a``, is a leaf of height 0 that reads the
+    constant coordinate and takes none of its own, so an F puts no layer
+    under itself."""
     phi = parse(text)
     layout = ltl_layout(phi)
     tt = parse("p | !p")
-    assert layout.dim(tt) == layout.const_dim == layout.dimension - 1
+    assert tt not in dict(layout.dim_of) and layout.const_dim == layout.dimension - 1
     assert tt not in sum(layout.levels, ())
     assert compile_ltl(phi).num_layers == layers
+    model = compile_ltl(tt)
+    assert (model.num_layers, model.out) == (0, select_fnn([1], 2))
 
 
 def test_hand_written_tt_compiles_like_tt():
-    """``q | !q`` written out is tt over q: a leaf, though ``!q`` keeps a
-    coordinate where another subformula reads it, and ``q`` stays a
-    proposition of the alphabet."""
+    """``q | !q`` written out is tt over q: a leaf with no coordinate, and
+    ``q`` stays a proposition of the alphabet.  ``!q`` beside it reads ``1 -
+    q``, which takes no coordinate either."""
     phi = parse("(q | !q) U p")
     layout = ltl_layout(phi)
-    assert layout.props == ("p", "q") and layout.dim(parse("q | !q")) == layout.const_dim
+    assert layout.props == ("p", "q") and parse("q | !q") not in dict(layout.dim_of)
     assert layout.levels == ((phi,),)
     assert compile_ltl(parse("p | !p")) == compile_ltl(parse("tt"))
     read = parse("(q | !q) & !q")
-    assert ltl_layout(read).levels == ((parse("!q"),), (read,))
+    assert ltl_layout(read).levels == ((read,),)
     for phi in (phi, read, parse("X (p | !p) & (q U (q | !q))")):
         model = compile_ltl(phi)
         for mode in (EXACT, FX6_MODE):
@@ -284,33 +289,36 @@ def test_g_tt_keeps_its_alphabet():
 
 
 def test_f_and_g_are_one_gated_coordinate_each():
-    """``G psi`` is ``h = psi * h`` from ``h0 = 1`` and ``F psi`` the until
-    gated by ``1 - psi``: one coordinate each, one level above psi, with no
-    gate coordinate."""
+    """``F psi`` stores ``G !psi``, ``h = (1 - psi) * h`` from ``h0 = 1``:
+    one coordinate one level above psi, with no gate coordinate and no inc
+    term, which ``F psi`` reads negated.  ``G psi``, the parser's ``!F!psi``,
+    reads it twice negated, so ``G p`` and ``F !p`` share it."""
     model = compile_ltl(parse("G p"))
     (layer,) = model.layers
-    g = ltl_layout(parse("G p")).dim(parse("G p"))
+    layout = ltl_layout(parse("G p"))
+    g = layout.dim(parse("F !p"))
     assert layer.h0[g] == 1 and sum(layer.h0) == 1
     assert layer.gate.rows[g].terms == ((0, 1),) and layer.inc.rows[g].terms == ((g, 1),)
+    assert model.out == select_fnn([g], model.dim)
+    (layer,) = compile_ltl(parse("F p")).layers
+    assert layer.gate.rows[g].terms == ((0, -1), (layout.const_dim, 1))
     assert compile_ltl(parse("G(p -> F q)")).num_layers == 3
-    # G's inner until is an F, which gets a coordinate where it is read
     for text, gated in (("G(p -> F q)", []), ("F G p & G(p -> X q)", []),
                         ("(p U q) & G !q", [parse("p U q")]), ("F !p & G p", [])):
         assert [u for u, _ in ltl_layout(parse(text)).gate_of] == gated, text
-    assert ltl_layout(parse("F !p & G p")).levels == (
-        (parse("!p"), parse("G p")), (parse("F !p"),), (parse("F !p & G p"),))
+    assert ltl_layout(parse("F !p & G p")).levels == ((parse("F !p"),), (parse("F !p & G p"),))
 
 
 def test_ff_is_a_leaf():
-    """The parser's ff, ``a & !a``, is a leaf of height 0 on a coordinate
-    that is 0 in every letter, added only where a formula reads it."""
+    """The parser's ff, ``a & !a``, is a leaf of height 0 whose value has
+    no terms at all, so it takes no coordinate."""
     assert ltl_layout(parse("p & q")).dimension == 4
     for text, layers in (("ff", 0), ("p & ff", 1), ("p & (q & !q)", 1)):
         layout, model = ltl_layout(parse(text)), compile_ltl(parse(text))
-        ff = layout.dim(parse("p & !p" if "ff" in text else "q & !q"))
-        assert ff == layout.const_dim - 1 and model.dim == layout.dimension
+        ff = parse("p & !p" if "ff" in text else "q & !q")
+        assert ff not in dict(layout.dim_of) and model.dim == layout.dimension
+        assert layout.dimension == len(layout.props) + layers + 1
         assert model.num_layers == layers
-        assert all(vec[ff] == 0 for vec in model.emb)
         for result in (sat_fixed(model, FX6, length_cap=None),
                        sat_bounded(model, 4, EXACT), sat_bounded(model, 4, FX6_MODE)):
             assert result.witness is None and result.verdict.startswith(UNSATISFIABLE), text
@@ -340,14 +348,20 @@ def test_the_oracle_agrees_with_every_hand_formula():
         assert distinguishing_word(phi, compile_ltl(phi), ArithMode(FX6), oracle=True) is None, text
 
 
-def test_a_compiled_formula_outputs_its_coordinate():
-    """``out`` is one identity node on the formula's coordinate, which is 0
+def test_a_compiled_formula_outputs_its_terms():
+    """``out`` is one identity node over the formula's terms, which are 0
     or 1 wherever the format holds 1, so acceptance needs no ``eq(1)``
-    gadget."""
+    gadget: the formula's own coordinate, or that coordinate negated for
+    an ``|``, an ``F`` or a negation of either, and none for ``ff``."""
     for text in hand_formulas() + F_AND_G:
-        phi = parse(text)
-        model = compile_ltl(phi)
-        assert model.out == select_fnn([ltl_layout(phi).dim(phi)], model.dim), text
+        model = compile_ltl(parse(text))
+        ((node,),) = [layer.nodes for layer in model.out.layers]
+        assert (node.bias, node.activation) == (0, IDENTITY), text
+    for text, terms in (("p U q", ((2, 1),)), ("p | q", ((2, -1), (3, 1))), ("!p", ((0, -1), (1, 1))),
+                        ("!!p", ((0, 1),)), ("tt", ((1, 1),)), ("ff", ()), ("F p", ((1, -1), (2, 1))),
+                        ("G p", ((1, 1),)), ("!(p & q)", ((2, -1), (3, 1)))):
+        model = compile_ltl(parse(text))
+        assert model.out.layers[0].nodes[0].row.terms == terms, text
 
 
 # The patterns of the ltl_deep benchmark workload, over two distinct atoms
@@ -369,6 +383,17 @@ def pattern_conjunctions(draw):
 def test_pattern_conjunctions_are_equivalent_to_their_formulas(text, fmt):
     phi = parse(text)
     assert distinguishing_word(phi, compile_ltl(phi), ArithMode(fmt)) is None
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 14))
+@settings(max_examples=100, deadline=None)
+def test_random_formulas_are_equivalent_to_their_formulas(seed, size):
+    """Random core-syntax formulas, which nest !, |, &, X and U in any
+    order, under the 6-bit profile and ``fx:8:3``."""
+    phi = random_formula(random.Random(seed), size)
+    model = compile_ltl(phi)
+    for fmt in (FX6, FixedPointFormat(8, 3)):
+        assert distinguishing_word(phi, model, ArithMode(fmt)) is None, ltl.pretty(phi)
 
 
 def test_a_wrong_model_has_a_least_shortest_distinguishing_word():
@@ -441,9 +466,9 @@ def test_subformula_dims_zero_on_layer_entry():
 
 @pytest.mark.parametrize("mode", [EXACT, FX6_MODE])
 def test_mixed_level_agrees_with_the_oracle(mode):
-    """Level 1 holds a relu (p & q), a min1 (p | q) and a diagonal gate
-    (p U q) in one layer, and its one pointwise network pads the relu to
-    the depth of the min1.  The until's gate is a column of the letter."""
+    """Level 1 holds two relus (p & q, and p | q stored as !p & !q) and a
+    diagonal gate (p U q) in one layer.  The until's gate is a column of
+    the letter."""
     phi = parse("(p & q) & ((p | q) & (p U q))")
     model = compile_ltl(phi)
     assert (model.num_layers, model.dim) == (3, 9)
@@ -459,13 +484,16 @@ def test_mixed_level_agrees_with_the_oracle(mode):
 
 @pytest.mark.parametrize("mode", [EXACT, FX6_MODE])
 @pytest.mark.parametrize("text, computes", [
-    # level 1's layer computes, beside its min1 (2) and relu (3), the gates
-    # of level 2: 10 on top of the min1 and the relu, 11 on two copies; the
-    # gate 9 of p U q is a column of the letter
-    ("((p | q) U (p & q)) & (!p U (p U q))", [(2, 3, 10, 11), (), (8,)]),
-    # each previous-bit layer computes the gates of the level above it on
-    # top of its decoders (2, 4 and 5) and a copy
-    ("(X p) U (X !q) & (p U X q)", [(), (2, 4, 9), (), (5, 10), (), (8,)]),
+    # level 1's layer computes, beside its relus for p | q (2, which holds
+    # !p & !q) and p & q (3), the gates of level 2: 9, (p | q) - (p & q),
+    # which is 1 - h2 - h3, on top of the two relus and a copy of the
+    # constant, and 10, !p - (p U q), on three copies; the gate 8 of p U q
+    # is a column of the letter
+    ("((p | q) U (p & q)) & (!p U (p U q))", [(2, 3, 9, 10), (), (7,)]),
+    # X !q reads 1 - q and is one level 1 coordinate beside X p and X q,
+    # so the one previous-bit layer computes the gates of both untils on
+    # top of its decoders (2, 3 and 4)
+    ("(X p) U (X !q) & (p U X q)", [(), (2, 3, 4, 8, 9), (), (7,)]),
 ])
 def test_until_gates_agree_with_the_oracle(mode, text, computes):
     """An until above height 1 reads its gate ``relu(l - r)`` from the layer

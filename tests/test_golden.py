@@ -60,7 +60,8 @@ def test_model_file_checksums(tmp_path):
         "minsky": compile_minsky(parse_minsky(MINSKY_TEXT)),
         "ilp": compile_ilp(parse_ilp(ILP_TEXT)),
         "ltl": compile_ltl(parse("p U q")),
-        # the relu and min1 gadgets and the previous-bit layer
+        # the relu gadgets of & and of |, which is !l & !r, and the
+        # previous-bit layer
         "ltl_pointwise": compile_ltl(parse("(X p | !q) & r")),
         # an until whose gate the previous-bit layer computes
         "ltl_until_gate": compile_ltl(parse("(p | q) U X q")),
@@ -69,15 +70,15 @@ def test_model_file_checksums(tmp_path):
         "minsky": "498d72da405b415ce835b67699fa1baf671fbf0e6d3b472ce2797dec744b6c73",
         "ilp": "0e94b9f3be6928193b94cdcd90ac28fc0f96e94dd82d5b7b81d48631f1b01119",
         "ltl": "b7f623ad8f53bf3b493c0fa4b29e3af1d922ebf720c6b6ba3680f4589a4fd445",
-        "ltl_pointwise": "82224a1cc91bdfa7d7469782f5f72c78e9caba8e8c9d2a6444809580de3876c7",
-        "ltl_until_gate": "41ecfbe9763c837ead78687c0c28ed4d5774e6ed569cf5c92ea79baf57aa1fc6",
+        "ltl_pointwise": "c80cf6f153fb89d1af7d65e4c347021706bd05c7055b9b378bba826a01d88680",
+        "ltl_until_gate": "680bdccaaed97205f7693a488e8f27b42ccc2be81d99d6755c0f715a0e9b3b2e",
     }
     expected_v2 = {
         "minsky": "bb0a02acecacbba5d392d78edaad47b8923aa40d0d1b30bd031fce083f236e69",
         "ilp": "ecc3bb29fc7ea73b0d0e754b4c7aedcef9cde51585f16248429f3469477e3977",
         "ltl": "0cec0e424233c73e6f3075ac04a9291e6166baf68f5f44f86fc04098ed722c41",
-        "ltl_pointwise": "cc811ba7439bf58f9ba97220c423ffa87b05ede31c6213827c580f811f110767",
-        "ltl_until_gate": "498aa45d0349572d03386fd79cc0c432298118b832d2fe6502d44d16faaf34cf",
+        "ltl_pointwise": "4ceacb60db0734cc04912e667cad9d936aab68dab7914abb9a6010acc204d78c",
+        "ltl_until_gate": "0a4f3ca400f93809f1793d871ee187484345b6665b20a0bf5a2360026dc5c5fd",
     }
     for name, model in cases.items():
         assert sha(v1_text(model)) == expected_v1[name], name
@@ -153,8 +154,8 @@ def test_compiled_ltl_corpus_checksum(tmp_path):
     """The saved bytes of every hand formula."""
     models = [compile_ltl(parse(text)) for text in hand_formulas()]
     assert corpus_digests(models, tmp_path) == (
-        "1cf4baf680b85f4cbe48b0f687eff485411824016610c1517223dfe465838913",
-        "be344793beda5dee525dd382d4fa00018381c826d98977db802bda782303e6bd")
+        "f87439bd9ec9ebfe992e6fdb6eede11ca1250c174fc41a0f142821327e1394ac",
+        "66b5f23db8fbd86a4ec99d1f548603293b130a06429794a7e73d0bb53f1293ec")
 
 
 def test_compiled_minsky_ilp_corpus_checksum(tmp_path):

@@ -184,7 +184,7 @@ def test_reported_stats_keep_their_keys_in_order(tmp_path, monkeypatch):
     run(["compile", "ltl", "p U q", "-o", model])
     status, report = run(["sat", "fixed", model, "--arith", "fx:6:3"])
     assert status == 0 and list(report["result"]["stats"]) == STATS_KEYS
-    run(["compile", "ltl", "G p & F !p", "-o", model])
+    run(["compile", "ltl", "(p U q) & G !q", "-o", model])
     monkeypatch.setenv("SSMVERIFY_MAX_STATES", "2")
     status, report = run(["sat", "fixed", model, "--arith", "fx:6:3"])
     assert status == 3 and list(report["result"]["partial_stats"]) == STATS_KEYS
