@@ -38,7 +38,6 @@ from .fnn import (
     gadget_leq,
     gadget_lookup,
     gadget_min1,
-    lower_identities,
 )
 from .ltl import holds, parse, pretty, satisfiable_bruteforce, small_model_bound, subformulas_topo
 from .modelfile import load_model, save_model

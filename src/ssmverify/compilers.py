@@ -47,6 +47,13 @@ where ``eq(1)`` of it is.  No interval shows that an until or ``F``
 coordinate stays in [0, 1], so the step compiler assumes that range for
 every gated coordinate and guards it (``ssm._StepCompiler``): their new
 values need no saturation test.
+
+The Minsky and ILP compilers write their outputs as affine terms too.  A
+Minsky model runs its previous-state history beside the counter sums in
+layer 1, both constant diagonal gates, and decodes it there; layer 2
+computes only the violation coordinate, from its own input; layer 3 sums
+it; and ``out`` is ``relu(final - violations)``.  An ILP model's ``out``
+is one relu layer of misses, then ``relu(1 - sum of the misses)``.
 """
 
 from __future__ import annotations
@@ -73,11 +80,9 @@ from .fnn import (
     IDENTITY,
     RELU,
     compose,
-    gadget_and,
     gadget_eq,
     gadget_geq0,
     gadget_implies,
-    gadget_leq,
     gadget_lookup,
     identity_fnn,
     linear_fnn,
@@ -648,15 +653,16 @@ def compile_minsky(machine: MinskyMachine) -> SsmModel:
 
     Dimension layout: current-state block, previous-state block (recovered
     from the quarter-shift history), six action flags, two counters, one
-    violation accumulator.  Layer 1 sums the counters.  Layer 2 computes
-    the previous-state block with the previous-bit decoder and, stacked on
-    its outputs and the other coordinates, the violation coordinate: the
-    transition lookup plus the four counter validators.  It passes the
-    rest through.  Layer 3 sums the violations, and ``out``, the
-    conjunction of two equality gadgets on the violation and final-state
-    columns, accepts when the sum is 0 and the run ends in the final state.
-    Gates are constant diagonal masks, so the model is both time-invariant
-    and diagonal."""
+    violation accumulator.  Layer 1 runs the quarter-shift history on the
+    previous-state block, seeded with the start state, and sums the
+    counters; its phi decodes the previous-state block with the
+    previous-bit decoder.  Layer 2 computes only the violation coordinate,
+    the transition lookup plus the four counter checks, from the decoded
+    and current states, the action flags and the counters, and passes the
+    rest through.  Layer 3 sums the violations, and ``out`` is one node,
+    ``relu(final - violations)``: 1 exactly where the sum is 0 and the run
+    ends in the final state.  Gates are constant diagonal masks, so the
+    model is both time-invariant and diagonal."""
     n = len(machine.states)
     d = 2 * n + 9
     state_idx = {q: i for i, q in enumerate(machine.states)}
@@ -676,16 +682,12 @@ def compile_minsky(machine: MinskyMachine) -> SsmModel:
         vec[c_dims[i]] = delta * F1
         emb.append(tuple(vec))
 
-    def accumulator(first: int, last: int) -> SsmLayer:
-        """Sums coordinates first..last over the word; passes the rest through."""
-        return _layer(_zeros(d), TimeInvariantGate(_mask(first, last, d)),
-                      AffineMap(_eye(d), _zeros(d)), {})
-
-    # layer 2: quarter-shift history on the second state block, seeded with
-    # the start state; phi decodes it, and the violations of the step are
-    # stacked on the decoded block and the other coordinates below chk
+    # layer 1: the quarter-shift history beside the counter sums, both
+    # constant diagonal gates
     gate, inc, decoders = _prev_bit(d, range(n, 2 * n))
-    h0_2 = tuple(F1 if j == n + state_idx[machine.start] else F0 for j in range(d))
+    gate = TimeInvariantGate(_sparse(gate.rows, [(c, c, F1) for c in c_dims]))
+    h0 = tuple(F1 if j == n + state_idx[machine.start] else F0 for j in range(d))
+    # layer 2: the violations of the step, on the layer's input
     accepted = {(state_idx[q], state_idx[q2], _ACTION_INDEX[a])
                 for (q, a, q2) in machine.transitions}
     parts = [(gadget_lookup((n, n, 6), accepted),
@@ -698,13 +700,13 @@ def compile_minsky(machine: MinskyMachine) -> SsmModel:
                       (act_base + _ACTION_INDEX[action], c_dims[_EFFECT[action][0]])))
     violations = compose(linear_fnn([[1] * len(parts)]),
                          _pointwise(len(parts), dict(enumerate(parts)), width=chk))
-    l2 = _layer(h0_2, gate, inc, decoders, {chk: (violations, tuple(range(chk)))})
-
-    out = compose(gadget_and(2), _pointwise(
-        2, {0: (gadget_eq(0), (chk,)), 1: (gadget_eq(1), (state_idx[machine.final],))},
-        width=d))
-    # layer 1 accumulates the counters, layer 3 the violation dimension
-    layers = (accumulator(*c_dims), l2, accumulator(chk, chk))
+    # every layer's inc is the identity; layer 3 sums the violations
+    zero_off = _zeros(d)
+    layers = (_layer(h0, gate, inc, decoders),
+              _layer(zero_off, TimeInvariantGate(_empty(d)), inc,
+                     {chk: (violations, tuple(range(chk)))}),
+              _layer(zero_off, TimeInvariantGate(_mask(chk, chk, d)), inc, {}))
+    out = linear_fnn([Row.of(d, ((state_idx[machine.final], F1), (chk, -F1)))], activation=RELU)
     return _finish(SsmModel(alphabet=alphabet, emb=tuple(emb), layers=layers, out=out),
                    ("source", "minsky"), ("min_bits", str(minsky_min_bits(MINSKY_WORD_BOUND))),
                    ("min_bits_word_bound", str(MINSKY_WORD_BOUND)))
@@ -755,8 +757,12 @@ def ilp_alphabet(d: int) -> tuple[str, ...]:
 
 def compile_ilp(inst: IlpInstance) -> SsmModel:
     """Single-layer model over {1..d}: the first half of the state accumulates
-    A v, the second half counts index occurrences; the output demands the
-    target and occurrence counts of at most one."""
+    A v, the second half counts index occurrences.  ``out`` is one relu
+    layer, ``relu(s_r - b_r)`` and ``relu(b_r - s_r)`` for each row r of
+    A v and ``relu(n_i - 1)`` for each count, then the node ``relu(1 -`` the
+    sum of those ``)``: 1 exactly where every row meets its target and no
+    index repeats.  After the bias every term is non-positive, so a
+    saturated partial sum can only push the output toward 0."""
     d = inst.dim
     dd = 2 * d
     emb = tuple(
@@ -766,8 +772,10 @@ def compile_ilp(inst: IlpInstance) -> SsmModel:
                                for c, w in enumerate(row) if w]
                   + [(d + r, r, F1) for r in range(d)])
     layer = _layer(_zeros(dd), TimeInvariantGate(_eye(dd)), AffineMap(inc, _zeros(dd)), {})
-    gadgets = [gadget_eq(b) for b in inst.target] + [gadget_leq(1)] * d
-    out = compose(gadget_and(dd), _pointwise(dd, dict(enumerate(gadgets)), width=dd))
+    # relu(s_r - b_r) and relu(b_r - s_r) for each row, relu(n_i - 1) for each count
+    misses = [(Row(((r, w),), dd), -w * b) for r, b in enumerate(inst.target) for w in (F1, -F1)]
+    misses += [(Row(((d + i, F1),), dd), -F1) for i in range(d)]
+    out = compose(linear_fnn([[-1] * 3 * d], [1], RELU), linear_fnn(*zip(*misses), RELU))
     biggest = max(max(sum(row) for row in inst.matrix), max(inst.target), d, 1)
     return _finish(SsmModel(alphabet=ilp_alphabet(d), emb=emb, layers=(layer,), out=out),
                    ("source", "ilp"), ("min_bits", str(biggest.bit_length() + 2)))

@@ -1,11 +1,8 @@
 """Relu feedforward networks: nodes, layers, combinators and gadgets.
 
-A node computes ``act(sum_i c_i * x_i + b)`` where ``act`` is relu or, as an
-internal lowering target, the identity.  Identity nodes let a network pass
-possibly-negative values through (counter dimensions in compiled models);
-``lower_identities`` rewrites interior identity nodes to the relu pair
-``x = relu(x) - relu(-x)``, leaving only final-layer identities, which no
-pure-relu network can express.
+A node computes ``act(sum_i c_i * x_i + b)`` where ``act`` is relu or the
+identity.  Identity nodes let a network pass possibly-negative values
+through (counter dimensions in compiled models).
 
 A node holds its weights as one sparse row (``_row.Row``: the nonzero
 ``(input, weight)`` pairs in input order, plus the input width); every
@@ -165,40 +162,6 @@ def compose(n1: Fnn, n2: Fnn) -> Fnn:
             f"cannot compose: inner output {n2.output_dim} != outer input {n1.input_dim}"
         )
     return Fnn(n2.layers + n1.layers)
-
-
-def lower_identities(net: Fnn) -> Fnn:
-    """Rewrite interior identity nodes to relu pairs; final-layer identities
-    stay (a relu output node cannot reproduce a negative value)."""
-    layers = []
-    # maps old node index -> (positive part index, negative part index or None)
-    mapping = [(i, None) for i in range(net.input_dim)]
-    for li, layer in enumerate(net.layers):
-        last = li == len(net.layers) - 1
-        width = 1 + max(max(pi, -1 if ni is None else ni) for pi, ni in mapping)
-        nodes = []
-        new_mapping = []
-        for node in layer.nodes:
-            expanded = Row.of(width, _expand_terms(node.row, mapping))
-            if node.activation == IDENTITY and not last:
-                nodes.append(FnnNode(expanded, node.bias, RELU))
-                neg = Row(tuple((k, -w) for k, w in expanded.terms), width)
-                nodes.append(FnnNode(neg, -node.bias, RELU))
-                new_mapping.append((len(nodes) - 2, len(nodes) - 1))
-            else:
-                nodes.append(FnnNode(expanded, node.bias, node.activation))
-                new_mapping.append((len(nodes) - 1, None))
-        layers.append(FnnLayer(tuple(nodes)))
-        mapping = new_mapping
-    return Fnn(tuple(layers))
-
-
-def _expand_terms(row: Row, mapping):
-    for k, w in row.terms:
-        pi, ni = mapping[k]
-        yield pi, w
-        if ni is not None:
-            yield ni, -w
 
 
 # ---------------------------------------------------------------------------

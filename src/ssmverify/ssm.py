@@ -48,7 +48,9 @@ a remainder) squares ``S``, rebuilds the step and runs again, whole.
 ``evaluate`` converts at the boundary, so the scalars it returns are
 ``Fraction``s.  One interval analysis serves both domains of the generated
 step, so exact mode, like fixed mode, emits a relu clamp only where its
-argument can be negative.
+argument can be negative.  A difference ``relu(s + p) - relu(s + q)`` over
+one row s, the previous-bit decoder's last stage, takes the interval
+[0, p - q] rather than its terms' sum.
 
 The step assumes that a hidden coordinate whose diagonal gate row reads
 the input (the until and ``F`` coordinates of an LTL model) stays
@@ -398,9 +400,10 @@ class _StepCompiler:
     the unit becomes an alias, as does a whole unit copy.  One interval
     analysis covers every domain: each value carries the interval its
     encoding can take, infinite in exact mode where nothing bounds it
-    (hidden inputs, products of an input-dependent gate).  A saturation test
-    is emitted only on a side that can overflow, and a relu clamp only where
-    its argument can be negative.
+    (hidden inputs, products of an input-dependent gate), and a difference
+    of two relus over one row the span of their biases (``_span``).  A
+    saturation test is emitted only on a side that can overflow, and a relu
+    clamp only where its argument can be negative.
 
     With ``assume``, a hidden input whose gate row reads the input takes
     its ``assumed`` range, [min(0, h0), max(1, h0)] clipped to the format,
@@ -598,11 +601,12 @@ class _StepCompiler:
                  f"{name} = {name} >> {f} if {name} >= 0 else -(-{name} >> {f})"]
         return self._bind(name, lines + clamp, reads, lo, hi)
 
-    def total(self, start, terms: list[_Val], relu: bool = False) -> _Val:
+    def total(self, start, terms: list[_Val], relu: bool = False, span=None) -> _Val:
         """``start + t_1 + t_2 + ...`` (then relu), saturating after every
         addition that can leave the range; the result is a constant or a
         local.  An exact sum, which no order changes, folds every constant
-        term into ``start``."""
+        term into ``start``.  A ``span`` known to hold the sum narrows its
+        interval."""
         if self.fmt is None:
             start = sum((t.const for t in terms if t.const is not None), start)
             terms = [t for t in terms if t.const is None]
@@ -638,6 +642,8 @@ class _StepCompiler:
         floor = 0 if relu else bottom
         if expr is None:
             return self.const(max(value, floor))
+        if span is not None:
+            lo, hi = max(lo, span[0]), min(hi, span[1])
         if hi <= floor:
             return self.const(floor)
         if lo >= floor and hi <= top and not lines and expr.isidentifier():
@@ -653,26 +659,46 @@ class _StepCompiler:
     def fnn(self, net: Fnn, plan: list, inputs: list) -> list:
         """The values of the nodes that ``plan`` lists for each layer of
         ``net``, None for the others."""
-        current = inputs
+        current, below = inputs, None
         for layer, needed in zip(net.layers, plan):
             nodes = layer.nodes
             out = [None] * len(nodes)
             for i in needed:
-                out[i] = self.node(nodes[i], current)
-            current = out
+                out[i] = self.node(nodes[i], current, below)
+            current, below = out, nodes
         return current
 
-    def node(self, node, inputs: list) -> _Val:
-        """The value of ``node`` on the values ``inputs``.  A unit copy (bias
-        0, one unit weight, and no relu or a relu over a value that is never
-        negative) is its input itself."""
+    def node(self, node, inputs: list, below) -> _Val:
+        """The value of ``node`` on the values ``inputs``, the outputs of
+        the nodes ``below`` (None for the network's inputs).  A unit copy
+        (bias 0, one unit weight, and no relu or a relu over a value that is
+        never negative) is its input itself."""
         bias, terms = self.enc(node.bias), self._row(node.row)[1]
         relu = node.activation == RELU
         if bias == 0 and len(terms) == 1 and terms[0][1] == self.scale:
             v = inputs[terms[0][0]]
             if not relu or v.lo >= 0:
                 return v
-        return self.total(bias, [self.mul(w, inputs[k]) for k, w in terms], relu)
+        return self.total(bias, [self.mul(w, inputs[k]) for k, w in terms], relu,
+                          self._span(bias, terms, below))
+
+    def _span(self, bias, terms, below):
+        """[0, p - q] for a node ``a - b`` (bias 0, unit weights) whose
+        inputs are relu nodes over one row s, ``a = relu(s + p)`` and ``b =
+        relu(s + q)`` with p >= q encoded, as the previous-bit decoder's
+        clamp is; None for any other node.  The two sums add the same terms
+        to their biases in the same order, and a saturation or a relu is
+        monotone and moves no two values apart, so a - b stays in [0, p - q]
+        under per-term saturation too, and the unit weights subtract
+        exactly."""
+        if below is None or bias or sorted(w for _, w in terms) != [-self.scale, self.scale]:
+            return None
+        (k, _), (i, _) = sorted(terms, key=lambda term: term[1])
+        a, b = below[i], below[k]
+        span = self.enc(a.bias) - self.enc(b.bias)
+        if a.activation == b.activation == RELU and a.row == b.row and span >= 0:
+            return 0, span
+        return None
 
     def phi(self, layer: SsmLayer, plan: list, passes: list, new: list, x: list) -> list:
         """The outputs of ``layer`` from its new hidden values ``new`` and its

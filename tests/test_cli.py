@@ -543,7 +543,7 @@ PUBLIC_NAMES = frozenset("""
     TimeInvariantGate accepts classify_gates compile_ilp compile_ltl
     compile_minsky compose evaluate evaluate_layerwise gadget_and gadget_eq
     gadget_geq0 gadget_implies gadget_leq gadget_lookup gadget_min1 holds ilp_oracle
-    initial_state load_model lower_identities minsky_oracle parse parse_ilp
+    initial_state load_model minsky_oracle parse parse_ilp
     parse_minsky pretty prev_bit_layer pump_down quantization_report
     run_encode run_layer sat_bounded sat_fixed satisfiable_bruteforce
     save_model small_model_bound state_count_bound step subformulas_topo

@@ -40,6 +40,7 @@ from ssmverify.compilers import (
     run_encode,
     validate_word,
 )
+from ssmverify.cli import _recommended_format
 from ssmverify.errors import DimensionError, InputFormatError, InvalidMachineError
 from ssmverify.fnn import (
     IDENTITY,
@@ -710,6 +711,25 @@ def test_compile_ilp_differential_random():
                 sum(inst.matrix[r][c] * v[c] for c in range(inst.dim)) == inst.target[r]
                 for r in range(inst.dim)
             )
+
+
+def test_random_ilps_decide_in_fixed_point_as_in_exact_mode():
+    """``out`` adds only non-positive misses to the bias 1, so no sum in it
+    passes 1, and a bounded search under fx:6:3, whose integers stop at 3,
+    or under each model's recommended format finds what the exact search
+    finds.  The first instance once had the conjunction of its four tests
+    summed to 4 past fx:6:3's range, and its search there said
+    ``unsatisfiable``."""
+    rng = random.Random(36)
+    instances = [IlpInstance(((1, 1), (0, 1)), (1, 1))] + [random_ilp(rng) for _ in range(40)]
+    for inst in instances:
+        model = compile_ilp(inst)
+        exact = sat_bounded(model, inst.dim, EXACT)
+        for fmt in (FX6, _recommended_format(model.metadata_dict)):
+            got = sat_bounded(model, inst.dim, ArithMode(fmt))
+            assert (got.verdict, got.witness) == (exact.verdict, exact.witness), (inst, fmt)
+    result = sat_fixed(compile_ilp(instances[0]), FX6)
+    assert (result.satisfiable, result.witness) == (True, ("2",))
 
 
 def test_ilp_decode_word_reads_only_the_alphabet():

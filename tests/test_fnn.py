@@ -1,4 +1,4 @@
-"""Gadget truth tables, combinator algebra, and identity lowering."""
+"""Gadget truth tables and combinator algebra."""
 
 import random
 from fractions import Fraction
@@ -26,7 +26,6 @@ from ssmverify.fnn import (
     gadget_min1,
     identity_fnn,
     linear_fnn,
-    lower_identities,
     select_fnn,
 )
 
@@ -179,17 +178,6 @@ def test_compose_extensionality(inner, data):
     assert eval_program(compose(inner, identity_fnn(inner.input_dim)), xs, EXACT) == eval_program(
         inner, xs, EXACT
     )
-
-
-@given(small_linear_nets(), st.data())
-@settings(max_examples=150)
-def test_lowering_is_extensional(net, data):
-    xs = [Fraction(data.draw(st.integers(-4, 4))) for _ in range(net.input_dim)]
-    lowered = lower_identities(net)
-    assert eval_program(lowered, xs, EXACT) == eval_program(net, xs, EXACT)
-    # interior layers of the lowered net are pure relu
-    for layer in lowered.layers[:-1]:
-        assert all(n.activation == RELU for n in layer.nodes)
 
 
 def test_fixed_mode_gadgets_within_six_bits():

@@ -13,7 +13,7 @@ from helpers import (
 )
 from ssmverify.cli import run
 from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, parse_ilp, parse_minsky
-from ssmverify.fnn import IDENTITY, linear_fnn, select_fnn
+from ssmverify.fnn import IDENTITY, RELU, linear_fnn, select_fnn
 from ssmverify.ltl import parse
 from ssmverify.modelfile import load_model, save_model
 from ssmverify.ssm import (
@@ -67,15 +67,15 @@ def test_model_file_checksums(tmp_path):
         "ltl_until_gate": compile_ltl(parse("(p | q) U X q")),
     }
     expected_v1 = {
-        "minsky": "498d72da405b415ce835b67699fa1baf671fbf0e6d3b472ce2797dec744b6c73",
-        "ilp": "0e94b9f3be6928193b94cdcd90ac28fc0f96e94dd82d5b7b81d48631f1b01119",
+        "minsky": "bf1a5b79d66cf24c42c36622a32aa208dceb540e057ce64491a654add38d75f0",
+        "ilp": "c0614c7450c7c5fb5764fde9a21c8b6e809ddb7a6353a85eb675b14f61d82b6f",
         "ltl": "b7f623ad8f53bf3b493c0fa4b29e3af1d922ebf720c6b6ba3680f4589a4fd445",
         "ltl_pointwise": "c80cf6f153fb89d1af7d65e4c347021706bd05c7055b9b378bba826a01d88680",
         "ltl_until_gate": "680bdccaaed97205f7693a488e8f27b42ccc2be81d99d6755c0f715a0e9b3b2e",
     }
     expected_v2 = {
-        "minsky": "bb0a02acecacbba5d392d78edaad47b8923aa40d0d1b30bd031fce083f236e69",
-        "ilp": "ecc3bb29fc7ea73b0d0e754b4c7aedcef9cde51585f16248429f3469477e3977",
+        "minsky": "bbce08d59e13b8e6bade8ff908002ac57107219794790582c5b08f95cf286d12",
+        "ilp": "df27c45ceb866af54d8b5b8902b730dd2808328d62cdbba6a27a396bfc8aaed7",
         "ltl": "0cec0e424233c73e6f3075ac04a9291e6166baf68f5f44f86fc04098ed722c41",
         "ltl_pointwise": "4ceacb60db0734cc04912e667cad9d936aab68dab7914abb9a6010acc204d78c",
         "ltl_until_gate": "0a4f3ca400f93809f1793d871ee187484345b6665b20a0bf5a2360026dc5c5fd",
@@ -92,14 +92,18 @@ def test_model_file_checksums(tmp_path):
 
 
 def test_golden_machine_shape():
-    """Layer 2's phi is the previous-bit decoder and one stage of checks,
-    and ``out`` reads its two columns with no routing layer.  Layer 2
-    computes only the decoded previous states, coordinates 3 to 5 of this
-    3-state machine, and the violation coordinate 14."""
-    model = compile_minsky(parse_minsky(MINSKY_TEXT))
-    assert len(model.layers[1].phi.layers) == 8
-    assert model.layers[1].computes == (3, 4, 5, 14)
-    assert len(model.out.layers) == 5
+    """Layer 1's phi is the previous-bit decoder, and it computes only the
+    decoded previous states, coordinates 3 to 5 of this 3-state machine.
+    Layer 2 computes only the violation coordinate 14, one stage of checks
+    on its own input, and layer 3 computes nothing.  ``out`` is one node,
+    ``relu(final - violations)``."""
+    machine = parse_minsky(MINSKY_TEXT)
+    model = compile_minsky(machine)
+    assert [(len(layer.phi.layers), layer.computes) for layer in model.layers] == [
+        (4, (3, 4, 5)), (4, (14,)), (1, ())]
+    ((node,),) = (layer.nodes for layer in model.out.layers)
+    final = machine.states.index("qf")
+    assert (node.row.terms, node.bias, node.activation) == (((final, 1), (14, -1)), 0, RELU)
 
 
 def passed_through(layer) -> list[int]:
@@ -164,8 +168,8 @@ def test_compiled_minsky_ilp_corpus_checksum(tmp_path):
     models = [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(8)]
     models += [compile_ilp(random_ilp(rng)) for _ in range(8)]
     assert corpus_digests(models, tmp_path) == (
-        "d7fd39e1230383e4f05ba3a7a0c5528363a95a9157bec6c359f76f76f2e0b4a7",
-        "97278f452ebf820e49f669a46846efb4e3e21562f623dd0857c6b9f45806d1ad")
+        "bd4a1f531f1a8cef5825aea01eb7f54838c437ebb3723bcee40d25da14c5ca43",
+        "29e80048575f56610590dcf0b3f52db5662e4ce570e17fe8fc3de23ae0be6edf")
 
 
 # A v1 file as the v1 writer in ``helpers`` saved the compiled model of

@@ -522,16 +522,21 @@ def test_search_key_is_the_least_set_closed_under_reads():
 
 
 def test_an_output_folded_to_a_constant_keys_on_nothing():
-    """Under fx:6:3 the interval analysis folds this program's output to
-    the constant 0, so no hidden coordinate is in the key and the search
-    ends after one level."""
-    model = compile_ilp(parse_ilp("3\n1 1 0\n0 1 1\n1 0 1\n1 1 1\n"))
+    """Under fx:6:3, whose values stop below 4, the interval analysis folds
+    ``eq(9)`` of a count to the constant 0: each of its first nodes
+    subtracts the saturated 4 from a value below 4.  So no hidden
+    coordinate is in the key and the search ends after one level, where
+    the exact search keys on the count and accepts nine a's."""
+    layer = SsmLayer(as_vector([0]), TimeInvariantGate(as_matrix([[1]])),
+                     AffineMap(as_matrix([[1]]), as_vector([0])), projection_phi(1))
+    model = SsmModel(("a", "b"), (as_vector([1]), as_vector([0])), (layer,), gadget_eq(9))
     result = sat_fixed(model, FX6)
     assert result.verdict == UNSATISFIABLE and result.witness is None
     assert result.stats.key_coordinates == 0
     assert result.stats.key_state_bound_log2 == 0
     assert result.stats.distinct_states == 1
-    assert sat_bounded(model, 4, EXACT).stats.key_coordinates == 6
+    exact = sat_bounded(model, 9, EXACT)
+    assert exact.witness == ("a",) * 9 and exact.stats.key_coordinates == 1
 
 
 def test_a_dead_constant_is_still_counted_as_quantised():

@@ -17,7 +17,7 @@ from helpers import (
     random_ilp, random_machine,
 )
 from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat, raw_encode
-from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky
+from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, parse_minsky
 from ssmverify.errors import DimensionError, EmptyWordError, UnknownSymbolError
 from ssmverify.fnn import (
     IDENTITY, RELU, Fnn, FnnLayer, FnnNode, compose, gadget_eq, linear_fnn, select_fnn,
@@ -519,6 +519,65 @@ def test_a_guard_runs_where_folding_drops_its_coordinate(mode):
     assert accepts(counting_model(linear_fnn([[1]], [-1], RELU)), ["b", "a", "a"], mode)
 
 
+def _clamped_differences(source: str) -> tuple[int, list[str]]:
+    """How many lines of a step compute a difference ``a + (-b)`` of two
+    locals, and those of them that the next line clamps."""
+    lines = source.splitlines()
+    found = [(re.fullmatch(r"\s*(v\d+) = v\d+ \+ \(-v\d+\)", line), after)
+             for line, after in zip(lines, lines[1:])]
+    return (sum(m is not None for m, _ in found),
+            [m.group(1) for m, after in found if m and f"if {m.group(1)} " in after])
+
+
+@pytest.mark.parametrize("mode", [EXACT, FX6_MODE], ids=str)
+def test_a_relu_difference_over_one_row_needs_no_clamp(mode):
+    """The previous-bit decoder ends in ``relu(s) - relu(s - 1)`` over one
+    value s, which lies in [0, 1] (``_StepCompiler._span``).  Each decoded
+    previous state of a Minsky machine, and each of its counters' ``geq0``
+    checks, which have the same shape, is one line with no relu clamp; and
+    ``(r | X q) U X r``, which reads ``X q`` negated, tests no saturation
+    under fx:6:3."""
+    machine = parse_minsky("start: q0\nfinal: qf\nq0 inc2 q1\nq1 dec2 q2\nq1 ztest2 q0\n"
+                           "q2 inc1 q3\nq3 dec1 qf\nq3 ztest1 q1\n")
+    # four decoded states (qf starts no transition, so no check reads it)
+    # and two geq0 checks
+    assert _clamped_differences(step_source(compile_minsky(machine), mode)) == (6, [])
+    source = step_source(compile_ltl(parse("(r | X q) U X r")), mode)
+    assert _clamped_differences(source)[1] == []
+    if not mode.is_exact:
+        assert "< -32" not in source
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_relu_difference_over_one_row_is_sound_under_saturation(data):
+    """``relu(s + p) - relu(s + q)`` over one row s, with p >= q, stays in
+    [0, p - q] under per-term saturation: the two sums add the same terms
+    in the same order, and saturation and relu are monotone and move no
+    two values apart.  So the step, which drops the difference's clamps,
+    agrees with the layer-major evaluator on every word up to length 4, in
+    formats narrow enough to saturate the row's sums.  The draw also makes
+    differences over two rows, or with p < q, which have no such span."""
+    frac = lambda: Fraction(data.draw(st.integers(-6, 6)), data.draw(st.sampled_from((1, 2, 4))))
+    row = [frac(), frac()]
+    other = row if data.draw(st.booleans()) else [frac(), frac()]
+    first = linear_fnn([row, other], [frac(), frac()], RELU)
+    weights = data.draw(st.sampled_from(([1, -1], [-1, 1])))
+    activation = data.draw(st.sampled_from((RELU, IDENTITY)))
+    out = compose(linear_fnn([weights], activation=activation), first)
+    # h0 counts under the gate 1, so its sum saturates; h1 is the input
+    layer = SsmLayer(as_vector([frac(), 0]), TimeInvariantGate(as_matrix([[1, 0], [0, 0]])),
+                     AffineMap(eye(2), as_vector([0, 0])), projection_phi(2))
+    model = SsmModel(("a", "b"), (as_vector([frac(), frac()]), as_vector([frac(), frac()])),
+                     (layer,), out)
+    for fmt in (FixedPointFormat(4, 1), FixedPointFormat(5, 2), FX6, None):
+        mode = ArithMode(fmt)
+        for n in range(1, 5):
+            for word in itertools.product(model.alphabet, repeat=n):
+                assert evaluate(model, word, mode) == evaluate_layerwise(model, word, mode), (
+                    mode, word)
+
+
 def test_ltl_steps_run_on_assumed_ranges():
     """Under fx:6:3 the until ``p U q`` tests no saturation and guards its
     new value once: its gate ``p & !q`` and ``q`` are never both 1, which
@@ -727,8 +786,8 @@ def test_exact_sums_fold_every_constant():
     """Exact sums do not depend on the order of their terms, so the int step
     folds all constant terms of a sum into one literal."""
     rng = random.Random(5)
-    models = [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(20)]
-    models += [compile_ilp(random_ilp(rng)) for _ in range(20)]
+    models = [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(30)]
+    models += [compile_ilp(random_ilp(rng)) for _ in range(30)]
     sums = 0
     for model in models:
         comp = _StepCompiler(EXACT)
