@@ -62,8 +62,10 @@ _MIN_BITS_FRAC = {"ltl": "3", "minsky": "3", "ilp": "0"}
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The command-line parser, built once per process, and its leaf
+    parsers: the argv prefix that names each, mapped to the parser and the
+    names that the prefix sets."""
     parser = argparse.ArgumentParser(prog="ssmverify")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -111,7 +113,32 @@ def _build_parser() -> argparse.ArgumentParser:
     cls.add_argument("model")
     cls.add_argument("--bits", type=int, default=6,
                      help="bit-width for the state-count bound")
-    return parser
+    leaves = {}
+    for names, leaf in (({"command": "compile"}, comp), ({"command": "eval"}, ev),
+                        ({"command": "sat", "solver": "bounded"}, sb),
+                        ({"command": "sat", "solver": "fixed"}, sf), ({"command": "pump"}, pump),
+                        ({"command": "oracle", "oracle_kind": "ltl"}, ol),
+                        ({"command": "oracle", "oracle_kind": "ilp"}, oi),
+                        ({"command": "oracle", "oracle_kind": "minsky"}, om),
+                        ({"command": "classify"}, cls)):
+        leaves[tuple(names.values())] = leaf, names
+    return parser, leaves
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """``argv`` parsed as the whole parser parses it, in one step where it
+    starts with a leaf's prefix: the leaf parses the rest, and arguments it
+    does not know are the whole parser's error.  Anything else, such as
+    ``--help`` or an unknown command, goes through the whole parser."""
+    parser, leaves = _build_parser()
+    found = leaves.get(tuple(argv[:1])) or leaves.get(tuple(argv[:2]))
+    if found is None:
+        return parser.parse_args(argv)
+    leaf, names = found
+    args, extras = leaf.parse_known_args(argv[len(names):], argparse.Namespace(**names))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _stats(stats) -> dict:
@@ -306,8 +333,7 @@ def _cmd_classify(args) -> tuple[int, dict]:
 
 def run(argv) -> tuple[int, dict]:
     """Parse and execute one command; returns (exit status, report)."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(list(argv))
     started = time.monotonic()
     handlers = {
         "compile": _cmd_compile,

@@ -6,8 +6,11 @@ language so compiled models can be checked differentially.  The shared
 machinery lives up front: the sparse matrix helpers; ``_pointwise``, the
 one place that puts gadgets of any depth on chosen input columns and
 stacks networks on their outputs, and builds only those, so that a layer
-stores only what it computes; and the previous-bit layer that smuggles a
-step of history through ``h = h/4 + x`` and decodes it from h and x.
+stores only what it computes; ``_layer``, which also lists the
+coordinates whose recurrence does more than copy the input, so that a
+layer stores only those rows; and the previous-bit decoder, which
+smuggles a step of history through ``h = h/4 + x`` and decodes it from h
+and x.
 
 The LTL compiler is levelled.  An atom has DAG height 0 and reads its
 proposition's embedding column.  Every gate and inc row is affine in its
@@ -20,9 +23,9 @@ and the subformulas of one height are computed together in one layer:
 each reads only lower heights, and each layer update is per coordinate,
 so their inc rows, until gates and gadgets merge.  ``l & r`` is one relu
 node, ``relu(l + r - 1)``, and ``l | r`` stores ``!l & !r``, which its
-readers read negated.  A level that holds an ``X`` gets one previous-bit
-layer after it, for all of its ``X`` coordinates.  The layer count is thus
-the formula's height plus the number of levels with an ``X``.
+readers read negated.  ``X psi`` runs the history ``h = h/4 + psi``
+under the constant gate 1/4, and its level's phi decodes psi's previous
+value, so the layer count is the formula's height.
 
 Until is Boolean.  ``l U r`` runs ``h = g * h + r`` under the diagonal gate
 ``g = l & !r``, so h is 0 or 1 in every arithmetic mode and a search's keys
@@ -30,10 +33,9 @@ do not grow with the format.  A gate is affine in its layer's input, so
 ``relu(l - r)``, which is ``l & !r`` on 0/1 values, is one more coordinate
 of that input, after the subformulas' and before the constant.  For an
 until of height 1 it is an embedding column, a Boolean of the letter;
-otherwise the phi of the layer just below the until's level (the level
-layer, or the previous-bit layer when that level holds an ``X``) stacks
-it, one relu node over the terms of ``l - r``, on that layer's outputs.
-No layer is added.
+otherwise the phi of the layer just below the until's level stacks it,
+one relu node over the terms of ``l - r``, on that layer's outputs, an
+``X``'s decoded value included.  No layer is added.
 
 ``F`` needs no gate coordinate: ``F psi``, the parser's ``tt U psi``,
 stores ``G !psi``, which runs ``h = (1 - psi) * h`` from 1, a gate affine
@@ -97,6 +99,7 @@ from .ssm import (
     SsmModel,
     TimeInvariantGate,
     Vector,
+    carried,
     classify_gates,
 )
 from .words import pair_symbol, set_symbol, symbol_pair
@@ -109,11 +112,13 @@ F0, F1 = Fraction(0), Fraction(1)
 
 def _empty(d: int) -> tuple[Row, ...]:
     """The rows of the d x d zero matrix, one shared row object."""
-    return (Row((), d),) * d
+    return carried(d)[0]
 
 
 def _eye(d: int) -> tuple[Row, ...]:
-    return tuple(Row(((r, F1),), d) for r in range(d))
+    """The rows of the d x d identity, the copy rows that every layer of
+    width d shares."""
+    return carried(d)[1]
 
 
 def _mask(i: int, j: int, d: int) -> tuple[Row, ...]:
@@ -134,7 +139,9 @@ def _sparse(base: tuple[Row, ...], entries) -> tuple[Row, ...]:
 
 
 def _zeros(d: int) -> Vector:
-    return (F0,) * d
+    """The zero vector of width d, the offsets that carried coordinates
+    share."""
+    return carried(d)[2]
 
 
 def _pointwise(d: int, gadgets: dict, width: Optional[int] = None,
@@ -207,7 +214,7 @@ def _pointwise(d: int, gadgets: dict, width: Optional[int] = None,
 
 
 # ---------------------------------------------------------------------------
-# Previous-bit layer (history in the binary expansion of h = h/4 + x)
+# Previous-bit history (the binary expansion of h = h/4 + x)
 #
 # Unlike until, X still relies on truncation: h keeps every earlier input
 # as a base-4 digit, and only a fixed-point format forgets the digits below
@@ -218,41 +225,59 @@ def _pointwise(d: int, gadgets: dict, width: Optional[int] = None,
 
 _QUARTER = Fraction(1, 4)
 
-# The previous-bit decoder on the recurrence value r and the layer's input
-# x, one relu layer per stage.  s = r - x is the truncated h_{t-1}/4: it
-# lies in [0, 1/12] after a 0 and in [1/4, 1/3] after a 1, seed h0 = 1
-# included, since h <= 4/3.  The first stage, relu(2s - 1/4), is 0 after a
-# 0 and at least 1/4 after a 1; two doublings lift that to at least 1, and
-# the clamp to 1 reads the bit.  Every weight is within +-2, so the
-# pipeline is exact in every mode with at least 2 fractional bits and room
-# for 8/3.
-_PREV_BIT_DECODER = Fnn(tuple(
+# The previous-bit decoder on the new history value h and the value x that
+# it added, one relu layer per stage.  s = h - x is the truncated
+# h_{t-1}/4: it lies in [0, 1/12] after a 0 and in [1/4, 1/3] after a 1,
+# seed h0 = 1 included, since h <= 4/3.  The first stage, relu(2s - 1/4),
+# is 0 after a 0 and at least 1/4 after a 1; two doublings lift that to at
+# least 1, and the clamp to 1 reads the bit.  Every weight is within +-2,
+# so the pipeline is exact in every mode with at least 2 fractional bits
+# and room for 8/3.  ``_decoder`` writes the first stage; these are the
+# other three.
+_DECODER_TAIL = tuple(
     linear_fnn(matrix, bias, RELU).layers[0]
     for matrix, bias in (
-        ([[2, -2]], [-_QUARTER]),  # relu(2r - 2x - 1/4)
         ([[2]], [0]),
         ([[2], [2]], [0, -1]),     # clamp to 1: relu(2b) - relu(2b - 1)
         ([[1, -1]], [0]),
     )
-))
+)
+
+
+def _decoder(h: int, d: int, x: list, one: Optional[int] = None) -> tuple[Fnn, tuple]:
+    """The gadget that decodes the history ``h = h/4 + x`` of coordinate
+    ``h``, for x the (column, weight) terms over the layer's input, and the
+    columns its first layer reads.  That layer is one node, ``relu(2h - 2x
+    - 1/4)``, with the weight of the constant column ``one`` folded into its
+    bias, so that on an LTL value x, one coordinate read as it is or
+    negated, each partial sum stays in [-2.25, 2.42]."""
+    terms = Row.of(d, x).terms
+    const = sum((w for c, w in terms if c == one), F0)
+    read = [(c, w) for c, w in terms if c != one]
+    first = linear_fnn([[2, *(-2 * w for _, w in read)]], [-_QUARTER - 2 * const], RELU)
+    return Fnn(first.layers + _DECODER_TAIL), (h, *(d + c for c, _ in read))
 
 
 def _layer(h0: Vector, gate, inc: AffineMap, gadgets: dict,
            stacked: Optional[dict] = None) -> SsmLayer:
     """The layer whose ``net`` is ``_pointwise`` of ``gadgets`` and
     ``stacked`` and that passes every other coordinate through, with no
-    copy node stored."""
+    copy node stored; it updates the coordinates whose gate or inc does
+    more than copy the input and carries the others."""
+    d = len(h0)
     computes = tuple(sorted([*gadgets, *(stacked or ())]))
-    net = _pointwise(len(h0), gadgets, stacked=stacked) if computes else None
-    return SsmLayer(h0, gate, inc, net, computes)
+    net = _pointwise(d, gadgets, stacked=stacked) if computes else None
+    offset, copies = getattr(gate, "offset", _zeros(d)), _eye(d)
+    updates = tuple(j for j in range(d) if gate.rows[j].terms or offset[j] or inc.offset[j]
+                    or inc.rows[j].terms != copies[j].terms)
+    return SsmLayer(h0, gate, inc, net, computes, updates)
 
 
 def _prev_bit(d: int, positions: Iterable[int]) -> tuple:
     """The gate, inc and gadgets of ``prev_bit_layer``."""
     tracked = sorted(set(positions))
     gate = TimeInvariantGate(_sparse(_empty(d), [(p, p, _QUARTER) for p in tracked]))
-    return gate, AffineMap(_eye(d), _zeros(d)), {p: (_PREV_BIT_DECODER, (p, d + p))
-                                                  for p in tracked}
+    return gate, AffineMap(_eye(d), _zeros(d)), {p: _decoder(p, d, [(p, F1)]) for p in tracked}
 
 
 def prev_bit_layer(d: int, positions: Iterable[int]) -> SsmLayer:
@@ -392,9 +417,12 @@ def _ltl_entry(sub: LtlFormula, dim: dict, gate: dict, one: int):
     sets it to 1 where r holds and clears it elsewhere, so h is 0 or 1 in
     every mode and needs no clamp.  ``F psi`` stores ``G !psi``, which is
     ``h = (1 - psi) * h`` from ``h0 = 1``: its gate is affine in psi, so it
-    takes no gate coordinate and no inc term."""
-    if isinstance(sub, Next):  # the previous-bit layer that follows delays it
-        return F0, [], _value(sub.sub, dim, one), None
+    takes no gate coordinate and no inc term.  ``X psi`` runs the history
+    ``h = h/4 + psi`` under a constant gate of 1/4, which the caller sets,
+    and decodes psi's previous value from it (``_decoder``)."""
+    if isinstance(sub, Next):
+        psi = _value(sub.sub, dim, one)
+        return F0, [], psi, _decoder(dim[sub], one + 1, psi, one)
     if _is_f(sub):
         return F1, _value(Not(sub.right), dim, one), [], None
     if isinstance(sub, Until):
@@ -409,17 +437,21 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
     formula.  Atoms read their propositions' embedding columns and tt the
     constant coordinate; ff and every negation read affine forms of those
     (``_value``) and take no coordinate.  Every other subformula of one DAG
-    height is computed in one layer, and a level that holds an X gets one
-    previous-bit layer after it.  ``F psi`` is one coordinate, gated by
-    its operand, and ``G psi``, the parser's ``!F!psi``, reads the
-    coordinate of ``F !psi`` as it is.  The gate of any other until of height 1 is an embedding
-    column; that of a higher until is one relu node over the terms of ``l -
-    r``, stacked on the outputs of the layer below its level.  The
-    compiled model is exact under the 6-bit profile, and an X-free one
-    under ``fx:3:0``, which its ``min_bits`` and ``frac_bits`` metadata
-    name.  Every coordinate's output is 0 or 1 wherever the format holds
-    1, so ``out`` is one identity node over the formula's terms.  A formula
-    over more than ``MAX_ATOMS`` atoms is a ``ResourceLimitError``."""
+    height is computed in one layer, an X included: its history runs under
+    a constant gate of 1/4 (a time-invariant row, or an offset beside the
+    untils' rows) and its level's phi decodes it, so the model has one
+    layer per DAG height.  ``F psi`` is one coordinate, gated by its
+    operand, and ``G psi``, the parser's ``!F!psi``, reads the coordinate
+    of ``F !psi`` as it is.  The gate of any other until of height 1 is an
+    embedding column; that of a higher until is one relu node over the
+    terms of ``l - r``, stacked on the outputs of the layer below its level.
+    Each layer stores the recurrence of its own level's coordinates and
+    carries the others (``SsmLayer.updates``).  The compiled model is exact
+    under the 6-bit profile, and an X-free one under ``fx:3:0``, which its
+    ``min_bits`` and ``frac_bits`` metadata name.  Every coordinate's output
+    is 0 or 1 wherever the format holds 1, so ``out`` is one identity node
+    over the formula's terms.  A formula over more than ``MAX_ATOMS`` atoms
+    is a ``ResourceLimitError``."""
     layout = ltl_layout(phi)
     count = len(layout.props)
     if count > MAX_ATOMS:
@@ -429,13 +461,12 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
     d, one = layout.dimension, layout.const_dim
     dim, gate = dict(layout.dim_of), dict(layout.gate_of)
     eye, empty, zero_off = _eye(d), _empty(d), _zeros(d)
-    no_gate = TimeInvariantGate(empty)
 
     # (h0, gate, inc, gadgets, stacked) of each layer; a level stacks its
     # untils' gates on the outputs of the layer below before any layer is built
     stages: list[tuple] = []
     for level in layout.levels:
-        h0, gate_terms, inc_terms, gadgets, nexts = list(zero_off), [], [], {}, []
+        h0, gate_terms, inc_terms, gadgets, nexts = list(zero_off), [], [], {}, set()
         for sub in level:
             i = dim[sub]
             h0[i], gate_row, terms, gadget = _ltl_entry(sub, dim, gate, one)
@@ -448,16 +479,16 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
             if gadget is not None:
                 gadgets[i] = gadget
             if isinstance(sub, Next):
-                nexts.append(i)
-        stages.append((
-            tuple(h0),
-            DiagonalAffineGate(_sparse(empty, gate_terms), zero_off) if gate_terms else no_gate,
-            AffineMap(_sparse(eye, inc_terms), zero_off),
-            gadgets,
-            {},
-        ))
-        if nexts:
-            stages.append((zero_off, *_prev_bit(d, nexts), {}))
+                nexts.add(i)
+        # an X's gate is the constant 1/4: a row term in a time-invariant
+        # gate, an offset beside the untils' input-dependent rows
+        if gate_terms:
+            offset = tuple(_QUARTER if j in nexts else z for j, z in enumerate(zero_off))
+            layer_gate = DiagonalAffineGate(_sparse(empty, gate_terms), offset)
+        else:
+            layer_gate = TimeInvariantGate(_sparse(empty, [(i, i, _QUARTER) for i in nexts]))
+        stages.append((tuple(h0), layer_gate, AffineMap(_sparse(eye, inc_terms), zero_off),
+                       gadgets, {}))
 
     out = Fnn((FnnLayer((FnnNode(Row.of(d, _value(phi, dim, one)), F0, IDENTITY),)),))
     letters = ltl_mod.letters(layout.props)

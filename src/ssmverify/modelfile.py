@@ -20,7 +20,13 @@ has the key ``computes``, the ascending list of the coordinates it
 computes, and its ``phi`` is the network of those alone, ``[]`` when the
 list is empty.  Without the key a layer computes every coordinate, so
 files written before the key existed load, decide and re-save as they
-were.  The tables list entries in order of first use, the layers first and
+were.  A layer that carries coordinates has the key ``updates``, the
+ascending list of the coordinates whose recurrence it stores, and its gate
+and inc ``matrix`` and ``offset`` list the rows and offsets of those alone;
+a load fills in each carried coordinate's empty gate row, copy inc row and
+offsets of 0 (``ssm.carried``).  Without the key a layer updates every
+coordinate and lists every row, as files written before the key did.  The
+tables list entries in order of first use, the layers first and
 the output network last, so equal models give equal bytes whether or not
 they share row objects.  A save looks each row, node and literal up by
 identity first, so a shared object is formatted once, and writes the whole
@@ -44,8 +50,10 @@ Every malformed file (not UTF-8, not JSON, a missing key, a value of the
 wrong type, a bad literal, mismatched dimensions) raises ``InputFormatError``
 naming the file.  In v2 that includes a table index that is not an int in
 range, row columns not strictly ascending or outside the row's width, a
-zero weight, and a ``computes`` that is not a list of ints in range,
-strictly ascending, with one output of ``phi`` each.
+zero weight, a ``computes`` that is not a list of ints in range, strictly
+ascending, with one output of ``phi`` each, and an ``updates`` that is not
+a list of ints in range, strictly ascending, with one stored row and offset
+each.
 """
 
 from __future__ import annotations
@@ -63,6 +71,8 @@ from .ssm import (
     SsmLayer,
     SsmModel,
     TimeInvariantGate,
+    _coordinates,
+    carried,
 )
 
 V1_TAG = "ssmverify-model-v1"
@@ -127,26 +137,54 @@ def _pick(table: list, data, what: str) -> tuple:
     return tuple(map(table.__getitem__, data))
 
 
+def _spread(stored: tuple, updates, base: tuple, what: str) -> tuple:
+    """``base`` with its entries at the coordinates ``updates`` replaced by
+    the ``stored`` ones, one each in that order."""
+    if len(stored) != len(updates):
+        raise InputFormatError(f"the layer updates {len(updates)} coordinates, but its {what} "
+                               f"lists {len(stored)}")
+    full = list(base)
+    for j, entry in zip(updates, stored):
+        full[j] = entry
+    return tuple(full)
+
+
 def _read(data: dict, lit: _Literals, rows, net) -> SsmModel:
     """The model of a file's JSON tree, given how its version stores a
     matrix (``rows``: JSON -> tuple of ``Row``) and a network (``net``:
-    JSON -> ``Fnn``); the rest both versions store alike."""
+    JSON -> ``Fnn``); the rest both versions store alike.  A layer with
+    ``updates`` lists the gate and inc rows and offsets of those
+    coordinates alone; every other coordinate is carried, and its rows are
+    the shared ``ssm.carried`` rows and offsets."""
     layers = []
     for entry in _list(data["layers"], "layers"):
-        gate_data = entry["gate"]
-        if gate_data["kind"] == "time_invariant":
-            gate = TimeInvariantGate(rows(gate_data["matrix"]))
-        elif gate_data["kind"] == "diagonal_affine":
-            gate = DiagonalAffineGate(rows(gate_data["matrix"]), lit.vec(gate_data["offset"]))
-        else:
-            raise InputFormatError(f"unknown gate kind {gate_data['kind']!r}")
+        h0 = lit.vec(entry["h0"])
+        d = len(h0)
+        gate_data, inc_data = entry["gate"], entry["inc"]
+        kind = gate_data["kind"]
+        if kind not in ("time_invariant", "diagonal_affine"):
+            raise InputFormatError(f"unknown gate kind {kind!r}")
+        gate_rows, inc_rows = rows(gate_data["matrix"]), rows(inc_data["matrix"])
+        gate_offset = lit.vec(gate_data["offset"]) if kind == "diagonal_affine" else None
+        inc_offset = lit.vec(inc_data["offset"])
+        updates = entry.get("updates")
+        if updates is not None:
+            updates = _coordinates("updates", _list(updates, "updated coordinates"), d)
+            gates, copies, zeros = carried(d)
+            gate_rows = _spread(gate_rows, updates, gates, "gate matrix")
+            inc_rows = _spread(inc_rows, updates, copies, "inc matrix")
+            inc_offset = _spread(inc_offset, updates, zeros, "inc offset")
+            if gate_offset is not None:
+                gate_offset = _spread(gate_offset, updates, zeros, "gate offset")
         computes = entry.get("computes")
         layers.append(SsmLayer(
-            h0=lit.vec(entry["h0"]),
-            gate=gate,
-            inc=AffineMap(rows(entry["inc"]["matrix"]), lit.vec(entry["inc"]["offset"])),
+            h0=h0,
+            gate=(TimeInvariantGate(gate_rows) if gate_offset is None
+                  else DiagonalAffineGate(gate_rows, gate_offset)),
+            inc=AffineMap(inc_rows, inc_offset),
             net=None if entry["phi"] == [] else net(entry["phi"]),
             computes=None if computes is None else _list(computes, "computed coordinates"),
+            updates=updates,
         ))
     alphabet = data["alphabet"]
     if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
@@ -204,7 +242,10 @@ class _Tables:
             text = self._texts[id(x)] = format_rational(x)
         return text
 
-    def vec(self, vec) -> list[str]:
+    def vec(self, vec, keep=None) -> list[str]:
+        """The texts of ``vec``, or of its entries at the indices ``keep``."""
+        if keep is not None:
+            return [self.text(vec[j]) for j in keep]
         texts = self._vecs.get(id(vec))
         if texts is None:
             texts = self._vecs[id(vec)] = list(map(self.text, vec))
@@ -231,8 +272,9 @@ class _Tables:
             i = self._add(node, self.nodes, self._node_at, entry)
         return i
 
-    def matrix(self, rows) -> list[int]:
-        return list(map(self.row, rows))
+    def matrix(self, rows, keep=None) -> list[int]:
+        """The row indices of ``rows``, or of those at the indices ``keep``."""
+        return list(map(self.row, rows if keep is None else map(rows.__getitem__, keep)))
 
     def net(self, net: Fnn) -> list[list[int]]:
         return [list(map(self.node, layer.nodes)) for layer in net.layers]
@@ -243,15 +285,19 @@ def _v2_json(model: SsmModel) -> dict:
     t = _Tables()
     layers = []
     for layer in model.layers:
-        gate = {"kind": "time_invariant", "matrix": t.matrix(layer.gate.rows)}
+        updates = layer.updates if len(layer.updates) != layer.dim else None
+        gate = {"kind": "time_invariant", "matrix": t.matrix(layer.gate.rows, updates)}
         if isinstance(layer.gate, DiagonalAffineGate):
             gate["kind"] = "diagonal_affine"
-            gate["offset"] = t.vec(layer.gate.offset)
+            gate["offset"] = t.vec(layer.gate.offset, updates)
         entry = {
             "h0": t.vec(layer.h0),
             "gate": gate,
-            "inc": {"matrix": t.matrix(layer.inc.rows), "offset": t.vec(layer.inc.offset)},
+            "inc": {"matrix": t.matrix(layer.inc.rows, updates),
+                    "offset": t.vec(layer.inc.offset, updates)},
         }
+        if updates is not None:
+            entry["updates"] = list(updates)
         if len(layer.computes) != layer.dim:
             entry["computes"] = list(layer.computes)
         entry["phi"] = t.net(layer.net) if layer.net is not None else []

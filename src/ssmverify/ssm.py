@@ -7,7 +7,8 @@ the final output network maps the last layer's ``z`` to a scalar.  A word is
 accepted iff that scalar equals exactly 1 in the evaluation domain.  Most
 coordinates of a compiled layer only pass their value on, so a layer
 stores the network of the coordinates its ``phi`` computes and passes the
-others through (``SsmLayer``).
+others through, and lists the coordinates whose recurrence does more than
+copy its input and carries the others (``SsmLayer``).
 
 Model data is sparse: every gate row, inc row and FNN node weight vector is
 one ``_row.Row``, the row's nonzero ``(column, weight)`` pairs in column
@@ -78,9 +79,12 @@ flat *key* of those coordinates, and the solvers, ``evaluate`` and
 from __future__ import annotations
 
 import time
+from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Sequence
 
 from ._row import Row
@@ -106,7 +110,7 @@ Matrix = tuple[Vector, ...]
 #: and 1 for a model with only integer constants.
 SCALE_BITS = 64
 _SCALE = 1 << SCALE_BITS
-_ONE = Fraction(1)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def as_vector(values: Sequence) -> Vector:
@@ -184,14 +188,56 @@ def projection_phi(d: int) -> Fnn:
     return select_fnn(range(d), 2 * d)
 
 
+@lru_cache(maxsize=16)
+def carried(d: int) -> tuple[tuple[Row, ...], tuple[Row, ...], Vector]:
+    """What a d-wide layer holds at a carried coordinate j, as three
+    d-tuples: its gate row, one empty row shared by every coordinate; its
+    inc row, which copies coordinate j; and its offset 0.  Immutable, so
+    every layer of that width shares them, and a check that finds them in a
+    layer compares objects."""
+    return (Row((), d),) * d, tuple(Row(((j, _ONE),), d) for j in range(d)), (_ZERO,) * d
+
+
+@lru_cache(maxsize=256)
+def _carried_picks(d: int, updates: tuple[int, ...]) -> tuple:
+    """A getter of the entries that a d-wide layer holds at the coordinates
+    not in ``updates``, each got twice so that it always gets a tuple, and
+    what it gets from the ``carried`` rows, copy rows and zeros."""
+    others = sorted(set(range(d)).difference(updates))
+    pick = itemgetter(*others, *others)
+    return (pick, *map(pick, carried(d)))
+
+
+def _coordinates(what: str, values, d: int) -> tuple[int, ...]:
+    """``values`` as a tuple, after checking that it lists coordinates of
+    0..d-1 in strictly ascending order."""
+    values = tuple(values)
+    if not (set(map(type, values)) <= {int} and values == tuple(sorted(set(values)))
+            and (not values or 0 <= values[0] and values[-1] < d)):
+        raise DimensionError(f"{what} must list coordinates of 0..{d - 1} in strictly "
+                             f"ascending order, got {list(values)}")
+    return values
+
+
 class SsmLayer(Value):
-    """``h0``, ``gate`` and ``inc``, and the coordinates that the layer's
-    pointwise map computes: ``computes`` lists them in ascending order, and
-    ``net`` maps ``(h, x)`` to one output per listed coordinate (None for
-    none).  Every other coordinate j passes through: its output is ``h_j``
-    times the encoded 1, once per layer of ``net`` and at least once, each
-    product truncated and saturated like any other term, which is ``h_j``
-    itself wherever 1 is representable.
+    """``h0``, ``gate`` and ``inc``, the coordinates whose recurrence the
+    layer stores, and those that its pointwise map computes.
+
+    ``updates`` lists the first in ascending order (None for every
+    coordinate).  Every other coordinate is carried: its gate row is empty,
+    its gate and inc offsets are 0 and its inc row copies it, so its new
+    value is its input times the encoded 1, one product truncated and
+    saturated like any other term, which is the input itself wherever 1 is
+    representable.  ``gate`` and ``inc`` still hold a row for every
+    coordinate, so the dense views and the oracle, which walks every row,
+    see no difference; a model file stores the listed rows alone.
+
+    ``computes`` lists the second in ascending order, and ``net`` maps
+    ``(h, x)`` to one output per listed coordinate (None for none).  Every
+    other coordinate j passes through: its output is ``h_j`` times the
+    encoded 1, once per layer of ``net`` and at least once, each product
+    truncated and saturated like any other term, which is ``h_j`` itself
+    wherever 1 is representable.
 
     Without ``computes``, ``net`` is a full 2d -> d network that computes
     every coordinate.  ``phi`` is a derived view, the full network: for a layer
@@ -201,22 +247,27 @@ class SsmLayer(Value):
     pass-through rule, and ``quantization_report`` reads it as the
     independent count that the step's is checked against.  Layers compare
     by what they store, so such a layer differs from its expanded twin
-    ``SsmLayer(h0, gate, inc, layer.phi)``, though both compute the same:
+    ``SsmLayer(h0, gate, inc, layer.phi)``, though both compute the same,
+    and a layer with carried coordinates from its twin without ``updates``:
     equal models save equal bytes."""
 
-    _fields = ("h0", "gate", "inc", "net", "computes")
+    _fields = ("h0", "gate", "inc", "net", "computes", "updates")
 
     def __init__(self, h0: Vector, gate: GateSpec, inc: AffineMap, net: Fnn | None = None,
-                 computes: tuple[int, ...] | None = None):
+                 computes: tuple[int, ...] | None = None, updates: tuple[int, ...] | None = None):
         d = len(h0)
-        computes = tuple(range(d)) if computes is None else tuple(computes)
-        self._assign(h0, gate, inc, net, computes)
+        every = tuple(range(d))
+        computes = every if computes is None else _coordinates("computes", computes, d)
+        updates = every if updates is None else _coordinates("updates", updates, d)
+        self._assign(h0, gate, inc, net, computes, updates)
         if gate.dim != d or inc.dim != d:
             raise DimensionError("layer gate/inc dimensions disagree with h0")
-        if not (all(type(j) is int and 0 <= j < d for j in computes)
-                and all(a < b for a, b in zip(computes, computes[1:]))):
-            raise DimensionError(f"computes must list coordinates of 0..{d - 1} in strictly "
-                                 f"ascending order, got {list(computes)}")
+        if updates != every:
+            pick, gates, copies, zeros = _carried_picks(d, updates)
+            if (pick(gate.rows), pick(inc.rows), pick(inc.offset),
+                    pick(getattr(gate, "offset", inc.offset))) != (gates, copies, zeros, zeros):
+                raise DimensionError("a coordinate not in updates has a recurrence that does "
+                                     "more than copy its input")
         if (net is None) != (not computes):
             raise DimensionError("a layer has a network exactly when it computes a coordinate")
         if net is not None and (net.input_dim != 2 * d or net.output_dim != len(computes)):
@@ -397,7 +448,9 @@ class _StepCompiler:
     bit-exact with ``evaluate_layerwise``.  Constants fold at generation
     time (an exact sum, which no order changes, folds all of its constant
     terms into one), zero terms vanish and a term whose encoded weight is
-    the unit becomes an alias, as does a whole unit copy.  One interval
+    the unit becomes an alias, as does a whole unit copy.  A carried
+    coordinate's new value is its input, times the encoded 1 where 1 is not
+    the scale (``unit``): its copy row is not read.  One interval
     analysis covers every domain: each value carries the interval its
     encoding can take, infinite in exact mode where nothing bounds it
     (hidden inputs, products of an input-dependent gate), and a difference
@@ -409,14 +462,15 @@ class _StepCompiler:
     its ``assumed`` range, [min(0, h0), max(1, h0)] clipped to the format,
     in place of the whole domain: an until or ``F`` coordinate is 0 or 1,
     though no interval can show it (``g * h + r`` stays in [0, 1] only
-    because ``g * r = 0``), and an ungated counter can pass 1, so it is
-    left alone.  Each new value of such a coordinate whose interval
-    can leave the range gets one ``guard`` line, which raises ``Retract``
-    from a call, and every guard is live, so its coordinate stays in the
-    key and is checked at each step.  The initial key lies in every range,
-    so by induction over a call's steps each range holds wherever the step
-    reads it: a guarded one because its guard checked it, any other because
-    its new value's interval lies inside it.  Where every range holds, the
+    because ``g * r = 0``), while an ungated counter and an X history under
+    its constant gate of 1/4 can pass 1, so they are left alone.  Each new
+    value of such a coordinate whose interval can leave the range gets one
+    ``guard`` line, which raises ``Retract`` from a call, and every guard is
+    live, so its coordinate stays in the key and is checked at each step.
+    The initial key lies in every range, so by induction over a call's
+    steps each range holds wherever the step reads it: a guarded one
+    because its guard checked it, any other because its new value's
+    interval lies inside it.  Where every range holds, the
     step computes what the unassumed step does.
 
     Only what ``y`` can need is generated: a backward pass (``_plan``)
@@ -485,14 +539,16 @@ class _StepCompiler:
 
     def quantized(self, model: SsmModel) -> int:
         """How many model constants the fixed-point mode does not represent
-        exactly, dead ones included, in one walk through the memo; each unit
-        product of a coordinate passed through counts as the weight 1 of a
-        copy node of ``phi`` would."""
-        vectors, rows = _holders(model)
-        const, row = self._const, self._row
-        passes = sum((layer.dim - len(layer.computes)) * _depth(layer) for layer in model.layers)
-        return (sum(const(w)[2] for vec in vectors for w in vec)
-                + sum(row(r)[2] for r in rows) + passes * const(_ONE)[2])
+        exactly, dead ones included: each distinct constant and row object
+        is encoded once, and only the inexact ones are counted where the
+        model holds them.  A carried coordinate counts as the weight 1 of
+        its copy row, and each unit product of a coordinate passed through
+        as that of a copy node of ``phi``."""
+        consts, rows = _holders(model)
+        units = sum(layer.dim - len(layer.updates)
+                    + (layer.dim - len(layer.computes)) * _depth(layer) for layer in model.layers)
+        return (_count(consts, lambda w: self._const(w)[2])
+                + _count(rows, lambda r: self._row(r)[2]) + units * self._const(_ONE)[2])
 
     # -- values -------------------------------------------------------------
 
@@ -712,12 +768,19 @@ class _StepCompiler:
         if layer.net is not None:
             for j, v in zip(layer.computes, self.fnn(layer.net, plan, new + x)):
                 z[j] = v
-        one = self.enc(_ONE)
-        if one != self.scale:
+        if self.enc(_ONE) != self.scale:
             for j in passes:
                 for _ in range(_depth(layer)):
-                    z[j] = self.total(0, [self.mul(one, z[j])])
+                    z[j] = self.unit(z[j])
         return z
+
+    def unit(self, v: _Val) -> _Val:
+        """The term ``1 * v``, one product truncated and saturated like any
+        other: ``v`` itself where 1 is the scale.  It is the new value of a
+        carried coordinate whose input is ``v``, and each pass of ``v``
+        through a layer's ``phi``."""
+        one = self.enc(_ONE)
+        return v if one == self.scale else self.total(0, [self.mul(one, v)])
 
     def recurrence(self, layer: SsmLayer, j: int, h: dict, x: list[_Val]) -> _Val:
         """The new ``h[j]``.  A unit copy (no gate term, a gate offset and an
@@ -738,15 +801,17 @@ class _StepCompiler:
 
     def assumed(self, layer: SsmLayer, news: list[int]) -> dict:
         """The range that the step assumes for each hidden input of
-        ``news`` whose gate row reads the input (a diagonal row with a term
-        or a nonzero offset): [min(0, h0), max(1, h0)], clipped to the
-        format.  Every other hidden input takes the whole domain."""
+        ``news`` whose gate row reads the input (a diagonal row with a
+        term): [min(0, h0), max(1, h0)], clipped to the format.  Every other
+        hidden input takes the whole domain, one under a gate that is only
+        an offset too: that gate is constant, as the quarter of an X
+        history is, which passes 1."""
         gate = layer.gate
         if not (self.assume and isinstance(gate, DiagonalAffineGate)):
             return {}
         ranges = {}
         for j in news:
-            if gate.rows[j].terms or gate.offset[j]:
+            if gate.rows[j].terms:
                 h0 = self.enc(layer.h0[j])
                 ranges[j] = min(0, h0), min(max(self.scale, h0), self.top)
         return ranges
@@ -793,7 +858,10 @@ class _StepCompiler:
                 h[j].lo, h[j].hi = lo, hi
             new = [None] * layer.dim
             for j in news:
-                new[j] = self.recurrence(layer, j, h, x)
+                if j in layer.updates:
+                    new[j] = self.recurrence(layer, j, h, x)
+                else:  # carried
+                    new[j] = self.unit(x[j])
                 if j in ranges:
                     new[j] = self.guard(new[j], *ranges[j])
                 hidden[h[j].code] = (li, j), new[j]
@@ -858,7 +926,8 @@ def _plan(model: SsmModel) -> tuple[list, list]:
     through; and the plan of ``out``.  Within a layer, a needed value whose
     time-invariant gate row reads ``h[k]`` makes ``new[k]`` needed, up to
     the least fixed point; the embedding columns or the previous layer's
-    outputs that the layer reads are needed below."""
+    outputs that the layer reads are needed below.  A carried coordinate's
+    new value reads its input alone."""
     out_plan, wanted = _needed_nodes(model.out, {0})
     layers = []
     for layer in reversed(model.layers):
@@ -873,6 +942,9 @@ def _plan(model: SsmModel) -> tuple[list, list]:
         todo = list(new)
         while todo:
             j = todo.pop()
+            if j not in layer.updates:  # carried: its new value reads its input
+                wanted.add(j)
+                continue
             wanted.update(k for k, _ in inc.rows[j].terms)
             if isinstance(gate, DiagonalAffineGate):
                 wanted.update(k for k, _ in gate.rows[j].terms)
@@ -947,11 +1019,11 @@ def _stepper(model: SsmModel, mode: ArithMode, scale: int | None = None,
 
 def _denominator(model: SsmModel) -> int:
     """The lcm of the denominators of every model constant, dead ones
-    included, in one walk; a row that several layers or nodes share is
-    read once."""
-    vectors, rows = _holders(model)
-    found = {w.denominator for vec in vectors for w in vec}
-    found.update(w.denominator for r in {id(r): r for r in rows}.values() for _, w in r.terms)
+    included, in one walk; a constant or a row that several places share
+    is read once."""
+    consts, rows = _holders(model)
+    found = {w.denominator for w in _distinct(consts).values()}
+    found.update(w.denominator for r in _distinct(rows).values() for _, w in r.terms)
     return lcm(*found)
 
 
@@ -1154,20 +1226,38 @@ def classify_gates(model: SsmModel) -> GateClasses:
     return GateClasses(time_invariant=ti, diagonal=diag)
 
 
-def _holders(model: SsmModel) -> tuple[list[Vector], list[Row]]:
-    """The vectors and rows that hold every model constant, dead ones
-    included; a row that several layers or nodes share is listed for each."""
+def _holders(model: SsmModel) -> tuple[list[Fraction], list[Row]]:
+    """The constants that the model's vectors hold and the rows that hold
+    the others, dead ones included; a constant or a row that several places
+    share is listed for each.  A carried coordinate's copy rows are left
+    out."""
     vectors, rows = list(model.emb), []
     for layer in model.layers:
         vectors += (layer.h0, layer.inc.offset)
         if isinstance(layer.gate, DiagonalAffineGate):
             vectors.append(layer.gate.offset)
-        rows += layer.gate.rows + layer.inc.rows
+        rows += [m.rows[j] for m in (layer.gate, layer.inc) for j in layer.updates]
     for net in (*(layer.net for layer in model.layers if layer.net is not None), model.out):
         for fnn_layer in net.layers:
             vectors.append(tuple(node.bias for node in fnn_layer.nodes))
             rows += (node.row for node in fnn_layer.nodes)
-    return vectors, rows
+    return list(chain.from_iterable(vectors)), rows
+
+
+def _distinct(objects: list) -> dict:
+    """Each distinct object of ``objects``, told apart by identity, by its
+    id."""
+    return dict(zip(map(id, objects), objects))
+
+
+def _count(objects: list, weight) -> int:
+    """The sum of ``weight`` over ``objects``, called once per distinct
+    object: where it is 0 on each, as it is on most models, nothing is
+    counted."""
+    weights = {i: w for i, obj in _distinct(objects).items() if (w := weight(obj))}
+    if not weights:
+        return 0
+    return sum(n * weights[i] for i, n in Counter(map(id, objects)).items() if i in weights)
 
 
 def _constants(model: SsmModel):

@@ -25,7 +25,7 @@ from helpers import (
     walk_words,
 )
 from ssmverify.arithmetic import EXACT, MAX_TOTAL_BITS, ArithMode, FixedPointFormat
-from ssmverify.cli import main, run
+from ssmverify.cli import _build_parser, _parse, main, run
 from ssmverify.compilers import compile_ltl, compile_minsky, parse_minsky
 from ssmverify.fnn import RELU, eval_program, linear_fnn, select_fnn
 from ssmverify.ltl import least_reversed_model, parse, pretty
@@ -310,17 +310,17 @@ def test_classify_reports_bounds(minsky_file, tmp_path):
 
 
 def test_classify_reports_a_bound_too_large_to_print(tmp_path):
-    # 12 props, 48 X, 11 conjunctions and a constant give 72 dimensions; the
-    # four levels of X take two layers each and the 11 levels of
-    # conjunctions one, so there are 19
+    # 12 props, 60 X, 11 conjunctions and a constant give 84 dimensions; the
+    # five levels of X and the 11 levels of conjunctions take one layer
+    # each, so there are 16
     model_path = str(tmp_path / "wide.ssm")
-    formula = " & ".join(f"X X X X p{i}" for i in range(12))
+    formula = " & ".join(f"X X X X X p{i}" for i in range(12))
     assert run(["compile", "ltl", formula, "-o", model_path])[0] == 0
     status, report = run(["classify", model_path])
     assert status == 0
     body = report["result"]
-    assert (body["dimension"], body["layers"]) == (72, 19)
-    assert body["state_count_bound_log2"] == 2 * 19 * 72 * 6 == 16416
+    assert (body["dimension"], body["layers"]) == (84, 16)
+    assert body["state_count_bound_log2"] == 2 * 16 * 84 * 6 == 16128
     assert body["state_count_bound"] is None
     json.dumps(report)
 
@@ -996,6 +996,15 @@ def _malformed(tmp_path, name):
             "v2_computes_not_ascending": [2, 2], "v2_computes_net_width": [1, 2],
             "v2_computes_nothing_with_a_net": [],
         }[name]
+    elif name == "v2_updates_missing":  # the one stored row is read as a 1 x 1 matrix
+        del data["layers"][0]["updates"]
+    elif name.startswith("v2_updates_"):
+        data["layers"][0]["updates"] = {
+            "v2_updates_not_a_list": 2, "v2_updates_index_string": ["2"],
+            "v2_updates_index_bool": [True], "v2_updates_index_out_of_range": [4],
+            "v2_updates_index_negative": [-1], "v2_updates_not_ascending": [2, 2],
+            "v2_updates_more_than_stored": [1, 2], "v2_updates_fewer_than_stored": [],
+        }[name]
     path.write_text(json.dumps(data))
     return path
 
@@ -1015,6 +1024,9 @@ def _malformed(tmp_path, name):
     "v2_computes_not_a_list", "v2_computes_index_string", "v2_computes_index_bool",
     "v2_computes_index_out_of_range", "v2_computes_not_ascending", "v2_computes_net_width",
     "v2_computes_nothing_with_a_net",
+    "v2_updates_not_a_list", "v2_updates_index_string", "v2_updates_index_bool",
+    "v2_updates_index_out_of_range", "v2_updates_index_negative", "v2_updates_not_ascending",
+    "v2_updates_more_than_stored", "v2_updates_fewer_than_stored", "v2_updates_missing",
 ])
 def test_malformed_model_file_is_a_usage_error(tmp_path, capsys, name):
     path = str(_malformed(tmp_path, name))
@@ -1022,7 +1034,7 @@ def test_malformed_model_file_is_a_usage_error(tmp_path, capsys, name):
     assert status == 2
     assert path in report["result"]["error"]
     ending = {
-        "v2_row_width_not_dimension": "row 0 has width 5, expected 4",
+        "v2_row_width_not_dimension": "row 2 has width 5, expected 4",
         "v2_computes_not_a_list": "expected a list of computed coordinates, got int",
         "v2_computes_index_string": "ascending order, got ['2']",
         "v2_computes_index_bool": "ascending order, got [True]",
@@ -1030,6 +1042,18 @@ def test_malformed_model_file_is_a_usage_error(tmp_path, capsys, name):
         "v2_computes_not_ascending": "ascending order, got [2, 2]",
         "v2_computes_net_width": "phi must map 2d -> 2, got 8 -> 1",
         "v2_computes_nothing_with_a_net": "a network exactly when it computes a coordinate",
+        "v2_updates_not_a_list": "expected a list of updated coordinates, got int",
+        "v2_updates_index_string": "updates must list coordinates of 0..3 in strictly ascending "
+                                   "order, got ['2']",
+        "v2_updates_index_bool": "ascending order, got [True]",
+        "v2_updates_index_out_of_range": "ascending order, got [4]",
+        "v2_updates_index_negative": "ascending order, got [-1]",
+        "v2_updates_not_ascending": "ascending order, got [2, 2]",
+        "v2_updates_more_than_stored":
+            "the layer updates 2 coordinates, but its gate matrix lists 1",
+        "v2_updates_fewer_than_stored":
+            "the layer updates 0 coordinates, but its gate matrix lists 1",
+        "v2_updates_missing": "row 0 has width 4, expected 1",
     }.get(name)
     if ending:
         assert report["result"]["error"].endswith(ending)
@@ -1102,3 +1126,38 @@ def test_bad_input_file_or_formula_is_a_usage_error(tmp_path, capsys, name):
     assert main(argv) == 2
     printed = json.loads(capsys.readouterr().out)
     assert printed["result"]["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sat", "fixed", "m.ssm", "--arith", "fx:6:3", "--threads", "1"],
+    ["sat", "fixed", "m.ssm"],
+    ["sat", "fixed", "m.ssm", "--arith", "fx:6:3", "--bogus"],
+    ["sat", "fixed", "m.ssm", "extra", "--arith", "fx:6:3"],
+    ["sat", "fixed", "--", "m.ssm", "--arith", "fx:6:3"],
+    ["sat", "fixed", "--help"],
+    ["sat", "fixed", "m.ssm", "--ari", "fx:6:3", "-h"],
+    ["sat", "bounded", "m.ssm", "--max-len", "3", "--binary"],
+    ["sat", "bounded", "m.ssm", "--max-len", "three"],
+    ["sat"], ["sat", "other"], ["sat", "--help"], ["sat", "m.ssm", "fixed"],
+    ["compile", "ltl", "p U q", "-o", "x.ssm"], ["compile", "pascal", "p", "-o", "x.ssm"],
+    ["compile"], ["compile", "-h"],
+    ["eval", "m.ssm", "--word", "a;b"], ["eval", "m.ssm", "--word"],
+    ["pump", "m.ssm", "--word", "a", "--arith", "fx:6:3"],
+    ["oracle", "ltl", "p", "--trace", "{p}"], ["oracle", "ltl", "p"], ["oracle", "ilp", "f.txt"],
+    ["oracle", "minsky", "f.mm", "--max-steps", "3"], ["oracle"], ["oracle", "sql"],
+    ["classify", "m.ssm", "--bits", "4"], ["classify", "m.ssm", "--bit", "4"],
+    [], ["--help"], ["frobnicate"], ["-x"], ["--help", "sat"],
+], ids=lambda argv: " ".join(argv) or "nothing")
+def test_a_command_parses_as_the_whole_parser_parses_it(argv, capsys):
+    """``run`` parses a command whose argv starts with a leaf's prefix,
+    such as ``sat fixed``, with that leaf alone: the namespace, the usage
+    text, the error and the exit code are those of the whole parser."""
+    def outcome(parse):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    assert outcome(_parse) == outcome(_build_parser()[0].parse_args)

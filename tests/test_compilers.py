@@ -57,8 +57,10 @@ from ssmverify.solvers import UNSATISFIABLE, sat_bounded, sat_fixed
 from ssmverify.ssm import (
     GateClasses,
     SsmLayer,
+    TimeInvariantGate,
     accepts,
     classify_gates,
+    evaluate,
     evaluate_layerwise,
     initial_state,
     run_layer,
@@ -232,19 +234,39 @@ def test_compile_ltl_dimension_bookkeeping():
     phi = parse("X p U q")  # X binds tighter: (X p) U q
     layout = ltl_layout(phi)
     model = compile_ltl(phi)
-    # atoms read their embedding columns; one layer per height >= 1, and one
-    # previous-bit layer after each level that holds an X
+    # atoms read their embedding columns; one layer per height >= 1, an X
+    # included
     assert layout.levels == ((ltl.Next(ltl.Atom("p")),), (phi,))
     non_atoms = [s for s in layout.subformulas if not isinstance(s, ltl.Atom)]
-    x_levels = sum(1 for level in layout.levels if any(isinstance(s, ltl.Next) for s in level))
     # each until's gate takes a coordinate after the subformulas', before the constant
     assert layout.gate_of == ((phi, 4),) and layout.const_dim == 5
     assert model.dim == len(layout.props) + len(non_atoms) + len(layout.gate_of) + 1 == 6
-    assert model.num_layers == len(layout.levels) + x_levels == 3
+    assert model.num_layers == len(layout.levels) == 2
     assert [layout.dim(ltl.Atom(p)) for p in layout.props] == [0, 1]
-    # the previous-bit layer below the until computes its gate beside X p,
-    # and the until itself, 0 or 1, needs no gadget
-    assert [layer.computes for layer in model.layers] == [(), (2, 4), ()]
+    # the layer of X p decodes its history and computes the until's gate
+    # beside it, and the until itself, 0 or 1, needs no gadget
+    assert [layer.computes for layer in model.layers] == [(2, 4), ()]
+    # each layer stores the recurrence of its own level alone: the history
+    # of X p under its constant gate of 1/4, then the until
+    assert [layer.updates for layer in model.layers] == [(2,), (3,)]
+    assert model.layers[0].gate == TimeInvariantGate(
+        [[Fraction(1, 4) if i == j == 2 else 0 for j in range(6)] for i in range(6)])
+
+
+@pytest.mark.parametrize("text, layers", [("X p", 1), ("G(p -> X q)", 3), ("F (p & X X p)", 4)])
+def test_an_ltl_model_has_one_layer_per_dag_height(text, layers):
+    """An X runs its history ``h = h/4 + psi`` in its own level's layer and
+    decodes it there, so no previous-bit layer follows a level.  Each layer
+    stores the recurrence of its own level's coordinates alone, and every
+    hand formula has one layer per DAG height."""
+    phi = parse(text)
+    layout = ltl_layout(phi)
+    model = compile_ltl(phi)
+    assert model.num_layers == len(layout.levels) == layers
+    for level, layer in zip(layout.levels, model.layers):
+        assert layer.updates == tuple(sorted(layout.dim(sub) for sub in level)), text
+    for text in hand_formulas():
+        assert compile_ltl(parse(text)).num_layers == len(ltl_layout(parse(text)).levels), text
 
 
 @pytest.mark.parametrize("text, layers", [("F p", 1), ("F p & F q", 2), ("G F p", 2)])
@@ -397,6 +419,25 @@ def test_random_formulas_are_equivalent_to_their_formulas(seed, size):
         assert distinguishing_word(phi, model, ArithMode(fmt)) is None, ltl.pretty(phi)
 
 
+def test_x_models_step_as_the_oracle_where_1_is_not_representable():
+    """Under ``fx:4:3`` 1 encodes as 7/8, so each carried coordinate and
+    each pass-through takes a unit product that shrinks it, and the X
+    history's constant column, folded into its decoder's bias, is not the
+    7/8 that the layers carry.  The generated step still computes what the
+    layer-major oracle does, on every word up to length 3 and on seeded
+    words of length 8."""
+    mode = ArithMode(FixedPointFormat(4, 3))
+    texts = [t for t in hand_formulas() + F_AND_G + [p.format(a="p", b="q") for p in PATTERNS]
+             if "X" in t]
+    rng = random.Random(7)
+    for text in texts:
+        model = compile_ltl(parse(text))
+        words = [list(w) for n in range(1, 4) for w in product(model.alphabet, repeat=n)]
+        words += [[rng.choice(model.alphabet) for _ in range(8)] for _ in range(20)]
+        for word in words:
+            assert evaluate(model, word, mode) == evaluate_layerwise(model, word, mode), (text, word)
+
+
 def test_a_wrong_model_has_a_least_shortest_distinguishing_word():
     """Where 1 is not representable the model accepts nothing, so it first
     differs from its formula on the formula's least shortest reversed
@@ -432,9 +473,10 @@ def test_compile_ltl_gate_classes():
 
 
 def test_nested_next_compiles_in_little_memory():
-    """Each X adds a previous-bit decoder over all d coordinates, so a dense
-    compile of 127 nested X peaked at 232 MiB of Python allocations; sparse
-    rows and shared pass-through nodes keep it far below a quarter of that."""
+    """Each X adds a layer and a previous-bit decoder over all d
+    coordinates, so a dense compile of 127 nested X peaked at 232 MiB of
+    Python allocations; sparse rows and shared pass-through nodes keep it
+    far below a quarter of that."""
     phi = parse("X " * 127 + "p")
     tracemalloc.start()
     try:
@@ -442,7 +484,7 @@ def test_nested_next_compiles_in_little_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert model.num_layers == 2 * 127
+    assert model.num_layers == 127
     assert peak < 57 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
@@ -460,8 +502,6 @@ def test_subformula_dims_zero_on_layer_entry():
         for x in xs:
             assert all(x[layout.dim(sub)] == 0 for sub in level), level
         xs = run_layer(next(layers), xs, EXACT)
-        if any(isinstance(sub, ltl.Next) for sub in level):
-            xs = run_layer(next(layers), xs, EXACT)  # the previous-bit layer
     assert next(layers, None) is None
 
 
@@ -492,9 +532,9 @@ def test_mixed_level_agrees_with_the_oracle(mode):
     # is a column of the letter
     ("((p | q) U (p & q)) & (!p U (p U q))", [(2, 3, 9, 10), (), (7,)]),
     # X !q reads 1 - q and is one level 1 coordinate beside X p and X q,
-    # so the one previous-bit layer computes the gates of both untils on
-    # top of its decoders (2, 3 and 4)
-    ("(X p) U (X !q) & (p U X q)", [(), (2, 3, 4, 8, 9), (), (7,)]),
+    # so level 1's layer computes the gates of both untils on top of its
+    # decoders (2, 3 and 4)
+    ("(X p) U (X !q) & (p U X q)", [(2, 3, 4, 8, 9), (), (7,)]),
 ])
 def test_until_gates_agree_with_the_oracle(mode, text, computes):
     """An until above height 1 reads its gate ``relu(l - r)`` from the layer

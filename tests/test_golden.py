@@ -17,7 +17,7 @@ from ssmverify.fnn import IDENTITY, RELU, linear_fnn, select_fnn
 from ssmverify.ltl import parse
 from ssmverify.modelfile import load_model, save_model
 from ssmverify.ssm import (
-    AffineMap, DiagonalAffineGate, SsmLayer, SsmModel, _constants, _denominator,
+    AffineMap, DiagonalAffineGate, SsmLayer, SsmModel, _constants, _denominator, carried,
 )
 
 MINSKY_TEXT = (
@@ -61,24 +61,24 @@ def test_model_file_checksums(tmp_path):
         "ilp": compile_ilp(parse_ilp(ILP_TEXT)),
         "ltl": compile_ltl(parse("p U q")),
         # the relu gadgets of & and of |, which is !l & !r, and the
-        # previous-bit layer
+        # previous-bit decoder of X p in its own level's layer
         "ltl_pointwise": compile_ltl(parse("(X p | !q) & r")),
-        # an until whose gate the previous-bit layer computes
+        # an until whose gate the layer of X q computes
         "ltl_until_gate": compile_ltl(parse("(p | q) U X q")),
     }
     expected_v1 = {
         "minsky": "bf1a5b79d66cf24c42c36622a32aa208dceb540e057ce64491a654add38d75f0",
         "ilp": "c0614c7450c7c5fb5764fde9a21c8b6e809ddb7a6353a85eb675b14f61d82b6f",
         "ltl": "b7f623ad8f53bf3b493c0fa4b29e3af1d922ebf720c6b6ba3680f4589a4fd445",
-        "ltl_pointwise": "c80cf6f153fb89d1af7d65e4c347021706bd05c7055b9b378bba826a01d88680",
-        "ltl_until_gate": "680bdccaaed97205f7693a488e8f27b42ccc2be81d99d6755c0f715a0e9b3b2e",
+        "ltl_pointwise": "1099ba776ab3695ff9979510f1c2e3605269d5cc0c9f0478e2778ef6caa449ea",
+        "ltl_until_gate": "f984469aadb6b6d90d7a319520f069a15405a0e7a39bf82b77da5e4464844ca6",
     }
     expected_v2 = {
-        "minsky": "bbce08d59e13b8e6bade8ff908002ac57107219794790582c5b08f95cf286d12",
+        "minsky": "7065f840f3530006230aa389275da8bb9c108346e1e232f160815ba494171f00",
         "ilp": "df27c45ceb866af54d8b5b8902b730dd2808328d62cdbba6a27a396bfc8aaed7",
-        "ltl": "0cec0e424233c73e6f3075ac04a9291e6166baf68f5f44f86fc04098ed722c41",
-        "ltl_pointwise": "4ceacb60db0734cc04912e667cad9d936aab68dab7914abb9a6010acc204d78c",
-        "ltl_until_gate": "0a4f3ca400f93809f1793d871ee187484345b6665b20a0bf5a2360026dc5c5fd",
+        "ltl": "b9a5d95747d5501d803346961dddb0f0c3d67cf59e3883c64e113628fc3a5049",
+        "ltl_pointwise": "9157b691274494f4614b49ff6c271090dce526f5bd097cfca6a18cc5933ba5f0",
+        "ltl_until_gate": "1a1a7b85db1c995e23a4797d334fdd92f2d55c42582c7784161eb08e007cd8ff",
     }
     for name, model in cases.items():
         assert sha(v1_text(model)) == expected_v1[name], name
@@ -91,16 +91,80 @@ def test_model_file_checksums(tmp_path):
         assert load_model(str(v2)) == model
 
 
+def test_a_compiled_model_round_trips_with_updates(tmp_path):
+    """A layer that carries coordinates stores, under ``updates``, the gate
+    and inc rows and offsets of the others alone.  A load fills the carried
+    rows with the shared copy rows, gives back an equal model and saves the
+    same bytes again."""
+    rng = random.Random(17)
+    models = [compile_ltl(parse(text)) for text in hand_formulas()]
+    models += [compile_minsky(random_machine(rng, 3)), compile_ilp(random_ilp(rng))]
+    path, again = tmp_path / "model.ssm", tmp_path / "again.ssm"
+    found = 0
+    for model in models:
+        text = v2_text(model, path)
+        for layer, entry in zip(model.layers, json.loads(text)["layers"]):
+            stored = list(layer.updates)
+            if len(stored) == model.dim:
+                assert "updates" not in entry
+            else:
+                assert entry["updates"] == stored
+            gate, inc = entry["gate"], entry["inc"]
+            assert len(gate["matrix"]) == len(inc["matrix"]) == len(inc["offset"]) == len(stored)
+            assert len(gate.get("offset", stored)) == len(stored)
+        loaded = load_model(str(path))
+        assert loaded == model and v2_text(loaded, again) == text
+        for layer in loaded.layers:
+            rows = carried(model.dim)
+            for j in set(range(model.dim)) - set(layer.updates):
+                assert [part[j] for part in rows] == [
+                    layer.gate.rows[j], layer.inc.rows[j], layer.inc.offset[j]]
+                assert layer.gate.rows[j] is rows[0][j] and layer.inc.rows[j] is rows[1][j]
+                found += 1
+    assert found > 100
+
+
+def test_files_without_updates_load_decide_and_resave_as_they_were(tmp_path):
+    """A v1 file and a v2 file without ``updates`` store every row: they load
+    as layers that update every coordinate, decide as the compact file
+    does, and save the bytes they were read from (the v1 one through the
+    tests' v1 writer)."""
+    model = compile_ltl(parse("(X p | !q) & r"))
+    full = SsmModel(model.alphabet, model.emb,
+                    tuple(SsmLayer(layer.h0, layer.gate, layer.inc, layer.net, layer.computes)
+                          for layer in model.layers), model.out, model.metadata)
+    compact, v2, v1 = tmp_path / "compact.ssm", tmp_path / "full.ssm", tmp_path / "full.v1.ssm"
+    save_model(model, str(compact))
+    text = v2_text(full, v2)
+    v1.write_text(v1_text(model))
+    assert all("updates" not in entry for entry in json.loads(text)["layers"])
+    reports = []
+    for path in (compact, v2, v1):
+        loaded = load_model(str(path))
+        if path != compact:
+            assert all(len(layer.updates) == model.dim for layer in loaded.layers)
+            assert (v1_text(loaded) if path == v1 else v2_text(loaded, tmp_path / "re.ssm")
+                    ) == path.read_text()
+        status, report = run(["sat", "fixed", str(path), "--arith", "fx:4:3"])
+        result = report["result"]
+        reports.append((status, result["verdict"], result.get("witness"),
+                        result["stats"]["transitions"], result["stats"]["distinct_states"]))
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_golden_machine_shape():
     """Layer 1's phi is the previous-bit decoder, and it computes only the
     decoded previous states, coordinates 3 to 5 of this 3-state machine.
     Layer 2 computes only the violation coordinate 14, one stage of checks
     on its own input, and layer 3 computes nothing.  ``out`` is one node,
-    ``relu(final - violations)``."""
+    ``relu(final - violations)``.  Layer 1 updates the history and the two
+    counters 12 and 13, layer 2 carries every coordinate, and layer 3
+    updates the violation sum alone."""
     machine = parse_minsky(MINSKY_TEXT)
     model = compile_minsky(machine)
     assert [(len(layer.phi.layers), layer.computes) for layer in model.layers] == [
         (4, (3, 4, 5)), (4, (14,)), (1, ())]
+    assert [layer.updates for layer in model.layers] == [(3, 4, 5, 12, 13), (), (14,)]
     ((node,),) = (layer.nodes for layer in model.out.layers)
     final = machine.states.index("qf")
     assert (node.row.terms, node.bias, node.activation) == (((final, 1), (14, -1)), 0, RELU)
@@ -158,8 +222,8 @@ def test_compiled_ltl_corpus_checksum(tmp_path):
     """The saved bytes of every hand formula."""
     models = [compile_ltl(parse(text)) for text in hand_formulas()]
     assert corpus_digests(models, tmp_path) == (
-        "f87439bd9ec9ebfe992e6fdb6eede11ca1250c174fc41a0f142821327e1394ac",
-        "66b5f23db8fbd86a4ec99d1f548603293b130a06429794a7e73d0bb53f1293ec")
+        "4066f23bdc33f976dfcc4f4a9e6b2d626abd46a283bd58439f0968ef1b3d44e7",
+        "c609d9ec796a614ffce08fb67657566298066b9629d5af1eefce3c195304d8f1")
 
 
 def test_compiled_minsky_ilp_corpus_checksum(tmp_path):
@@ -169,7 +233,7 @@ def test_compiled_minsky_ilp_corpus_checksum(tmp_path):
     models += [compile_ilp(random_ilp(rng)) for _ in range(8)]
     assert corpus_digests(models, tmp_path) == (
         "bd4a1f531f1a8cef5825aea01eb7f54838c437ebb3723bcee40d25da14c5ca43",
-        "29e80048575f56610590dcf0b3f52db5662e4ce570e17fe8fc3de23ae0be6edf")
+        "23fa7d7cf927b11344bf350925fb1cb1607192c4f05c51f58f902e2766b7cc8d")
 
 
 # A v1 file as the v1 writer in ``helpers`` saved the compiled model of

@@ -487,9 +487,9 @@ def test_search_on_keys_equals_search_on_full_states_for_hand_formulas(text):
 
 
 @pytest.mark.parametrize("text, dim, key", [
-    ("(a U (b U (c U d))) & X X X !d", 105, 6),
-    ("!((a U (b U c)) | X X X d)", 91, 5),
-    ("G(p -> X q) & G(q -> X !p) & F(p & X X p)", 105, 7),
+    ("(a U (b U (c U d))) & X X X !d", 60, 6),
+    ("!((a U (b U c)) | X X X d)", 52, 5),
+    ("G(p -> X q) & G(q -> X !p) & F(p & X X p)", 75, 7),
 ])
 def test_search_key_holds_only_the_read_coordinates(text, dim, key):
     """The anchors of cone-of-influence reduction: a few of the L*d hidden

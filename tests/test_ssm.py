@@ -17,7 +17,7 @@ from helpers import (
     random_ilp, random_machine,
 )
 from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat, raw_encode
-from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, parse_minsky
+from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, ltl_layout, parse_minsky
 from ssmverify.errors import DimensionError, EmptyWordError, UnknownSymbolError
 from ssmverify.fnn import (
     IDENTITY, RELU, Fnn, FnnLayer, FnnNode, compose, gadget_eq, linear_fnn, select_fnn,
@@ -128,10 +128,10 @@ def test_public_step_builds_no_stepper():
 
 
 def test_step_rejects_a_state_of_another_layout():
-    """``(X p) U q & !X X q`` has 5 layers of width 9 and ``p U q`` one of
+    """``(X p) U q & !X X q`` has 3 layers of width 9 and ``p U q`` one of
     width 5; neither model steps the other's states."""
     small, large = compile_ltl(parse("p U q")), compile_ltl(parse("(X p) U q & !X X q"))
-    assert (large.num_layers, large.dim) == (5, 9)
+    assert (large.num_layers, large.dim) == (3, 9)
     for model, other in ((small, large), (large, small)):
         for mode in (EXACT, FX6_MODE):
             with pytest.raises(DimensionError):
@@ -202,17 +202,31 @@ def small_models(draw, denominators=(1, 2, 4)):
 
     layers = []
     for _ in range(L):
+        # the coordinates whose recurrence the layer stores: every one, or
+        # some, the others carried on an empty gate row and a copy inc row
+        updates = None
         if draw(st.booleans()):
-            gate = TimeInvariantGate(mat())
+            updates = tuple(j for j in range(d) if draw(st.booleans()))
+        stored = range(d) if updates is None else updates
+        gate_rows, gate_offset, inc_rows, inc_offset = mat(), vec(), mat(), vec()
+        zero = Fraction(0)
+        gate_rows = [row if j in stored else (zero,) * d for j, row in enumerate(gate_rows)]
+        inc_rows = [row if j in stored else tuple(Fraction(k == j) for k in range(d))
+                    for j, row in enumerate(inc_rows)]
+        gate_offset, inc_offset = ([v if j in stored else zero for j, v in enumerate(vector)]
+                                   for vector in (gate_offset, inc_offset))
+        if draw(st.booleans()):
+            gate = TimeInvariantGate(gate_rows)
         else:
-            gate = DiagonalAffineGate(mat(), vec())
+            gate = DiagonalAffineGate(gate_rows, as_vector(gate_offset))
         kind = draw(st.sampled_from(("projection", "full", "compact")))
         if kind == "compact":  # it passes the other coordinates through
             computes = tuple(j for j in range(d) if draw(st.booleans()))
             net = phi(len(computes)) if computes else None
         else:
             computes, net = None, projection_phi(d) if kind == "projection" else phi(d)
-        layers.append(SsmLayer(vec(), gate, AffineMap(mat(), vec()), net, computes))
+        layers.append(SsmLayer(vec(), gate, AffineMap(inc_rows, as_vector(inc_offset)), net,
+                               computes, updates))
     out = compose(gadget_eq(1), select_fnn([0], d))
     alphabet = tuple(chr(ord("a") + i) for i in range(nsyms))
     return SsmModel(alphabet, tuple(vec() for _ in range(nsyms)), tuple(layers), out)
@@ -459,12 +473,15 @@ def test_a_diagonal_gate_on_scale_one_multiplies_without_checks():
 
 
 def counting_model(out: Fnn = gadget_eq(3)) -> SsmModel:
-    """One coordinate under the diagonal gate 1 that counts the ``a``s from
-    0, by default accepted at exactly 3: the range [0, 1] that the step
-    assumes for a gated coordinate fails at the second ``a``."""
-    layer = SsmLayer(as_vector([0]), DiagonalAffineGate(zeros_mat(1), as_vector([1])),
-                     AffineMap(eye(1), as_vector([0])), projection_phi(1))
-    return SsmModel(("a", "b"), (as_vector([1]), as_vector([0])), (layer,), out)
+    """A coordinate that counts the ``a``s from 0 under the diagonal gate
+    that reads the embedding's constant column 1, by default accepted at
+    exactly 3: the range [0, 1] that the step assumes for a gated
+    coordinate fails at the second ``a``.  The constant column is carried."""
+    layer = SsmLayer(as_vector([0, 0]),
+                     DiagonalAffineGate(as_matrix([[0, 1], [0, 0]]), as_vector([0, 0])),
+                     AffineMap(eye(2), as_vector([0, 0])), projection_phi(2), updates=(0,))
+    return SsmModel(("a", "b"), (as_vector([1, 1]), as_vector([0, 1])), (layer,),
+                    compose(out, select_fnn([0], 2)))
 
 
 def step_source(model: SsmModel, mode: ArithMode) -> str:
@@ -578,6 +595,46 @@ def test_a_relu_difference_over_one_row_is_sound_under_saturation(data):
                     mode, word)
 
 
+def test_a_layer_carries_only_copies():
+    """A coordinate left out of ``updates`` must have an empty gate row,
+    gate and inc offsets of 0 and an inc row that copies it; ``updates``
+    lists coordinates in range in strictly ascending order."""
+    def layer(gate_rows=((0, 0), (0, 1)), gate_offset=None, inc_rows=((1, 0), (0, 1)),
+              inc_offset=(0, 0), updates=(1,)):
+        gate = (TimeInvariantGate(as_matrix(gate_rows)) if gate_offset is None
+                else DiagonalAffineGate(as_matrix(gate_rows), as_vector(gate_offset)))
+        inc = AffineMap(as_matrix(inc_rows), as_vector(inc_offset))
+        return SsmLayer(as_vector([0, 0]), gate, inc, None, (), updates)
+
+    assert layer().updates == (1,) and layer(updates=None).updates == (0, 1)
+    assert layer(gate_offset=(0, 1)).updates == (1,)
+    for bad in (dict(gate_rows=((0, 1), (0, 1))), dict(gate_rows=((1, 0), (0, 1))),
+                dict(gate_offset=(1, 0)), dict(inc_rows=((2, 0), (0, 1))),
+                dict(inc_rows=((0, 1), (0, 1))), dict(inc_offset=(1, 0)), dict(updates=())):
+        with pytest.raises(DimensionError, match="more than copy its input"):
+            layer(**bad)
+    for updates in ((1, 1), (2,), (-1,), (True,), ("1",), (1, 0)):
+        with pytest.raises(DimensionError, match="updates must list coordinates of 0..1"):
+            layer(updates=updates)
+
+
+def test_an_x_history_beside_an_until_is_not_assumed():
+    """In ``X p & (p U q)`` the X history and the until share level 1, so
+    the history's constant gate of 1/4 is an offset of the layer's diagonal
+    gate.  The step assumes [0, 1] for the until alone: the history reaches
+    5/4 on ``{p};{p}`` and runs on the whole domain, so no call retracts."""
+    model = compile_ltl(parse("X p & (p U q)"))
+    (level, _) = model.layers
+    x = ltl_layout(parse("X p & (p U q)")).dim(parse("X p"))
+    assert level.gate.rows[x].terms == () and level.gate.offset[x] == Fraction(1, 4)
+    assert step_source(model, FX6_MODE).count("raise Retract") == 1
+    for mode in (FX6_MODE, EXACT):
+        model = compile_ltl(parse("X p & (p U q)"))
+        assert not accepts(model, ["{p}", "{p}", "{p}"], mode)
+        assert accepts(model, ["{p,q}", "{p}"], mode)  # the reversal of {p};{p,q}
+        assert model._steppers[mode].assume is True
+
+
 def test_ltl_steps_run_on_assumed_ranges():
     """Under fx:6:3 the until ``p U q`` tests no saturation and guards its
     new value once: its gate ``p & !q`` and ``q`` are never both 1, which
@@ -683,7 +740,7 @@ def _through_dense_views(model: SsmModel) -> SsmModel:
             gate = DiagonalAffineGate(layer.gate.matrix, layer.gate.offset)
         inc = AffineMap(layer.inc.matrix, layer.inc.offset)
         net = None if layer.net is None else fnn(layer.net)
-        layers.append(SsmLayer(layer.h0, gate, inc, net, layer.computes))
+        layers.append(SsmLayer(layer.h0, gate, inc, net, layer.computes, layer.updates))
     return SsmModel(model.alphabet, model.emb, tuple(layers), fnn(model.out), model.metadata)
 
 
@@ -764,7 +821,8 @@ def test_quantization_report_is_the_fraction_round_trip():
 
 def test_saved_bytes_do_not_depend_on_shared_rows(tmp_path):
     """A compiled model shares its identity rows and copy nodes; built
-    again from its dense views it shares none, and saves the same bytes."""
+    again from its dense views it shares none, is equal, and saves the same
+    bytes.  Its twin that updates every coordinate is another model."""
     rng = random.Random(3)
     models = [compile_ltl(parse("(X p | !q) & r")), compile_ltl(random_formula(rng, 7, ("p", "q"))),
               compile_minsky(random_machine(rng, 3)), compile_ilp(random_ilp(rng))]
@@ -775,11 +833,16 @@ def test_saved_bytes_do_not_depend_on_shared_rows(tmp_path):
     assert objects(models[0])[1] < objects(models[0])[0]
     for model in models:
         rebuilt = _through_dense_views(model)
-        assert objects(rebuilt)[1] == objects(rebuilt)[0]
+        assert objects(rebuilt)[1] == objects(rebuilt)[0] and rebuilt == model
         paths = [tmp_path / "model.ssm", tmp_path / "rebuilt.ssm"]
         save_model(model, str(paths[0]))
         save_model(rebuilt, str(paths[1]))
         assert paths[0].read_bytes() == paths[1].read_bytes()
+    model = models[0]
+    twin = SsmModel(model.alphabet, model.emb,
+                    tuple(SsmLayer(layer.h0, layer.gate, layer.inc, layer.net, layer.computes)
+                          for layer in model.layers), model.out, model.metadata)
+    assert twin != model and [layer.updates for layer in model.layers] == [(3,), (4,), (5,)]
 
 
 def test_exact_sums_fold_every_constant():

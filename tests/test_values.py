@@ -72,9 +72,11 @@ CASES = [
     (AffineMap, dict(matrix=[[1]], offset=as_vector([2])),
      dict(matrix=[[2]], offset=as_vector([2])), ("rows", "offset"), ("rows", "offset")),
     # a layer that passes its one coordinate through, with no network
-    (SsmLayer, dict(h0=LAYER.h0, gate=LAYER.gate, inc=LAYER.inc, net=None, computes=()),
-     dict(h0=as_vector([1]), gate=LAYER.gate, inc=LAYER.inc, net=None, computes=()),
-     ("h0", "gate", "inc", "net", "computes"), ("h0", "gate", "inc", "net", "computes")),
+    (SsmLayer, dict(h0=LAYER.h0, gate=LAYER.gate, inc=LAYER.inc, net=None, computes=(),
+                    updates=(0,)),
+     dict(h0=as_vector([1]), gate=LAYER.gate, inc=LAYER.inc, net=None, computes=(), updates=(0,)),
+     ("h0", "gate", "inc", "net", "computes", "updates"),
+     ("h0", "gate", "inc", "net", "computes", "updates")),
     (SsmModel, dict(MODEL_ARGS, metadata=(("source", "test"),)), dict(MODEL_ARGS, alphabet=("a", "c")),
      ("alphabet", "emb", "layers", "out"), ("alphabet", "emb", "layers", "out", "metadata")),
     (StreamState, dict(hidden=((1, 2),), mode=ArithMode(FX)), dict(hidden=((1, 2),), mode=ArithMode()),
@@ -152,8 +154,9 @@ def test_defaults():
     limits = ResourceLimits()
     assert (limits.max_states, limits.max_mem_mb, limits.max_seconds) == (5_000_000, None, None)
     assert SsmModel(**MODEL_ARGS).metadata == ()
-    # a full network computes every coordinate
-    assert LAYER.computes == (0,) and LAYER.net is LAYER.phi
+    # a full network computes every coordinate, and a layer without
+    # ``updates`` updates every coordinate
+    assert LAYER.computes == LAYER.updates == (0,) and LAYER.net is LAYER.phi
     stats = SearchStats()
     assert [getattr(stats, name) for name in STATS_KEYS] == [
         0, 0, 0.0, 0, 0, 0, 0.0, None, None, 0, None, []]
