@@ -54,8 +54,11 @@ The Minsky and ILP compilers write their outputs as affine terms too.  A
 Minsky model runs its previous-state history beside the counter sums in
 layer 1, both constant diagonal gates, and decodes it there; layer 2
 computes only the violation coordinate, from its own input; layer 3 sums
-it; and ``out`` is ``relu(final - violations)``.  An ILP model's ``out``
-is one relu layer of misses, then ``relu(1 - sum of the misses)``.
+it; and ``out`` is ``relu(final - violations)``.  An ILP model's letter
+i embeds as column i of A followed by the unit vector e_i, so its one
+layer adds its input to its state under the identity gate and inc, one
+addition per coordinate; its ``out`` is one relu layer of misses, then
+``relu(1 - sum of the misses)``.
 """
 
 from __future__ import annotations
@@ -788,21 +791,22 @@ def ilp_alphabet(d: int) -> tuple[str, ...]:
 
 def compile_ilp(inst: IlpInstance) -> SsmModel:
     """Single-layer model over {1..d}: the first half of the state accumulates
-    A v, the second half counts index occurrences.  ``out`` is one relu
-    layer, ``relu(s_r - b_r)`` and ``relu(b_r - s_r)`` for each row r of
-    A v and ``relu(n_i - 1)`` for each count, then the node ``relu(1 -`` the
-    sum of those ``)``: 1 exactly where every row meets its target and no
-    index repeats.  After the bias every term is non-positive, so a
-    saturated partial sum can only push the output toward 0."""
+    A v, the second half counts index occurrences.  Letter i embeds as
+    column i of A followed by the unit vector e_i, and the layer adds its
+    input to its state under the identity gate and inc, so each coordinate's
+    update is one addition.  ``out`` is one relu layer, ``relu(s_r - b_r)``
+    and ``relu(b_r - s_r)`` for each row r of A v and ``relu(n_i - 1)`` for
+    each count, then the node ``relu(1 -`` the sum of those ``)``: 1 exactly
+    where every row meets its target and no index repeats.  After the bias
+    every term is non-positive, so a saturated partial sum can only push the
+    output toward 0."""
     d = inst.dim
     dd = 2 * d
-    emb = tuple(
-        tuple(F1 if j == i else F0 for j in range(d)) + _zeros(d) for i in range(d)
-    )
-    inc = _sparse(_empty(dd), [(r, c, Fraction(w)) for r, row in enumerate(inst.matrix)
-                               for c, w in enumerate(row) if w]
-                  + [(d + r, r, F1) for r in range(d)])
-    layer = _layer(_zeros(dd), TimeInvariantGate(_eye(dd)), AffineMap(inc, _zeros(dd)), {})
+    weights = {w: Fraction(w) for row in inst.matrix for w in row}
+    unit = tuple(tuple(F1 if j == i else F0 for j in range(d)) for i in range(d))
+    emb = tuple(tuple(weights[row[i]] for row in inst.matrix) + unit[i] for i in range(d))
+    eye = _eye(dd)
+    layer = _layer(_zeros(dd), TimeInvariantGate(eye), AffineMap(eye, _zeros(dd)), {})
     # relu(s_r - b_r) and relu(b_r - s_r) for each row, relu(n_i - 1) for each count
     misses = [(Row(((r, w),), dd), -w * b) for r, b in enumerate(inst.target) for w in (F1, -F1)]
     misses += [(Row(((d + i, F1),), dd), -F1) for i in range(d)]

@@ -155,7 +155,9 @@ def _read(data: dict, lit: _Literals, rows, net) -> SsmModel:
     JSON -> ``Fnn``); the rest both versions store alike.  A layer with
     ``updates`` lists the gate and inc rows and offsets of those
     coordinates alone; every other coordinate is carried, and its rows are
-    the shared ``ssm.carried`` rows and offsets."""
+    the shared ``ssm.carried`` rows and offsets.  The list is checked here,
+    before it places the stored rows, and ``SsmLayer`` does not check it
+    again."""
     layers = []
     for entry in _list(data["layers"], "layers"):
         h0 = lit.vec(entry["h0"])
@@ -185,6 +187,7 @@ def _read(data: dict, lit: _Literals, rows, net) -> SsmModel:
             net=None if entry["phi"] == [] else net(entry["phi"]),
             computes=None if computes is None else _list(computes, "computed coordinates"),
             updates=updates,
+            _carried=True,
         ))
     alphabet = data["alphabet"]
     if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):

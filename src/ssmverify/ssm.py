@@ -249,20 +249,28 @@ class SsmLayer(Value):
     by what they store, so such a layer differs from its expanded twin
     ``SsmLayer(h0, gate, inc, layer.phi)``, though both compute the same,
     and a layer with carried coordinates from its twin without ``updates``:
-    equal models save equal bytes."""
+    equal models save equal bytes.
+
+    A caller that has itself checked ``updates`` and put the ``carried``
+    rows and offsets at every other coordinate, as a model file's load
+    does, passes ``_carried=True``, and ``updates`` is not checked again."""
 
     _fields = ("h0", "gate", "inc", "net", "computes", "updates")
 
     def __init__(self, h0: Vector, gate: GateSpec, inc: AffineMap, net: Fnn | None = None,
-                 computes: tuple[int, ...] | None = None, updates: tuple[int, ...] | None = None):
+                 computes: tuple[int, ...] | None = None, updates: tuple[int, ...] | None = None,
+                 *, _carried: bool = False):
         d = len(h0)
         every = tuple(range(d))
         computes = every if computes is None else _coordinates("computes", computes, d)
-        updates = every if updates is None else _coordinates("updates", updates, d)
+        if updates is None:
+            updates = every
+        elif not _carried:
+            updates = _coordinates("updates", updates, d)
         self._assign(h0, gate, inc, net, computes, updates)
         if gate.dim != d or inc.dim != d:
             raise DimensionError("layer gate/inc dimensions disagree with h0")
-        if updates != every:
+        if updates != every and not _carried:
             pick, gates, copies, zeros = _carried_picks(d, updates)
             if (pick(gate.rows), pick(inc.rows), pick(inc.offset),
                     pick(getattr(gate, "offset", inc.offset))) != (gates, copies, zeros, zeros):
@@ -420,20 +428,35 @@ def _times(k: int, code: str) -> str:
     return code if k == 1 else f"-{code}" if k == -1 else f"{_literal(k)} * {code}"
 
 
+def _joined(expr: str, t) -> str:
+    """``expr + t`` as code, a negative constant or integer product
+    subtracted."""
+    if t.coef is not None and t.coef < 0:
+        return f"{expr} - {_times(-t.coef, t.base)}"
+    if t.const is not None and t.const < 0:
+        return f"{expr} - {_literal(-t.const)}"
+    return f"{expr} + {t.code}"
+
+
 class _Val:
     """A value of the step being generated: a folded constant (``const`` is
-    set), a local name, or, only on its way into a sum, a parenthesised
-    expression.  ``lo``/``hi`` bound its encoding; an exact bound that
-    nothing fixes is infinite."""
+    set), a local name, or, only on its way into a sum, an expression: an
+    integer product ``k * name`` (``-name`` for k = -1) as it is, any other
+    product parenthesised.  ``lo``/``hi`` bound its encoding; an exact
+    bound that nothing fixes is infinite.  ``coef`` and ``base`` say that a
+    name or an integer product is ``coef * base`` for the name ``base``;
+    ``coef`` is None for a constant or another product."""
 
-    __slots__ = ("code", "const", "lo", "hi", "reads")
+    __slots__ = ("code", "const", "lo", "hi", "reads", "coef", "base")
 
-    def __init__(self, code: str, const, lo, hi, reads=()):
+    def __init__(self, code: str, const, lo, hi, reads=(), coef=1, base=None):
         self.code = code
         self.const = const
         self.lo = lo
         self.hi = hi
         self.reads = reads
+        self.coef = coef
+        self.base = code if base is None else base
 
 
 class _StepCompiler:
@@ -448,7 +471,12 @@ class _StepCompiler:
     bit-exact with ``evaluate_layerwise``.  Constants fold at generation
     time (an exact sum, which no order changes, folds all of its constant
     terms into one), zero terms vanish and a term whose encoded weight is
-    the unit becomes an alias, as does a whole unit copy.  A carried
+    the unit becomes an alias, as does a whole unit copy.  A sum subtracts
+    a negative constant or integer product (``1 - v10 - 2 * x3``), which
+    ``mul`` marks with its coefficient and name, so no code is parsed; and
+    a relu over a constant plus one name or its negation is one line
+    wherever the sum cannot pass the format's top (``v = u - 2 if u > 2
+    else 0``), since a sum saturated at the bottom has the relu 0.  A carried
     coordinate's new value is its input, times the encoded 1 where 1 is not
     the scale (``unit``): its copy row is not read.  One interval
     analysis covers every domain: each value carries the interval its
@@ -553,7 +581,7 @@ class _StepCompiler:
     # -- values -------------------------------------------------------------
 
     def const(self, value: int) -> _Val:
-        return _Val(_literal(value), value, value, value)
+        return _Val(_literal(value), value, value, value, (), None)
 
     def _fresh(self) -> str:
         return f"v{len(self._blocks)}"
@@ -576,11 +604,14 @@ class _StepCompiler:
             lines.append(f"{'elif' if lines else 'if'} {name} < {code}: {name} = {code}")
         return lines, min(max(lo, floor), top), min(max(hi, floor), top)
 
-    def _fits(self, code: str, lo, hi, reads) -> _Val:
+    def _fits(self, code: str, lo, hi, reads, coef=None, base=None) -> _Val:
         """A product term: an expression when it cannot leave the range,
-        else a local saturated on the sides that can overflow."""
+        parenthesised unless it is ``coef * base``, else a local saturated
+        on the sides that can overflow."""
         if self.bottom <= lo and hi <= self.top:
-            return _Val(f"({code})", None, lo, hi, reads)
+            if coef is None:
+                return _Val(f"({code})", None, lo, hi, reads, None)
+            return _Val(code, None, lo, hi, reads, coef, base)
         name = self._fresh()
         clamp, lo, hi = self._clamp(name, lo, hi, self.bottom)
         return self._bind(name, [f"{name} = {code}"] + clamp, reads, lo, hi)
@@ -617,22 +648,22 @@ class _StepCompiler:
         scale = self.scale
         lo, hi = sorted((_scaled_bound(w, v.lo, scale), _scaled_bound(w, v.hi, scale)))
         if w % scale == 0:  # an integer weight multiplies without rounding
-            code = _times(w // scale, v.code)
-        elif self.fmt is None:  # the weight is a / q in lowest terms
+            k = w // scale
+            return self._fits(_times(k, v.code), lo, hi, v.reads, k, v.code)
+        if self.fmt is None:  # the weight is a / q in lowest terms
             g = gcd(w, scale)
             lo, hi = _outward(w, v.lo, v.hi, scale)
             return self._divided(_times(w // g, v.code), scale // g, v.reads, lo, hi)
+        # truncation toward zero of w*v / 2**f, split on the sign of v
+        a, f = abs(w), self.fmt.frac_bits
+        pos, neg = f"{a} * {v.code} >> {f}", f"{a} * -{v.code} >> {f}"
+        pos, neg = (pos, f"-({neg})") if w > 0 else (f"-({pos})", neg)
+        if v.lo >= 0:
+            code = pos
+        elif v.hi <= 0:
+            code = neg
         else:
-            # truncation toward zero of w*v / 2**f, split on the sign of v
-            a, f = abs(w), self.fmt.frac_bits
-            pos, neg = f"{a} * {v.code} >> {f}", f"{a} * -{v.code} >> {f}"
-            pos, neg = (pos, f"-({neg})") if w > 0 else (f"-({pos})", neg)
-            if v.lo >= 0:
-                code = pos
-            elif v.hi <= 0:
-                code = neg
-            else:
-                code = f"{pos} if {v.code} >= 0 else {neg}"
+            code = f"{pos} if {v.code} >= 0 else {neg}"
         return self._fits(code, lo, hi, v.reads)
 
     def mul_var(self, g: _Val, v: _Val) -> _Val:
@@ -662,12 +693,17 @@ class _StepCompiler:
         addition that can leave the range; the result is a constant or a
         local.  An exact sum, which no order changes, folds every constant
         term into ``start``.  A ``span`` known to hold the sum narrows its
-        interval."""
+        interval.  A negative constant or integer product is subtracted
+        (``1 - v10 - 2 * x3``).  A relu over a constant c plus one name u or
+        its negation is one line where the sum cannot pass the top (``v =
+        u - 2 if u > 2 else 0``, ``v = 2 - u if u < 2 else 0``): below the
+        bottom, the saturated sum's relu is 0 too."""
         if self.fmt is None:
             start = sum((t.const for t in terms if t.const is not None), start)
             terms = [t for t in terms if t.const is None]
         bottom, top = self.bottom, self.top
         value, expr, name = start, None, None  # expr None: the sum is `value`
+        first = None  # the sum's one term after `value`, None once another joins
         lines: list[str] = []
         reads: tuple = ()
         pending = 0
@@ -676,10 +712,11 @@ class _StepCompiler:
                 if t.const is not None:
                     value = min(max(value + t.const, bottom), top)
                     continue
+                first = t
                 if value == 0:
                     expr, lo, hi = t.code, t.lo, t.hi
                 else:
-                    expr = f"{self.const(value).code} + {t.code}"
+                    expr = _joined(_literal(value), t)
                     lo, hi = _plus(value, t.lo), _plus(value, t.hi)
             elif t.const == 0:
                 continue
@@ -691,7 +728,8 @@ class _StepCompiler:
                     clamp, lo, hi = self._clamp(name, lo, hi, bottom)
                     lines += [f"{name} = {expr}"] + clamp
                     expr, pending = name, 0
-                expr, lo, hi = f"{expr} + {t.code}", _plus(lo, t.lo), _plus(hi, t.hi)
+                first = None
+                expr, lo, hi = _joined(expr, t), _plus(lo, t.lo), _plus(hi, t.hi)
             reads += t.reads
             pending += 1
         # relu after saturation is a clamp to [0, top]: the range holds 0
@@ -702,11 +740,19 @@ class _StepCompiler:
             lo, hi = max(lo, span[0]), min(hi, span[1])
         if hi <= floor:
             return self.const(floor)
-        if lo >= floor and hi <= top and not lines and expr.isidentifier():
-            return _Val(expr, None, lo, hi, (expr,))
+        if first is not None and hi <= top:  # `value` plus one term: no line yet
+            if value == 0 and first.coef == 1 and lo >= floor:  # a name
+                return _Val(expr, None, lo, hi, (expr,))
+            if relu and first.coef in (1, -1):  # one line, not two
+                u, c, name = first.base, value, self._fresh()
+                if first.coef == -1:
+                    code = f"{expr} if {u} < {_literal(c)}"
+                elif c < 0:
+                    code = f"{u} - {_literal(-c)} if {u} > {_literal(-c)}"
+                else:
+                    code = f"{expr} if {u} > {_literal(-c)}"
+                return self._bind(name, [f"{name} = {code} else 0"], reads, 0, hi)
         name = name or self._fresh()
-        if relu and hi <= top and not lines and expr.isidentifier():  # one line, not two
-            return self._bind(name, [f"{name} = {expr} if {expr} > 0 else 0"], reads, 0, hi)
         clamp, lo, hi = self._clamp(name, lo, hi, floor)
         return self._bind(name, lines + [f"{name} = {expr}"] + clamp, reads, lo, hi)
 

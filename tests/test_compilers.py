@@ -1,6 +1,7 @@
 """The three reductions checked against their brute-force oracles."""
 
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -55,10 +56,15 @@ from ssmverify.fnn import (
 from ssmverify.ltl import holds, least_reversed_model, parse
 from ssmverify.solvers import UNSATISFIABLE, sat_bounded, sat_fixed
 from ssmverify.ssm import (
+    AffineMap,
     GateClasses,
     SsmLayer,
+    SsmModel,
     TimeInvariantGate,
+    _StepCompiler,
     accepts,
+    as_matrix,
+    as_vector,
     classify_gates,
     evaluate,
     evaluate_layerwise,
@@ -770,6 +776,48 @@ def test_random_ilps_decide_in_fixed_point_as_in_exact_mode():
             assert (got.verdict, got.witness) == (exact.verdict, exact.witness), (inst, fmt)
     result = sat_fixed(compile_ilp(instances[0]), FX6)
     assert (result.satisfiable, result.witness) == (True, ("2",))
+
+
+def test_an_ilp_letter_adds_its_column_of_a():
+    """Letter i embeds as column i of A, then the unit vector e_i, under the
+    identity gate and inc, so the exact step updates each row with one
+    addition.  The model computes what the one-hot form, whose inc holds A
+    and whose letter i embeds as e_i, computes, word by word, in every
+    format, also where 1 is not representable (fx:4:3): a truncated product
+    does not depend on the order of its factors, and a zero term changes no
+    sum, saturated or not."""
+    rng = random.Random(39)
+    instances = [IlpInstance(((1, 1), (0, 1)), (1, 1)), IlpInstance(((3, 0), (2, 3)), (3, 2))]
+    instances += [random_ilp(rng, max_dim=3) for _ in range(6)]
+    modes = [EXACT] + [ArithMode(FixedPointFormat(t, f)) for t, f in ((6, 0), (12, 3), (4, 3))]
+    for inst in instances:
+        d = inst.dim
+        unit = [[int(i == j) for j in range(d)] for i in range(d)]
+        model = compile_ilp(inst)
+        assert [list(vec) for vec in model.emb] == [
+            [row[i] for row in inst.matrix] + unit[i] for i in range(d)]
+        comp = _StepCompiler(EXACT, 1)
+        source = comp.source(model, [tuple(map(comp.enc, vec)) for vec in model.emb])
+        # a row whose input is the same in every letter adds a literal, and
+        # one whose input is always 0 is its hidden value itself
+        updates = re.findall(r"^    v\d+ = (.*\bh0_.*)$", source, re.M)
+        assert all(re.fullmatch(r"h0_(\d+) \+ x\1|\d+ \+ h0_\d+", line)
+                   for line in updates), source
+        assert [int(re.search(r"h0_(\d+)", line)[1]) for line in updates] == [
+            r for r in range(2 * d) if any(vec[r] for vec in model.emb)]
+        zeros = as_vector([0] * 2 * d)
+        inc = [list(row) + [0] * d for row in inst.matrix] + [u + [0] * d for u in unit]
+        eye = [[int(r == c) for c in range(2 * d)] for r in range(2 * d)]
+        layer = SsmLayer(zeros, TimeInvariantGate(as_matrix(eye)),
+                         AffineMap(as_matrix(inc), zeros), None, ())
+        one_hot = SsmModel(model.alphabet, tuple(as_vector(u + [0] * d) for u in unit),
+                           (layer,), model.out)
+        for mode in modes:
+            for n in range(1, 4):
+                for word in product(model.alphabet, repeat=n):
+                    expected = evaluate_layerwise(one_hot, word, mode)
+                    assert (evaluate(model, word, mode) == evaluate_layerwise(model, word, mode)
+                            == evaluate(one_hot, word, mode) == expected), (inst, mode, word)
 
 
 def test_ilp_decode_word_reads_only_the_alphabet():

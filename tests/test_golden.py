@@ -68,14 +68,14 @@ def test_model_file_checksums(tmp_path):
     }
     expected_v1 = {
         "minsky": "bf1a5b79d66cf24c42c36622a32aa208dceb540e057ce64491a654add38d75f0",
-        "ilp": "c0614c7450c7c5fb5764fde9a21c8b6e809ddb7a6353a85eb675b14f61d82b6f",
+        "ilp": "546d0482ea1b1933983321e9f2e01149480277d859b2bfe2490c1546fb66120f",
         "ltl": "b7f623ad8f53bf3b493c0fa4b29e3af1d922ebf720c6b6ba3680f4589a4fd445",
         "ltl_pointwise": "1099ba776ab3695ff9979510f1c2e3605269d5cc0c9f0478e2778ef6caa449ea",
         "ltl_until_gate": "f984469aadb6b6d90d7a319520f069a15405a0e7a39bf82b77da5e4464844ca6",
     }
     expected_v2 = {
         "minsky": "7065f840f3530006230aa389275da8bb9c108346e1e232f160815ba494171f00",
-        "ilp": "df27c45ceb866af54d8b5b8902b730dd2808328d62cdbba6a27a396bfc8aaed7",
+        "ilp": "8673a808f92b56972f34c439c85abdfc8f0adfa68ec5231969e3609c72275279",
         "ltl": "b9a5d95747d5501d803346961dddb0f0c3d67cf59e3883c64e113628fc3a5049",
         "ltl_pointwise": "9157b691274494f4614b49ff6c271090dce526f5bd097cfca6a18cc5933ba5f0",
         "ltl_until_gate": "1a1a7b85db1c995e23a4797d334fdd92f2d55c42582c7784161eb08e007cd8ff",
@@ -232,8 +232,8 @@ def test_compiled_minsky_ilp_corpus_checksum(tmp_path):
     models = [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(8)]
     models += [compile_ilp(random_ilp(rng)) for _ in range(8)]
     assert corpus_digests(models, tmp_path) == (
-        "bd4a1f531f1a8cef5825aea01eb7f54838c437ebb3723bcee40d25da14c5ca43",
-        "23fa7d7cf927b11344bf350925fb1cb1607192c4f05c51f58f902e2766b7cc8d")
+        "8c0b5fc15ff3a390893947bad38a49e411c671a9166c47664d8ba81ac3f1d3b0",
+        "47e59755ac80ba097fff7cfd9fc0d1021f5f26b85e3bb6e8741ef55f2913c9f4")
 
 
 # A v1 file as the v1 writer in ``helpers`` saved the compiled model of

@@ -537,10 +537,10 @@ def test_a_guard_runs_where_folding_drops_its_coordinate(mode):
 
 
 def _clamped_differences(source: str) -> tuple[int, list[str]]:
-    """How many lines of a step compute a difference ``a + (-b)`` of two
+    """How many lines of a step compute a difference ``a - b`` of two
     locals, and those of them that the next line clamps."""
     lines = source.splitlines()
-    found = [(re.fullmatch(r"\s*(v\d+) = v\d+ \+ \(-v\d+\)", line), after)
+    found = [(re.fullmatch(r"\s*(v\d+) = v\d+ - v\d+", line), after)
              for line, after in zip(lines, lines[1:])]
     return (sum(m is not None for m, _ in found),
             [m.group(1) for m, after in found if m and f"if {m.group(1)} " in after])
@@ -593,6 +593,39 @@ def test_a_relu_difference_over_one_row_is_sound_under_saturation(data):
             for word in itertools.product(model.alphabet, repeat=n):
                 assert evaluate(model, word, mode) == evaluate_layerwise(model, word, mode), (
                     mode, word)
+
+
+_ONE_LINE_RELUS = {
+    "u - k": r"v\d+ = (v\d+) - \d+ if \1 > \d+ else 0",
+    "c - u": r"v\d+ = -?\d+ - ([vx]\d+) if \1 < -?\d+ else 0",
+    "-u": r"v\d+ = -([vx]\d+) if \1 < 0 else 0",
+}
+
+
+@pytest.mark.parametrize("fmt", [FixedPointFormat(4, 1), FixedPointFormat(5, 2), FX6, None],
+                         ids=str)
+def test_a_relu_over_a_local_and_a_constant_is_one_line(fmt):
+    """``relu(c + u)`` and ``relu(c - u)`` over one local u is one line
+    wherever the sum cannot pass the top; below the bottom the saturated
+    sum's relu is 0 too.  u is a counter, whose sum saturates on both
+    sides, or an input that spans the range of fx:4:1, so there the sums
+    pass the bottom.  Each relu agrees with the layer-major evaluator on
+    every word up to length 4, and the step holds each one-line form."""
+    layer = SsmLayer(as_vector([0, 0]), TimeInvariantGate(as_matrix([[1, 0], [0, 0]])),
+                     AffineMap(eye(2), as_vector([0, 0])), projection_phi(2))
+    emb = (as_vector([Fraction(3, 2), Fraction(-7, 2)]), as_vector([-1, Fraction(7, 2)]))
+    mode, forms = ArithMode(fmt), set()
+    for c in (Fraction(-1), Fraction(-1, 2), 0, Fraction(1, 2)):
+        for row in ([1, 0], [-1, 0], [0, 1], [0, -1]):
+            model = SsmModel(("a", "b"), emb, (layer,), linear_fnn([row], [c], RELU))
+            source = step_source(model, mode)
+            forms |= {name for name, form in _ONE_LINE_RELUS.items()
+                      for line in source.splitlines() if re.fullmatch(r"\s*" + form, line)}
+            for n in range(1, 5):
+                for word in itertools.product(model.alphabet, repeat=n):
+                    assert evaluate(model, word, mode) == evaluate_layerwise(model, word, mode), (
+                        c, row, word)
+    assert forms == set(_ONE_LINE_RELUS)
 
 
 def test_a_layer_carries_only_copies():
@@ -847,7 +880,9 @@ def test_saved_bytes_do_not_depend_on_shared_rows(tmp_path):
 
 def test_exact_sums_fold_every_constant():
     """Exact sums do not depend on the order of their terms, so the int step
-    folds all constant terms of a sum into one literal."""
+    folds all constant terms of a sum into one literal.  A sum adds or
+    subtracts its terms, never adds a negated one, and a one-line relu sums
+    before its ``if``."""
     rng = random.Random(5)
     models = [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(30)]
     models += [compile_ilp(random_ilp(rng)) for _ in range(30)]
@@ -857,7 +892,8 @@ def test_exact_sums_fold_every_constant():
         source = comp.source(model, [tuple(map(comp.enc, vec)) for vec in model.emb])
         for line in source.splitlines():
             _, assigned, expr = line.partition(" = ")
-            terms = expr.split(" + ")
+            terms = re.split(r" [+-] ", expr.partition(" if ")[0])
+            assert not re.search(r"\+ \(?-", expr), line
             if assigned and len(terms) > 1:
                 sums += 1
                 assert sum(bool(re.fullmatch(r"-?\d+", t)) for t in terms) <= 1, line
