@@ -32,23 +32,19 @@ they share row objects.  A save looks each row, node and literal up by
 identity first, so a shared object is formatted once, and writes the whole
 tree with one compact ``json.dumps``.
 
-``load_model`` also reads ``ssmverify-model-v1``, which stores every row
-dense, every node in place and every layer's full network;
-``model_from_json`` reads a v1 or v2 JSON tree.  The library writes only
-v2: the v1 writer that the tests use to make v1 fixtures lives in
-``tests/helpers.py``.
+``load_model`` reads v2 alone.  A file in the retired first format, which
+stored every row dense and every layer's full network, is refused with an
+error that names its tag and says to recompile the model from its source.
 
 A load parses each distinct literal once: one ``_Literals`` table per load,
 a ``dict`` from literal text to its ``Fraction`` that parses a text on its
-first lookup.  It builds each distinct row once, so equal rows share one
-``Row`` as they do after a compile.  In v2 that is each ``rows`` entry, and
-each ``nodes`` entry gives one ``FnnNode``.  In v1 it is each distinct dense
-list of literals; entries whose text is ``"0"`` are skipped unparsed, and
-any other literal that parses to zero (``"-0"``, ``"0/7"``) is dropped.
+first lookup.  It builds each ``rows`` entry once, as one ``Row`` that
+every matrix and node naming it shares, as they do after a compile, and
+each ``nodes`` entry once, as one ``FnnNode``.
 
 Every malformed file (not UTF-8, not JSON, a missing key, a value of the
 wrong type, a bad literal, mismatched dimensions) raises ``InputFormatError``
-naming the file.  In v2 that includes a table index that is not an int in
+naming the file.  That includes a table index that is not an int in
 range, row columns not strictly ascending or outside the row's width, a
 zero weight, a ``computes`` that is not a list of ints in range, strictly
 ascending, with one output of ``phi`` each, and an ``updates`` that is not
@@ -64,7 +60,7 @@ from fractions import Fraction
 from ._row import Row
 from .arithmetic import format_rational, parse_rational
 from .errors import InputFormatError, SsmVerifyError
-from .fnn import Fnn, FnnLayer, FnnNode, IDENTITY, RELU
+from .fnn import Fnn, FnnLayer, FnnNode
 from .ssm import (
     AffineMap,
     DiagonalAffineGate,
@@ -75,20 +71,13 @@ from .ssm import (
     carried,
 )
 
-V1_TAG = "ssmverify-model-v1"
 V2_TAG = "ssmverify-model-v2"
 
 
 class _Literals(dict):
-    """Literal text -> ``Fraction``, parsed on first lookup; one per load.
-    ``rows`` holds the sparse row of each distinct v1 list of texts, so
-    equal rows share one ``Row``."""
+    """Literal text -> ``Fraction``, parsed on first lookup; one per load."""
 
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        super().__init__()
-        self.rows: dict[tuple, Row] = {}
+    __slots__ = ()
 
     def __missing__(self, text) -> Fraction:
         if not isinstance(text, str):
@@ -102,29 +91,11 @@ class _Literals(dict):
     def mat(self, data) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(map(self.vec, _list(data, "rows")))
 
-    def row(self, data) -> Row:
-        """The sparse row of a dense list of literals."""
-        texts = tuple(_list(data, "literals"))
-        row = self.rows.get(texts)
-        if row is None:
-            terms = [(k, w) for k, text in enumerate(texts) if text != "0" and (w := self[text])]
-            row = self.rows[texts] = Row(tuple(terms), len(texts))
-        return row
-
-    def sparse_mat(self, data) -> tuple[Row, ...]:
-        return tuple(map(self.row, _list(data, "rows")))
-
 
 def _list(data, what: str) -> list:
     if not isinstance(data, list):
         raise InputFormatError(f"expected a list of {what}, got {type(data).__name__}")
     return data
-
-
-def _activation(act) -> str:
-    if act not in (RELU, IDENTITY):
-        raise InputFormatError(f"unknown activation {act!r}")
-    return act
 
 
 def _pick(table: list, data, what: str) -> tuple:
@@ -149,15 +120,53 @@ def _spread(stored: tuple, updates, base: tuple, what: str) -> tuple:
     return tuple(full)
 
 
-def _read(data: dict, lit: _Literals, rows, net) -> SsmModel:
-    """The model of a file's JSON tree, given how its version stores a
-    matrix (``rows``: JSON -> tuple of ``Row``) and a network (``net``:
-    JSON -> ``Fnn``); the rest both versions store alike.  A layer with
+def _row(data, lit: _Literals) -> Row:
+    """The row of a ``rows`` entry ``[width, [column, literal], ...]``."""
+    if not isinstance(data, list) or not data or type(data[0]) is not int or data[0] < 0:
+        raise InputFormatError("a row must be a list: its width, then [column, literal] pairs")
+    width = data[0]
+    terms = []
+    last = -1
+    for pair in data[1:]:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise InputFormatError("a row term must be a [column, literal] pair")
+        k, text = pair
+        if type(k) is not int or not last < k < width:
+            raise InputFormatError(
+                f"row columns must ascend strictly inside the width {width}, got {k!r}")
+        w = lit[text]
+        if not w:
+            raise InputFormatError(f"zero weight {text!r} at column {k} of a row")
+        terms.append((k, w))
+        last = k
+    return Row(tuple(terms), width)
+
+
+def _node(data, rows: list[Row], lit: _Literals) -> FnnNode:
+    """The node of a ``nodes`` entry ``[row, bias, activation]``."""
+    if not isinstance(data, list) or len(data) != 3:
+        raise InputFormatError("a node must be a [row, bias, activation] list")
+    row, bias, act = data
+    return FnnNode(_pick(rows, [row], "row")[0], lit[bias], act)
+
+
+def _read(data: dict) -> SsmModel:
+    """The model of a v2 JSON tree.  The ``rows`` and ``nodes`` tables are
+    built first, one ``Row`` and one ``FnnNode`` per entry, and every
+    matrix and network picks its entries from them by index.  A layer with
     ``updates`` lists the gate and inc rows and offsets of those
     coordinates alone; every other coordinate is carried, and its rows are
     the shared ``ssm.carried`` rows and offsets.  The list is checked here,
     before it places the stored rows, and ``SsmLayer`` does not check it
     again."""
+    lit = _Literals()
+    rows = [_row(entry, lit) for entry in _list(data["rows"], "rows")]
+    nodes = [_node(entry, rows, lit) for entry in _list(data["nodes"], "nodes")]
+
+    def net(data) -> Fnn:
+        return Fnn(tuple(FnnLayer(_pick(nodes, layer, "node"))
+                         for layer in _list(data, "network layers")))
+
     layers = []
     for entry in _list(data["layers"], "layers"):
         h0 = lit.vec(entry["h0"])
@@ -166,7 +175,8 @@ def _read(data: dict, lit: _Literals, rows, net) -> SsmModel:
         kind = gate_data["kind"]
         if kind not in ("time_invariant", "diagonal_affine"):
             raise InputFormatError(f"unknown gate kind {kind!r}")
-        gate_rows, inc_rows = rows(gate_data["matrix"]), rows(inc_data["matrix"])
+        gate_rows = _pick(rows, gate_data["matrix"], "row")
+        inc_rows = _pick(rows, inc_data["matrix"], "row")
         gate_offset = lit.vec(gate_data["offset"]) if kind == "diagonal_affine" else None
         inc_offset = lit.vec(inc_data["offset"])
         updates = entry.get("updates")
@@ -204,23 +214,6 @@ def _read(data: dict, lit: _Literals, rows, net) -> SsmModel:
         raise InputFormatError("declared dimension disagrees with the embedding table")
     return model
 
-
-# ---------------------------------------------------------------------------
-# v1: every row dense, every node in place
-
-def _from_v1(data: dict, lit: _Literals) -> SsmModel:
-    def net(data) -> Fnn:
-        return Fnn(tuple(
-            FnnLayer(tuple(FnnNode(lit.row(node["weights"]), lit[node["bias"]],
-                                   _activation(node.get("activation", RELU)))
-                           for node in _list(layer, "nodes")))
-            for layer in _list(data["layers"], "layers")))
-
-    return _read(data, lit, lit.sparse_mat, net)
-
-
-# ---------------------------------------------------------------------------
-# v2: one table of distinct rows and one of distinct nodes
 
 class _Tables:
     """The ``rows`` and ``nodes`` tables of one save.  A row, node or literal
@@ -319,61 +312,17 @@ def _v2_json(model: SsmModel) -> dict:
     }
 
 
-def _v2_row(data, lit: _Literals) -> Row:
-    """The row of a ``rows`` entry ``[width, [column, literal], ...]``."""
-    if not isinstance(data, list) or not data or type(data[0]) is not int or data[0] < 0:
-        raise InputFormatError("a row must be a list: its width, then [column, literal] pairs")
-    width = data[0]
-    terms = []
-    last = -1
-    for pair in data[1:]:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InputFormatError("a row term must be a [column, literal] pair")
-        k, text = pair
-        if type(k) is not int or not last < k < width:
-            raise InputFormatError(
-                f"row columns must ascend strictly inside the width {width}, got {k!r}")
-        w = lit[text]
-        if not w:
-            raise InputFormatError(f"zero weight {text!r} at column {k} of a row")
-        terms.append((k, w))
-        last = k
-    return Row(tuple(terms), width)
-
-
-def _v2_node(data, rows: list[Row], lit: _Literals) -> FnnNode:
-    """The node of a ``nodes`` entry ``[row, bias, activation]``."""
-    if not isinstance(data, list) or len(data) != 3:
-        raise InputFormatError("a node must be a [row, bias, activation] list")
-    row, bias, act = data
-    return FnnNode(_pick(rows, [row], "row")[0], lit[bias], _activation(act))
-
-
-def _from_v2(data: dict, lit: _Literals) -> SsmModel:
-    rows = [_v2_row(entry, lit) for entry in _list(data["rows"], "rows")]
-    nodes = [_v2_node(entry, rows, lit) for entry in _list(data["nodes"], "nodes")]
-
-    def net(data) -> Fnn:
-        return Fnn(tuple(FnnLayer(_pick(nodes, layer, "node"))
-                         for layer in _list(data, "network layers")))
-
-    return _read(data, lit, lambda matrix: _pick(rows, matrix, "row"), net)
-
-
-# ---------------------------------------------------------------------------
-
-_READERS = {V1_TAG: _from_v1, V2_TAG: _from_v2}
-
-
 def model_from_json(data: dict) -> SsmModel:
-    """The model of a v1 or v2 JSON tree."""
+    """The model of a v2 JSON tree."""
     if not isinstance(data, dict):
         raise InputFormatError(f"not a model file (top-level JSON {type(data).__name__})")
     tag = data.get("format")
-    if not isinstance(tag, str) or tag not in _READERS:
-        raise InputFormatError(f"not a model file (format tag {tag!r})")
+    if tag != V2_TAG:
+        raise InputFormatError(
+            f"the model format {tag} is retired: recompile the model from its source"
+            if tag == "ssmverify-model-v1" else f"not a model file (format tag {tag!r})")
     try:
-        return _READERS[tag](data, _Literals())
+        return _read(data)
     except KeyError as exc:
         raise InputFormatError(f"malformed model: missing key {exc}") from None
     except (TypeError, AttributeError) as exc:
@@ -388,7 +337,7 @@ def save_model(model: SsmModel, path: str):
 
 
 def load_model(path: str) -> SsmModel:
-    """The model of a v1 or v2 file."""
+    """The model of a v2 file."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)

@@ -1,17 +1,15 @@
 """Shared test machinery: corpus generators, differential walkers, the
-equivalence check of a compiled formula, the v1 model file writer and the
-expanded twin of a model."""
+equivalence check of a compiled formula and the expanded twin of a
+model."""
 
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
 
-from ssmverify.arithmetic import ArithMode, FixedPointFormat, format_rational, raw_saturate
+from ssmverify.arithmetic import ArithMode, FixedPointFormat, raw_saturate
 from ssmverify.compilers import IlpInstance, MinskyMachine
 from ssmverify.ltl import Atom, Not, And, Or, Next, Until, _automaton
-from ssmverify.modelfile import V1_TAG
 from ssmverify.ssm import (
     AffineMap,
     SsmLayer,
@@ -40,75 +38,10 @@ def fraction_encode(x, fmt: FixedPointFormat) -> int:
     return raw_saturate(int(Fraction(x) * fmt.scale), fmt)
 
 
-# ---------------------------------------------------------------------------
-# The v1 model file writer.  The library writes only v2 and still reads v1;
-# this writer makes the v1 fixtures that pin that reader.
-
-def _vec_json(vec) -> list[str]:
-    return list(map(format_rational, vec))
-
-
-def _row_json(row) -> list[str]:
-    return _vec_json(row.dense())
-
-
-def _fnn_json(net) -> dict:
-    return {
-        "layers": [
-            [
-                {
-                    "weights": _row_json(node.row),
-                    "bias": format_rational(node.bias),
-                    "activation": node.activation,
-                }
-                for node in layer.nodes
-            ]
-            for layer in net.layers
-        ]
-    }
-
-
-def _layer_json(layer: SsmLayer) -> dict:
-    if isinstance(layer.gate, TimeInvariantGate):
-        gate = {"kind": "time_invariant", "matrix": list(map(_row_json, layer.gate.rows))}
-    else:
-        gate = {
-            "kind": "diagonal_affine",
-            "matrix": list(map(_row_json, layer.gate.rows)),
-            "offset": _vec_json(layer.gate.offset),
-        }
-    return {
-        "h0": _vec_json(layer.h0),
-        "gate": gate,
-        "inc": {
-            "matrix": list(map(_row_json, layer.inc.rows)),
-            "offset": _vec_json(layer.inc.offset),
-        },
-        "phi": _fnn_json(layer.phi),
-    }
-
-
-def model_to_json(model: SsmModel) -> dict:
-    """The v1 JSON tree of ``model``: every row dense, every node in place."""
-    return {
-        "format": V1_TAG,
-        "alphabet": list(model.alphabet),
-        "dimension": model.dim,
-        "embedding": list(map(_vec_json, model.emb)),
-        "layers": list(map(_layer_json, model.layers)),
-        "output": _fnn_json(model.out),
-        "metadata": dict(sorted(model.metadata)),
-    }
-
-
-def v1_text(model: SsmModel) -> str:
-    """The v1 bytes of ``model``: the indented dump of its v1 JSON tree."""
-    return json.dumps(model_to_json(model), indent=1) + "\n"
-
-
 def expanded(model: SsmModel) -> SsmModel:
     """The twin of ``model`` whose layers store their full networks ``phi``
-    and so compute every coordinate: what a v1 file of ``model`` loads as."""
+    and so compute and update every coordinate: its v2 file has no
+    ``computes`` or ``updates`` key."""
     layers = tuple(SsmLayer(layer.h0, layer.gate, layer.inc, layer.phi) for layer in model.layers)
     return SsmModel(model.alphabet, model.emb, layers, model.out, model.metadata)
 

@@ -19,9 +19,7 @@ from helpers import (
     expanded,
     geometric_model,
     hand_formulas,
-    model_to_json,
     random_formula,
-    v1_text,
     walk_words,
 )
 from ssmverify.arithmetic import EXACT, MAX_TOTAL_BITS, ArithMode, FixedPointFormat
@@ -672,9 +670,15 @@ def test_loaded_model_evaluates_identically(tmp_path):
         assert (got == 1) == accepted
 
 
+def _v2_tree(model, tmp_path) -> dict:
+    """The JSON tree of the v2 file of ``model``."""
+    path = tmp_path / "tree.ssm"
+    save_model(model, str(path))
+    return json.loads(path.read_text())
+
+
 def test_model_json_has_no_floats(tmp_path):
     model = compile_ltl(parse("X p"))
-    data = model_to_json(model)
 
     def check(node):
         assert not isinstance(node, float)
@@ -685,9 +689,11 @@ def test_model_json_has_no_floats(tmp_path):
             for v in node:
                 check(v)
 
-    check(data)
-    # a v1 tree stores every layer's full network
-    assert model_from_json(data) == expanded(model)
+    # the expanded twin stores every layer's full network, copy nodes included
+    for stored in (model, expanded(model)):
+        data = _v2_tree(stored, tmp_path)
+        check(data)
+        assert model_from_json(data) == stored
 
 
 def test_model_file_rejects_garbage(tmp_path):
@@ -722,26 +728,26 @@ def _seeded_models():
     return models
 
 
-def test_saved_bytes_equal_the_indented_json_dump(tmp_path):
-    """v1 bytes are the indented dump of ``model_to_json`` and load as the
-    model's expanded twin, since v1 stores every layer's full network;
-    ``save_model`` writes v2, whose load is the model again.  A save of a
-    load is byte-identical: the v2 file of the model, or from v1 that of
-    its twin."""
-    v1, v2, full = tmp_path / "m.v1.ssm", tmp_path / "m.v2.ssm", tmp_path / "full.ssm"
+def test_saved_bytes_equal_the_compact_json_dump(tmp_path):
+    """``save_model`` writes the compact dump of a v2 JSON tree, of the
+    model and of its expanded twin, which stores every layer's full
+    network; each loads as the model it was saved from, and a save of a
+    load is byte-identical."""
+    v2, full = tmp_path / "m.v2.ssm", tmp_path / "full.ssm"
     again = tmp_path / "again.ssm"
     for model in _seeded_models():
-        v1.write_text(v1_text(model))
         save_model(model, str(v2))
         save_model(expanded(model), str(full))
-        assert json.loads(v2.read_text())["format"] == "ssmverify-model-v2"
-        twin = expanded(model)
-        for path, loads_as, saved in ((v1, twin, full), (v2, model, v2), (full, twin, full)):
+        for path, loads_as in ((v2, model), (full, expanded(model))):
+            text = path.read_text()
+            data = json.loads(text)
+            assert data["format"] == "ssmverify-model-v2"
+            assert text == json.dumps(data, separators=(",", ":")) + "\n"
             loaded = load_model(str(path))
             assert loaded == loads_as
-            assert loaded.metadata_dict == json.loads(path.read_text())["metadata"]
+            assert loaded.metadata_dict == data["metadata"]
             save_model(loaded, str(again))
-            assert again.read_bytes() == saved.read_bytes()
+            assert again.read_bytes() == path.read_bytes()
 
 
 def _decisions(path: str, argvs) -> list:
@@ -826,10 +832,8 @@ def test_compile_and_sat_read_no_full_network(tmp_path, monkeypatch, ilp_file, m
 
 
 def _literals(node, key=None) -> set[str]:
-    """Every number literal of a v1 or v2 model file's JSON."""
-    if key == "bias":
-        return {node}
-    if key == "nodes":  # v2 nodes are [row, bias, activation]
+    """Every number literal of a model file's JSON."""
+    if key == "nodes":  # nodes are [row, bias, activation]
         return {bias for _, bias, _ in node}
     if isinstance(node, dict):
         return set().union(*(_literals(v, k) for k, v in node.items()))
@@ -861,24 +865,28 @@ def test_load_parses_each_distinct_literal_once_per_load(tmp_path, monkeypatch):
 
 
 def test_zero_literals_in_any_spelling_load_as_the_canonical_model(tmp_path):
-    """Rows are read sparse: every literal that parses to zero is dropped,
-    whatever its text, so the model and its saved bytes are canonical."""
-    model = compile_ltl(parse("(p U q) & X !p"))
-    twin = expanded(model)  # the v1 tree stores every layer's full network
+    """Vectors and biases are read by value: every literal in them that
+    parses to zero loads as 0, whatever its text, so the model and its
+    saved bytes are canonical.  A row stores no zero weight at all (see
+    ``v2_zero_weight``)."""
+    twin = expanded(compile_ltl(parse("(p U q) & X !p")))
     canonical, spelled = tmp_path / "canonical.ssm", tmp_path / "spelled.ssm"
     save_model(twin, str(canonical))
-    data = model_to_json(model)
+    data = json.loads(canonical.read_text())
     spellings = iter(["0/7", "-0", "00"] * 100_000)
 
-    def respell(rows):
-        for row in rows:
-            row[:] = [next(spellings) if text == "0" else text for text in row]
+    def respell(texts):
+        texts[:] = [next(spellings) if text == "0" else text for text in texts]
 
+    for vec in data["embedding"]:
+        respell(vec)
     for layer in data["layers"]:
-        respell(layer["gate"]["matrix"])
-        respell(layer["inc"]["matrix"])
-    for net in [layer["phi"] for layer in data["layers"]] + [data["output"]]:
-        respell(node["weights"] for nodes in net["layers"] for node in nodes)
+        respell(layer["h0"])
+        respell(layer["inc"]["offset"])
+        respell(layer["gate"].get("offset", []))
+    for node in data["nodes"]:
+        if node[1] == "0":
+            node[1] = next(spellings)
     spelled.write_text(json.dumps(data))
     assert all(f'"{text}"' in spelled.read_text() for text in ("0/7", "-0", "00"))
     loaded = load_model(str(spelled))
@@ -888,11 +896,13 @@ def test_zero_literals_in_any_spelling_load_as_the_canonical_model(tmp_path):
 
 
 def test_bad_literal_in_the_last_output_bias_is_rejected(tmp_path):
+    """The output network's nodes come last in the ``nodes`` table, so its
+    last bias is the last literal a load reads from the tables."""
     from ssmverify.errors import InputFormatError
 
-    data = model_to_json(compile_ltl(parse("p U q")))
-    data["output"]["layers"][-1][-1]["bias"] = "1/0"
-    assert "1/0" not in _literals({k: v for k, v in data.items() if k != "output"})
+    data = _v2_tree(compile_ltl(parse("p U q")), tmp_path)
+    assert data["output"][-1][-1] == len(data["nodes"]) - 1
+    data["nodes"][-1][1] = "1/0"
     with pytest.raises(InputFormatError, match="1/0"):
         model_from_json(data)
     path = tmp_path / "bad.ssm"
@@ -906,55 +916,64 @@ def _v2_row_with(data, terms: int) -> list:
     return next(row for row in data["rows"] if len(row) > terms)
 
 
+def _added(table: list, entry) -> int:
+    """The index of ``entry``, appended to a ``rows`` or ``nodes`` table."""
+    table.append(entry)
+    return len(table) - 1
+
+
 def _malformed(tmp_path, name):
-    data = model_to_json(compile_ltl(parse("p U q")))
+    # p & q has 4 coordinates and one layer, which updates and computes [2]
+    # alone, on a relu node
     path = tmp_path / "bad.ssm"
-    if name.startswith("v2_"):  # p & q computes [2] of its 4 coordinates on a relu node
-        save_model(compile_ltl(parse("p & q")), str(path))
-        data = json.loads(path.read_text())
-    gate_rows = data["layers"][0]["gate"]["matrix"]
+    save_model(compile_ltl(parse("p & q")), str(path))
+    data = json.loads(path.read_text())
+    layer = data["layers"][0]
+    gate_rows = layer["gate"]["matrix"]
     if name == "directory":
         return tmp_path
     if name == "not_utf8":
         path.write_bytes(b'{"format": "\xff\xfe"}')
         return path
     if name == "h0_null":
-        data["layers"][0]["h0"] = None
+        layer["h0"] = None
     elif name == "no_layers":
         del data["layers"]
     elif name == "list_literal":
-        data["layers"][0]["gate"]["matrix"][0][0] = ["1"]
+        _v2_row_with(data, 1)[1][1] = ["1"]
     elif name == "null_literal":
         data["embedding"][0][0] = None
     elif name == "top_level_array":
         data = [data]
     elif name == "string_vector":
-        data["layers"][0]["h0"] = "0" * len(data["layers"][0]["h0"])
+        layer["h0"] = "0" * len(layer["h0"])
     elif name == "layers_dict":
         data["layers"] = {}
     elif name == "layers_string":
         data["layers"] = ""
     elif name.startswith("json_literal_"):
         value = {"json_literal_true": True, "json_literal_int": 1, "json_literal_float": 0.5}
-        data["layers"][0]["inc"]["offset"][0] = value[name]
+        layer["inc"]["offset"][0] = value[name]
     elif name == "ragged_gate_row":
-        data["layers"][0]["gate"]["matrix"][1].pop()
+        gate_rows[0] = _added(data["rows"], [3])
     elif name == "ragged_inc_row":
-        data["layers"][0]["inc"]["matrix"][-1].append("0")
+        layer["inc"]["matrix"][-1] = _added(data["rows"], [5, [0, "1"]])
     elif name == "ragged_node_weights":
-        data["layers"][0]["phi"]["layers"][0][1]["weights"].pop()
+        # a second node on the output's layer, one input short of the first
+        row = _added(data["rows"], [3, [0, "1"]])
+        data["output"][0].append(_added(data["nodes"], [row, "0", "identity"]))
     elif name == "short_embedding_row":
         data["embedding"][0].pop()
     elif name == "dimension_float":
         data["dimension"] = float(data["dimension"])
     elif name == "unknown_gate_kind":
-        data["layers"][0]["gate"]["kind"] = "dense"
+        layer["gate"]["kind"] = "dense"
     elif name == "unknown_activation":
-        data["layers"][0]["phi"]["layers"][0][0]["activation"] = "sigmoid"
+        data["nodes"][layer["phi"][0][0]][2] = "sigmoid"
     elif name.startswith("literal_"):
         spelling = {"literal_point": "1.5", "literal_blanks": " 1 ", "literal_underscore": "1_0",
                     "literal_exponent": "1e300000", "literal_plus": "+1"}
-        data["layers"][0]["h0"][0] = spelling[name]
+        layer["h0"][0] = spelling[name]
     elif name == "v2_row_index_out_of_range":
         gate_rows[0] = len(data["rows"])
     elif name == "v2_row_index_negative":
@@ -988,18 +1007,18 @@ def _malformed(tmp_path, name):
     elif name == "alphabet_not_a_string":
         data["alphabet"][0] = 1
     elif name == "short_h0":
-        data["layers"][0]["h0"].pop()
+        layer["h0"].pop()
     elif name.startswith("v2_computes_"):
-        data["layers"][0]["computes"] = {
+        layer["computes"] = {
             "v2_computes_not_a_list": 2, "v2_computes_index_string": ["2"],
             "v2_computes_index_bool": [True], "v2_computes_index_out_of_range": [4],
             "v2_computes_not_ascending": [2, 2], "v2_computes_net_width": [1, 2],
             "v2_computes_nothing_with_a_net": [],
         }[name]
     elif name == "v2_updates_missing":  # the one stored row is read as a 1 x 1 matrix
-        del data["layers"][0]["updates"]
+        del layer["updates"]
     elif name.startswith("v2_updates_"):
-        data["layers"][0]["updates"] = {
+        layer["updates"] = {
             "v2_updates_not_a_list": 2, "v2_updates_index_string": ["2"],
             "v2_updates_index_bool": [True], "v2_updates_index_out_of_range": [4],
             "v2_updates_index_negative": [-1], "v2_updates_not_ascending": [2, 2],
@@ -1009,61 +1028,112 @@ def _malformed(tmp_path, name):
     return path
 
 
-@pytest.mark.parametrize("name", [
-    "h0_null", "no_layers", "list_literal", "null_literal", "top_level_array",
-    "not_utf8", "directory", "string_vector", "layers_dict", "layers_string",
-    "json_literal_true", "json_literal_int", "json_literal_float",
-    "ragged_gate_row", "ragged_inc_row", "ragged_node_weights", "short_embedding_row",
-    "dimension_float", "literal_point", "literal_blanks", "literal_underscore", "literal_exponent", "literal_plus",
-    "v2_row_index_out_of_range", "v2_row_index_negative", "v2_row_index_bool",
-    "v2_row_index_float", "v2_node_index_out_of_range", "v2_columns_not_ascending",
-    "v2_column_outside_width", "v2_row_width_not_dimension", "v2_zero_weight",
-    "unknown_gate_kind", "unknown_activation", "v2_row_term_not_a_pair",
-    "v2_rows_not_a_list", "v2_nodes_not_a_list",
-    "alphabet_empty", "alphabet_repeated", "alphabet_not_a_string", "short_h0",
-    "v2_computes_not_a_list", "v2_computes_index_string", "v2_computes_index_bool",
-    "v2_computes_index_out_of_range", "v2_computes_not_ascending", "v2_computes_net_width",
-    "v2_computes_nothing_with_a_net",
-    "v2_updates_not_a_list", "v2_updates_index_string", "v2_updates_index_bool",
-    "v2_updates_index_out_of_range", "v2_updates_index_negative", "v2_updates_not_ascending",
-    "v2_updates_more_than_stored", "v2_updates_fewer_than_stored", "v2_updates_missing",
-])
+_ASCENDING = "must list coordinates of 0..3 in strictly ascending order, got"
+
+# each malformed file of ``_malformed`` and the end of the error it gives
+MALFORMED = {
+    "h0_null": "expected a list of literals, got NoneType",
+    "no_layers": "malformed model: missing key 'layers'",
+    "list_literal": "malformed model: unhashable type: 'list'",
+    "null_literal": "expected a literal string, got NoneType",
+    "top_level_array": "not a model file (top-level JSON list)",
+    "not_utf8": "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 12: "
+                "invalid start byte",
+    "directory": "cannot read the model file: Is a directory",
+    "string_vector": "expected a list of literals, got str",
+    "layers_dict": "expected a list of layers, got dict",
+    "layers_string": "expected a list of layers, got str",
+    "json_literal_true": "expected a literal string, got bool",
+    "json_literal_int": "expected a literal string, got int",
+    "json_literal_float": "expected a literal string, got float",
+    "ragged_gate_row": "gate matrix must be square: row 2 has width 3, expected 4",
+    "ragged_inc_row": "affine map needs a square matrix and a matching offset: "
+                      "row 2 has width 5, expected 4",
+    "ragged_node_weights": "all nodes of a layer must share the input dimension",
+    "short_embedding_row": "embedding vectors must share the model dimension",
+    "dimension_float": "declared dimension disagrees with the embedding table",
+    "literal_point": "bad rational literal '1.5': expected num or num/den",
+    "literal_blanks": "bad rational literal ' 1 ': expected num or num/den",
+    "literal_underscore": "bad rational literal '1_0': expected num or num/den",
+    "literal_exponent": "bad rational literal '1e300000': expected num or num/den",
+    "literal_plus": "bad rational literal '+1': expected num or num/den",
+    "v2_row_index_out_of_range": "bad row index 4: the table has 4 entries",
+    "v2_row_index_negative": "bad row index -1: the table has 4 entries",
+    "v2_row_index_bool": "bad row index False: the table has 4 entries",
+    "v2_row_index_float": "bad row index 0.0: the table has 4 entries",
+    "v2_node_index_out_of_range": "bad node index 2: the table has 2 entries",
+    "v2_columns_not_ascending": "row columns must ascend strictly inside the width 4, got 0",
+    "v2_column_outside_width": "row columns must ascend strictly inside the width 4, got 4",
+    "v2_row_width_not_dimension": "gate matrix must be square: row 2 has width 5, expected 4",
+    "v2_zero_weight": "zero weight '0' at column 0 of a row",
+    "unknown_gate_kind": "unknown gate kind 'dense'",
+    "unknown_activation": "unknown activation 'sigmoid'",
+    "v2_row_term_not_a_pair": "a row term must be a [column, literal] pair",
+    "v2_rows_not_a_list": "expected a list of rows, got dict",
+    "v2_nodes_not_a_list": "expected a list of nodes, got str",
+    "alphabet_empty": "alphabet must be non-empty",
+    "alphabet_repeated": "alphabet symbols must be unique",
+    "alphabet_not_a_string": "the alphabet must be a list of strings",
+    # a layer of 3 coordinates reads the carried rows of 3, the stored one of 4
+    "short_h0": "gate matrix must be square: row 2 has width 4, expected 3",
+    "v2_computes_not_a_list": "expected a list of computed coordinates, got int",
+    "v2_computes_index_string": f"computes {_ASCENDING} ['2']",
+    "v2_computes_index_bool": f"computes {_ASCENDING} [True]",
+    "v2_computes_index_out_of_range": f"computes {_ASCENDING} [4]",
+    "v2_computes_not_ascending": f"computes {_ASCENDING} [2, 2]",
+    "v2_computes_net_width": "phi must map 2d -> 2, got 8 -> 1",
+    "v2_computes_nothing_with_a_net": "a layer has a network exactly when it computes a "
+                                      "coordinate",
+    "v2_updates_not_a_list": "expected a list of updated coordinates, got int",
+    "v2_updates_index_string": f"updates {_ASCENDING} ['2']",
+    "v2_updates_index_bool": f"updates {_ASCENDING} [True]",
+    "v2_updates_index_out_of_range": f"updates {_ASCENDING} [4]",
+    "v2_updates_index_negative": f"updates {_ASCENDING} [-1]",
+    "v2_updates_not_ascending": f"updates {_ASCENDING} [2, 2]",
+    "v2_updates_more_than_stored": "the layer updates 2 coordinates, but its gate matrix lists 1",
+    "v2_updates_fewer_than_stored": "the layer updates 0 coordinates, but its gate matrix "
+                                    "lists 1",
+    "v2_updates_missing": "gate matrix must be square: row 0 has width 4, expected 1",
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
 def test_malformed_model_file_is_a_usage_error(tmp_path, capsys, name):
     path = str(_malformed(tmp_path, name))
     status, report = run(["sat", "fixed", path, "--arith", "fx:6:3"])
     assert status == 2
-    assert path in report["result"]["error"]
-    ending = {
-        "v2_row_width_not_dimension": "row 2 has width 5, expected 4",
-        "v2_computes_not_a_list": "expected a list of computed coordinates, got int",
-        "v2_computes_index_string": "ascending order, got ['2']",
-        "v2_computes_index_bool": "ascending order, got [True]",
-        "v2_computes_index_out_of_range": "ascending order, got [4]",
-        "v2_computes_not_ascending": "ascending order, got [2, 2]",
-        "v2_computes_net_width": "phi must map 2d -> 2, got 8 -> 1",
-        "v2_computes_nothing_with_a_net": "a network exactly when it computes a coordinate",
-        "v2_updates_not_a_list": "expected a list of updated coordinates, got int",
-        "v2_updates_index_string": "updates must list coordinates of 0..3 in strictly ascending "
-                                   "order, got ['2']",
-        "v2_updates_index_bool": "ascending order, got [True]",
-        "v2_updates_index_out_of_range": "ascending order, got [4]",
-        "v2_updates_index_negative": "ascending order, got [-1]",
-        "v2_updates_not_ascending": "ascending order, got [2, 2]",
-        "v2_updates_more_than_stored":
-            "the layer updates 2 coordinates, but its gate matrix lists 1",
-        "v2_updates_fewer_than_stored":
-            "the layer updates 0 coordinates, but its gate matrix lists 1",
-        "v2_updates_missing": "row 0 has width 4, expected 1",
-    }.get(name)
-    if ending:
-        assert report["result"]["error"].endswith(ending)
+    assert report["result"]["error"] == f"{path}: {MALFORMED[name]}"
     assert main(["sat", "fixed", path, "--arith", "fx:6:3"]) == 2
     printed = json.loads(capsys.readouterr().out)
     assert "error" in printed["result"]
 
 
+@pytest.mark.parametrize("command", [["sat", "fixed", "--arith", "fx:6:3"],
+                                     ["eval", "--word", "{p}"],
+                                     ["pump", "--word", "{p}", "--arith", "fx:6:3"],
+                                     ["classify"]], ids=["sat", "eval", "pump", "classify"])
+def test_a_file_in_the_retired_format_is_refused(tmp_path, capsys, command):
+    """The first model format stored every row dense and every layer's full
+    network; its reader is retired, so each command that reads a model
+    refuses a file with its tag: exit 2 and a JSON report that names the
+    file and the tag."""
+    data = _v2_tree(compile_ltl(parse("p U q")), tmp_path)
+    data["format"] = "ssmverify-model-v1"
+    path = str(tmp_path / "old.ssm")
+    Path(path).write_text(json.dumps(data))
+    argv = command + [path]
+    status, report = run(argv)
+    assert status == 2
+    assert report["result"]["error"] == (
+        f"{path}: the model format ssmverify-model-v1 is retired: "
+        "recompile the model from its source")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["result"] == report["result"] and captured.err == ""
+
+
 def test_long_literal_in_a_model_file_is_quoted_short(tmp_path):
-    data = model_to_json(compile_ltl(parse("p U q")))
+    data = _v2_tree(compile_ltl(parse("p U q")), tmp_path)
     data["layers"][0]["h0"][0] = "9" * 5000
     path = tmp_path / "long.ssm"
     path.write_text(json.dumps(data))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import model_to_json
+from helpers import expanded
 from ssmverify.cli import run
 from ssmverify.compilers import compile_ltl
 from ssmverify.errors import InputFormatError
@@ -31,11 +31,16 @@ json_values = st.recursive(
 
 @pytest.fixture(scope="module")
 def model_trees(tmp_path_factory):
-    """The v1 and the v2 JSON tree of one model."""
-    model = compile_ltl(parse("p U q"))
-    path = tmp_path_factory.mktemp("fuzz") / "pq.ssm"
-    save_model(model, str(path))
-    return model_to_json(model), json.loads(path.read_text())
+    """The JSON trees of the model files of (p U q) & X r, which holds both
+    gate kinds, ``computes``, ``updates`` and a 6-entry ``nodes`` table, and
+    of its expanded twin, whose layers have neither key."""
+    model = compile_ltl(parse("(p U q) & X r"))
+    path = tmp_path_factory.mktemp("fuzz") / "model.ssm"
+    trees = []
+    for stored in (model, expanded(model)):
+        save_model(stored, str(path))
+        trees.append(json.loads(path.read_text()))
+    return trees
 
 
 @pytest.fixture(scope="module")

@@ -8,9 +8,7 @@ from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
-from helpers import (
-    expanded, geometric_model, hand_formulas, random_ilp, random_machine, v1_text,
-)
+from helpers import expanded, geometric_model, hand_formulas, random_ilp, random_machine
 from ssmverify.cli import run
 from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, parse_ilp, parse_minsky
 from ssmverify.fnn import IDENTITY, RELU, linear_fnn, select_fnn
@@ -66,13 +64,6 @@ def test_model_file_checksums(tmp_path):
         # an until whose gate the layer of X q computes
         "ltl_until_gate": compile_ltl(parse("(p | q) U X q")),
     }
-    expected_v1 = {
-        "minsky": "bf1a5b79d66cf24c42c36622a32aa208dceb540e057ce64491a654add38d75f0",
-        "ilp": "546d0482ea1b1933983321e9f2e01149480277d859b2bfe2490c1546fb66120f",
-        "ltl": "b7f623ad8f53bf3b493c0fa4b29e3af1d922ebf720c6b6ba3680f4589a4fd445",
-        "ltl_pointwise": "1099ba776ab3695ff9979510f1c2e3605269d5cc0c9f0478e2778ef6caa449ea",
-        "ltl_until_gate": "f984469aadb6b6d90d7a319520f069a15405a0e7a39bf82b77da5e4464844ca6",
-    }
     expected_v2 = {
         "minsky": "7065f840f3530006230aa389275da8bb9c108346e1e232f160815ba494171f00",
         "ilp": "8673a808f92b56972f34c439c85abdfc8f0adfa68ec5231969e3609c72275279",
@@ -81,13 +72,8 @@ def test_model_file_checksums(tmp_path):
         "ltl_until_gate": "1a1a7b85db1c995e23a4797d334fdd92f2d55c42582c7784161eb08e007cd8ff",
     }
     for name, model in cases.items():
-        assert sha(v1_text(model)) == expected_v1[name], name
-        v1, v2 = tmp_path / f"{name}.v1.ssm", tmp_path / f"{name}.ssm"
-        v1.write_text(v1_text(model))
+        v2 = tmp_path / f"{name}.ssm"
         assert sha(v2_text(model, v2)) == expected_v2[name], name
-        # v1 stores every layer's full network, which v2 stores only where
-        # the layer computes every coordinate
-        assert load_model(str(v1)) == expanded(model)
         assert load_model(str(v2)) == model
 
 
@@ -125,26 +111,26 @@ def test_a_compiled_model_round_trips_with_updates(tmp_path):
 
 
 def test_files_without_updates_load_decide_and_resave_as_they_were(tmp_path):
-    """A v1 file and a v2 file without ``updates`` store every row: they load
-    as layers that update every coordinate, decide as the compact file
-    does, and save the bytes they were read from (the v1 one through the
-    tests' v1 writer)."""
+    """Files without ``updates`` store every row: that of the model with its
+    compact networks and that of its expanded twin, which has no
+    ``computes`` either.  They load as layers that update every
+    coordinate, decide as the compact file does, and save the bytes they
+    were read from."""
     model = compile_ltl(parse("(X p | !q) & r"))
     full = SsmModel(model.alphabet, model.emb,
                     tuple(SsmLayer(layer.h0, layer.gate, layer.inc, layer.net, layer.computes)
                           for layer in model.layers), model.out, model.metadata)
-    compact, v2, v1 = tmp_path / "compact.ssm", tmp_path / "full.ssm", tmp_path / "full.v1.ssm"
+    compact, v2, twin = tmp_path / "compact.ssm", tmp_path / "full.ssm", tmp_path / "twin.ssm"
     save_model(model, str(compact))
-    text = v2_text(full, v2)
-    v1.write_text(v1_text(model))
-    assert all("updates" not in entry for entry in json.loads(text)["layers"])
+    assert all("updates" not in entry for entry in json.loads(v2_text(full, v2))["layers"])
+    assert all(not {"computes", "updates"} & set(entry)
+               for entry in json.loads(v2_text(expanded(model), twin))["layers"])
     reports = []
-    for path in (compact, v2, v1):
+    for path in (compact, v2, twin):
         loaded = load_model(str(path))
         if path != compact:
             assert all(len(layer.updates) == model.dim for layer in loaded.layers)
-            assert (v1_text(loaded) if path == v1 else v2_text(loaded, tmp_path / "re.ssm")
-                    ) == path.read_text()
+            assert v2_text(loaded, tmp_path / "re.ssm") == path.read_text()
         status, report = run(["sat", "fixed", str(path), "--arith", "fx:4:3"])
         result = report["result"]
         reports.append((status, result["verdict"], result.get("witness"),
@@ -201,28 +187,22 @@ def test_compilers_store_no_pass_through():
             assert passed_through(layer) == [], (model.metadata, i)
 
 
-def corpus_digests(models, tmp_path) -> tuple[str, str]:
-    """One digest over the v1 bytes of ``models``, in order, and one over
-    their v2 bytes."""
-    v1, v2 = hashlib.sha256(), hashlib.sha256()
+def corpus_digest(models, tmp_path) -> str:
+    """One digest over the v2 bytes of ``models``, in order."""
+    digest = hashlib.sha256()
     for model in models:
-        v1.update(v1_text(model).encode())
-        v2.update(v2_text(model, tmp_path / "model.ssm").encode())
-    return v1.hexdigest(), v2.hexdigest()
+        digest.update(v2_text(model, tmp_path / "model.ssm").encode())
+    return digest.hexdigest()
 
 
 # The two corpus digests below pin every model the compilers emit, not only
-# the four above.  They are apart so that a change to the LTL compiler can
-# re-pin its digest while the Minsky and ILP bytes stay fixed.  The v1 bytes
-# hold each layer's full network ``phi``, copy nodes included, in the order
-# of ``fnn._with_copies``, and the v2 bytes only the network of the
-# coordinates a layer computes.
+# the five above.  They are apart so that a change to the LTL compiler can
+# re-pin its digest while the Minsky and ILP bytes stay fixed.
 
 def test_compiled_ltl_corpus_checksum(tmp_path):
     """The saved bytes of every hand formula."""
     models = [compile_ltl(parse(text)) for text in hand_formulas()]
-    assert corpus_digests(models, tmp_path) == (
-        "4066f23bdc33f976dfcc4f4a9e6b2d626abd46a283bd58439f0968ef1b3d44e7",
+    assert corpus_digest(models, tmp_path) == (
         "c609d9ec796a614ffce08fb67657566298066b9629d5af1eefce3c195304d8f1")
 
 
@@ -231,44 +211,38 @@ def test_compiled_minsky_ilp_corpus_checksum(tmp_path):
     rng = random.Random(5)
     models = [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(8)]
     models += [compile_ilp(random_ilp(rng)) for _ in range(8)]
-    assert corpus_digests(models, tmp_path) == (
-        "8c0b5fc15ff3a390893947bad38a49e411c671a9166c47664d8ba81ac3f1d3b0",
+    assert corpus_digest(models, tmp_path) == (
         "47e59755ac80ba097fff7cfd9fc0d1021f5f26b85e3bb6e8741ef55f2913c9f4")
 
 
-# A v1 file as the v1 writer in ``helpers`` saved the compiled model of
-# V1_FORMULA, with the verdict and witness that ``sat fixed --arith fx:6:3``
-# gave on it.  The file holds an earlier layout of the compile (one layer
-# per subformula), so it is judged by its behaviour, which a fresh compile
-# must share.
-V1_FIXTURE = Path(__file__).parent / "data" / "xp_and_not_q.v1.ssm"
-V1_FORMULA = "X p & !q"
+# A model file of FORMULA compiled in an earlier layout (one layer per
+# subformula), with the verdict and witness that ``sat fixed --arith
+# fx:6:3`` gave on it.  The file is judged by its behaviour, which a fresh
+# compile must share.
+FIXTURE = Path(__file__).parent / "data" / "xp_and_not_q.ssm"
+FORMULA = "X p & !q"
 
 
-def test_v1_file_still_loads_and_decides(tmp_path):
-    assert sha(V1_FIXTURE.read_text()) == (
-        "2d917f79ce1c2c617a79136411dc19e049b747974f9e017efc03b6e396f7338d")
-    loaded = load_model(str(V1_FIXTURE))
-    assert V1_FIXTURE.read_text() == v1_text(loaded)
-    fresh = tmp_path / "fresh.ssm"
-    save_model(compile_ltl(parse(V1_FORMULA)), str(fresh))
-    for path in (V1_FIXTURE, fresh):
+def test_old_layout_file_still_loads_and_decides(tmp_path):
+    assert sha(FIXTURE.read_text()) == (
+        "fae34396114dfcbc9f53ccad4c7f053509e57622abc435122ebafe7de196a642")
+    loaded = load_model(str(FIXTURE))
+    assert v2_text(loaded, tmp_path / "resaved.ssm") == FIXTURE.read_text()
+    fresh = compile_ltl(parse(FORMULA))
+    assert len(loaded.layers) > len(fresh.layers)
+    save_model(fresh, str(tmp_path / "fresh.ssm"))
+    for path in (FIXTURE, tmp_path / "fresh.ssm"):
         status, report = run(["sat", "fixed", str(path), "--arith", "fx:6:3"])
         assert status == 0
         assert report["result"]["verdict"] == "satisfiable"
         assert report["result"]["witness"] == "{p};{}"
-    # a save of the loaded v1 model writes v2, which loads as the model
-    resaved = tmp_path / "resaved.ssm"
-    save_model(loaded, str(resaved))
-    assert json.loads(resaved.read_text())["format"] == "ssmverify-model-v2"
-    assert load_model(str(resaved)) == loaded
 
 
 def test_the_denominators_walk_reads_every_constant_the_report_names(tmp_path):
     """The lcm of the denominators, from which the exact step picks its
     first scale, walks the vectors and rows that hold the constants; it
     equals the lcm over the path walk behind ``quantization_report``, on
-    models in memory, their v2 files and a v1 file."""
+    models in memory, their model files and the old-layout file."""
 
     def walk(model) -> int:
         return lcm(*(v.denominator for _, v in _constants(model)))
@@ -281,7 +255,7 @@ def test_the_denominators_walk_reads_every_constant_the_report_names(tmp_path):
                       out=linear_fnn([[p[9]]], [p[8]]))
     rng = random.Random(41)
     models = [compile_minsky(random_machine(rng, 3)), compile_ilp(random_ilp(rng)),
-              compile_ltl(parse("p U q")), compile_ltl(parse(V1_FORMULA)),
+              compile_ltl(parse("p U q")), compile_ltl(parse(FORMULA)),
               geometric_model(Fraction(2, 15), select_fnn([1], 2)), primes]
     path = tmp_path / "model.ssm"
     denominators = []
@@ -291,5 +265,5 @@ def test_the_denominators_walk_reads_every_constant_the_report_names(tmp_path):
         assert _denominator(loaded) == walk(loaded) == _denominator(model) == walk(model)
         denominators.append(_denominator(loaded))
     assert denominators == [4, 1, 1, 4, 15, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29]
-    loaded = load_model(str(V1_FIXTURE))
+    loaded = load_model(str(FIXTURE))
     assert _denominator(loaded) == walk(loaded) > 1
