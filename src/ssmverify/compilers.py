@@ -111,22 +111,13 @@ F0, F1 = Fraction(0), Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# Matrix helpers (0-indexed throughout)
-
-def _empty(d: int) -> tuple[Row, ...]:
-    """The rows of the d x d zero matrix, one shared row object."""
-    return carried(d)[0]
-
-
-def _eye(d: int) -> tuple[Row, ...]:
-    """The rows of the d x d identity, the copy rows that every layer of
-    width d shares."""
-    return carried(d)[1]
-
+# Matrix helpers (0-indexed throughout).  ``carried(d)`` gives the rows of
+# the d x d zero matrix (one shared empty row), those of the identity and
+# the zero vector; a layer shares them wherever it only copies its input.
 
 def _mask(i: int, j: int, d: int) -> tuple[Row, ...]:
     """The rows of the identity restricted to the diagonal window i..j."""
-    return _sparse(_empty(d), [(r, r, F1) for r in range(i, j + 1)])
+    return _sparse(carried(d)[0], [(r, r, F1) for r in range(i, j + 1)])
 
 
 def _sparse(base: tuple[Row, ...], entries) -> tuple[Row, ...]:
@@ -139,12 +130,6 @@ def _sparse(base: tuple[Row, ...], entries) -> tuple[Row, ...]:
     for r, pairs in extra.items():
         rows[r] = Row.of(len(base), pairs)
     return tuple(rows)
-
-
-def _zeros(d: int) -> Vector:
-    """The zero vector of width d, the offsets that carried coordinates
-    share."""
-    return carried(d)[2]
 
 
 def _pointwise(d: int, gadgets: dict, width: Optional[int] = None,
@@ -265,22 +250,20 @@ def _layer(h0: Vector, gate, inc: AffineMap, gadgets: dict,
            stacked: Optional[dict] = None) -> SsmLayer:
     """The layer whose ``net`` is ``_pointwise`` of ``gadgets`` and
     ``stacked`` and that passes every other coordinate through, with no
-    copy node stored; it updates the coordinates whose gate or inc does
-    more than copy the input and carries the others."""
+    copy node stored; it carries each coordinate whose gate and inc only
+    copy the input (``SsmLayer.updates``)."""
     d = len(h0)
     computes = tuple(sorted([*gadgets, *(stacked or ())]))
     net = _pointwise(d, gadgets, stacked=stacked) if computes else None
-    offset, copies = getattr(gate, "offset", _zeros(d)), _eye(d)
-    updates = tuple(j for j in range(d) if gate.rows[j].terms or offset[j] or inc.offset[j]
-                    or inc.rows[j].terms != copies[j].terms)
-    return SsmLayer(h0, gate, inc, net, computes, updates)
+    return SsmLayer(h0, gate, inc, net, computes)
 
 
 def _prev_bit(d: int, positions: Iterable[int]) -> tuple:
     """The gate, inc and gadgets of ``prev_bit_layer``."""
     tracked = sorted(set(positions))
-    gate = TimeInvariantGate(_sparse(_empty(d), [(p, p, _QUARTER) for p in tracked]))
-    return gate, AffineMap(_eye(d), _zeros(d)), {p: _decoder(p, d, [(p, F1)]) for p in tracked}
+    empty, eye, zeros = carried(d)
+    gate = TimeInvariantGate(_sparse(empty, [(p, p, _QUARTER) for p in tracked]))
+    return gate, AffineMap(eye, zeros), {p: _decoder(p, d, [(p, F1)]) for p in tracked}
 
 
 def prev_bit_layer(d: int, positions: Iterable[int]) -> SsmLayer:
@@ -288,7 +271,7 @@ def prev_bit_layer(d: int, positions: Iterable[int]) -> SsmLayer:
     previous input (0 at the first position); passthrough elsewhere.  The
     delay is exact in every mode, but in exact mode the hidden value keeps
     the whole history (see above)."""
-    return _layer(_zeros(d), *_prev_bit(d, positions))
+    return _layer(carried(d)[2], *_prev_bit(d, positions))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +446,7 @@ def compile_ltl(phi: LtlFormula) -> SsmModel:
             f"and accepts at most {MAX_ATOMS} atoms")
     d, one = layout.dimension, layout.const_dim
     dim, gate = dict(layout.dim_of), dict(layout.gate_of)
-    eye, empty, zero_off = _eye(d), _empty(d), _zeros(d)
+    empty, eye, zero_off = carried(d)
 
     # (h0, gate, inc, gadgets, stacked) of each layer; a level stacks its
     # untils' gates on the outputs of the layer below before any layer is built
@@ -735,9 +718,9 @@ def compile_minsky(machine: MinskyMachine) -> SsmModel:
     violations = compose(linear_fnn([[1] * len(parts)]),
                          _pointwise(len(parts), dict(enumerate(parts)), width=chk))
     # every layer's inc is the identity; layer 3 sums the violations
-    zero_off = _zeros(d)
+    empty, _, zero_off = carried(d)
     layers = (_layer(h0, gate, inc, decoders),
-              _layer(zero_off, TimeInvariantGate(_empty(d)), inc,
+              _layer(zero_off, TimeInvariantGate(empty), inc,
                      {chk: (violations, tuple(range(chk)))}),
               _layer(zero_off, TimeInvariantGate(_mask(chk, chk, d)), inc, {}))
     out = linear_fnn([Row.of(d, ((state_idx[machine.final], F1), (chk, -F1)))], activation=RELU)
@@ -805,8 +788,8 @@ def compile_ilp(inst: IlpInstance) -> SsmModel:
     weights = {w: Fraction(w) for row in inst.matrix for w in row}
     unit = tuple(tuple(F1 if j == i else F0 for j in range(d)) for i in range(d))
     emb = tuple(tuple(weights[row[i]] for row in inst.matrix) + unit[i] for i in range(d))
-    eye = _eye(dd)
-    layer = _layer(_zeros(dd), TimeInvariantGate(eye), AffineMap(eye, _zeros(dd)), {})
+    _, eye, zeros = carried(dd)
+    layer = _layer(zeros, TimeInvariantGate(eye), AffineMap(eye, zeros), {})
     # relu(s_r - b_r) and relu(b_r - s_r) for each row, relu(n_i - 1) for each count
     misses = [(Row(((r, w),), dd), -w * b) for r, b in enumerate(inst.target) for w in (F1, -F1)]
     misses += [(Row(((d + i, F1),), dd), -F1) for i in range(d)]

@@ -1,8 +1,9 @@
 """Model files: a structured-text (JSON) serialisation of compiled models.
 
 Every rational is stored as a ``num`` or ``num/den`` decimal string; no
-binary floats at rest.  ``load`` of a ``save`` is the identity on canonical
-form, and ``save`` of a ``load`` is byte-identical.
+binary floats at rest.  ``save`` writes the canonical form: ``load`` of a
+``save`` is the identity, and ``save`` of a ``load`` of a canonical file is
+byte-identical.
 
 ``save_model`` writes ``ssmverify-model-v2``.  A model holds every gate row,
 inc row and FNN weight vector as one sparse ``_row.Row``, and a compiled
@@ -18,38 +19,29 @@ strings, so the only JSON numbers are the dimension, indices, columns and
 widths.  A layer that passes coordinates through (see ``ssm.SsmLayer``)
 has the key ``computes``, the ascending list of the coordinates it
 computes, and its ``phi`` is the network of those alone, ``[]`` when the
-list is empty.  Without the key a layer computes every coordinate, so
-files written before the key existed load, decide and re-save as they
-were.  A layer that carries coordinates has the key ``updates``, the
-ascending list of the coordinates whose recurrence it stores, and its gate
-and inc ``matrix`` and ``offset`` list the rows and offsets of those alone;
-a load fills in each carried coordinate's empty gate row, copy inc row and
-offsets of 0 (``ssm.carried``).  Without the key a layer updates every
-coordinate and lists every row, as files written before the key did.  The
-tables list entries in order of first use, the layers first and
-the output network last, so equal models give equal bytes whether or not
-they share row objects.  A save looks each row, node and literal up by
-identity first, so a shared object is formatted once, and writes the whole
-tree with one compact ``json.dumps``.
+list is empty.  A layer that carries coordinates has the key ``updates``
+(``SsmLayer.updates``), and its gate and inc ``matrix`` and ``offset``
+list the rows and offsets of those coordinates alone; a load gives each
+carried coordinate the ``ssm.carried`` rows and offsets.  Without a key a
+layer computes, or lists the rows of, every coordinate, so files written
+before the keys existed still load.  The tables list entries in order of
+first use, the layers first and the output network last, so equal models
+give equal bytes whether or not they share row objects.  A save looks each
+row, node and literal up by identity first, so a shared object is
+formatted once, and writes the whole tree with one compact ``json.dumps``.
 
 ``load_model`` reads v2 alone.  A file in the retired first format, which
 stored every row dense and every layer's full network, is refused with an
 error that names its tag and says to recompile the model from its source.
 
-A load parses each distinct literal once: one ``_Literals`` table per load,
-a ``dict`` from literal text to its ``Fraction`` that parses a text on its
-first lookup.  It builds each ``rows`` entry once, as one ``Row`` that
-every matrix and node naming it shares, as they do after a compile, and
-each ``nodes`` entry once, as one ``FnnNode``.
-
 Every malformed file (not UTF-8, not JSON, a missing key, a value of the
 wrong type, a bad literal, mismatched dimensions) raises ``InputFormatError``
 naming the file.  That includes a table index that is not an int in
 range, row columns not strictly ascending or outside the row's width, a
-zero weight, a ``computes`` that is not a list of ints in range, strictly
-ascending, with one output of ``phi`` each, and an ``updates`` that is not
-a list of ints in range, strictly ascending, with one stored row and offset
-each.
+zero weight, an ``h0`` whose length the stored rows contradict, a
+``computes`` that is not a list of ints in range, strictly ascending, with
+one output of ``phi`` each, and an ``updates`` that is not a list of ints
+in range, strictly ascending, with one stored row and offset each.
 """
 
 from __future__ import annotations
@@ -75,21 +67,30 @@ V2_TAG = "ssmverify-model-v2"
 
 
 class _Literals(dict):
-    """Literal text -> ``Fraction``, parsed on first lookup; one per load."""
+    """Literal text -> ``Fraction``, parsed on first lookup; one per load.
+    A JSON list or object is unhashable: its lookup raises ``TypeError``."""
 
     __slots__ = ()
 
     def __missing__(self, text) -> Fraction:
         if not isinstance(text, str):
-            raise InputFormatError(f"expected a literal string, got {type(text).__name__}")
+            raise _not_a_literal(text)
         value = self[text] = parse_rational(text)
         return value
 
     def vec(self, data) -> tuple[Fraction, ...]:
-        return tuple(map(self.__getitem__, _list(data, "literals")))
+        data = _list(data, "literals")
+        try:
+            return tuple(map(self.__getitem__, data))
+        except TypeError:
+            raise _not_a_literal(next(v for v in data if not isinstance(v, str))) from None
 
     def mat(self, data) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(map(self.vec, _list(data, "rows")))
+
+
+def _not_a_literal(value) -> InputFormatError:
+    return InputFormatError(f"expected a literal string, got {type(value).__name__}")
 
 
 def _list(data, what: str) -> list:
@@ -134,7 +135,10 @@ def _row(data, lit: _Literals) -> Row:
         if type(k) is not int or not last < k < width:
             raise InputFormatError(
                 f"row columns must ascend strictly inside the width {width}, got {k!r}")
-        w = lit[text]
+        try:
+            w = lit[text]
+        except TypeError:
+            raise _not_a_literal(text) from None
         if not w:
             raise InputFormatError(f"zero weight {text!r} at column {k} of a row")
         terms.append((k, w))
@@ -147,18 +151,20 @@ def _node(data, rows: list[Row], lit: _Literals) -> FnnNode:
     if not isinstance(data, list) or len(data) != 3:
         raise InputFormatError("a node must be a [row, bias, activation] list")
     row, bias, act = data
-    return FnnNode(_pick(rows, [row], "row")[0], lit[bias], act)
+    try:
+        bias = lit[bias]
+    except TypeError:
+        raise _not_a_literal(bias) from None
+    return FnnNode(_pick(rows, [row], "row")[0], bias, act)
 
 
 def _read(data: dict) -> SsmModel:
     """The model of a v2 JSON tree.  The ``rows`` and ``nodes`` tables are
-    built first, one ``Row`` and one ``FnnNode`` per entry, and every
-    matrix and network picks its entries from them by index.  A layer with
-    ``updates`` lists the gate and inc rows and offsets of those
-    coordinates alone; every other coordinate is carried, and its rows are
-    the shared ``ssm.carried`` rows and offsets.  The list is checked here,
-    before it places the stored rows, and ``SsmLayer`` does not check it
-    again."""
+    built first, one ``Row`` and one ``FnnNode`` per entry, which every
+    matrix and network naming it shares, as after a compile.  ``h0`` is
+    checked against the stored rows; then a layer with ``updates`` gets the
+    shared ``ssm.carried`` rows and offsets at every other coordinate, and
+    is built from its rows alone."""
     lit = _Literals()
     rows = [_row(entry, lit) for entry in _list(data["rows"], "rows")]
     nodes = [_node(entry, rows, lit) for entry in _list(data["nodes"], "nodes")]
@@ -180,6 +186,11 @@ def _read(data: dict) -> SsmModel:
         gate_offset = lit.vec(gate_data["offset"]) if kind == "diagonal_affine" else None
         inc_offset = lit.vec(inc_data["offset"])
         updates = entry.get("updates")
+        sizes = ({len(gate_rows), len(inc_rows)} if updates is None
+                 else {row.width for row in gate_rows + inc_rows})
+        if len(sizes) == 1 and d not in sizes:
+            raise InputFormatError(f"h0 has {d} entries, but the stored rows give the layer "
+                                   f"width {sizes.pop()}")
         if updates is not None:
             updates = _coordinates("updates", _list(updates, "updated coordinates"), d)
             gates, copies, zeros = carried(d)
@@ -196,8 +207,6 @@ def _read(data: dict) -> SsmModel:
             inc=AffineMap(inc_rows, inc_offset),
             net=None if entry["phi"] == [] else net(entry["phi"]),
             computes=None if computes is None else _list(computes, "computed coordinates"),
-            updates=updates,
-            _carried=True,
         ))
     alphabet = data["alphabet"]
     if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):

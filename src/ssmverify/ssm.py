@@ -7,8 +7,8 @@ the final output network maps the last layer's ``z`` to a scalar.  A word is
 accepted iff that scalar equals exactly 1 in the evaluation domain.  Most
 coordinates of a compiled layer only pass their value on, so a layer
 stores the network of the coordinates its ``phi`` computes and passes the
-others through, and lists the coordinates whose recurrence does more than
-copy its input and carries the others (``SsmLayer``).
+others through, and carries each coordinate whose recurrence only copies
+its input (``SsmLayer``).
 
 Model data is sparse: every gate row, inc row and FNN node weight vector is
 one ``_row.Row``, the row's nonzero ``(column, weight)`` pairs in column
@@ -84,7 +84,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import itemgetter
 from typing import Sequence
 
 from ._row import Row
@@ -193,19 +192,9 @@ def carried(d: int) -> tuple[tuple[Row, ...], tuple[Row, ...], Vector]:
     """What a d-wide layer holds at a carried coordinate j, as three
     d-tuples: its gate row, one empty row shared by every coordinate; its
     inc row, which copies coordinate j; and its offset 0.  Immutable, so
-    every layer of that width shares them, and a check that finds them in a
-    layer compares objects."""
+    every layer of that width shares them, and ``SsmLayer.updates`` finds a
+    shared copy row by identity."""
     return (Row((), d),) * d, tuple(Row(((j, _ONE),), d) for j in range(d)), (_ZERO,) * d
-
-
-@lru_cache(maxsize=256)
-def _carried_picks(d: int, updates: tuple[int, ...]) -> tuple:
-    """A getter of the entries that a d-wide layer holds at the coordinates
-    not in ``updates``, each got twice so that it always gets a tuple, and
-    what it gets from the ``carried`` rows, copy rows and zeros."""
-    others = sorted(set(range(d)).difference(updates))
-    pick = itemgetter(*others, *others)
-    return (pick, *map(pick, carried(d)))
 
 
 def _coordinates(what: str, values, d: int) -> tuple[int, ...]:
@@ -220,62 +209,41 @@ def _coordinates(what: str, values, d: int) -> tuple[int, ...]:
 
 
 class SsmLayer(Value):
-    """``h0``, ``gate`` and ``inc``, the coordinates whose recurrence the
-    layer stores, and those that its pointwise map computes.
+    """``h0``, ``gate`` and ``inc``, with a row and offset for every
+    coordinate, and the coordinates that the pointwise map computes.
 
-    ``updates`` lists the first in ascending order (None for every
-    coordinate).  Every other coordinate is carried: its gate row is empty,
-    its gate and inc offsets are 0 and its inc row copies it, so its new
-    value is its input times the encoded 1, one product truncated and
-    saturated like any other term, which is the input itself wherever 1 is
-    representable.  ``gate`` and ``inc`` still hold a row for every
-    coordinate, so the dense views and the oracle, which walks every row,
-    see no difference; a model file stores the listed rows alone.
+    ``updates`` is derived from the rows: the coordinates, ascending, whose
+    recurrence does more than copy the input.  Every other coordinate is
+    carried: its gate row is empty, its offsets are 0 and its inc row copies
+    it (``carried``).  Its new value is its input times the encoded 1, one
+    product truncated and saturated like any other term, so the input itself
+    wherever 1 is representable; the generated step and a model file store
+    no row for it.
 
-    ``computes`` lists the second in ascending order, and ``net`` maps
-    ``(h, x)`` to one output per listed coordinate (None for none).  Every
-    other coordinate j passes through: its output is ``h_j`` times the
-    encoded 1, once per layer of ``net`` and at least once, each product
-    truncated and saturated like any other term, which is ``h_j`` itself
-    wherever 1 is representable.
+    ``computes`` lists, ascending, the coordinates whose outputs ``net``
+    maps ``(h, x)`` to (None for every coordinate, with a full 2d -> d
+    ``net``; ``net`` is None for none).  Every other coordinate j passes
+    through: its output is ``h_j`` times the encoded 1, once per layer of
+    ``net`` and at least once, each product truncated and saturated.
 
-    Without ``computes``, ``net`` is a full 2d -> d network that computes
-    every coordinate.  ``phi`` is a derived view, the full network: for a layer
-    that passes coordinates through, ``fnn._with_copies`` builds it on first
-    read, with an identity copy node per layer of ``net`` for each of them.
-    No evaluator reads it: the oracle and the generated step each apply the
-    pass-through rule, and ``quantization_report`` reads it as the
-    independent count that the step's is checked against.  Layers compare
-    by what they store, so such a layer differs from its expanded twin
-    ``SsmLayer(h0, gate, inc, layer.phi)``, though both compute the same,
-    and a layer with carried coordinates from its twin without ``updates``:
-    equal models save equal bytes.
+    ``phi`` is a derived view, the full network, which ``fnn._with_copies``
+    builds on first read with an identity copy node per layer of ``net`` for
+    each coordinate passed through.  No evaluator reads it: the oracle and
+    the generated step each apply the pass-through rule, and
+    ``quantization_report`` reads it as the independent count that the
+    step's is checked against.  Layers compare by what they store, so a
+    layer differs from its expanded twin ``SsmLayer(h0, gate, inc, phi)``,
+    though both compute the same: equal models save equal bytes."""
 
-    A caller that has itself checked ``updates`` and put the ``carried``
-    rows and offsets at every other coordinate, as a model file's load
-    does, passes ``_carried=True``, and ``updates`` is not checked again."""
-
-    _fields = ("h0", "gate", "inc", "net", "computes", "updates")
+    _fields = ("h0", "gate", "inc", "net", "computes")
 
     def __init__(self, h0: Vector, gate: GateSpec, inc: AffineMap, net: Fnn | None = None,
-                 computes: tuple[int, ...] | None = None, updates: tuple[int, ...] | None = None,
-                 *, _carried: bool = False):
+                 computes: tuple[int, ...] | None = None):
         d = len(h0)
-        every = tuple(range(d))
-        computes = every if computes is None else _coordinates("computes", computes, d)
-        if updates is None:
-            updates = every
-        elif not _carried:
-            updates = _coordinates("updates", updates, d)
-        self._assign(h0, gate, inc, net, computes, updates)
+        computes = tuple(range(d)) if computes is None else _coordinates("computes", computes, d)
+        self._assign(h0, gate, inc, net, computes)
         if gate.dim != d or inc.dim != d:
             raise DimensionError("layer gate/inc dimensions disagree with h0")
-        if updates != every and not _carried:
-            pick, gates, copies, zeros = _carried_picks(d, updates)
-            if (pick(gate.rows), pick(inc.rows), pick(inc.offset),
-                    pick(getattr(gate, "offset", inc.offset))) != (gates, copies, zeros, zeros):
-                raise DimensionError("a coordinate not in updates has a recurrence that does "
-                                     "more than copy its input")
         if (net is None) != (not computes):
             raise DimensionError("a layer has a network exactly when it computes a coordinate")
         if net is not None and (net.input_dim != 2 * d or net.output_dim != len(computes)):
@@ -290,6 +258,16 @@ class SsmLayer(Value):
     @cached_property
     def phi(self) -> Fnn:
         return _with_copies(self.net, self.computes, self.dim)
+
+    @cached_property
+    def updates(self) -> tuple[int, ...]:
+        _, copies, zeros = carried(self.dim)
+        gate, inc = self.gate, self.inc
+        rows = zip(gate.rows, inc.rows, copies, inc.offset, getattr(gate, "offset", zeros))
+        # the shared copy rows and zeros by identity first, then by value
+        return tuple(j for j, (g, r, copy, a, b) in enumerate(rows)
+                     if g.terms or r is not copy and r != copy
+                     or a is not _ZERO and a or b is not _ZERO and b)
 
 
 def _depth(layer: SsmLayer) -> int:

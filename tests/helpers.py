@@ -1,9 +1,10 @@
 """Shared test machinery: corpus generators, differential walkers, the
-equivalence check of a compiled formula and the expanded twin of a
-model."""
+equivalence check of a compiled formula, the expanded twin of a model and
+the full-row form of a model file."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -40,10 +41,34 @@ def fraction_encode(x, fmt: FixedPointFormat) -> int:
 
 def expanded(model: SsmModel) -> SsmModel:
     """The twin of ``model`` whose layers store their full networks ``phi``
-    and so compute and update every coordinate: its v2 file has no
-    ``computes`` or ``updates`` key."""
+    and so compute every coordinate: its v2 file has no ``computes`` key.
+    Its layers hold the same rows, so they carry what the model's carry."""
     layers = tuple(SsmLayer(layer.h0, layer.gate, layer.inc, layer.phi) for layer in model.layers)
     return SsmModel(model.alphabet, model.emb, layers, model.out, model.metadata)
+
+
+def full_rows(text: str) -> str:
+    """The file ``text`` in the form written before the ``updates`` key:
+    every layer lists a gate and inc row and offset for every coordinate,
+    the carried ones appended to the ``rows`` table."""
+    data = json.loads(text)
+    rows, d = data["rows"], data["dimension"]
+
+    def index(row: list) -> int:
+        if row not in rows:
+            rows.append(row)
+        return rows.index(row)
+
+    for entry in data["layers"]:
+        stored = {j: i for i, j in enumerate(entry.pop("updates", range(d)))}
+        for part, carried_row in ((entry["gate"], lambda j: [d]),
+                                  (entry["inc"], lambda j: [d, [j, "1"]])):
+            part["matrix"] = [part["matrix"][stored[j]] if j in stored else index(carried_row(j))
+                              for j in range(d)]
+            if "offset" in part:
+                part["offset"] = [part["offset"][stored[j]] if j in stored else "0"
+                                  for j in range(d)]
+    return json.dumps(data, separators=(",", ":")) + "\n"
 
 
 def walk_words(model: SsmModel, mode: ArithMode, max_len: int) -> list:

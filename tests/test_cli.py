@@ -939,8 +939,12 @@ def _malformed(tmp_path, name):
         layer["h0"] = None
     elif name == "no_layers":
         del data["layers"]
-    elif name == "list_literal":
+    elif name == "list_literal":  # in a row term
         _v2_row_with(data, 1)[1][1] = ["1"]
+    elif name == "list_literal_vector":
+        layer["h0"][1] = ["0"]
+    elif name == "dict_literal_bias":
+        data["nodes"][-1][1] = {"0": 1}
     elif name == "null_literal":
         data["embedding"][0][0] = None
     elif name == "top_level_array":
@@ -1034,7 +1038,9 @@ _ASCENDING = "must list coordinates of 0..3 in strictly ascending order, got"
 MALFORMED = {
     "h0_null": "expected a list of literals, got NoneType",
     "no_layers": "malformed model: missing key 'layers'",
-    "list_literal": "malformed model: unhashable type: 'list'",
+    "list_literal": "expected a literal string, got list",
+    "list_literal_vector": "expected a literal string, got list",
+    "dict_literal_bias": "expected a literal string, got dict",
     "null_literal": "expected a literal string, got NoneType",
     "top_level_array": "not a model file (top-level JSON list)",
     "not_utf8": "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 12: "
@@ -1074,8 +1080,7 @@ MALFORMED = {
     "alphabet_empty": "alphabet must be non-empty",
     "alphabet_repeated": "alphabet symbols must be unique",
     "alphabet_not_a_string": "the alphabet must be a list of strings",
-    # a layer of 3 coordinates reads the carried rows of 3, the stored one of 4
-    "short_h0": "gate matrix must be square: row 2 has width 4, expected 3",
+    "short_h0": "h0 has 3 entries, but the stored rows give the layer width 4",
     "v2_computes_not_a_list": "expected a list of computed coordinates, got int",
     "v2_computes_index_string": f"computes {_ASCENDING} ['2']",
     "v2_computes_index_bool": f"computes {_ASCENDING} [True]",
@@ -1093,7 +1098,7 @@ MALFORMED = {
     "v2_updates_more_than_stored": "the layer updates 2 coordinates, but its gate matrix lists 1",
     "v2_updates_fewer_than_stored": "the layer updates 0 coordinates, but its gate matrix "
                                     "lists 1",
-    "v2_updates_missing": "gate matrix must be square: row 0 has width 4, expected 1",
+    "v2_updates_missing": "h0 has 4 entries, but the stored rows give the layer width 1",
 }
 
 
@@ -1130,6 +1135,29 @@ def test_a_file_in_the_retired_format_is_refused(tmp_path, capsys, command):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert json.loads(captured.out)["result"] == report["result"] and captured.err == ""
+
+
+@pytest.mark.parametrize("text, word, statuses", [
+    ("X " * 254 + "p", "{p}", [0, 1, 0, 3]),
+    ("p U " * 254 + "q", "{q}", [0, 0, 0, 0]),
+], ids=["next", "until"])
+def test_the_deepest_formula_runs_through_every_command(tmp_path, monkeypatch, text, word,
+                                                        statuses):
+    """``parse`` accepts a tree of ``MAX_NESTING - 1`` nodes from root to
+    leaf, so 254 nested X or a chain of 254 untils, and its model has a
+    layer per DAG height.  Each command ends with its report, never a
+    ``RecursionError``: X^254 p is false on one letter and its search meets
+    the state ceiling, and the until chain is satisfiable."""
+    monkeypatch.setenv("SSMVERIFY_MAX_STATES", "2000")
+    path = str(tmp_path / "deep.ssm")
+    reports = [run(argv) for argv in (["compile", "ltl", text, "-o", path],
+                                      ["eval", path, "--word", word],
+                                      ["classify", path],
+                                      ["sat", "fixed", path, "--arith", "fx:6:3"])]
+    assert [status for status, _ in reports] == statuses
+    assert reports[0][1]["result"]["layers"] == 254
+    errors = [report["result"].get("error") for _, report in reports]
+    assert errors == [None] * 3 + [None if statuses[3] == 0 else "state ceiling 2000 exceeded"]
 
 
 def test_long_literal_in_a_model_file_is_quoted_short(tmp_path):

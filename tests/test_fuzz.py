@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import expanded
+from helpers import expanded, full_rows
 from ssmverify.cli import run
 from ssmverify.compilers import compile_ltl
 from ssmverify.errors import InputFormatError
@@ -33,13 +33,14 @@ json_values = st.recursive(
 def model_trees(tmp_path_factory):
     """The JSON trees of the model files of (p U q) & X r, which holds both
     gate kinds, ``computes``, ``updates`` and a 6-entry ``nodes`` table, and
-    of its expanded twin, whose layers have neither key."""
+    of its expanded twin in the full-row form, whose layers have neither
+    key."""
     model = compile_ltl(parse("(p U q) & X r"))
     path = tmp_path_factory.mktemp("fuzz") / "model.ssm"
     trees = []
-    for stored in (model, expanded(model)):
+    for stored, form in ((model, str), (expanded(model), full_rows)):
         save_model(stored, str(path))
-        trees.append(json.loads(path.read_text()))
+        trees.append(json.loads(form(path.read_text())))
     return trees
 
 

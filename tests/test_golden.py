@@ -8,14 +8,17 @@ from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
-from helpers import expanded, geometric_model, hand_formulas, random_ilp, random_machine
+from helpers import (
+    expanded, full_rows, geometric_model, hand_formulas, random_ilp, random_machine,
+)
 from ssmverify.cli import run
 from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, parse_ilp, parse_minsky
-from ssmverify.fnn import IDENTITY, RELU, linear_fnn, select_fnn
+from ssmverify.fnn import IDENTITY, RELU, compose, gadget_eq, linear_fnn, select_fnn
 from ssmverify.ltl import parse
 from ssmverify.modelfile import load_model, save_model
 from ssmverify.ssm import (
-    AffineMap, DiagonalAffineGate, SsmLayer, SsmModel, _constants, _denominator, carried,
+    AffineMap, DiagonalAffineGate, SsmLayer, SsmModel, _constants, _denominator, as_vector, carried,
+    projection_phi,
 )
 
 MINSKY_TEXT = (
@@ -110,32 +113,57 @@ def test_a_compiled_model_round_trips_with_updates(tmp_path):
     assert found > 100
 
 
-def test_files_without_updates_load_decide_and_resave_as_they_were(tmp_path):
-    """Files without ``updates`` store every row: that of the model with its
-    compact networks and that of its expanded twin, which has no
-    ``computes`` either.  They load as layers that update every
-    coordinate, decide as the compact file does, and save the bytes they
-    were read from."""
+def sat_report(search: str, path, *options: str) -> tuple:
+    """The status, verdict, witness and counts of ``sat search`` on ``path``."""
+    status, report = run(["sat", search, str(path), *options])
+    result = report["result"]
+    return (status, result["verdict"], result.get("witness"), result["stats"]["transitions"],
+            result["stats"]["distinct_states"])
+
+
+def test_files_without_updates_load_decide_and_resave_in_the_canonical_form(tmp_path):
+    """Files without ``updates`` store every row, as files written before
+    the key did: that of the model with its compact networks and that of its
+    expanded twin, which has no ``computes``.  Each loads as the model it
+    was written from, decides as the compact file does, and saves the
+    canonical bytes, which carry ``updates`` and are smaller."""
     model = compile_ltl(parse("(X p | !q) & r"))
-    full = SsmModel(model.alphabet, model.emb,
-                    tuple(SsmLayer(layer.h0, layer.gate, layer.inc, layer.net, layer.computes)
-                          for layer in model.layers), model.out, model.metadata)
-    compact, v2, twin = tmp_path / "compact.ssm", tmp_path / "full.ssm", tmp_path / "twin.ssm"
-    save_model(model, str(compact))
-    assert all("updates" not in entry for entry in json.loads(v2_text(full, v2))["layers"])
-    assert all(not {"computes", "updates"} & set(entry)
-               for entry in json.loads(v2_text(expanded(model), twin))["layers"])
+    canonical, full = tmp_path / "canonical.ssm", tmp_path / "full.ssm"
     reports = []
-    for path in (compact, v2, twin):
-        loaded = load_model(str(path))
-        if path != compact:
-            assert all(len(layer.updates) == model.dim for layer in loaded.layers)
-            assert v2_text(loaded, tmp_path / "re.ssm") == path.read_text()
-        status, report = run(["sat", "fixed", str(path), "--arith", "fx:4:3"])
-        result = report["result"]
-        reports.append((status, result["verdict"], result.get("witness"),
-                        result["stats"]["transitions"], result["stats"]["distinct_states"]))
-    assert reports[0] == reports[1] == reports[2]
+    for twin in (model, expanded(model)):
+        text = v2_text(twin, canonical)
+        full.write_text(full_rows(text))
+        assert [entry.get("updates") for entry in json.loads(text)["layers"]] == [
+            list(layer.updates) for layer in model.layers] == [[3], [4], [5]]
+        assert all("updates" not in entry for entry in json.loads(full.read_text())["layers"])
+        loaded = load_model(str(full))
+        assert loaded == twin and v2_text(loaded, tmp_path / "re.ssm") == text
+        assert len(text) < len(full.read_text())
+        reports += [sat_report("fixed", path, "--arith", "fx:4:3") for path in (canonical, full)]
+    assert len(set(reports)) == 1
+
+
+def test_a_hand_built_full_row_layer_saves_with_updates(tmp_path):
+    """A layer built by hand from dense rows, one coordinate of which only
+    copies its input, carries that coordinate: its file stores ``updates``
+    and the other coordinate's rows alone, loads as an equal model, and
+    decides as the full-row file of the same layer does."""
+    layer = SsmLayer(as_vector([0, 0]), DiagonalAffineGate([[0, 1], [0, 0]], as_vector([0, 0])),
+                     AffineMap([[1, 0], [0, 1]], as_vector([0, 0])), projection_phi(2))
+    model = SsmModel(("a", "b"), (as_vector([1, 1]), as_vector([0, 1])), (layer,),
+                     compose(gadget_eq(3), select_fnn([0], 2)))
+    assert layer.updates == (0,)
+    path, full = tmp_path / "count.ssm", tmp_path / "full.ssm"
+    text = v2_text(model, path)
+    (entry,) = json.loads(text)["layers"]
+    assert entry["updates"] == [0]
+    assert len(entry["gate"]["matrix"]) == len(entry["inc"]["matrix"]) == 1
+    full.write_text(full_rows(text))
+    loaded = load_model(str(path))
+    assert loaded == load_model(str(full)) == model and loaded.layers[0].updates == (0,)
+    for search, *options in (("fixed", "--arith", "fx:6:3"), ("bounded", "--max-len", "4")):
+        assert sat_report(search, path, *options) == sat_report(search, full, *options) == (
+            0, "satisfiable", "a;a;a", 5, 3)
 
 
 def test_golden_machine_shape():
@@ -227,11 +255,16 @@ def test_old_layout_file_still_loads_and_decides(tmp_path):
     assert sha(FIXTURE.read_text()) == (
         "fae34396114dfcbc9f53ccad4c7f053509e57622abc435122ebafe7de196a642")
     loaded = load_model(str(FIXTURE))
-    assert v2_text(loaded, tmp_path / "resaved.ssm") == FIXTURE.read_text()
+    # the fixture stores every row; its re-save is the canonical form
+    resaved = tmp_path / "resaved.ssm"
+    assert sha(v2_text(loaded, resaved)) == (
+        "e15e6ff9c345b2e16a6c27a2d272ad4c81b0f463f997ff98c7dd12349b7197ed")
+    assert len(resaved.read_text()) < len(FIXTURE.read_text()) and load_model(str(resaved)) == loaded
+    assert any("updates" in entry for entry in json.loads(resaved.read_text())["layers"])
     fresh = compile_ltl(parse(FORMULA))
     assert len(loaded.layers) > len(fresh.layers)
     save_model(fresh, str(tmp_path / "fresh.ssm"))
-    for path in (FIXTURE, tmp_path / "fresh.ssm"):
+    for path in (FIXTURE, resaved, tmp_path / "fresh.ssm"):
         status, report = run(["sat", "fixed", str(path), "--arith", "fx:6:3"])
         assert status == 0
         assert report["result"]["verdict"] == "satisfiable"

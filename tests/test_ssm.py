@@ -226,7 +226,7 @@ def small_models(draw, denominators=(1, 2, 4)):
         else:
             computes, net = None, projection_phi(d) if kind == "projection" else phi(d)
         layers.append(SsmLayer(vec(), gate, AffineMap(inc_rows, as_vector(inc_offset)), net,
-                               computes, updates))
+                               computes))
     out = compose(gadget_eq(1), select_fnn([0], d))
     alphabet = tuple(chr(ord("a") + i) for i in range(nsyms))
     return SsmModel(alphabet, tuple(vec() for _ in range(nsyms)), tuple(layers), out)
@@ -479,7 +479,7 @@ def counting_model(out: Fnn = gadget_eq(3)) -> SsmModel:
     coordinate fails at the second ``a``.  The constant column is carried."""
     layer = SsmLayer(as_vector([0, 0]),
                      DiagonalAffineGate(as_matrix([[0, 1], [0, 0]]), as_vector([0, 0])),
-                     AffineMap(eye(2), as_vector([0, 0])), projection_phi(2), updates=(0,))
+                     AffineMap(eye(2), as_vector([0, 0])), projection_phi(2))
     return SsmModel(("a", "b"), (as_vector([1, 1]), as_vector([0, 1])), (layer,),
                     compose(out, select_fnn([0], 2)))
 
@@ -629,26 +629,21 @@ def test_a_relu_over_a_local_and_a_constant_is_one_line(fmt):
 
 
 def test_a_layer_carries_only_copies():
-    """A coordinate left out of ``updates`` must have an empty gate row,
-    gate and inc offsets of 0 and an inc row that copies it; ``updates``
-    lists coordinates in range in strictly ascending order."""
+    """A layer carries a coordinate exactly when its gate row is empty, its
+    gate and inc offsets are 0 and its inc row copies it; ``updates`` lists
+    the others in ascending order."""
     def layer(gate_rows=((0, 0), (0, 1)), gate_offset=None, inc_rows=((1, 0), (0, 1)),
-              inc_offset=(0, 0), updates=(1,)):
+              inc_offset=(0, 0)):
         gate = (TimeInvariantGate(as_matrix(gate_rows)) if gate_offset is None
                 else DiagonalAffineGate(as_matrix(gate_rows), as_vector(gate_offset)))
         inc = AffineMap(as_matrix(inc_rows), as_vector(inc_offset))
-        return SsmLayer(as_vector([0, 0]), gate, inc, None, (), updates)
+        return SsmLayer(as_vector([0, 0]), gate, inc, None, ())
 
-    assert layer().updates == (1,) and layer(updates=None).updates == (0, 1)
-    assert layer(gate_offset=(0, 1)).updates == (1,)
-    for bad in (dict(gate_rows=((0, 1), (0, 1))), dict(gate_rows=((1, 0), (0, 1))),
-                dict(gate_offset=(1, 0)), dict(inc_rows=((2, 0), (0, 1))),
-                dict(inc_rows=((0, 1), (0, 1))), dict(inc_offset=(1, 0)), dict(updates=())):
-        with pytest.raises(DimensionError, match="more than copy its input"):
-            layer(**bad)
-    for updates in ((1, 1), (2,), (-1,), (True,), ("1",), (1, 0)):
-        with pytest.raises(DimensionError, match="updates must list coordinates of 0..1"):
-            layer(updates=updates)
+    assert layer().updates == (1,) and layer(gate_offset=(0, 1)).updates == (1,)
+    for more in (dict(gate_rows=((0, 1), (0, 1))), dict(gate_rows=((1, 0), (0, 1))),
+                 dict(gate_offset=(1, 0)), dict(inc_rows=((2, 0), (0, 1))),
+                 dict(inc_rows=((0, 1), (0, 1))), dict(inc_offset=(1, 0))):
+        assert layer(**more).updates == (0, 1), more
 
 
 def test_an_x_history_beside_an_until_is_not_assumed():
@@ -773,7 +768,7 @@ def _through_dense_views(model: SsmModel) -> SsmModel:
             gate = DiagonalAffineGate(layer.gate.matrix, layer.gate.offset)
         inc = AffineMap(layer.inc.matrix, layer.inc.offset)
         net = None if layer.net is None else fnn(layer.net)
-        layers.append(SsmLayer(layer.h0, gate, inc, net, layer.computes, layer.updates))
+        layers.append(SsmLayer(layer.h0, gate, inc, net, layer.computes))
     return SsmModel(model.alphabet, model.emb, tuple(layers), fnn(model.out), model.metadata)
 
 
@@ -855,7 +850,7 @@ def test_quantization_report_is_the_fraction_round_trip():
 def test_saved_bytes_do_not_depend_on_shared_rows(tmp_path):
     """A compiled model shares its identity rows and copy nodes; built
     again from its dense views it shares none, is equal, and saves the same
-    bytes.  Its twin that updates every coordinate is another model."""
+    bytes.  It carries the same coordinates, found from its rows alone."""
     rng = random.Random(3)
     models = [compile_ltl(parse("(X p | !q) & r")), compile_ltl(random_formula(rng, 7, ("p", "q"))),
               compile_minsky(random_machine(rng, 3)), compile_ilp(random_ilp(rng))]
@@ -867,15 +862,13 @@ def test_saved_bytes_do_not_depend_on_shared_rows(tmp_path):
     for model in models:
         rebuilt = _through_dense_views(model)
         assert objects(rebuilt)[1] == objects(rebuilt)[0] and rebuilt == model
+        assert [layer.updates for layer in rebuilt.layers] == [
+            layer.updates for layer in model.layers]
         paths = [tmp_path / "model.ssm", tmp_path / "rebuilt.ssm"]
         save_model(model, str(paths[0]))
         save_model(rebuilt, str(paths[1]))
         assert paths[0].read_bytes() == paths[1].read_bytes()
-    model = models[0]
-    twin = SsmModel(model.alphabet, model.emb,
-                    tuple(SsmLayer(layer.h0, layer.gate, layer.inc, layer.net, layer.computes)
-                          for layer in model.layers), model.out, model.metadata)
-    assert twin != model and [layer.updates for layer in model.layers] == [(3,), (4,), (5,)]
+    assert [layer.updates for layer in models[0].layers] == [(3,), (4,), (5,)]
 
 
 def test_exact_sums_fold_every_constant():

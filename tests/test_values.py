@@ -72,11 +72,9 @@ CASES = [
     (AffineMap, dict(matrix=[[1]], offset=as_vector([2])),
      dict(matrix=[[2]], offset=as_vector([2])), ("rows", "offset"), ("rows", "offset")),
     # a layer that passes its one coordinate through, with no network
-    (SsmLayer, dict(h0=LAYER.h0, gate=LAYER.gate, inc=LAYER.inc, net=None, computes=(),
-                    updates=(0,)),
-     dict(h0=as_vector([1]), gate=LAYER.gate, inc=LAYER.inc, net=None, computes=(), updates=(0,)),
-     ("h0", "gate", "inc", "net", "computes", "updates"),
-     ("h0", "gate", "inc", "net", "computes", "updates")),
+    (SsmLayer, dict(h0=LAYER.h0, gate=LAYER.gate, inc=LAYER.inc, net=None, computes=()),
+     dict(h0=as_vector([1]), gate=LAYER.gate, inc=LAYER.inc, net=None, computes=()),
+     ("h0", "gate", "inc", "net", "computes"), ("h0", "gate", "inc", "net", "computes")),
     (SsmModel, dict(MODEL_ARGS, metadata=(("source", "test"),)), dict(MODEL_ARGS, alphabet=("a", "c")),
      ("alphabet", "emb", "layers", "out"), ("alphabet", "emb", "layers", "out", "metadata")),
     (StreamState, dict(hidden=((1, 2),), mode=ArithMode(FX)), dict(hidden=((1, 2),), mode=ArithMode()),
@@ -154,8 +152,8 @@ def test_defaults():
     limits = ResourceLimits()
     assert (limits.max_states, limits.max_mem_mb, limits.max_seconds) == (5_000_000, None, None)
     assert SsmModel(**MODEL_ARGS).metadata == ()
-    # a full network computes every coordinate, and a layer without
-    # ``updates`` updates every coordinate
+    # a full network computes every coordinate, and a gate row of 1 and an
+    # inc offset of 1 do more than copy the input
     assert LAYER.computes == LAYER.updates == (0,) and LAYER.net is LAYER.phi
     stats = SearchStats()
     assert [getattr(stats, name) for name in STATS_KEYS] == [
