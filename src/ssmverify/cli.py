@@ -47,8 +47,8 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 # 2**14000 has 4215 decimal digits, within CPython's default 4300-digit
-# limit on int-to-str conversion; larger state-count and binary length
-# bounds print as null.
+# limit on int-to-str conversion; larger state-count, small-model and
+# binary length bounds print as null.
 _PRINTABLE_LOG2 = 14_000
 
 # No search reaches 2**63 levels, so a binary --max-len above 63 searches
@@ -326,8 +326,8 @@ def _cmd_classify(args) -> tuple[int, dict]:
     }
     meta = model.metadata_dict
     if meta.get("source") == "ltl" and isinstance(meta.get("formula"), str):
-        phi = ltl_mod.parse(meta["formula"])
-        report["small_model_bound"] = ltl_mod.small_model_bound(phi)
+        bound = ltl_mod.small_model_bound(ltl_mod.parse(meta["formula"]))
+        report["small_model_bound"] = bound if bound.bit_length() <= _PRINTABLE_LOG2 else None
     return EXIT_SAT, report
 
 

@@ -1,7 +1,7 @@
-"""Linear temporal logic over finite traces: grammar, the recursive 1-based
-semantics ``holds`` (the independent reference), one automaton that serves
-both ``models`` and the complete satisfiability judge, brute-force
-satisfiability, and the small-model bound.
+"""Linear temporal logic over finite traces: grammar, a parser without
+recursion, the recursive 1-based semantics ``holds`` (the independent
+reference), one automaton that serves both ``models`` and the complete
+satisfiability judge, brute-force satisfiability, and the small-model bound.
 
 Core connectives are atom, !, |, &, X and U; ->, F, G, tt and ff are sugar
 lowered as the parser reads them (tt becomes ``a | !a`` over the
@@ -114,7 +114,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
-            raise LtlSyntaxError(f"unexpected character {stripped[0]!r}", pos)
+            raise LtlSyntaxError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
         if m.lastgroup == "word":
             word = m.group("word")
             kind = word if word in ("tt", "ff") else "atom"
@@ -129,118 +129,91 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        anchor = Atom(min((v for k, v, _ in self.tokens if k == "atom"), default="p"))
-        self.tt = Or(anchor, Not(anchor))
-        self.ff = And(anchor, Not(anchor))
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, kind: str):
-        tok = self.tokens[self.i]
-        if tok[0] != kind:
-            raise LtlSyntaxError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        self.i += 1
-        return tok
-
-    def parse(self):
-        ast = self.implication()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise LtlSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-        return ast
-
-    def implication(self):
-        left = self.disjunction()
-        if self.peek()[0] == "->":
-            self.take("->")
-            return Or(Not(left), self.implication())
-        return left
-
-    def disjunction(self):
-        node = self.conjunction()
-        while self.peek()[0] == "|":
-            self.take("|")
-            node = Or(node, self.conjunction())
-        return node
-
-    def conjunction(self):
-        node = self.until()
-        while self.peek()[0] == "&":
-            self.take("&")
-            node = And(node, self.until())
-        return node
-
-    def until(self):
-        left = self.unary()
-        if self.peek()[0] == "U":
-            self.take("U")
-            return Until(left, self.until())
-        return left
-
-    def unary(self):
-        kind, _, _ = self.peek()
-        if kind == "!":
-            self.take("!")
-            return Not(self.unary())
-        if kind == "X":
-            self.take("X")
-            return Next(self.unary())
-        if kind == "F":
-            self.take("F")
-            return Until(self.tt, self.unary())
-        if kind == "G":
-            self.take("G")
-            return Not(Until(self.tt, Not(self.unary())))
-        return self.primary()
-
-    def primary(self):
-        kind, value, pos = self.peek()
-        if kind == "atom":
-            self.take("atom")
-            return Atom(value)
-        if kind in ("tt", "ff"):
-            self.take(kind)
-            return self.tt if kind == "tt" else self.ff
-        if kind == "(":
-            self.take("(")
-            node = self.implication()
-            self.take(")")
-            return node
-        raise LtlSyntaxError(f"expected a formula, found {value or 'end of input'!r}", pos)
-
-
 # The deepest lowered tree ``parse`` accepts, counted in nodes from the root
-# to the deepest leaf.  ``pretty`` takes two stack frames per level and
-# ``holds`` one, so this leaves them room under the default recursion limit.
+# to the deepest leaf, and the most parentheses it keeps open at once.
+# ``pretty`` takes two stack frames per level and ``holds`` one, so this
+# leaves them room under the default recursion limit.
 MAX_NESTING = 256
 
-
-def _depth(phi: LtlFormula) -> int:
-    """Nodes on the longest root-to-leaf path, measured without recursion."""
-    deepest, stack = 0, [(phi, 1)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        stack += [(child, depth + 1) for child in children(node)]
-    return deepest
+# How tightly each operator binds; "(" binds nothing until its ")".  The
+# prefix operators bind tightest, -> and U group to the right and | and & to
+# the left.
+_POWER = {"(": 0, "->": 1, "|": 2, "&": 3, "U": 4, "!": 5, "X": 5, "F": 5, "G": 5}
+_BINARY = {"|": Or, "&": And, "U": Until}
 
 
 def parse(text: str) -> LtlFormula:
-    """Parse and lower a formula; round-trips through ``pretty``.  A formula
-    nested deeper than ``MAX_NESTING`` is an ``LtlSyntaxError``."""
-    parser = _Parser(text)
-    try:
-        phi = parser.parse()
-    except RecursionError:
-        raise LtlSyntaxError("formula nested too deeply", parser.peek()[2]) from None
-    if _depth(phi) > MAX_NESTING:
-        raise LtlSyntaxError("formula nested too deeply", 0)
-    return phi
+    """Parse and lower a formula; round-trips through ``pretty``.
+
+    One loop over the tokens, with no recursion, keeps the operands read so
+    far, each with the nodes on its longest root-to-leaf path, and the
+    operators and parentheses still waiting for theirs.  A formula whose
+    lowered tree is deeper than ``MAX_NESTING``, or that keeps more than
+    ``MAX_NESTING`` parentheses open, is an ``LtlSyntaxError`` at the first
+    token that shows it: the node's last token, the ``(`` past the limit, or
+    an operator that leaves ``MAX_NESTING`` operators over the next operand,
+    each of which is its ancestor."""
+    tokens = _tokenize(text)
+    anchor = Atom(min((v for k, v, _ in tokens if k == "atom"), default="p"))
+    tt = Or(anchor, Not(anchor))
+    constants = {"tt": (tt, 3), "ff": (And(anchor, Not(anchor)), 3)}
+    operands: list[tuple[LtlFormula, int]] = []
+    ops: list[str] = []
+    opened, operand_next = 0, True
+
+    def reduce(pos: int):
+        op = ops.pop()
+        sub, d = operands.pop()
+        if op == "!":
+            node, d = Not(sub), d + 1
+        elif op == "X":
+            node, d = Next(sub), d + 1
+        elif op == "F":
+            node, d = Until(tt, sub), max(d, 3) + 1
+        elif op == "G":
+            node, d = Not(Until(tt, Not(sub))), max(d + 1, 3) + 2
+        else:
+            left, e = operands.pop()
+            if op == "->":
+                node, d = Or(Not(left), sub), max(e + 1, d) + 1
+            else:
+                node, d = _BINARY[op](left, sub), max(e, d) + 1
+        if d > MAX_NESTING:
+            raise LtlSyntaxError("formula nested too deeply", pos)
+        operands.append((node, d))
+
+    for kind, value, pos in tokens:
+        if operand_next:
+            if kind in ("atom", "tt", "ff"):
+                operands.append((Atom(value), 1) if kind == "atom" else constants[kind])
+                operand_next = False
+                continue
+            if kind not in ("(", "!", "X", "F", "G"):
+                raise LtlSyntaxError(f"expected a formula, found {value or 'end of input'!r}", pos)
+        else:
+            if kind in ("->", "|", "&", "U"):
+                # an operator completes those that bind at least as tightly,
+                # but -> and U leave their own kind waiting for its right side
+                bar = _POWER[kind] + (kind in ("->", "U"))
+            elif kind == (")" if opened else "eof"):
+                bar = 1
+            elif opened:
+                raise LtlSyntaxError(f"expected ')', found {value or 'end of input'!r}", pos)
+            else:
+                raise LtlSyntaxError(f"trailing input {value!r}", pos)
+            while ops and _POWER[ops[-1]] >= bar:
+                reduce(pos)
+            if kind == "eof":
+                return operands[0][0]
+            if kind == ")":
+                ops.pop()
+                opened -= 1
+                continue
+            operand_next = True
+        ops.append(kind)
+        opened += kind == "("
+        if opened > MAX_NESTING or len(ops) - opened >= MAX_NESTING:
+            raise LtlSyntaxError("formula nested too deeply", pos)
 
 
 _PREC = {Or: 1, And: 2, Until: 3, Not: 4, Next: 4, Atom: 5}

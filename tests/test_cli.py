@@ -26,7 +26,7 @@ from ssmverify.arithmetic import EXACT, MAX_TOTAL_BITS, ArithMode, FixedPointFor
 from ssmverify.cli import _build_parser, _parse, main, run
 from ssmverify.compilers import compile_ltl, compile_minsky, parse_minsky
 from ssmverify.fnn import RELU, eval_program, linear_fnn, select_fnn
-from ssmverify.ltl import least_reversed_model, parse, pretty
+from ssmverify.ltl import Atom, Until, least_reversed_model, parse, pretty
 from ssmverify.modelfile import load_model, model_from_json, save_model
 from ssmverify.ssm import (
     AffineMap,
@@ -320,6 +320,14 @@ def test_classify_reports_a_bound_too_large_to_print(tmp_path):
     assert (body["dimension"], body["layers"]) == (84, 16)
     assert body["state_count_bound_log2"] == 2 * 16 * 84 * 6 == 16128
     assert body["state_count_bound"] is None
+    json.dumps(report)
+    # 34 copies of G^70 p have 16,727 nodes after lowering, so the
+    # small-model bound n * 2**n has more than 4300 digits
+    formula = " & ".join(["G " * 70 + "p"] * 34)
+    assert run(["compile", "ltl", formula, "-o", model_path])[0] == 0
+    status, report = run(["classify", model_path])
+    assert status == 0
+    assert report["result"]["small_model_bound"] is None
     json.dumps(report)
 
 
@@ -1140,14 +1148,18 @@ def test_a_file_in_the_retired_format_is_refused(tmp_path, capsys, command):
 @pytest.mark.parametrize("text, word, statuses", [
     ("X " * 254 + "p", "{p}", [0, 1, 0, 3]),
     ("p U " * 254 + "q", "{q}", [0, 0, 0, 0]),
-], ids=["next", "until"])
+    ("(" * 254 + "p" + " U q)" * 254, "{q}", [0, 0, 0, 0]),
+    ("q & (" * 254 + "p" + ")" * 254, "{p,q}", [0, 0, 0, 0]),
+], ids=["next", "until", "until_left_nested", "and_parenthesised"])
 def test_the_deepest_formula_runs_through_every_command(tmp_path, monkeypatch, text, word,
                                                         statuses):
     """``parse`` accepts a tree of ``MAX_NESTING - 1`` nodes from root to
-    leaf, so 254 nested X or a chain of 254 untils, and its model has a
-    layer per DAG height.  Each command ends with its report, never a
+    leaf, however it is written: 254 nested X, a chain of 254 untils, 254
+    left-nested untils in parentheses or 254 conjunctions that each
+    parenthesise their right operand.  Each model has a layer per DAG
+    height.  Each command ends with its report, never a
     ``RecursionError``: X^254 p is false on one letter and its search meets
-    the state ceiling, and the until chain is satisfiable."""
+    the state ceiling, and the others are satisfiable."""
     monkeypatch.setenv("SSMVERIFY_MAX_STATES", "2000")
     path = str(tmp_path / "deep.ssm")
     reports = [run(argv) for argv in (["compile", "ltl", text, "-o", path],
@@ -1158,6 +1170,21 @@ def test_the_deepest_formula_runs_through_every_command(tmp_path, monkeypatch, t
     assert reports[0][1]["result"]["layers"] == 254
     errors = [report["result"].get("error") for _, report in reports]
     assert errors == [None] * 3 + [None if statuses[3] == 0 else "state ceiling 2000 exceeded"]
+
+
+def test_classify_parses_the_formula_of_a_model_built_through_the_api(tmp_path):
+    """The model of 199 left-nested untils stores ``pretty`` of its formula,
+    which parenthesises each left operand; ``classify`` parses that text
+    back for the small-model bound of its 399 nodes."""
+    phi = Atom("p")
+    for _ in range(199):
+        phi = Until(phi, Atom("q"))
+    path = str(tmp_path / "left.ssm")
+    save_model(compile_ltl(phi), path)
+    status, report = run(["classify", path])
+    assert status == 0
+    assert (report["result"]["layers"], report["result"]["small_model_bound"]) == (199, 399 << 399)
+    assert run(["sat", "fixed", path, "--arith", "fx:6:3"])[1]["result"]["witness"] == "{q}"
 
 
 def test_long_literal_in_a_model_file_is_quoted_short(tmp_path):

@@ -62,8 +62,10 @@ def test_parse_errors_carry_position():
     with pytest.raises(LtlSyntaxError) as err:
         parse("p U")
     assert err.value.position == 3
-    with pytest.raises(LtlSyntaxError):
+    # the bad character's own position, not that of the space before it
+    with pytest.raises(LtlSyntaxError) as err:
         parse("p % q")
+    assert err.value.position == 2
     with pytest.raises(LtlSyntaxError):
         parse("(p")
     with pytest.raises(LtlSyntaxError):
@@ -225,17 +227,52 @@ def test_models_on_empty_trace_is_false():
     assert not models(P, ())
 
 
-@pytest.mark.parametrize("text", ["!" * 3000 + "p", "(" * 3000 + "p" + ")" * 3000],
-                         ids=["not", "parentheses"])
-def test_deep_nesting_is_a_syntax_error(text):
-    with pytest.raises(LtlSyntaxError, match="nested too deeply"):
+@pytest.mark.parametrize("text, position", [
+    ("!" * 3000 + "p", MAX_NESTING - 1),
+    ("(" * 3000 + "p" + ")" * 3000, MAX_NESTING),
+    ("(" * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1), MAX_NESTING),
+], ids=["not", "parentheses", "redundant_parentheses"])
+def test_deep_nesting_is_a_syntax_error(text, position):
+    """The error names the token past the limit: the ``!`` that leaves
+    ``MAX_NESTING`` negations over the next operand, or the ``(`` that
+    leaves ``MAX_NESTING + 1`` open.  Parentheses count however redundant."""
+    with pytest.raises(LtlSyntaxError, match="nested too deeply") as err:
         parse(text)
+    assert err.value.position == position
+    assert parse("(" * MAX_NESTING + "p" + ")" * MAX_NESTING) == P
+
+
+def _deepest_trees() -> dict:
+    """Trees of ``MAX_NESTING`` nodes from root to deepest leaf, built
+    without the parser: left-nested untils, whose text parenthesises every
+    left operand, right-nested conjunctions, likewise, and a ``!`` chain."""
+    until, conj, neg = P, Q, P
+    for _ in range(MAX_NESTING - 1):
+        until, conj, neg = Until(until, Q), And(P, conj), Not(neg)
+    return {"until": until, "and": conj, "not": neg}
 
 
 def test_nesting_limit_leaves_room_for_pretty_and_holds():
-    deepest = parse("!" * (MAX_NESTING - 1) + "p")
-    assert parse(pretty(deepest)) == deepest
-    # MAX_NESTING - 1 negations of a true atom
-    assert holds(deepest, (frozenset({"p"}),), 1) == ((MAX_NESTING - 1) % 2 == 0)
-    with pytest.raises(LtlSyntaxError, match="nested too deeply"):
-        parse("!" * MAX_NESTING + "p")
+    """Each deepest tree round-trips through ``pretty`` and ``parse`` and
+    ``holds`` evaluates it; one negation more is refused."""
+    trace = (frozenset({"p"}), frozenset({"q"}))
+    truths = {"until": True, "and": False, "not": (MAX_NESTING - 1) % 2 == 0}
+    for name, deepest in _deepest_trees().items():
+        assert parse(pretty(deepest)) == deepest, name
+        assert holds(deepest, trace, 1) == truths[name], name
+        with pytest.raises(LtlSyntaxError, match="nested too deeply"):
+            parse(pretty(Not(deepest)))
+
+
+@pytest.mark.parametrize("name", ["until", "and", "not"])
+def test_parse_does_not_depend_on_the_callers_stack(name):
+    """``parse`` does not recurse, so the deepest text parses the same
+    from 600 frames down as from the top."""
+    deepest = _deepest_trees()[name]
+    text = pretty(deepest)
+
+    def down(frames):
+        return parse(text) if frames == 0 else down(frames - 1)
+
+    phi = down(600)
+    assert phi == parse(text) == deepest
