@@ -7,6 +7,12 @@ generated step reads, which alone decide every later output.  Levels keep
 discovery order and each state is expanded in alphabet order, so the first
 accepting transition found spells the lexicographically least among the
 shortest accepted words, rebuilt through the links.
+A successor key is *dead* where a rising coordinate, one that never falls,
+has reached the threshold of the step's ``dead_rule``: from there every
+output is below 1.  The search checks the successor's output first, then
+neither stores nor expands a dead key.  No accepted word passes through a
+dead key and no live key has a dead predecessor, so the live keys are
+found in the same order and the witness does not change.
 ``sat_bounded`` caps the word length and reports a miss as
 'unsatisfiable-within-bound'; ``sat_fixed`` runs under a fixed-point format,
 whose state space is finite, so an exhausted frontier is a proof of
@@ -21,10 +27,11 @@ from __future__ import annotations
 
 import os
 import time
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from ._value import Value
-from .arithmetic import ArithMode, FixedPointFormat
+from .arithmetic import ArithMode, FixedPointFormat, format_rational
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
 from .ssm import SsmModel, _with_stepper
 
@@ -55,23 +62,31 @@ class SearchStats(Value):
     stores at most 2 to that many keys (``None`` in exact mode, where
     nothing bounds them).  ``frontier_sizes`` gives
     the size of each breadth-first level reached, the initial state's level
-    first; it is a list, so stats have no hash."""
+    first; it is a list, so stats have no hash.  ``dead`` counts the
+    transitions to a dead key, one that the search neither stores nor
+    expands, and ``dead_rule`` gives the rule as ``[i, T]`` pairs, T a
+    decoded rational string: a key whose coordinate i is at least T is
+    dead.  Coordinate i never falls, and from T on every output is below
+    1 (``ssm._StepCompiler._dead_rule``)."""
 
     __slots__ = _fields = (
         "states_explored", "max_frontier", "elapsed_s", "quantized_constants",
         "distinct_states", "transitions", "stepper_build_s", "exact_domain",
-        "exact_scale_bits", "key_coordinates", "key_state_bound_log2", "frontier_sizes")
+        "exact_scale_bits", "key_coordinates", "key_state_bound_log2", "frontier_sizes",
+        "dead", "dead_rule")
 
     def __init__(self, states_explored: int = 0, max_frontier: int = 0, elapsed_s: float = 0.0,
                  quantized_constants: int = 0, distinct_states: int = 0, transitions: int = 0,
                  stepper_build_s: float = 0.0, exact_domain: Optional[str] = None,
                  exact_scale_bits: Optional[int] = None, key_coordinates: int = 0,
                  key_state_bound_log2: Optional[int] = None,
-                 frontier_sizes: Optional[list[int]] = None):
+                 frontier_sizes: Optional[list[int]] = None, dead: int = 0,
+                 dead_rule: Optional[list[list]] = None):
         self._assign(states_explored, max_frontier, elapsed_s, quantized_constants,
                      distinct_states, transitions, stepper_build_s, exact_domain,
                      exact_scale_bits, key_coordinates, key_state_bound_log2,
-                     [] if frontier_sizes is None else frontier_sizes)
+                     [] if frontier_sizes is None else frontier_sizes, dead,
+                     [] if dead_rule is None else dead_rule)
 
 
 class SatResult(Value):
@@ -184,15 +199,15 @@ def _search(model: SsmModel, mode: ArithMode, length_cap: Optional[int],
 def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, clock: list):
     """One run of ``_search``, which adds its seconds to ``clock[0]`` however it ends."""
     start = time.monotonic() - clock[0]
-    one, init = stepper.one, stepper.init
+    one, init, rule = stepper.one, stepper.init, stepper.dead_rule
     parents: dict = {init: None}
     step, letters = stepper.search_step, list(stepper.emb.items())  # in alphabet order
-    level, sizes, explored = [init], [], 0  # sizes: one per level reached
+    level, sizes, explored, dead = [init], [], 0, 0  # sizes: one per level reached
     try:
         while level:
             sizes.append(len(level))
             if length_cap is not None and len(sizes) > length_cap:
-                return None, False, _stats(stepper, start, explored, sizes, len(parents))
+                return None, False, _stats(stepper, start, explored, sizes, len(parents), dead)
             next_level = []
             for key in level:
                 for symbol, x in letters:
@@ -206,28 +221,35 @@ def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, clock: list
                             key, sym = parents[key]
                             word.append(sym)
                         return (tuple(reversed(word)), False,
-                                _stats(stepper, start, explored, sizes, len(parents)))
+                                _stats(stepper, start, explored, sizes, len(parents), dead))
                     if new_key not in parents:
-                        parents[new_key] = (key, symbol)
-                        next_level.append(new_key)
+                        for i, threshold in rule:
+                            if new_key[i] >= threshold:
+                                dead += 1
+                                break
+                        else:
+                            parents[new_key] = (key, symbol)
+                            next_level.append(new_key)
             limits.check(explored, start)
             level = next_level
     except ResourceLimitError as exc:
-        exc.stats = _stats(stepper, start, explored, sizes, len(parents))
+        exc.stats = _stats(stepper, start, explored, sizes, len(parents), dead)
         raise
     finally:
         clock[0] = time.monotonic() - start
-    return None, True, _stats(stepper, start, explored, sizes, len(parents))
+    return None, True, _stats(stepper, start, explored, sizes, len(parents), dead)
 
 
-def _stats(stepper, start: float, transitions: int, sizes: list[int], stored: int) -> SearchStats:
+def _stats(stepper, start: float, transitions: int, sizes: list[int], stored: int,
+           dead: int) -> SearchStats:
     """The report of a search that took ``transitions`` steps over levels
-    of ``sizes`` and stored ``stored`` keys."""
-    exact = stepper.mode.is_exact
+    of ``sizes``, stored ``stored`` keys and met ``dead`` dead ones."""
+    exact, one = stepper.mode.is_exact, stepper.one
     return SearchStats(transitions, max(sizes[1:], default=0), time.monotonic() - start,
                        stepper.quantized_constants, stored, transitions, stepper.build_s,
-                       "int" if exact else None, stepper.one.bit_length() if exact else None,
-                       len(stepper.key), stepper.key_state_bound_log2, sizes)
+                       "int" if exact else None, one.bit_length() if exact else None,
+                       len(stepper.key), stepper.key_state_bound_log2, sizes, dead,
+                       [[i, format_rational(Fraction(t, one))] for i, t in stepper.dead_rule])
 
 
 def sat_bounded(

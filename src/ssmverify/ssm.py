@@ -64,6 +64,18 @@ whole, as a call whose exact values leave the scale does
 (guard-and-deoptimise; Hoelzle, Chambers and Ungar, PLDI 1992).  So every
 output and key coordinate that a caller sees is the unassumed step's.
 
+A *rising* coordinate never falls: its gate row is the encoded 1 on
+itself, and its inc offset and every inc term are not negative over their
+inputs' intervals (a Minsky violation sum, an ILP row sum or count).  Its
+hidden input takes [enc(h0), top]; that range is proved by induction from
+the initial key, not assumed, so it needs no guard.  For each rising key
+coordinate the build derives a threshold T, the least value from which the
+same interval analysis keeps the output below 1 at every later position,
+by one backward pass from ``y`` through the sums the step computes
+(bound-based pruning over intervals; Cousot and Cousot, POPL 1977).  A key
+whose coordinate has reached T is *dead*: no accepted word passes through
+it, so the solvers neither store nor expand it.
+
 The generated step keeps only the hidden coordinates in the least set
 that holds those the output reads and those that the new value of a member
 reads.  No other coordinate can affect a later output (cone-of-influence
@@ -479,6 +491,14 @@ class _StepCompiler:
     interval lies inside it.  Where every range holds, the
     step computes what the unassumed step does.
 
+    A ``rising`` hidden input takes [enc(h0), top] whatever ``assume``
+    says: that range is proved, not assumed, since each new value is a
+    saturating sum of the input and terms that are not negative.  Each sum
+    generated after the first rising input is kept (``_record``), and
+    ``dead_rule`` lists, for each rising key coordinate, its index in the
+    key and the least T that ``_threshold`` finds: from a key whose
+    coordinate is at least T, every later ``y`` is below the encoded 1.
+
     Only what ``y`` can need is generated: a backward pass (``_plan``)
     names the FNN nodes and new hidden values that ``out`` reaches through
     the rows' terms.  Of those, the hidden coordinates in the least set
@@ -508,6 +528,8 @@ class _StepCompiler:
             self.scale, self.bottom, self.top = fmt.scale, fmt.min_raw, fmt.max_raw
         self._blocks: list[tuple[str, list[str], tuple]] = []
         self._guards: list[str] = []  # the blocks that check an assumed range
+        self._rising: dict[str, int] = {}  # each rising hidden input -> its encoded h0
+        self._sums: dict = {}  # what ``_record`` keeps, from the first rising input on
         # id(object) -> (object, its encoding, how many of its constants the
         # mode quantises); holding the object keeps its id from reuse
         self._memo: dict[int, tuple] = {}
@@ -591,6 +613,9 @@ class _StepCompiler:
                 return _Val(f"({code})", None, lo, hi, reads, None)
             return _Val(code, None, lo, hi, reads, coef, base)
         name = self._fresh()
+        if coef is not None:
+            self._record(name, 0, [_Val(code, None, lo, hi, reads, coef, base)], {}, lo, hi,
+                         self.bottom)
         clamp, lo, hi = self._clamp(name, lo, hi, self.bottom)
         return self._bind(name, [f"{name} = {code}"] + clamp, reads, lo, hi)
 
@@ -685,6 +710,7 @@ class _StepCompiler:
         lines: list[str] = []
         reads: tuple = ()
         pending = 0
+        joined, clamps = [], {}  # the terms after `value`; where the sum saturates
         for t in terms:
             if expr is None:
                 if t.const is not None:
@@ -703,6 +729,7 @@ class _StepCompiler:
                 # every 64 terms, to keep expressions shallow for compile())
                 if lo < bottom or hi > top or pending >= 64:
                     name = name or self._fresh()
+                    clamps[len(joined)] = bottom if lo < bottom else None, hi > top
                     clamp, lo, hi = self._clamp(name, lo, hi, bottom)
                     lines += [f"{name} = {expr}"] + clamp
                     expr, pending = name, 0
@@ -710,6 +737,7 @@ class _StepCompiler:
                 expr, lo, hi = _joined(expr, t), _plus(lo, t.lo), _plus(hi, t.hi)
             reads += t.reads
             pending += 1
+            joined.append(t)
         # relu after saturation is a clamp to [0, top]: the range holds 0
         floor = 0 if relu else bottom
         if expr is None:
@@ -729,10 +757,23 @@ class _StepCompiler:
                     code = f"{u} - {_literal(-c)} if {u} > {_literal(-c)}"
                 else:
                     code = f"{expr} if {u} > {_literal(-c)}"
+                self._record(name, value, joined, clamps, lo, hi, 0)
                 return self._bind(name, [f"{name} = {code} else 0"], reads, 0, hi)
         name = name or self._fresh()
+        self._record(name, value, joined, clamps, lo, hi, floor)
         clamp, lo, hi = self._clamp(name, lo, hi, floor)
         return self._bind(name, lines + [f"{name} = {expr}"] + clamp, reads, lo, hi)
+
+    def _record(self, name: str, start, terms: list, clamps: dict, lo, hi, floor) -> None:
+        """Keep the sum that the local ``name`` holds for ``_threshold``, once
+        a rising coordinate is generated: ``start`` plus ``terms``, clamped
+        to ``floor`` and the top at the end where its interval [lo, hi]
+        passes them.  ``clamps`` maps each count of terms after which the
+        sum saturates to the floor it raises a value to (None where it
+        raises none) and whether it lowers one to the top."""
+        if self._rising:
+            clamps[len(terms)] = floor if lo < floor else None, hi > self.top
+            self._sums[name] = start, terms, clamps
 
     # -- the model ----------------------------------------------------------
 
@@ -840,6 +881,32 @@ class _StepCompiler:
                 ranges[j] = min(0, h0), min(max(self.scale, h0), self.top)
         return ranges
 
+    def rising(self, layer: SsmLayer, news: list[int], x: list[_Val]) -> dict:
+        """The range [enc(h0), top] of each hidden input of ``news`` that
+        never falls: its gate row is the encoded 1 on itself (``{j: 1}`` of
+        a time-invariant gate, or a diagonal row with no term and offset 1),
+        its inc offset is not negative and neither is any inc term over the
+        intervals of the inputs ``x``.  A saturating sum of ``h`` and terms
+        that are not negative is not below ``h``, so by induction from the
+        initial key such a coordinate stays in its range: the range is
+        proved, not assumed, and needs no guard."""
+        gate, inc, one = layer.gate, layer.inc, self.scale
+        diagonal = isinstance(gate, DiagonalAffineGate)
+        ranges = {}
+        for j in news:
+            if j not in layer.updates:
+                continue
+            terms = gate.rows[j].terms
+            if diagonal:
+                unit = not terms and self.enc(gate.offset[j]) == one
+            else:
+                unit = len(terms) == 1 and terms[0][0] == j and self.enc(terms[0][1]) == one
+            if unit and self.enc(inc.offset[j]) >= 0 and all(
+                    x[k].lo >= 0 if w > 0 else x[k].hi <= 0 or w == 0
+                    for k, w in self._row(inc.rows[j])[1]):
+                ranges[j] = self.enc(layer.h0[j]), self.top
+        return ranges
+
     def guard(self, v: _Val, lo, hi) -> _Val:
         """``v``, the new value of a coordinate assumed in [lo, hi], after
         one line that raises ``Retract`` where it leaves the range; no line
@@ -862,9 +929,9 @@ class _StepCompiler:
         """The source of the step; ``inputs`` are the encoded embeddings,
         the only vectors it is ever called with.  Generates only the nodes
         and new hidden values that ``_plan`` finds ``y`` can need, so only
-        their constants are encoded, and sets ``key``.  A hidden input
-        takes its ``assumed`` range, and the new value of an assumed
-        coordinate its ``guard``."""
+        their constants are encoded, and sets ``key`` and ``dead_rule``.  A
+        hidden input takes its ``assumed`` or ``rising`` range, and the new
+        value of an assumed coordinate its ``guard``."""
         x = []
         for k in range(model.dim):
             column = [vec[k] for vec in inputs]
@@ -878,8 +945,10 @@ class _StepCompiler:
             h = {j: _Val(f"h{li}_{j}", None, self.bottom, self.top, (f"h{li}_{j}",))
                  for j in news}
             ranges = self.assumed(layer, news)
-            for j, (lo, hi) in ranges.items():
+            rising = self.rising(layer, news, x)
+            for j, (lo, hi) in (ranges | rising).items():
                 h[j].lo, h[j].hi = lo, hi
+            self._rising.update((h[j].code, lo) for j, (lo, _) in rising.items())
             new = [None] * layer.dim
             for j in news:
                 if j in layer.updates:
@@ -892,8 +961,9 @@ class _StepCompiler:
             x = self.phi(layer, phi_plan, passes, new, x)
         (y,) = self.fnn(model.out, out_plan, x)
         live = self._live(y, hidden)
-        keyed = [value for name, value in hidden.items() if name in live]
-        self.key = tuple(lj for lj, _ in keyed)
+        keyed = [(name, value) for name, (_, value) in hidden.items() if name in live]
+        self.key = tuple(hidden[name][0] for name, _ in keyed)
+        self.dead_rule = self._dead_rule(y, [name for name, _ in keyed])
         lines = ["def step(key, x):"]
         if self.key:
             lines.append("    " + "".join(f"h{li}_{j}, " for li, j in self.key) + "= key")
@@ -904,6 +974,95 @@ class _StepCompiler:
                   for line in block]
         lines.append(f"    return ({''.join(f'{v.code}, ' for _, v in keyed)}), {y.code}")
         return "\n".join(lines) + "\n"
+
+    def _dead_rule(self, y: _Val, names: list[str]) -> tuple:
+        """``(i, T)`` for each rising coordinate at index i of the key, the
+        key ``names``, that ``_threshold`` finds a least T for: from a key
+        whose coordinate i is at least T, every later ``y`` is below the
+        encoded 1.  Every rising coordinate has its h0 as T where ``y``
+        never reaches 1.  No rule where a guard checks an assumed range,
+        since a dead key's successors would not run their guards."""
+        if not self._rising or self._guards:
+            return ()
+        if y.hi < self.scale:
+            found = dict(self._rising)
+        else:
+            # the sums that grow (shrink) as some rising input grows, through
+            # integer terms alone
+            grows, shrinks = set(self._rising), set()
+            for name, (_, terms, _) in self._sums.items():
+                for t in terms:
+                    if t.coef is not None and (t.base in grows or t.base in shrinks):
+                        same, other = (grows, shrinks) if t.coef > 0 else (shrinks, grows)
+                        if t.base in grows:
+                            same.add(name)
+                        if t.base in shrinks:
+                            other.add(name)
+            found = {}
+            self._threshold(y.code, False, self.scale - 1, found, (shrinks, grows),
+                            [4 * len(self._blocks)])
+        return tuple((i, found[name]) for i, name in enumerate(names) if name in found)
+
+    def _threshold(self, name: str, up: bool, bound, found: dict, moves: tuple,
+                   budget: list) -> None:
+        """One backward pass from the sum ``name``, which must be at least
+        (``up``) or at most ``bound``: for each rising hidden input that it
+        reaches, the least value T from which the interval analysis meets
+        the bound, kept in ``found`` where it is the least so far.  The pass
+        follows each integer term of a sum that ``_record`` kept, every
+        other term at its interval (``_through``), into a term that can
+        rise (``up``) or fall as a rising input grows (``moves``: the sums
+        that shrink, then those that grow); it stops at a product by a
+        fraction, a gated product or past ``budget[0]`` visits."""
+        budget[0] -= 1
+        kept = self._sums.get(name)
+        if budget[0] < 0 or kept is None:
+            return
+        terms = kept[1]
+        for t, need in zip(terms, self._through(*kept, up, bound)):
+            if need is None or t.coef is None:
+                continue
+            k = t.coef  # k * base at least (up) or at most need
+            rising = up == (k > 0)
+            need = -(-need // k) if rising else need // k
+            lowest = self._rising.get(t.base)
+            if lowest is None:
+                if t.base in moves[rising]:
+                    self._threshold(t.base, rising, need, found, moves, budget)
+            elif rising and need <= self.top:
+                least = max(need, lowest)
+                if found.get(t.base, least) >= least:
+                    found[t.base] = least
+
+    def _through(self, start, terms: list, clamps: dict, up: bool, bound) -> list:
+        """For each term of the sum ``start + terms``, the bound it must
+        meet (at least it where ``up``, else at most it) for the sum to meet
+        ``bound``, the terms after it at their least (``up``) or largest
+        values and the sum before it at its interval; None where a clamp
+        after it defeats the bound or an interval is infinite.  Raising a
+        value to the floor cannot break an upper bound at or above the
+        floor, nor can lowering one to the top break a lower bound at or
+        below the top; each other clamp can."""
+        top, bottom = self.top, self.bottom
+        ends = [t.lo if up else t.hi for t in terms]
+        needs = [None] * len(ends)
+        for j in range(len(ends), 0, -1):
+            if j in clamps:
+                floor, high = clamps[j]
+                if high and up and bound > top or floor is not None and not up and bound < floor:
+                    break
+            needs[j - 1] = bound
+            if abs(ends[j - 1]) == _INF:
+                break
+            bound -= ends[j - 1]
+        total = start
+        for j, end in enumerate(ends):
+            if needs[j] is not None:
+                needs[j] = None if abs(total) == _INF else needs[j] - total
+            total = _plus(total, end)
+            if j + 1 in clamps:  # saturated between terms, so at the format's bottom
+                total = min(max(total, bottom), top)
+        return needs
 
     def build(self, model: SsmModel, inputs: list[tuple]):
         """Compile the step; ``inputs`` are the encoded embeddings, the only
@@ -997,7 +1156,10 @@ class _Stepper:
     b * |key|, since at most 2**(b * |key|) keys exist; in exact mode, where
     nothing bounds them, it is None.  ``assume`` says whether the step runs
     on the assumed ranges of its gated coordinates, whose guards raise
-    ``_Retract`` from a call where one fails."""
+    ``_Retract`` from a call where one fails.  ``dead_rule`` holds an
+    ``(i, T)`` pair for each rising key coordinate i with an encoded
+    threshold T: a key whose coordinate i is at least T is dead, and every
+    output from it on is below 1."""
 
     def __init__(self, model: SsmModel, mode: ArithMode, scale: int | None, assume: bool = True):
         started = time.perf_counter()
@@ -1010,6 +1172,7 @@ class _Stepper:
         }
         self.search_step = comp.build(model, list(self.emb.values()))
         self.key = comp.key
+        self.dead_rule = comp.dead_rule
         self.key_state_bound_log2 = None if mode.is_exact else mode.fmt.total_bits * len(self.key)
         self.init = tuple(comp.enc(model.layers[li].h0[j]) for li, j in self.key)
         self.quantized_constants = 0 if mode.is_exact else comp.quantized(model)

@@ -781,7 +781,9 @@ def test_random_ilps_decide_in_fixed_point_as_in_exact_mode():
 def test_an_ilp_letter_adds_its_column_of_a():
     """Letter i embeds as column i of A, then the unit vector e_i, under the
     identity gate and inc, so the exact step updates each row with one
-    addition.  The model computes what the one-hot form, whose inc holds A
+    addition.  Rows and counts never fall, so where a row's input exceeds
+    its target in every letter the output folds to 0, no coordinate is
+    keyed and the program has no solution.  The model computes what the one-hot form, whose inc holds A
     and whose letter i embeds as e_i, computes, word by word, in every
     format, also where 1 is not representable (fx:4:3): a truncated product
     does not depend on the order of its factors, and a zero term changes no
@@ -803,8 +805,10 @@ def test_an_ilp_letter_adds_its_column_of_a():
         updates = re.findall(r"^    v\d+ = (.*\bh0_.*)$", source, re.M)
         assert all(re.fullmatch(r"h0_(\d+) \+ x\1|\d+ \+ h0_\d+", line)
                    for line in updates), source
+        assert comp.key in ((), tuple((0, r) for r in range(2 * d))), source
+        assert comp.key or ilp_oracle(inst) is None, inst
         assert [int(re.search(r"h0_(\d+)", line)[1]) for line in updates] == [
-            r for r in range(2 * d) if any(vec[r] for vec in model.emb)]
+            r for _, r in comp.key if any(vec[r] for vec in model.emb)]
         zeros = as_vector([0] * 2 * d)
         inc = [list(row) + [0] * d for row in inst.matrix] + [u + [0] * d for u in unit]
         eye = [[int(r == c) for c in range(2 * d)] for r in range(2 * d)]

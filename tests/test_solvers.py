@@ -37,6 +37,7 @@ from ssmverify.solvers import (
     UNSAT_WITHIN_BOUND,
     LengthBound,
     ResourceLimits,
+    _bfs,
     pump_down,
     sat_bounded,
     sat_fixed,
@@ -44,11 +45,13 @@ from ssmverify.solvers import (
 from ssmverify.ssm import (
     SCALE_BITS,
     AffineMap,
+    DiagonalAffineGate,
     SsmLayer,
     SsmModel,
     TimeInvariantGate,
     _StepCompiler,
     _stepper,
+    _with_stepper,
     accepts,
     as_matrix,
     as_vector,
@@ -505,11 +508,93 @@ def test_search_key_holds_only_the_read_coordinates(text, dim, key):
         assert not state.mode.is_exact or all(type(v) is Fraction for h in state.hidden for v in h)
 
 
+FX12 = ArithMode(FixedPointFormat(12, 3))
+
+
+def check_pruning_changes_no_answer(model, mode, cap: int) -> tuple:
+    """On the same step, the search with the derived dead-key rule and the
+    search with the rule cleared find the same witness, or both none, and
+    the pruned one takes no more transitions.  Where the unpruned frontier
+    runs out, so does the pruned one.  Returns the rule."""
+
+    def both(stepper):
+        rule = stepper.dead_rule
+        try:
+            stepper.dead_rule = ()
+            full = _bfs(stepper, cap, ResourceLimits(), [0.0])
+        finally:
+            stepper.dead_rule = rule
+        return _bfs(stepper, cap, ResourceLimits(), [0.0]), full, rule
+
+    (witness, exhausted, stats), (full_witness, full_exhausted, full_stats), rule = (
+        _with_stepper(model, mode, both))
+    assert witness == full_witness
+    assert stats.transitions <= full_stats.transitions
+    assert exhausted or not full_exhausted
+    return rule
+
+
+@given(st.integers(0, 2**32), st.sampled_from(["minsky", "ilp"]), st.sampled_from([EXACT, FX12]))
+@settings(max_examples=120, deadline=None)
+def test_dead_keys_change_no_answer(seed, kind, mode):
+    rng = random.Random(seed)
+    if kind == "minsky":
+        check_pruning_changes_no_answer(compile_minsky(random_machine(rng, rng.randint(2, 4))),
+                                        mode, 5)
+    else:
+        inst = random_ilp(rng)
+        check_pruning_changes_no_answer(compile_ilp(inst), mode, inst.dim)
+
+
+@pytest.mark.parametrize("gate", [
+    TimeInvariantGate(as_matrix([[1, 0], [0, 1]])),
+    DiagonalAffineGate(as_matrix([[0, 0], [0, 0]]), as_vector([1, 1]))], ids=["ti", "diagonal"])
+def test_rising_coordinates_on_a_hand_model(gate):
+    """Coordinate 0 counts the a's from -1, coordinate 1 adds half of each b,
+    both under a gate of 1 on themselves, so both rise; the output
+    ``relu(1 - relu(z0 - 1) - relu(1 - z0) - z1)`` is 1 exactly after two
+    a's and no b.  The step on the proved ranges computes what the oracle
+    does on every word up to length 6, also where the count saturates
+    (fx:4:1 stops at 3.5).  The exact rule is dead past a count of 1, so
+    from two a's on (the count is a whole number), and from any b on."""
+    layer = SsmLayer(as_vector([-1, 0]), gate,
+                     AffineMap(as_matrix([[1, 0], [0, Fraction(1, 2)]]), as_vector([0, 0])),
+                     projection_phi(2))
+    out = compose(linear_fnn([[-1, -1, -1]], [1], RELU),
+                  linear_fnn([[1, 0], [-1, 0], [0, 1]], [-1, 1, 0], RELU))
+    model = SsmModel(("a", "b"), (as_vector([1, 0]), as_vector([0, 1])), (layer,), out)
+    for mode in (EXACT, FX6_MODE, ArithMode(FixedPointFormat(4, 1))):
+        for n in range(1, 7):
+            for word in itertools.product(model.alphabet, repeat=n):
+                assert evaluate(model, word, mode) == evaluate_layerwise(model, word, mode), word
+        rule = check_pruning_changes_no_answer(model, mode, 6)
+        if mode is EXACT:
+            one = _stepper(model, mode).one
+            assert [(i, Fraction(t, one)) for i, t in rule] == [(0, 1 + Fraction(1, one)),
+                                                                (1, Fraction(1, one))]
+    assert sat_bounded(model, 6, EXACT).witness == ("a", "a")
+
+
+def test_dead_rules_of_the_ci_models():
+    """The Minsky machine's violation sum is dead once above 0, the
+    smallest exact value, and each row or count of the 0-1 program once its
+    relu miss is at least 1: the sum of row 1, which counts every letter,
+    from 1, since its next letter adds 1; the others from 2."""
+    machine = parse_minsky("start: q0\nfinal: qf\nq0 inc2 q1\nq1 dec2 q2\nq1 ztest2 q0\n"
+                           "q2 inc1 q3\nq3 dec1 qf\nq3 ztest1 q1\n")
+    stats = sat_bounded(compile_minsky(machine), 8, EXACT).stats
+    assert stats.dead_rule == [[6, f"1/{2 ** SCALE_BITS}"]] and stats.dead == 16
+    stats = sat_bounded(compile_ilp(parse_ilp("2\n1 1\n0 1\n1 1\n")), 4, EXACT).stats
+    assert stats.dead_rule == [[0, "1"], [1, "2"], [2, "2"], [3, "2"]] and stats.dead == 1
+
+
 def test_search_key_is_the_least_set_closed_under_reads():
     """One coordinate of the second layer's history block is read only by a
     new value that neither ``y`` nor a key coordinate needs: the key holds 7 of
     the machine's 57 coordinates, one fewer than the set that every new
-    value reads.  The search and its witness do not change."""
+    value reads.  The search and its witness do not change.  The violation
+    sum never falls, and a key whose sum is above 0 is dead, so the search
+    stores 4 keys."""
     machine = parse_minsky("start: q0\nfinal: qf\nq0 inc2 q1\nq1 dec2 q2\nq1 ztest2 q0\n"
                            "q2 inc1 q3\nq3 dec1 qf\nq3 ztest1 q1\n")
     model = compile_minsky(machine)
@@ -518,7 +603,7 @@ def test_search_key_is_the_least_set_closed_under_reads():
     assert result.stats.key_coordinates == 7
     assert result.verdict == SATISFIABLE
     assert result.witness == ("(q1,inc2)", "(q2,dec2)", "(q3,inc1)", "(qf,dec1)")
-    assert (result.stats.transitions, result.stats.distinct_states) == (854, 833)
+    assert (result.stats.transitions, result.stats.distinct_states) == (20, 4)
 
 
 def test_an_output_folded_to_a_constant_keys_on_nothing():

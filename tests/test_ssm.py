@@ -36,6 +36,7 @@ from ssmverify.ssm import (
     TimeInvariantGate,
     _Inexact,
     _StepCompiler,
+    _Val,
     _constants,
     _first_scale,
     _stepper,
@@ -871,14 +872,39 @@ def test_saved_bytes_do_not_depend_on_shared_rows(tmp_path):
     assert [layer.updates for layer in models[0].layers] == [(3,), (4,), (5,)]
 
 
+@pytest.mark.parametrize("gate, inc, offset, rises", [
+    ([[1, 0], [0, 0]], [[1, 0], [0, 0]], [0, 0], True),  # adds an input in [0, 1]
+    ([[1, 0], [0, 0]], [[0, -2], [0, 0]], [1, 0], True),  # -2 times an input in [-1, 0]
+    ([[1, 0], [0, 0]], [[1, 1], [0, 0]], [0, 0], False),  # adds an input in [-1, 0]
+    ([[1, 0], [0, 0]], [[1, 0], [0, 0]], [-1, 0], False),  # a negative offset
+    ([[2, 0], [0, 0]], [[1, 0], [0, 0]], [0, 0], False),  # a gate of 2
+    ([[1, 1], [0, 0]], [[1, 0], [0, 0]], [0, 0], False),  # the gate reads coordinate 1
+    (([[0, 0], [0, 0]], [1, 0]), [[1, 0], [0, 0]], [0, 0], True),  # a diagonal offset of 1
+    (([[1, 0], [0, 0]], [1, 0]), [[1, 0], [0, 0]], [0, 0], False),  # the gate reads x0
+])
+def test_only_a_coordinate_that_cannot_fall_rises(gate, inc, offset, rises):
+    """A hidden input rises, taking [h0, top], only where its gate row is 1
+    on itself and its inc offset and every inc term are not negative over
+    the inputs' intervals; each condition alone is not enough."""
+    gate = (DiagonalAffineGate(as_matrix(gate[0]), as_vector(gate[1])) if isinstance(gate, tuple)
+            else TimeInvariantGate(as_matrix(gate)))
+    layer = SsmLayer(as_vector([Fraction(-1, 2), 0]), gate,
+                     AffineMap(as_matrix(inc), as_vector(offset)), projection_phi(2))
+    for mode, scale in ((EXACT, 2), (ArithMode(FixedPointFormat(6, 3)), None)):
+        comp = _StepCompiler(mode, scale)
+        x = [_Val("x0", None, 0, comp.scale, ("x0",)), _Val("x1", None, -comp.scale, 0, ("x1",))]
+        expected = {0: (-comp.scale // 2, comp.top)} if rises else {}
+        assert comp.rising(layer, [0], x) == expected
+
+
 def test_exact_sums_fold_every_constant():
     """Exact sums do not depend on the order of their terms, so the int step
     folds all constant terms of a sum into one literal.  A sum adds or
     subtracts its terms, never adds a negated one, and a one-line relu sums
     before its ``if``."""
     rng = random.Random(5)
-    models = [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(30)]
-    models += [compile_ilp(random_ilp(rng)) for _ in range(30)]
+    models = [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(45)]
+    models += [compile_ilp(random_ilp(rng)) for _ in range(45)]
     sums = 0
     for model in models:
         comp = _StepCompiler(EXACT)

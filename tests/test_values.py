@@ -37,7 +37,7 @@ MODEL_ARGS = dict(alphabet=("a", "b"), emb=(as_vector([1]), as_vector([0])), lay
 STATS = dict(states_explored=3, max_frontier=2, elapsed_s=0.5, quantized_constants=1,
              distinct_states=3, transitions=3, stepper_build_s=0.25, exact_domain="int",
              exact_scale_bits=65, key_coordinates=2, key_state_bound_log2=None,
-             frontier_sizes=[1, 2])
+             frontier_sizes=[1, 2], dead=1, dead_rule=[[0, "1"]])
 STATS_KEYS = list(STATS)
 MACHINE = dict(states=("q0", "qf"), start="q0", final="qf",
                transitions=frozenset({("q0", "inc1", "qf")}))
@@ -157,7 +157,7 @@ def test_defaults():
     assert LAYER.computes == LAYER.updates == (0,) and LAYER.net is LAYER.phi
     stats = SearchStats()
     assert [getattr(stats, name) for name in STATS_KEYS] == [
-        0, 0, 0.0, 0, 0, 0, 0.0, None, None, 0, None, []]
+        0, 0, 0.0, 0, 0, 0, 0.0, None, None, 0, None, [], 0, []]
 
 
 def test_uncompared_fields():
@@ -176,8 +176,10 @@ def test_uncompared_fields():
 def test_each_search_stats_has_its_own_list():
     first, second = SearchStats(), SearchStats()
     assert first.frontier_sizes is not second.frontier_sizes
+    assert first.dead_rule is not second.dead_rule
     first.frontier_sizes.append(1)
-    assert second.frontier_sizes == []
+    first.dead_rule.append([0, "1"])
+    assert second.frontier_sizes == [] and second.dead_rule == []
 
 
 def test_reported_stats_keep_their_keys_in_order(tmp_path, monkeypatch):
