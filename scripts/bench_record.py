@@ -8,8 +8,9 @@
 Each checkout is a directory holding ``perfbench/run.py`` and ``src/``,
 given as ``PATH`` (labelled by its short commit) or ``LABEL=PATH``.  For
 each round, workload and checkout in turn, the script runs that
-checkout's own ``perfbench/run.py --workload W --seed S --seconds T
---trace 0`` in a child process.  Runs alternate between checkouts, which
+checkout's own ``perfbench/run.py --workload W --seed S --seconds 10
+--trace 0`` in a child process: every record is made with runs of the same
+length, on every checkout alike.  Runs alternate between checkouts, which
 go first in turn, so a slow phase of a shared host falls on each of them
 alike.  From each run it reads the last line of standard output (one JSON
 object: correct, attempted, failed and the end-to-end metrics), the corpus
@@ -33,6 +34,7 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("ltl_cli", "ltl_deep", "bounded_exact")
+SECONDS = 10  # the length of each run
 _DIGEST = re.compile(r"\bdigest ([0-9a-f]+)")
 _PROBE = re.compile(r"^host-speed probe: .*\bmedian ([0-9.]+) ms", re.M)
 
@@ -86,10 +88,10 @@ def commit_of(root: Path) -> str:
     return head + ("+dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(root: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{root}: {workload} exited {proc.returncode}:\n"
@@ -115,7 +117,6 @@ def main(argv=None) -> int:
     parser.add_argument("checkout", nargs="+", help="PATH or LABEL=PATH of a source checkout")
     parser.add_argument("--runs", type=int, default=5, help="runs per workload (default 5)")
     parser.add_argument("--seed", type=int, default=401)
-    parser.add_argument("--seconds", type=int, default=10)
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="a workload to run, repeatable (default: all)")
     parser.add_argument("--out", type=Path, default=Path.cwd(),
@@ -127,7 +128,7 @@ def main(argv=None) -> int:
     for round_ in range(args.runs):
         for workload in workloads:
             for label, root in trees if round_ % 2 == 0 else trees[::-1]:
-                record = run_once(root, workload, args.seed, args.seconds)
+                record = run_once(root, workload, args.seed)
                 runs[label, workload].append(record)
                 print(f"round {round_ + 1}/{args.runs} {label} {workload}: "
                       f"p50 {record['metrics']['verdict_s.p50']['value'] * 1e3:.3f} ms, "

@@ -494,7 +494,7 @@ class _StepCompiler:
     A ``rising`` hidden input takes [enc(h0), top] whatever ``assume``
     says: that range is proved, not assumed, since each new value is a
     saturating sum of the input and terms that are not negative.  Each sum
-    generated after the first rising input is kept (``_record``), and
+    that moves as a rising input grows is kept (``_record``), and
     ``dead_rule`` lists, for each rising key coordinate, its index in the
     key and the least T that ``_threshold`` finds: from a key whose
     coordinate is at least T, every later ``y`` is below the encoded 1.
@@ -591,18 +591,26 @@ class _StepCompiler:
         self._blocks.append((name, lines, tuple(reads)))
         return _Val(name, None, lo, hi, (name,))
 
+    def _saturates(self, lo, hi, floor) -> tuple:
+        """Where a value in [lo, hi] saturates (``floor`` below: the range
+        minimum, or zero where a relu follows): the floor it raises a value
+        to, None where it raises none, and whether it lowers one to the
+        top."""
+        return floor if lo < floor else None, hi > self.top
+
     def _clamp(self, name: str, lo, hi, floor):
-        """Saturation lines for ``name`` in [lo, hi] (``floor`` below: the
-        range minimum, or zero where a relu follows); returns the lines and
-        the clamped interval."""
+        """Saturation lines for ``name`` in [lo, hi], where ``_saturates``
+        says it saturates; returns the lines, the clamped interval and what
+        ``_saturates`` said."""
         top = self.top
+        low, high = saturates = self._saturates(lo, hi, floor)
         lines = []
-        if hi > top:
+        if high:
             lines.append(f"if {name} > {top}: {name} = {top}")
-        if lo < floor:
-            code = self.const(floor).code
+        if low is not None:
+            code = _literal(floor)
             lines.append(f"{'elif' if lines else 'if'} {name} < {code}: {name} = {code}")
-        return lines, min(max(lo, floor), top), min(max(hi, floor), top)
+        return lines, min(max(lo, floor), top), min(max(hi, floor), top), saturates
 
     def _fits(self, code: str, lo, hi, reads, coef=None, base=None) -> _Val:
         """A product term: an expression when it cannot leave the range,
@@ -612,11 +620,10 @@ class _StepCompiler:
             if coef is None:
                 return _Val(f"({code})", None, lo, hi, reads, None)
             return _Val(code, None, lo, hi, reads, coef, base)
-        name = self._fresh()
+        name, term = self._fresh(), _Val(code, None, lo, hi, reads, coef, base)
+        clamp, lo, hi, saturates = self._clamp(name, lo, hi, self.bottom)
         if coef is not None:
-            self._record(name, 0, [_Val(code, None, lo, hi, reads, coef, base)], {}, lo, hi,
-                         self.bottom)
-        clamp, lo, hi = self._clamp(name, lo, hi, self.bottom)
+            self._record(name, 0, [term], {1: saturates})
         return self._bind(name, [f"{name} = {code}"] + clamp, reads, lo, hi)
 
     def _divided(self, code: str, q: int, reads, lo, hi) -> _Val:
@@ -686,7 +693,7 @@ class _StepCompiler:
         if f == 0 or min(ends) >= 0:
             return self._fits(f"{g.code} * {v.code} >> {f}", lo, hi, reads)
         name = self._fresh()
-        clamp, lo, hi = self._clamp(name, lo, hi, self.bottom)
+        clamp, lo, hi, _ = self._clamp(name, lo, hi, self.bottom)
         lines = [f"{name} = {g.code} * {v.code}",
                  f"{name} = {name} >> {f} if {name} >= 0 else -(-{name} >> {f})"]
         return self._bind(name, lines + clamp, reads, lo, hi)
@@ -729,8 +736,7 @@ class _StepCompiler:
                 # every 64 terms, to keep expressions shallow for compile())
                 if lo < bottom or hi > top or pending >= 64:
                     name = name or self._fresh()
-                    clamps[len(joined)] = bottom if lo < bottom else None, hi > top
-                    clamp, lo, hi = self._clamp(name, lo, hi, bottom)
+                    clamp, lo, hi, clamps[len(joined)] = self._clamp(name, lo, hi, bottom)
                     lines += [f"{name} = {expr}"] + clamp
                     expr, pending = name, 0
                 first = None
@@ -746,34 +752,43 @@ class _StepCompiler:
             lo, hi = max(lo, span[0]), min(hi, span[1])
         if hi <= floor:
             return self.const(floor)
-        if first is not None and hi <= top:  # `value` plus one term: no line yet
-            if value == 0 and first.coef == 1 and lo >= floor:  # a name
-                return _Val(expr, None, lo, hi, (expr,))
-            if relu and first.coef in (1, -1):  # one line, not two
-                u, c, name = first.base, value, self._fresh()
-                if first.coef == -1:
-                    code = f"{expr} if {u} < {_literal(c)}"
-                elif c < 0:
-                    code = f"{u} - {_literal(-c)} if {u} > {_literal(-c)}"
-                else:
-                    code = f"{expr} if {u} > {_literal(-c)}"
-                self._record(name, value, joined, clamps, lo, hi, 0)
-                return self._bind(name, [f"{name} = {code} else 0"], reads, 0, hi)
+        one = first is not None and hi <= top  # `value` plus one term: no line yet
+        if one and value == 0 and first.coef == 1 and lo >= floor:  # a name
+            return _Val(expr, None, lo, hi, (expr,))
         name = name or self._fresh()
-        self._record(name, value, joined, clamps, lo, hi, floor)
-        clamp, lo, hi = self._clamp(name, lo, hi, floor)
+        if one and relu and first.coef in (1, -1):  # one line, not two
+            u, c = first.base, value
+            if first.coef == -1:
+                code = f"{expr} if {u} < {_literal(c)}"
+            elif c < 0:
+                code = f"{u} - {_literal(-c)} if {u} > {_literal(-c)}"
+            else:
+                code = f"{expr} if {u} > {_literal(-c)}"
+            clamps[len(joined)] = self._saturates(lo, hi, 0)
+            self._record(name, value, joined, clamps)
+            return self._bind(name, [f"{name} = {code} else 0"], reads, 0, hi)
+        clamp, lo, hi, clamps[len(joined)] = self._clamp(name, lo, hi, floor)
+        self._record(name, value, joined, clamps)
         return self._bind(name, lines + [f"{name} = {expr}"] + clamp, reads, lo, hi)
 
-    def _record(self, name: str, start, terms: list, clamps: dict, lo, hi, floor) -> None:
-        """Keep the sum that the local ``name`` holds for ``_threshold``, once
-        a rising coordinate is generated: ``start`` plus ``terms``, clamped
-        to ``floor`` and the top at the end where its interval [lo, hi]
-        passes them.  ``clamps`` maps each count of terms after which the
-        sum saturates to the floor it raises a value to (None where it
-        raises none) and whether it lowers one to the top."""
-        if self._rising:
-            clamps[len(terms)] = floor if lo < floor else None, hi > self.top
-            self._sums[name] = start, terms, clamps
+    def _record(self, name: str, start, terms: list, clamps: dict) -> None:
+        """Keep the sum that the local ``name`` holds for ``_threshold``
+        where it moves as a rising input grows, through integer terms alone:
+        ``start`` plus ``terms``, then whether it can fall and whether it
+        can rise.  ``clamps`` maps each count of terms after which the sum
+        saturates to where ``_clamp`` saturates it."""
+        if not self._rising:
+            return
+        falls = rises = False
+        for t in terms:
+            if t.coef is not None:
+                kept = self._sums.get(t.base)
+                down, up = kept[3] if kept else (False, t.base in self._rising)
+                if t.coef < 0:
+                    down, up = up, down
+                falls, rises = falls or down, rises or up
+        if falls or rises:
+            self._sums[name] = start, terms, clamps, (falls, rises)
 
     # -- the model ----------------------------------------------------------
 
@@ -987,82 +1002,61 @@ class _StepCompiler:
         if y.hi < self.scale:
             found = dict(self._rising)
         else:
-            # the sums that grow (shrink) as some rising input grows, through
-            # integer terms alone
-            grows, shrinks = set(self._rising), set()
-            for name, (_, terms, _) in self._sums.items():
-                for t in terms:
-                    if t.coef is not None and (t.base in grows or t.base in shrinks):
-                        same, other = (grows, shrinks) if t.coef > 0 else (shrinks, grows)
-                        if t.base in grows:
-                            same.add(name)
-                        if t.base in shrinks:
-                            other.add(name)
-            found = {}
-            self._threshold(y.code, False, self.scale - 1, found, (shrinks, grows),
-                            [4 * len(self._blocks)])
+            found, kept = {}, self._sums.get(y.code)
+            if kept:
+                self._threshold(kept, False, self.scale - 1, found, [4 * len(self._blocks)])
         return tuple((i, found[name]) for i, name in enumerate(names) if name in found)
 
-    def _threshold(self, name: str, up: bool, bound, found: dict, moves: tuple,
-                   budget: list) -> None:
-        """One backward pass from the sum ``name``, which must be at least
-        (``up``) or at most ``bound``: for each rising hidden input that it
-        reaches, the least value T from which the interval analysis meets
-        the bound, kept in ``found`` where it is the least so far.  The pass
-        follows each integer term of a sum that ``_record`` kept, every
-        other term at its interval (``_through``), into a term that can
-        rise (``up``) or fall as a rising input grows (``moves``: the sums
-        that shrink, then those that grow); it stops at a product by a
-        fraction, a gated product or past ``budget[0]`` visits."""
-        budget[0] -= 1
-        kept = self._sums.get(name)
-        if budget[0] < 0 or kept is None:
-            return
-        terms = kept[1]
-        for t, need in zip(terms, self._through(*kept, up, bound)):
-            if need is None or t.coef is None:
-                continue
-            k = t.coef  # k * base at least (up) or at most need
-            rising = up == (k > 0)
-            need = -(-need // k) if rising else need // k
-            lowest = self._rising.get(t.base)
-            if lowest is None:
-                if t.base in moves[rising]:
-                    self._threshold(t.base, rising, need, found, moves, budget)
-            elif rising and need <= self.top:
-                least = max(need, lowest)
-                if found.get(t.base, least) >= least:
-                    found[t.base] = least
+    def _threshold(self, kept: tuple, up: bool, bound, found: dict, budget: list) -> None:
+        """One backward pass from a sum that ``_record`` kept, which must be
+        at least (``up``) or at most ``bound``: for each rising hidden input
+        that it reaches, the least value T from which the interval analysis
+        meets the bound, kept in ``found`` where it is the least so far.
 
-    def _through(self, start, terms: list, clamps: dict, up: bool, bound) -> list:
-        """For each term of the sum ``start + terms``, the bound it must
-        meet (at least it where ``up``, else at most it) for the sum to meet
-        ``bound``, the terms after it at their least (``up``) or largest
-        values and the sum before it at its interval; None where a clamp
-        after it defeats the bound or an interval is infinite.  Raising a
-        value to the floor cannot break an upper bound at or above the
-        floor, nor can lowering one to the top break a lower bound at or
-        below the top; each other clamp can."""
-        top, bottom = self.top, self.bottom
-        ends = [t.lo if up else t.hi for t in terms]
-        needs = [None] * len(ends)
-        for j in range(len(ends), 0, -1):
+        Each term of the sum must meet (be at least where ``up``, else at
+        most) the bound less the terms after it at their least (``up``) or
+        largest values and the sum before it at its interval.  The pass
+        stops where a clamp after a term defeats the bound or an interval is
+        infinite: raising a value to the floor cannot break an upper bound
+        at or above the floor, nor can lowering one to the top break a lower
+        bound at or below the top; each other clamp can.  It follows each
+        integer term into a kept sum that can rise (``up``) or fall as a
+        rising input grows; it stops at a product by a fraction, a gated
+        product or past ``budget[0]`` visits."""
+        budget[0] -= 1
+        if budget[0] < 0:
+            return
+        total, terms, clamps, _ = kept
+        top = self.top
+        befores = []  # the sum before each term
+        for j, t in enumerate(terms, 1):
+            befores.append(total)
+            total = _plus(total, t.lo if up else t.hi)
+            if j in clamps:  # saturated between terms, so at the format's bottom
+                total = min(max(total, self.bottom), top)
+        for j in range(len(terms), 0, -1):
             if j in clamps:
                 floor, high = clamps[j]
                 if high and up and bound > top or floor is not None and not up and bound < floor:
-                    break
-            needs[j - 1] = bound
-            if abs(ends[j - 1]) == _INF:
-                break
-            bound -= ends[j - 1]
-        total = start
-        for j, end in enumerate(ends):
-            if needs[j] is not None:
-                needs[j] = None if abs(total) == _INF else needs[j] - total
-            total = _plus(total, end)
-            if j + 1 in clamps:  # saturated between terms, so at the format's bottom
-                total = min(max(total, bottom), top)
-        return needs
+                    return
+            t, before = terms[j - 1], befores[j - 1]
+            if t.coef is not None and abs(before) != _INF:
+                k = t.coef  # k * base at least (up) or at most need
+                rising = up == (k > 0)
+                need = -((before - bound) // k) if rising else (bound - before) // k
+                lowest = self._rising.get(t.base)
+                if lowest is None:
+                    sub = self._sums.get(t.base)
+                    if sub and sub[3][rising]:
+                        self._threshold(sub, rising, need, found, budget)
+                elif rising and need <= top:
+                    least = max(need, lowest)
+                    if found.get(t.base, least) >= least:
+                        found[t.base] = least
+            end = t.lo if up else t.hi
+            if abs(end) == _INF:
+                return
+            bound -= end
 
     def build(self, model: SsmModel, inputs: list[tuple]):
         """Compile the step; ``inputs`` are the encoded embeddings, the only
