@@ -11,14 +11,15 @@ from pathlib import Path
 from helpers import (
     expanded, full_rows, geometric_model, hand_formulas, random_ilp, random_machine,
 )
+from ssmverify.arithmetic import EXACT, ArithMode, FixedPointFormat
 from ssmverify.cli import run
 from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, parse_ilp, parse_minsky
 from ssmverify.fnn import IDENTITY, RELU, compose, gadget_eq, linear_fnn, select_fnn
 from ssmverify.ltl import parse
 from ssmverify.modelfile import load_model, save_model
 from ssmverify.ssm import (
-    AffineMap, DiagonalAffineGate, SsmLayer, SsmModel, _constants, _denominator, as_vector, carried,
-    projection_phi,
+    AffineMap, DiagonalAffineGate, SsmLayer, SsmModel, _constants, _denominator, _first_scale,
+    _StepCompiler, _Stepper, as_vector, carried, projection_phi,
 )
 
 MINSKY_TEXT = (
@@ -241,6 +242,54 @@ def test_compiled_minsky_ilp_corpus_checksum(tmp_path):
     models += [compile_ilp(random_ilp(rng)) for _ in range(8)]
     assert corpus_digest(models, tmp_path) == (
         "47e59755ac80ba097fff7cfd9fc0d1021f5f26b85e3bb6e8741ef55f2913c9f4")
+
+
+STEP_MODES = (EXACT, ArithMode(FixedPointFormat(6, 3)), ArithMode(FixedPointFormat(12, 3)))
+
+
+def step_digest(models, monkeypatch) -> str:
+    """One digest over the step that each of ``models`` builds in each mode
+    of ``STEP_MODES``, with and without assumed ranges: the source that
+    ``_StepCompiler.source`` generates, then the key, the dead rule, the
+    initial key and the quantised count.  An exact step starts on the
+    model's first scale."""
+    sources = []
+    generate = _StepCompiler.source
+
+    def source(self, *args):
+        sources.append(generate(self, *args))
+        return sources[-1]
+
+    monkeypatch.setattr(_StepCompiler, "source", source)
+    digest = hashlib.sha256()
+    for model in models:
+        for mode in STEP_MODES:
+            scale = _first_scale(_denominator(model)) if mode.is_exact else None
+            for assume in (True, False):
+                stepper = _Stepper(model, mode, scale, assume)
+                digest.update(repr((sources[-1], stepper.key, stepper.dead_rule, stepper.init,
+                                    stepper.quantized_constants)).encode())
+    assert len(sources) == 6 * len(models)
+    return digest.hexdigest()
+
+
+# The step sources of the two corpora above, apart for the same reason: a
+# change to the step compiler that moves no emitted line leaves both.
+
+def test_step_sources_checksum_ltl(monkeypatch):
+    """The steps of every hand formula."""
+    models = [compile_ltl(parse(text)) for text in hand_formulas()]
+    assert step_digest(models, monkeypatch) == (
+        "fdb9e77d09044f790d10840033a8585767f8d7ca3a066969f65789f7b4618ee3")
+
+
+def test_step_sources_checksum_minsky_ilp(monkeypatch):
+    """The steps of the seeded random machines and 0-1 programs."""
+    rng = random.Random(5)
+    models = [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(8)]
+    models += [compile_ilp(random_ilp(rng)) for _ in range(8)]
+    assert step_digest(models, monkeypatch) == (
+        "d2b018a48333c5a3614870424f92bebf4b5615ab8ca56a701a4a467b2234710f")
 
 
 # A model file of FORMULA compiled in an earlier layout (one layer per
