@@ -50,8 +50,12 @@ class SearchStats(Value):
     ``transitions`` repeats that count under its plain name;
     ``distinct_states`` counts the stream states stored (the initial one
     included) and ``max_frontier`` the largest breadth-first level.
-    ``elapsed_s`` times the search alone and ``stepper_build_s`` the build
-    of the compiled step that ran it, whenever it was built; ``exact_domain``
+    ``elapsed_s`` times the search alone.  ``builds`` counts the builds of
+    the compiled step that ran it, whenever they were made: 1, and one more
+    for each rebuild after a retracted range or a widened exact scale.
+    ``stepper_build_s`` sums their seconds, and ``source_s`` and
+    ``compile_s`` the parts of those seconds spent generating and compiling
+    the step's source.  ``exact_domain``
     is the domain exact values ran in, always ``"int"`` (``None`` in fixed mode).
     ``exact_scale_bits`` is the bit length of the scale those ints ran on:
     1 for a model with only integer constants, ``SCALE_BITS + 1`` for a
@@ -71,20 +75,22 @@ class SearchStats(Value):
 
     __slots__ = _fields = (
         "states_explored", "max_frontier", "elapsed_s", "quantized_constants",
-        "distinct_states", "transitions", "stepper_build_s", "exact_domain",
-        "exact_scale_bits", "key_coordinates", "key_state_bound_log2", "frontier_sizes",
-        "dead", "dead_rule")
+        "distinct_states", "transitions", "stepper_build_s", "builds", "source_s", "compile_s",
+        "exact_domain", "exact_scale_bits", "key_coordinates", "key_state_bound_log2",
+        "frontier_sizes", "dead", "dead_rule")
 
     def __init__(self, states_explored: int = 0, max_frontier: int = 0, elapsed_s: float = 0.0,
                  quantized_constants: int = 0, distinct_states: int = 0, transitions: int = 0,
-                 stepper_build_s: float = 0.0, exact_domain: Optional[str] = None,
+                 stepper_build_s: float = 0.0, builds: int = 0, source_s: float = 0.0,
+                 compile_s: float = 0.0, exact_domain: Optional[str] = None,
                  exact_scale_bits: Optional[int] = None, key_coordinates: int = 0,
                  key_state_bound_log2: Optional[int] = None,
                  frontier_sizes: Optional[list[int]] = None, dead: int = 0,
                  dead_rule: Optional[list[list]] = None):
         self._assign(states_explored, max_frontier, elapsed_s, quantized_constants,
-                     distinct_states, transitions, stepper_build_s, exact_domain,
-                     exact_scale_bits, key_coordinates, key_state_bound_log2,
+                     distinct_states, transitions, stepper_build_s, builds, source_s,
+                     compile_s, exact_domain, exact_scale_bits, key_coordinates,
+                     key_state_bound_log2,
                      [] if frontier_sizes is None else frontier_sizes, dead,
                      [] if dead_rule is None else dead_rule)
 
@@ -247,6 +253,7 @@ def _stats(stepper, start: float, transitions: int, sizes: list[int], stored: in
     exact, one = stepper.mode.is_exact, stepper.one
     return SearchStats(transitions, max(sizes[1:], default=0), time.monotonic() - start,
                        stepper.quantized_constants, stored, transitions, stepper.build_s,
+                       stepper.builds, stepper.source_s, stepper.compile_s,
                        "int" if exact else None, one.bit_length() if exact else None,
                        len(stepper.key), stepper.key_state_bound_log2, sizes, dead,
                        [[i, format_rational(Fraction(t, one))] for i, t in stepper.dead_rule])

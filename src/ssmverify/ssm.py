@@ -96,6 +96,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Sequence
 
 from ._row import Row
@@ -122,6 +123,7 @@ Matrix = tuple[Vector, ...]
 SCALE_BITS = 64
 _SCALE = 1 << SCALE_BITS
 _ZERO, _ONE = Fraction(0), Fraction(1)
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 def as_vector(values: Sequence) -> Vector:
@@ -533,11 +535,12 @@ class _StepCompiler:
         # id(object) -> (object, its encoding, how many of its constants the
         # mode quantises); holding the object keeps its id from reuse
         self._memo: dict[int, tuple] = {}
+        self.one = self.enc(_ONE)  # the encoded 1, the scale wherever 1 is representable
 
     # -- encoding -----------------------------------------------------------
 
     def enc(self, w: Fraction) -> int:
-        return self._const(w)[1]
+        return (self._memo.get(id(w)) or self._const(w))[1]
 
     def _const(self, w: Fraction) -> tuple:
         """``(w, encoding, 1 if the encoding is inexact else 0)``."""
@@ -558,11 +561,15 @@ class _StepCompiler:
 
     def _row(self, row: Row) -> tuple:
         """``(row, its terms with encoded weights, quantised count)``."""
-        hit = self._memo.get(id(row))
+        memo = self._memo
+        hit = memo.get(id(row))
         if hit is None:
-            consts = [(k, self._const(w)) for k, w in row.terms]
-            hit = self._memo[id(row)] = (row, tuple((k, c[1]) for k, c in consts),
-                                         sum(c[2] for _, c in consts))
+            terms, count = [], 0
+            for k, w in row.terms:
+                _, code, inexact = memo.get(id(w)) or self._const(w)
+                terms.append((k, code))
+                count += inexact
+            hit = memo[id(row)] = (row, tuple(terms), count)
         return hit
 
     def quantized(self, model: SsmModel) -> int:
@@ -586,9 +593,9 @@ class _StepCompiler:
     def _fresh(self) -> str:
         return f"v{len(self._blocks)}"
 
-    def _bind(self, name: str, lines: list[str], reads, lo, hi) -> _Val:
+    def _bind(self, name: str, lines: list[str], reads: tuple, lo, hi) -> _Val:
         """Record the block of lines that computes the local ``name``."""
-        self._blocks.append((name, lines, tuple(reads)))
+        self._blocks.append((name, lines, reads))
         return _Val(name, None, lo, hi, (name,))
 
     def _saturates(self, lo, hi, floor) -> tuple:
@@ -620,11 +627,11 @@ class _StepCompiler:
             if coef is None:
                 return _Val(f"({code})", None, lo, hi, reads, None)
             return _Val(code, None, lo, hi, reads, coef, base)
-        name, term = self._fresh(), _Val(code, None, lo, hi, reads, coef, base)
-        clamp, lo, hi, saturates = self._clamp(name, lo, hi, self.bottom)
-        if coef is not None:
-            self._record(name, 0, [term], {1: saturates})
-        return self._bind(name, [f"{name} = {code}"] + clamp, reads, lo, hi)
+        name = f"v{len(self._blocks)}"
+        clamp, clamped_lo, clamped_hi, saturates = self._clamp(name, lo, hi, self.bottom)
+        if coef is not None and self._rising:
+            self._record(name, 0, [_Val(code, None, lo, hi, reads, coef, base)], {1: saturates})
+        return self._bind(name, [f"{name} = {code}"] + clamp, reads, clamped_lo, clamped_hi)
 
     def _divided(self, code: str, q: int, reads, lo, hi) -> _Val:
         """A local holding the int ``code`` divided by ``q``, after a check
@@ -645,25 +652,28 @@ class _StepCompiler:
 
     def mul(self, w, v: _Val) -> _Val:
         """The term ``w * v`` for an encoded constant weight ``w``."""
+        scale = self.scale
+        if w == scale:
+            return v
         if v.const is not None:
             if self.fmt is not None:
                 return self.const(raw_mul(w, v.const, self.fmt))
-            p, rest = divmod(w * v.const, self.scale)
+            p, rest = divmod(w * v.const, scale)
             if not rest:
                 return self.const(p)
-        if w == 0:
-            return self.const(0)
-        if w == self.scale:
-            return v
-        scale = self.scale
-        lo, hi = sorted((_scaled_bound(w, v.lo, scale), _scaled_bound(w, v.hi, scale)))
         if w % scale == 0:  # an integer weight multiplies without rounding
             k = w // scale
+            if k == 0:
+                return self.const(0)
+            lo, hi = (k * v.lo, k * v.hi) if k > 0 else (k * v.hi, k * v.lo)
             return self._fits(_times(k, v.code), lo, hi, v.reads, k, v.code)
         if self.fmt is None:  # the weight is a / q in lowest terms
             g = gcd(w, scale)
             lo, hi = _outward(w, v.lo, v.hi, scale)
             return self._divided(_times(w // g, v.code), scale // g, v.reads, lo, hi)
+        lo, hi = _scaled_bound(w, v.lo, scale), _scaled_bound(w, v.hi, scale)
+        if w < 0:
+            lo, hi = hi, lo
         # truncation toward zero of w*v / 2**f, split on the sign of v
         a, f = abs(w), self.fmt.frac_bits
         pos, neg = f"{a} * {v.code} >> {f}", f"{a} * -{v.code} >> {f}"
@@ -709,8 +719,13 @@ class _StepCompiler:
         u - 2 if u > 2 else 0``, ``v = 2 - u if u < 2 else 0``): below the
         bottom, the saturated sum's relu is 0 too."""
         if self.fmt is None:
-            start = sum((t.const for t in terms if t.const is not None), start)
-            terms = [t for t in terms if t.const is None]
+            kept = []
+            for t in terms:
+                if t.const is None:
+                    kept.append(t)
+                else:
+                    start += t.const
+            terms = kept
         bottom, top = self.bottom, self.top
         value, expr, name = start, None, None  # expr None: the sum is `value`
         first = None  # the sum's one term after `value`, None once another joins
@@ -764,11 +779,13 @@ class _StepCompiler:
                 code = f"{u} - {_literal(-c)} if {u} > {_literal(-c)}"
             else:
                 code = f"{expr} if {u} > {_literal(-c)}"
-            clamps[len(joined)] = self._saturates(lo, hi, 0)
-            self._record(name, value, joined, clamps)
+            if self._rising:
+                clamps[len(joined)] = self._saturates(lo, hi, 0)
+                self._record(name, value, joined, clamps)
             return self._bind(name, [f"{name} = {code} else 0"], reads, 0, hi)
         clamp, lo, hi, clamps[len(joined)] = self._clamp(name, lo, hi, floor)
-        self._record(name, value, joined, clamps)
+        if self._rising:
+            self._record(name, value, joined, clamps)
         return self._bind(name, lines + [f"{name} = {expr}"] + clamp, reads, lo, hi)
 
     def _record(self, name: str, start, terms: list, clamps: dict) -> None:
@@ -776,9 +793,8 @@ class _StepCompiler:
         where it moves as a rising input grows, through integer terms alone:
         ``start`` plus ``terms``, then whether it can fall and whether it
         can rise.  ``clamps`` maps each count of terms after which the sum
-        saturates to where ``_clamp`` saturates it."""
-        if not self._rising:
-            return
+        saturates to where ``_clamp`` saturates it.  Called only once a
+        rising input exists."""
         falls = rises = False
         for t in terms:
             if t.coef is not None:
@@ -811,14 +827,17 @@ class _StepCompiler:
         never negative) is its input itself."""
         bias, terms = self.enc(node.bias), self._row(node.row)[1]
         relu = node.activation == RELU
-        if bias == 0 and len(terms) == 1 and terms[0][1] == self.scale:
-            v = inputs[terms[0][0]]
-            if not relu or v.lo >= 0:
-                return v
-        return self.total(bias, [self.mul(w, inputs[k]) for k, w in terms], relu,
-                          self._span(bias, terms, below))
+        span = None
+        if bias == 0 and len(terms) < 3:
+            if len(terms) == 1 and terms[0][1] == self.scale:
+                v = inputs[terms[0][0]]
+                if not relu or v.lo >= 0:
+                    return v
+            elif len(terms) == 2 and below is not None:
+                span = self._span(terms, below)
+        return self.total(bias, [self.mul(w, inputs[k]) for k, w in terms], relu, span)
 
-    def _span(self, bias, terms, below):
+    def _span(self, terms, below):
         """[0, p - q] for a node ``a - b`` (bias 0, unit weights) whose
         inputs are relu nodes over one row s, ``a = relu(s + p)`` and ``b =
         relu(s + q)`` with p >= q encoded, as the previous-bit decoder's
@@ -827,9 +846,11 @@ class _StepCompiler:
         monotone and moves no two values apart, so a - b stays in [0, p - q]
         under per-term saturation too, and the unit weights subtract
         exactly."""
-        if below is None or bias or sorted(w for _, w in terms) != [-self.scale, self.scale]:
+        (i, w), (k, u) = terms
+        if w < u:
+            i, w, k, u = k, u, i, w
+        if w != self.scale or u != -w:
             return None
-        (k, _), (i, _) = sorted(terms, key=lambda term: term[1])
         a, b = below[i], below[k]
         span = self.enc(a.bias) - self.enc(b.bias)
         if a.activation == b.activation == RELU and a.row == b.row and span >= 0:
@@ -848,7 +869,7 @@ class _StepCompiler:
         if layer.net is not None:
             for j, v in zip(layer.computes, self.fnn(layer.net, plan, new + x)):
                 z[j] = v
-        if self.enc(_ONE) != self.scale:
+        if self.one != self.scale:
             for j in passes:
                 for _ in range(_depth(layer)):
                     z[j] = self.unit(z[j])
@@ -859,8 +880,7 @@ class _StepCompiler:
         other: ``v`` itself where 1 is the scale.  It is the new value of a
         carried coordinate whose input is ``v``, and each pass of ``v``
         through a layer's ``phi``."""
-        one = self.enc(_ONE)
-        return v if one == self.scale else self.total(0, [self.mul(one, v)])
+        return v if self.one == self.scale else self.total(0, [self.mul(self.one, v)])
 
     def recurrence(self, layer: SsmLayer, j: int, h: dict, x: list[_Val]) -> _Val:
         """The new ``h[j]``.  A unit copy (no gate term, a gate offset and an
@@ -948,12 +968,9 @@ class _StepCompiler:
         hidden input takes its ``assumed`` or ``rising`` range, and the new
         value of an assumed coordinate its ``guard``."""
         x = []
-        for k in range(model.dim):
-            column = [vec[k] for vec in inputs]
-            if all(c == column[0] for c in column):
-                x.append(self.const(column[0]))
-            else:
-                x.append(_Val(f"x{k}", None, min(column), max(column), (f"x{k}",)))
+        for k, column in enumerate(zip(*inputs)):
+            lo, hi = min(column), max(column)
+            x.append(self.const(lo) if lo == hi else _Val(f"x{k}", None, lo, hi, (f"x{k}",)))
         layers, out_plan = _plan(model)
         hidden = {}  # the name of each generated hidden input -> ((layer, index), new value)
         for li, (layer, (news, phi_plan, passes)) in enumerate(zip(model.layers, layers)):
@@ -1022,7 +1039,10 @@ class _StepCompiler:
         bound at or below the top; each other clamp can.  It follows each
         integer term into a kept sum that can rise (``up``) or fall as a
         rising input grows; it stops at a product by a fraction, a gated
-        product or past ``budget[0]`` visits."""
+        product or past ``budget[0]`` visits.  A kept sum of one term, such
+        as an ILP row's miss ``relu(row - target)``, is passed in the same
+        sweep: its clamp and its one term bound the term's base in turn, as
+        a visit of it would, and it counts as a visit."""
         budget[0] -= 1
         if budget[0] < 0:
             return
@@ -1035,35 +1055,53 @@ class _StepCompiler:
             if j in clamps:  # saturated between terms, so at the format's bottom
                 total = min(max(total, self.bottom), top)
         for j in range(len(terms), 0, -1):
-            if j in clamps:
-                floor, high = clamps[j]
-                if high and up and bound > top or floor is not None and not up and bound < floor:
-                    return
+            if j in clamps and self._defeats(clamps[j], up, bound):
+                return
             t, before = terms[j - 1], befores[j - 1]
-            if t.coef is not None and abs(before) != _INF:
-                k = t.coef  # k * base at least (up) or at most need
-                rising = up == (k > 0)
-                need = -((before - bound) // k) if rising else (bound - before) // k
-                lowest = self._rising.get(t.base)
-                if lowest is None:
-                    sub = self._sums.get(t.base)
-                    if sub and sub[3][rising]:
-                        self._threshold(sub, rising, need, found, budget)
-                elif rising and need <= top:
+            u, rising, need = t, up, bound  # u's base at least (rising) or at most need
+            while u.coef is not None and abs(before) != _INF:
+                k = u.coef
+                rising = rising == (k > 0)
+                need = -((before - need) // k) if rising else (need - before) // k
+                lowest = self._rising.get(u.base)
+                if lowest is not None:
                     least = max(need, lowest)
-                    if found.get(t.base, least) >= least:
-                        found[t.base] = least
+                    if rising and need <= top and found.get(u.base, least) >= least:
+                        found[u.base] = least
+                    break
+                sub = self._sums.get(u.base)
+                if not (sub and sub[3][rising]):
+                    break
+                if len(sub[1]) > 1:
+                    self._threshold(sub, rising, need, found, budget)
+                    break
+                budget[0] -= 1
+                if budget[0] < 0 or 1 in sub[2] and self._defeats(sub[2][1], rising, need):
+                    break
+                before, (u,) = sub[0], sub[1]
             end = t.lo if up else t.hi
             if abs(end) == _INF:
                 return
             bound -= end
 
+    def _defeats(self, clamp: tuple, up: bool, bound) -> bool:
+        """Whether a clamp where ``_saturates`` says a sum saturates can
+        break the bound that the sum is at least (``up``) or at most."""
+        floor, high = clamp
+        return high and up and bound > self.top or floor is not None and not up and bound < floor
+
     def build(self, model: SsmModel, inputs: list[tuple]):
         """Compile the step; ``inputs`` are the encoded embeddings, the only
-        vectors it is ever called with."""
-        code = compile(self.source(model, inputs), f"<ssm step {self.fmt or 'exact'}>", "exec")
+        vectors it is ever called with.  Sets ``source_s`` and
+        ``compile_s``, the seconds that generating its source and compiling
+        it took."""
+        started = time.perf_counter()
+        source = self.source(model, inputs)
+        generated = time.perf_counter()
+        code = compile(source, f"<ssm step {self.fmt or 'exact'}>", "exec")
         namespace = {"Inexact": _Inexact, "Retract": _Retract}
         exec(code, namespace)
+        self.source_s, self.compile_s = generated - started, time.perf_counter() - generated
         return namespace["step"]
 
     def _live(self, y: _Val, hidden: dict) -> set:
@@ -1091,7 +1129,7 @@ def _needed_nodes(net: Fnn, wanted: set) -> tuple[list, set]:
         needed = sorted(wanted)
         plan.append(needed)
         nodes = layer.nodes
-        wanted = {k for i in needed for k, _ in nodes[i].row.terms}
+        wanted = set(map(_first, chain.from_iterable(nodes[i].row.terms for i in needed)))
     plan.reverse()
     return plan, wanted
 
@@ -1117,14 +1155,15 @@ def _plan(model: SsmModel) -> tuple[list, list]:
         new = {k for k in reads if k < d}
         wanted = {k - d for k in reads if k >= d}
         todo = list(new)
+        updates, diagonal = layer.updates, isinstance(gate, DiagonalAffineGate)
         while todo:
             j = todo.pop()
-            if j not in layer.updates:  # carried: its new value reads its input
+            if j not in updates:  # carried: its new value reads its input
                 wanted.add(j)
                 continue
-            wanted.update(k for k, _ in inc.rows[j].terms)
-            if isinstance(gate, DiagonalAffineGate):
-                wanted.update(k for k, _ in gate.rows[j].terms)
+            wanted.update(map(_first, inc.rows[j].terms))
+            if diagonal:
+                wanted.update(map(_first, gate.rows[j].terms))
             else:  # h[k] is the previous new[k]
                 for k, _ in gate.rows[j].terms:
                     if k not in new:
@@ -1138,7 +1177,10 @@ def _plan(model: SsmModel) -> tuple[list, list]:
 class _Stepper:
     """Model compiled for one arithmetic mode: the encoded embeddings, the
     generated step on keys, the number of model constants the mode
-    quantises and the seconds the build took.  ``one`` encodes the value 1:
+    quantises, and how many builds led to it (``builds``: 1, and one more
+    for each step that a call replaced with it) with their seconds, summed
+    over those builds: ``build_s`` for the whole of each, ``source_s`` and
+    ``compile_s`` for generating and compiling its source.  ``one`` encodes the value 1:
     the scale in exact mode, which ``_stepper`` starts on ``_first_scale``
     of the model's denominators (1 for only integer constants); a call
     raises ``_Inexact`` when a value leaves it.
@@ -1170,7 +1212,17 @@ class _Stepper:
         self.key_state_bound_log2 = None if mode.is_exact else mode.fmt.total_bits * len(self.key)
         self.init = tuple(comp.enc(model.layers[li].h0[j]) for li, j in self.key)
         self.quantized_constants = 0 if mode.is_exact else comp.quantized(model)
+        self.builds, self.source_s, self.compile_s = 1, comp.source_s, comp.compile_s
         self.build_s = time.perf_counter() - started
+
+    def follows(self, earlier: _Stepper) -> _Stepper:
+        """This step, with the builds of ``earlier``, the step that a call
+        replaced with it, added to its own."""
+        self.builds += earlier.builds
+        self.build_s += earlier.build_s
+        self.source_s += earlier.source_s
+        self.compile_s += earlier.compile_s
+        return self
 
     def step(self, key, symbol):
         x = self.emb.get(symbol)
@@ -1232,7 +1284,8 @@ def _with_stepper(model: SsmModel, mode: ArithMode, call):
     each step starts where every range holds, and there the assumed step
     only leaves out tests and clamps that cannot fire (``_StepCompiler``).
     A step left on the model after a retraction keeps no assumption, also
-    when its scale widens later."""
+    when its scale widens later.  Each rebuilt step counts the builds of
+    the step it replaced with its own (``_Stepper.follows``)."""
     stepper = _stepper(model, mode)
     while True:
         try:
@@ -1242,7 +1295,7 @@ def _with_stepper(model: SsmModel, mode: ArithMode, call):
         except _Retract:
             scale, assume = stepper.one, False
         del model._steppers[mode]
-        stepper = _stepper(model, mode, scale, assume)
+        stepper = _stepper(model, mode, scale, assume).follows(stepper)
 
 
 def _scalar(y, mode: ArithMode) -> Scalar:

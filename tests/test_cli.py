@@ -132,7 +132,7 @@ def test_sat_bounded_binary_exponent_past_the_search_cap(minsky_file, tmp_path):
     for log2 in ("63", "9" * 20):
         status, report = run(["sat", "bounded", model_path, "--max-len", log2, "--binary"])
         result = report["result"]
-        for timing in ("elapsed_s", "stepper_build_s"):
+        for timing in ("elapsed_s", "stepper_build_s", "source_s", "compile_s"):
             del result["stats"][timing]
         assert result["bound_log2"] == int(log2)
         results.append((status, result.pop("bound"), result.pop("bound_log2"), result))
@@ -766,7 +766,7 @@ def _decisions(path: str, argvs) -> list:
         status, report = run(argv[:2] + [path] + argv[2:])
         result = report["result"]
         stats = result.get("stats", result.get("partial_stats", {}))
-        for key in ("elapsed_s", "stepper_build_s"):
+        for key in ("elapsed_s", "stepper_build_s", "source_s", "compile_s"):
             stats.pop(key, None)
         out.append((status, result))
     return out

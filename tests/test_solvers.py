@@ -299,8 +299,8 @@ def test_search_stats_name_the_exact_domain_and_the_step_build():
 def test_elapsed_s_is_the_search_alone(monkeypatch):
     """With the step build 0.2 s slower, ``elapsed_s`` stays the search
     alone under both solvers: on a fresh model, after a prebuild, and over
-    the two runs of a widened exact scale.  ``stepper_build_s`` holds the
-    build."""
+    the two runs of a widened exact scale.  ``stepper_build_s`` sums the
+    builds: one, or two where the scale widens."""
     build = _StepCompiler.build
 
     def slow(self, *args):
@@ -314,9 +314,11 @@ def test_elapsed_s_is_the_search_alone(monkeypatch):
     clipped = linear_fnn([[1, 0], [0, -1]], [0, 1], RELU)
     widened = geometric_model(Fraction(1, 2), compose(
         gadget_eq(81), compose(linear_fnn([[1, -1]], [1]), clipped)))
-    for result in (sat_bounded(fresh(), 4, EXACT), sat_fixed(fresh(), FX6),
-                   sat_fixed(prebuilt, FX6), sat_bounded(widened, 80, EXACT)):
-        assert result.stats.elapsed_s < 0.2 <= result.stats.stepper_build_s
+    results = (sat_bounded(fresh(), 4, EXACT), sat_fixed(fresh(), FX6),
+               sat_fixed(prebuilt, FX6), sat_bounded(widened, 80, EXACT))
+    for result, builds in zip(results, (1, 1, 1, 2)):
+        assert result.stats.elapsed_s < 0.2 and result.stats.builds == builds
+        assert 0.2 * builds <= result.stats.stepper_build_s
 
 
 def test_integral_models_search_on_scale_one_as_on_the_dyadic_scale():

@@ -5,6 +5,7 @@ import os
 import random
 import re
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -521,6 +522,34 @@ def test_a_gated_count_past_one_retracts_its_range(mode):
         assert evaluate(counting_model(), word, mode) == expected
         assert accepts(counting_model(), word, mode) == is_one(expected, mode)
         assert is_one(expected, mode) == (word.count("a") == 3)
+
+
+# CI's two-counter machine: it runs inc2, dec2, inc1, dec1 to its final state
+TWO_MM = ("start: q0\nfinal: qf\nq0 inc2 q1\nq1 dec2 q2\nq1 ztest2 q0\n"
+          "q2 inc1 q3\nq3 dec1 qf\nq3 ztest1 q1\n")
+
+
+def test_the_report_splits_each_build_of_the_step(monkeypatch):
+    """A search reports how many builds of its step it made, and sums
+    their seconds and the parts spent generating and compiling the source.
+    The exact step of ``two.mm`` is built once.  The counting model's
+    guard retracts its range, so its search builds the step twice: with
+    each build 0.05 s slower, the two sum past 0.1 s."""
+    stats = sat_bounded(compile_minsky(parse_minsky(TWO_MM)), 8, EXACT).stats
+    assert stats.builds == 1
+    assert 0 < stats.source_s and 0 < stats.compile_s
+    assert stats.source_s + stats.compile_s <= stats.stepper_build_s
+    build = _StepCompiler.build
+
+    def slow(self, *args):
+        time.sleep(0.05)
+        return build(self, *args)
+
+    monkeypatch.setattr(_StepCompiler, "build", slow)
+    for mode in (EXACT, FX6_MODE):
+        stats = sat_bounded(counting_model(), 6, mode).stats
+        assert stats.builds == 2 and stats.stepper_build_s >= 0.1
+        assert stats.source_s + stats.compile_s <= stats.stepper_build_s
 
 
 @pytest.mark.parametrize("mode", [EXACT, FX6_MODE], ids=str)

@@ -35,7 +35,8 @@ LAYER = SsmLayer(as_vector([0]), TimeInvariantGate([[1]]), AffineMap([[1]], as_v
 MODEL_ARGS = dict(alphabet=("a", "b"), emb=(as_vector([1]), as_vector([0])), layers=(LAYER,),
                   out=NET)
 STATS = dict(states_explored=3, max_frontier=2, elapsed_s=0.5, quantized_constants=1,
-             distinct_states=3, transitions=3, stepper_build_s=0.25, exact_domain="int",
+             distinct_states=3, transitions=3, stepper_build_s=0.25, builds=2, source_s=0.125,
+             compile_s=0.0625, exact_domain="int",
              exact_scale_bits=65, key_coordinates=2, key_state_bound_log2=None,
              frontier_sizes=[1, 2], dead=1, dead_rule=[[0, "1"]])
 STATS_KEYS = list(STATS)
@@ -157,7 +158,7 @@ def test_defaults():
     assert LAYER.computes == LAYER.updates == (0,) and LAYER.net is LAYER.phi
     stats = SearchStats()
     assert [getattr(stats, name) for name in STATS_KEYS] == [
-        0, 0, 0.0, 0, 0, 0, 0.0, None, None, 0, None, [], 0, []]
+        0, 0, 0.0, 0, 0, 0, 0.0, 0, 0.0, 0.0, None, None, 0, None, [], 0, []]
 
 
 def test_uncompared_fields():
