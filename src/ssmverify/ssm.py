@@ -96,7 +96,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from ._row import Row
@@ -124,6 +124,7 @@ SCALE_BITS = 64
 _SCALE = 1 << SCALE_BITS
 _ZERO, _ONE = Fraction(0), Fraction(1)
 _first, _second = itemgetter(0), itemgetter(1)
+_bias, _node_row = attrgetter("bias"), attrgetter("row")
 
 
 def as_vector(values: Sequence) -> Vector:
@@ -535,12 +536,18 @@ class _StepCompiler:
         # id(object) -> (object, its encoding, how many of its constants the
         # mode quantises); holding the object keeps its id from reuse
         self._memo: dict[int, tuple] = {}
+        self._consts: dict[int, _Val] = {}  # each folded constant's value, shared
         self.one = self.enc(_ONE)  # the encoded 1, the scale wherever 1 is representable
 
     # -- encoding -----------------------------------------------------------
 
     def enc(self, w: Fraction) -> int:
         return (self._memo.get(id(w)) or self._const(w))[1]
+
+    def encoded(self, vec: Sequence[Fraction]) -> tuple:
+        """The encodings of the constants ``vec``."""
+        get = self._memo.get
+        return tuple([(get(id(w)) or self._const(w))[1] for w in vec])
 
     def _const(self, w: Fraction) -> tuple:
         """``(w, encoding, 1 if the encoding is inexact else 0)``."""
@@ -580,15 +587,19 @@ class _StepCompiler:
         its copy row, and each unit product of a coordinate passed through
         as that of a copy node of ``phi``."""
         consts, rows = _holders(model)
-        units = sum(layer.dim - len(layer.updates)
-                    + (layer.dim - len(layer.computes)) * _depth(layer) for layer in model.layers)
-        return (_count(consts, lambda w: self._const(w)[2])
-                + _count(rows, lambda r: self._row(r)[2]) + units * self._const(_ONE)[2])
+        count = _count(consts, lambda w: self._const(w)[2]) + _count(rows, lambda r: self._row(r)[2])
+        if self._const(_ONE)[2]:
+            count += sum(layer.dim - len(layer.updates) + (layer.dim - len(layer.computes))
+                         * _depth(layer) for layer in model.layers)
+        return count
 
     # -- values -------------------------------------------------------------
 
     def const(self, value: int) -> _Val:
-        return _Val(_literal(value), value, value, value, (), None)
+        v = self._consts.get(value)
+        if v is None:
+            v = self._consts[value] = _Val(_literal(value), value, value, value, (), None)
+        return v
 
     def _fresh(self) -> str:
         return f"v{len(self._blocks)}"
@@ -617,7 +628,8 @@ class _StepCompiler:
         if low is not None:
             code = _literal(floor)
             lines.append(f"{'elif' if lines else 'if'} {name} < {code}: {name} = {code}")
-        return lines, min(max(lo, floor), top), min(max(hi, floor), top), saturates
+        lo = floor if low is not None else top if lo > top else lo
+        return lines, lo, top if high else floor if hi < floor else hi, saturates
 
     def _fits(self, code: str, lo, hi, reads, coef=None, base=None) -> _Val:
         """A product term: an expression when it cannot leave the range,
@@ -739,11 +751,8 @@ class _StepCompiler:
                     value = min(max(value + t.const, bottom), top)
                     continue
                 first = t
-                if value == 0:
-                    expr, lo, hi = t.code, t.lo, t.hi
-                else:
-                    expr = _joined(_literal(value), t)
-                    lo, hi = _plus(value, t.lo), _plus(value, t.hi)
+                expr = t.code if value == 0 else _joined(_literal(value), t)
+                lo = hi = value
             elif t.const == 0:
                 continue
             else:
@@ -755,7 +764,11 @@ class _StepCompiler:
                     lines += [f"{name} = {expr}"] + clamp
                     expr, pending = name, 0
                 first = None
-                expr, lo, hi = _joined(expr, t), _plus(lo, t.lo), _plus(hi, t.hi)
+                expr = _joined(expr, t)
+            try:
+                lo, hi = lo + t.lo, hi + t.hi
+            except OverflowError:  # an int past a float's range meets an infinite bound
+                lo, hi = _plus(lo, t.lo), _plus(hi, t.hi)
             reads += t.reads
             pending += 1
             joined.append(t)
@@ -899,9 +912,9 @@ class _StepCompiler:
         terms += [self.mul(w, x[k]) for k, w in inc_terms]
         return self.total(0, terms)
 
-    def assumed(self, layer: SsmLayer, news: list[int]) -> dict:
+    def assumed(self, layer: SsmLayer, olds: list[int]) -> dict:
         """The range that the step assumes for each hidden input of
-        ``news`` whose gate row reads the input (a diagonal row with a
+        ``olds`` whose gate row reads the input (a diagonal row with a
         term): [min(0, h0), max(1, h0)], clipped to the format.  Every other
         hidden input takes the whole domain, one under a gate that is only
         an offset too: that gate is constant, as the quarter of an X
@@ -910,14 +923,14 @@ class _StepCompiler:
         if not (self.assume and isinstance(gate, DiagonalAffineGate)):
             return {}
         ranges = {}
-        for j in news:
+        for j in olds:
             if gate.rows[j].terms:
                 h0 = self.enc(layer.h0[j])
                 ranges[j] = min(0, h0), min(max(self.scale, h0), self.top)
         return ranges
 
-    def rising(self, layer: SsmLayer, news: list[int], x: list[_Val]) -> dict:
-        """The range [enc(h0), top] of each hidden input of ``news`` that
+    def rising(self, layer: SsmLayer, olds: list[int], x: list[_Val]) -> dict:
+        """The range [enc(h0), top] of each hidden input of ``olds`` that
         never falls: its gate row is the encoded 1 on itself (``{j: 1}`` of
         a time-invariant gate, or a diagonal row with no term and offset 1),
         its inc offset is not negative and neither is any inc term over the
@@ -928,7 +941,7 @@ class _StepCompiler:
         gate, inc, one = layer.gate, layer.inc, self.scale
         diagonal = isinstance(gate, DiagonalAffineGate)
         ranges = {}
-        for j in news:
+        for j in olds:
             if j not in layer.updates:
                 continue
             terms = gate.rows[j].terms
@@ -973,39 +986,40 @@ class _StepCompiler:
             x.append(self.const(lo) if lo == hi else _Val(f"x{k}", None, lo, hi, (f"x{k}",)))
         layers, out_plan = _plan(model)
         hidden = {}  # the name of each generated hidden input -> ((layer, index), new value)
-        for li, (layer, (news, phi_plan, passes)) in enumerate(zip(model.layers, layers)):
-            h = {j: _Val(f"h{li}_{j}", None, self.bottom, self.top, (f"h{li}_{j}",))
-                 for j in news}
-            ranges = self.assumed(layer, news)
-            rising = self.rising(layer, news, x)
-            for j, (lo, hi) in (ranges | rising).items():
-                h[j].lo, h[j].hi = lo, hi
-            self._rising.update((h[j].code, lo) for j, (lo, _) in rising.items())
-            new = [None] * layer.dim
+        for li, (layer, (news, olds, phi_plan, passes)) in enumerate(zip(model.layers, layers)):
+            # an assumed or rising coordinate is updated and reads its input
+            ranges = self.assumed(layer, olds)
+            rising = self.rising(layer, olds, x)
+            h = {}
+            for j in olds:
+                name = f"h{li}_{j}"
+                lo, hi = rising.get(j) or ranges.get(j) or (self.bottom, self.top)
+                h[j] = _Val(name, None, lo, hi, (name,))
+                if j in rising:
+                    self._rising[name] = lo
+            new, updates = [None] * layer.dim, layer.updates
             for j in news:
-                if j in layer.updates:
-                    new[j] = self.recurrence(layer, j, h, x)
-                else:  # carried
-                    new[j] = self.unit(x[j])
+                # a carried coordinate's new value is its input
+                v = self.recurrence(layer, j, h, x) if j in updates else self.unit(x[j])
                 if j in ranges:
-                    new[j] = self.guard(new[j], *ranges[j])
-                hidden[h[j].code] = (li, j), new[j]
+                    v = self.guard(v, *ranges[j])
+                new[j] = v
+                if j in h:
+                    hidden[h[j].code] = (li, j), v
             x = self.phi(layer, phi_plan, passes, new, x)
         (y,) = self.fnn(model.out, out_plan, x)
         live = self._live(y, hidden)
         keyed = [(name, value) for name, (_, value) in hidden.items() if name in live]
-        self.key = tuple(hidden[name][0] for name, _ in keyed)
-        self.dead_rule = self._dead_rule(y, [name for name, _ in keyed])
-        lines = ["def step(key, x):"]
-        if self.key:
-            lines.append("    " + "".join(f"h{li}_{j}, " for li, j in self.key) + "= key")
+        names = [name for name, _ in keyed]
+        self.key = tuple(hidden[name][0] for name in names)
+        self.dead_rule = self._dead_rule(y, names)
+        lines = [", ".join(names) + ", = key"] if names else []
         if model.dim:
-            lines.append("    " + "".join(
-                f"x{k}, " if f"x{k}" in live else "_, " for k in range(model.dim)) + "= x")
-        lines += [f"    {line}" for name, block, _ in self._blocks if name in live
-                  for line in block]
-        lines.append(f"    return ({''.join(f'{v.code}, ' for _, v in keyed)}), {y.code}")
-        return "\n".join(lines) + "\n"
+            lines.append(", ".join(
+                f"x{k}" if f"x{k}" in live else "_" for k in range(model.dim)) + ", = x")
+        lines += [line for name, block, _ in self._blocks if name in live for line in block]
+        lines.append(f"return ({''.join(f'{v.code}, ' for _, v in keyed)}), {y.code}")
+        return "def step(key, x):\n    " + "\n    ".join(lines) + "\n"
 
     def _dead_rule(self, y: _Val, names: list[str]) -> tuple:
         """``(i, T)`` for each rising coordinate at index i of the key, the
@@ -1129,47 +1143,51 @@ def _needed_nodes(net: Fnn, wanted: set) -> tuple[list, set]:
         needed = sorted(wanted)
         plan.append(needed)
         nodes = layer.nodes
-        wanted = set(map(_first, chain.from_iterable(nodes[i].row.terms for i in needed)))
+        wanted = {k for i in needed for k, _ in nodes[i].row.terms}
     plan.reverse()
     return plan, wanted
 
 
 def _plan(model: SsmModel) -> tuple[list, list]:
     """The backward pass from ``out``: for each layer, the new hidden values
-    that ``y`` can need in ascending order, the ``net`` plan of
-    ``_needed_nodes`` and the needed coordinates that the layer passes
-    through; and the plan of ``out``.  Within a layer, a needed value whose
-    time-invariant gate row reads ``h[k]`` makes ``new[k]`` needed, up to
-    the least fixed point; the embedding columns or the previous layer's
-    outputs that the layer reads are needed below.  A carried coordinate's
-    new value reads its input alone."""
+    that ``y`` can need and the hidden inputs that they read, each in
+    ascending order, the ``net`` plan of ``_needed_nodes`` and the needed
+    coordinates that the layer passes through; and the plan of ``out``.
+    Within a layer, a needed value whose time-invariant gate row reads
+    ``h[k]`` makes ``new[k]`` needed, up to the least fixed point, and a
+    diagonal gate's product reads the value's own input; the embedding
+    columns or the previous layer's outputs that the layer reads are needed
+    below.  A carried coordinate's new value reads its input alone."""
     out_plan, wanted = _needed_nodes(model.out, {0})
     layers = []
     for layer in reversed(model.layers):
         d, gate, inc = layer.dim, layer.gate, layer.inc
         output = {j: i for i, j in enumerate(layer.computes)}
-        passes = sorted(j for j in wanted if j not in output)
+        passes = sorted(wanted.difference(output))
         phi_plan, reads = ([], set()) if layer.net is None else _needed_nodes(
-            layer.net, {output[j] for j in wanted if j in output})
+            layer.net, {output[j] for j in wanted.intersection(output)})
         reads.update(passes)  # a coordinate passed through reads its new value
         new = {k for k in reads if k < d}
         wanted = {k - d for k in reads if k >= d}
-        todo = list(new)
-        updates, diagonal = layer.updates, isinstance(gate, DiagonalAffineGate)
+        updates = set(layer.updates)
+        wanted |= new - updates  # a carried coordinate's new value reads its input
+        todo, inputs = list(new & updates), set()
         while todo:
             j = todo.pop()
-            if j not in updates:  # carried: its new value reads its input
-                wanted.add(j)
-                continue
-            wanted.update(map(_first, inc.rows[j].terms))
-            if diagonal:
-                wanted.update(map(_first, gate.rows[j].terms))
+            wanted.update(k for k, _ in inc.rows[j].terms)
+            if isinstance(gate, DiagonalAffineGate):
+                wanted.update(k for k, _ in gate.rows[j].terms)
+                inputs.add(j)
             else:  # h[k] is the previous new[k]
                 for k, _ in gate.rows[j].terms:
+                    inputs.add(k)
                     if k not in new:
                         new.add(k)
-                        todo.append(k)
-        layers.append((sorted(new), phi_plan, passes))
+                        if k in updates:
+                            todo.append(k)
+                        else:
+                            wanted.add(k)
+        layers.append((sorted(new), sorted(inputs), phi_plan, passes))
     layers.reverse()
     return layers, out_plan
 
@@ -1203,9 +1221,7 @@ class _Stepper:
         self.mode = mode
         self.assume = assume
         self.one = comp.scale
-        self.emb = {
-            s: tuple(comp.enc(v) for v in vec) for s, vec in zip(model.alphabet, model.emb)
-        }
+        self.emb = dict(zip(model.alphabet, map(comp.encoded, model.emb)))
         self.search_step = comp.build(model, list(self.emb.values()))
         self.key = comp.key
         self.dead_rule = comp.dead_rule
@@ -1463,18 +1479,19 @@ def classify_gates(model: SsmModel) -> GateClasses:
 def _holders(model: SsmModel) -> tuple[list[Fraction], list[Row]]:
     """The constants that the model's vectors hold and the rows that hold
     the others, dead ones included; a constant or a row that several places
-    share is listed for each.  A carried coordinate's copy rows are left
-    out."""
+    share is listed for each.  A carried coordinate's copy rows and its
+    offsets, which are 0, are left out."""
     vectors, rows = list(model.emb), []
     for layer in model.layers:
-        vectors += (layer.h0, layer.inc.offset)
-        if isinstance(layer.gate, DiagonalAffineGate):
-            vectors.append(layer.gate.offset)
-        rows += [m.rows[j] for m in (layer.gate, layer.inc) for j in layer.updates]
+        gate, inc, updates = layer.gate, layer.inc, layer.updates
+        vectors += (layer.h0, [inc.offset[j] for j in updates])
+        if isinstance(gate, DiagonalAffineGate):
+            vectors.append([gate.offset[j] for j in updates])
+        rows += [m.rows[j] for m in (gate, inc) for j in updates]
     for net in (*(layer.net for layer in model.layers if layer.net is not None), model.out):
         for fnn_layer in net.layers:
-            vectors.append(tuple(node.bias for node in fnn_layer.nodes))
-            rows += (node.row for node in fnn_layer.nodes)
+            vectors.append(map(_bias, fnn_layer.nodes))
+            rows += map(_node_row, fnn_layer.nodes)
     return list(chain.from_iterable(vectors)), rows
 
 
