@@ -529,7 +529,9 @@ class _StepCompiler:
             self.scale, self.bottom, self.top = scale, -_INF, _INF
         else:
             self.scale, self.bottom, self.top = fmt.scale, fmt.min_raw, fmt.max_raw
-        self._blocks: list[tuple[str, list[str], tuple]] = []
+        self._blocks: list[tuple[str, list[str]]] = []  # each local's name and lines
+        # the names that each local's block reads, and each hidden input's new value
+        self._reads: dict[str, tuple] = {}
         self._guards: list[str] = []  # the blocks that check an assumed range
         self._rising: dict[str, int] = {}  # each rising hidden input -> its encoded h0
         self._sums: dict = {}  # what ``_record`` keeps, from the first rising input on
@@ -606,7 +608,8 @@ class _StepCompiler:
 
     def _bind(self, name: str, lines: list[str], reads: tuple, lo, hi) -> _Val:
         """Record the block of lines that computes the local ``name``."""
-        self._blocks.append((name, lines, reads))
+        self._blocks.append((name, lines))
+        self._reads[name] = reads
         return _Val(name, None, lo, hi, (name,))
 
     def _saturates(self, lo, hi, floor) -> tuple:
@@ -697,6 +700,12 @@ class _StepCompiler:
         else:
             code = f"{pos} if {v.code} >= 0 else {neg}"
         return self._fits(code, lo, hi, v.reads)
+
+    def products(self, terms, values) -> list[_Val]:
+        """The terms ``w * values[k]`` of a row's encoded ``(k, w)`` terms;
+        a unit weight's is the value itself, as ``mul`` gives it."""
+        scale = self.scale
+        return [values[k] if w == scale else self.mul(w, values[k]) for k, w in terms]
 
     def mul_var(self, g: _Val, v: _Val) -> _Val:
         """The term ``g * v`` of a diagonal input-dependent gate; unbounded
@@ -838,7 +847,9 @@ class _StepCompiler:
         the nodes ``below`` (None for the network's inputs).  A unit copy
         (bias 0, one unit weight, and no relu or a relu over a value that is
         never negative) is its input itself."""
-        bias, terms = self.enc(node.bias), self._row(node.row)[1]
+        memo = self._memo  # ``enc`` and ``_row``, inline
+        bias = (memo.get(id(node.bias)) or self._const(node.bias))[1]
+        terms = (memo.get(id(node.row)) or self._row(node.row))[1]
         relu = node.activation == RELU
         span = None
         if bias == 0 and len(terms) < 3:
@@ -848,7 +859,7 @@ class _StepCompiler:
                     return v
             elif len(terms) == 2 and below is not None:
                 span = self._span(terms, below)
-        return self.total(bias, [self.mul(w, inputs[k]) for k, w in terms], relu, span)
+        return self.total(bias, self.products(terms, inputs), relu, span)
 
     def _span(self, terms, below):
         """[0, p - q] for a node ``a - b`` (bias 0, unit weights) whose
@@ -902,14 +913,14 @@ class _StepCompiler:
         gate_terms, inc_terms = self._row(gate.rows[j])[1], self._row(inc.rows[j])[1]
         offset = self.enc(inc.offset[j])
         if isinstance(gate, TimeInvariantGate):
-            terms = [self.mul(w, h[k]) for k, w in gate_terms]
+            terms = self.products(gate_terms, h)
         else:
-            g = self.total(self.enc(gate.offset[j]), [self.mul(w, x[k]) for k, w in gate_terms])
+            g = self.total(self.enc(gate.offset[j]), self.products(gate_terms, x))
             terms = [] if g.const == 0 else [self.mul_var(g, h[j])]
         if not terms and offset == 0 and len(inc_terms) == 1 and inc_terms[0][1] == self.scale:
             return x[inc_terms[0][0]]
         terms.append(self.const(offset))
-        terms += [self.mul(w, x[k]) for k, w in inc_terms]
+        terms += self.products(inc_terms, x)
         return self.total(0, terms)
 
     def assumed(self, layer: SsmLayer, olds: list[int]) -> dict:
@@ -949,10 +960,12 @@ class _StepCompiler:
                 unit = not terms and self.enc(gate.offset[j]) == one
             else:
                 unit = len(terms) == 1 and terms[0][0] == j and self.enc(terms[0][1]) == one
-            if unit and self.enc(inc.offset[j]) >= 0 and all(
-                    x[k].lo >= 0 if w > 0 else x[k].hi <= 0 or w == 0
-                    for k, w in self._row(inc.rows[j])[1]):
-                ranges[j] = self.enc(layer.h0[j]), self.top
+            if unit and self.enc(inc.offset[j]) >= 0:
+                for k, w in self._row(inc.rows[j])[1]:
+                    if x[k].lo < 0 if w > 0 else x[k].hi > 0 and w != 0:
+                        break
+                else:
+                    ranges[j] = self.enc(layer.h0[j]), self.top
         return ranges
 
     def guard(self, v: _Val, lo, hi) -> _Val:
@@ -1006,9 +1019,10 @@ class _StepCompiler:
                 new[j] = v
                 if j in h:
                     hidden[h[j].code] = (li, j), v
+                    self._reads[h[j].code] = v.reads
             x = self.phi(layer, phi_plan, passes, new, x)
         (y,) = self.fnn(model.out, out_plan, x)
-        live = self._live(y, hidden)
+        live = self._live(y)
         keyed = [(name, value) for name, (_, value) in hidden.items() if name in live]
         names = [name for name, _ in keyed]
         self.key = tuple(hidden[name][0] for name in names)
@@ -1017,7 +1031,7 @@ class _StepCompiler:
         if model.dim:
             lines.append(", ".join(
                 f"x{k}" if f"x{k}" in live else "_" for k in range(model.dim)) + ", = x")
-        lines += [line for name, block, _ in self._blocks if name in live for line in block]
+        lines += [line for name, block in self._blocks if name in live for line in block]
         lines.append(f"return ({''.join(f'{v.code}, ' for _, v in keyed)}), {y.code}")
         return "def step(key, x):\n    " + "\n    ".join(lines) + "\n"
 
@@ -1118,13 +1132,12 @@ class _StepCompiler:
         self.source_s, self.compile_s = generated - started, time.perf_counter() - generated
         return namespace["step"]
 
-    def _live(self, y: _Val, hidden: dict) -> set:
+    def _live(self, y: _Val) -> set:
         """The names that ``y`` or a guard needs, where a hidden input needs
         its new value too: the least such set, with what folding removed
         left out.  Every guard is live, since folding may have used its
         range where no live line reads the coordinate."""
-        reads = {name: block_reads for name, _, block_reads in self._blocks}
-        reads.update((name, value.reads) for name, (_, value) in hidden.items())
+        reads = self._reads
         live, todo = set(), [*y.reads, *self._guards]
         while todo:
             name = todo.pop()
@@ -1142,8 +1155,9 @@ def _needed_nodes(net: Fnn, wanted: set) -> tuple[list, set]:
     for layer in reversed(net.layers):
         needed = sorted(wanted)
         plan.append(needed)
-        nodes = layer.nodes
-        wanted = {k for i in needed for k, _ in nodes[i].row.terms}
+        nodes, wanted = layer.nodes, set()
+        for i in needed:
+            wanted.update(map(_first, nodes[i].row.terms))
     plan.reverse()
     return plan, wanted
 
@@ -1162,21 +1176,25 @@ def _plan(model: SsmModel) -> tuple[list, list]:
     layers = []
     for layer in reversed(model.layers):
         d, gate, inc = layer.dim, layer.gate, layer.inc
-        output = {j: i for i, j in enumerate(layer.computes)}
+        output = dict(zip(layer.computes, range(d)))
         passes = sorted(wanted.difference(output))
         phi_plan, reads = ([], set()) if layer.net is None else _needed_nodes(
-            layer.net, {output[j] for j in wanted.intersection(output)})
+            layer.net, set(map(output.__getitem__, wanted.intersection(output))))
         reads.update(passes)  # a coordinate passed through reads its new value
-        new = {k for k in reads if k < d}
-        wanted = {k - d for k in reads if k >= d}
+        new, wanted = set(), set()
+        for k in reads:
+            if k < d:
+                new.add(k)
+            else:
+                wanted.add(k - d)
         updates = set(layer.updates)
         wanted |= new - updates  # a carried coordinate's new value reads its input
         todo, inputs = list(new & updates), set()
         while todo:
             j = todo.pop()
-            wanted.update(k for k, _ in inc.rows[j].terms)
+            wanted.update(map(_first, inc.rows[j].terms))
             if isinstance(gate, DiagonalAffineGate):
-                wanted.update(k for k, _ in gate.rows[j].terms)
+                wanted.update(map(_first, gate.rows[j].terms))
                 inputs.add(j)
             else:  # h[k] is the previous new[k]
                 for k, _ in gate.rows[j].terms:
