@@ -374,6 +374,7 @@ class StreamState(Value):
 # generated straight-line Python function.
 
 _INF = float("inf")
+_STILL = (False, False)  # neither falls nor rises as a rising input grows
 
 
 def _plus(a, b):
@@ -497,7 +498,7 @@ class _StepCompiler:
     A ``rising`` hidden input takes [enc(h0), top] whatever ``assume``
     says: that range is proved, not assumed, since each new value is a
     saturating sum of the input and terms that are not negative.  Each sum
-    that moves as a rising input grows is kept (``_record``), and
+    from the first rising input on is kept, with where it saturates, and
     ``dead_rule`` lists, for each rising key coordinate, its index in the
     key and the least T that ``_threshold`` finds: from a key whose
     coordinate is at least T, every later ``y`` is below the encoded 1.
@@ -534,7 +535,9 @@ class _StepCompiler:
         self._reads: dict[str, tuple] = {}
         self._guards: list[str] = []  # the blocks that check an assumed range
         self._rising: dict[str, int] = {}  # each rising hidden input -> its encoded h0
-        self._sums: dict = {}  # what ``_record`` keeps, from the first rising input on
+        # each sum from the first rising input on: (start, terms, where it saturates)
+        self._sums: dict[str, tuple] = {}
+        self._moves: dict[str, tuple] = {}  # ``_directions``, where ``_dead_rule`` needs them
         # id(object) -> (object, its encoding, how many of its constants the
         # mode quantises); holding the object keeps its id from reuse
         self._memo: dict[int, tuple] = {}
@@ -589,11 +592,22 @@ class _StepCompiler:
         its copy row, and each unit product of a coordinate passed through
         as that of a copy node of ``phi``."""
         consts, rows = _holders(model)
-        count = _count(consts, lambda w: self._const(w)[2]) + _count(rows, lambda r: self._row(r)[2])
+        count = self._inexact(consts, self._const) + self._inexact(rows, self._row)
         if self._const(_ONE)[2]:
             count += sum(layer.dim - len(layer.updates) + (layer.dim - len(layer.computes))
                          * _depth(layer) for layer in model.layers)
         return count
+
+    def _inexact(self, objects: list, encode) -> int:
+        """How many inexact constants ``objects`` hold, where ``encode``
+        memoises each distinct object once: where each is exact, as on most
+        models, nothing is counted."""
+        memo = self._memo
+        counts = {i: n for i, obj in _distinct(objects).items()
+                  if (n := (memo.get(i) or encode(obj))[2])}
+        if not counts:
+            return 0
+        return sum(n * counts[i] for i, n in Counter(map(id, objects)).items() if i in counts)
 
     # -- values -------------------------------------------------------------
 
@@ -645,7 +659,7 @@ class _StepCompiler:
         name = f"v{len(self._blocks)}"
         clamp, clamped_lo, clamped_hi, saturates = self._clamp(name, lo, hi, self.bottom)
         if coef is not None and self._rising:
-            self._record(name, 0, [_Val(code, None, lo, hi, reads, coef, base)], {1: saturates})
+            self._sums[name] = 0, [_Val(code, None, lo, hi, reads, coef, base)], {1: saturates}
         return self._bind(name, [f"{name} = {code}"] + clamp, reads, clamped_lo, clamped_hi)
 
     def _divided(self, code: str, q: int, reads, lo, hi) -> _Val:
@@ -798,35 +812,18 @@ class _StepCompiler:
             if first.coef == -1:
                 code = f"{expr} if {u} < {_literal(c)}"
             elif c < 0:
-                code = f"{u} - {_literal(-c)} if {u} > {_literal(-c)}"
+                c = _literal(-c)
+                code = f"{u} - {c} if {u} > {c}"
             else:
                 code = f"{expr} if {u} > {_literal(-c)}"
             if self._rising:
                 clamps[len(joined)] = self._saturates(lo, hi, 0)
-                self._record(name, value, joined, clamps)
+                self._sums[name] = value, joined, clamps
             return self._bind(name, [f"{name} = {code} else 0"], reads, 0, hi)
         clamp, lo, hi, clamps[len(joined)] = self._clamp(name, lo, hi, floor)
         if self._rising:
-            self._record(name, value, joined, clamps)
+            self._sums[name] = value, joined, clamps
         return self._bind(name, lines + [f"{name} = {expr}"] + clamp, reads, lo, hi)
-
-    def _record(self, name: str, start, terms: list, clamps: dict) -> None:
-        """Keep the sum that the local ``name`` holds for ``_threshold``
-        where it moves as a rising input grows, through integer terms alone:
-        ``start`` plus ``terms``, then whether it can fall and whether it
-        can rise.  ``clamps`` maps each count of terms after which the sum
-        saturates to where ``_clamp`` saturates it.  Called only once a
-        rising input exists."""
-        falls = rises = False
-        for t in terms:
-            if t.coef is not None:
-                kept = self._sums.get(t.base)
-                down, up = kept[3] if kept else (False, t.base in self._rising)
-                if t.coef < 0:
-                    down, up = up, down
-                falls, rises = falls or down, rises or up
-        if falls or rises:
-            self._sums[name] = start, terms, clamps, (falls, rises)
 
     # -- the model ----------------------------------------------------------
 
@@ -1049,11 +1046,30 @@ class _StepCompiler:
         else:
             found, kept = {}, self._sums.get(y.code)
             if kept:
-                self._threshold(kept, False, self.scale - 1, found, [4 * len(self._blocks)])
+                self._moves = self._directions()
+                if self._moves[y.code] != _STILL:
+                    self._threshold(kept, False, self.scale - 1, found, [4 * len(self._blocks)])
         return tuple((i, found[name]) for i, name in enumerate(names) if name in found)
 
+    def _directions(self) -> dict:
+        """Whether each rising input and kept sum can fall and whether it
+        can rise as a rising input grows, through integer terms alone.  A
+        sum reads only names made before it, so one pass in the order the
+        sums were kept finds each from its terms'."""
+        moves = dict.fromkeys(self._rising, (False, True))
+        for name, (_, terms, _) in self._sums.items():
+            falls = rises = False
+            for t in terms:
+                if t.coef is not None:
+                    down, up = moves.get(t.base, _STILL)
+                    if t.coef < 0:
+                        down, up = up, down
+                    falls, rises = falls or down, rises or up
+            moves[name] = falls, rises
+        return moves
+
     def _threshold(self, kept: tuple, up: bool, bound, found: dict, budget: list) -> None:
-        """One backward pass from a sum that ``_record`` kept, which must be
+        """One backward pass from a kept sum, which must be
         at least (``up``) or at most ``bound``: for each rising hidden input
         that it reaches, the least value T from which the interval analysis
         meets the bound, kept in ``found`` where it is the least so far.
@@ -1074,7 +1090,7 @@ class _StepCompiler:
         budget[0] -= 1
         if budget[0] < 0:
             return
-        total, terms, clamps, _ = kept
+        total, terms, clamps = kept
         top = self.top
         befores = []  # the sum before each term
         for j, t in enumerate(terms, 1):
@@ -1097,9 +1113,9 @@ class _StepCompiler:
                     if rising and need <= top and found.get(u.base, least) >= least:
                         found[u.base] = least
                     break
-                sub = self._sums.get(u.base)
-                if not (sub and sub[3][rising]):
+                if not self._moves.get(u.base, _STILL)[rising]:
                     break
+                sub = self._sums[u.base]
                 if len(sub[1]) > 1:
                     self._threshold(sub, rising, need, found, budget)
                     break
@@ -1517,16 +1533,6 @@ def _distinct(objects: list) -> dict:
     """Each distinct object of ``objects``, told apart by identity, by its
     id."""
     return dict(zip(map(id, objects), objects))
-
-
-def _count(objects: list, weight) -> int:
-    """The sum of ``weight`` over ``objects``, called once per distinct
-    object: where it is 0 on each, as it is on most models, nothing is
-    counted."""
-    weights = {i: w for i, obj in _distinct(objects).items() if (w := weight(obj))}
-    if not weights:
-        return 0
-    return sum(n * weights[i] for i, n in Counter(map(id, objects)).items() if i in weights)
 
 
 def _constants(model: SsmModel):
