@@ -906,9 +906,11 @@ class _StepCompiler:
     def recurrence(self, layer: SsmLayer, j: int, h: dict, x: list[_Val]) -> _Val:
         """The new ``h[j]``.  A unit copy (no gate term, a gate offset and an
         inc offset of 0, and one unit inc weight) is its input itself."""
-        gate, inc = layer.gate, layer.inc
-        gate_terms, inc_terms = self._row(gate.rows[j])[1], self._row(inc.rows[j])[1]
-        offset = self.enc(inc.offset[j])
+        gate, inc, memo = layer.gate, layer.inc, self._memo  # ``enc`` and ``_row``, inline
+        gate_row, inc_row, offset = gate.rows[j], inc.rows[j], inc.offset[j]
+        gate_terms = (memo.get(id(gate_row)) or self._row(gate_row))[1]
+        inc_terms = (memo.get(id(inc_row)) or self._row(inc_row))[1]
+        offset = (memo.get(id(offset)) or self._const(offset))[1]
         if isinstance(gate, TimeInvariantGate):
             terms = self.products(gate_terms, h)
         else:
@@ -990,10 +992,10 @@ class _StepCompiler:
         their constants are encoded, and sets ``key`` and ``dead_rule``.  A
         hidden input takes its ``assumed`` or ``rising`` range, and the new
         value of an assumed coordinate its ``guard``."""
-        x = []
-        for k, column in enumerate(zip(*inputs)):
+        x, columns = [], [f"x{k}" for k in range(model.dim)]
+        for name, column in zip(columns, zip(*inputs)):
             lo, hi = min(column), max(column)
-            x.append(self.const(lo) if lo == hi else _Val(f"x{k}", None, lo, hi, (f"x{k}",)))
+            x.append(self.const(lo) if lo == hi else _Val(name, None, lo, hi, (name,)))
         layers, out_plan = _plan(model)
         hidden = {}  # the name of each generated hidden input -> ((layer, index), new value)
         for li, (layer, (news, olds, phi_plan, passes)) in enumerate(zip(model.layers, layers)):
@@ -1025,9 +1027,8 @@ class _StepCompiler:
         self.key = tuple(hidden[name][0] for name in names)
         self.dead_rule = self._dead_rule(y, names)
         lines = [", ".join(names) + ", = key"] if names else []
-        if model.dim:
-            lines.append(", ".join(
-                f"x{k}" if f"x{k}" in live else "_" for k in range(model.dim)) + ", = x")
+        if columns:
+            lines.append(", ".join([name if name in live else "_" for name in columns]) + ", = x")
         lines += [line for name, block in self._blocks if name in live for line in block]
         lines.append(f"return ({''.join(f'{v.code}, ' for _, v in keyed)}), {y.code}")
         return "def step(key, x):\n    " + "\n    ".join(lines) + "\n"
