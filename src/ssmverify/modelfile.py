@@ -105,12 +105,8 @@ def _pick(table: list, data, what: str) -> tuple:
     size = len(table)
     for i in _list(data, f"{what} indices"):
         if type(i) is not int or not 0 <= i < size:
-            raise _bad_index(what, i, size)
+            raise InputFormatError(f"bad {what} index {i!r}: the table has {size} entries")
     return tuple(map(table.__getitem__, data))
-
-
-def _bad_index(what: str, i, size: int) -> InputFormatError:
-    return InputFormatError(f"bad {what} index {i!r}: the table has {size} entries")
 
 
 def _spread(stored: tuple, updates, base: tuple, what: str) -> tuple:
@@ -159,9 +155,7 @@ def _node(data, rows: list[Row], lit: _Literals) -> FnnNode:
         bias = lit[bias]
     except TypeError:
         raise _not_a_literal(bias) from None
-    if type(row) is not int or not 0 <= row < len(rows):
-        raise _bad_index("row", row, len(rows))
-    return FnnNode(rows[row], bias, act)
+    return FnnNode(_pick(rows, [row], "row")[0], bias, act)
 
 
 def _read(data: dict) -> SsmModel:

@@ -51,11 +51,9 @@ class SearchStats(Value):
     ``distinct_states`` counts the stream states stored (the initial one
     included) and ``max_frontier`` the largest breadth-first level.
     ``elapsed_s`` times the search alone.  ``builds`` counts the builds of
-    the compiled step that ran it, whenever they were made: 1, and one more
-    for each rebuild after a retracted range or a widened exact scale.
-    ``stepper_build_s`` sums their seconds, and ``source_s`` and
-    ``compile_s`` the parts of those seconds spent generating and compiling
-    the step's source.  ``exact_domain``
+    the step that ran it (more than 1 after a retraction or a widened exact
+    scale), and ``stepper_build_s``, ``source_s`` and ``compile_s`` sum their
+    seconds: whole, generating and compiling the source.  ``exact_domain``
     is the domain exact values ran in, always ``"int"`` (``None`` in fixed mode).
     ``exact_scale_bits`` is the bit length of the scale those ints ran on:
     1 for a model with only integer constants, ``SCALE_BITS + 1`` for a
@@ -90,9 +88,8 @@ class SearchStats(Value):
         self._assign(states_explored, max_frontier, elapsed_s, quantized_constants,
                      distinct_states, transitions, stepper_build_s, builds, source_s,
                      compile_s, exact_domain, exact_scale_bits, key_coordinates,
-                     key_state_bound_log2,
-                     [] if frontier_sizes is None else frontier_sizes, dead,
-                     [] if dead_rule is None else dead_rule)
+                     key_state_bound_log2, [] if frontier_sizes is None else frontier_sizes,
+                     dead, [] if dead_rule is None else dead_rule)
 
 
 class SatResult(Value):

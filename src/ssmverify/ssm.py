@@ -96,7 +96,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from ._row import Row
@@ -123,8 +122,6 @@ Matrix = tuple[Vector, ...]
 SCALE_BITS = 64
 _SCALE = 1 << SCALE_BITS
 _ZERO, _ONE = Fraction(0), Fraction(1)
-_first, _second = itemgetter(0), itemgetter(1)
-_bias, _node_row = attrgetter("bias"), attrgetter("row")
 
 
 def as_vector(values: Sequence) -> Vector:
@@ -374,7 +371,6 @@ class StreamState(Value):
 # generated straight-line Python function.
 
 _INF = float("inf")
-_STILL = (False, False)  # neither falls nor rises as a rising input grows
 
 
 def _plus(a, b):
@@ -530,14 +526,10 @@ class _StepCompiler:
             self.scale, self.bottom, self.top = scale, -_INF, _INF
         else:
             self.scale, self.bottom, self.top = fmt.scale, fmt.min_raw, fmt.max_raw
-        self._blocks: list[tuple[str, list[str]]] = []  # each local's name and lines
-        # the names that each local's block reads, and each hidden input's new value
-        self._reads: dict[str, tuple] = {}
+        self._blocks: list[tuple[str, list[str], tuple]] = []
         self._guards: list[str] = []  # the blocks that check an assumed range
         self._rising: dict[str, int] = {}  # each rising hidden input -> its encoded h0
-        # each sum from the first rising input on: (start, terms, where it saturates)
-        self._sums: dict[str, tuple] = {}
-        self._moves: dict[str, tuple] = {}  # ``_directions``, where ``_dead_rule`` needs them
+        self._sums: dict[str, tuple] = {}  # each sum: (start, terms, where it saturates)
         # id(object) -> (object, its encoding, how many of its constants the
         # mode quantises); holding the object keeps its id from reuse
         self._memo: dict[int, tuple] = {}
@@ -548,11 +540,6 @@ class _StepCompiler:
 
     def enc(self, w: Fraction) -> int:
         return (self._memo.get(id(w)) or self._const(w))[1]
-
-    def encoded(self, vec: Sequence[Fraction]) -> tuple:
-        """The encodings of the constants ``vec``."""
-        get = self._memo.get
-        return tuple([(get(id(w)) or self._const(w))[1] for w in vec])
 
     def _const(self, w: Fraction) -> tuple:
         """``(w, encoding, 1 if the encoding is inexact else 0)``."""
@@ -573,15 +560,14 @@ class _StepCompiler:
 
     def _row(self, row: Row) -> tuple:
         """``(row, its terms with encoded weights, quantised count)``."""
-        memo = self._memo
-        hit = memo.get(id(row))
-        if hit is None:
+        hit = self._memo.get(id(row))
+        if hit is None:  # one pass over the terms
             terms, count = [], 0
             for k, w in row.terms:
-                _, code, inexact = memo.get(id(w)) or self._const(w)
+                _, code, inexact = self._memo.get(id(w)) or self._const(w)
                 terms.append((k, code))
                 count += inexact
-            hit = memo[id(row)] = (row, tuple(terms), count)
+            hit = self._memo[id(row)] = (row, tuple(terms), count)
         return hit
 
     def quantized(self, model: SsmModel) -> int:
@@ -592,22 +578,10 @@ class _StepCompiler:
         its copy row, and each unit product of a coordinate passed through
         as that of a copy node of ``phi``."""
         consts, rows = _holders(model)
-        count = self._inexact(consts, self._const) + self._inexact(rows, self._row)
-        if self._const(_ONE)[2]:
-            count += sum(layer.dim - len(layer.updates) + (layer.dim - len(layer.computes))
-                         * _depth(layer) for layer in model.layers)
-        return count
-
-    def _inexact(self, objects: list, encode) -> int:
-        """How many inexact constants ``objects`` hold, where ``encode``
-        memoises each distinct object once: where each is exact, as on most
-        models, nothing is counted."""
-        memo = self._memo
-        counts = {i: n for i, obj in _distinct(objects).items()
-                  if (n := (memo.get(i) or encode(obj))[2])}
-        if not counts:
-            return 0
-        return sum(n * counts[i] for i, n in Counter(map(id, objects)).items() if i in counts)
+        units = sum(layer.dim - len(layer.updates)
+                    + (layer.dim - len(layer.computes)) * _depth(layer) for layer in model.layers)
+        return (_count(consts, lambda w: self._const(w)[2])
+                + _count(rows, lambda r: self._row(r)[2]) + units * self._const(_ONE)[2])
 
     # -- values -------------------------------------------------------------
 
@@ -622,8 +596,7 @@ class _StepCompiler:
 
     def _bind(self, name: str, lines: list[str], reads: tuple, lo, hi) -> _Val:
         """Record the block of lines that computes the local ``name``."""
-        self._blocks.append((name, lines))
-        self._reads[name] = reads
+        self._blocks.append((name, lines, reads))
         return _Val(name, None, lo, hi, (name,))
 
     def _saturates(self, lo, hi, floor) -> tuple:
@@ -645,8 +618,8 @@ class _StepCompiler:
         if low is not None:
             code = _literal(floor)
             lines.append(f"{'elif' if lines else 'if'} {name} < {code}: {name} = {code}")
-        lo = floor if low is not None else top if lo > top else lo
-        return lines, lo, top if high else floor if hi < floor else hi, saturates
+        lo = floor if low is not None else min(lo, top)
+        return lines, lo, top if high else max(hi, floor), saturates
 
     def _fits(self, code: str, lo, hi, reads, coef=None, base=None) -> _Val:
         """A product term: an expression when it cannot leave the range,
@@ -700,9 +673,7 @@ class _StepCompiler:
             g = gcd(w, scale)
             lo, hi = _outward(w, v.lo, v.hi, scale)
             return self._divided(_times(w // g, v.code), scale // g, v.reads, lo, hi)
-        lo, hi = _scaled_bound(w, v.lo, scale), _scaled_bound(w, v.hi, scale)
-        if w < 0:
-            lo, hi = hi, lo
+        lo, hi = sorted((_scaled_bound(w, v.lo, scale), _scaled_bound(w, v.hi, scale)))
         # truncation toward zero of w*v / 2**f, split on the sign of v
         a, f = abs(w), self.fmt.frac_bits
         pos, neg = f"{a} * {v.code} >> {f}", f"{a} * -{v.code} >> {f}"
@@ -715,12 +686,6 @@ class _StepCompiler:
             code = f"{pos} if {v.code} >= 0 else {neg}"
         return self._fits(code, lo, hi, v.reads)
 
-    def products(self, terms, values) -> list[_Val]:
-        """The terms ``w * values[k]`` of a row's encoded ``(k, w)`` terms;
-        a unit weight's is the value itself, as ``mul`` gives it."""
-        scale = self.scale
-        return [values[k] if w == scale else self.mul(w, values[k]) for k, w in terms]
-
     def mul_var(self, g: _Val, v: _Val) -> _Val:
         """The term ``g * v`` of a diagonal input-dependent gate; unbounded
         in exact mode where a factor is, since 0 * inf bounds nothing."""
@@ -728,7 +693,7 @@ class _StepCompiler:
             return self.mul(g.const, v)
         reads = g.reads + v.reads
         bounds = (g.lo, g.hi, v.lo, v.hi)
-        ends = [a * b for a in bounds[:2] for b in bounds[2:]]
+        ends = (g.lo * v.lo, g.lo * v.hi, g.hi * v.lo, g.hi * v.hi)
         if self.fmt is None:
             lo, hi = ((min(ends) // self.scale, -(-max(ends) // self.scale))
                       if _INF not in map(abs, bounds) else (-_INF, _INF))
@@ -753,7 +718,7 @@ class _StepCompiler:
         its negation is one line where the sum cannot pass the top (``v =
         u - 2 if u > 2 else 0``, ``v = 2 - u if u < 2 else 0``): below the
         bottom, the saturated sum's relu is 0 too."""
-        if self.fmt is None:
+        if self.fmt is None:  # a loop, cheaper than comprehensions here
             kept = []
             for t in terms:
                 if t.const is None:
@@ -763,7 +728,6 @@ class _StepCompiler:
             terms = kept
         bottom, top = self.bottom, self.top
         value, expr, name = start, None, None  # expr None: the sum is `value`
-        first = None  # the sum's one term after `value`, None once another joins
         lines: list[str] = []
         reads: tuple = ()
         pending = 0
@@ -773,7 +737,6 @@ class _StepCompiler:
                 if t.const is not None:
                     value = min(max(value + t.const, bottom), top)
                     continue
-                first = t
                 expr = t.code if value == 0 else _joined(_literal(value), t)
                 lo = hi = value
             elif t.const == 0:
@@ -786,7 +749,6 @@ class _StepCompiler:
                     clamp, lo, hi, clamps[len(joined)] = self._clamp(name, lo, hi, bottom)
                     lines += [f"{name} = {expr}"] + clamp
                     expr, pending = name, 0
-                first = None
                 expr = _joined(expr, t)
             try:
                 lo, hi = lo + t.lo, hi + t.hi
@@ -803,7 +765,7 @@ class _StepCompiler:
             lo, hi = max(lo, span[0]), min(hi, span[1])
         if hi <= floor:
             return self.const(floor)
-        one = first is not None and hi <= top  # `value` plus one term: no line yet
+        one, first = len(joined) == 1 and hi <= top, joined[0]  # one term: no line yet
         if one and value == 0 and first.coef == 1 and lo >= floor:  # a name
             return _Val(expr, None, lo, hi, (expr,))
         name = name or self._fresh()
@@ -812,17 +774,14 @@ class _StepCompiler:
             if first.coef == -1:
                 code = f"{expr} if {u} < {_literal(c)}"
             elif c < 0:
-                c = _literal(-c)
-                code = f"{u} - {c} if {u} > {c}"
+                code = f"{u} - {_literal(-c)} if {u} > {_literal(-c)}"
             else:
                 code = f"{expr} if {u} > {_literal(-c)}"
-            if self._rising:
-                clamps[len(joined)] = self._saturates(lo, hi, 0)
-                self._sums[name] = value, joined, clamps
+            clamps[len(joined)] = self._saturates(lo, hi, 0)
+            self._sums[name] = value, joined, clamps
             return self._bind(name, [f"{name} = {code} else 0"], reads, 0, hi)
         clamp, lo, hi, clamps[len(joined)] = self._clamp(name, lo, hi, floor)
-        if self._rising:
-            self._sums[name] = value, joined, clamps
+        self._sums[name] = value, joined, clamps
         return self._bind(name, lines + [f"{name} = {expr}"] + clamp, reads, lo, hi)
 
     # -- the model ----------------------------------------------------------
@@ -844,19 +803,14 @@ class _StepCompiler:
         the nodes ``below`` (None for the network's inputs).  A unit copy
         (bias 0, one unit weight, and no relu or a relu over a value that is
         never negative) is its input itself."""
-        memo = self._memo  # ``enc`` and ``_row``, inline
-        bias = (memo.get(id(node.bias)) or self._const(node.bias))[1]
-        terms = (memo.get(id(node.row)) or self._row(node.row))[1]
+        bias, terms = self.enc(node.bias), self._row(node.row)[1]
         relu = node.activation == RELU
-        span = None
-        if bias == 0 and len(terms) < 3:
-            if len(terms) == 1 and terms[0][1] == self.scale:
-                v = inputs[terms[0][0]]
-                if not relu or v.lo >= 0:
-                    return v
-            elif len(terms) == 2 and below is not None:
-                span = self._span(terms, below)
-        return self.total(bias, self.products(terms, inputs), relu, span)
+        if bias == 0 and len(terms) == 1 and terms[0][1] == self.scale:
+            v = inputs[terms[0][0]]
+            if not relu or v.lo >= 0:
+                return v
+        span = self._span(terms, below) if bias == 0 and len(terms) == 2 and below else None
+        return self.total(bias, [self.mul(w, inputs[k]) for k, w in terms], relu, span)
 
     def _span(self, terms, below):
         """[0, p - q] for a node ``a - b`` (bias 0, unit weights) whose
@@ -867,14 +821,11 @@ class _StepCompiler:
         monotone and moves no two values apart, so a - b stays in [0, p - q]
         under per-term saturation too, and the unit weights subtract
         exactly."""
-        (i, w), (k, u) = terms
-        if w < u:
-            i, w, k, u = k, u, i, w
-        if w != self.scale or u != -w:
-            return None
+        (k, u), (i, w) = sorted(terms, key=lambda term: term[1])
         a, b = below[i], below[k]
         span = self.enc(a.bias) - self.enc(b.bias)
-        if a.activation == b.activation == RELU and a.row == b.row and span >= 0:
+        if (w == self.scale == -u and a.activation == b.activation == RELU and a.row == b.row
+                and span >= 0):
             return 0, span
         return None
 
@@ -906,20 +857,18 @@ class _StepCompiler:
     def recurrence(self, layer: SsmLayer, j: int, h: dict, x: list[_Val]) -> _Val:
         """The new ``h[j]``.  A unit copy (no gate term, a gate offset and an
         inc offset of 0, and one unit inc weight) is its input itself."""
-        gate, inc, memo = layer.gate, layer.inc, self._memo  # ``enc`` and ``_row``, inline
-        gate_row, inc_row, offset = gate.rows[j], inc.rows[j], inc.offset[j]
-        gate_terms = (memo.get(id(gate_row)) or self._row(gate_row))[1]
-        inc_terms = (memo.get(id(inc_row)) or self._row(inc_row))[1]
-        offset = (memo.get(id(offset)) or self._const(offset))[1]
+        gate, inc = layer.gate, layer.inc
+        gate_terms, inc_terms = self._row(gate.rows[j])[1], self._row(inc.rows[j])[1]
+        offset = self.enc(inc.offset[j])
         if isinstance(gate, TimeInvariantGate):
-            terms = self.products(gate_terms, h)
+            terms = [self.mul(w, h[k]) for k, w in gate_terms]
         else:
-            g = self.total(self.enc(gate.offset[j]), self.products(gate_terms, x))
+            g = self.total(self.enc(gate.offset[j]), [self.mul(w, x[k]) for k, w in gate_terms])
             terms = [] if g.const == 0 else [self.mul_var(g, h[j])]
         if not terms and offset == 0 and len(inc_terms) == 1 and inc_terms[0][1] == self.scale:
             return x[inc_terms[0][0]]
         terms.append(self.const(offset))
-        terms += self.products(inc_terms, x)
+        terms += [self.mul(w, x[k]) for k, w in inc_terms]
         return self.total(0, terms)
 
     def assumed(self, layer: SsmLayer, olds: list[int]) -> dict:
@@ -959,12 +908,10 @@ class _StepCompiler:
                 unit = not terms and self.enc(gate.offset[j]) == one
             else:
                 unit = len(terms) == 1 and terms[0][0] == j and self.enc(terms[0][1]) == one
-            if unit and self.enc(inc.offset[j]) >= 0:
-                for k, w in self._row(inc.rows[j])[1]:
-                    if x[k].lo < 0 if w > 0 else x[k].hi > 0 and w != 0:
-                        break
-                else:
-                    ranges[j] = self.enc(layer.h0[j]), self.top
+            if unit and self.enc(inc.offset[j]) >= 0 and all(
+                    x[k].lo >= 0 if w > 0 else x[k].hi <= 0 or w == 0
+                    for k, w in self._row(inc.rows[j])[1]):
+                ranges[j] = self.enc(layer.h0[j]), self.top
         return ranges
 
     def guard(self, v: _Val, lo, hi) -> _Val:
@@ -999,8 +946,7 @@ class _StepCompiler:
         layers, out_plan = _plan(model)
         hidden = {}  # the name of each generated hidden input -> ((layer, index), new value)
         for li, (layer, (news, olds, phi_plan, passes)) in enumerate(zip(model.layers, layers)):
-            # an assumed or rising coordinate is updated and reads its input
-            ranges = self.assumed(layer, olds)
+            ranges = self.assumed(layer, olds)  # each such coordinate reads its input
             rising = self.rising(layer, olds, x)
             h = {}
             for j in olds:
@@ -1010,27 +956,23 @@ class _StepCompiler:
                 if j in rising:
                     self._rising[name] = lo
             new, updates = [None] * layer.dim, layer.updates
-            for j in news:
-                # a carried coordinate's new value is its input
-                v = self.recurrence(layer, j, h, x) if j in updates else self.unit(x[j])
+            for j in news:  # a carried coordinate's new value is its input
+                new[j] = self.recurrence(layer, j, h, x) if j in updates else self.unit(x[j])
                 if j in ranges:
-                    v = self.guard(v, *ranges[j])
-                new[j] = v
+                    new[j] = self.guard(new[j], *ranges[j])
                 if j in h:
-                    hidden[h[j].code] = (li, j), v
-                    self._reads[h[j].code] = v.reads
+                    hidden[h[j].code] = (li, j), new[j]
             x = self.phi(layer, phi_plan, passes, new, x)
         (y,) = self.fnn(model.out, out_plan, x)
-        live = self._live(y)
-        keyed = [(name, value) for name, (_, value) in hidden.items() if name in live]
-        names = [name for name, _ in keyed]
+        live = self._live(y, hidden)
+        names = [name for name in hidden if name in live]
         self.key = tuple(hidden[name][0] for name in names)
         self.dead_rule = self._dead_rule(y, names)
         lines = [", ".join(names) + ", = key"] if names else []
         if columns:
             lines.append(", ".join([name if name in live else "_" for name in columns]) + ", = x")
-        lines += [line for name, block in self._blocks if name in live for line in block]
-        lines.append(f"return ({''.join(f'{v.code}, ' for _, v in keyed)}), {y.code}")
+        lines += [line for name, block, _ in self._blocks if name in live for line in block]
+        lines.append(f"return ({''.join(hidden[n][1].code + ', ' for n in names)}), {y.code}")
         return "def step(key, x):\n    " + "\n    ".join(lines) + "\n"
 
     def _dead_rule(self, y: _Val, names: list[str]) -> tuple:
@@ -1047,24 +989,19 @@ class _StepCompiler:
         else:
             found, kept = {}, self._sums.get(y.code)
             if kept:
-                self._moves = self._directions()
-                if self._moves[y.code] != _STILL:
-                    self._threshold(kept, False, self.scale - 1, found, [4 * len(self._blocks)])
+                self._moves = self._directions()  # read by ``_threshold``
+                self._threshold(kept, False, self.scale - 1, found, [4 * len(self._blocks)])
         return tuple((i, found[name]) for i, name in enumerate(names) if name in found)
 
     def _directions(self) -> dict:
-        """Whether each rising input and kept sum can fall and whether it
-        can rise as a rising input grows, through integer terms alone.  A
-        sum reads only names made before it, so one pass in the order the
-        sums were kept finds each from its terms'."""
+        """Whether each rising input and kept sum can fall and whether it can
+        rise as a rising input grows, in one pass: a sum reads earlier names."""
         moves = dict.fromkeys(self._rising, (False, True))
         for name, (_, terms, _) in self._sums.items():
             falls = rises = False
             for t in terms:
-                if t.coef is not None:
-                    down, up = moves.get(t.base, _STILL)
-                    if t.coef < 0:
-                        down, up = up, down
+                if t.coef is not None:  # a negative term swaps falling and rising
+                    down, up = moves.get(t.base, (False, False))[::1 if t.coef > 0 else -1]
                     falls, rises = falls or down, rises or up
             moves[name] = falls, rises
         return moves
@@ -1084,10 +1021,8 @@ class _StepCompiler:
         bound at or below the top; each other clamp can.  It follows each
         integer term into a kept sum that can rise (``up``) or fall as a
         rising input grows; it stops at a product by a fraction, a gated
-        product or past ``budget[0]`` visits.  A kept sum of one term, such
-        as an ILP row's miss ``relu(row - target)``, is passed in the same
-        sweep: its clamp and its one term bound the term's base in turn, as
-        a visit of it would, and it counts as a visit."""
+        product or past ``budget[0]`` visits.  A sum of one term (an ILP row's
+        miss) is passed in the same sweep, as a visit would, and counts as one."""
         budget[0] -= 1
         if budget[0] < 0:
             return
@@ -1105,16 +1040,14 @@ class _StepCompiler:
             t, before = terms[j - 1], befores[j - 1]
             u, rising, need = t, up, bound  # u's base at least (rising) or at most need
             while u.coef is not None and abs(before) != _INF:
-                k = u.coef
-                rising = rising == (k > 0)
-                need = -((before - need) // k) if rising else (need - before) // k
+                rising = rising == (u.coef > 0)
+                need = -((before - need) // u.coef) if rising else (need - before) // u.coef
                 lowest = self._rising.get(u.base)
                 if lowest is not None:
-                    least = max(need, lowest)
-                    if rising and need <= top and found.get(u.base, least) >= least:
-                        found[u.base] = least
+                    if rising and need <= top:  # the least T so far
+                        found[u.base] = min(found.get(u.base, _INF), max(need, lowest))
                     break
-                if not self._moves.get(u.base, _STILL)[rising]:
+                if not self._moves.get(u.base, (False, False))[rising]:
                     break
                 sub = self._sums[u.base]
                 if len(sub[1]) > 1:
@@ -1130,31 +1063,28 @@ class _StepCompiler:
             bound -= end
 
     def _defeats(self, clamp: tuple, up: bool, bound) -> bool:
-        """Whether a clamp where ``_saturates`` says a sum saturates can
-        break the bound that the sum is at least (``up``) or at most."""
+        """Whether a clamp, as ``_saturates`` gave it, can break the bound."""
         floor, high = clamp
         return high and up and bound > self.top or floor is not None and not up and bound < floor
 
     def build(self, model: SsmModel, inputs: list[tuple]):
         """Compile the step; ``inputs`` are the encoded embeddings, the only
-        vectors it is ever called with.  Sets ``source_s`` and
-        ``compile_s``, the seconds that generating its source and compiling
-        it took."""
+        vectors it is ever called with.  Times its ``source_s`` and ``compile_s``."""
         started = time.perf_counter()
         source = self.source(model, inputs)
-        generated = time.perf_counter()
+        self.source_s = time.perf_counter() - started
         code = compile(source, f"<ssm step {self.fmt or 'exact'}>", "exec")
-        namespace = {"Inexact": _Inexact, "Retract": _Retract}
-        exec(code, namespace)
-        self.source_s, self.compile_s = generated - started, time.perf_counter() - generated
+        exec(code, namespace := {"Inexact": _Inexact, "Retract": _Retract})
+        self.compile_s = time.perf_counter() - started - self.source_s
         return namespace["step"]
 
-    def _live(self, y: _Val) -> set:
+    def _live(self, y: _Val, hidden: dict) -> set:
         """The names that ``y`` or a guard needs, where a hidden input needs
         its new value too: the least such set, with what folding removed
         left out.  Every guard is live, since folding may have used its
         range where no live line reads the coordinate."""
-        reads = self._reads
+        reads = {name: block_reads for name, _, block_reads in self._blocks}
+        reads.update((name, value.reads) for name, (_, value) in hidden.items())
         live, todo = set(), [*y.reads, *self._guards]
         while todo:
             name = todo.pop()
@@ -1172,57 +1102,49 @@ def _needed_nodes(net: Fnn, wanted: set) -> tuple[list, set]:
     for layer in reversed(net.layers):
         needed = sorted(wanted)
         plan.append(needed)
-        nodes, wanted = layer.nodes, set()
-        for i in needed:
-            wanted.update(map(_first, nodes[i].row.terms))
+        nodes = layer.nodes
+        wanted = {k for i in needed for k, _ in nodes[i].row.terms}
     plan.reverse()
     return plan, wanted
 
 
 def _plan(model: SsmModel) -> tuple[list, list]:
     """The backward pass from ``out``: for each layer, the new hidden values
-    that ``y`` can need and the hidden inputs that they read, each in
-    ascending order, the ``net`` plan of ``_needed_nodes`` and the needed
-    coordinates that the layer passes through; and the plan of ``out``.
-    Within a layer, a needed value whose time-invariant gate row reads
-    ``h[k]`` makes ``new[k]`` needed, up to the least fixed point, and a
-    diagonal gate's product reads the value's own input; the embedding
-    columns or the previous layer's outputs that the layer reads are needed
-    below.  A carried coordinate's new value reads its input alone."""
+    that ``y`` can need and the hidden inputs they read, in ascending order,
+    the ``net`` plan of ``_needed_nodes`` and the needed coordinates that
+    the layer passes through; and the plan of ``out``.  Within a layer, a
+    needed value whose time-invariant gate row reads ``h[k]`` makes
+    ``new[k]`` needed, up to the least fixed point, and a gated value reads
+    its own input; the embedding columns or the previous layer's outputs
+    that it reads are needed below.  A carried value reads its input alone."""
     out_plan, wanted = _needed_nodes(model.out, {0})
     layers = []
     for layer in reversed(model.layers):
         d, gate, inc = layer.dim, layer.gate, layer.inc
-        output = dict(zip(layer.computes, range(d)))
-        passes = sorted(wanted.difference(output))
+        output = {j: i for i, j in enumerate(layer.computes)}
+        passes = sorted(j for j in wanted if j not in output)
         phi_plan, reads = ([], set()) if layer.net is None else _needed_nodes(
-            layer.net, set(map(output.__getitem__, wanted.intersection(output))))
+            layer.net, {output[j] for j in wanted if j in output})
         reads.update(passes)  # a coordinate passed through reads its new value
-        new, wanted = set(), set()
-        for k in reads:
-            if k < d:
-                new.add(k)
-            else:
-                wanted.add(k - d)
-        updates = set(layer.updates)
-        wanted |= new - updates  # a carried coordinate's new value reads its input
-        todo, inputs = list(new & updates), set()
+        new = {k for k in reads if k < d}
+        wanted = {k - d for k in reads if k >= d}
+        todo, olds = list(new), set()
         while todo:
             j = todo.pop()
-            wanted.update(map(_first, inc.rows[j].terms))
+            if j not in layer.updates:  # carried: its new value reads its input
+                wanted.add(j)
+                continue
+            wanted.update(k for k, _ in inc.rows[j].terms)
             if isinstance(gate, DiagonalAffineGate):
-                wanted.update(map(_first, gate.rows[j].terms))
-                inputs.add(j)
+                wanted.update(k for k, _ in gate.rows[j].terms)
+                olds.add(j)
             else:  # h[k] is the previous new[k]
                 for k, _ in gate.rows[j].terms:
-                    inputs.add(k)
+                    olds.add(k)
                     if k not in new:
                         new.add(k)
-                        if k in updates:
-                            todo.append(k)
-                        else:
-                            wanted.add(k)
-        layers.append((sorted(new), sorted(inputs), phi_plan, passes))
+                        todo.append(k)
+        layers.append((sorted(new), sorted(olds), phi_plan, passes))
     layers.reverse()
     return layers, out_plan
 
@@ -1230,10 +1152,9 @@ def _plan(model: SsmModel) -> tuple[list, list]:
 class _Stepper:
     """Model compiled for one arithmetic mode: the encoded embeddings, the
     generated step on keys, the number of model constants the mode
-    quantises, and how many builds led to it (``builds``: 1, and one more
-    for each step that a call replaced with it) with their seconds, summed
-    over those builds: ``build_s`` for the whole of each, ``source_s`` and
-    ``compile_s`` for generating and compiling its source.  ``one`` encodes the value 1:
+    quantises, and the ``builds`` that led to it (1, and 1 for each step a
+    call replaced with it) with their seconds summed: ``build_s``, of which
+    ``source_s`` and ``compile_s`` generated and compiled the source.  ``one`` encodes the value 1:
     the scale in exact mode, which ``_stepper`` starts on ``_first_scale``
     of the model's denominators (1 for only integer constants); a call
     raises ``_Inexact`` when a value leaves it.
@@ -1253,10 +1174,8 @@ class _Stepper:
     def __init__(self, model: SsmModel, mode: ArithMode, scale: int | None, assume: bool = True):
         started = time.perf_counter()
         comp = _StepCompiler(mode, scale, assume)
-        self.mode = mode
-        self.assume = assume
-        self.one = comp.scale
-        self.emb = dict(zip(model.alphabet, map(comp.encoded, model.emb)))
+        self.mode, self.assume, self.one = mode, assume, comp.scale
+        self.emb = {s: tuple(map(comp.enc, vec)) for s, vec in zip(model.alphabet, model.emb)}
         self.search_step = comp.build(model, list(self.emb.values()))
         self.key = comp.key
         self.dead_rule = comp.dead_rule
@@ -1265,15 +1184,6 @@ class _Stepper:
         self.quantized_constants = 0 if mode.is_exact else comp.quantized(model)
         self.builds, self.source_s, self.compile_s = 1, comp.source_s, comp.compile_s
         self.build_s = time.perf_counter() - started
-
-    def follows(self, earlier: _Stepper) -> _Stepper:
-        """This step, with the builds of ``earlier``, the step that a call
-        replaced with it, added to its own."""
-        self.builds += earlier.builds
-        self.build_s += earlier.build_s
-        self.source_s += earlier.source_s
-        self.compile_s += earlier.compile_s
-        return self
 
     def step(self, key, symbol):
         x = self.emb.get(symbol)
@@ -1335,8 +1245,7 @@ def _with_stepper(model: SsmModel, mode: ArithMode, call):
     each step starts where every range holds, and there the assumed step
     only leaves out tests and clamps that cannot fire (``_StepCompiler``).
     A step left on the model after a retraction keeps no assumption, also
-    when its scale widens later.  Each rebuilt step counts the builds of
-    the step it replaced with its own (``_Stepper.follows``)."""
+    when its scale widens later."""
     stepper = _stepper(model, mode)
     while True:
         try:
@@ -1346,7 +1255,9 @@ def _with_stepper(model: SsmModel, mode: ArithMode, call):
         except _Retract:
             scale, assume = stepper.one, False
         del model._steppers[mode]
-        stepper = _stepper(model, mode, scale, assume).follows(stepper)
+        earlier, stepper = stepper, _stepper(model, mode, scale, assume)
+        for name in ("builds", "build_s", "source_s", "compile_s"):
+            setattr(stepper, name, getattr(stepper, name) + getattr(earlier, name))
 
 
 def _scalar(y, mode: ArithMode) -> Scalar:
@@ -1518,15 +1429,14 @@ def _holders(model: SsmModel) -> tuple[list[Fraction], list[Row]]:
     offsets, which are 0, are left out."""
     vectors, rows = list(model.emb), []
     for layer in model.layers:
-        gate, inc, updates = layer.gate, layer.inc, layer.updates
-        vectors += (layer.h0, [inc.offset[j] for j in updates])
-        if isinstance(gate, DiagonalAffineGate):
-            vectors.append([gate.offset[j] for j in updates])
-        rows += [m.rows[j] for m in (gate, inc) for j in updates]
+        vectors += (layer.h0, [layer.inc.offset[j] for j in layer.updates])
+        if isinstance(layer.gate, DiagonalAffineGate):
+            vectors.append([layer.gate.offset[j] for j in layer.updates])
+        rows += [m.rows[j] for m in (layer.gate, layer.inc) for j in layer.updates]
     for net in (*(layer.net for layer in model.layers if layer.net is not None), model.out):
         for fnn_layer in net.layers:
-            vectors.append(map(_bias, fnn_layer.nodes))
-            rows += map(_node_row, fnn_layer.nodes)
+            vectors.append(tuple(node.bias for node in fnn_layer.nodes))
+            rows += (node.row for node in fnn_layer.nodes)
     return list(chain.from_iterable(vectors)), rows
 
 
@@ -1534,6 +1444,16 @@ def _distinct(objects: list) -> dict:
     """Each distinct object of ``objects``, told apart by identity, by its
     id."""
     return dict(zip(map(id, objects), objects))
+
+
+def _count(objects: list, weight) -> int:
+    """The sum of ``weight`` over ``objects``, called once per distinct
+    object: where it is 0 on each, as it is on most models, nothing is
+    counted."""
+    weights = {i: w for i, obj in _distinct(objects).items() if (w := weight(obj))}
+    if not weights:
+        return 0
+    return sum(n * weights[i] for i, n in Counter(map(id, objects)).items() if i in weights)
 
 
 def _constants(model: SsmModel):
