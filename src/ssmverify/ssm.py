@@ -500,18 +500,18 @@ class _StepCompiler:
     coordinate is at least T, every later ``y`` is below the encoded 1.
 
     Only what ``y`` can need is generated: a backward pass (``_plan``)
-    names the FNN nodes and new hidden values that ``out`` reaches through
-    the rows' terms.  Of those, the hidden coordinates in the least set
-    that holds ``y``'s reads and the reads of each member's new value are
-    the ``key``, in (layer, index) order; a key is the flat tuple of their
-    values.  The step maps a key to the new key and ``y``, and keeps only
-    the blocks those need, so what constant folding removes goes too.
+    names the FNN nodes, new hidden values and the hidden inputs these read
+    that ``out`` reaches through the rows' terms.  The hidden coordinates in
+    the least set that holds ``y``'s reads and each member's new value's
+    are the ``key``, in (layer, index) order, a flat tuple of values.  The
+    step maps a key to the new key and ``y``, and keeps only the blocks
+    those need, so what constant folding removes goes too.
 
     Each constant and row is encoded once per build, memoised by the
-    identity of the object: models share them.  The domains differ in
-    what a constant or a product cannot hold.  In fixed mode ``quantized``
-    counts, over every model constant, dead ones included, those that are
-    not exactly representable: ``len(quantization_report(model, fmt))``.
+    identity of the object (models share them), and each folded value is
+    made once.  Domains differ in what a constant or a product cannot hold.
+    In fixed mode ``quantized`` counts, over every model constant, dead ones
+    included, those not exactly representable: ``len(quantization_report)``.
     In exact mode an encoded constant whose denominator does not divide the
     scale raises ``_Inexact``, which a scale of ``_first_scale`` never does.
     A product truncates in fixed mode; in exact mode it folds only when the
@@ -1154,10 +1154,10 @@ class _Stepper:
     generated step on keys, the number of model constants the mode
     quantises, and the ``builds`` that led to it (1, and 1 for each step a
     call replaced with it) with their seconds summed: ``build_s``, of which
-    ``source_s`` and ``compile_s`` generated and compiled the source.  ``one`` encodes the value 1:
-    the scale in exact mode, which ``_stepper`` starts on ``_first_scale``
-    of the model's denominators (1 for only integer constants); a call
-    raises ``_Inexact`` when a value leaves it.
+    ``source_s`` and ``compile_s`` generated and compiled the source.
+    ``one`` encodes the value 1: the scale in exact mode, which ``_stepper``
+    starts on ``_first_scale`` of the model's denominators (1 for only
+    integer constants); a call raises ``_Inexact`` when a value leaves it.
 
     A key is the flat tuple of the hidden coordinates the step reads,
     ``key`` lists them as (layer, index) pairs and ``init`` is the initial
