@@ -561,7 +561,7 @@ class _StepCompiler:
     def _row(self, row: Row) -> tuple:
         """``(row, its terms with encoded weights, quantised count)``."""
         hit = self._memo.get(id(row))
-        if hit is None:  # one pass over the terms
+        if hit is None:
             terms, count = [], 0
             for k, w in row.terms:
                 _, code, inexact = self._memo.get(id(w)) or self._const(w)
@@ -629,7 +629,7 @@ class _StepCompiler:
             if coef is None:
                 return _Val(f"({code})", None, lo, hi, reads, None)
             return _Val(code, None, lo, hi, reads, coef, base)
-        name = f"v{len(self._blocks)}"
+        name = self._fresh()
         clamp, clamped_lo, clamped_hi, saturates = self._clamp(name, lo, hi, self.bottom)
         if coef is not None and self._rising:
             self._sums[name] = 0, [_Val(code, None, lo, hi, reads, coef, base)], {1: saturates}
