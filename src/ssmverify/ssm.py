@@ -1435,15 +1435,15 @@ def _holders(model: SsmModel) -> tuple[list[Fraction], list[Row]]:
         rows += [m.rows[j] for m in (layer.gate, layer.inc) for j in layer.updates]
     for net in (*(layer.net for layer in model.layers if layer.net is not None), model.out):
         for fnn_layer in net.layers:
-            vectors.append(tuple(node.bias for node in fnn_layer.nodes))
-            rows += (node.row for node in fnn_layer.nodes)
+            vectors.append([node.bias for node in fnn_layer.nodes])
+            rows += [node.row for node in fnn_layer.nodes]
     return list(chain.from_iterable(vectors)), rows
 
 
 def _distinct(objects: list) -> dict:
     """Each distinct object of ``objects``, told apart by identity, by its
     id."""
-    return dict(zip(map(id, objects), objects))
+    return {id(obj): obj for obj in objects}
 
 
 def _count(objects: list, weight) -> int:
