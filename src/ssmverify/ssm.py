@@ -92,6 +92,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from copy import copy
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -494,7 +495,7 @@ class _StepCompiler:
     A ``rising`` hidden input takes [enc(h0), top] whatever ``assume``
     says: that range is proved, not assumed, since each new value is a
     saturating sum of the input and terms that are not negative.  Each sum
-    from the first rising input on is kept, with where it saturates, and
+    of the step is kept, with where it saturates, and
     ``dead_rule`` lists, for each rising key coordinate, its index in the
     key and the least T that ``_threshold`` finds: from a key whose
     coordinate is at least T, every later ``y`` is below the encoded 1.
@@ -631,7 +632,7 @@ class _StepCompiler:
             return _Val(code, None, lo, hi, reads, coef, base)
         name = self._fresh()
         clamp, clamped_lo, clamped_hi, saturates = self._clamp(name, lo, hi, self.bottom)
-        if coef is not None and self._rising:
+        if coef is not None:
             self._sums[name] = 0, [_Val(code, None, lo, hi, reads, coef, base)], {1: saturates}
         return self._bind(name, [f"{name} = {code}"] + clamp, reads, clamped_lo, clamped_hi)
 
@@ -667,7 +668,10 @@ class _StepCompiler:
             k = w // scale
             if k == 0:
                 return self.const(0)
-            lo, hi = (k * v.lo, k * v.hi) if k > 0 else (k * v.hi, k * v.lo)
+            try:
+                lo, hi = (k * v.lo, k * v.hi) if k > 0 else (k * v.hi, k * v.lo)
+            except OverflowError:  # an int past a float's range meets an infinite bound
+                lo, hi = _outward(k, v.lo, v.hi, 1)
             return self._fits(_times(k, v.code), lo, hi, v.reads, k, v.code)
         if self.fmt is None:  # the weight is a / q in lowest terms
             g = gcd(w, scale)
@@ -1021,8 +1025,7 @@ class _StepCompiler:
         bound at or below the top; each other clamp can.  It follows each
         integer term into a kept sum that can rise (``up``) or fall as a
         rising input grows; it stops at a product by a fraction, a gated
-        product or past ``budget[0]`` visits.  A sum of one term (an ILP row's
-        miss) is passed in the same sweep, as a visit would, and counts as one."""
+        product or past ``budget[0]`` visits."""
         budget[0] -= 1
         if budget[0] < 0:
             return
@@ -1035,37 +1038,25 @@ class _StepCompiler:
             if j in clamps:  # saturated between terms, so at the format's bottom
                 total = min(max(total, self.bottom), top)
         for j in range(len(terms), 0, -1):
-            if j in clamps and self._defeats(clamps[j], up, bound):
-                return
+            if j in clamps:
+                floor, high = clamps[j]
+                if high and up and bound > top or floor is not None and not up and bound < floor:
+                    return
             t, before = terms[j - 1], befores[j - 1]
-            u, rising, need = t, up, bound  # u's base at least (rising) or at most need
-            while u.coef is not None and abs(before) != _INF:
-                rising = rising == (u.coef > 0)
-                need = -((before - need) // u.coef) if rising else (need - before) // u.coef
-                lowest = self._rising.get(u.base)
-                if lowest is not None:
-                    if rising and need <= top:  # the least T so far
-                        found[u.base] = min(found.get(u.base, _INF), max(need, lowest))
-                    break
-                if not self._moves.get(u.base, (False, False))[rising]:
-                    break
-                sub = self._sums[u.base]
-                if len(sub[1]) > 1:
-                    self._threshold(sub, rising, need, found, budget)
-                    break
-                budget[0] -= 1
-                if budget[0] < 0 or 1 in sub[2] and self._defeats(sub[2][1], rising, need):
-                    break
-                before, (u,) = sub[0], sub[1]
+            if t.coef is not None and abs(before) != _INF:
+                k = t.coef  # k * base at least (rising) or at most need
+                rising = up == (k > 0)
+                need = -((before - bound) // k) if rising else (bound - before) // k
+                lowest = self._rising.get(t.base)
+                if lowest is None:
+                    if self._moves.get(t.base, (False, False))[rising]:
+                        self._threshold(self._sums[t.base], rising, need, found, budget)
+                elif rising and need <= top:  # the least T so far
+                    found[t.base] = min(found.get(t.base, _INF), max(need, lowest))
             end = t.lo if up else t.hi
             if abs(end) == _INF:
                 return
             bound -= end
-
-    def _defeats(self, clamp: tuple, up: bool, bound) -> bool:
-        """Whether a clamp, as ``_saturates`` gave it, can break the bound."""
-        floor, high = clamp
-        return high and up and bound > self.top or floor is not None and not up and bound < floor
 
     def build(self, model: SsmModel, inputs: list[tuple]):
         """Compile the step; ``inputs`` are the encoded embeddings, the only
@@ -1152,9 +1143,10 @@ def _plan(model: SsmModel) -> tuple[list, list]:
 class _Stepper:
     """Model compiled for one arithmetic mode: the encoded embeddings, the
     generated step on keys, the number of model constants the mode
-    quantises, and the ``builds`` that led to it (1, and 1 for each step a
-    call replaced with it) with their seconds summed: ``build_s``, of which
-    ``source_s`` and ``compile_s`` generated and compiled the source.
+    quantises, and its build: ``builds`` (1), ``build_s``, and the
+    ``source_s`` and ``compile_s`` of it that generated and compiled the
+    source.  A call that replaces its step runs on a copy of the new one
+    that sums the builds of the call's steps.
     ``one`` encodes the value 1: the scale in exact mode, which ``_stepper``
     starts on ``_first_scale`` of the model's denominators (1 for only
     integer constants); a call raises ``_Inexact`` when a value leaves it.
@@ -1255,7 +1247,8 @@ def _with_stepper(model: SsmModel, mode: ArithMode, call):
         except _Retract:
             scale, assume = stepper.one, False
         del model._steppers[mode]
-        earlier, stepper = stepper, _stepper(model, mode, scale, assume)
+        # the builds of this call, on a copy: the cached step keeps its own
+        earlier, stepper = stepper, copy(_stepper(model, mode, scale, assume))
         for name in ("builds", "build_s", "source_s", "compile_s"):
             setattr(stepper, name, getattr(stepper, name) + getattr(earlier, name))
 

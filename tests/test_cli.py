@@ -176,9 +176,10 @@ def test_running_out_of_memory_is_a_resource_limit(tmp_path, monkeypatch):
 
 
 def test_huge_exact_constants_decide(tmp_path):
-    """The offset 1 - 2**1100 cancels the embedding of a.  The step's
-    interval analysis adds such ints to infinite bounds, and none of them
-    fits in a float."""
+    """The offset 1 - 2**1100 cancels the embedding of a, and a gate weight
+    of 2**1100 multiplies a hidden input.  The step's interval analysis adds
+    such ints to infinite bounds and multiplies them, and none of them fits
+    in a float."""
     big = 1 << 1100
     layer = SsmLayer(as_vector([0]), TimeInvariantGate(as_matrix([[1]])),
                      AffineMap(as_matrix([[1]]), as_vector([1 - big])), projection_phi(1))
@@ -190,6 +191,14 @@ def test_huge_exact_constants_decide(tmp_path):
     assert (report["result"]["verdict"], report["result"]["witness"]) == ("satisfiable", "a")
     status, report = run(["eval", model_path, "--word", "a"])
     assert status == 0 and report["result"]["value"] == "1"
+    # a gate weight of 2**1100 on the unbounded hidden input: h' = big * h + x
+    layer = SsmLayer(as_vector([0]), TimeInvariantGate(as_matrix([[big]])),
+                     AffineMap(as_matrix([[1]]), as_vector([0])), projection_phi(1))
+    save_model(SsmModel(alphabet=("a", "b"), emb=(as_vector([1]), as_vector([0])),
+                        layers=(layer,), out=select_fnn([0], 1)), model_path)
+    status, report = run(["sat", "bounded", model_path, "--max-len", "2"])
+    assert status == 0
+    assert (report["result"]["verdict"], report["result"]["witness"]) == ("satisfiable", "a")
 
 
 def test_eval_reports_a_value_too_long_to_print(tmp_path, capsys):

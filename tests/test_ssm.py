@@ -534,7 +534,8 @@ def test_the_report_splits_each_build_of_the_step(monkeypatch):
     their seconds and the parts spent generating and compiling the source.
     The exact step of ``two.mm`` is built once.  The counting model's
     guard retracts its range, so its search builds the step twice: with
-    each build 0.05 s slower, the two sum past 0.1 s."""
+    each build 0.05 s slower, the two sum past 0.1 s.  A second search of
+    the same model runs on the step left after the retraction, built once."""
     stats = sat_bounded(compile_minsky(parse_minsky(TWO_MM)), 8, EXACT).stats
     assert stats.builds == 1
     assert 0 < stats.source_s and 0 < stats.compile_s
@@ -547,9 +548,13 @@ def test_the_report_splits_each_build_of_the_step(monkeypatch):
 
     monkeypatch.setattr(_StepCompiler, "build", slow)
     for mode in (EXACT, FX6_MODE):
-        stats = sat_bounded(counting_model(), 6, mode).stats
+        model = counting_model()
+        stats = sat_bounded(model, 6, mode).stats
         assert stats.builds == 2 and stats.stepper_build_s >= 0.1
         assert stats.source_s + stats.compile_s <= stats.stepper_build_s
+        # a later search takes the rebuilt step and reports its build alone
+        again = sat_bounded(model, 6, mode).stats
+        assert again.builds == 1 and 0.05 <= again.stepper_build_s < stats.stepper_build_s
 
 
 @pytest.mark.parametrize("mode", [EXACT, FX6_MODE], ids=str)
