@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 from ._value import Value
 from .arithmetic import ArithMode, FixedPointFormat, format_rational
 from .errors import InputFormatError, PreconditionError, ResourceLimitError
+from . import ssm
 from .ssm import SsmModel, _with_stepper
 
 try:
@@ -192,28 +193,38 @@ def _search(model: SsmModel, mode: ArithMode, length_cap: Optional[int],
     least among the shortest accepted words.  Returns (witness or None,
     whether the frontier was exhausted, stats).  In exact mode a search
     whose values leave the step's scale runs again on a wider one;
-    ``elapsed_s`` sums the runs and leaves out every build of the step."""
+    ``elapsed_s`` sums the runs and leaves out every build of the step and
+    every compile."""
     limits = limits or ResourceLimits.from_env()
-    clock = [0.0]  # the seconds of the runs so far
+    clock = [0.0, 0.0]  # the seconds of the runs so far, and of the compiles in them
     return _with_stepper(
         model, mode, lambda stepper: _bfs(stepper, length_cap, limits, clock))
 
 
 def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, clock: list):
-    """One run of ``_search``, which adds its seconds to ``clock[0]`` however it ends."""
+    """One run of ``_search``, which adds its seconds to ``clock[0]`` however
+    it ends.  It interprets the step for its first ``ssm._COMPILE_AFTER``
+    transitions and then compiles it, adding the compile's seconds to
+    ``clock[1]`` in place of ``clock[0]``."""
     start = time.monotonic() - clock[0]
-    one, init, rule = stepper.one, stepper.init, stepper.dead_rule
+    one, init, rule, after = stepper.one, stepper.init, stepper.dead_rule, ssm._COMPILE_AFTER
     parents: dict = {init: None}
     step, letters = stepper.search_step, list(stepper.emb.items())  # in alphabet order
     level, sizes, explored, dead = [init], [], 0, 0  # sizes: one per level reached
+
     try:
         while level:
             sizes.append(len(level))
             if length_cap is not None and len(sizes) > length_cap:
-                return None, False, _stats(stepper, start, explored, sizes, len(parents), dead)
+                return None, False, _stats(stepper, start, explored, sizes, len(parents), dead,
+                                           clock)
             next_level = []
             for key in level:
                 for symbol, x in letters:
+                    if explored == after:
+                        step, seconds = stepper.compiled()
+                        start += seconds
+                        clock[1] += seconds
                     new_key, y = step(key, x)
                     explored += 1
                     if explored % 4096 == 0:
@@ -224,7 +235,7 @@ def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, clock: list
                             key, sym = parents[key]
                             word.append(sym)
                         return (tuple(reversed(word)), False,
-                                _stats(stepper, start, explored, sizes, len(parents), dead))
+                                _stats(stepper, start, explored, sizes, len(parents), dead, clock))
                     if new_key not in parents:
                         for i, threshold in rule:
                             if new_key[i] >= threshold:
@@ -236,21 +247,22 @@ def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, clock: list
             limits.check(explored, start)
             level = next_level
     except ResourceLimitError as exc:
-        exc.stats = _stats(stepper, start, explored, sizes, len(parents), dead)
+        exc.stats = _stats(stepper, start, explored, sizes, len(parents), dead, clock)
         raise
     finally:
         clock[0] = time.monotonic() - start
-    return None, True, _stats(stepper, start, explored, sizes, len(parents), dead)
+    return None, True, _stats(stepper, start, explored, sizes, len(parents), dead, clock)
 
 
 def _stats(stepper, start: float, transitions: int, sizes: list[int], stored: int,
-           dead: int) -> SearchStats:
+           dead: int, clock: list) -> SearchStats:
     """The report of a search that took ``transitions`` steps over levels
-    of ``sizes``, stored ``stored`` keys and met ``dead`` dead ones."""
-    exact, one = stepper.mode.is_exact, stepper.one
+    of ``sizes``, stored ``stored`` keys, met ``dead`` dead ones and spent
+    ``clock[1]`` seconds compiling its steps."""
+    exact, one, compile_s = stepper.mode.is_exact, stepper.one, clock[1]
     return SearchStats(transitions, max(sizes[1:], default=0), time.monotonic() - start,
-                       stepper.quantized_constants, stored, transitions, stepper.build_s,
-                       stepper.builds, stepper.source_s, stepper.compile_s,
+                       stepper.quantized_constants, stored, transitions,
+                       stepper.build_s + compile_s, stepper.builds, stepper.source_s, compile_s,
                        "int" if exact else None, one.bit_length() if exact else None,
                        len(stepper.key), stepper.key_state_bound_log2, sizes, dead,
                        [[i, format_rational(Fraction(t, one))] for i, t in stepper.dead_rule])
@@ -308,7 +320,7 @@ def _pumped(stepper, word: Sequence[str]) -> list[str]:
     kept, departs, outputs = [], [], []
     position: dict = {}  # kept departure key -> its position
     key = stepper.init
-    for symbol in word:
+    for symbol, (after, y) in zip(word, stepper.walk(word)):
         i = position.get(key)
         if i is not None:
             for departed in departs[i:]:
@@ -317,7 +329,7 @@ def _pumped(stepper, word: Sequence[str]) -> list[str]:
         position[key] = len(kept)
         kept.append(symbol)
         departs.append(key)
-        key, y = stepper.step(key, symbol)
+        key = after
         outputs.append(y)
     if not outputs or outputs[-1] != stepper.one:
         raise PreconditionError("pump_down requires an accepted word")

@@ -97,6 +97,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Sequence
 
 from ._row import Row
@@ -419,24 +420,37 @@ def _times(k: int, code: str) -> str:
     return code if k == 1 else f"-{code}" if k == -1 else f"{_literal(k)} * {code}"
 
 
-def _joined(expr: str, t) -> str:
-    """``expr + t`` as code, a negative constant or integer product
-    subtracted."""
-    if t.coef is not None and t.coef < 0:
-        return f"{expr} - {_times(-t.coef, t.base)}"
-    if t.const is not None and t.const < 0:
-        return f"{expr} - {_literal(-t.const)}"
-    return f"{expr} + {t.code}"
+# The kinds of op in a step program.  Every op starts (kind, slot, n, low,
+# high): the slot it writes, the number n of the local ``v<n>`` it renders
+# as (None for a product inlined into the sum that reads it) and the clamp
+# to [low, high] that follows (None on a side that cannot overflow).
+#   _SUM      (..., start, terms): start + k * env[s] for each (k, s)
+#   _RELU     (..., c, ((k, u),)): the same sum, low 0, rendered on one line
+#   _PRODUCT  (..., k, a, b, f, form): k * env[a], or env[a] * env[b] where
+#             k is None, truncated toward zero by f bits; form names its text
+#   _DIVIDED  (..., k, a, b, q, None): the same product divided by q, which
+#             raises ``Inexact`` unless exact
+#   _GUARD    (..., a): raises ``Retract`` where env[a] is below low or above
+#             high; it writes nothing
+_SUM, _RELU, _PRODUCT, _DIVIDED, _GUARD = range(5)
+
+#: How many transitions one call of a step (a search, one word's walk)
+#: interprets before it compiles the step: compile() costs what about 40 to
+#: 60 interpreted transitions cost over compiled ones (``_Stepper``), and
+#: most searches end well before that.
+_COMPILE_AFTER = 0
 
 
 class _Val:
     """A value of the step being generated: a folded constant (``const`` is
-    set), a local name, or, only on its way into a sum, an expression: an
-    integer product ``k * name`` (``-name`` for k = -1) as it is, any other
-    product parenthesised.  ``lo``/``hi`` bound its encoding; an exact
-    bound that nothing fixes is infinite.  ``coef`` and ``base`` say that a
-    name or an integer product is ``coef * base`` for the name ``base``;
-    ``coef`` is None for a constant or another product."""
+    set), a local, or, only on its way into a sum, an integer product
+    ``coef * base`` of a local, which has no slot of its own (``code`` is
+    None), or another product, which an inline op computes.  ``code`` is
+    the slot that holds the value where the step runs.  ``lo``/``hi``
+    bound its encoding; an exact bound that nothing fixes is infinite.
+    ``coef`` and ``base`` say that a local or an integer product is ``coef
+    * base`` for the slot ``base``; ``coef`` is None for a constant or
+    another product."""
 
     __slots__ = ("code", "const", "lo", "hi", "reads", "coef", "base")
 
@@ -527,10 +541,11 @@ class _StepCompiler:
             self.scale, self.bottom, self.top = scale, -_INF, _INF
         else:
             self.scale, self.bottom, self.top = fmt.scale, fmt.min_raw, fmt.max_raw
-        self._blocks: list[tuple[str, list[str], tuple]] = []
-        self._guards: list[str] = []  # the blocks that check an assumed range
-        self._rising: dict[str, int] = {}  # each rising hidden input -> its encoded h0
-        self._sums: dict[str, tuple] = {}  # each sum: (start, terms, where it saturates)
+        self._blocks: list[tuple[int, list[tuple], tuple]] = []  # (slot, ops, reads)
+        self._count = 0  # the locals v0, v1, ... named so far
+        self._guards: list[int] = []  # the blocks that check an assumed range
+        self._rising: dict[int, int] = {}  # each rising hidden input -> its encoded h0
+        self._sums: dict[int, tuple] = {}  # each sum: (start, terms, where it saturates)
         # id(object) -> (object, its encoding, how many of its constants the
         # mode quantises); holding the object keeps its id from reuse
         self._memo: dict[int, tuple] = {}
@@ -589,67 +604,68 @@ class _StepCompiler:
     def const(self, value: int) -> _Val:
         v = self._consts.get(value)
         if v is None:
-            v = self._consts[value] = _Val(_literal(value), value, value, value, (), None)
+            v = self._consts[value] = _Val(self._slot(value), value, value, value, (), None)
         return v
 
-    def _fresh(self) -> str:
-        return f"v{len(self._blocks)}"
+    def _slot(self, value=None) -> int:
+        """A new slot after the hidden inputs', which holds ``value`` when
+        the step starts."""
+        self._template.append(value)
+        return self._base + len(self._template) - 1
 
-    def _bind(self, name: str, lines: list[str], reads: tuple, lo, hi) -> _Val:
-        """Record the block of lines that computes the local ``name``."""
-        self._blocks.append((name, lines, reads))
-        return _Val(name, None, lo, hi, (name,))
+    def _fresh(self) -> tuple[int, int]:
+        """The slot and the number of a new local."""
+        self._count += 1
+        return self._slot(), self._count - 1
+
+    def _bind(self, slot: int, ops: list[tuple], reads: tuple, lo, hi) -> _Val:
+        """Record the block of ops that computes the local in ``slot``."""
+        self._blocks.append((slot, ops, reads))
+        return _Val(slot, None, lo, hi, (slot,))
 
     def _saturates(self, lo, hi, floor) -> tuple:
         """Where a value in [lo, hi] saturates (``floor`` below: the range
         minimum, or zero where a relu follows): the floor it raises a value
-        to, None where it raises none, and whether it lowers one to the
-        top."""
-        return floor if lo < floor else None, hi > self.top
+        to and the top it lowers one to, None where it does not."""
+        return floor if lo < floor else None, self.top if hi > self.top else None
 
-    def _clamp(self, name: str, lo, hi, floor):
-        """Saturation lines for ``name`` in [lo, hi], where ``_saturates``
-        says it saturates; returns the lines, the clamped interval and what
-        ``_saturates`` said."""
+    def _clamp(self, lo, hi, floor) -> tuple:
+        """The interval of a value in [lo, hi] once clamped where
+        ``_saturates`` says it saturates, and what ``_saturates`` said."""
         top = self.top
         low, high = saturates = self._saturates(lo, hi, floor)
-        lines = []
-        if high:
-            lines.append(f"if {name} > {top}: {name} = {top}")
-        if low is not None:
-            code = _literal(floor)
-            lines.append(f"{'elif' if lines else 'if'} {name} < {code}: {name} = {code}")
         lo = floor if low is not None else min(lo, top)
-        return lines, lo, top if high else max(hi, floor), saturates
+        return lo, top if high is not None else max(hi, floor), saturates
 
-    def _fits(self, code: str, lo, hi, reads, coef=None, base=None) -> _Val:
-        """A product term: an expression when it cannot leave the range,
-        parenthesised unless it is ``coef * base``, else a local saturated
+    def _fits(self, lo, hi, reads, coef=None, base=None, product=()) -> _Val:
+        """A product term: the integer product ``coef * base``, or where
+        ``product`` is given the one that a ``_PRODUCT`` op with those
+        fields after its clamp computes.  It is an expression when it
+        cannot leave the range, the product inlined, else a local saturated
         on the sides that can overflow."""
         if self.bottom <= lo and hi <= self.top:
-            if coef is None:
-                return _Val(f"({code})", None, lo, hi, reads, None)
-            return _Val(code, None, lo, hi, reads, coef, base)
-        name = self._fresh()
-        clamp, clamped_lo, clamped_hi, saturates = self._clamp(name, lo, hi, self.bottom)
-        if coef is not None:
-            self._sums[name] = 0, [_Val(code, None, lo, hi, reads, coef, base)], {1: saturates}
-        return self._bind(name, [f"{name} = {code}"] + clamp, reads, clamped_lo, clamped_hi)
-
-    def _divided(self, code: str, q: int, reads, lo, hi) -> _Val:
-        """A local holding the int ``code`` divided by ``q``, after a check
-        that the division is exact: of the bits shifted out for a power of
-        two, of the remainder otherwise.  At ``q = 1`` it is ``code``
-        itself."""
-        if q == 1:
-            return self._fits(code, lo, hi, reads)
-        name = self._fresh()
-        if q & (q - 1):
-            lines = [f"{name}, rest = divmod({code}, {_literal(q)})", "if rest: raise Inexact"]
+            if not product:
+                return _Val(None, None, lo, hi, reads, coef, base)
+            slot = self._slot()
+            self._blocks.append((slot, [(_PRODUCT, slot, None, None, None, *product)], reads))
+            return _Val(slot, None, lo, hi, (slot,), None)
+        slot, n = self._fresh()
+        clamped_lo, clamped_hi, saturates = self._clamp(lo, hi, self.bottom)
+        if product:
+            op = (_PRODUCT, slot, n, *saturates, *product)
         else:
-            lines = [f"{name} = {code}", f"if {name} & {_literal(q - 1)}: raise Inexact",
-                     f"{name} >>= {q.bit_length() - 1}"]
-        return self._bind(name, lines, reads, lo, hi)
+            self._sums[slot] = 0, [_Val(None, None, lo, hi, reads, coef, base)], {1: saturates}
+            op = (_SUM, slot, n, *saturates, 0, ((coef, base),))
+        return self._bind(slot, [op], reads, clamped_lo, clamped_hi)
+
+    def _divided(self, q: int, reads, lo, hi, k, a: int, b=None) -> _Val:
+        """A local holding the int ``k * a`` (``a * b`` where ``k`` is
+        None) divided by ``q``, which raises ``Inexact`` unless the
+        division is exact.  At ``q = 1`` it is the product itself."""
+        if q == 1:
+            return self._fits(lo, hi, reads, product=(k, a, b, 0, "exact"))
+        slot, n = self._fresh()
+        return self._bind(slot, [(_DIVIDED, slot, n, None, None, k, a, b, q, None)], reads, lo, hi)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -672,45 +688,40 @@ class _StepCompiler:
                 lo, hi = (k * v.lo, k * v.hi) if k > 0 else (k * v.hi, k * v.lo)
             except OverflowError:  # an int past a float's range meets an infinite bound
                 lo, hi = _outward(k, v.lo, v.hi, 1)
-            return self._fits(_times(k, v.code), lo, hi, v.reads, k, v.code)
+            return self._fits(lo, hi, v.reads, k, v.code)
         if self.fmt is None:  # the weight is a / q in lowest terms
             g = gcd(w, scale)
             lo, hi = _outward(w, v.lo, v.hi, scale)
-            return self._divided(_times(w // g, v.code), scale // g, v.reads, lo, hi)
+            return self._divided(scale // g, v.reads, lo, hi, w // g, v.code)
         lo, hi = sorted((_scaled_bound(w, v.lo, scale), _scaled_bound(w, v.hi, scale)))
-        # truncation toward zero of w*v / 2**f, split on the sign of v
-        a, f = abs(w), self.fmt.frac_bits
-        pos, neg = f"{a} * {v.code} >> {f}", f"{a} * -{v.code} >> {f}"
-        pos, neg = (pos, f"-({neg})") if w > 0 else (f"-({pos})", neg)
-        if v.lo >= 0:
-            code = pos
-        elif v.hi <= 0:
-            code = neg
-        else:
-            code = f"{pos} if {v.code} >= 0 else {neg}"
-        return self._fits(code, lo, hi, v.reads)
+        # truncation toward zero of w*v / 2**f, its text split on the sign of v
+        form = "pos" if v.lo >= 0 else "neg" if v.hi <= 0 else "sign"
+        return self._fits(lo, hi, v.reads, product=(w, v.code, None, self.fmt.frac_bits, form))
 
     def mul_var(self, g: _Val, v: _Val) -> _Val:
         """The term ``g * v`` of a diagonal input-dependent gate; unbounded
-        in exact mode where a factor is, since 0 * inf bounds nothing."""
+        in exact mode where a factor is, since 0 * inf bounds nothing, and
+        an infinite bound never meets an int, which may pass a float's
+        range."""
         if g.const is not None:
             return self.mul(g.const, v)
         reads = g.reads + v.reads
         bounds = (g.lo, g.hi, v.lo, v.hi)
-        ends = (g.lo * v.lo, g.lo * v.hi, g.hi * v.lo, g.hi * v.hi)
         if self.fmt is None:
-            lo, hi = ((min(ends) // self.scale, -(-max(ends) // self.scale))
-                      if _INF not in map(abs, bounds) else (-_INF, _INF))
-            return self._divided(f"{g.code} * {v.code}", self.scale, reads, lo, hi)
+            lo, hi = -_INF, _INF
+            if _INF not in map(abs, bounds):
+                ends = (g.lo * v.lo, g.lo * v.hi, g.hi * v.lo, g.hi * v.hi)
+                lo, hi = min(ends) // self.scale, -(-max(ends) // self.scale)
+            return self._divided(self.scale, reads, lo, hi, None, g.code, v.code)
+        ends = (g.lo * v.lo, g.lo * v.hi, g.hi * v.lo, g.hi * v.hi)
         scale, f = self.fmt.scale, self.fmt.frac_bits
         lo, hi = _scaled_bound(1, min(ends), scale), _scaled_bound(1, max(ends), scale)
         if f == 0 or min(ends) >= 0:
-            return self._fits(f"{g.code} * {v.code} >> {f}", lo, hi, reads)
-        name = self._fresh()
-        clamp, lo, hi, _ = self._clamp(name, lo, hi, self.bottom)
-        lines = [f"{name} = {g.code} * {v.code}",
-                 f"{name} = {name} >> {f} if {name} >= 0 else -(-{name} >> {f})"]
-        return self._bind(name, lines + clamp, reads, lo, hi)
+            return self._fits(lo, hi, reads, product=(None, g.code, v.code, f, "shift"))
+        slot, n = self._fresh()
+        lo, hi, saturates = self._clamp(lo, hi, self.bottom)
+        op = (_PRODUCT, slot, n, *saturates, None, g.code, v.code, f, "lines")
+        return self._bind(slot, [op], reads, lo, hi)
 
     def total(self, start, terms: list[_Val], relu: bool = False, span=None) -> _Val:
         """``start + t_1 + t_2 + ...`` (then relu), saturating after every
@@ -731,29 +742,31 @@ class _StepCompiler:
                     start += t.const
             terms = kept
         bottom, top = self.bottom, self.top
-        value, expr, name = start, None, None  # expr None: the sum is `value`
-        lines: list[str] = []
+        value, part, slot = start, None, None  # part None: the sum is `value`
+        ops: list[tuple] = []
         reads: tuple = ()
         pending = 0
         joined, clamps = [], {}  # the terms after `value`; where the sum saturates
         for t in terms:
-            if expr is None:
+            if part is None:
                 if t.const is not None:
                     value = min(max(value + t.const, bottom), top)
                     continue
-                expr = t.code if value == 0 else _joined(_literal(value), t)
+                part, begin = [], value  # the terms of the line and the value it starts from
                 lo = hi = value
             elif t.const == 0:
                 continue
-            else:
-                # saturate the sum so far where it may have overflowed (and
-                # every 64 terms, to keep expressions shallow for compile())
-                if lo < bottom or hi > top or pending >= 64:
-                    name = name or self._fresh()
-                    clamp, lo, hi, clamps[len(joined)] = self._clamp(name, lo, hi, bottom)
-                    lines += [f"{name} = {expr}"] + clamp
-                    expr, pending = name, 0
-                expr = _joined(expr, t)
+            # saturate the sum so far where it may have overflowed (and
+            # every 64 terms, to keep expressions shallow for compile())
+            elif lo < bottom or hi > top or pending >= 64:
+                if slot is None:
+                    slot, n = self._fresh()
+                lo, hi, clamps[len(joined)] = self._clamp(lo, hi, bottom)
+                ops.append((_SUM, slot, n, *clamps[len(joined)], begin, tuple(part)))
+                part, begin, pending = [(1, slot)], 0, 0
+            # a constant term reads the slot that holds 1
+            part.append((t.coef, t.base) if t.coef is not None else
+                        (t.const, self._base) if t.const is not None else (1, t.code))
             try:
                 lo, hi = lo + t.lo, hi + t.hi
             except OverflowError:  # an int past a float's range meets an infinite bound
@@ -763,30 +776,25 @@ class _StepCompiler:
             joined.append(t)
         # relu after saturation is a clamp to [0, top]: the range holds 0
         floor = 0 if relu else bottom
-        if expr is None:
+        if part is None:
             return self.const(max(value, floor))
         if span is not None:
             lo, hi = max(lo, span[0]), min(hi, span[1])
         if hi <= floor:
             return self.const(floor)
         one, first = len(joined) == 1 and hi <= top, joined[0]  # one term: no line yet
-        if one and value == 0 and first.coef == 1 and lo >= floor:  # a name
-            return _Val(expr, None, lo, hi, (expr,))
-        name = name or self._fresh()
+        if one and value == 0 and first.coef == 1 and lo >= floor:  # a local
+            return _Val(first.code, None, lo, hi, (first.code,))
+        if slot is None:
+            slot, n = self._fresh()
         if one and relu and first.coef in (1, -1):  # one line, not two
-            u, c = first.base, value
-            if first.coef == -1:
-                code = f"{expr} if {u} < {_literal(c)}"
-            elif c < 0:
-                code = f"{u} - {_literal(-c)} if {u} > {_literal(-c)}"
-            else:
-                code = f"{expr} if {u} > {_literal(-c)}"
             clamps[len(joined)] = self._saturates(lo, hi, 0)
-            self._sums[name] = value, joined, clamps
-            return self._bind(name, [f"{name} = {code} else 0"], reads, 0, hi)
-        clamp, lo, hi, clamps[len(joined)] = self._clamp(name, lo, hi, floor)
-        self._sums[name] = value, joined, clamps
-        return self._bind(name, lines + [f"{name} = {expr}"] + clamp, reads, lo, hi)
+            self._sums[slot] = value, joined, clamps
+            return self._bind(slot, [(_RELU, slot, n, 0, None, value, tuple(part))], reads, 0, hi)
+        lo, hi, clamps[len(joined)] = self._clamp(lo, hi, floor)
+        self._sums[slot] = value, joined, clamps
+        ops.append((_SUM, slot, n, *clamps[len(joined)], begin, tuple(part)))
+        return self._bind(slot, ops, reads, lo, hi)
 
     # -- the model ----------------------------------------------------------
 
@@ -924,41 +932,48 @@ class _StepCompiler:
         where its interval stays inside."""
         if lo <= v.lo and v.hi <= hi:
             return v
-        low, high = self.const(lo).code, self.const(hi).code
-        if v.lo >= lo:
-            test = f"{v.code} > {high}"
-        elif v.hi <= hi:
-            test = f"{v.code} < {low}"
-        else:
-            test = f"not {low} <= {v.code} <= {high}"
-        name = self._fresh()
-        self._guards.append(name)
-        self._bind(name, [f"if {test}: raise Retract"], v.reads, lo, hi)
-        return _Val(v.code, None, max(v.lo, lo), min(v.hi, hi), v.reads + (name,))
+        slot, n = self._fresh()
+        self._guards.append(slot)
+        op = (_GUARD, slot, n, None if v.lo >= lo else lo, None if v.hi <= hi else hi, v.code)
+        self._bind(slot, [op], v.reads, lo, hi)
+        return _Val(v.code, None, max(v.lo, lo), min(v.hi, hi), v.reads + (slot,))
 
-    def source(self, model: SsmModel, inputs: list[tuple]) -> str:
-        """The source of the step; ``inputs`` are the encoded embeddings,
+    def program(self, model: SsmModel, inputs: list[tuple]) -> tuple:
+        """The step as a program; ``inputs`` are the encoded embeddings,
         the only vectors it is ever called with.  Generates only the nodes
         and new hidden values that ``_plan`` finds ``y`` can need, so only
         their constants are encoded, and sets ``key`` and ``dead_rule``.  A
         hidden input takes its ``assumed`` or ``rising`` range, and the new
-        value of an assumed coordinate its ``guard``."""
-        x, columns = [], [f"x{k}" for k in range(model.dim)]
-        for name, column in zip(columns, zip(*inputs)):
-            lo, hi = min(column), max(column)
-            x.append(self.const(lo) if lo == hi else _Val(name, None, lo, hi, (name,)))
+        value of an assumed coordinate its ``guard``.
+
+        The program is ``(ops, template, dim, hidden, live, outs, y)``.  The
+        step's slots hold the ``dim`` input columns, then a hidden input
+        for each ``(layer, index)`` of ``hidden``, then the ``template``:
+        1 (the operand of each constant term), the folded constants and a
+        slot for each local and inline product.  ``ops`` are the live
+        blocks' ops in order; ``live`` holds the slots the step reads, so
+        the key is the live hidden inputs; ``outs`` and ``y`` are the slots
+        of the new key and of the output."""
         layers, out_plan = _plan(model)
-        hidden = {}  # the name of each generated hidden input -> ((layer, index), new value)
+        dim = model.dim
+        hidden_inputs = [(li, j) for li, plan in enumerate(layers) for j in plan[1]]
+        self._base, self._template = dim + len(hidden_inputs), [1]
+        x = []
+        for k, column in enumerate(zip(*inputs)):
+            lo, hi = min(column), max(column)
+            x.append(self.const(lo) if lo == hi else _Val(k, None, lo, hi, (k,)))
+        hidden = {}  # the slot of each generated hidden input -> ((layer, index), new value)
+        slot = dim
         for li, (layer, (news, olds, phi_plan, passes)) in enumerate(zip(model.layers, layers)):
             ranges = self.assumed(layer, olds)  # each such coordinate reads its input
             rising = self.rising(layer, olds, x)
             h = {}
             for j in olds:
-                name = f"h{li}_{j}"
                 lo, hi = rising.get(j) or ranges.get(j) or (self.bottom, self.top)
-                h[j] = _Val(name, None, lo, hi, (name,))
+                h[j] = _Val(slot, None, lo, hi, (slot,))
                 if j in rising:
-                    self._rising[name] = lo
+                    self._rising[slot] = lo
+                slot += 1
             new, updates = [None] * layer.dim, layer.updates
             for j in news:  # a carried coordinate's new value is its input
                 new[j] = self.recurrence(layer, j, h, x) if j in updates else self.unit(x[j])
@@ -969,19 +984,20 @@ class _StepCompiler:
             x = self.phi(layer, phi_plan, passes, new, x)
         (y,) = self.fnn(model.out, out_plan, x)
         live = self._live(y, hidden)
-        names = [name for name in hidden if name in live]
-        self.key = tuple(hidden[name][0] for name in names)
-        self.dead_rule = self._dead_rule(y, names)
-        lines = [", ".join(names) + ", = key"] if names else []
-        if columns:
-            lines.append(", ".join([name if name in live else "_" for name in columns]) + ", = x")
-        lines += [line for name, block, _ in self._blocks if name in live for line in block]
-        lines.append(f"return ({''.join(hidden[n][1].code + ', ' for n in names)}), {y.code}")
-        return "def step(key, x):\n    " + "\n    ".join(lines) + "\n"
+        keyed = [s for s in hidden if s in live]
+        self.key = tuple(hidden[s][0] for s in keyed)
+        self.dead_rule = self._dead_rule(y, keyed)
+        ops = [op for s, block, _ in self._blocks if s in live for op in block]
+        return (ops, self._template, dim, hidden_inputs, live,
+                tuple(hidden[s][1].code for s in keyed), y.code)
 
-    def _dead_rule(self, y: _Val, names: list[str]) -> tuple:
+    def source(self, model: SsmModel, inputs: list[tuple]) -> str:
+        """The source of the step that ``program`` builds."""
+        return _render(self.program(model, inputs))
+
+    def _dead_rule(self, y: _Val, keyed: list[int]) -> tuple:
         """``(i, T)`` for each rising coordinate at index i of the key, the
-        key ``names``, that ``_threshold`` finds a least T for: from a key
+        slots ``keyed``, that ``_threshold`` finds a least T for: from a key
         whose coordinate i is at least T, every later ``y`` is below the
         encoded 1.  Every rising coordinate has its h0 as T where ``y``
         never reaches 1.  No rule where a guard checks an assumed range,
@@ -994,20 +1010,20 @@ class _StepCompiler:
             found, kept = {}, self._sums.get(y.code)
             if kept:
                 self._moves = self._directions()  # read by ``_threshold``
-                self._threshold(kept, False, self.scale - 1, found, [4 * len(self._blocks)])
-        return tuple((i, found[name]) for i, name in enumerate(names) if name in found)
+                self._threshold(kept, False, self.scale - 1, found, [4 * self._count])
+        return tuple((i, found[slot]) for i, slot in enumerate(keyed) if slot in found)
 
     def _directions(self) -> dict:
         """Whether each rising input and kept sum can fall and whether it can
-        rise as a rising input grows, in one pass: a sum reads earlier names."""
+        rise as a rising input grows, in one pass: a sum reads earlier slots."""
         moves = dict.fromkeys(self._rising, (False, True))
-        for name, (_, terms, _) in self._sums.items():
+        for slot, (_, terms, _) in self._sums.items():
             falls = rises = False
             for t in terms:
                 if t.coef is not None:  # a negative term swaps falling and rising
                     down, up = moves.get(t.base, (False, False))[::1 if t.coef > 0 else -1]
                     falls, rises = falls or down, rises or up
-            moves[name] = falls, rises
+            moves[slot] = falls, rises
         return moves
 
     def _threshold(self, kept: tuple, up: bool, bound, found: dict, budget: list) -> None:
@@ -1040,7 +1056,8 @@ class _StepCompiler:
         for j in range(len(terms), 0, -1):
             if j in clamps:
                 floor, high = clamps[j]
-                if high and up and bound > top or floor is not None and not up and bound < floor:
+                if (high is not None and up and bound > top
+                        or floor is not None and not up and bound < floor):
                     return
             t, before = terms[j - 1], befores[j - 1]
             if t.coef is not None and abs(before) != _INF:
@@ -1058,24 +1075,20 @@ class _StepCompiler:
                 return
             bound -= end
 
-    def build(self, model: SsmModel, inputs: list[tuple]):
-        """Compile the step; ``inputs`` are the encoded embeddings, the only
-        vectors it is ever called with.  Times its ``source_s`` and ``compile_s``."""
+    def build(self, model: SsmModel, inputs: list[tuple]) -> tuple:
+        """The step's ``program``, timed as ``source_s``."""
         started = time.perf_counter()
-        source = self.source(model, inputs)
+        program = self.program(model, inputs)
         self.source_s = time.perf_counter() - started
-        code = compile(source, f"<ssm step {self.fmt or 'exact'}>", "exec")
-        exec(code, namespace := {"Inexact": _Inexact, "Retract": _Retract})
-        self.compile_s = time.perf_counter() - started - self.source_s
-        return namespace["step"]
+        return program
 
     def _live(self, y: _Val, hidden: dict) -> set:
-        """The names that ``y`` or a guard needs, where a hidden input needs
+        """The slots that ``y`` or a guard needs, where a hidden input needs
         its new value too: the least such set, with what folding removed
         left out.  Every guard is live, since folding may have used its
-        range where no live line reads the coordinate."""
-        reads = {name: block_reads for name, _, block_reads in self._blocks}
-        reads.update((name, value.reads) for name, (_, value) in hidden.items())
+        range where no live op reads the coordinate."""
+        reads = {slot: block_reads for slot, _, block_reads in self._blocks}
+        reads.update((slot, value.reads) for slot, (_, value) in hidden.items())
         live, todo = set(), [*y.reads, *self._guards]
         while todo:
             name = todo.pop()
@@ -1140,16 +1153,154 @@ def _plan(model: SsmModel) -> tuple[list, list]:
     return layers, out_plan
 
 
+def _render(program: tuple) -> str:
+    """The source of ``step(key, x)`` for a ``_StepCompiler`` program: the
+    lines of each op in turn, between the unpacking of the key and ``x``
+    and the return of the new key and ``y``."""
+    ops, template, dim, hidden, live, outs, y = program
+    base = dim + len(hidden)  # the slot that holds 1
+    names = ([f"x{k}" for k in range(dim)] + [f"h{li}_{j}" for li, j in hidden]
+             + [None if c is None else _literal(c) for c in template])
+
+    def joined(expr, k, s):  # expr + k * s, a negative constant or product subtracted
+        if s == base:
+            return f"{expr} - {_literal(-k)}" if k < 0 else f"{expr} + {_literal(k)}"
+        return f"{expr} - {_times(-k, names[s])}" if k < 0 else f"{expr} + {_times(k, names[s])}"
+
+    def product(k, a, b, f, form):
+        if b is not None:
+            return f"{names[a]} * {names[b]}" + (f" >> {f}" if form == "shift" else "")
+        v, w = names[a], abs(k)
+        pos, neg = f"{w} * {v} >> {f}", f"{w} * -{v} >> {f}"
+        pos, neg = (pos, f"-({neg})") if k > 0 else (f"-({pos})", neg)
+        return pos if form == "pos" else neg if form == "neg" else f"{pos} if {v} >= 0 else {neg}"
+
+    keyed = [names[s] for s in range(dim, base) if s in live]
+    lines = [", ".join(keyed) + ", = key"] if keyed else []
+    if dim:
+        lines.append(", ".join([names[k] if k in live else "_" for k in range(dim)]) + ", = x")
+    for kind, slot, n, low, high, *rest in ops:
+        if n is None:  # a product inlined into the sum that reads it
+            names[slot] = f"({product(*rest)})"
+            continue
+        name = names[slot] = f"v{n}"
+        if kind <= _RELU:
+            start, ((k, s), *terms) = rest
+            expr = _times(k, names[s]) if start == 0 else joined(_literal(start), k, s)
+            for k, s in terms:
+                expr = joined(expr, k, s)
+            if kind == _RELU:
+                u, c = names[s], _literal(start if k == -1 else -start)
+                test = f"{u} < {c}" if k == -1 else f"{u} > {c}"
+                if k == 1 and start < 0:
+                    expr = f"{u} - {_literal(-start)}"
+                lines.append(f"{name} = {expr} if {test} else 0")
+                continue
+            lines.append(f"{name} = {expr}")
+        elif kind == _PRODUCT and rest[-1] == "lines":
+            f = rest[3]
+            lines += [f"{name} = {names[rest[1]]} * {names[rest[2]]}",
+                      f"{name} = {name} >> {f} if {name} >= 0 else -(-{name} >> {f})"]
+        elif kind == _PRODUCT:
+            lines.append(f"{name} = {product(*rest)}")
+        elif kind == _DIVIDED:
+            k, a, b, q, _ = rest
+            code = _times(k, names[a]) if b is None else f"{names[a]} * {names[b]}"
+            lines += ([f"{name}, rest = divmod({code}, {_literal(q)})", "if rest: raise Inexact"]
+                      if q & (q - 1) else
+                      [f"{name} = {code}", f"if {name} & {_literal(q - 1)}: raise Inexact",
+                       f"{name} >>= {q.bit_length() - 1}"])
+            continue
+        else:
+            v, lo, hi = names[rest[0]], _literal(low or 0), _literal(high or 0)
+            test = (f"{v} > {hi}" if low is None else f"{v} < {lo}" if high is None
+                    else f"not {lo} <= {v} <= {hi}")
+            lines.append(f"if {test}: raise Retract")
+            continue
+        if high is not None:
+            lines.append(f"if {name} > {high}: {name} = {high}")
+        if low is not None:
+            lines.append(f"{'elif' if high is not None else 'if'} {name} < {_literal(low)}: "
+                         f"{name} = {_literal(low)}")
+    lines.append(f"return ({''.join(names[s] + ', ' for s in outs)}), {names[y]}")
+    return "def step(key, x):\n    " + "\n    ".join(lines) + "\n"
+
+
+def _getter(indices):
+    """A function from a sequence to the tuple of its items at ``indices``."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices) if indices else lambda seq: ()
+
+
+def _interpreter(program: tuple):
+    """``step(key, x)`` that runs a ``_StepCompiler`` program op by op, on
+    a list of slots: what its ``_render``ed source computes, raising
+    ``_Inexact`` and ``_Retract`` where that does.  A product is truncated
+    toward zero whatever form its text takes: each form is chosen on its
+    factor's sign, where they agree."""
+    ops, template, dim, hidden, live, outs, y = program
+    slots = [s for s in range(dim, dim + len(hidden)) if s in live]
+    # a hidden input that no op reads takes the None appended to the key
+    spread = None if len(slots) == len(hidden) else _getter(
+        [slots.index(s) if s in live else len(slots) for s in range(dim, dim + len(hidden))])
+    get = _getter(outs)
+
+    def step(key, x):
+        env = [*x, *(key if spread is None else spread((*key, None))), *template]
+        for op in ops:
+            kind = op[0]
+            if kind <= _RELU:
+                _, slot, _, low, high, v, terms = op
+                for k, s in terms:
+                    v += k * env[s]
+            elif kind != _GUARD:
+                _, slot, _, low, high, k, a, b, d, _ = op
+                v = k * env[a] if b is None else env[a] * env[b]
+                if kind == _PRODUCT:
+                    v = v >> d if v >= 0 else -(-v >> d)
+                else:
+                    v, rest = divmod(v, d)
+                    if rest:
+                        raise _Inexact
+            else:
+                _, _, _, low, high, a = op
+                v = env[a]
+                if low is not None and v < low or high is not None and v > high:
+                    raise _Retract
+                continue
+            if high is not None and v > high:
+                v = high
+            elif low is not None and v < low:
+                v = low
+            env[slot] = v
+        return get(env), env[y]
+
+    return step
+
+
 class _Stepper:
     """Model compiled for one arithmetic mode: the encoded embeddings, the
-    generated step on keys, the number of model constants the mode
+    step program on keys, the number of model constants the mode
     quantises, and its build: ``builds`` (1), ``build_s``, and the
-    ``source_s`` and ``compile_s`` of it that generated and compiled the
-    source.  A call that replaces its step runs on a copy of the new one
-    that sums the builds of the call's steps.
+    ``source_s`` of it that generated the program.  A call that replaces
+    its step runs on a copy of the new one that sums the builds of the
+    call's steps.
     ``one`` encodes the value 1: the scale in exact mode, which ``_stepper``
     starts on ``_first_scale`` of the model's denominators (1 for only
     integer constants); a call raises ``_Inexact`` when a value leaves it.
+
+    The step runs in two tiers.  ``search_step`` interprets the program
+    (``_interpreter``); ``compiled`` renders it to Python, compiles it
+    once, for the stepper and its copies alike, and returns the function,
+    which computes the same keys and outputs and raises at the same step.
+    A call of the step (a search, a word's walk) interprets its first
+    ``_COMPILE_AFTER`` transitions and compiles from there on: compiling
+    costs 180-300 us, an interpreted transition about 2-5 us more than a
+    compiled one, so a call that outlives the constant has paid less than
+    twice what compiling first would have cost it, and most calls never
+    compile (adaptive compilation; Hoelzle and Ungar, OOPSLA 1994).
 
     A key is the flat tuple of the hidden coordinates the step reads,
     ``key`` lists them as (layer, index) pairs and ``init`` is the initial
@@ -1168,20 +1319,45 @@ class _Stepper:
         comp = _StepCompiler(mode, scale, assume)
         self.mode, self.assume, self.one = mode, assume, comp.scale
         self.emb = {s: tuple(map(comp.enc, vec)) for s, vec in zip(model.alphabet, model.emb)}
-        self.search_step = comp.build(model, list(self.emb.values()))
+        self.program = comp.build(model, list(self.emb.values()))
+        self.search_step = _interpreter(self.program)
+        self._compiled: list = []  # the compiled step, once compiled; copies share it
         self.key = comp.key
         self.dead_rule = comp.dead_rule
         self.key_state_bound_log2 = None if mode.is_exact else mode.fmt.total_bits * len(self.key)
         self.init = tuple(comp.enc(model.layers[li].h0[j]) for li, j in self.key)
         self.quantized_constants = 0 if mode.is_exact else comp.quantized(model)
-        self.builds, self.source_s, self.compile_s = 1, comp.source_s, comp.compile_s
+        self.builds, self.source_s = 1, comp.source_s
         self.build_s = time.perf_counter() - started
 
-    def step(self, key, symbol):
+    def compiled(self) -> tuple:
+        """The compiled step, and the seconds this call spent rendering and
+        compiling it: 0 where it was compiled before."""
+        if self._compiled:
+            return self._compiled[0], 0.0
+        started = time.perf_counter()
+        code = compile(_render(self.program), f"<ssm step {self.mode.fmt or 'exact'}>", "exec")
+        exec(code, namespace := {"Inexact": _Inexact, "Retract": _Retract})
+        self._compiled.append(namespace["step"])
+        return self._compiled[0], time.perf_counter() - started
+
+    def step(self, key, symbol, step=None):
+        """The next key and output from ``key`` on ``symbol``, through
+        ``step`` or else the interpreted step."""
         x = self.emb.get(symbol)
         if x is None:
             raise UnknownSymbolError(f"symbol {symbol!r} not in model alphabet")
-        return self.search_step(key, x)
+        return (step or self.search_step)(key, x)
+
+    def walk(self, word: Sequence[str]):
+        """The key and output after each symbol of ``word`` from ``init``,
+        interpreted for the first ``_COMPILE_AFTER`` symbols."""
+        key, step = self.init, self.search_step
+        for i, symbol in enumerate(word):
+            if i == _COMPILE_AFTER:
+                step = self.compiled()[0]
+            key, y = self.step(key, symbol, step)
+            yield key, y
 
     def scalar(self, y) -> Scalar:
         """An output of the step as the public scalar of the mode."""
@@ -1249,7 +1425,7 @@ def _with_stepper(model: SsmModel, mode: ArithMode, call):
         del model._steppers[mode]
         # the builds of this call, on a copy: the cached step keeps its own
         earlier, stepper = stepper, copy(_stepper(model, mode, scale, assume))
-        for name in ("builds", "build_s", "source_s", "compile_s"):
+        for name in ("builds", "build_s", "source_s"):
             setattr(stepper, name, getattr(stepper, name) + getattr(earlier, name))
 
 
@@ -1283,9 +1459,8 @@ def step(model: SsmModel, state: StreamState, symbol: str) -> tuple[StreamState,
 
 
 def _last_output(stepper: _Stepper, word: Sequence[str]):
-    key = stepper.init
-    for symbol in word:
-        key, y = stepper.step(key, symbol)
+    for _, y in stepper.walk(word):
+        pass
     return y
 
 

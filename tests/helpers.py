@@ -10,9 +10,11 @@ from fractions import Fraction
 
 from ssmverify.arithmetic import ArithMode, FixedPointFormat, raw_saturate
 from ssmverify.compilers import IlpInstance, MinskyMachine
+from ssmverify.fnn import Fnn, compose, gadget_eq, select_fnn
 from ssmverify.ltl import Atom, Not, And, Or, Next, Until, _automaton
 from ssmverify.ssm import (
     AffineMap,
+    DiagonalAffineGate,
     SsmLayer,
     SsmModel,
     TimeInvariantGate,
@@ -30,6 +32,18 @@ def is_one(value, mode: ArithMode) -> bool:
     if mode.is_exact:
         return value == Fraction(1)
     return value.raw == mode.fmt.scale
+
+
+def counting_model(out: Fnn = gadget_eq(3)) -> SsmModel:
+    """A coordinate that counts the ``a``s from 0 under the diagonal gate
+    that reads the embedding's constant column 1, by default accepted at
+    exactly 3: the range [0, 1] that the step assumes for a gated
+    coordinate fails at the second ``a``.  The constant column is carried."""
+    layer = SsmLayer(as_vector([0, 0]),
+                     DiagonalAffineGate(as_matrix([[0, 1], [0, 0]]), as_vector([0, 0])),
+                     AffineMap(as_matrix([[1, 0], [0, 1]]), as_vector([0, 0])), projection_phi(2))
+    return SsmModel(("a", "b"), (as_vector([1, 1]), as_vector([0, 1])), (layer,),
+                    compose(out, select_fnn([0], 2)))
 
 
 def fraction_encode(x, fmt: FixedPointFormat) -> int:

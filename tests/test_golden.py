@@ -4,12 +4,15 @@ serialisation; any change to either is a format break and must be deliberate."""
 import hashlib
 import json
 import random
+from collections import Counter
+from itertools import chain
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
 from helpers import (
-    expanded, full_rows, geometric_model, hand_formulas, random_ilp, random_machine,
+    counting_model, expanded, full_rows, geometric_model, hand_formulas, random_ilp,
+    random_machine,
 )
 from ssmverify.arithmetic import EXACT, ArithMode, FixedPointFormat
 from ssmverify.cli import run
@@ -19,7 +22,7 @@ from ssmverify.ltl import parse
 from ssmverify.modelfile import load_model, save_model
 from ssmverify.ssm import (
     AffineMap, DiagonalAffineGate, SsmLayer, SsmModel, _constants, _denominator, _first_scale,
-    _StepCompiler, _Stepper, as_vector, carried, projection_phi,
+    _Inexact, _render, _Retract, _Stepper, as_vector, carried, projection_phi,
 )
 
 MINSKY_TEXT = (
@@ -247,49 +250,86 @@ def test_compiled_minsky_ilp_corpus_checksum(tmp_path):
 STEP_MODES = (EXACT, ArithMode(FixedPointFormat(6, 3)), ArithMode(FixedPointFormat(12, 3)))
 
 
-def step_digest(models, monkeypatch) -> str:
-    """One digest over the step that each of ``models`` builds in each mode
-    of ``STEP_MODES``, with and without assumed ranges: the source that
-    ``_StepCompiler.source`` generates, then the key, the dead rule, the
-    initial key and the quantised count.  An exact step starts on the
-    model's first scale."""
-    sources = []
-    generate = _StepCompiler.source
-
-    def source(self, *args):
-        sources.append(generate(self, *args))
-        return sources[-1]
-
-    monkeypatch.setattr(_StepCompiler, "source", source)
-    digest = hashlib.sha256()
+def steppers(models):
+    """The step that each of ``models`` builds in each mode of
+    ``STEP_MODES``, with and without assumed ranges.  An exact step starts
+    on the model's first scale."""
     for model in models:
         for mode in STEP_MODES:
             scale = _first_scale(_denominator(model)) if mode.is_exact else None
             for assume in (True, False):
-                stepper = _Stepper(model, mode, scale, assume)
-                digest.update(repr((sources[-1], stepper.key, stepper.dead_rule, stepper.init,
-                                    stepper.quantized_constants)).encode())
-    assert len(sources) == 6 * len(models)
+                yield _Stepper(model, mode, scale, assume)
+
+
+def step_digest(models) -> str:
+    """One digest over the ``steppers`` of ``models``: the source that
+    ``_render`` gives for each program, then the key, the dead rule, the
+    initial key and the quantised count."""
+    digest = hashlib.sha256()
+    for stepper in steppers(models):
+        digest.update(repr((_render(stepper.program), stepper.key, stepper.dead_rule,
+                            stepper.init, stepper.quantized_constants)).encode())
     return digest.hexdigest()
+
+
+def ltl_corpus() -> list:
+    """Every hand formula, compiled."""
+    return [compile_ltl(parse(text)) for text in hand_formulas()]
+
+
+def minsky_ilp_corpus() -> list:
+    """Seeded random machines and 0-1 programs, compiled."""
+    rng = random.Random(5)
+    models = [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(8)]
+    return models + [compile_ilp(random_ilp(rng)) for _ in range(8)]
 
 
 # The step sources of the two corpora above, apart for the same reason: a
 # change to the step compiler that moves no emitted line leaves both.
 
-def test_step_sources_checksum_ltl(monkeypatch):
+def test_step_sources_checksum_ltl():
     """The steps of every hand formula."""
-    models = [compile_ltl(parse(text)) for text in hand_formulas()]
-    assert step_digest(models, monkeypatch) == (
+    assert step_digest(ltl_corpus()) == (
         "fdb9e77d09044f790d10840033a8585767f8d7ca3a066969f65789f7b4618ee3")
 
 
-def test_step_sources_checksum_minsky_ilp(monkeypatch):
+def test_step_sources_checksum_minsky_ilp():
     """The steps of the seeded random machines and 0-1 programs."""
-    rng = random.Random(5)
-    models = [compile_minsky(random_machine(rng, rng.randint(2, 5))) for _ in range(8)]
-    models += [compile_ilp(random_ilp(rng)) for _ in range(8)]
-    assert step_digest(models, monkeypatch) == (
+    assert step_digest(minsky_ilp_corpus()) == (
         "d2b018a48333c5a3614870424f92bebf4b5615ab8ca56a701a4a467b2234710f")
+
+
+def test_the_interpreted_step_agrees_with_the_compiled_one():
+    """On every step of both corpora and of the counting model, whose
+    assumed range fails, and on the exact step of each model over the lcm
+    of its denominators alone, which its values soon leave: 20 seeded
+    random walks of up to 8 symbols each.  At every position the
+    interpreted step (the program run op by op) and the compiled one (its
+    rendered source) give the same new key and output, or raise the same
+    exception (``_Inexact``, ``_Retract``), which ends the walk."""
+    rng = random.Random(45)
+    outcomes = Counter()
+    models = ltl_corpus() + minsky_ilp_corpus() + [counting_model()]
+    narrow = [_Stepper(model, EXACT, _denominator(model)) for model in models]
+    for stepper in chain(steppers(models), narrow):
+        compiled, _ = stepper.compiled()
+        inputs = list(stepper.emb.values())
+        for _ in range(20):
+            key = stepper.init
+            for _ in range(rng.randint(1, 8)):
+                x = rng.choice(inputs)
+                both = []
+                for step in (stepper.search_step, compiled):
+                    try:
+                        both.append(step(key, x))
+                    except (_Inexact, _Retract) as exc:
+                        both.append(type(exc))
+                assert both[0] == both[1], (_render(stepper.program), key, x)
+                outcomes[both[0] if isinstance(both[0], type) else "step"] += 1
+                if isinstance(both[0], type):
+                    break
+                key = both[0][0]
+    assert outcomes[_Retract] and outcomes[_Inexact] and outcomes["step"] > 10_000, outcomes
 
 
 # A model file of FORMULA compiled in an earlier layout (one layer per

@@ -523,10 +523,10 @@ def check_pruning_changes_no_answer(model, mode, cap: int) -> tuple:
         rule = stepper.dead_rule
         try:
             stepper.dead_rule = ()
-            full = _bfs(stepper, cap, ResourceLimits(), [0.0])
+            full = _bfs(stepper, cap, ResourceLimits(), [0.0, 0.0])
         finally:
             stepper.dead_rule = rule
-        return _bfs(stepper, cap, ResourceLimits(), [0.0]), full, rule
+        return _bfs(stepper, cap, ResourceLimits(), [0.0, 0.0]), full, rule
 
     (witness, exhausted, stats), (full_witness, full_exhausted, full_stats), rule = (
         _with_stepper(model, mode, both))

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    expanded, fraction_encode, geometric_model, hand_formulas, is_one, random_formula,
-    random_ilp, random_machine,
+    counting_model, expanded, fraction_encode, geometric_model, hand_formulas, is_one,
+    random_formula, random_ilp, random_machine,
 )
 from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat, raw_encode
 from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, ltl_layout, parse_minsky
@@ -472,18 +472,6 @@ def test_a_diagonal_gate_on_scale_one_multiplies_without_checks():
     for word in (["a"], ["b", "a", "b"], ["a", "b", "b", "a", "b"]):
         assert evaluate(model, word, EXACT) == evaluate_layerwise(model, word, EXACT)
     assert model._steppers[EXACT].one == 1
-
-
-def counting_model(out: Fnn = gadget_eq(3)) -> SsmModel:
-    """A coordinate that counts the ``a``s from 0 under the diagonal gate
-    that reads the embedding's constant column 1, by default accepted at
-    exactly 3: the range [0, 1] that the step assumes for a gated
-    coordinate fails at the second ``a``.  The constant column is carried."""
-    layer = SsmLayer(as_vector([0, 0]),
-                     DiagonalAffineGate(as_matrix([[0, 1], [0, 0]]), as_vector([0, 0])),
-                     AffineMap(eye(2), as_vector([0, 0])), projection_phi(2))
-    return SsmModel(("a", "b"), (as_vector([1, 1]), as_vector([0, 1])), (layer,),
-                    compose(out, select_fnn([0], 2)))
 
 
 def step_source(model: SsmModel, mode: ArithMode) -> str:
