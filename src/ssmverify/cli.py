@@ -213,7 +213,9 @@ def _approximation(value: Fraction) -> str:
 
 
 def _cmd_sat(args) -> tuple[int, dict]:
+    started = time.perf_counter()
     model = load_model(args.model)
+    load_s = time.perf_counter() - started
     bounded = args.solver == "bounded"
     mode = ArithMode.parse(args.arith) if bounded else ArithMode(_require_fixed(args.arith))
     if not mode.is_exact:
@@ -240,6 +242,7 @@ def _cmd_sat(args) -> tuple[int, dict]:
     else:
         result = sat_fixed(model, mode.fmt)
         report = _sat_report(result)
+    report["load_s"] = load_s
     return (EXIT_SAT if result.satisfiable else EXIT_UNSAT), report
 
 

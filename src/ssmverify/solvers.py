@@ -203,15 +203,13 @@ def _search(model: SsmModel, mode: ArithMode, length_cap: Optional[int],
 
 def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, clock: list):
     """One run of ``_search``, which adds its seconds to ``clock[0]`` however
-    it ends.  It interprets the step for its first ``ssm._COMPILE_AFTER``
-    transitions and then compiles it, adding the compile's seconds to
-    ``clock[1]`` in place of ``clock[0]``."""
+    it ends.  Past ``ssm._COMPILE_AFTER`` transitions it runs the compiled
+    step; a compile's seconds go to ``clock[1]`` in place of ``clock[0]``."""
     start = time.monotonic() - clock[0]
     one, init, rule, after = stepper.one, stepper.init, stepper.dead_rule, ssm._COMPILE_AFTER
     parents: dict = {init: None}
     step, letters = stepper.search_step, list(stepper.emb.items())  # in alphabet order
     level, sizes, explored, dead = [init], [], 0, 0  # sizes: one per level reached
-
     try:
         while level:
             sizes.append(len(level))

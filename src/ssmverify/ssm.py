@@ -420,37 +420,30 @@ def _times(k: int, code: str) -> str:
     return code if k == 1 else f"-{code}" if k == -1 else f"{_literal(k)} * {code}"
 
 
-# The kinds of op in a step program.  Every op starts (kind, slot, n, low,
-# high): the slot it writes, the number n of the local ``v<n>`` it renders
-# as (None for a product inlined into the sum that reads it) and the clamp
-# to [low, high] that follows (None on a side that cannot overflow).
+# The kinds of op of a step program.  An op is (kind, slot written, number
+# n of the local ``v<n>`` it renders as, None for a product inlined into a
+# sum, then the clamp's low and high, None on a side that cannot overflow):
 #   _SUM      (..., start, terms): start + k * env[s] for each (k, s)
-#   _RELU     (..., c, ((k, u),)): the same sum, low 0, rendered on one line
-#   _PRODUCT  (..., k, a, b, f, form): k * env[a], or env[a] * env[b] where
-#             k is None, truncated toward zero by f bits; form names its text
-#   _DIVIDED  (..., k, a, b, q, None): the same product divided by q, which
-#             raises ``Inexact`` unless exact
-#   _GUARD    (..., a): raises ``Retract`` where env[a] is below low or above
-#             high; it writes nothing
+#   _RELU     (..., c, ((k, u),)): the same with low 0, one line of text
+#   _PRODUCT  (..., k, a, b, f, form): k * env[a], or env[a] * env[b] for k
+#             None, truncated by f bits; form chooses its text
+#   _DIVIDED  (..., k, a, b, q, None): that product over q, or ``Inexact``
+#   _GUARD    (..., a): ``Retract`` where env[a] is below low or above high
 _SUM, _RELU, _PRODUCT, _DIVIDED, _GUARD = range(5)
 
 #: How many transitions one call of a step (a search, one word's walk)
-#: interprets before it compiles the step: compile() costs what about 40 to
-#: 60 interpreted transitions cost over compiled ones (``_Stepper``), and
-#: most searches end well before that.
-_COMPILE_AFTER = 0
+#: interprets before it compiles the step; ``_Stepper`` derives it.
+_COMPILE_AFTER = 32
 
 
 class _Val:
-    """A value of the step being generated: a folded constant (``const`` is
-    set), a local, or, only on its way into a sum, an integer product
-    ``coef * base`` of a local, which has no slot of its own (``code`` is
-    None), or another product, which an inline op computes.  ``code`` is
-    the slot that holds the value where the step runs.  ``lo``/``hi``
-    bound its encoding; an exact bound that nothing fixes is infinite.
-    ``coef`` and ``base`` say that a local or an integer product is ``coef
-    * base`` for the slot ``base``; ``coef`` is None for a constant or
-    another product."""
+    """A value of the step being generated, in the slot ``code``: a folded
+    constant (``const`` is set), a local, or, only on its way into a sum,
+    an integer product, which has no slot (``code`` is None), or another
+    product, which an inline op computes.  ``lo``/``hi`` bound its
+    encoding; an exact bound that nothing fixes is infinite.  ``coef`` and
+    ``base`` say that a local or an integer product is ``coef * base`` for
+    the slot ``base``; ``coef`` is None for a constant or another product."""
 
     __slots__ = ("code", "const", "lo", "hi", "reads", "coef", "base")
 
@@ -465,10 +458,16 @@ class _Val:
 
 
 class _StepCompiler:
-    """Emits the source of ``step(key, x) -> (new key, y)`` for one model
-    and mode, in SSA form: every computed value gets a fresh local.
-    The domain is fixed-point raw mantissas or, in exact mode, ints over
-    the scale ``scale``.
+    """Emits ``step(key, x) -> (new key, y)`` for one model and mode as a
+    program: one op list (``program``), in SSA form, every computed value
+    in a fresh slot.  Each block of the step is one or a few op tuples (a
+    sum, a one-line relu, a product, a checked division, a guard; see
+    ``_SUM``), built where its line of source used to be written.
+    ``_interpreter`` runs the list and ``_render`` writes it as Python
+    source, one emitter per line form, so the text costs nothing until a
+    step is compiled.  The domain is
+    fixed-point raw mantissas or, in exact mode, ints over the scale
+    ``scale``.
 
     Terms are emitted in the canonical order (gate terms, inc offset, inc
     terms, each by ascending column; bias then terms in FNN nodes), with
@@ -478,7 +477,7 @@ class _StepCompiler:
     terms into one), zero terms vanish and a term whose encoded weight is
     the unit becomes an alias, as does a whole unit copy.  A sum subtracts
     a negative constant or integer product (``1 - v10 - 2 * x3``), which
-    ``mul`` marks with its coefficient and name, so no code is parsed; and
+    ``mul`` marks with its coefficient and slot; and
     a relu over a constant plus one name or its negation is one line
     wherever the sum cannot pass the format's top (``v = u - 2 if u > 2
     else 0``), since a sum saturated at the bottom has the relu 0.  A carried
@@ -498,7 +497,7 @@ class _StepCompiler:
     because ``g * r = 0``), while an ungated counter and an X history under
     its constant gate of 1/4 can pass 1, so they are left alone.  Each new
     value of such a coordinate whose interval can leave the range gets one
-    ``guard`` line, which raises ``Retract`` from a call, and every guard is
+    ``guard`` op, which raises ``Retract`` from a call, and every guard is
     live, so its coordinate stays in the key and is checked at each step.
     The initial key lies in every range, so by induction over a call's
     steps each range holds wherever the step reads it: a guarded one
@@ -588,14 +587,21 @@ class _StepCompiler:
 
     def quantized(self, model: SsmModel) -> int:
         """How many model constants the fixed-point mode does not represent
-        exactly, dead ones included: each distinct constant and row object
-        is encoded once, and only the inexact ones are counted where the
-        model holds them.  A carried coordinate counts as the weight 1 of
-        its copy row, and each unit product of a coordinate passed through
-        as that of a copy node of ``phi``."""
+        exactly, dead ones included.  Each distinct constant, told apart by
+        identity, is checked first, most of them already encoded by the
+        build, and the unit where a coordinate is carried or passed
+        through; only where one is inexact, or not yet encoded, is each
+        distinct constant and row encoded and the inexact ones counted
+        where the model holds them.  A carried coordinate counts as the
+        weight 1 of its copy row, and each unit product of a coordinate
+        passed through as that of a copy node of ``phi``."""
         consts, rows = _holders(model)
         units = sum(layer.dim - len(layer.updates)
                     + (layer.dim - len(layer.computes)) * _depth(layer) for layer in model.layers)
+        memo, ids = self._memo, set(map(id, consts))
+        ids.update(id(w) for row in rows for _, w in row.terms)
+        if not (units and self._const(_ONE)[2]) and all(i in memo and not memo[i][2] for i in ids):
+            return 0
         return (_count(consts, lambda w: self._const(w)[2])
                 + _count(rows, lambda r: self._row(r)[2]) + units * self._const(_ONE)[2])
 
@@ -700,9 +706,8 @@ class _StepCompiler:
 
     def mul_var(self, g: _Val, v: _Val) -> _Val:
         """The term ``g * v`` of a diagonal input-dependent gate; unbounded
-        in exact mode where a factor is, since 0 * inf bounds nothing, and
-        an infinite bound never meets an int, which may pass a float's
-        range."""
+        in exact mode where a factor is, tested first, since 0 * inf bounds
+        nothing and an int past a float's range cannot meet an inf."""
         if g.const is not None:
             return self.mul(g.const, v)
         reads = g.reads + v.reads
@@ -939,21 +944,18 @@ class _StepCompiler:
         return _Val(v.code, None, max(v.lo, lo), min(v.hi, hi), v.reads + (slot,))
 
     def program(self, model: SsmModel, inputs: list[tuple]) -> tuple:
-        """The step as a program; ``inputs`` are the encoded embeddings,
-        the only vectors it is ever called with.  Generates only the nodes
-        and new hidden values that ``_plan`` finds ``y`` can need, so only
-        their constants are encoded, and sets ``key`` and ``dead_rule``.  A
-        hidden input takes its ``assumed`` or ``rising`` range, and the new
-        value of an assumed coordinate its ``guard``.
-
-        The program is ``(ops, template, dim, hidden, live, outs, y)``.  The
-        step's slots hold the ``dim`` input columns, then a hidden input
-        for each ``(layer, index)`` of ``hidden``, then the ``template``:
-        1 (the operand of each constant term), the folded constants and a
-        slot for each local and inline product.  ``ops`` are the live
-        blocks' ops in order; ``live`` holds the slots the step reads, so
-        the key is the live hidden inputs; ``outs`` and ``y`` are the slots
-        of the new key and of the output."""
+        """The step's ``(ops, template, dim, hidden, live, outs, y)``, timed
+        as ``source_s``; ``inputs`` are the encoded embeddings, the only
+        vectors it is ever called with.  Its slots hold the ``dim`` input
+        columns, a hidden input per ``(layer, index)`` of ``hidden`` and the
+        ``template``: 1, the operand of each constant term, then the folded
+        constants and None for each local.  ``ops`` are the blocks' that the
+        slots ``live`` need, ``outs`` and ``y`` the slots returned.  Generates
+        only the nodes and new hidden values that ``_plan`` finds ``y`` can
+        need, so only their constants are encoded, and sets ``key`` and
+        ``dead_rule``.  A hidden input takes its ``assumed`` or ``rising``
+        range, and the new value of an assumed coordinate its ``guard``."""
+        started = time.perf_counter()
         layers, out_plan = _plan(model)
         dim = model.dim
         hidden_inputs = [(li, j) for li, plan in enumerate(layers) for j in plan[1]]
@@ -988,12 +990,9 @@ class _StepCompiler:
         self.key = tuple(hidden[s][0] for s in keyed)
         self.dead_rule = self._dead_rule(y, keyed)
         ops = [op for s, block, _ in self._blocks if s in live for op in block]
+        self.source_s = time.perf_counter() - started
         return (ops, self._template, dim, hidden_inputs, live,
                 tuple(hidden[s][1].code for s in keyed), y.code)
-
-    def source(self, model: SsmModel, inputs: list[tuple]) -> str:
-        """The source of the step that ``program`` builds."""
-        return _render(self.program(model, inputs))
 
     def _dead_rule(self, y: _Val, keyed: list[int]) -> tuple:
         """``(i, T)`` for each rising coordinate at index i of the key, the
@@ -1074,13 +1073,6 @@ class _StepCompiler:
             if abs(end) == _INF:
                 return
             bound -= end
-
-    def build(self, model: SsmModel, inputs: list[tuple]) -> tuple:
-        """The step's ``program``, timed as ``source_s``."""
-        started = time.perf_counter()
-        program = self.program(model, inputs)
-        self.source_s = time.perf_counter() - started
-        return program
 
     def _live(self, y: _Val, hidden: dict) -> set:
         """The slots that ``y`` or a guard needs, where a hidden input needs
@@ -1296,11 +1288,14 @@ class _Stepper:
     once, for the stepper and its copies alike, and returns the function,
     which computes the same keys and outputs and raises at the same step.
     A call of the step (a search, a word's walk) interprets its first
-    ``_COMPILE_AFTER`` transitions and compiles from there on: compiling
-    costs 180-300 us, an interpreted transition about 2-5 us more than a
-    compiled one, so a call that outlives the constant has paid less than
-    twice what compiling first would have cost it, and most calls never
-    compile (adaptive compilation; Hoelzle and Ungar, OOPSLA 1994).
+    ``_COMPILE_AFTER`` transitions and compiles from there on (adaptive
+    compilation; Hoelzle and Ungar, OOPSLA 1994).  On the benchmark's
+    seed-401 models (2 vCPUs, CPython 3.11) rendering and compiling a step
+    costs C = 200-250 us and an interpreted transition 2.5-3.1 us more than
+    a compiled one, 5-6 times its cost: past 32 transitions a call has
+    spent under C / 2 interpreting, so it pays under 1.5 C over a step
+    compiled up front, and a search of the 90th percentile's 10-25
+    transitions never compiles.
 
     A key is the flat tuple of the hidden coordinates the step reads,
     ``key`` lists them as (layer, index) pairs and ``init`` is the initial
@@ -1319,7 +1314,7 @@ class _Stepper:
         comp = _StepCompiler(mode, scale, assume)
         self.mode, self.assume, self.one = mode, assume, comp.scale
         self.emb = {s: tuple(map(comp.enc, vec)) for s, vec in zip(model.alphabet, model.emb)}
-        self.program = comp.build(model, list(self.emb.values()))
+        self.program = comp.program(model, list(self.emb.values()))
         self.search_step = _interpreter(self.program)
         self._compiled: list = []  # the compiled step, once compiled; copies share it
         self.key = comp.key

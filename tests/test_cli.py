@@ -1,5 +1,6 @@
 """CLI surface: exit codes, reports, file formats, round trips."""
 
+import itertools
 import json
 import os
 import random
@@ -123,6 +124,18 @@ def test_sat_bounded_reports_a_binary_bound_too_large_to_print(tmp_path, capsys)
         assert result["bound"] == bound and result["bound_log2"] == log2
 
 
+def test_a_sat_report_times_the_model_load(tmp_path):
+    """Each ``sat`` result that decides, exit 0 or 1, gives the seconds that
+    loading the model file took, a part of the command's wall time."""
+    for formula, status in (("p U q", 0), ("p & !p", 1)):
+        path = str(tmp_path / "m.ssm")
+        run(["compile", "ltl", formula, "-o", path])
+        for argv in (["sat", "fixed", path, "--arith", "fx:6:3"],
+                     ["sat", "bounded", path, "--max-len", "3"]):
+            code, report = run(argv)
+            assert code == status and 0 < report["result"]["load_s"] <= report["wall_time_s"]
+
+
 def test_sat_bounded_binary_exponent_past_the_search_cap(minsky_file, tmp_path):
     """No search reaches 2**63 levels, so a 20-digit exponent searches as 63
     does and exits the same way, with the bound too large to print."""
@@ -134,6 +147,7 @@ def test_sat_bounded_binary_exponent_past_the_search_cap(minsky_file, tmp_path):
         result = report["result"]
         for timing in ("elapsed_s", "stepper_build_s", "source_s", "compile_s"):
             del result["stats"][timing]
+        del result["load_s"]
         assert result["bound_log2"] == int(log2)
         results.append((status, result.pop("bound"), result.pop("bound_log2"), result))
     (status63, bound63, _, result63), (status, bound, _, result) = results
@@ -176,10 +190,11 @@ def test_running_out_of_memory_is_a_resource_limit(tmp_path, monkeypatch):
 
 
 def test_huge_exact_constants_decide(tmp_path):
-    """The offset 1 - 2**1100 cancels the embedding of a, and a gate weight
-    of 2**1100 multiplies a hidden input.  The step's interval analysis adds
-    such ints to infinite bounds and multiplies them, and none of them fits
-    in a float."""
+    """The offset 1 - 2**1100 cancels the embedding of a, a gate weight of
+    2**1100 multiplies a hidden input, and so does a diagonal gate whose
+    offset is 2**1100 once ``a;a`` retracts the range [0, 1] assumed for its
+    coordinate.  The step's interval analysis adds such ints to infinite
+    bounds and multiplies them, and none of them fits in a float."""
     big = 1 << 1100
     layer = SsmLayer(as_vector([0]), TimeInvariantGate(as_matrix([[1]])),
                      AffineMap(as_matrix([[1]]), as_vector([1 - big])), projection_phi(1))
@@ -199,6 +214,17 @@ def test_huge_exact_constants_decide(tmp_path):
     status, report = run(["sat", "bounded", model_path, "--max-len", "2"])
     assert status == 0
     assert (report["result"]["verdict"], report["result"]["witness"]) == ("satisfiable", "a")
+    # h' = (x + 2**1100) * h + x, then relu(h - 5): h runs 0, 1, then past 2**1100
+    layer = SsmLayer(as_vector([0]), DiagonalAffineGate(as_matrix([[1]]), as_vector([big])),
+                     AffineMap(as_matrix([[1]]), as_vector([0])), projection_phi(1))
+    model = SsmModel(alphabet=("a", "b"), emb=(as_vector([1]), as_vector([0])), layers=(layer,),
+                     out=linear_fnn([[1]], [-5], RELU))
+    save_model(model, model_path)
+    status, report = run(["sat", "bounded", model_path, "--max-len", "3"])
+    assert (status, report["result"]["verdict"]) == (1, "unsatisfiable-within-bound")
+    assert report["result"]["stats"]["builds"] == 2
+    words = [w for n in (1, 2, 3) for w in itertools.product("ab", repeat=n)]
+    assert not any(evaluate_layerwise(model, word, EXACT) == 1 for word in words)
 
 
 def test_eval_reports_a_value_too_long_to_print(tmp_path, capsys):
@@ -777,6 +803,7 @@ def _decisions(path: str, argvs) -> list:
         stats = result.get("stats", result.get("partial_stats", {}))
         for key in ("elapsed_s", "stepper_build_s", "source_s", "compile_s"):
             stats.pop(key, None)
+        result.pop("load_s", None)
         out.append((status, result))
     return out
 

@@ -62,6 +62,7 @@ from ssmverify.ssm import (
     SsmModel,
     TimeInvariantGate,
     _StepCompiler,
+    _render,
     accepts,
     as_matrix,
     as_vector,
@@ -799,7 +800,7 @@ def test_an_ilp_letter_adds_its_column_of_a():
         assert [list(vec) for vec in model.emb] == [
             [row[i] for row in inst.matrix] + unit[i] for i in range(d)]
         comp = _StepCompiler(EXACT, 1)
-        source = comp.source(model, [tuple(map(comp.enc, vec)) for vec in model.emb])
+        source = _render(comp.program(model, [tuple(map(comp.enc, vec)) for vec in model.emb]))
         # a row whose input is the same in every letter adds a literal, and
         # one whose input is always 0 is its hidden value itself
         updates = re.findall(r"^    v\d+ = (.*\bh0_.*)$", source, re.M)

@@ -10,6 +10,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    counting_model,
     geometric_model,
     hand_formulas,
     is_one,
@@ -19,6 +20,7 @@ from helpers import (
     trace_to_word,
     word_to_trace,
 )
+from ssmverify import ssm
 from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat
 from ssmverify.compilers import (
     IlpInstance,
@@ -301,13 +303,13 @@ def test_elapsed_s_is_the_search_alone(monkeypatch):
     alone under both solvers: on a fresh model, after a prebuild, and over
     the two runs of a widened exact scale.  ``stepper_build_s`` sums the
     builds: one, or two where the scale widens."""
-    build = _StepCompiler.build
+    program = _StepCompiler.program
 
     def slow(self, *args):
         time.sleep(0.2)
-        return build(self, *args)
+        return program(self, *args)
 
-    monkeypatch.setattr(_StepCompiler, "build", slow)
+    monkeypatch.setattr(_StepCompiler, "program", slow)
     fresh = lambda: compile_ltl(parse("(p U q) & X !p"))
     prebuilt = fresh()
     _stepper(prebuilt, ArithMode(FX6))
@@ -319,6 +321,63 @@ def test_elapsed_s_is_the_search_alone(monkeypatch):
     for result, builds in zip(results, (1, 1, 1, 2)):
         assert result.stats.elapsed_s < 0.2 and result.stats.builds == builds
         assert 0.2 * builds <= result.stats.stepper_build_s
+
+
+TIMINGS = ("elapsed_s", "stepper_build_s", "source_s", "compile_s")
+
+
+def decision(result) -> tuple:
+    """A search's verdict, witness and every count of its report."""
+    return result.verdict, result.witness, [
+        getattr(result.stats, name) for name in result.stats._fields if name not in TIMINGS]
+
+
+def test_a_search_compiles_its_step_only_past_compile_after(monkeypatch):
+    """A search interprets its step for the first ``_COMPILE_AFTER``
+    transitions and compiles it from there on, once per step: a search of
+    26 transitions never compiles and reports ``compile_s`` 0, one of 37
+    compiles its step and reports the compile, and a second search on the
+    same model runs on the compiled step and reports 0.  Each decides as
+    the search that compiles before its first transition does.  With
+    the compile 0.2 s slower, ``elapsed_s`` stays the search alone and
+    ``compile_s`` and ``stepper_build_s`` count the compile."""
+    short, long = (compile_ltl(parse(text)) for text in
+                   ("F (p & X (q & X r))", "G (p -> X q) & F (r & X X q)"))
+    results = [sat_fixed(model, FX6) for model in (short, long, long)]
+    assert [r.stats.transitions for r in results] == [26, 37, 37]
+    assert ssm._COMPILE_AFTER == 32 and [r.stats.compile_s > 0 for r in results] == [
+        False, True, False]
+    assert [len(model._steppers[FX6_MODE]._compiled) for model in (short, long)] == [0, 1]
+    assert all(r.stats.source_s + r.stats.compile_s <= r.stats.stepper_build_s for r in results)
+    monkeypatch.setattr(ssm, "_COMPILE_AFTER", 0)
+    eager = [sat_fixed(compile_ltl(parse(text)), FX6) for text in
+             ("F (p & X (q & X r))", "G (p -> X q) & F (r & X X q)")]
+    assert all(r.stats.compile_s > 0 for r in eager)
+    assert [decision(r) for r in eager] == [decision(r) for r in results[:2]]
+    monkeypatch.setattr(ssm, "_COMPILE_AFTER", 32)
+    render = ssm._render
+
+    def slow(program):
+        time.sleep(0.2)
+        return render(program)
+
+    monkeypatch.setattr(ssm, "_render", slow)
+    stats = sat_fixed(compile_ltl(parse("G (p -> X q) & F (r & X X q)")), FX6).stats
+    assert stats.elapsed_s < 0.2 <= stats.compile_s <= stats.stepper_build_s
+
+
+def test_a_copy_of_a_compiled_step_compiles_no_more():
+    """The counting model's search retracts its assumed range and runs on a
+    copy of the step rebuilt without it, which compiles past
+    ``_COMPILE_AFTER`` transitions.  The rebuilt step left on the model
+    shares that compile: a second search reports ``compile_s`` 0."""
+    model = counting_model(gadget_eq(50))
+    first = sat_bounded(model, 20, EXACT)
+    assert first.stats.builds == 2 and first.stats.transitions > ssm._COMPILE_AFTER
+    assert first.stats.compile_s > 0 and len(model._steppers[EXACT]._compiled) == 1
+    again = sat_bounded(model, 20, EXACT)
+    assert (again.stats.compile_s, again.stats.builds) == (0, 1)
+    assert (again.verdict, again.stats.transitions) == (first.verdict, first.stats.transitions)
 
 
 def test_integral_models_search_on_scale_one_as_on_the_dyadic_scale():

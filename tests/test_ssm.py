@@ -37,6 +37,7 @@ from ssmverify.ssm import (
     TimeInvariantGate,
     _Inexact,
     _StepCompiler,
+    _render,
     _Val,
     _constants,
     _first_scale,
@@ -467,7 +468,7 @@ def test_a_diagonal_gate_on_scale_one_multiplies_without_checks():
                      AffineMap(as_matrix([[1]]), as_vector([0])), projection_phi(1))
     model = SsmModel(("a", "b"), (as_vector([1]), as_vector([-2])), (layer,), select_fnn([0], 1))
     comp = _StepCompiler(EXACT, 1)
-    source = comp.source(model, [tuple(map(comp.enc, vec)) for vec in model.emb])
+    source = _render(comp.program(model, [tuple(map(comp.enc, vec)) for vec in model.emb]))
     assert "Inexact" not in source and ">>" not in source and "&" not in source
     for word in (["a"], ["b", "a", "b"], ["a", "b", "b", "a", "b"]):
         assert evaluate(model, word, EXACT) == evaluate_layerwise(model, word, EXACT)
@@ -478,7 +479,7 @@ def step_source(model: SsmModel, mode: ArithMode) -> str:
     """The source of the first step that ``_stepper`` builds for ``mode``."""
     stepper = _stepper(model, mode)
     comp = _StepCompiler(mode, stepper.one)
-    return comp.source(model, list(stepper.emb.values()))
+    return _render(comp.program(model, list(stepper.emb.values())))
 
 
 @pytest.mark.parametrize("mode", [EXACT, FX6_MODE], ids=str)
@@ -519,22 +520,23 @@ TWO_MM = ("start: q0\nfinal: qf\nq0 inc2 q1\nq1 dec2 q2\nq1 ztest2 q0\n"
 
 def test_the_report_splits_each_build_of_the_step(monkeypatch):
     """A search reports how many builds of its step it made, and sums
-    their seconds and the parts spent generating and compiling the source.
-    The exact step of ``two.mm`` is built once.  The counting model's
+    their seconds and the parts spent generating and compiling the step.
+    The exact step of ``two.mm`` is built once, and its search of 20
+    transitions interprets it and compiles nothing.  The counting model's
     guard retracts its range, so its search builds the step twice: with
     each build 0.05 s slower, the two sum past 0.1 s.  A second search of
     the same model runs on the step left after the retraction, built once."""
     stats = sat_bounded(compile_minsky(parse_minsky(TWO_MM)), 8, EXACT).stats
-    assert stats.builds == 1
-    assert 0 < stats.source_s and 0 < stats.compile_s
+    assert stats.builds == 1 and stats.transitions == 20
+    assert 0 < stats.source_s and stats.compile_s == 0
     assert stats.source_s + stats.compile_s <= stats.stepper_build_s
-    build = _StepCompiler.build
+    program = _StepCompiler.program
 
     def slow(self, *args):
         time.sleep(0.05)
-        return build(self, *args)
+        return program(self, *args)
 
-    monkeypatch.setattr(_StepCompiler, "build", slow)
+    monkeypatch.setattr(_StepCompiler, "program", slow)
     for mode in (EXACT, FX6_MODE):
         model = counting_model()
         stats = sat_bounded(model, 6, mode).stats
@@ -930,7 +932,7 @@ def test_exact_sums_fold_every_constant():
     sums = 0
     for model in models:
         comp = _StepCompiler(EXACT)
-        source = comp.source(model, [tuple(map(comp.enc, vec)) for vec in model.emb])
+        source = _render(comp.program(model, [tuple(map(comp.enc, vec)) for vec in model.emb]))
         for line in source.splitlines():
             _, assigned, expr = line.partition(" = ")
             terms = re.split(r" [+-] ", expr.partition(" if ")[0])
