@@ -193,8 +193,7 @@ def _search(model: SsmModel, mode: ArithMode, length_cap: Optional[int],
     least among the shortest accepted words.  Returns (witness or None,
     whether the frontier was exhausted, stats).  In exact mode a search
     whose values leave the step's scale runs again on a wider one;
-    ``elapsed_s`` sums the runs and leaves out every build of the step and
-    every compile."""
+    ``elapsed_s`` sums the runs and leaves out every build and compile."""
     limits = limits or ResourceLimits.from_env()
     clock = [0.0, 0.0]  # the seconds of the runs so far, and of the compiles in them
     return _with_stepper(
@@ -203,8 +202,7 @@ def _search(model: SsmModel, mode: ArithMode, length_cap: Optional[int],
 
 def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, clock: list):
     """One run of ``_search``, which adds its seconds to ``clock[0]`` however
-    it ends.  Past ``ssm._COMPILE_AFTER`` transitions it runs the compiled
-    step; a compile's seconds go to ``clock[1]`` in place of ``clock[0]``."""
+    it ends, and those of a compile (``ssm._COMPILE_AFTER``) to ``clock[1]``."""
     start = time.monotonic() - clock[0]
     one, init, rule, after = stepper.one, stepper.init, stepper.dead_rule, ssm._COMPILE_AFTER
     parents: dict = {init: None}
@@ -214,8 +212,7 @@ def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, clock: list
         while level:
             sizes.append(len(level))
             if length_cap is not None and len(sizes) > length_cap:
-                return None, False, _stats(stepper, start, explored, sizes, len(parents), dead,
-                                           clock)
+                return None, False, _stats(stepper, start, explored, sizes, parents, dead, clock)
             next_level = []
             for key in level:
                 for symbol, x in letters:
@@ -233,7 +230,7 @@ def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, clock: list
                             key, sym = parents[key]
                             word.append(sym)
                         return (tuple(reversed(word)), False,
-                                _stats(stepper, start, explored, sizes, len(parents), dead, clock))
+                                _stats(stepper, start, explored, sizes, parents, dead, clock))
                     if new_key not in parents:
                         for i, threshold in rule:
                             if new_key[i] >= threshold:
@@ -245,21 +242,20 @@ def _bfs(stepper, length_cap: Optional[int], limits: ResourceLimits, clock: list
             limits.check(explored, start)
             level = next_level
     except ResourceLimitError as exc:
-        exc.stats = _stats(stepper, start, explored, sizes, len(parents), dead, clock)
+        exc.stats = _stats(stepper, start, explored, sizes, parents, dead, clock)
         raise
     finally:
         clock[0] = time.monotonic() - start
-    return None, True, _stats(stepper, start, explored, sizes, len(parents), dead, clock)
+    return None, True, _stats(stepper, start, explored, sizes, parents, dead, clock)
 
 
-def _stats(stepper, start: float, transitions: int, sizes: list[int], stored: int,
+def _stats(stepper, start: float, transitions: int, sizes: list[int], stored: dict,
            dead: int, clock: list) -> SearchStats:
-    """The report of a search that took ``transitions`` steps over levels
-    of ``sizes``, stored ``stored`` keys, met ``dead`` dead ones and spent
-    ``clock[1]`` seconds compiling its steps."""
+    """The report of a search that took ``transitions`` steps over levels of ``sizes``,
+    stored the keys ``stored``, met ``dead`` dead ones and compiled for ``clock[1]`` s."""
     exact, one, compile_s = stepper.mode.is_exact, stepper.one, clock[1]
     return SearchStats(transitions, max(sizes[1:], default=0), time.monotonic() - start,
-                       stepper.quantized_constants, stored, transitions,
+                       stepper.quantized_constants, len(stored), transitions,
                        stepper.build_s + compile_s, stepper.builds, stepper.source_s, compile_s,
                        "int" if exact else None, one.bit_length() if exact else None,
                        len(stepper.key), stepper.key_state_bound_log2, sizes, dead,

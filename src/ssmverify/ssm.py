@@ -420,13 +420,13 @@ def _times(k: int, code: str) -> str:
     return code if k == 1 else f"-{code}" if k == -1 else f"{_literal(k)} * {code}"
 
 
-# The kinds of op of a step program.  An op is (kind, slot written, number
-# n of the local ``v<n>`` it renders as, None for a product inlined into a
-# sum, then the clamp's low and high, None on a side that cannot overflow):
+# The kinds of op of a step program.  An op is (kind, slot written, number n of the local
+# ``v<n>`` it renders as or None for a product inlined into a sum, then the clamp's low and
+# high, None on a side that cannot overflow):
 #   _SUM      (..., start, terms): start + k * env[s] for each (k, s)
 #   _RELU     (..., c, ((k, u),)): the same with low 0, one line of text
-#   _PRODUCT  (..., k, a, b, f, form): k * env[a], or env[a] * env[b] for k
-#             None, truncated by f bits; form chooses its text
+#   _PRODUCT  (..., k, a, b, f, form): k * env[a] (env[a] * env[b] for k None) >> f, truncated
+#             toward zero; form chooses its text
 #   _DIVIDED  (..., k, a, b, q, None): that product over q, or ``Inexact``
 #   _GUARD    (..., a): ``Retract`` where env[a] is below low or above high
 _SUM, _RELU, _PRODUCT, _DIVIDED, _GUARD = range(5)
@@ -459,15 +459,11 @@ class _Val:
 
 class _StepCompiler:
     """Emits ``step(key, x) -> (new key, y)`` for one model and mode as a
-    program: one op list (``program``), in SSA form, every computed value
-    in a fresh slot.  Each block of the step is one or a few op tuples (a
-    sum, a one-line relu, a product, a checked division, a guard; see
-    ``_SUM``), built where its line of source used to be written.
-    ``_interpreter`` runs the list and ``_render`` writes it as Python
-    source, one emitter per line form, so the text costs nothing until a
-    step is compiled.  The domain is
-    fixed-point raw mantissas or, in exact mode, ints over the scale
-    ``scale``.
+    ``program``, a list of the ops listed at ``_SUM``, in SSA form: every
+    computed value gets a fresh slot.  ``_interpreter`` runs it, and
+    ``_render`` writes it as Python source, one emitter per line form.  The
+    domain is fixed-point raw mantissas or, in exact mode, ints over the
+    scale ``scale``.
 
     Terms are emitted in the canonical order (gate terms, inc offset, inc
     terms, each by ascending column; bias then terms in FNN nodes), with
@@ -588,11 +584,10 @@ class _StepCompiler:
     def quantized(self, model: SsmModel) -> int:
         """How many model constants the fixed-point mode does not represent
         exactly, dead ones included.  Each distinct constant, told apart by
-        identity, is checked first, most of them already encoded by the
-        build, and the unit where a coordinate is carried or passed
-        through; only where one is inexact, or not yet encoded, is each
-        distinct constant and row encoded and the inexact ones counted
-        where the model holds them.  A carried coordinate counts as the
+        identity, and the unit where a coordinate is carried or passed
+        through is checked first, on the build's encodings; where one is
+        inexact or not encoded, the inexact ones are counted where the
+        model holds them.  A carried coordinate counts as the
         weight 1 of its copy row, and each unit product of a coordinate
         passed through as that of a copy node of ``phi``."""
         consts, rows = _holders(model)
@@ -614,8 +609,7 @@ class _StepCompiler:
         return v
 
     def _slot(self, value=None) -> int:
-        """A new slot after the hidden inputs', which holds ``value`` when
-        the step starts."""
+        """A new slot of the template, which holds ``value`` at the start."""
         self._template.append(value)
         return self._base + len(self._template) - 1
 
@@ -644,11 +638,10 @@ class _StepCompiler:
         return lo, top if high is not None else max(hi, floor), saturates
 
     def _fits(self, lo, hi, reads, coef=None, base=None, product=()) -> _Val:
-        """A product term: the integer product ``coef * base``, or where
-        ``product`` is given the one that a ``_PRODUCT`` op with those
-        fields after its clamp computes.  It is an expression when it
-        cannot leave the range, the product inlined, else a local saturated
-        on the sides that can overflow."""
+        """A product term, ``coef * base`` or the ``_PRODUCT`` op with the
+        fields ``product`` after its clamp: an expression when it cannot
+        leave the range, the op inlined, else a local saturated on the
+        sides that can overflow."""
         if self.bottom <= lo and hi <= self.top:
             if not product:
                 return _Val(None, None, lo, hi, reads, coef, base)
@@ -706,8 +699,7 @@ class _StepCompiler:
 
     def mul_var(self, g: _Val, v: _Val) -> _Val:
         """The term ``g * v`` of a diagonal input-dependent gate; unbounded
-        in exact mode where a factor is, tested first, since 0 * inf bounds
-        nothing and an int past a float's range cannot meet an inf."""
+        in exact mode where a factor is, before any product: 0 * inf bounds nothing."""
         if g.const is not None:
             return self.mul(g.const, v)
         reads = g.reads + v.reads
@@ -946,13 +938,13 @@ class _StepCompiler:
     def program(self, model: SsmModel, inputs: list[tuple]) -> tuple:
         """The step's ``(ops, template, dim, hidden, live, outs, y)``, timed
         as ``source_s``; ``inputs`` are the encoded embeddings, the only
-        vectors it is ever called with.  Its slots hold the ``dim`` input
-        columns, a hidden input per ``(layer, index)`` of ``hidden`` and the
-        ``template``: 1, the operand of each constant term, then the folded
-        constants and None for each local.  ``ops`` are the blocks' that the
-        slots ``live`` need, ``outs`` and ``y`` the slots returned.  Generates
-        only the nodes and new hidden values that ``_plan`` finds ``y`` can
-        need, so only their constants are encoded, and sets ``key`` and
+        vectors it is ever called with.  The slots hold ``dim`` columns, a
+        hidden input per ``(layer, index)`` of ``hidden``, then the
+        ``template``: 1, the operand of each constant term, the folded
+        constants and None for each local.  ``ops`` are those the slots
+        ``live`` need; ``outs`` and ``y`` are returned.  Generates only the
+        nodes and new hidden values that ``_plan`` finds ``y`` can need, so
+        only their constants are encoded, and sets ``key`` and
         ``dead_rule``.  A hidden input takes its ``assumed`` or ``rising``
         range, and the new value of an assumed coordinate its ``guard``."""
         started = time.perf_counter()
@@ -1181,12 +1173,10 @@ def _render(program: tuple) -> str:
             expr = _times(k, names[s]) if start == 0 else joined(_literal(start), k, s)
             for k, s in terms:
                 expr = joined(expr, k, s)
-            if kind == _RELU:
+            if kind == _RELU:  # relu(start + k * u) for k = 1 or -1
                 u, c = names[s], _literal(start if k == -1 else -start)
-                test = f"{u} < {c}" if k == -1 else f"{u} > {c}"
-                if k == 1 and start < 0:
-                    expr = f"{u} - {_literal(-start)}"
-                lines.append(f"{name} = {expr} if {test} else 0")
+                expr = f"{u} - {c}" if k == 1 and start < 0 else expr
+                lines.append(f"{name} = {expr} if {u} {'<' if k == -1 else '>'} {c} else 0")
                 continue
             lines.append(f"{name} = {expr}")
         elif kind == _PRODUCT and rest[-1] == "lines":
@@ -1220,18 +1210,14 @@ def _render(program: tuple) -> str:
 
 def _getter(indices):
     """A function from a sequence to the tuple of its items at ``indices``."""
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda seq: (seq[i],)
-    return itemgetter(*indices) if indices else lambda seq: ()
+    return (itemgetter(*indices) if len(indices) > 1
+            else lambda seq: tuple(map(seq.__getitem__, indices)))
 
 
 def _interpreter(program: tuple):
-    """``step(key, x)`` that runs a ``_StepCompiler`` program op by op, on
-    a list of slots: what its ``_render``ed source computes, raising
-    ``_Inexact`` and ``_Retract`` where that does.  A product is truncated
-    toward zero whatever form its text takes: each form is chosen on its
-    factor's sign, where they agree."""
+    """``step(key, x)`` that runs a ``_StepCompiler`` program op by op on a
+    list of slots, as its ``_render``ed source does; a product truncates
+    toward zero, as each form of its text does where it is chosen."""
     ops, template, dim, hidden, live, outs, y = program
     slots = [s for s in range(dim, dim + len(hidden)) if s in live]
     # a hidden input that no op reads takes the None appended to the key
@@ -1275,27 +1261,24 @@ def _interpreter(program: tuple):
 class _Stepper:
     """Model compiled for one arithmetic mode: the encoded embeddings, the
     step program on keys, the number of model constants the mode
-    quantises, and its build: ``builds`` (1), ``build_s``, and the
-    ``source_s`` of it that generated the program.  A call that replaces
-    its step runs on a copy of the new one that sums the builds of the
-    call's steps.
+    quantises, and its build: ``builds`` (1), ``build_s`` and its part
+    ``source_s``.  A call that replaces its step runs on a copy of the new
+    one that sums the builds of the call's steps.
     ``one`` encodes the value 1: the scale in exact mode, which ``_stepper``
     starts on ``_first_scale`` of the model's denominators (1 for only
     integer constants); a call raises ``_Inexact`` when a value leaves it.
 
-    The step runs in two tiers.  ``search_step`` interprets the program
-    (``_interpreter``); ``compiled`` renders it to Python, compiles it
-    once, for the stepper and its copies alike, and returns the function,
-    which computes the same keys and outputs and raises at the same step.
-    A call of the step (a search, a word's walk) interprets its first
-    ``_COMPILE_AFTER`` transitions and compiles from there on (adaptive
-    compilation; Hoelzle and Ungar, OOPSLA 1994).  On the benchmark's
-    seed-401 models (2 vCPUs, CPython 3.11) rendering and compiling a step
-    costs C = 200-250 us and an interpreted transition 2.5-3.1 us more than
-    a compiled one, 5-6 times its cost: past 32 transitions a call has
-    spent under C / 2 interpreting, so it pays under 1.5 C over a step
-    compiled up front, and a search of the 90th percentile's 10-25
-    transitions never compiles.
+    ``search_step`` interprets the program; ``compiled`` renders and
+    compiles it once for the stepper and its copies, a function that
+    computes the same and raises at the same step.  A call of the step (a
+    search, a word's walk) interprets its first ``_COMPILE_AFTER``
+    transitions and compiles from there on (Hoelzle and Ungar, OOPSLA
+    1994).  On the benchmark's seed-401 models (2 vCPUs, CPython 3.11)
+    compiling costs C = 200-250 us and interpreting 2.5-3.1 us more a
+    transition, 5-6 times a compiled one: past 32 transitions a call has
+    spent under C / 2 interpreting, so it pays under 1.5 C over compiling
+    up front, and a search of up to 25 transitions (90th percentile)
+    never compiles.
 
     A key is the flat tuple of the hidden coordinates the step reads,
     ``key`` lists them as (layer, index) pairs and ``init`` is the initial
@@ -1328,17 +1311,15 @@ class _Stepper:
     def compiled(self) -> tuple:
         """The compiled step, and the seconds this call spent rendering and
         compiling it: 0 where it was compiled before."""
-        if self._compiled:
-            return self._compiled[0], 0.0
-        started = time.perf_counter()
-        code = compile(_render(self.program), f"<ssm step {self.mode.fmt or 'exact'}>", "exec")
-        exec(code, namespace := {"Inexact": _Inexact, "Retract": _Retract})
-        self._compiled.append(namespace["step"])
-        return self._compiled[0], time.perf_counter() - started
+        started, fresh = time.perf_counter(), not self._compiled
+        if fresh:
+            code = compile(_render(self.program), f"<ssm step {self.mode.fmt or 'exact'}>", "exec")
+            exec(code, namespace := {"Inexact": _Inexact, "Retract": _Retract})
+            self._compiled.append(namespace["step"])
+        return self._compiled[0], time.perf_counter() - started if fresh else 0.0
 
     def step(self, key, symbol, step=None):
-        """The next key and output from ``key`` on ``symbol``, through
-        ``step`` or else the interpreted step."""
+        """The next key and output, through ``step`` or ``search_step``."""
         x = self.emb.get(symbol)
         if x is None:
             raise UnknownSymbolError(f"symbol {symbol!r} not in model alphabet")
