@@ -17,11 +17,11 @@ order.  The public constructors also take dense rows, and ``.matrix`` and
 the rows' terms, so no layer stores or scans a zero.
 
 Two evaluation orders are implemented.  The solvers, ``evaluate`` and
-``accepts`` compile each model, once per arithmetic mode, into one
-generated straight-line Python function: the live part of the model is
-generated, its constants folded into the code, unit weights and unit copies
-become aliases and fixed-point truncation and saturation are inlined per
-term (partial evaluation; Jones, Gomard and Sestoft, 1993).
+``accepts`` build each model, once per mode, into one straight-line step
+program, interpreted and compiled to Python past 32 steps: the live part
+of the model is generated, its constants folded in, unit weights and unit
+copies become aliases and fixed-point truncation and saturation are
+inlined per term (partial evaluation; Jones, Gomard and Sestoft, 1993).
 ``evaluate_layerwise`` is the independent oracle: one uncompiled
 interpreter that materialises whole sequences layer by layer, over either
 domain through the mode's scalar kernels.  Each of the two applies the
