@@ -5,7 +5,7 @@ Exit codes partition outcomes: 0 satisfiable/true, 1 unsatisfiable/false,
 2 usage or parse error, 3 resource limit hit.  Every command writes one
 machine-readable JSON report to stdout; witnesses appear in the word
 literal syntax.  ``SSMVERIFY_MAX_STATES``, ``SSMVERIFY_MAX_MEM_MB`` and
-``SSMVERIFY_MAX_SECONDS`` override the solver resource guards.
+``SSMVERIFY_MAX_SECONDS`` override the solver resource limits.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .modelfile import load_model, save_model
 from .solvers import LengthBound, pump_down, sat_bounded, sat_fixed
-from .ssm import _Stepper, _stepper, classify_gates, evaluate, state_count_bound_log2
+from .ssm import _stepper, classify_gates, evaluate, state_count_bound_log2
 from .words import format_word, parse_trace, parse_word
 
 EXIT_SAT = 0
@@ -298,15 +298,6 @@ def _recommended_format(meta: dict):
         return None
 
 
-def _key_bound_log2(model, fmt: FixedPointFormat) -> int:
-    """The log2 of the most keys that a search under ``fmt`` stores: b bits
-    per coordinate of its first step's key or, where a guard retracts that
-    step's assumed ranges, of the key of the step built without them."""
-    mode = ArithMode(fmt)
-    return max(_stepper(model, mode).key_state_bound_log2,
-               _Stepper(model, mode, None, assume=False).key_state_bound_log2)
-
-
 def _cmd_classify(args) -> tuple[int, dict]:
     model = load_model(args.model)
     classes = classify_gates(model)
@@ -324,7 +315,8 @@ def _cmd_classify(args) -> tuple[int, dict]:
         "state_count_bound": str(1 << log2) if log2 <= _PRINTABLE_LOG2 else None,
         "recommended_arith": None if fmt is None else str(fmt),
         # a search under recommended_arith stores at most 2**(b*|key|) keys
-        "key_state_bound_log2": None if fmt is None else _key_bound_log2(model, fmt),
+        "key_state_bound_log2": None if fmt is None else _stepper(
+            model, ArithMode(fmt)).key_state_bound_log2,
         "metadata": model.metadata_dict,
     }
     meta = model.metadata_dict

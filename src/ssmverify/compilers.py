@@ -46,9 +46,8 @@ is that coordinate for ``F !psi`` read negated twice, ``h = psi * h``.
 Every coordinate's output is thus 0 or 1 wherever the format holds 1, so
 ``out`` is one identity node over the formula's terms, which is 1 exactly
 where ``eq(1)`` of it is.  No interval shows that an until or ``F``
-coordinate stays in [0, 1], so the step compiler assumes that range for
-every gated coordinate and guards it (``ssm._StepCompiler``): their new
-values need no saturation test.
+coordinate stays in [0, 1], so the step compiler keeps the saturation
+tests of their new values (``ssm._StepCompiler``).
 
 The Minsky and ILP compilers write their outputs as affine terms too.  A
 Minsky model runs its previous-state history beside the counter sums in

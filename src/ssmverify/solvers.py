@@ -52,9 +52,9 @@ class SearchStats(Value):
     ``distinct_states`` counts the stream states stored (the initial one
     included) and ``max_frontier`` the largest breadth-first level.
     ``elapsed_s`` times the search alone.  ``builds`` counts the builds of
-    the step that ran it (more than 1 after a retraction or a widened exact
-    scale), and ``stepper_build_s``, ``source_s`` and ``compile_s`` sum their
-    seconds: whole, generating and compiling the source.  ``exact_domain``
+    the step that ran it (more than 1 after a widened exact scale), and
+    ``stepper_build_s``, ``source_s`` and ``compile_s`` sum their seconds:
+    whole, generating and compiling the source.  ``exact_domain``
     is the domain exact values ran in, always ``"int"`` (``None`` in fixed mode).
     ``exact_scale_bits`` is the bit length of the scale those ints ran on:
     1 for a model with only integer constants, ``SCALE_BITS + 1`` for a

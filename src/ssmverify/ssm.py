@@ -53,28 +53,17 @@ argument can be negative.  A difference ``relu(s + p) - relu(s + q)`` over
 one row s, the previous-bit decoder's last stage, takes the interval
 [0, p - q] rather than its terms' sum.
 
-The step assumes that a hidden coordinate whose diagonal gate row reads
-the input (the until and ``F`` coordinates of an LTL model) stays
-in [min(0, h0), max(1, h0)], clipped to the format, where any other
-coordinate takes the whole domain.  On that range the interval analysis
-drops the saturation tests and relu clamps that cannot fire.  Where a new
-value's interval can leave its range, one guard line raises ``_Retract``;
-the call then rebuilds the step without the assumption and runs again,
-whole, as a call whose exact values leave the scale does
-(guard-and-deoptimise; Hoelzle, Chambers and Ungar, PLDI 1992).  So every
-output and key coordinate that a caller sees is the unassumed step's.
-
-A *rising* coordinate never falls: its gate row is the encoded 1 on
-itself, and its inc offset and every inc term are not negative over their
-inputs' intervals (a Minsky violation sum, an ILP row sum or count).  Its
-hidden input takes [enc(h0), top]; that range is proved by induction from
-the initial key, not assumed, so it needs no guard.  For each rising key
-coordinate the build derives a threshold T, the least value from which the
-same interval analysis keeps the output below 1 at every later position,
-by one backward pass from ``y`` through the sums the step computes
-(bound-based pruning over intervals; Cousot and Cousot, POPL 1977).  A key
-whose coordinate has reached T is *dead*: no accepted word passes through
-it, so the solvers neither store nor expand it.
+A hidden input takes the whole domain, except that a *rising* coordinate
+never falls: its gate row is the encoded 1 on itself, and its inc offset
+and every inc term are not negative over their inputs' intervals (a Minsky
+violation sum, an ILP row sum or count).  Its hidden input takes
+[enc(h0), top], a range proved by induction from the initial key.  For
+each rising key coordinate the build derives a threshold T, the least
+value from which the same interval analysis keeps the output below 1 at
+every later position, by one backward pass from ``y`` through the sums the
+step computes (bound-based pruning over intervals; Cousot and Cousot, POPL
+1977).  A key whose coordinate has reached T is *dead*: no accepted word
+passes through it, so the solvers neither store nor expand it.
 
 The generated step keeps only the hidden coordinates in the least set
 that holds those the output reads and those that the new value of a member
@@ -404,11 +393,6 @@ class _Inexact(Exception):
     does not divide the scale."""
 
 
-class _Retract(Exception):
-    """A gated coordinate's new value outside the range that the step
-    assumed for it."""
-
-
 def _literal(k: int) -> str:
     """``k`` as a Python literal, in hex past 2048 bits (617 digits): CPython
     refuses decimal text for ints past a settable limit of 640 or more
@@ -428,8 +412,7 @@ def _times(k: int, code: str) -> str:
 #   _PRODUCT  (..., k, a, b, f, form): k * env[a] (env[a] * env[b] for k None) >> f, truncated
 #             toward zero; form chooses its text
 #   _DIVIDED  (..., k, a, b, q, None): that product over q, or ``Inexact``
-#   _GUARD    (..., a): ``Retract`` where env[a] is below low or above high
-_SUM, _RELU, _PRODUCT, _DIVIDED, _GUARD = range(5)
+_SUM, _RELU, _PRODUCT, _DIVIDED = range(4)
 
 #: How many transitions one call of a step (a search, one word's walk)
 #: interprets before it compiles the step; ``_Stepper`` derives it.
@@ -486,23 +469,8 @@ class _StepCompiler:
     saturation test is emitted only on a side that can overflow, and a relu
     clamp only where its argument can be negative.
 
-    With ``assume``, a hidden input whose gate row reads the input takes
-    its ``assumed`` range, [min(0, h0), max(1, h0)] clipped to the format,
-    in place of the whole domain: an until or ``F`` coordinate is 0 or 1,
-    though no interval can show it (``g * h + r`` stays in [0, 1] only
-    because ``g * r = 0``), while an ungated counter and an X history under
-    its constant gate of 1/4 can pass 1, so they are left alone.  Each new
-    value of such a coordinate whose interval can leave the range gets one
-    ``guard`` op, which raises ``Retract`` from a call, and every guard is
-    live, so its coordinate stays in the key and is checked at each step.
-    The initial key lies in every range, so by induction over a call's
-    steps each range holds wherever the step reads it: a guarded one
-    because its guard checked it, any other because its new value's
-    interval lies inside it.  Where every range holds, the
-    step computes what the unassumed step does.
-
-    A ``rising`` hidden input takes [enc(h0), top] whatever ``assume``
-    says: that range is proved, not assumed, since each new value is a
+    A hidden input takes the whole domain, but a ``rising`` one takes
+    [enc(h0), top]: that range is proved, since each new value is a
     saturating sum of the input and terms that are not negative.  Each sum
     of the step is kept, with where it saturates, and
     ``dead_rule`` lists, for each rising key coordinate, its index in the
@@ -529,16 +497,14 @@ class _StepCompiler:
     that raises ``_Inexact`` from a call, if its block is live.
     """
 
-    def __init__(self, mode: ArithMode, scale: int = _SCALE, assume: bool = True):
+    def __init__(self, mode: ArithMode, scale: int = _SCALE):
         self.fmt = fmt = mode.fmt
-        self.assume = assume
         if fmt is None:
             self.scale, self.bottom, self.top = scale, -_INF, _INF
         else:
             self.scale, self.bottom, self.top = fmt.scale, fmt.min_raw, fmt.max_raw
         self._blocks: list[tuple[int, list[tuple], tuple]] = []  # (slot, ops, reads)
         self._count = 0  # the locals v0, v1, ... named so far
-        self._guards: list[int] = []  # the blocks that check an assumed range
         self._rising: dict[int, int] = {}  # each rising hidden input -> its encoded h0
         self._sums: dict[int, tuple] = {}  # each sum: (start, terms, where it saturates)
         # id(object) -> (object, its encoding, how many of its constants the
@@ -699,17 +665,12 @@ class _StepCompiler:
 
     def mul_var(self, g: _Val, v: _Val) -> _Val:
         """The term ``g * v`` of a diagonal input-dependent gate; unbounded
-        in exact mode where a factor is, before any product: 0 * inf bounds nothing."""
+        in exact mode, where the hidden input ``v`` is."""
         if g.const is not None:
             return self.mul(g.const, v)
         reads = g.reads + v.reads
-        bounds = (g.lo, g.hi, v.lo, v.hi)
         if self.fmt is None:
-            lo, hi = -_INF, _INF
-            if _INF not in map(abs, bounds):
-                ends = (g.lo * v.lo, g.lo * v.hi, g.hi * v.lo, g.hi * v.hi)
-                lo, hi = min(ends) // self.scale, -(-max(ends) // self.scale)
-            return self._divided(self.scale, reads, lo, hi, None, g.code, v.code)
+            return self._divided(self.scale, reads, -_INF, _INF, None, g.code, v.code)
         ends = (g.lo * v.lo, g.lo * v.hi, g.hi * v.lo, g.hi * v.hi)
         scale, f = self.fmt.scale, self.fmt.frac_bits
         lo, hi = _scaled_bound(1, min(ends), scale), _scaled_bound(1, max(ends), scale)
@@ -880,23 +841,6 @@ class _StepCompiler:
         terms += [self.mul(w, x[k]) for k, w in inc_terms]
         return self.total(0, terms)
 
-    def assumed(self, layer: SsmLayer, olds: list[int]) -> dict:
-        """The range that the step assumes for each hidden input of
-        ``olds`` whose gate row reads the input (a diagonal row with a
-        term): [min(0, h0), max(1, h0)], clipped to the format.  Every other
-        hidden input takes the whole domain, one under a gate that is only
-        an offset too: that gate is constant, as the quarter of an X
-        history is, which passes 1."""
-        gate = layer.gate
-        if not (self.assume and isinstance(gate, DiagonalAffineGate)):
-            return {}
-        ranges = {}
-        for j in olds:
-            if gate.rows[j].terms:
-                h0 = self.enc(layer.h0[j])
-                ranges[j] = min(0, h0), min(max(self.scale, h0), self.top)
-        return ranges
-
     def rising(self, layer: SsmLayer, olds: list[int], x: list[_Val]) -> dict:
         """The range [enc(h0), top] of each hidden input of ``olds`` that
         never falls: its gate row is the encoded 1 on itself (``{j: 1}`` of
@@ -904,8 +848,7 @@ class _StepCompiler:
         its inc offset is not negative and neither is any inc term over the
         intervals of the inputs ``x``.  A saturating sum of ``h`` and terms
         that are not negative is not below ``h``, so by induction from the
-        initial key such a coordinate stays in its range: the range is
-        proved, not assumed, and needs no guard."""
+        initial key such a coordinate stays in its range."""
         gate, inc, one = layer.gate, layer.inc, self.scale
         diagonal = isinstance(gate, DiagonalAffineGate)
         ranges = {}
@@ -923,18 +866,6 @@ class _StepCompiler:
                 ranges[j] = self.enc(layer.h0[j]), self.top
         return ranges
 
-    def guard(self, v: _Val, lo, hi) -> _Val:
-        """``v``, the new value of a coordinate assumed in [lo, hi], after
-        one line that raises ``Retract`` where it leaves the range; no line
-        where its interval stays inside."""
-        if lo <= v.lo and v.hi <= hi:
-            return v
-        slot, n = self._fresh()
-        self._guards.append(slot)
-        op = (_GUARD, slot, n, None if v.lo >= lo else lo, None if v.hi <= hi else hi, v.code)
-        self._bind(slot, [op], v.reads, lo, hi)
-        return _Val(v.code, None, max(v.lo, lo), min(v.hi, hi), v.reads + (slot,))
-
     def program(self, model: SsmModel, inputs: list[tuple]) -> tuple:
         """The step's ``(ops, template, dim, hidden, live, outs, y)``, timed
         as ``source_s``; ``inputs`` are the encoded embeddings, the only
@@ -945,8 +876,8 @@ class _StepCompiler:
         ``live`` need; ``outs`` and ``y`` are returned.  Generates only the
         nodes and new hidden values that ``_plan`` finds ``y`` can need, so
         only their constants are encoded, and sets ``key`` and
-        ``dead_rule``.  A hidden input takes its ``assumed`` or ``rising``
-        range, and the new value of an assumed coordinate its ``guard``."""
+        ``dead_rule``.  A hidden input takes its ``rising`` range or the
+        whole domain."""
         started = time.perf_counter()
         layers, out_plan = _plan(model)
         dim = model.dim
@@ -959,11 +890,10 @@ class _StepCompiler:
         hidden = {}  # the slot of each generated hidden input -> ((layer, index), new value)
         slot = dim
         for li, (layer, (news, olds, phi_plan, passes)) in enumerate(zip(model.layers, layers)):
-            ranges = self.assumed(layer, olds)  # each such coordinate reads its input
             rising = self.rising(layer, olds, x)
             h = {}
             for j in olds:
-                lo, hi = rising.get(j) or ranges.get(j) or (self.bottom, self.top)
+                lo, hi = rising.get(j) or (self.bottom, self.top)
                 h[j] = _Val(slot, None, lo, hi, (slot,))
                 if j in rising:
                     self._rising[slot] = lo
@@ -971,8 +901,6 @@ class _StepCompiler:
             new, updates = [None] * layer.dim, layer.updates
             for j in news:  # a carried coordinate's new value is its input
                 new[j] = self.recurrence(layer, j, h, x) if j in updates else self.unit(x[j])
-                if j in ranges:
-                    new[j] = self.guard(new[j], *ranges[j])
                 if j in h:
                     hidden[h[j].code] = (li, j), new[j]
             x = self.phi(layer, phi_plan, passes, new, x)
@@ -991,9 +919,8 @@ class _StepCompiler:
         slots ``keyed``, that ``_threshold`` finds a least T for: from a key
         whose coordinate i is at least T, every later ``y`` is below the
         encoded 1.  Every rising coordinate has its h0 as T where ``y``
-        never reaches 1.  No rule where a guard checks an assumed range,
-        since a dead key's successors would not run their guards."""
-        if not self._rising or self._guards:
+        never reaches 1."""
+        if not self._rising:
             return ()
         if y.hi < self.scale:
             found = dict(self._rising)
@@ -1067,13 +994,11 @@ class _StepCompiler:
             bound -= end
 
     def _live(self, y: _Val, hidden: dict) -> set:
-        """The slots that ``y`` or a guard needs, where a hidden input needs
-        its new value too: the least such set, with what folding removed
-        left out.  Every guard is live, since folding may have used its
-        range where no live op reads the coordinate."""
+        """The slots that ``y`` needs, where a hidden input needs its new
+        value too: the least such set, with what folding removed left out."""
         reads = {slot: block_reads for slot, _, block_reads in self._blocks}
         reads.update((slot, value.reads) for slot, (_, value) in hidden.items())
-        live, todo = set(), [*y.reads, *self._guards]
+        live, todo = set(), list(y.reads)
         while todo:
             name = todo.pop()
             if name not in live:
@@ -1193,12 +1118,6 @@ def _render(program: tuple) -> str:
                       [f"{name} = {code}", f"if {name} & {_literal(q - 1)}: raise Inexact",
                        f"{name} >>= {q.bit_length() - 1}"])
             continue
-        else:
-            v, lo, hi = names[rest[0]], _literal(low or 0), _literal(high or 0)
-            test = (f"{v} > {hi}" if low is None else f"{v} < {lo}" if high is None
-                    else f"not {lo} <= {v} <= {hi}")
-            lines.append(f"if {test}: raise Retract")
-            continue
         if high is not None:
             lines.append(f"if {name} > {high}: {name} = {high}")
         if low is not None:
@@ -1233,7 +1152,7 @@ def _interpreter(program: tuple):
                 _, slot, _, low, high, v, terms = op
                 for k, s in terms:
                     v += k * env[s]
-            elif kind != _GUARD:
+            else:
                 _, slot, _, low, high, k, a, b, d, _ = op
                 v = k * env[a] if b is None else env[a] * env[b]
                 if kind == _PRODUCT:
@@ -1242,12 +1161,6 @@ def _interpreter(program: tuple):
                     v, rest = divmod(v, d)
                     if rest:
                         raise _Inexact
-            else:
-                _, _, _, low, high, a = op
-                v = env[a]
-                if low is not None and v < low or high is not None and v > high:
-                    raise _Retract
-                continue
             if high is not None and v > high:
                 v = high
             elif low is not None and v < low:
@@ -1285,17 +1198,15 @@ class _Stepper:
     state's key.  ``step`` maps a key and a symbol to the next key and the
     output.  In fixed mode with b total bits ``key_state_bound_log2`` is
     b * |key|, since at most 2**(b * |key|) keys exist; in exact mode, where
-    nothing bounds them, it is None.  ``assume`` says whether the step runs
-    on the assumed ranges of its gated coordinates, whose guards raise
-    ``_Retract`` from a call where one fails.  ``dead_rule`` holds an
+    nothing bounds them, it is None.  ``dead_rule`` holds an
     ``(i, T)`` pair for each rising key coordinate i with an encoded
     threshold T: a key whose coordinate i is at least T is dead, and every
     output from it on is below 1."""
 
-    def __init__(self, model: SsmModel, mode: ArithMode, scale: int | None, assume: bool = True):
+    def __init__(self, model: SsmModel, mode: ArithMode, scale: int | None):
         started = time.perf_counter()
-        comp = _StepCompiler(mode, scale, assume)
-        self.mode, self.assume, self.one = mode, assume, comp.scale
+        comp = _StepCompiler(mode, scale)
+        self.mode, self.one = mode, comp.scale
         self.emb = {s: tuple(map(comp.enc, vec)) for s, vec in zip(model.alphabet, model.emb)}
         self.program = comp.program(model, list(self.emb.values()))
         self.search_step = _interpreter(self.program)
@@ -1314,7 +1225,7 @@ class _Stepper:
         started, fresh = time.perf_counter(), not self._compiled
         if fresh:
             code = compile(_render(self.program), f"<ssm step {self.mode.fmt or 'exact'}>", "exec")
-            exec(code, namespace := {"Inexact": _Inexact, "Retract": _Retract})
+            exec(code, namespace := {"Inexact": _Inexact})
             self._compiled.append(namespace["step"])
         return self._compiled[0], time.perf_counter() - started if fresh else 0.0
 
@@ -1340,18 +1251,16 @@ class _Stepper:
         return Fraction(y, self.one) if self.mode.is_exact else _scalar(y, self.mode)
 
 
-def _stepper(model: SsmModel, mode: ArithMode, scale: int | None = None,
-             assume: bool = True) -> _Stepper:
-    """The model's step for ``mode``, built on first use, with the assumed
-    ranges of its gated coordinates unless ``assume`` is false.  In exact
-    mode it runs over ``scale``, by default ``_first_scale`` of the model's
+def _stepper(model: SsmModel, mode: ArithMode, scale: int | None = None) -> _Stepper:
+    """The model's step for ``mode``, built on first use.  In exact mode it
+    runs over ``scale``, by default ``_first_scale`` of the model's
     ``_denominator``, which holds every constant; a given scale that lacks
     a prime of it raises ``_Inexact`` and builds nothing."""
     stepper = model._steppers.get(mode)
     if stepper is None:
         if scale is None and mode.is_exact:
             scale = _first_scale(_denominator(model))
-        stepper = model._steppers[mode] = _Stepper(model, mode, scale, assume)
+        stepper = model._steppers[mode] = _Stepper(model, mode, scale)
     return stepper
 
 
@@ -1379,28 +1288,16 @@ def _with_stepper(model: SsmModel, mode: ArithMode, call):
     exact values leave the scale rebuilds the step on its square and runs
     again, whole: every prime of a value's denominator is a constant's, so
     n symbols need O(log n) squarings.  Scale 1 emits no check, so its
-    calls never raise.
-
-    A call that meets a gated coordinate outside its assumed range retracts
-    the assumption: it rebuilds the step without one, on the same scale,
-    and runs again, whole.  Until a guard fires, every value that the
-    call's steps compute, so each output and each key coordinate, is the
-    one the unassumed step computes: by induction from the initial key,
-    each step starts where every range holds, and there the assumed step
-    only leaves out tests and clamps that cannot fire (``_StepCompiler``).
-    A step left on the model after a retraction keeps no assumption, also
-    when its scale widens later."""
+    calls never raise."""
     stepper = _stepper(model, mode)
     while True:
         try:
             return call(stepper)
         except _Inexact:
-            scale, assume = stepper.one ** 2, stepper.assume
-        except _Retract:
-            scale, assume = stepper.one, False
+            pass
         del model._steppers[mode]
         # the builds of this call, on a copy: the cached step keeps its own
-        earlier, stepper = stepper, copy(_stepper(model, mode, scale, assume))
+        earlier, stepper = stepper, copy(_stepper(model, mode, stepper.one ** 2))
         for name in ("builds", "build_s", "source_s"):
             setattr(stepper, name, getattr(stepper, name) + getattr(earlier, name))
 

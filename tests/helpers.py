@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from ssmverify.arithmetic import ArithMode, FixedPointFormat, raw_saturate
 from ssmverify.compilers import IlpInstance, MinskyMachine
-from ssmverify.fnn import Fnn, compose, gadget_eq, select_fnn
+from ssmverify.fnn import RELU, Fnn, compose, gadget_eq, linear_fnn, select_fnn
 from ssmverify.ltl import Atom, Not, And, Or, Next, Until, _automaton
 from ssmverify.ssm import (
     AffineMap,
@@ -37,8 +37,8 @@ def is_one(value, mode: ArithMode) -> bool:
 def counting_model(out: Fnn = gadget_eq(3)) -> SsmModel:
     """A coordinate that counts the ``a``s from 0 under the diagonal gate
     that reads the embedding's constant column 1, by default accepted at
-    exactly 3: the range [0, 1] that the step assumes for a gated
-    coordinate fails at the second ``a``.  The constant column is carried."""
+    exactly 3: a gated coordinate that leaves [0, 1] at the second ``a``.
+    The constant column is carried."""
     layer = SsmLayer(as_vector([0, 0]),
                      DiagonalAffineGate(as_matrix([[0, 1], [0, 0]]), as_vector([0, 0])),
                      AffineMap(as_matrix([[1, 0], [0, 1]]), as_vector([0, 0])), projection_phi(2))
@@ -88,7 +88,7 @@ def full_rows(text: str) -> str:
 def walk_words(model: SsmModel, mode: ArithMode, max_len: int) -> list:
     """(word, accepted) for every word of length 1..max_len, sharing prefix
     computations through the keys of the step the solvers run, which a
-    retraction rebuilds as it does theirs."""
+    widened exact scale rebuilds as it does theirs."""
 
     def walk(stepper):
         def rec(key, word):
@@ -262,3 +262,13 @@ def geometric_model(gate, out):
         projection_phi(2),
     )
     return SsmModel(alphabet=("a",), emb=(as_vector([1, 1]),), layers=(layer,), out=out)
+
+
+def halving_model(length: int) -> SsmModel:
+    """``geometric_model`` under the gate 1/2, accepted after exactly
+    ``length`` symbols.  Its output reads h1 = 2 - 2**(1 - t), so an exact
+    search past 64 symbols leaves the first scale, 2**64, and runs again,
+    whole, on its square: a second build of the step."""
+    clipped = linear_fnn([[1, 0], [0, -1]], [0, 1], RELU)
+    return geometric_model(Fraction(1, 2), compose(
+        gadget_eq(length + 1), compose(linear_fnn([[1, -1]], [1]), clipped)))

@@ -192,9 +192,10 @@ def test_running_out_of_memory_is_a_resource_limit(tmp_path, monkeypatch):
 def test_huge_exact_constants_decide(tmp_path):
     """The offset 1 - 2**1100 cancels the embedding of a, a gate weight of
     2**1100 multiplies a hidden input, and so does a diagonal gate whose
-    offset is 2**1100 once ``a;a`` retracts the range [0, 1] assumed for its
-    coordinate.  The step's interval analysis adds such ints to infinite
-    bounds and multiplies them, and none of them fits in a float."""
+    offset is 2**1100 + 2**-40, whose square at ``a;a;a`` leaves the first
+    scale, so the search builds its step again on a wider one.  The step's
+    interval analysis adds such ints to infinite bounds and multiplies
+    them, and none of them fits in a float."""
     big = 1 << 1100
     layer = SsmLayer(as_vector([0]), TimeInvariantGate(as_matrix([[1]])),
                      AffineMap(as_matrix([[1]]), as_vector([1 - big])), projection_phi(1))
@@ -214,8 +215,9 @@ def test_huge_exact_constants_decide(tmp_path):
     status, report = run(["sat", "bounded", model_path, "--max-len", "2"])
     assert status == 0
     assert (report["result"]["verdict"], report["result"]["witness"]) == ("satisfiable", "a")
-    # h' = (x + 2**1100) * h + x, then relu(h - 5): h runs 0, 1, then past 2**1100
-    layer = SsmLayer(as_vector([0]), DiagonalAffineGate(as_matrix([[1]]), as_vector([big])),
+    # h' = (x + 2**1100 + 2**-40) * h + x, then relu(h - 5): h runs 0, 1, then past 2**1100
+    layer = SsmLayer(as_vector([0]), DiagonalAffineGate(as_matrix([[1]]),
+                                                        as_vector([big + Fraction(1, 1 << 40)])),
                      AffineMap(as_matrix([[1]]), as_vector([0])), projection_phi(1))
     model = SsmModel(alphabet=("a", "b"), emb=(as_vector([1]), as_vector([0])), layers=(layer,),
                      out=linear_fnn([[1]], [-5], RELU))
@@ -366,12 +368,11 @@ def test_classify_reports_a_bound_too_large_to_print(tmp_path):
     json.dumps(report)
 
 
-def test_classify_bounds_the_keys_of_a_retracted_search(tmp_path):
+def test_classify_bounds_the_keys_of_the_search(tmp_path):
     """Layer 1 sums the ``b``s and layer 2 counts the ``a``s under a
-    diagonal gate.  On the count's assumed range [0, 1], the output
-    relu(count + sum / 8 - 3/2) folds to 0 and reads no sum, so the first
-    step keys on the count alone.  The second ``a`` retracts the range, and
-    the search stores keys of both coordinates, which ``classify`` bounds."""
+    diagonal gate.  The output relu(count + sum / 8 - 3/2) reads both, so
+    the search stores keys of both coordinates, and ``classify`` bounds
+    them from the same step, b = 6 bits per coordinate."""
     first = SsmLayer(as_vector([0, 0]), TimeInvariantGate([[0, 0], [0, 1]]),
                      AffineMap([[1, 0], [0, 1]], as_vector([0, 0])), None, ())
     second = SsmLayer(as_vector([0, 0]), DiagonalAffineGate([[0, 0], [0, 0]], as_vector([1, 0])),

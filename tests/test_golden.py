@@ -22,7 +22,7 @@ from ssmverify.ltl import parse
 from ssmverify.modelfile import load_model, save_model
 from ssmverify.ssm import (
     AffineMap, DiagonalAffineGate, SsmLayer, SsmModel, _constants, _denominator, _first_scale,
-    _Inexact, _render, _Retract, _Stepper, as_vector, carried, projection_phi,
+    _Inexact, _render, _Stepper, as_vector, carried, projection_phi,
 )
 
 MINSKY_TEXT = (
@@ -252,13 +252,11 @@ STEP_MODES = (EXACT, ArithMode(FixedPointFormat(6, 3)), ArithMode(FixedPointForm
 
 def steppers(models):
     """The step that each of ``models`` builds in each mode of
-    ``STEP_MODES``, with and without assumed ranges.  An exact step starts
-    on the model's first scale."""
+    ``STEP_MODES``.  An exact step starts on the model's first scale."""
     for model in models:
         for mode in STEP_MODES:
             scale = _first_scale(_denominator(model)) if mode.is_exact else None
-            for assume in (True, False):
-                yield _Stepper(model, mode, scale, assume)
+            yield _Stepper(model, mode, scale)
 
 
 def step_digest(models) -> str:
@@ -290,23 +288,22 @@ def minsky_ilp_corpus() -> list:
 def test_step_sources_checksum_ltl():
     """The steps of every hand formula."""
     assert step_digest(ltl_corpus()) == (
-        "fdb9e77d09044f790d10840033a8585767f8d7ca3a066969f65789f7b4618ee3")
+        "54a38eb8dfb946b89e78ccdc984dfed22f94cc273a5f8c25a0c90a5632694de6")
 
 
 def test_step_sources_checksum_minsky_ilp():
     """The steps of the seeded random machines and 0-1 programs."""
     assert step_digest(minsky_ilp_corpus()) == (
-        "d2b018a48333c5a3614870424f92bebf4b5615ab8ca56a701a4a467b2234710f")
+        "15d6f11266671fe2c66915d593602aeea275932e115bc478fcbcf40559059436")
 
 
 def test_the_interpreted_step_agrees_with_the_compiled_one():
-    """On every step of both corpora and of the counting model, whose
-    assumed range fails, and on the exact step of each model over the lcm
-    of its denominators alone, which its values soon leave: 20 seeded
-    random walks of up to 8 symbols each.  At every position the
-    interpreted step (the program run op by op) and the compiled one (its
-    rendered source) give the same new key and output, or raise the same
-    exception (``_Inexact``, ``_Retract``), which ends the walk."""
+    """On every step of both corpora and of the counting model, and on the
+    exact step of each model over the lcm of its denominators alone, which
+    its values soon leave: 20 seeded random walks of up to 8 symbols each.
+    At every position the interpreted step (the program run op by op) and
+    the compiled one (its rendered source) give the same new key and
+    output, or both raise ``_Inexact``, which ends the walk."""
     rng = random.Random(45)
     outcomes = Counter()
     models = ltl_corpus() + minsky_ilp_corpus() + [counting_model()]
@@ -322,14 +319,14 @@ def test_the_interpreted_step_agrees_with_the_compiled_one():
                 for step in (stepper.search_step, compiled):
                     try:
                         both.append(step(key, x))
-                    except (_Inexact, _Retract) as exc:
+                    except _Inexact as exc:
                         both.append(type(exc))
                 assert both[0] == both[1], (_render(stepper.program), key, x)
                 outcomes[both[0] if isinstance(both[0], type) else "step"] += 1
                 if isinstance(both[0], type):
                     break
                 key = both[0][0]
-    assert outcomes[_Retract] and outcomes[_Inexact] and outcomes["step"] > 10_000, outcomes
+    assert outcomes[_Inexact] and outcomes["step"] > 10_000, outcomes
 
 
 # A model file of FORMULA compiled in an earlier layout (one layer per

@@ -10,8 +10,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    counting_model,
     geometric_model,
+    halving_model,
     hand_formulas,
     is_one,
     random_formula,
@@ -313,11 +313,8 @@ def test_elapsed_s_is_the_search_alone(monkeypatch):
     fresh = lambda: compile_ltl(parse("(p U q) & X !p"))
     prebuilt = fresh()
     _stepper(prebuilt, ArithMode(FX6))
-    clipped = linear_fnn([[1, 0], [0, -1]], [0, 1], RELU)
-    widened = geometric_model(Fraction(1, 2), compose(
-        gadget_eq(81), compose(linear_fnn([[1, -1]], [1]), clipped)))
     results = (sat_bounded(fresh(), 4, EXACT), sat_fixed(fresh(), FX6),
-               sat_fixed(prebuilt, FX6), sat_bounded(widened, 80, EXACT))
+               sat_fixed(prebuilt, FX6), sat_bounded(halving_model(80), 80, EXACT))
     for result, builds in zip(results, (1, 1, 1, 2)):
         assert result.stats.elapsed_s < 0.2 and result.stats.builds == builds
         assert 0.2 * builds <= result.stats.stepper_build_s
@@ -367,15 +364,15 @@ def test_a_search_compiles_its_step_only_past_compile_after(monkeypatch):
 
 
 def test_a_copy_of_a_compiled_step_compiles_no_more():
-    """The counting model's search retracts its assumed range and runs on a
-    copy of the step rebuilt without it, which compiles past
+    """An exact search of 80 symbols leaves its first scale and runs again
+    on a copy of the step rebuilt on the square, which compiles past
     ``_COMPILE_AFTER`` transitions.  The rebuilt step left on the model
     shares that compile: a second search reports ``compile_s`` 0."""
-    model = counting_model(gadget_eq(50))
-    first = sat_bounded(model, 20, EXACT)
+    model = halving_model(80)
+    first = sat_bounded(model, 80, EXACT)
     assert first.stats.builds == 2 and first.stats.transitions > ssm._COMPILE_AFTER
     assert first.stats.compile_s > 0 and len(model._steppers[EXACT]._compiled) == 1
-    again = sat_bounded(model, 20, EXACT)
+    again = sat_bounded(model, 80, EXACT)
     assert (again.stats.compile_s, again.stats.builds) == (0, 1)
     assert (again.verdict, again.stats.transitions) == (first.verdict, first.stats.transitions)
 

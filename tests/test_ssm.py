@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    counting_model, expanded, fraction_encode, geometric_model, hand_formulas, is_one,
-    random_formula, random_ilp, random_machine,
+    counting_model, expanded, fraction_encode, geometric_model, halving_model, hand_formulas,
+    is_one, random_formula, random_ilp, random_machine,
 )
 from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat, raw_encode
 from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, ltl_layout, parse_minsky
@@ -483,29 +483,22 @@ def step_source(model: SsmModel, mode: ArithMode) -> str:
 
 
 @pytest.mark.parametrize("mode", [EXACT, FX6_MODE], ids=str)
-def test_a_gated_count_past_one_retracts_its_range(mode):
-    """The first step guards the counter's new value, which its interval
-    lets leave [0, 1].  A call that meets the second ``a`` retracts the
-    range: the step is rebuilt without it and the call runs again, whole,
-    so every report is the one the step gave before ranges were assumed,
-    and the layer-major oracle agrees.  The step left on the model is the
-    rebuilt one."""
-    assert "raise Retract" in step_source(counting_model(), mode)
+def test_a_gated_count_past_one_decides(mode):
+    """A coordinate under a gate that reads the input counts past 1.  The
+    searches find ``a;a;a`` on one build of the step, ``pump_down`` keeps
+    it, and ``evaluate`` and ``accepts`` agree with the layer-major
+    oracle."""
     calls = [lambda model: sat_bounded(model, 6, mode)]
     if not mode.is_exact:
         calls += [lambda model: sat_fixed(model, mode.fmt)]
     for call in calls:
-        model = counting_model()
-        result = call(model)
+        result = call(counting_model())
         stats = result.stats
         assert (result.witness, stats.transitions, stats.distinct_states, stats.frontier_sizes,
-                stats.key_coordinates) == (("a", "a", "a"), 5, 3, [1, 1, 1], 1)
-        assert model._steppers[mode].assume is False
+                stats.key_coordinates, stats.builds) == (("a", "a", "a"), 5, 3, [1, 1, 1], 1, 1)
     if not mode.is_exact:
         for word in (["a", "b", "a", "b", "a"], ["b", "a", "b", "b", "a", "a"]):
-            model = counting_model()
-            assert pump_down(model, word, mode.fmt) == ["a", "a", "a"]
-            assert model._steppers[mode].assume is False
+            assert pump_down(counting_model(), word, mode.fmt) == ["a", "a", "a"]
     for word in (["a"], ["b", "a"], ["a", "b", "a", "a"], ["a"] * 5, ["b", "a", "a", "a", "b"]):
         expected = evaluate_layerwise(counting_model(), word, mode)
         assert evaluate(counting_model(), word, mode) == expected
@@ -522,10 +515,11 @@ def test_the_report_splits_each_build_of_the_step(monkeypatch):
     """A search reports how many builds of its step it made, and sums
     their seconds and the parts spent generating and compiling the step.
     The exact step of ``two.mm`` is built once, and its search of 20
-    transitions interprets it and compiles nothing.  The counting model's
-    guard retracts its range, so its search builds the step twice: with
-    each build 0.05 s slower, the two sum past 0.1 s.  A second search of
-    the same model runs on the step left after the retraction, built once."""
+    transitions interprets it and compiles nothing.  A search of 80
+    symbols under the gate 1/2 leaves its first exact scale, so it builds
+    the step twice: with each build 0.05 s slower, the two sum past 0.1 s.
+    A second search of the same model runs on the step left on the wider
+    scale, built once."""
     stats = sat_bounded(compile_minsky(parse_minsky(TWO_MM)), 8, EXACT).stats
     assert stats.builds == 1 and stats.transitions == 20
     assert 0 < stats.source_s and stats.compile_s == 0
@@ -537,27 +531,21 @@ def test_the_report_splits_each_build_of_the_step(monkeypatch):
         return program(self, *args)
 
     monkeypatch.setattr(_StepCompiler, "program", slow)
-    for mode in (EXACT, FX6_MODE):
-        model = counting_model()
-        stats = sat_bounded(model, 6, mode).stats
-        assert stats.builds == 2 and stats.stepper_build_s >= 0.1
-        assert stats.source_s + stats.compile_s <= stats.stepper_build_s
-        # a later search takes the rebuilt step and reports its build alone
-        again = sat_bounded(model, 6, mode).stats
-        assert again.builds == 1 and 0.05 <= again.stepper_build_s < stats.stepper_build_s
+    model = halving_model(80)
+    stats = sat_bounded(model, 80, EXACT).stats
+    assert stats.builds == 2 and stats.stepper_build_s >= 0.1
+    assert stats.source_s + stats.compile_s <= stats.stepper_build_s
+    # a later search takes the rebuilt step and reports its build alone
+    again = sat_bounded(model, 80, EXACT).stats
+    assert again.builds == 1 and 0.05 <= again.stepper_build_s < stats.stepper_build_s
 
 
 @pytest.mark.parametrize("mode", [EXACT, FX6_MODE], ids=str)
-def test_a_guard_runs_where_folding_drops_its_coordinate(mode):
-    """On the assumed [0, 1], the output relu(h - 1) folds to 0 and reads
-    no coordinate.  The counter's guard still runs at every step and keeps
-    the counter in the key, so the second ``a``, which the model accepts,
-    retracts the range."""
-    model = counting_model(linear_fnn([[1]], [-1], RELU))
-    assert "raise Retract" in step_source(model, mode)
-    result = sat_bounded(model, 4, mode)
+def test_a_relu_over_a_gated_count_keys_on_it(mode):
+    """The output relu(h - 1) reads the counter, which its gate lets pass
+    1, so the counter stays in the key and the second ``a`` is accepted."""
+    result = sat_bounded(counting_model(linear_fnn([[1]], [-1], RELU)), 4, mode)
     assert (result.witness, result.stats.key_coordinates) == (("a", "a"), 1)
-    assert model._steppers[mode].assume is False
     assert accepts(counting_model(linear_fnn([[1]], [-1], RELU)), ["b", "a", "a"], mode)
 
 
@@ -674,38 +662,40 @@ def test_a_layer_carries_only_copies():
 def test_an_x_history_beside_an_until_is_not_assumed():
     """In ``X p & (p U q)`` the X history and the until share level 1, so
     the history's constant gate of 1/4 is an offset of the layer's diagonal
-    gate.  The step assumes [0, 1] for the until alone: the history reaches
-    5/4 on ``{p};{p}`` and runs on the whole domain, so no call retracts."""
+    gate.  The history reaches 5/4 on ``{p};{p}``, and the step decides
+    each word as the formula does."""
     model = compile_ltl(parse("X p & (p U q)"))
     (level, _) = model.layers
     x = ltl_layout(parse("X p & (p U q)")).dim(parse("X p"))
     assert level.gate.rows[x].terms == () and level.gate.offset[x] == Fraction(1, 4)
-    assert step_source(model, FX6_MODE).count("raise Retract") == 1
     for mode in (FX6_MODE, EXACT):
         model = compile_ltl(parse("X p & (p U q)"))
         assert not accepts(model, ["{p}", "{p}", "{p}"], mode)
         assert accepts(model, ["{p,q}", "{p}"], mode)  # the reversal of {p};{p,q}
-        assert model._steppers[mode].assume is True
 
 
-def test_ltl_steps_run_on_assumed_ranges():
-    """Under fx:6:3 the until ``p U q`` tests no saturation and guards its
-    new value once: its gate ``p & !q`` and ``q`` are never both 1, which
-    no interval shows.  ``G p`` multiplies two values of [0, 1], which stay
-    there, so its range needs no guard.  Each model outputs its formula's
+def test_ltl_steps_test_the_until_for_saturation():
+    """Under fx:6:3 the until ``p U q`` truncates its gated product toward
+    zero and tests its new value against the top: its gate ``p & !q`` and
+    ``q`` are never both 1, which no interval shows.  ``G p`` multiplies
+    its coordinate by ``p``, in [0, 1], so its product cannot leave the
+    format and needs no test.  Each model outputs its formula's
     coordinate."""
     assert step_source(compile_ltl(parse("p U q")), FX6_MODE) == (
         "def step(key, x):\n"
         "    h0_2, = key\n"
         "    _, x1, _, x3, _, = x\n"
-        "    v0 = (x3 * h0_2 >> 3) + x1\n"
-        "    if v0 > 8: raise Retract\n"
-        "    return (v0, ), v0\n")
+        "    v0 = x3 * h0_2\n"
+        "    v0 = v0 >> 3 if v0 >= 0 else -(-v0 >> 3)\n"
+        "    v1 = v0 + x1\n"
+        "    if v1 > 31: v1 = 31\n"
+        "    return (v1, ), v1\n")
     assert step_source(compile_ltl(parse("G p")), FX6_MODE) == (
         "def step(key, x):\n"
         "    h0_1, = key\n"
         "    x0, _, _, = x\n"
-        "    v0 = (x0 * h0_1 >> 3)\n"
+        "    v0 = x0 * h0_1\n"
+        "    v0 = v0 >> 3 if v0 >= 0 else -(-v0 >> 3)\n"
         "    return (v0, ), v0\n")
 
 
