@@ -1294,8 +1294,7 @@ def _with_stepper(model: SsmModel, mode: ArithMode, call):
         try:
             return call(stepper)
         except _Inexact:
-            pass
-        del model._steppers[mode]
+            del model._steppers[mode]
         # the builds of this call, on a copy: the cached step keeps its own
         earlier, stepper = stepper, copy(_stepper(model, mode, stepper.one ** 2))
         for name in ("builds", "build_s", "source_s"):
