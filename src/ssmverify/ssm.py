@@ -18,10 +18,11 @@ the rows' terms, so no layer stores or scans a zero.
 
 Two evaluation orders are implemented.  The solvers, ``evaluate`` and
 ``accepts`` build each model, once per mode, into one straight-line step
-program, interpreted and compiled to Python past 32 steps: the live part
-of the model is generated, its constants folded in, unit weights and unit
-copies become aliases and fixed-point truncation and saturation are
-inlined per term (partial evaluation; Jones, Gomard and Sestoft, 1993).
+program, interpreted and compiled to Python past 32 steps: the model is
+generated with its constants folded in, unit weights and unit copies
+become aliases, fixed-point truncation and saturation are inlined per term
+and only the live part is kept (partial evaluation; Jones, Gomard and
+Sestoft, 1993).
 ``evaluate_layerwise`` is the independent oracle: one uncompiled
 interpreter that materialises whole sequences layer by layer, over either
 domain through the mode's scalar kernels.  Each of the two applies the
@@ -68,13 +69,11 @@ passes through it, so the solvers neither store nor expand it.
 The generated step keeps only the hidden coordinates in the least set
 that holds those the output reads and those that the new value of a member
 reads.  No other coordinate can affect a later output (cone-of-influence
-reduction; Clarke, Grumberg and Peled, *Model Checking*, 1999).  A
-backward pass over the rows' terms finds, before any code is emitted, the
-FNN nodes and new hidden values the output can need; only they are
-generated, and the least set is then taken over the generated code, so
-constants that folding removes count too.  The step takes and returns a
-flat *key* of those coordinates, and the solvers, ``evaluate`` and
-``accepts`` run on keys.
+reduction; Clarke, Grumberg and Peled, *Model Checking*, 1999).  Every FNN
+node and new hidden value is generated, and the least set is taken over
+the generated code, so what folding removes counts too; only the ops that
+it needs run.  The step takes and returns a flat *key* of those
+coordinates, and the solvers, ``evaluate`` and ``accepts`` run on keys.
 """
 
 from __future__ import annotations
@@ -370,11 +369,8 @@ def _plus(a, b):
     return a if abs(a) == _INF else b if abs(b) == _INF else a + b
 
 
-def _scaled_bound(w: int, b, scale: int):
-    """The bound ``w * b / scale`` rounded toward zero; an infinite ``b``
-    gives an infinite bound without meeting an int."""
-    if abs(b) == _INF:
-        return b if w > 0 else -b
+def _scaled_bound(w: int, b: int, scale: int) -> int:
+    """The fixed-point bound ``w * b / scale`` rounded toward zero."""
     p = w * b
     return p // scale if p >= 0 else -((-p) // scale)
 
@@ -477,13 +473,12 @@ class _StepCompiler:
     key and the least T that ``_threshold`` finds: from a key whose
     coordinate is at least T, every later ``y`` is below the encoded 1.
 
-    Only what ``y`` can need is generated: a backward pass (``_plan``)
-    names the FNN nodes, new hidden values and the hidden inputs these read
-    that ``out`` reaches through the rows' terms.  The hidden coordinates in
-    the least set that holds ``y``'s reads and each member's new value's
-    are the ``key``, in (layer, index) order, a flat tuple of values.  The
-    step maps a key to the new key and ``y``, and keeps only the blocks
-    those need, so what constant folding removes goes too.
+    Every FNN node and new hidden value is generated, and ``_live`` keeps
+    what ``y`` needs.  The hidden coordinates in the least set that holds
+    ``y``'s reads and each member's new value's are the ``key``, in (layer,
+    index) order, a flat tuple of values.  The step maps a key to the new
+    key and ``y``, and keeps only the blocks those need, so what constant
+    folding removes goes too.
 
     Each constant and row is encoded once per build, memoised by the
     identity of the object (models share them), and each folded value is
@@ -756,16 +751,13 @@ class _StepCompiler:
 
     # -- the model ----------------------------------------------------------
 
-    def fnn(self, net: Fnn, plan: list, inputs: list) -> list:
-        """The values of the nodes that ``plan`` lists for each layer of
-        ``net``, None for the others."""
+    def fnn(self, net: Fnn, inputs: list) -> list:
+        """The values of the outputs of ``net`` on the values ``inputs``,
+        every node of each layer in turn."""
         current, below = inputs, None
-        for layer, needed in zip(net.layers, plan):
+        for layer in net.layers:
             nodes = layer.nodes
-            out = [None] * len(nodes)
-            for i in needed:
-                out[i] = self.node(nodes[i], current, below)
-            current, below = out, nodes
+            current, below = [self.node(node, current, below) for node in nodes], nodes
         return current
 
     def node(self, node, inputs: list, below) -> _Val:
@@ -799,22 +791,23 @@ class _StepCompiler:
             return 0, span
         return None
 
-    def phi(self, layer: SsmLayer, plan: list, passes: list, new: list, x: list) -> list:
+    def phi(self, layer: SsmLayer, new: list, x: list) -> list:
         """The outputs of ``layer`` from its new hidden values ``new`` and its
-        input ``x``: those of ``net`` that ``plan`` lists, then the
-        coordinates of ``passes`` passed through, None for the others.  The
-        pass-through rule is applied here, not read from ``phi``: where 1 is
-        the scale a coordinate passed through is its new value itself, else
-        its ``_depth`` unit products follow the planned nodes in coordinate
+        input ``x``: those of ``net``, then the coordinates passed through.
+        The pass-through rule is applied here, not read from ``phi``: where 1
+        is the scale a coordinate passed through is its new value itself,
+        else its ``_depth`` unit products follow the nodes in coordinate
         order."""
         z = new[:]
         if layer.net is not None:
-            for j, v in zip(layer.computes, self.fnn(layer.net, plan, new + x)):
+            for j, v in zip(layer.computes, self.fnn(layer.net, new + x)):
                 z[j] = v
         if self.one != self.scale:
-            for j in passes:
-                for _ in range(_depth(layer)):
-                    z[j] = self.unit(z[j])
+            computed = set(layer.computes)
+            for j in range(layer.dim):
+                if j not in computed:
+                    for _ in range(_depth(layer)):
+                        z[j] = self.unit(z[j])
         return z
 
     def unit(self, v: _Val) -> _Val:
@@ -825,8 +818,7 @@ class _StepCompiler:
         return v if self.one == self.scale else self.total(0, [self.mul(self.one, v)])
 
     def recurrence(self, layer: SsmLayer, j: int, h: dict, x: list[_Val]) -> _Val:
-        """The new ``h[j]``.  A unit copy (no gate term, a gate offset and an
-        inc offset of 0, and one unit inc weight) is its input itself."""
+        """The new ``h[j]`` of an updated coordinate ``j``."""
         gate, inc = layer.gate, layer.inc
         gate_terms, inc_terms = self._row(gate.rows[j])[1], self._row(inc.rows[j])[1]
         offset = self.enc(inc.offset[j])
@@ -835,8 +827,6 @@ class _StepCompiler:
         else:
             g = self.total(self.enc(gate.offset[j]), [self.mul(w, x[k]) for k, w in gate_terms])
             terms = [] if g.const == 0 else [self.mul_var(g, h[j])]
-        if not terms and offset == 0 and len(inc_terms) == 1 and inc_terms[0][1] == self.scale:
-            return x[inc_terms[0][0]]
         terms.append(self.const(offset))
         terms += [self.mul(w, x[k]) for k, w in inc_terms]
         return self.total(0, terms)
@@ -872,16 +862,19 @@ class _StepCompiler:
         vectors it is ever called with.  The slots hold ``dim`` columns, a
         hidden input per ``(layer, index)`` of ``hidden``, then the
         ``template``: 1, the operand of each constant term, the folded
-        constants and None for each local.  ``ops`` are those the slots
-        ``live`` need; ``outs`` and ``y`` are returned.  Generates only the
-        nodes and new hidden values that ``_plan`` finds ``y`` can need, so
-        only their constants are encoded, and sets ``key`` and
-        ``dead_rule``.  A hidden input takes its ``rising`` range or the
-        whole domain."""
+        constants and None for each local.  Every node and every new hidden
+        value is generated; ``ops`` are those the slots ``live`` need, and
+        ``outs`` and ``y`` are returned.  Sets ``key`` and ``dead_rule``.
+        A layer's hidden inputs are those its recurrence reads: under a
+        diagonal gate its updated coordinates, under a time-invariant gate
+        the columns that their gate rows read.  Each takes its ``rising``
+        range or the whole domain."""
         started = time.perf_counter()
-        layers, out_plan = _plan(model)
         dim = model.dim
-        hidden_inputs = [(li, j) for li, plan in enumerate(layers) for j in plan[1]]
+        hidden_reads = [layer.updates if isinstance(layer.gate, DiagonalAffineGate) else
+                 sorted({k for j in layer.updates for k, _ in layer.gate.rows[j].terms})
+                 for layer in model.layers]
+        hidden_inputs = [(li, j) for li, olds in enumerate(hidden_reads) for j in olds]
         self._base, self._template = dim + len(hidden_inputs), [1]
         x = []
         for k, column in enumerate(zip(*inputs)):
@@ -889,7 +882,7 @@ class _StepCompiler:
             x.append(self.const(lo) if lo == hi else _Val(k, None, lo, hi, (k,)))
         hidden = {}  # the slot of each generated hidden input -> ((layer, index), new value)
         slot = dim
-        for li, (layer, (news, olds, phi_plan, passes)) in enumerate(zip(model.layers, layers)):
+        for li, (layer, olds) in enumerate(zip(model.layers, hidden_reads)):
             rising = self.rising(layer, olds, x)
             h = {}
             for j in olds:
@@ -898,13 +891,13 @@ class _StepCompiler:
                 if j in rising:
                     self._rising[slot] = lo
                 slot += 1
-            new, updates = [None] * layer.dim, layer.updates
-            for j in news:  # a carried coordinate's new value is its input
-                new[j] = self.recurrence(layer, j, h, x) if j in updates else self.unit(x[j])
-                if j in h:
-                    hidden[h[j].code] = (li, j), new[j]
-            x = self.phi(layer, phi_plan, passes, new, x)
-        (y,) = self.fnn(model.out, out_plan, x)
+            updates = set(layer.updates)  # a carried coordinate's new value is its input
+            new = [self.recurrence(layer, j, h, x) if j in updates else self.unit(x[j])
+                   for j in range(layer.dim)]
+            for j, v in h.items():
+                hidden[v.code] = (li, j), new[j]
+            x = self.phi(layer, new, x)
+        (y,) = self.fnn(model.out, x)
         live = self._live(y, hidden)
         keyed = [s for s in hidden if s in live]
         self.key = tuple(hidden[s][0] for s in keyed)
@@ -1005,61 +998,6 @@ class _StepCompiler:
                 live.add(name)
                 todo += reads.get(name, ())
         return live
-
-
-def _needed_nodes(net: Fnn, wanted: set) -> tuple[list, set]:
-    """The nodes of each layer of ``net`` that its outputs ``wanted`` read
-    through the rows' terms, each layer's in ascending order, and the
-    inputs they read."""
-    plan = []
-    for layer in reversed(net.layers):
-        needed = sorted(wanted)
-        plan.append(needed)
-        nodes = layer.nodes
-        wanted = {k for i in needed for k, _ in nodes[i].row.terms}
-    plan.reverse()
-    return plan, wanted
-
-
-def _plan(model: SsmModel) -> tuple[list, list]:
-    """The backward pass from ``out``: for each layer, the new hidden values
-    that ``y`` can need and the hidden inputs they read, in ascending order,
-    the ``net`` plan of ``_needed_nodes`` and the needed coordinates that
-    the layer passes through; and the plan of ``out``.  Within a layer, a
-    needed value whose time-invariant gate row reads ``h[k]`` makes
-    ``new[k]`` needed, up to the least fixed point, and a gated value reads
-    its own input; the embedding columns or the previous layer's outputs
-    that it reads are needed below.  A carried value reads its input alone."""
-    out_plan, wanted = _needed_nodes(model.out, {0})
-    layers = []
-    for layer in reversed(model.layers):
-        d, gate, inc = layer.dim, layer.gate, layer.inc
-        output = {j: i for i, j in enumerate(layer.computes)}
-        passes = sorted(j for j in wanted if j not in output)
-        phi_plan, reads = ([], set()) if layer.net is None else _needed_nodes(
-            layer.net, {output[j] for j in wanted if j in output})
-        reads.update(passes)  # a coordinate passed through reads its new value
-        new = {k for k in reads if k < d}
-        wanted = {k - d for k in reads if k >= d}
-        todo, olds = list(new), set()
-        while todo:
-            j = todo.pop()
-            if j not in layer.updates:  # carried: its new value reads its input
-                wanted.add(j)
-                continue
-            wanted.update(k for k, _ in inc.rows[j].terms)
-            if isinstance(gate, DiagonalAffineGate):
-                wanted.update(k for k, _ in gate.rows[j].terms)
-                olds.add(j)
-            else:  # h[k] is the previous new[k]
-                for k, _ in gate.rows[j].terms:
-                    olds.add(k)
-                    if k not in new:
-                        new.add(k)
-                        todo.append(k)
-        layers.append((sorted(new), sorted(olds), phi_plan, passes))
-    layers.reverse()
-    return layers, out_plan
 
 
 def _render(program: tuple) -> str:

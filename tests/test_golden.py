@@ -4,6 +4,7 @@ serialisation; any change to either is a format break and must be deliberate."""
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 from itertools import chain
 from fractions import Fraction
@@ -14,7 +15,7 @@ from helpers import (
     counting_model, expanded, full_rows, geometric_model, hand_formulas, random_ilp,
     random_machine,
 )
-from ssmverify.arithmetic import EXACT, ArithMode, FixedPointFormat
+from ssmverify.arithmetic import EXACT, ArithMode, FixedPointFormat, raw_encode
 from ssmverify.cli import run
 from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, parse_ilp, parse_minsky
 from ssmverify.fnn import IDENTITY, RELU, compose, gadget_eq, linear_fnn, select_fnn
@@ -22,7 +23,7 @@ from ssmverify.ltl import parse
 from ssmverify.modelfile import load_model, save_model
 from ssmverify.ssm import (
     AffineMap, DiagonalAffineGate, SsmLayer, SsmModel, _constants, _denominator, _first_scale,
-    _Inexact, _render, _Stepper, as_vector, carried, projection_phi,
+    _Inexact, _render, _Stepper, as_vector, carried, evaluate_layerwise, projection_phi,
 )
 
 MINSKY_TEXT = (
@@ -294,7 +295,7 @@ def test_step_sources_checksum_ltl():
 def test_step_sources_checksum_minsky_ilp():
     """The steps of the seeded random machines and 0-1 programs."""
     assert step_digest(minsky_ilp_corpus()) == (
-        "15d6f11266671fe2c66915d593602aeea275932e115bc478fcbcf40559059436")
+        "d3cf7ab048da9db0185d843a92c8d01c4a9d48c2855d3ee772e872030d4d8e45")
 
 
 def test_the_interpreted_step_agrees_with_the_compiled_one():
@@ -303,7 +304,12 @@ def test_the_interpreted_step_agrees_with_the_compiled_one():
     its values soon leave: 20 seeded random walks of up to 8 symbols each.
     At every position the interpreted step (the program run op by op) and
     the compiled one (its rendered source) give the same new key and
-    output, or both raise ``_Inexact``, which ends the walk."""
+    output, or both raise ``_Inexact``, which ends the walk.
+
+    A time-invariant gate of 7/4 under fx:6:3 and of 3/2 under fx:4:1 makes
+    a product by a constant that can pass the top: a local of its own,
+    clamped.  Both tiers and ``evaluate_layerwise`` agree on each of its
+    outputs until the product saturates."""
     rng = random.Random(45)
     outcomes = Counter()
     models = ltl_corpus() + minsky_ilp_corpus() + [counting_model()]
@@ -327,6 +333,22 @@ def test_the_interpreted_step_agrees_with_the_compiled_one():
                     break
                 key = both[0][0]
     assert outcomes[_Inexact] and outcomes["step"] > 10_000, outcomes
+    for gate, fmt in ((Fraction(7, 4), FixedPointFormat(6, 3)),
+                      (Fraction(3, 2), FixedPointFormat(4, 1))):
+        model, mode = geometric_model(gate, select_fnn([1], 2)), ArithMode(fmt)
+        stepper = _Stepper(model, mode, None)
+        w, f, top = raw_encode(gate, fmt), fmt.frac_bits, fmt.max_raw
+        product = re.escape(f"{w} * h0_1 >> {f} if h0_1 >= 0 else -({w} * -h0_1 >> {f})")
+        assert re.search(rf"(v\d+) = {product}\n    if \1 > {top}: \1 = {top}\n",
+                         _render(stepper.program))
+        compiled, _ = stepper.compiled()
+        key, x = stepper.init, stepper.emb["a"]
+        for length in range(1, 9):
+            new = stepper.search_step(key, x)
+            assert compiled(key, x) == new
+            key, y = new
+            assert y == evaluate_layerwise(model, ["a"] * length, mode).raw
+        assert y == top
 
 
 # A model file of FORMULA compiled in an earlier layout (one layer per

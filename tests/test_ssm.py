@@ -21,7 +21,8 @@ from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat, raw_en
 from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, ltl_layout, parse_minsky
 from ssmverify.errors import DimensionError, EmptyWordError, UnknownSymbolError
 from ssmverify.fnn import (
-    IDENTITY, RELU, Fnn, FnnLayer, FnnNode, compose, gadget_eq, linear_fnn, select_fnn,
+    IDENTITY, RELU, Fnn, FnnLayer, FnnNode, compose, eval_program, gadget_eq, linear_fnn,
+    select_fnn,
 )
 from ssmverify.ltl import parse
 from ssmverify.modelfile import save_model
@@ -40,7 +41,10 @@ from ssmverify.ssm import (
     _render,
     _Val,
     _constants,
+    _embed,
     _first_scale,
+    _layer_step,
+    _recurrence,
     _stepper,
     accepts,
     as_matrix,
@@ -128,6 +132,23 @@ def test_public_step_builds_no_stepper():
         for symbol in model.alphabet:
             state, _ = step(model, state, symbol)
     assert model._steppers == {}
+
+
+# The globals of ssm.py that build or run the generated step.
+STEP_SIDE = {"_StepCompiler", "_Stepper", "_stepper", "_with_stepper", "_interpreter", "_render",
+             "_Val", "_COMPILE_AFTER", "_denominator", "_first_scale", "_holders", "_Inexact"}
+
+
+def test_the_oracle_names_nothing_of_the_generated_step():
+    """The oracle stays independent of the step it judges: no code object
+    of its functions, nested ones included, names a global of the step
+    compiler or of either runner."""
+    todo = [f.__code__ for f in (step, initial_state, _layer_step, _recurrence, run_layer,
+                                 _embed, evaluate_layerwise, eval_program)]
+    while todo:
+        code = todo.pop()
+        assert not STEP_SIDE & set(code.co_names), (code.co_name, STEP_SIDE & set(code.co_names))
+        todo += [c for c in code.co_consts if isinstance(c, type(code))]
 
 
 def test_step_rejects_a_state_of_another_layout():
