@@ -544,20 +544,14 @@ class _StepCompiler:
 
     def quantized(self, model: SsmModel) -> int:
         """How many model constants the fixed-point mode does not represent
-        exactly, dead ones included.  Each distinct constant, told apart by
-        identity, and the unit where a coordinate is carried or passed
-        through is checked first, on the build's encodings; where one is
-        inexact or not encoded, the inexact ones are counted where the
-        model holds them.  A carried coordinate counts as the
-        weight 1 of its copy row, and each unit product of a coordinate
-        passed through as that of a copy node of ``phi``."""
+        exactly, dead ones included, counted where the model holds them:
+        each distinct constant, told apart by identity, is encoded once.
+        A carried coordinate counts as the weight 1 of its copy row, and
+        each unit product of a coordinate passed through as that of a copy
+        node of ``phi``."""
         consts, rows = _holders(model)
         units = sum(layer.dim - len(layer.updates)
                     + (layer.dim - len(layer.computes)) * _depth(layer) for layer in model.layers)
-        memo, ids = self._memo, set(map(id, consts))
-        ids.update(id(w) for row in rows for _, w in row.terms)
-        if not (units and self._const(_ONE)[2]) and all(i in memo and not memo[i][2] for i in ids):
-            return 0
         return (_count(consts, lambda w: self._const(w)[2])
                 + _count(rows, lambda r: self._row(r)[2]) + units * self._const(_ONE)[2])
 
@@ -836,15 +830,14 @@ class _StepCompiler:
         never falls: its gate row is the encoded 1 on itself (``{j: 1}`` of
         a time-invariant gate, or a diagonal row with no term and offset 1),
         its inc offset is not negative and neither is any inc term over the
-        intervals of the inputs ``x``.  A saturating sum of ``h`` and terms
-        that are not negative is not below ``h``, so by induction from the
+        intervals of the inputs ``x``.  A carried coordinate's gate row is
+        empty, so it is not one.  A saturating sum of ``h`` and terms that
+        are not negative is not below ``h``, so by induction from the
         initial key such a coordinate stays in its range."""
         gate, inc, one = layer.gate, layer.inc, self.scale
         diagonal = isinstance(gate, DiagonalAffineGate)
         ranges = {}
         for j in olds:
-            if j not in layer.updates:
-                continue
             terms = gate.rows[j].terms
             if diagonal:
                 unit = not terms and self.enc(gate.offset[j]) == one
@@ -912,7 +905,8 @@ class _StepCompiler:
         slots ``keyed``, that ``_threshold`` finds a least T for: from a key
         whose coordinate i is at least T, every later ``y`` is below the
         encoded 1.  Every rising coordinate has its h0 as T where ``y``
-        never reaches 1."""
+        never reaches 1; otherwise ``_threshold`` starts at ``y``'s kept
+        sum, with 4 visits per named local as its budget."""
         if not self._rising:
             return ()
         if y.hi < self.scale:
@@ -920,22 +914,8 @@ class _StepCompiler:
         else:
             found, kept = {}, self._sums.get(y.code)
             if kept:
-                self._moves = self._directions()  # read by ``_threshold``
                 self._threshold(kept, False, self.scale - 1, found, [4 * self._count])
         return tuple((i, found[slot]) for i, slot in enumerate(keyed) if slot in found)
-
-    def _directions(self) -> dict:
-        """Whether each rising input and kept sum can fall and whether it can
-        rise as a rising input grows, in one pass: a sum reads earlier slots."""
-        moves = dict.fromkeys(self._rising, (False, True))
-        for slot, (_, terms, _) in self._sums.items():
-            falls = rises = False
-            for t in terms:
-                if t.coef is not None:  # a negative term swaps falling and rising
-                    down, up = moves.get(t.base, (False, False))[::1 if t.coef > 0 else -1]
-                    falls, rises = falls or down, rises or up
-            moves[slot] = falls, rises
-        return moves
 
     def _threshold(self, kept: tuple, up: bool, bound, found: dict, budget: list) -> None:
         """One backward pass from a kept sum, which must be
@@ -950,9 +930,8 @@ class _StepCompiler:
         infinite: raising a value to the floor cannot break an upper bound
         at or above the floor, nor can lowering one to the top break a lower
         bound at or below the top; each other clamp can.  It follows each
-        integer term into a kept sum that can rise (``up``) or fall as a
-        rising input grows; it stops at a product by a fraction, a gated
-        product or past ``budget[0]`` visits."""
+        integer term into the kept sum it reads; it stops at a product by a
+        fraction, a gated product or past ``budget[0]`` visits."""
         budget[0] -= 1
         if budget[0] < 0:
             return
@@ -977,7 +956,7 @@ class _StepCompiler:
                 need = -((before - bound) // k) if rising else (bound - before) // k
                 lowest = self._rising.get(t.base)
                 if lowest is None:
-                    if self._moves.get(t.base, (False, False))[rising]:
+                    if t.base in self._sums:
                         self._threshold(self._sums[t.base], rising, need, found, budget)
                 elif rising and need <= top:  # the least T so far
                     found[t.base] = min(found.get(t.base, _INF), max(need, lowest))
