@@ -954,12 +954,10 @@ class _StepCompiler:
                 k = t.coef  # k * base at least (rising) or at most need
                 rising = up == (k > 0)
                 need = -((before - bound) // k) if rising else (bound - before) // k
-                lowest = self._rising.get(t.base)
-                if lowest is None:
-                    if t.base in self._sums:
-                        self._threshold(self._sums[t.base], rising, need, found, budget)
-                elif rising and need <= top:  # the least T so far
-                    found[t.base] = min(found.get(t.base, _INF), max(need, lowest))
+                if t.base in self._sums:
+                    self._threshold(self._sums[t.base], rising, need, found, budget)
+                elif rising and t.base in self._rising and need <= top:  # the least T so far
+                    found[t.base] = min(found.get(t.base, _INF), max(need, self._rising[t.base]))
             end = t.lo if up else t.hi
             if abs(end) == _INF:
                 return

@@ -1,6 +1,7 @@
 """Shared test machinery: corpus generators, differential walkers, the
-equivalence check of a compiled formula, the expanded twin of a model and
-the full-row form of a model file."""
+equivalence checks of a compiled formula and, up to a bound, of a compiled
+machine or 0-1 program, the expanded twin of a model and the full-row form
+of a model file."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from ssmverify.ssm import (
     projection_phi,
     step,
 )
-from ssmverify.words import set_symbol, symbol_set
+from ssmverify.words import set_symbol, symbol_pair, symbol_set
 
 
 def is_one(value, mode: ArithMode) -> bool:
@@ -116,39 +117,112 @@ def distinguishing_word(phi, model: SsmModel, mode: ArithMode, oracle: bool = Fa
     oracle behind the public ``step``, so that a step-compiler bug cannot
     hide a compiler bug.  They must be finitely many: a fixed format, or
     exact mode on an X-free formula."""
+    judge_key, judge = _automaton(phi)
+    letters = [(symbol, symbol_set(symbol)) for symbol in model.alphabet]
     if oracle:
         def advance(state, symbol):
             state, y = step(model, state, symbol)
-            return state, is_one(y, mode)
+            return state, is_one(y, mode), True
 
-        return _product_search(phi, model, initial_state(model, mode), advance)
+        return _product_search(judge_key, judge, letters, initial_state(model, mode), advance)
 
     def search(stepper):
         def advance(key, symbol):
             key, y = stepper.step(key, symbol)
-            return key, y == stepper.one
+            return key, y == stepper.one, True
 
-        return _product_search(phi, model, stepper.init, advance)
+        return _product_search(judge_key, judge, letters, stepper.init, advance)
 
     return _with_stepper(model, mode, search)
 
 
-def _product_search(phi, model: SsmModel, init, advance):
-    """The breadth-first search of ``distinguishing_word`` from the model
-    state ``init``, where ``advance(state, symbol)`` gives the next state
-    and whether the model accepts."""
-    judge_key, judge = _automaton(phi)
-    letters = [(symbol, symbol_set(symbol)) for symbol in model.alphabet]
+def bounded_distinguishing_word(source, model: SsmModel, mode: ArithMode, max_len: int):
+    """Translation validation of a compiled Minsky machine or 0-1 program
+    ``source``, and of its step's dead-key rule, on every word of at most
+    ``max_len`` symbols: the breadth-first search of ``distinguishing_word``
+    over the pairs (source key, key of the step the solvers run), with no
+    dead key pruned.  At each transition the model must output 1 exactly
+    where the source accepts the word so far, and never from a key that the
+    step's ``dead_rule`` calls dead.  Returns None when both rules hold,
+    else the least among the shortest words that break one.
+
+    The source keys follow the source semantics alone.  A program's key is
+    its row sums, row r capped at b_r + 1, and its counts, capped at 2; a
+    word is accepted where every count is at most 1 and A v = b.  A
+    machine's key is its state and both counters, as ``validate_word``
+    tracks them, or None once the word has broken a rule of the machine."""
+    if isinstance(source, IlpInstance):
+        judge_key, judge = _ilp_judge(source)
+    else:
+        judge_key, judge = _minsky_judge(source)
+    letters = [(symbol, symbol) for symbol in model.alphabet]
+
+    def search(stepper):
+        one, rule = stepper.one, stepper.dead_rule
+
+        def advance(key, symbol):
+            new, y = stepper.step(key, symbol)
+            return new, y == one, not any(key[i] >= t for i, t in rule)
+
+        return _product_search(judge_key, judge, letters, stepper.init, advance, max_len)
+
+    return _with_stepper(model, mode, search)
+
+
+def _ilp_judge(inst: IlpInstance):
+    """The initial key and the transition of the 0-1 program ``inst``,
+    whose letter i + 1 sets v_i."""
+    caps, d = [b + 1 for b in inst.target], inst.dim
+
+    def judge(key, symbol):
+        sums, counts = key
+        i = int(symbol) - 1
+        sums = tuple(min(s + row[i], cap) for s, row, cap in zip(sums, inst.matrix, caps))
+        counts = tuple(min(n + (k == i), 2) for k, n in enumerate(counts))
+        return (sums, counts), max(counts) <= 1 and sums == inst.target
+
+    return ((0,) * d, (0,) * d), judge
+
+
+def _minsky_judge(machine: MinskyMachine):
+    """The initial key and the transition of ``machine``, whose letter
+    (q, a) is the move by action a into state q."""
+    effects = {"inc": 1, "dec": -1, "ztest": 0}
+
+    def judge(key, symbol):
+        if key is None:
+            return None, False
+        q, counters = key
+        target, action = symbol_pair(symbol)
+        i, delta = int(action[-1]) - 1, effects[action[:-1]]
+        # a dec must find its counter positive, and a ztest find it zero
+        if ((q, action, target) not in machine.transitions or counters[i] + delta < 0
+                or delta == 0 and counters[i]):
+            return None, False
+        counters = tuple(c + delta if k == i else c for k, c in enumerate(counters))
+        return (target, counters), target == machine.final
+
+    return (machine.start, (0, 0)), judge
+
+
+def _product_search(judge_key, judge, letters, init, advance, max_len=None):
+    """The breadth-first search of ``distinguishing_word`` from the pair
+    (``judge_key``, ``init``), over words of at most ``max_len`` symbols
+    where it is given.  ``letters`` pairs each model symbol with the
+    judge's letter; ``judge(key, letter)`` gives the judge's next key and
+    whether it accepts, and ``advance(state, symbol)`` the model's next
+    state, whether it accepts and whether it may."""
     pair = (judge_key, init)
     parents: dict = {pair: None}
-    level = [pair]
-    while level:
+    level, depth = [pair], 0
+    while level and depth != max_len:
+        depth += 1
         next_level = []
         for pair in level:
             for symbol, letter in letters:
                 judge_key, truth = judge(pair[0], letter)
-                model_key, accepted = advance(pair[1], symbol)
-                if accepted != truth:
+                model_key, accepted, may = advance(pair[1], symbol)
+                if accepted != truth or accepted and not may:
                     word = [symbol]
                     while parents[pair] is not None:
                         pair, prior = parents[pair]

@@ -1,16 +1,20 @@
 """The three reductions checked against their brute-force oracles."""
 
+import importlib.util
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bounded_distinguishing_word,
     distinguishing_word,
     hand_formulas,
     random_formula,
@@ -758,6 +762,42 @@ def test_compile_ilp_differential_random():
                 sum(inst.matrix[r][c] * v[c] for c in range(inst.dim)) == inst.target[r]
                 for r in range(inst.dim)
             )
+
+
+def _bounded_exact_corpus(seed: int) -> list:
+    """(source, compiled model, max_len) for each of the 100 ``bounded_exact``
+    instances that ``perfbench/corpus.py`` draws for ``seed``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    # a dataclass looks its module up by name while it is made
+    corpus = sys.modules["perfbench_corpus"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    out = []
+    for inst in corpus.generate("bounded_exact", seed, 100):
+        if inst.kind == "minsky":
+            source = parse_minsky(inst.source)
+            out.append((source, compile_minsky(source), inst.max_len))
+        else:
+            source = parse_ilp(inst.source)
+            out.append((source, compile_ilp(source), inst.max_len))
+    return out
+
+
+@pytest.mark.parametrize("seed", [11, 401])
+def test_the_bounded_corpus_and_its_dead_rules_agree_with_their_sources(seed):
+    """Translation validation of every machine and 0-1 program of the
+    benchmark's ``bounded_exact`` corpus, and of its step's dead-key rule,
+    on every word up to the instance's bound, in exact mode and under
+    fx:12:3: no dead key is pruned, the model outputs 1 exactly where the
+    source accepts, and never from a key that the rule calls dead.  The
+    check fails on a step whose thresholds are one lower (30 of the 66
+    seed-401 models with a rule) and on a program whose row miss
+    relu(s_r - b_r) has its bias one lower."""
+    corpus = _bounded_exact_corpus(seed)
+    assert {type(source) for source, _, _ in corpus} == {MinskyMachine, IlpInstance}
+    for mode in (EXACT, ArithMode(FixedPointFormat(12, 3))):
+        for source, model, max_len in corpus:
+            assert bounded_distinguishing_word(source, model, mode, max_len) is None, (mode, source)
 
 
 def test_random_ilps_decide_in_fixed_point_as_in_exact_mode():

@@ -646,6 +646,53 @@ def test_dead_rules_of_the_ci_models():
     assert stats.dead_rule == [[0, "1"], [1, "2"], [2, "2"], [3, "2"]] and stats.dead == 1
 
 
+def _dag_model(least: int) -> SsmModel:
+    """A count h of the a's, read by the output directly and through 8
+    levels of two relu sums, each over both sums below (``relu(u + v)``
+    and ``relu(u + 2v)``, above ``relu(2h)`` and ``relu(3h)``), beside a
+    copy of h: 256 paths from the top sum u = 1597 h to the count.  The
+    output is ``relu(1 - relu(u - 2 * 1597) - relu(h - 2) - relu(least -
+    h))``, 1 exactly where ``least`` <= h <= 2."""
+    layer = SsmLayer(as_vector([0]), TimeInvariantGate(as_matrix([[1]])),
+                     AffineMap(as_matrix([[1]]), as_vector([0])), projection_phi(1))
+    nets = [linear_fnn([[2], [3], [1]], activation=RELU)]
+    nets += [linear_fnn([[1, 1, 0], [1, 2, 0], [0, 0, 1]], activation=RELU)] * 7
+    nets += [linear_fnn([[1, 0, 0], [0, 0, 1], [0, 0, -1]], [-2 * 1597, -2, least], RELU),
+             linear_fnn([[-1, -1, -1]], [1], RELU)]
+    out = nets[0]
+    for net in nets[1:]:
+        out = compose(net, out)
+    return SsmModel(("a", "b"), (as_vector([1]), as_vector([0])), (layer,), out)
+
+
+@pytest.mark.parametrize("least, witness", [(2, ("a", "a")), (3, None)])
+def test_a_dead_rule_whose_pass_runs_out_of_budget(monkeypatch, least, witness):
+    """The backward pass finds h >= 3 dead through ``relu(h - 2)``, then
+    follows the 256 paths below ``relu(u - 2 * 1597)``: more visits than
+    its budget of 4 per named local, so it stops early.  The build ends,
+    and the search with the step's rule finds what a brute-force walk over
+    ``evaluate_layerwise`` finds up to the bound: two a's, or no word,
+    after one transition to the dead count 3."""
+    threshold = _StepCompiler._threshold
+    visits, budgets = [], []
+
+    def counted(self, kept, up, bound, found, budget):
+        visits.append(None)
+        if not budgets:
+            budgets.append(budget[0])
+        threshold(self, kept, up, bound, found, budget)
+
+    monkeypatch.setattr(_StepCompiler, "_threshold", counted)
+    model = _dag_model(least)
+    result = sat_bounded(model, 4, EXACT)
+    assert budgets and len(visits) > budgets[0]
+    assert result.stats.dead_rule == [[0, "3"]] and result.stats.dead == (0 if witness else 1)
+    words = [w for n in range(1, 5) for w in itertools.product(model.alphabet, repeat=n)]
+    found = next((w for w in words if is_one(evaluate_layerwise(model, w, EXACT), EXACT)), None)
+    assert found == witness and result.witness == witness
+    assert result.verdict == (SATISFIABLE if witness else UNSAT_WITHIN_BOUND)
+
+
 def test_search_key_is_the_least_set_closed_under_reads():
     """One coordinate of the second layer's history block is read only by a
     new value that neither ``y`` nor a key coordinate needs: the key holds 7 of

@@ -1,9 +1,11 @@
 """Value semantics of the public value classes: equality over a fixed tuple
 of fields, hashing as that tuple hashes, immutability, repr, keyword
-construction and defaults."""
+construction and defaults, and the constructor checks that reject bad
+input."""
 
 import copy
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,17 @@ import pytest
 from ssmverify.arithmetic import ArithMode, FixedPointFormat, FixedPointValue
 from ssmverify.cli import run
 from ssmverify.compilers import IlpInstance, LtlLayout, MinskyMachine, MinskyRun, ltl_layout
-from ssmverify.fnn import IDENTITY, RELU, Fnn, FnnLayer, FnnNode
+from ssmverify.errors import DimensionError, PreconditionError
+from ssmverify.fnn import (
+    IDENTITY,
+    RELU,
+    Fnn,
+    FnnLayer,
+    FnnNode,
+    gadget_and,
+    gadget_lookup,
+    select_fnn,
+)
 from ssmverify.ltl import And, Atom, Next, Not, Or, Until, parse
 from ssmverify.solvers import LengthBound, ResourceLimits, SatResult, SearchStats
 from ssmverify.ssm import (
@@ -192,3 +204,35 @@ def test_reported_stats_keep_their_keys_in_order(tmp_path, monkeypatch):
     monkeypatch.setenv("SSMVERIFY_MAX_STATES", "2")
     status, report = run(["sat", "fixed", model, "--arith", "fx:6:3"])
     assert status == 3 and list(report["result"]["partial_stats"]) == STATS_KEYS
+
+
+# Each constructor check below, with the error it raises and a fragment of
+# its message.
+BAD_INPUTS = [
+    (lambda: AffineMap([[1]], as_vector([0, 0])), DimensionError, "matching offset"),
+    (lambda: SsmLayer(as_vector([0, 0]), TimeInvariantGate([[1]]), AffineMap([[1]], as_vector([0])),
+                      projection_phi(2)), DimensionError, "disagree with h0"),
+    (lambda: SsmLayer(as_vector([0]), TimeInvariantGate([[1]]),
+                      AffineMap([[1, 0], [0, 1]], as_vector([0, 0])), projection_phi(1)),
+     DimensionError, "disagree with h0"),
+    (lambda: SsmModel(("a",), (as_vector([1, 0]),), (LAYER,), select_fnn([0], 2)),
+     DimensionError, "all layers must share"),
+    (lambda: FnnLayer(()), DimensionError, "at least one node"),
+    (lambda: Fnn((FnnLayer((NODE,)), FnnLayer((NODE,)))), DimensionError, "do not chain: 1 -> 2"),
+    (lambda: gadget_and(0), DimensionError, "arity >= 1"),
+    (lambda: gadget_lookup((2, 3), [(1, 3)]), DimensionError, "does not match blocks (2, 3)"),
+    (lambda: IlpInstance((), ()), DimensionError, "empty instance"),
+    (lambda: IlpInstance(((1, 0),), (1,)), DimensionError, "must be square"),
+    (lambda: IlpInstance(((1, 0), (0, 1)), (1,)), DimensionError, "match the target length"),
+    (lambda: LengthBound(3, "ternary"), PreconditionError, "unknown encoding 'ternary'"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", BAD_INPUTS)
+def test_a_bad_input_raises_its_error(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
+
+
+def test_a_fixed_point_value_prints_its_value_and_format():
+    assert str(FixedPointValue(3, FixedPointFormat(6, 3))) == "3/8 [fx:6:3]"
