@@ -16,11 +16,17 @@ alike.  From each run it reads the last line of standard output (one JSON
 object: correct, attempted, failed and the end-to-end metrics), the corpus
 digest and the median of the host-speed probe.
 
-Per workload, ``BENCH_<label>.json`` holds the median and the [min, max]
-range of each end-to-end metric over the runs, its unit, the seed, the
-digest, the median of the runs' probe medians, whether every run was
-correct, and the commit (``git rev-parse HEAD``, ``+dirty`` where the
-checkout has uncommitted changes).  Standard library only.
+Per workload, ``BENCH_<label>.json`` holds the median, the [min, max]
+range and the per-run values, in run order, of each end-to-end metric,
+its unit, the seed, the digest, the median of the runs' probe medians,
+whether every run was correct, and the commit (``git rev-parse HEAD``,
+``+dirty`` where the checkout has uncommitted changes).
+
+Given two checkouts, the script also prints, per workload and end-to-end
+metric of ``BENCHMARK.json``, how many of the rounds' pairs of runs the
+second checkout won, by the metric's direction there, and the first
+checkout's interquartile range.  A tie counts for neither side.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("ltl_cli", "ltl_deep", "bounded_exact")
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 SECONDS = 10  # the length of each run
 _DIGEST = re.compile(r"\bdigest ([0-9a-f]+)")
 _PROBE = re.compile(r"^host-speed probe: .*\bmedian ([0-9.]+) ms", re.M)
@@ -56,12 +63,12 @@ def parse_run(stdout: str) -> dict:
 
 def aggregate(runs: list[dict], seed: int, commit: str) -> dict:
     """One workload's entry of a record from the parsed runs: per metric its
-    median, [min, max] and unit."""
+    median, [min, max], unit and values in run order."""
     metrics = {}
     for name, first in runs[0]["metrics"].items():
         values = [run["metrics"][name]["value"] for run in runs]
-        metrics[name] = {"median": statistics.median(values),
-                         "range": [min(values), max(values)], "unit": first["unit"]}
+        metrics[name] = {"median": statistics.median(values), "range": [min(values), max(values)],
+                         "unit": first["unit"], "values": values}
     digests = sorted({run["digest"] for run in runs}, key=str)
     probes = [run["probe_ms"] for run in runs if run["probe_ms"] is not None]
     return {
@@ -74,6 +81,21 @@ def aggregate(runs: list[dict], seed: int, commit: str) -> dict:
         "probe_ms_median": statistics.median(probes) if probes else None,
         "metrics": metrics,
     }
+
+
+def pairs_won(first: dict, second: dict, better: dict[str, str]) -> dict:
+    """For each metric named in ``better`` (its name -> "higher" or "lower")
+    of two ``aggregate`` entries of one workload, whose runs pair by round:
+    (pairs the second entry won, pairs, the first entry's interquartile
+    range).  A tie counts for neither side.  The quartiles are
+    ``statistics.quantiles``' inclusive ones; one run has a range of 0."""
+    out = {}
+    for name, direction in better.items():
+        old, new = first["metrics"][name]["values"], second["metrics"][name]["values"]
+        sign = 1 if direction == "higher" else -1
+        q1, _, q3 = statistics.quantiles(old, n=4, method="inclusive") if len(old) > 1 else (0,) * 3
+        out[name] = sum(sign * (b - a) > 0 for a, b in zip(old, new)), len(old), q3 - q1
+    return out
 
 
 def commit_of(root: Path) -> str:
@@ -133,12 +155,20 @@ def main(argv=None) -> int:
                 print(f"round {round_ + 1}/{args.runs} {label} {workload}: "
                       f"p50 {record['metrics']['verdict_s.p50']['value'] * 1e3:.3f} ms, "
                       f"probe {record['probe_ms']} ms", file=sys.stderr)
+    bodies = []
     for label, root in trees:
         commit = commit_of(root)
-        body = {w: aggregate(runs[label, w], args.seed, commit) for w in workloads}
+        bodies.append({w: aggregate(runs[label, w], args.seed, commit) for w in workloads})
         path = args.out / f"BENCH_{label}.json"
-        path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(bodies[-1], indent=2, sort_keys=True) + "\n")
         print(path)
+    if len(trees) == 2:
+        better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+        (old, _), (new, _) = trees
+        for w in workloads:
+            for name, (won, pairs, iqr) in pairs_won(bodies[0][w], bodies[1][w], better).items():
+                unit = bodies[0][w]["metrics"][name]["unit"]
+                print(f"{w} {name}: {new} won {won} of {pairs} pairs; {old} IQR {iqr:.6g} {unit}")
     return 0
 
 

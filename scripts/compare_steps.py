@@ -12,8 +12,9 @@ workloads (100 models each) under exact, ``fx:6:3``, ``fx:12:3`` and
 as a search's does.
 
 The script prints how many step sources are byte-equal, equal once the
-locals ``v<n>`` are renumbered by first appearance, or different, and
-lists each build whose ``key``, ``dead_rule``, ``init``,
+locals ``v<n>`` are renumbered by first appearance, or different, then
+each side's step lines after the ``def``, summed per workload and mode,
+and lists each build whose ``key``, ``dead_rule``, ``init``,
 ``quantized_constants`` or ``one`` differs.  It exits 1 on any such
 difference or on a build that only one checkout made, 2 when a checkout
 fails to build, and 0 otherwise.  Standard library only.
@@ -25,6 +26,7 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 WORKLOADS = ("ltl_cli", "ltl_deep", "bounded_exact")
@@ -103,6 +105,20 @@ def compare(old: dict, new: dict) -> dict:
     return {**counts, "missing": missing, "differing": differing}
 
 
+def step_lines(old: dict, new: dict) -> list[str]:
+    """One line per workload and mode of the builds of ``old`` and ``new``:
+    the lines after the ``def`` of its step sources, summed on each side."""
+    def summed(found: dict) -> Counter:
+        total: Counter = Counter()
+        for (workload, _, _, mode), (source, _) in found.items():
+            total[workload, mode] += len(source.splitlines()) - 1
+        return total
+
+    a, b = summed(old), summed(new)
+    return [f"step lines, {workload} {mode}: {a[workload, mode]} -> {b[workload, mode]}"
+            for workload in WORKLOADS for mode in MODES if (workload, mode) in a.keys() | b.keys()]
+
+
 def verdict(result: dict) -> int:
     """The exit status of a ``compare`` result: 1 where a field differs or
     a build is on one side only, else 0."""
@@ -124,6 +140,7 @@ def main(argv: list[str]) -> int:
     print(f"{len(sides[0])} builds in {argv[0]}, {len(sides[1])} in {argv[1]}")
     print(f"sources: {result['byte_equal']} byte-equal, {result['renumbered_equal']} equal "
           f"after renumbering, {result['different']} different")
+    print("\n".join(step_lines(*sides)))
     for build in result["missing"]:
         print(f"only on one side: {build}")
     for build, field in result["differing"]:

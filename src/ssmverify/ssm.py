@@ -402,13 +402,12 @@ def _times(k: int, code: str) -> str:
 
 # The kinds of op of a step program.  An op is (kind, slot written, number n of the local
 # ``v<n>`` it renders as or None for a product inlined into a sum, then the clamp's low and
-# high, None on a side that cannot overflow):
+# high, None on a side that cannot overflow; a low of 0 is a relu's):
 #   _SUM      (..., start, terms): start + k * env[s] for each (k, s)
-#   _RELU     (..., c, ((k, u),)): the same with low 0, one line of text
 #   _PRODUCT  (..., k, a, b, f, form): k * env[a] (env[a] * env[b] for k None) >> f, truncated
 #             toward zero; form chooses its text
 #   _DIVIDED  (..., k, a, b, q, None): that product over q, or ``Inexact``
-_SUM, _RELU, _PRODUCT, _DIVIDED = range(4)
+_SUM, _PRODUCT, _DIVIDED = range(3)
 
 #: How many transitions one call of a step (a search, one word's walk)
 #: interprets before it compiles the step; ``_Stepper`` derives it.
@@ -452,10 +451,7 @@ class _StepCompiler:
     terms into one), zero terms vanish and a term whose encoded weight is
     the unit becomes an alias, as does a whole unit copy.  A sum subtracts
     a negative constant or integer product (``1 - v10 - 2 * x3``), which
-    ``mul`` marks with its coefficient and slot; and
-    a relu over a constant plus one name or its negation is one line
-    wherever the sum cannot pass the format's top (``v = u - 2 if u > 2
-    else 0``), since a sum saturated at the bottom has the relu 0.  A carried
+    ``mul`` marks with its coefficient and slot.  A carried
     coordinate's new value is its input, times the encoded 1 where 1 is not
     the scale (``unit``): its copy row is not read.  One interval
     analysis covers every domain: each value carries the interval its
@@ -463,7 +459,9 @@ class _StepCompiler:
     (hidden inputs, products of an input-dependent gate), and a difference
     of two relus over one row the span of their biases (``_span``).  A
     saturation test is emitted only on a side that can overflow, and a relu
-    clamp only where its argument can be negative.
+    clamp, the floor 0 of a sum, only where its argument can be negative;
+    every sum takes the same ``_clamp``, which keeps the rest of its
+    interval.
 
     A hidden input takes the whole domain, but a ``rising`` one takes
     [enc(h0), top]: that range is proved, since each new value is a
@@ -578,19 +576,15 @@ class _StepCompiler:
         self._blocks.append((slot, ops, reads))
         return _Val(slot, None, lo, hi, (slot,))
 
-    def _saturates(self, lo, hi, floor) -> tuple:
-        """Where a value in [lo, hi] saturates (``floor`` below: the range
-        minimum, or zero where a relu follows): the floor it raises a value
-        to and the top it lowers one to, None where it does not."""
-        return floor if lo < floor else None, self.top if hi > self.top else None
-
     def _clamp(self, lo, hi, floor) -> tuple:
-        """The interval of a value in [lo, hi] once clamped where
-        ``_saturates`` says it saturates, and what ``_saturates`` said."""
+        """The interval of a value in [lo, hi] once clamped, and where it
+        saturates (``floor`` below: the range minimum, or zero where a relu
+        follows): the floor it raises a value to and the top it lowers one
+        to, None where it does not."""
         top = self.top
-        low, high = saturates = self._saturates(lo, hi, floor)
+        low, high = floor if lo < floor else None, top if hi > top else None
         lo = floor if low is not None else min(lo, top)
-        return lo, top if high is not None else max(hi, floor), saturates
+        return lo, top if high is not None else max(hi, floor), (low, high)
 
     def _fits(self, lo, hi, reads, coef=None, base=None, product=()) -> _Val:
         """A product term, ``coef * base`` or the ``_PRODUCT`` op with the
@@ -676,10 +670,9 @@ class _StepCompiler:
         local.  An exact sum, which no order changes, folds every constant
         term into ``start``.  A ``span`` known to hold the sum narrows its
         interval.  A negative constant or integer product is subtracted
-        (``1 - v10 - 2 * x3``).  A relu over a constant c plus one name u or
-        its negation is one line where the sum cannot pass the top (``v =
-        u - 2 if u > 2 else 0``, ``v = 2 - u if u < 2 else 0``): below the
-        bottom, the saturated sum's relu is 0 too."""
+        (``1 - v10 - 2 * x3``).  A relu is a clamp to the floor 0, emitted,
+        like a saturation, only where the sum's interval passes it; the
+        result keeps the rest of that interval."""
         if self.fmt is None:  # a loop, cheaper than comprehensions here
             kept = []
             for t in terms:
@@ -729,15 +722,11 @@ class _StepCompiler:
             lo, hi = max(lo, span[0]), min(hi, span[1])
         if hi <= floor:
             return self.const(floor)
-        one, first = len(joined) == 1 and hi <= top, joined[0]  # one term: no line yet
-        if one and value == 0 and first.coef == 1 and lo >= floor:  # a local
-            return _Val(first.code, None, lo, hi, (first.code,))
+        first = joined[0]
+        if len(joined) == 1 and value == 0 and first.coef == 1 and floor <= lo and hi <= top:
+            return _Val(first.code, None, lo, hi, (first.code,))  # a local, no line
         if slot is None:
             slot, n = self._fresh()
-        if one and relu and first.coef in (1, -1):  # one line, not two
-            clamps[len(joined)] = self._saturates(lo, hi, 0)
-            self._sums[slot] = value, joined, clamps
-            return self._bind(slot, [(_RELU, slot, n, 0, None, value, tuple(part))], reads, 0, hi)
         lo, hi, clamps[len(joined)] = self._clamp(lo, hi, floor)
         self._sums[slot] = value, joined, clamps
         ops.append((_SUM, slot, n, *clamps[len(joined)], begin, tuple(part)))
@@ -820,7 +809,7 @@ class _StepCompiler:
             terms = [self.mul(w, h[k]) for k, w in gate_terms]
         else:
             g = self.total(self.enc(gate.offset[j]), [self.mul(w, x[k]) for k, w in gate_terms])
-            terms = [] if g.const == 0 else [self.mul_var(g, h[j])]
+            terms = [self.mul_var(g, h[j])]
         terms.append(self.const(offset))
         terms += [self.mul(w, x[k]) for k, w in inc_terms]
         return self.total(0, terms)
@@ -980,7 +969,10 @@ class _StepCompiler:
 def _render(program: tuple) -> str:
     """The source of ``step(key, x)`` for a ``_StepCompiler`` program: the
     lines of each op in turn, between the unpacking of the key and ``x``
-    and the return of the new key and ``y``."""
+    and the return of the new key and ``y``.  A sum whose only clamp is a
+    relu's floor 0 and whose one term is 1 or -1 times a name, not an
+    inlined product, is one line (``v = u - 2 if u > 2 else 0``, ``v = 2 -
+    u if u < 2 else 0``); it clamps as its two lines would."""
     ops, template, dim, hidden, live, outs, y = program
     base = dim + len(hidden)  # the slot that holds 1
     names = ([f"x{k}" for k in range(dim)] + [f"h{li}_{j}" for li, j in hidden]
@@ -1008,16 +1000,18 @@ def _render(program: tuple) -> str:
             names[slot] = f"({product(*rest)})"
             continue
         name = names[slot] = f"v{n}"
-        if kind <= _RELU:
+        if kind == _SUM:
             start, ((k, s), *terms) = rest
-            expr = _times(k, names[s]) if start == 0 else joined(_literal(start), k, s)
-            for k, s in terms:
-                expr = joined(expr, k, s)
-            if kind == _RELU:  # relu(start + k * u) for k = 1 or -1
-                u, c = names[s], _literal(start if k == -1 else -start)
+            u = names[s]
+            expr = _times(k, u) if start == 0 else joined(_literal(start), k, s)
+            if low == 0 and high is None and not terms and k in (1, -1) and u[0] != "(":
+                # relu(start + k * u), the floor its only clamp; an inlined product's u is "(...)"
+                c = _literal(start if k == -1 else -start)
                 expr = f"{u} - {c}" if k == 1 and start < 0 else expr
                 lines.append(f"{name} = {expr} if {u} {'<' if k == -1 else '>'} {c} else 0")
                 continue
+            for k, s in terms:
+                expr = joined(expr, k, s)
             lines.append(f"{name} = {expr}")
         elif kind == _PRODUCT and rest[-1] == "lines":
             f = rest[3]
@@ -1063,7 +1057,7 @@ def _interpreter(program: tuple):
         env = [*x, *(key if spread is None else spread((*key, None))), *template]
         for op in ops:
             kind = op[0]
-            if kind <= _RELU:
+            if kind == _SUM:
                 _, slot, _, low, high, v, terms = op
                 for k, s in terms:
                     v += k * env[s]

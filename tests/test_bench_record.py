@@ -43,7 +43,7 @@ def test_a_workload_keeps_the_median_and_range_of_each_metric():
                                     (0.002, 600.0, "4.0"))]
     entry = bench_record.aggregate(runs, 401, "abc")
     assert entry["metrics"]["verdict_s.p50"] == {
-        "median": 0.002, "range": [0.001, 0.003], "unit": "s"}
+        "median": 0.002, "range": [0.001, 0.003], "unit": "s", "values": [0.003, 0.001, 0.002]}
     assert entry["metrics"]["instances_per_s"]["range"] == [500.0, 700.0]
     assert (entry["commit"], entry["seed"], entry["runs"], entry["digest"]) == (
         "abc", 401, 3, "b42a")
@@ -53,3 +53,22 @@ def test_a_workload_keeps_the_median_and_range_of_each_metric():
 def test_runs_of_different_corpora_list_every_digest():
     runs = [bench_record.parse_run(canned(0.001, 1.0, digest=d)) for d in ("bb", "aa")]
     assert bench_record.aggregate(runs, 401, "abc")["digest"] == ["aa", "bb"]
+
+
+def test_pairs_are_won_by_direction_and_ties_count_for_neither():
+    """Runs pair by round.  The second checkout wins a pair where its p50 is
+    lower or its rate higher; an equal pair is nobody's.  The interquartile
+    range is the first checkout's."""
+    def entry(values):
+        runs = [bench_record.parse_run(canned(p50, ips)) for p50, ips in values]
+        return bench_record.aggregate(runs, 401, "abc")
+
+    old = entry([(0.004, 500.0), (0.001, 700.0), (0.003, 600.0), (0.002, 650.0), (0.005, 550.0)])
+    new = entry([(0.003, 500.0), (0.002, 710.0), (0.003, 640.0), (0.001, 600.0), (0.001, 560.0)])
+    better = {"verdict_s.p50": "lower", "instances_per_s": "higher"}
+    won = bench_record.pairs_won(old, new, better)
+    assert won["verdict_s.p50"] == (3, 5, pytest.approx(0.002))
+    assert won["instances_per_s"] == (3, 5, pytest.approx(100.0))
+    assert bench_record.pairs_won(old, old, better)["verdict_s.p50"][0] == 0
+    assert bench_record.pairs_won(entry([(0.004, 1.0)]), entry([(0.001, 1.0)]), better) == {
+        "verdict_s.p50": (1, 1, 0), "instances_per_s": (0, 1, 0)}

@@ -14,10 +14,10 @@ SOURCE = ("def step(key, x):\n    h0_1, = key\n    v3 = h0_1 + 8\n    v7 = v3 + 
           "    return (v7, ), v7\n")
 
 
-def dump(*builds) -> str:
-    """``dump``'s lines for ``builds``: (index, source, key) each, in the
-    exact mode of seed 401's ltl_cli, with every other field fixed."""
-    return "".join(json.dumps(["ltl_cli", 401, i, "exact", source, key, "()", "(8,)", "0", "8"])
+def dump(*builds, workload="ltl_cli", mode="exact") -> str:
+    """``dump``'s lines for ``builds``: (index, source, key) each, in
+    ``mode`` at seed 401 of ``workload``, with every other field fixed."""
+    return "".join(json.dumps([workload, 401, i, mode, source, key, "()", "(8,)", "0", "8"])
                    + "\n" for i, source, key in builds)
 
 
@@ -47,3 +47,22 @@ def test_sources_are_counted_and_fields_decide():
     assert result["missing"] == [("ltl_cli", 401, 2, "exact")]
     assert compare_steps.verdict(result) == 1
     assert compare_steps.verdict(compare_steps.compare(old, {**old, **new})) == 1
+
+
+def test_step_lines_are_summed_per_workload_and_mode():
+    """Each side's lines after the ``def``, in the script's order of
+    workloads and modes; a pair that neither side built is left out."""
+    folded = "def step(key, x):\n    return (), 0\n"
+    old = compare_steps.parse_dump(
+        dump((0, SOURCE, "((0, 1),)"), (1, SOURCE, "((0, 1),)"))
+        + dump((0, SOURCE, "((0, 1),)"), workload="bounded_exact", mode="fx:6:3")
+        + dump((0, SOURCE, "((0, 1),)"), workload="bounded_exact"))
+    new = compare_steps.parse_dump(
+        dump((0, SOURCE, "((0, 1),)"), (1, folded, "()"))
+        + dump((0, folded, "()"), workload="bounded_exact", mode="fx:6:3")
+        + dump((0, SOURCE, "((0, 1),)"), workload="bounded_exact"))
+    assert compare_steps.step_lines(old, new) == [
+        "step lines, ltl_cli exact: 8 -> 5",
+        "step lines, bounded_exact exact: 4 -> 4",
+        "step lines, bounded_exact fx:6:3: 4 -> 1",
+    ]

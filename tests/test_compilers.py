@@ -23,7 +23,7 @@ from helpers import (
     trace_to_word,
     walk_words,
 )
-from ssmverify import ltl
+from ssmverify import compilers, ltl
 from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat
 from ssmverify.compilers import (
     _pointwise,
@@ -764,26 +764,25 @@ def test_compile_ilp_differential_random():
             )
 
 
-def _bounded_exact_corpus(seed: int) -> list:
-    """(source, compiled model, max_len) for each of the 100 ``bounded_exact``
-    instances that ``perfbench/corpus.py`` draws for ``seed``."""
+def _bounded_exact_sources(seed: int) -> list:
+    """(source, max_len) for each of the 100 ``bounded_exact`` instances that
+    ``perfbench/corpus.py`` draws for ``seed``, the source parsed."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
     # a dataclass looks its module up by name while it is made
     corpus = sys.modules["perfbench_corpus"] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
-    out = []
-    for inst in corpus.generate("bounded_exact", seed, 100):
-        if inst.kind == "minsky":
-            source = parse_minsky(inst.source)
-            out.append((source, compile_minsky(source), inst.max_len))
-        else:
-            source = parse_ilp(inst.source)
-            out.append((source, compile_ilp(source), inst.max_len))
-    return out
+    return [((parse_minsky if inst.kind == "minsky" else parse_ilp)(inst.source), inst.max_len)
+            for inst in corpus.generate("bounded_exact", seed, 100)]
 
 
-@pytest.mark.parametrize("seed", [11, 401])
+def _bounded_exact_corpus(seed: int) -> list:
+    """(source, compiled model, max_len) for each ``_bounded_exact_sources``."""
+    return [(source, (compile_minsky if isinstance(source, MinskyMachine) else compile_ilp)(source),
+             max_len) for source, max_len in _bounded_exact_sources(seed)]
+
+
+@pytest.mark.parametrize("seed", [11, 401, 23])
 def test_the_bounded_corpus_and_its_dead_rules_agree_with_their_sources(seed):
     """Translation validation of every machine and 0-1 program of the
     benchmark's ``bounded_exact`` corpus, and of its step's dead-key rule,
@@ -792,12 +791,55 @@ def test_the_bounded_corpus_and_its_dead_rules_agree_with_their_sources(seed):
     source accepts, and never from a key that the rule calls dead.  The
     check fails on a step whose thresholds are one lower (30 of the 66
     seed-401 models with a rule) and on a program whose row miss
-    relu(s_r - b_r) has its bias one lower."""
+    relu(s_r - b_r) has its bias one lower.  Seed 23's program #93 has a
+    row whose every entry exceeds its target, so its step folds ``y`` to 0
+    and keys nothing."""
     corpus = _bounded_exact_corpus(seed)
     assert {type(source) for source, _, _ in corpus} == {MinskyMachine, IlpInstance}
     for mode in (EXACT, ArithMode(FixedPointFormat(12, 3))):
         for source, model, max_len in corpus:
             assert bounded_distinguishing_word(source, model, mode, max_len) is None, (mode, source)
+
+
+# Three mutants of the Minsky compiler: each compiles a machine under a
+# patch that ``m``, a monkeypatch context, undoes after the compile.
+
+def _no_dec_check(m, machine: MinskyMachine) -> SsmModel:
+    """Dec checks that never fire: ``gadget_geq0`` holds on every input."""
+    m.setattr(compilers, "gadget_geq0", lambda: linear_fnn([[0]], [1], RELU))
+    return compile_minsky(machine)
+
+
+def _ztest_as_dec(m, machine: MinskyMachine) -> SsmModel:
+    """A ztest that subtracts 1 from its counter, as a dec does."""
+    m.setitem(compilers._EFFECT, "ztest1", (0, -1))
+    m.setitem(compilers._EFFECT, "ztest2", (1, -1))
+    return compile_minsky(machine)
+
+
+def _out_without_violations(m, machine: MinskyMachine) -> SsmModel:
+    """``out`` = relu(final), without the violations' ``- x_chk``."""
+    model = compile_minsky(machine)
+    final = machine.states.index(machine.final)
+    out = linear_fnn([[int(k == final) for k in range(model.dim)]], activation=RELU)
+    return SsmModel(model.alphabet, model.emb, model.layers, out, model.metadata)
+
+
+@pytest.mark.parametrize("mutant", [_no_dec_check, _ztest_as_dec, _out_without_violations],
+                         ids=lambda mutant: mutant.__name__)
+def test_the_bounded_judge_catches_each_minsky_mutant(mutant, monkeypatch):
+    """Each mutant of the Minsky compiler, patched only while it compiles,
+    gives a distinguishing word on some seed-401 ``bounded_exact`` machine
+    in exact mode: a compiler whose dec checks never fire, one that
+    compiles ztest as dec, and one whose ``out`` omits the violations."""
+    machines = [(source, max_len) for source, max_len in _bounded_exact_sources(401)
+                if isinstance(source, MinskyMachine)]
+    caught = 0
+    for machine, max_len in machines:
+        with monkeypatch.context() as m:
+            model = mutant(m, machine)
+        caught += bounded_distinguishing_word(machine, model, EXACT, max_len) is not None
+    assert caught, mutant
 
 
 def test_random_ilps_decide_in_fixed_point_as_in_exact_mode():

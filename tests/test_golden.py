@@ -295,7 +295,7 @@ def test_step_sources_checksum_ltl():
 def test_step_sources_checksum_minsky_ilp():
     """The steps of the seeded random machines and 0-1 programs."""
     assert step_digest(minsky_ilp_corpus()) == (
-        "d3cf7ab048da9db0185d843a92c8d01c4a9d48c2855d3ee772e872030d4d8e45")
+        "ecd4cf495a82bed7514399a19d5bdfc8f3026d85376533d5102c186cb28f1452")
 
 
 def test_the_interpreted_step_agrees_with_the_compiled_one():

@@ -18,7 +18,9 @@ from helpers import (
     is_one, random_formula, random_ilp, random_machine,
 )
 from ssmverify.arithmetic import EXACT, FX6, ArithMode, FixedPointFormat, raw_encode
-from ssmverify.compilers import compile_ilp, compile_ltl, compile_minsky, ltl_layout, parse_minsky
+from ssmverify.compilers import (
+    IlpInstance, compile_ilp, compile_ltl, compile_minsky, ilp_oracle, ltl_layout, parse_minsky,
+)
 from ssmverify.errors import DimensionError, EmptyWordError, UnknownSymbolError
 from ssmverify.fnn import (
     IDENTITY, RELU, Fnn, FnnLayer, FnnNode, compose, eval_program, gadget_eq, linear_fnn,
@@ -640,8 +642,8 @@ _ONE_LINE_RELUS = {
                          ids=str)
 def test_a_relu_over_a_local_and_a_constant_is_one_line(fmt):
     """``relu(c + u)`` and ``relu(c - u)`` over one local u is one line
-    wherever the sum cannot pass the top; below the bottom the saturated
-    sum's relu is 0 too.  u is a counter, whose sum saturates on both
+    wherever the sum can be negative and cannot pass the top; below the
+    bottom the saturated sum's relu is 0 too.  u is a counter, whose sum saturates on both
     sides, or an input that spans the range of fx:4:1, so there the sums
     pass the bottom.  Each relu agrees with the layer-major evaluator on
     every word up to length 4, and the step holds each one-line form."""
@@ -660,6 +662,44 @@ def test_a_relu_over_a_local_and_a_constant_is_one_line(fmt):
                     assert evaluate(model, word, mode) == evaluate_layerwise(model, word, mode), (
                         c, row, word)
     assert forms == set(_ONE_LINE_RELUS)
+
+
+@pytest.mark.parametrize("fmt", [FixedPointFormat(4, 1), FX6, None], ids=str)
+def test_a_relu_whose_argument_cannot_be_negative_has_no_test(fmt):
+    """``out`` is ``relu(u - 2)`` over a counter u that starts at 2 and
+    adds 0 or 1: a rising coordinate, so u - 2 is never negative and the
+    relu is the plain sum ``-2 + u``, with no test, and the output is the
+    number of b's.  The step agrees with the layer-major evaluator on
+    every word up to length 4, in fx:4:1 past the counter's saturation."""
+    layer = SsmLayer(as_vector([2]), TimeInvariantGate(as_matrix([[1]])),
+                     AffineMap(eye(1), as_vector([0])), projection_phi(1))
+    model = SsmModel(("a", "b"), (as_vector([0]), as_vector([1])), (layer,),
+                     linear_fnn([[1]], [-2], RELU))
+    mode = ArithMode(fmt)
+    two = 2 * (1 if fmt is None else fmt.scale)
+    source = step_source(model, mode)
+    assert re.search(rf"\n    v\d+ = -{two} \+ v\d+\n", source), source
+    assert " else 0" not in source and "< 0:" not in source, source
+    for n in range(1, 5):
+        for word in itertools.product(model.alphabet, repeat=n):
+            assert evaluate(model, word, mode) == evaluate_layerwise(model, word, mode), word
+
+
+def test_a_program_whose_row_exceeds_its_target_everywhere_keys_nothing():
+    """Row 1 of this 0-1 program (seed 401's bounded_exact #25) adds at
+    least 2 to its sum, whose target is 1, so after any letter its miss
+    ``relu(s_1 - 1)`` is at least 1 and ``out`` is 0: the exact step folds
+    ``y`` to 0 and keys nothing.  The search decides as before, a miss
+    within the bound after the 3 transitions from the initial key."""
+    inst = IlpInstance(((0, 0, 1), (2, 2, 3), (1, 0, 2)), (1, 1, 3))
+    model = compile_ilp(inst)
+    stepper = _stepper(model, EXACT)
+    assert (stepper.key, stepper.dead_rule, stepper.init) == ((), (), ())
+    assert _render(stepper.program).endswith("return (), 0\n")
+    result = sat_bounded(model, 3, EXACT)
+    assert (result.verdict, result.witness) == ("unsatisfiable-within-bound", None)
+    assert (result.stats.transitions, result.stats.key_coordinates) == (3, 0)
+    assert ilp_oracle(inst) is None
 
 
 def test_a_layer_carries_only_copies():
